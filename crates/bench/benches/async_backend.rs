@@ -21,12 +21,9 @@
 //! MPC_BENCH_JSON=target/bench-json cargo bench -p mpc-bench --bench async_backend
 //! ```
 
-use std::time::Instant;
-
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use serde::Serialize;
 
-use mpc_bench::{json_output_path, maybe_write_json};
+use mpc_bench::{json_output_path, maybe_write_json, BenchRow};
 use mpc_core::hypercube::HyperCubeProgram;
 use mpc_cq::families;
 use mpc_data::matching_database;
@@ -111,24 +108,6 @@ fn bench_schedule_replay(c: &mut Criterion) {
 
 criterion_group!(benches, bench_sync_vs_async, bench_queue_capacity, bench_schedule_replay);
 
-/// One machine-readable measurement for `BENCH_async.json`.
-#[derive(Serialize)]
-struct BenchRow {
-    name: String,
-    mean_ns: u128,
-    iterations: u32,
-}
-
-/// Mean wall-clock nanoseconds of `f` (one warm-up + `iters` samples).
-fn time_ns<F: FnMut()>(mut f: F, iters: u32) -> u128 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() / iters as u128
-}
-
 /// Measure the headline cases once more, deterministically, and write the
 /// JSON artefact. Skipped unless a JSON sink was requested.
 fn write_bench_json() {
@@ -138,37 +117,23 @@ fn write_bench_json() {
     let iters = 10u32;
     let (program, db, cluster) = setup(2_000);
     let mut rows = vec![
-        BenchRow {
-            name: "synchronous/C3_hc".to_string(),
-            mean_ns: time_ns(|| drop(cluster.run(&program, &db).unwrap()), iters),
-            iterations: iters,
-        },
-        BenchRow {
-            name: "event_driven/C3_hc".to_string(),
-            mean_ns: time_ns(
-                || drop(cluster.run_async(&program, &db, &AsyncConfig::new()).unwrap()),
-                iters,
-            ),
-            iterations: iters,
-        },
+        BenchRow::measure("synchronous/C3_hc", iters, || {
+            drop(cluster.run(&program, &db).unwrap());
+        }),
+        BenchRow::measure("event_driven/C3_hc", iters, || {
+            drop(cluster.run_async(&program, &db, &AsyncConfig::new()).unwrap());
+        }),
     ];
     for capacity in [1usize, 64] {
         let cfg = AsyncConfig::new().with_queue_capacity(capacity);
-        rows.push(BenchRow {
-            name: format!("event_driven_cap{capacity}/C3_hc"),
-            mean_ns: time_ns(|| drop(cluster.run_async(&program, &db, &cfg).unwrap()), iters),
-            iterations: iters,
-        });
+        rows.push(BenchRow::measure(format!("event_driven_cap{capacity}/C3_hc"), iters, || {
+            drop(cluster.run_async(&program, &db, &cfg).unwrap());
+        }));
     }
     let traffic = all_to_all(16, 2, 8);
-    rows.push(BenchRow {
-        name: format!("schedule_replay/{}msgs", traffic.len()),
-        mean_ns: time_ns(
-            || drop(simulate(16, 2, &traffic, &CostModel::default(), &[1u64; 16], 16)),
-            iters,
-        ),
-        iterations: iters,
-    });
+    rows.push(BenchRow::measure(format!("schedule_replay/{}msgs", traffic.len()), iters, || {
+        drop(simulate(16, 2, &traffic, &CostModel::default(), &[1u64; 16], 16));
+    }));
     maybe_write_json("BENCH_async", &rows);
 }
 

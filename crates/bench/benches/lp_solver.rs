@@ -21,12 +21,9 @@
 //! MPC_BENCH_JSON=target/bench-json cargo bench -p mpc-bench --bench lp_solver
 //! ```
 
-use std::time::Instant;
-
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use serde::Serialize;
 
-use mpc_bench::{json_output_path, maybe_write_json};
+use mpc_bench::{json_output_path, maybe_write_json, BenchRow};
 use mpc_cq::{families, Query};
 use mpc_lp::{LpCache, QueryLps};
 
@@ -117,24 +114,6 @@ fn bench_cache_cold_vs_warm(c: &mut Criterion) {
 
 criterion_group!(benches, bench_query_lps, bench_sparse_vs_dense, bench_cache_cold_vs_warm);
 
-/// One machine-readable measurement for `BENCH_lp.json`.
-#[derive(Serialize)]
-struct BenchRow {
-    name: String,
-    mean_ns: u128,
-    iterations: u32,
-}
-
-/// Mean wall-clock nanoseconds of `f` (one warm-up + `iters` samples).
-fn time_ns<F: FnMut()>(mut f: F, iters: u32) -> u128 {
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() / iters as u128
-}
-
 /// Measure every case once more, deterministically, and write the JSON
 /// artefact. Skipped entirely unless a JSON sink was requested, so plain
 /// `cargo test` runs stay fast.
@@ -145,41 +124,26 @@ fn write_bench_json() {
     let iters = 15u32;
     let mut rows: Vec<BenchRow> = Vec::new();
     for (name, q) in suite() {
-        rows.push(BenchRow {
-            name: format!("sparse/{name}"),
-            mean_ns: time_ns(|| drop(QueryLps::solve_sparse(&q).unwrap()), iters),
-            iterations: iters,
-        });
-        rows.push(BenchRow {
-            name: format!("dense/{name}"),
-            mean_ns: time_ns(|| drop(QueryLps::solve_dense(&q).unwrap()), iters),
-            iterations: iters,
-        });
-        rows.push(BenchRow {
-            name: format!("fastpath/{name}"),
-            mean_ns: time_ns(|| drop(QueryLps::solve(&q).unwrap()), iters),
-            iterations: iters,
-        });
+        rows.push(BenchRow::measure(format!("sparse/{name}"), iters, || {
+            drop(QueryLps::solve_sparse(&q).unwrap());
+        }));
+        rows.push(BenchRow::measure(format!("dense/{name}"), iters, || {
+            drop(QueryLps::solve_dense(&q).unwrap());
+        }));
+        rows.push(BenchRow::measure(format!("fastpath/{name}"), iters, || {
+            drop(QueryLps::solve(&q).unwrap());
+        }));
     }
     for (name, q) in cache_suite() {
-        rows.push(BenchRow {
-            name: format!("cache_cold/{name}"),
-            mean_ns: time_ns(
-                || {
-                    let cache = LpCache::new(8);
-                    drop(QueryLps::solve_with_cache(&cache, &q).unwrap());
-                },
-                iters,
-            ),
-            iterations: iters,
-        });
+        rows.push(BenchRow::measure(format!("cache_cold/{name}"), iters, || {
+            let cache = LpCache::new(8);
+            drop(QueryLps::solve_with_cache(&cache, &q).unwrap());
+        }));
         let warm = LpCache::new(8);
         QueryLps::solve_with_cache(&warm, &q).unwrap();
-        rows.push(BenchRow {
-            name: format!("cache_warm/{name}"),
-            mean_ns: time_ns(|| drop(QueryLps::solve_with_cache(&warm, &q).unwrap()), iters),
-            iterations: iters,
-        });
+        rows.push(BenchRow::measure(format!("cache_warm/{name}"), iters, || {
+            drop(QueryLps::solve_with_cache(&warm, &q).unwrap());
+        }));
     }
     maybe_write_json("BENCH_lp", &rows);
 }

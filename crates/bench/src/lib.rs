@@ -116,6 +116,31 @@ pub fn maybe_write_json<T: Serialize>(experiment: &str, rows: &T) {
     }
 }
 
+/// One machine-readable measurement of a `BENCH_*.json` artefact — the
+/// row shape `tools/bench_gate.rs` parses.
+#[derive(Debug, Serialize)]
+pub struct BenchRow {
+    /// `<group>/<case>`.
+    pub name: String,
+    /// Mean wall-clock nanoseconds per iteration.
+    pub mean_ns: u128,
+    /// Timed iterations behind the mean.
+    pub iterations: u32,
+}
+
+impl BenchRow {
+    /// Time `f`: one warm-up call, then the mean over `iterations` more.
+    pub fn measure<F: FnMut()>(name: impl Into<String>, iterations: u32, mut f: F) -> Self {
+        f();
+        let start = std::time::Instant::now();
+        for _ in 0..iterations {
+            f();
+        }
+        let mean_ns = start.elapsed().as_nanos() / u128::from(iterations.max(1));
+        BenchRow { name: name.into(), mean_ns, iterations }
+    }
+}
+
 /// Parse `--<name> <usize>` (default `default`): used by the sweep flags
 /// of the table/figure binaries (e.g. `--k 24`).
 pub fn arg_usize(name: &str, default: usize) -> usize {

@@ -15,7 +15,7 @@
 use mpc_cq::{Query, VarId};
 use mpc_sim::program::hash_value;
 use mpc_sim::{MpcProgram, Routed, ServerState};
-use mpc_storage::Relation;
+use mpc_storage::{Relation, Tuple};
 
 pub use mpc_sim::program::BroadcastProgram;
 
@@ -96,8 +96,8 @@ impl MpcProgram for SingleKeyShuffleProgram {
         Ok(relation
             .iter()
             .map(|t| {
-                let dest = hash_value(self.seed, t.values()[position], p);
-                Routed::new(relation.name(), t.clone(), vec![dest])
+                let dest = hash_value(self.seed, t[position], p);
+                Routed::new(relation.name(), Tuple::new(t), vec![dest])
             })
             .collect())
     }
@@ -117,8 +117,7 @@ impl MpcProgram for SingleKeyShuffleProgram {
                 return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
             }
         }
-        let db = state.as_database();
-        Ok(mpc_storage::join::evaluate(&self.query, &db)?)
+        Ok(mpc_storage::join::evaluate(&self.query, state)?)
     }
 
     fn output_name(&self) -> String {

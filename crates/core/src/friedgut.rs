@@ -150,7 +150,7 @@ pub fn weighted_sides(
         let mut product = 1.0f64;
         for (atom, w) in q.atoms().iter().zip(weights) {
             let projected =
-                mpc_storage::Tuple(atom.vars.iter().map(|v| a.values()[v.0]).collect::<Vec<_>>());
+                mpc_storage::Tuple(atom.vars.iter().map(|v| a[v.0]).collect::<Vec<_>>());
             product *= w.get(&projected).copied().unwrap_or(0.0);
         }
         lhs += product;

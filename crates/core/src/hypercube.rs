@@ -24,7 +24,7 @@ use mpc_cq::{Atom, Query};
 use mpc_lp::Rational;
 use mpc_sim::program::hash_value;
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation, Tuple, Value};
 
 use crate::error::CoreError;
 use crate::shares::ShareAllocation;
@@ -77,10 +77,10 @@ impl HyperCubeProgram {
     /// of `atom` determines: `Some(coord)` for the atom's variables, `None`
     /// (free) for the others. Returns `None` for tuples that disagree on a
     /// repeated variable (they can never contribute to an answer).
-    fn partial_coordinates(&self, atom: &Atom, tuple: &Tuple) -> Option<Vec<Option<usize>>> {
+    fn partial_coordinates(&self, atom: &Atom, tuple: &[Value]) -> Option<Vec<Option<usize>>> {
         let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
         for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple.values()[pos];
+            let value = tuple[pos];
             let coord = hash_value(self.seeds[var.0], value, self.allocation.share(*var).max(1));
             match partial[var.0] {
                 None => partial[var.0] = Some(coord),
@@ -88,7 +88,7 @@ impl HyperCubeProgram {
                     // Repeated variable: require equal values (hence equal
                     // coordinates); unequal values never join.
                     let first_pos = atom.vars.iter().position(|w| w == var).expect("var occurs");
-                    if tuple.values()[first_pos] != value {
+                    if tuple[first_pos] != value {
                         return None;
                     }
                     debug_assert_eq!(existing, coord);
@@ -99,7 +99,7 @@ impl HyperCubeProgram {
     }
 
     /// Destination servers of one tuple of `atom`.
-    pub fn destinations(&self, atom: &Atom, tuple: &Tuple) -> Vec<usize> {
+    pub fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         match self.partial_coordinates(atom, tuple) {
             Some(partial) => self.allocation.consistent_cells(&partial),
             None => Vec::new(),
@@ -119,7 +119,7 @@ impl MpcProgram for HyperCubeProgram {
         };
         Ok(relation
             .iter()
-            .map(|t| Routed::new(relation.name(), t.clone(), self.destinations(atom, t)))
+            .map(|t| Routed::new(relation.name(), Tuple::new(t), self.destinations(atom, t)))
             .collect())
     }
 
@@ -140,8 +140,7 @@ impl MpcProgram for HyperCubeProgram {
                 return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
             }
         }
-        let db = state.as_database();
-        Ok(mpc_storage::join::evaluate(&self.query, &db)?)
+        Ok(mpc_storage::join::evaluate(&self.query, state)?)
     }
 
     fn output_name(&self) -> String {
@@ -258,10 +257,10 @@ impl PartialHyperCubeProgram {
         self.chosen_cells.binary_search(&cell).ok()
     }
 
-    fn destinations(&self, atom: &Atom, tuple: &Tuple) -> Vec<usize> {
+    fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
         for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple.values()[pos];
+            let value = tuple[pos];
             let coord = hash_value(self.seeds[var.0], value, self.allocation.share(*var).max(1));
             partial[var.0] = Some(coord);
         }
@@ -284,7 +283,7 @@ impl MpcProgram for PartialHyperCubeProgram {
         };
         Ok(relation
             .iter()
-            .map(|t| Routed::new(relation.name(), t.clone(), self.destinations(atom, t)))
+            .map(|t| Routed::new(relation.name(), Tuple::new(t), self.destinations(atom, t)))
             .collect())
     }
 
@@ -303,8 +302,7 @@ impl MpcProgram for PartialHyperCubeProgram {
                 return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
             }
         }
-        let db = state.as_database();
-        Ok(mpc_storage::join::evaluate(&self.query, &db)?)
+        Ok(mpc_storage::join::evaluate(&self.query, state)?)
     }
 
     fn output_name(&self) -> String {
@@ -456,11 +454,11 @@ mod tests {
         let q = families::triangle();
         let program = HyperCubeProgram::new(&q, 27, 1).unwrap();
         let (_, atom) = q.atom_by_name("S1").unwrap();
-        let dests = program.destinations(atom, &Tuple::from([5, 9]));
+        let dests = program.destinations(atom, &[5, 9]);
         // S1(x1,x2) leaves x3 free: exactly p^{1/3} = 3 destinations.
         assert_eq!(dests.len(), 3);
         // Deterministic.
-        assert_eq!(dests, program.destinations(atom, &Tuple::from([5, 9])));
+        assert_eq!(dests, program.destinations(atom, &[5, 9]));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use mpc_cq::{Atom, Query};
 use mpc_lp::Rational;
 use mpc_sim::program::hash_value;
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation, Tuple, Value};
 
 use crate::error::CoreError;
 use crate::multiround::planner::MultiRoundPlan;
@@ -43,10 +43,10 @@ struct OperatorExec {
 impl OperatorExec {
     /// HyperCube destinations of one tuple of `atom` (an atom of this
     /// operator's query).
-    fn destinations(&self, atom: &Atom, tuple: &Tuple) -> Vec<usize> {
+    fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
         for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple.values()[pos];
+            let value = tuple[pos];
             let coord = hash_value(self.seeds[var.0], value, self.alloc.share(*var).max(1));
             partial[var.0] = Some(coord);
         }
@@ -155,7 +155,7 @@ impl MpcProgram for PlanProgram {
         };
         Ok(relation
             .iter()
-            .map(|t| Routed::new(relation.name(), t.clone(), op.destinations(atom, t)))
+            .map(|t| Routed::new(relation.name(), Tuple::new(t), op.destinations(atom, t)))
             .collect())
     }
 
@@ -170,9 +170,7 @@ impl MpcProgram for PlanProgram {
             if op.query.atoms().iter().any(|a| state.relation(&a.name).is_none()) {
                 continue;
             }
-            let db = state.as_database();
-            let view = mpc_storage::join::evaluate(&op.query, &db)?;
-            produced.push(view);
+            produced.push(mpc_storage::join::evaluate(&op.query, state)?);
         }
         Ok(produced)
     }
@@ -198,7 +196,11 @@ impl MpcProgram for PlanProgram {
                     continue;
                 };
                 for t in rel.iter() {
-                    msgs.push(Routed::new(atom.name.clone(), t.clone(), op.destinations(atom, t)));
+                    msgs.push(Routed::new(
+                        atom.name.clone(),
+                        Tuple::new(t),
+                        op.destinations(atom, t),
+                    ));
                 }
             }
         }
@@ -208,11 +210,12 @@ impl MpcProgram for PlanProgram {
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
         let mut out = Relation::empty(self.original.name(), self.original.num_vars());
         if let Some(view) = state.relation(&self.final_view) {
+            out.reserve(view.len());
+            let mut projected: Vec<Value> = Vec::with_capacity(self.final_projection.len());
             for t in view.iter() {
-                let projected: Vec<u64> =
-                    self.final_projection.iter().map(|&c| t.values()[c]).collect();
-                out.insert(Tuple(projected))
-                    .map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
+                projected.clear();
+                projected.extend(self.final_projection.iter().map(|&c| t[c]));
+                out.insert_row(&projected)?;
             }
         }
         Ok(out)

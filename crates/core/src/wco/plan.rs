@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use mpc_cq::{Atom, Query, VarId};
 use mpc_data::{DbStatistics, RelationStats, StatsMode};
 use mpc_lp::{QueryLps, Rational};
-use mpc_storage::{Database, Tuple, Value};
+use mpc_storage::{Database, Value};
 
 use crate::error::CoreError;
 use crate::multiround::lower_bound::round_lower_bound;
@@ -72,11 +72,11 @@ impl HeavyValues {
     /// The heavy pattern of one tuple of `atom`: the atom's variables
     /// whose value is heavy. `None` for tuples that disagree on a
     /// repeated variable (they can never contribute to an answer).
-    pub fn pattern_of(&self, atom: &Atom, tuple: &Tuple) -> Option<BTreeSet<VarId>> {
+    pub fn pattern_of(&self, atom: &Atom, tuple: &[Value]) -> Option<BTreeSet<VarId>> {
         let mut pattern = BTreeSet::new();
         let mut seen: BTreeMap<VarId, Value> = BTreeMap::new();
         for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple.values()[pos];
+            let value = tuple[pos];
             match seen.insert(*var, value) {
                 Some(prev) if prev != value => return None,
                 _ => {}
@@ -506,7 +506,7 @@ fn scan_patterns(
             let mut m: BTreeMap<BTreeSet<VarId>, u64> = BTreeMap::new();
             match stats.relation(&atom.name).and_then(RelationStats::sample) {
                 Some((tuples, scale)) => {
-                    for t in tuples {
+                    for t in tuples.iter() {
                         if let Some(phi) = heavy.pattern_of(atom, t) {
                             *m.entry(phi).or_insert(0) += 1;
                         }

@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use mpc_cq::{Atom, Query};
 use mpc_sim::program::{hash_to_bucket, hash_value};
 use mpc_sim::{MpcProgram, Routed, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation, Tuple, Value};
 
 use crate::shares::consistent_cells;
 use crate::wco::plan::{WcoPattern, WorstCaseOptimalPlan};
@@ -91,10 +91,10 @@ impl WcoProgram {
     /// inside one pattern's grid: heavy dimensions are value-indexed
     /// (heavy rank mod share), light dimensions hashed, dimensions the
     /// atom does not fix are free (the replication).
-    fn grid_destinations(&self, pat: &WcoPattern, atom: &Atom, tuple: &Tuple) -> Vec<usize> {
+    fn grid_destinations(&self, pat: &WcoPattern, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         let mut partial: Vec<Option<usize>> = vec![None; self.plan.query().num_vars()];
         for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple.values()[pos];
+            let value = tuple[pos];
             let share = pat.shares[var.0].max(1);
             let coord = if pat.heavy_vars.contains(var) {
                 match self.plan.heavy().index_of(*var, value) {
@@ -114,9 +114,9 @@ impl WcoProgram {
     /// The single staging server of a tuple: an even hash of the whole
     /// tuple over all `p` servers, salted per relation so distinct
     /// relations spread independently.
-    fn stage_server(&self, atom_index: usize, tuple: &Tuple) -> usize {
+    fn stage_server(&self, atom_index: usize, tuple: &[Value]) -> usize {
         let salt = self.stage_seed ^ (atom_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        hash_to_bucket(salt, tuple.values(), self.plan.p())
+        hash_to_bucket(salt, tuple, self.plan.p())
     }
 }
 
@@ -138,14 +138,14 @@ impl MpcProgram for WcoProgram {
             if phi.is_empty() {
                 out.push(Routed::new(
                     relation.name(),
-                    t.clone(),
+                    Tuple::new(t),
                     self.grid_destinations(light, atom, t),
                 ));
             }
             if !self.plan.heavy_patterns_for(atom, &phi).is_empty() {
                 out.push(Routed::new(
                     format!("{STAGE_PREFIX}{}", relation.name()),
-                    t.clone(),
+                    Tuple::new(t),
                     vec![self.stage_server(atom_id.0, t)],
                 ));
             }
@@ -175,7 +175,7 @@ impl MpcProgram for WcoProgram {
                     dests.extend(self.grid_destinations(&self.plan.patterns()[pi], atom, t));
                 }
                 if !dests.is_empty() {
-                    out.push(Routed::new(name, t.clone(), dests));
+                    out.push(Routed::new(name, Tuple::new(t), dests));
                 }
             }
         }
@@ -205,8 +205,7 @@ impl MpcProgram for WcoProgram {
         }
         // Staged tags remain in the state, but the evaluator only reads
         // the relations the query's atoms name.
-        let db = state.as_database();
-        Ok(mpc_storage::join::evaluate(query, &db)?)
+        Ok(mpc_storage::join::evaluate(query, state)?)
     }
 
     /// The heavy grid cells. A heavy cell's final-round inbound is

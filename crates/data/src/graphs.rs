@@ -15,7 +15,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use mpc_cq::{families, Query};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation};
 
 /// The layered path graph family of Theorem 4.10.
 #[derive(Debug, Clone)]
@@ -78,8 +78,8 @@ impl LayeredGraph {
     pub fn edge_relation(&self, name: &str) -> Relation {
         let mut rel = Relation::empty(name, 2);
         for &(u, v) in &self.edges {
-            rel.insert(Tuple(vec![u, v])).expect("arity 2 by construction");
-            rel.insert(Tuple(vec![v, u])).expect("arity 2 by construction");
+            rel.insert_row(&[u, v]).expect("arity 2 by construction");
+            rel.insert_row(&[v, u]).expect("arity 2 by construction");
         }
         rel
     }
@@ -95,7 +95,7 @@ impl LayeredGraph {
             for (src_local, &dst_local) in perm.iter().enumerate() {
                 let src = layer as u64 * self.layer_size + (src_local as u64 + 1);
                 let dst = (layer as u64 + 1) * self.layer_size + dst_local;
-                rel.insert(Tuple(vec![src, dst])).expect("arity 2 by construction");
+                rel.insert_row(&[src, dst]).expect("arity 2 by construction");
             }
             db.insert_relation(rel);
         }
@@ -137,8 +137,8 @@ pub fn random_sparse_graph(num_vertices: u64, num_edges: usize, seed: u64, name:
         if u == v {
             continue;
         }
-        if rel.insert(Tuple(vec![u, v])).expect("arity 2") {
-            rel.insert(Tuple(vec![v, u])).expect("arity 2");
+        if rel.insert_row(&[u, v]).expect("arity 2") {
+            rel.insert_row(&[v, u]).expect("arity 2");
             inserted += 1;
         }
     }
@@ -168,7 +168,7 @@ pub fn sequential_components(edges: &Relation, num_vertices: u64) -> (u64, BTree
         x
     }
     for t in edges.iter() {
-        let (u, v) = (t.values()[0], t.values()[1]);
+        let (u, v) = (t[0], t[1]);
         let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
         if ru != rv {
             let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
@@ -242,7 +242,7 @@ mod tests {
         assert!(rel.len() <= 300);
         assert!(rel.len() >= 280, "should find most of the requested edges");
         // No self loops.
-        assert!(rel.iter().all(|t| t.values()[0] != t.values()[1]));
+        assert!(rel.iter().all(|t| t[0] != t[1]));
     }
 
     #[test]

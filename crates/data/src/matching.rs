@@ -31,10 +31,7 @@ pub fn matching_relation(name: &str, arity: usize, n: u64, rng: &mut StdRng) -> 
         columns.push(perm);
     }
     let mut rel = Relation::empty(name, arity);
-    for i in 0..n as usize {
-        let tuple: Vec<u64> = columns.iter().map(|c| c[i]).collect();
-        rel.insert(Tuple(tuple)).expect("arity is consistent by construction");
-    }
+    rel.append_columns(n as usize, &columns).expect("arity is consistent by construction");
     rel
 }
 
@@ -80,7 +77,7 @@ pub fn is_matching(rel: &Relation, n: u64) -> bool {
     for col in 0..rel.arity() {
         let mut seen = vec![false; n as usize];
         for t in rel.iter() {
-            let v = t.values()[col];
+            let v = t[col];
             if v < 1 || v > n || seen[(v - 1) as usize] {
                 return false;
             }

@@ -12,7 +12,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 use mpc_cq::Query;
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation};
 
 /// Sample `count` binary tuples whose *first* attribute follows a Zipf
 /// distribution with exponent `theta` over `[n]` and whose second attribute
@@ -43,7 +43,7 @@ pub fn zipf_relation(name: &str, n: u64, count: usize, theta: f64, rng: &mut Std
             Err(i) => (i as u64 + 1).min(n),
         };
         let y = rng.gen_range(1..=n);
-        if rel.insert(Tuple(vec![x, y])).expect("arity 2 by construction") {
+        if rel.insert_row(&[x, y]).expect("arity 2 by construction") {
             inserted += 1;
         }
     }
@@ -67,12 +67,12 @@ pub fn heavy_hitter_relation(
     let mut y = 0u64;
     while (rel.len()) < heavy && y < n {
         y += 1;
-        rel.insert(Tuple(vec![1, y])).expect("arity 2 by construction");
+        rel.insert_row(&[1, y]).expect("arity 2 by construction");
     }
     while rel.len() < count {
         let x = rng.gen_range(1..=n);
         let y = rng.gen_range(1..=n);
-        rel.insert(Tuple(vec![x, y])).expect("arity 2 by construction");
+        rel.insert_row(&[x, y]).expect("arity 2 by construction");
     }
     rel
 }
@@ -175,13 +175,13 @@ pub fn degree_planted_relation(
     let mut rel = Relation::empty(name, 2);
     for x in 1..=heavy_keys {
         for y in 1..=degree as u64 {
-            rel.insert(Tuple(vec![x, y])).expect("arity 2 by construction");
+            rel.insert_row(&[x, y]).expect("arity 2 by construction");
         }
     }
     while rel.len() < count {
         let x = rng.gen_range(heavy_keys + 1..=n);
         let y = rng.gen_range(heavy_keys + 1..=n);
-        rel.insert(Tuple(vec![x, y])).expect("arity 2 by construction");
+        rel.insert_row(&[x, y]).expect("arity 2 by construction");
     }
     rel
 }
@@ -231,7 +231,7 @@ pub fn degree_planted_database(
 pub fn frequency_histogram(rel: &Relation, idx: usize) -> BTreeMap<u64, usize> {
     let mut counts = BTreeMap::new();
     for t in rel.iter() {
-        *counts.entry(t.values()[idx]).or_insert(0usize) += 1;
+        *counts.entry(t[idx]).or_insert(0usize) += 1;
     }
     counts
 }
@@ -244,7 +244,7 @@ pub fn frequency_histogram(rel: &Relation, idx: usize) -> BTreeMap<u64, usize> {
 pub fn frequency_histograms(rel: &Relation) -> Vec<BTreeMap<u64, usize>> {
     let mut columns: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); rel.arity()];
     for t in rel.iter() {
-        for (idx, value) in t.values().iter().enumerate() {
+        for (idx, value) in t.iter().enumerate() {
             *columns[idx].entry(*value).or_insert(0usize) += 1;
         }
     }
@@ -307,7 +307,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let rel = heavy_hitter_relation("H", 10_000, 1000, 0.5, &mut rng);
         assert_eq!(rel.len(), 1000);
-        let ones = rel.iter().filter(|t| t.values()[0] == 1).count();
+        let ones = rel.iter().filter(|t| t[0] == 1).count();
         assert!(ones >= 450, "about half the tuples share the heavy key, got {ones}");
         assert!(first_attribute_skew(&rel) > 50.0);
     }

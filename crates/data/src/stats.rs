@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, HashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mpc_storage::{Database, Relation, Tuple, Value};
+use mpc_storage::{Database, Relation, Value};
 
 /// How planners obtain their statistics: one full scan, or a seeded
 /// sub-linear sample.
@@ -93,8 +93,8 @@ pub struct RelationStats {
     /// Raw per-column counts: exact when `sample` is `None`, in-sample
     /// otherwise.
     columns: Vec<BTreeMap<Value, u64>>,
-    /// The sampled tuples (`None` = exact statistics).
-    sample: Option<Vec<Tuple>>,
+    /// The sampled rows (`None` = exact statistics).
+    sample: Option<Relation>,
     scanned: usize,
 }
 
@@ -115,21 +115,22 @@ impl RelationStats {
         let m = budget.min(rel.len());
         if m == rel.len() {
             // A budget at or above the relation size is a full scan.
-            return RelationStats { sample: Some(rel.tuples().to_vec()), ..Self::exact(rel) };
+            return RelationStats { sample: Some(rel.clone()), ..Self::exact(rel) };
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut swapped: HashMap<usize, usize> = HashMap::new();
-        let mut sample = Vec::with_capacity(m);
+        let mut sample = Relation::empty(rel.name(), rel.arity());
+        sample.reserve(m);
         for i in 0..m {
             let j = rng.gen_range(i..rel.len());
             let vi = *swapped.get(&i).unwrap_or(&i);
             let vj = *swapped.get(&j).unwrap_or(&j);
             swapped.insert(j, vi);
-            sample.push(rel.tuples()[vj].clone());
+            sample.insert_row(rel.row(vj)).expect("a row of the sampled relation");
         }
         let mut columns: Vec<BTreeMap<Value, u64>> = vec![BTreeMap::new(); rel.arity()];
-        for t in &sample {
-            for (idx, value) in t.values().iter().enumerate() {
+        for t in sample.iter() {
+            for (idx, value) in t.iter().enumerate() {
                 *columns[idx].entry(*value).or_insert(0) += 1;
             }
         }
@@ -178,10 +179,10 @@ impl RelationStats {
             .flat_map(move |h| h.iter().map(move |(v, c)| (*v, *c as f64 * scale)))
     }
 
-    /// The sampled tuples with their per-tuple weight (`None` = exact
+    /// The sampled rows with their per-row weight (`None` = exact
     /// statistics; iterate the relation itself with weight 1).
-    pub fn sample(&self) -> Option<(&[Tuple], f64)> {
-        self.sample.as_ref().map(|s| (s.as_slice(), self.scale()))
+    pub fn sample(&self) -> Option<(&Relation, f64)> {
+        self.sample.as_ref().map(|s| (s, self.scale()))
     }
 
     /// High-probability additive slack of an estimate around `estimated`:
@@ -300,10 +301,11 @@ mod tests {
             let rb = b.relation(rel.name()).unwrap();
             assert!(ra.is_sampled());
             assert_eq!(ra.sample().unwrap().0, rb.sample().unwrap().0, "same seed, same sample");
-            // The sample has no duplicate indices: its tuples are distinct.
+            // The sample has no duplicate indices: a draw with replacement
+            // would have lost rows to the sample relation's deduplication.
             let (tuples, scale) = ra.sample().unwrap();
-            let set: std::collections::BTreeSet<&Tuple> = tuples.iter().collect();
-            assert_eq!(set.len(), tuples.len(), "sampling is without replacement");
+            assert_eq!(tuples.len(), 300, "sampling is without replacement");
+            assert!(tuples.iter().all(|t| rel.contains(t)));
             assert!((scale - rel.len() as f64 / tuples.len() as f64).abs() < 1e-12);
         }
     }

@@ -51,13 +51,13 @@ impl LabelPropagationCc {
         let mut labels: BTreeMap<u64, u64> = BTreeMap::new();
         if let Some(edges) = state.relation(EDGE_TAG) {
             for t in edges.iter() {
-                let u = t.values()[0];
+                let u = t[0];
                 labels.entry(u).or_insert(u);
             }
         }
         if let Some(props) = state.relation(PROP_TAG) {
             for t in props.iter() {
-                let (v, label) = (t.values()[0], t.values()[1]);
+                let (v, label) = (t[0], t[1]);
                 labels
                     .entry(v)
                     .and_modify(|l| *l = (*l).min(label))
@@ -85,7 +85,7 @@ impl MpcProgram for LabelPropagationCc {
         // somewhere.
         Ok(relation
             .iter()
-            .map(|t| Routed::new(EDGE_TAG, t.clone(), vec![self.owner(t.values()[0])]))
+            .map(|t| Routed::new(EDGE_TAG, Tuple::new(t), vec![self.owner(t[0])]))
             .collect())
     }
 
@@ -112,7 +112,7 @@ impl MpcProgram for LabelPropagationCc {
         };
         let mut msgs = Vec::new();
         for t in edges.iter() {
-            let (u, v) = (t.values()[0], t.values()[1]);
+            let (u, v) = (t[0], t[1]);
             let label = labels.get(&u).copied().unwrap_or(u);
             if label < v {
                 msgs.push(Routed::new(PROP_TAG, Tuple(vec![v, label]), vec![self.owner(v)]));
@@ -125,7 +125,7 @@ impl MpcProgram for LabelPropagationCc {
         let labels = self.current_labels(state);
         let mut out = Relation::empty("components", 2);
         for (v, l) in labels {
-            out.insert(Tuple(vec![v, l])).map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
+            out.insert_row(&[v, l])?;
         }
         Ok(out)
     }
@@ -204,7 +204,7 @@ pub fn rounds_to_convergence(
 pub fn labels_from_output(output: &Relation) -> BTreeMap<u64, u64> {
     let mut labels = BTreeMap::new();
     for t in output.iter() {
-        let (v, l) = (t.values()[0], t.values()[1]);
+        let (v, l) = (t[0], t[1]);
         labels.entry(v).and_modify(|cur: &mut u64| *cur = (*cur).min(l)).or_insert(l);
     }
     labels
@@ -218,8 +218,8 @@ pub fn partition_matches(output: &Relation, edges: &Relation, num_vertices: u64)
     // Every vertex incident to an edge must be labelled.
     let mut vertices: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
     for t in edges.iter() {
-        vertices.insert(t.values()[0]);
-        vertices.insert(t.values()[1]);
+        vertices.insert(t[0]);
+        vertices.insert(t[1]);
     }
     for &v in &vertices {
         if !ours.contains_key(&v) {

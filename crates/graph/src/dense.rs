@@ -97,7 +97,7 @@ fn spanning_forest(edges: &Relation) -> Vec<(u64, u64)> {
     }
     let mut forest = Vec::new();
     for t in edges.iter() {
-        let (u, v) = (t.values()[0], t.values()[1]);
+        let (u, v) = (t[0], t[1]);
         parent.entry(u).or_insert(u);
         parent.entry(v).or_insert(v);
         let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
@@ -118,8 +118,8 @@ impl MpcProgram for DenseTwoRoundCc {
         Ok(relation
             .iter()
             .map(|t| {
-                let dest = hash_to_bucket(self.seed, t.values(), p);
-                Routed::new(EDGE_TAG, t.clone(), vec![dest])
+                let dest = hash_to_bucket(self.seed, t, p);
+                Routed::new(EDGE_TAG, Tuple::new(t), vec![dest])
             })
             .collect())
     }
@@ -138,9 +138,7 @@ impl MpcProgram for DenseTwoRoundCc {
         };
         let mut forest = Relation::empty(FOREST_TAG, 2);
         for (u, v) in spanning_forest(edges) {
-            forest
-                .insert(Tuple(vec![u, v]))
-                .map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
+            forest.insert_row(&[u, v])?;
         }
         Ok(vec![forest])
     }
@@ -157,7 +155,7 @@ impl MpcProgram for DenseTwoRoundCc {
         let Some(forest) = state.relation(FOREST_TAG) else {
             return Ok(Vec::new());
         };
-        Ok(forest.iter().map(|t| Routed::new(FOREST_TAG, t.clone(), vec![0])).collect())
+        Ok(forest.iter().map(|t| Routed::new(FOREST_TAG, Tuple::new(t), vec![0])).collect())
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
@@ -168,9 +166,9 @@ impl MpcProgram for DenseTwoRoundCc {
         let Some(forest) = state.relation(FOREST_TAG) else {
             return Ok(out);
         };
-        let labels = components_of(forest.iter().map(|t| (t.values()[0], t.values()[1])));
+        let labels = components_of(forest.iter().map(|t| (t[0], t[1])));
         for (v, l) in labels {
-            out.insert(Tuple(vec![v, l])).map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
+            out.insert_row(&[v, l])?;
         }
         Ok(out)
     }
@@ -256,8 +254,8 @@ mod tests {
         let forest_rel =
             Relation::from_tuples("F", 2, forest.iter().map(|&(u, v)| [u, v]).collect::<Vec<_>>())
                 .unwrap();
-        let full = components_of(edges.iter().map(|t| (t.values()[0], t.values()[1])));
-        let reduced = components_of(forest_rel.iter().map(|t| (t.values()[0], t.values()[1])));
+        let full = components_of(edges.iter().map(|t| (t[0], t[1])));
+        let reduced = components_of(forest_rel.iter().map(|t| (t[0], t[1])));
         for (v, l) in &full {
             for (w, m) in &full {
                 assert_eq!(l == m, reduced[v] == reduced[w]);

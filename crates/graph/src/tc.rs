@@ -53,13 +53,13 @@ impl PathDoublingTc {
         for tag in [BY_TARGET, BY_SOURCE] {
             if let Some(rel) = state.relation(tag) {
                 for t in rel.iter() {
-                    pairs.insert((t.values()[0], t.values()[1]));
+                    pairs.insert((t[0], t[1]));
                 }
             }
         }
         if let Some(rel) = state.relation("Closed") {
             for t in rel.iter() {
-                pairs.insert((t.values()[0], t.values()[1]));
+                pairs.insert((t[0], t[1]));
             }
         }
         pairs
@@ -82,9 +82,9 @@ impl MpcProgram for PathDoublingTc {
         // its target v) and as a right factor (hashed by its source u).
         let mut out = Vec::with_capacity(relation.len() * 2);
         for t in relation.iter() {
-            let (u, v) = (t.values()[0], t.values()[1]);
-            out.push(Routed::new(BY_TARGET, t.clone(), vec![self.owner(v)]));
-            out.push(Routed::new(BY_SOURCE, t.clone(), vec![self.owner(u)]));
+            let (u, v) = (t[0], t[1]);
+            out.push(Routed::new(BY_TARGET, Tuple::new(t), vec![self.owner(v)]));
+            out.push(Routed::new(BY_SOURCE, Tuple::new(t), vec![self.owner(u)]));
         }
         Ok(out)
     }
@@ -106,26 +106,20 @@ impl MpcProgram for PathDoublingTc {
         };
         let mut by_mid: std::collections::HashMap<u64, Vec<u64>> = std::collections::HashMap::new();
         for t in by_source.iter() {
-            by_mid.entry(t.values()[0]).or_default().push(t.values()[1]);
+            by_mid.entry(t[0]).or_default().push(t[1]);
         }
         for t in by_target.iter() {
-            let (x, m) = (t.values()[0], t.values()[1]);
-            closed
-                .insert(Tuple(vec![x, m]))
-                .map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
+            let (x, m) = (t[0], t[1]);
+            closed.insert_row(t)?;
             if let Some(targets) = by_mid.get(&m) {
                 for &z in targets {
                     if x != z {
-                        closed
-                            .insert(Tuple(vec![x, z]))
-                            .map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
+                        closed.insert_row(&[x, z])?;
                     }
                 }
             }
         }
-        for t in by_source.iter() {
-            closed.insert(t.clone()).map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
-        }
+        closed.extend_from(by_source)?;
         Ok(vec![closed])
     }
 
@@ -150,9 +144,7 @@ impl MpcProgram for PathDoublingTc {
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
         let mut out = Relation::empty("TC", 2);
         if let Some(closed) = state.relation("Closed") {
-            for t in closed.iter() {
-                out.insert(t.clone()).map_err(|e| mpc_sim::SimError::Storage(e.to_string()))?;
-            }
+            out.extend_from(closed)?;
         }
         Ok(out)
     }
@@ -183,7 +175,7 @@ pub fn sequential_reachability(edges: &Relation) -> BTreeSet<(u64, u64)> {
     let mut adj: std::collections::HashMap<u64, Vec<u64>> = std::collections::HashMap::new();
     let mut vertices = BTreeSet::new();
     for t in edges.iter() {
-        let (u, v) = (t.values()[0], t.values()[1]);
+        let (u, v) = (t[0], t[1]);
         adj.entry(u).or_default().push(v);
         vertices.insert(u);
         vertices.insert(v);
@@ -228,12 +220,8 @@ pub fn run_tc(
     let program = PathDoublingTc::new(rounds, p, seed);
     let cluster = Cluster::new(MpcConfig::new(p, epsilon))?;
     let result = cluster.run(&program, &db)?;
-    let ours: BTreeSet<(u64, u64)> = result
-        .output
-        .iter()
-        .filter(|t| t.values()[0] != t.values()[1])
-        .map(|t| (t.values()[0], t.values()[1]))
-        .collect();
+    let ours: BTreeSet<(u64, u64)> =
+        result.output.iter().filter(|t| t[0] != t[1]).map(|t| (t[0], t[1])).collect();
     let truth = sequential_reachability(edges);
     Ok(TcOutcome { rounds, complete: ours == truth, result })
 }

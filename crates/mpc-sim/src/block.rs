@@ -82,6 +82,12 @@ impl ColumnBuf {
         &self.cols[c]
     }
 
+    /// Every column, each holding [`ColumnBuf::len`] values — the shape
+    /// `mpc_storage::Relation::append_columns` ingests.
+    pub fn columns(&self) -> &[Vec<Value>] {
+        &self.cols
+    }
+
     /// Drop all rows, keeping the column capacities (pool recycling).
     pub fn clear(&mut self) {
         for col in &mut self.cols {
@@ -159,8 +165,14 @@ impl TupleBlock {
         self.cols.column(c)
     }
 
-    /// Iterate the rows as owned [`Tuple`]s (the row-major decode at the
-    /// join boundary).
+    /// Every column, each holding [`TupleBlock::len`] values.
+    pub fn columns(&self) -> &[Vec<Value>] {
+        self.cols.columns()
+    }
+
+    /// Iterate the rows as owned [`Tuple`]s — a convenience for callers
+    /// outside the data path; servers ingest blocks by column
+    /// ([`crate::ServerState::receive_block`]).
     pub fn rows(&self) -> impl Iterator<Item = Tuple> + '_ {
         (0..self.len()).map(move |r| Tuple((0..self.arity()).map(|c| self.column(c)[r]).collect()))
     }
@@ -210,6 +222,11 @@ impl Default for AdaptivePolicy {
 /// Sender-side batcher: one open [`ColumnBuf`] per `(destination, tag)`,
 /// sealed into [`TupleBlock`]s at capacity and on flush.
 ///
+/// A push is on the per-routed-copy path, so it resolves its buffer by
+/// index: the tag is interned to a small integer once (consecutive pushes
+/// almost always repeat the last tag, which is remembered) and open
+/// buffers sit in a `[tag][destination]` table.
+///
 /// One assembler serves one `(sender, round)`: its sequence counter spans
 /// all destinations and tags, so the per-sender send order is globally
 /// sequenced exactly like the per-tuple plane's packets were.
@@ -234,10 +251,14 @@ pub struct BlockAssembler {
     from: usize,
     round: usize,
     next_seq: u64,
-    open: BTreeMap<(usize, Arc<str>), ColumnBuf>,
-    /// Tag interning: one `Arc<str>` per distinct tag, shared by every
-    /// block sent under it.
-    tags: BTreeMap<String, Arc<str>>,
+    /// Interned tags, in first-push order: one `Arc<str>` per distinct tag,
+    /// shared by every block sent under it.
+    tags: Vec<Arc<str>>,
+    /// Index into `tags` of the latest push's tag.
+    last_tag: usize,
+    /// `open[tag][dest]`: the buffer being filled for that pair, if any
+    /// (never an empty one). Rows grow to the highest destination seen.
+    open: Vec<Vec<Option<ColumnBuf>>>,
     /// When set, per-destination effective capacities track observed link
     /// occupancy instead of pinning `capacity`.
     policy: Option<AdaptivePolicy>,
@@ -256,8 +277,9 @@ impl BlockAssembler {
             from,
             round,
             next_seq: 0,
-            open: BTreeMap::new(),
-            tags: BTreeMap::new(),
+            tags: Vec::new(),
+            last_tag: 0,
+            open: Vec::new(),
             policy: None,
             effective: BTreeMap::new(),
         }
@@ -298,35 +320,49 @@ impl BlockAssembler {
     /// Buffer one tuple for `dest` under `tag`; returns the sealed block
     /// when this push fills the `(dest, tag)` buffer to capacity.
     pub fn push(&mut self, dest: usize, tag: &str, values: &[Value]) -> Option<TupleBlock> {
-        let tag = match self.tags.get(tag) {
-            Some(t) => Arc::clone(t),
-            None => {
-                let interned: Arc<str> = Arc::from(tag);
-                self.tags.insert(tag.to_string(), Arc::clone(&interned));
-                interned
-            }
-        };
-        let buf = self
-            .open
-            .entry((dest, Arc::clone(&tag)))
-            .or_insert_with(|| self.pool.checkout(values.len(), self.capacity));
+        let t = self.intern(tag);
+        let row = &mut self.open[t];
+        if row.len() <= dest {
+            row.resize_with(dest + 1, || None);
+        }
+        let buf = row[dest].get_or_insert_with(|| self.pool.checkout(values.len(), self.capacity));
         buf.push(values);
         if buf.len() >= self.effective.get(&dest).copied().unwrap_or(self.capacity) {
-            let cols = self.open.remove(&(dest, Arc::clone(&tag))).expect("buffer just filled");
-            Some(self.seal(tag, cols))
+            let cols = row[dest].take().expect("buffer just filled");
+            Some(self.seal(Arc::clone(&self.tags[t]), cols))
         } else {
             None
         }
     }
 
+    /// The index of `tag` in the intern table, adding it on first sight.
+    fn intern(&mut self, tag: &str) -> usize {
+        if self.tags.get(self.last_tag).is_some_and(|last| &**last == tag) {
+            return self.last_tag;
+        }
+        self.last_tag = self.tags.iter().position(|known| &**known == tag).unwrap_or_else(|| {
+            self.tags.push(Arc::from(tag));
+            self.open.push(Vec::new());
+            self.tags.len() - 1
+        });
+        self.last_tag
+    }
+
     /// Seal and return every partially filled buffer, in deterministic
     /// `(destination, tag)` order, paired with its destination.
     pub fn flush(&mut self) -> Vec<(usize, TupleBlock)> {
-        let open = std::mem::take(&mut self.open);
-        open.into_iter()
-            .filter(|(_, buf)| !buf.is_empty())
-            .map(|((dest, tag), buf)| (dest, self.seal(tag, buf)))
-            .collect()
+        let mut by_name: Vec<usize> = (0..self.tags.len()).collect();
+        by_name.sort_by(|&a, &b| self.tags[a].cmp(&self.tags[b]));
+        let dests = self.open.iter().map(Vec::len).max().unwrap_or(0);
+        let mut sealed = Vec::new();
+        for dest in 0..dests {
+            for &t in &by_name {
+                if let Some(cols) = self.open[t].get_mut(dest).and_then(Option::take) {
+                    sealed.push((dest, self.seal(Arc::clone(&self.tags[t]), cols)));
+                }
+            }
+        }
+        sealed
     }
 
     fn seal(&mut self, tag: Arc<str>, cols: ColumnBuf) -> TupleBlock {
@@ -409,6 +445,32 @@ mod tests {
             flushed.iter().map(|(d, b)| (*d, b.tag.to_string(), b.seq)).collect();
         assert_eq!(labels, vec![(0, "R".into(), 0), (0, "S".into(), 1), (1, "R".into(), 2)]);
         for (_, b) in flushed {
+            pool.give_back(b.into_columns());
+        }
+        assert!(pool.stats().balanced());
+    }
+
+    #[test]
+    fn flush_order_is_by_destination_then_tag_name_whatever_the_push_order() {
+        let pool = pool();
+        let mut asm = BlockAssembler::new(Arc::clone(&pool), 2, 0, 1);
+        // Tags first seen in reverse name order, destinations descending,
+        // and the tag changing on every push (the remembered-tag miss).
+        let pushes = [(2, "T"), (2, "S"), (0, "T"), (1, "R"), (0, "S"), (2, "R"), (2, "T")];
+        let mut sealed = Vec::new();
+        for (i, (dest, tag)) in pushes.into_iter().enumerate() {
+            sealed.extend(asm.push(dest, tag, &[i as u64]).map(|b| (dest, b)));
+        }
+        // Only (2, "T") reached capacity 2; it carries both its rows.
+        assert_eq!(sealed.len(), 1);
+        assert_eq!((sealed[0].0, &*sealed[0].1.tag, sealed[0].1.seq), (2, "T", 0));
+        assert_eq!(sealed[0].1.column(0), &[0, 6]);
+        let flushed = asm.flush();
+        let labels: Vec<(usize, &str, u64)> =
+            flushed.iter().map(|(d, b)| (*d, &*b.tag, b.seq)).collect();
+        assert_eq!(labels, vec![(0, "S", 1), (0, "T", 2), (1, "R", 3), (2, "R", 4), (2, "S", 5)]);
+        assert!(asm.flush().is_empty(), "a flush leaves nothing open");
+        for (_, b) in sealed.into_iter().chain(flushed) {
             pool.give_back(b.into_columns());
         }
         assert!(pool.stats().balanced());

@@ -88,7 +88,7 @@ impl Cluster {
                             "destination {dest} out of range for p = {p}"
                         )));
                     }
-                    servers[dest].receive(round, &msg.tag, msg.tuple.clone());
+                    servers[dest].receive_row(round, &msg.tag, msg.tuple.values())?;
                 }
             }
 
@@ -195,9 +195,7 @@ pub fn union_outputs<P: MpcProgram + ?Sized>(
                 output.arity()
             )));
         }
-        for t in rel.iter() {
-            output.insert(t.clone()).map_err(|e| SimError::Storage(e.to_string()))?;
-        }
+        output.extend_from(&rel)?;
     }
     Ok((output, per_server_output))
 }
@@ -229,7 +227,7 @@ mod tests {
                 "S2" => 0, // x1 is the first column of S2
                 other => return Err(SimError::Program(format!("unexpected relation {other}"))),
             };
-            Ok(route_relation(relation, |t| vec![hash_value(self.seed, t.values()[position], p)]))
+            Ok(route_relation(relation, |t| vec![hash_value(self.seed, t[position], p)]))
         }
 
         fn compute(
@@ -242,11 +240,10 @@ mod tests {
         }
 
         fn output(&self, _server: usize, state: &ServerState) -> Result<Relation> {
-            let db = state.as_database();
-            if db.num_relations() < 2 {
+            if state.tags().count() < 2 {
                 return Ok(Relation::empty("L2", 3));
             }
-            Ok(evaluate(&families::chain(2), &db)?)
+            Ok(evaluate(&families::chain(2), state)?)
         }
 
         fn output_name(&self) -> String {
@@ -310,7 +307,7 @@ mod tests {
                 1
             }
             fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
-                Ok(relation.iter().map(|t| Routed::new("R", t.clone(), vec![p + 3])).collect())
+                Ok(relation.iter().map(|t| Routed::new("R", Tuple::new(t), vec![p + 3])).collect())
             }
             fn compute(&self, _: usize, _: usize, _: &ServerState) -> Result<Vec<Relation>> {
                 Ok(Vec::new())
@@ -392,7 +389,7 @@ mod tests {
                     if let Some(rel) = state.relation("S1") {
                         return Ok(rel
                             .iter()
-                            .map(|t| Routed::new("Fwd", t.clone(), vec![1]))
+                            .map(|t| Routed::new("Fwd", Tuple::new(t), vec![1]))
                             .collect());
                     }
                 }

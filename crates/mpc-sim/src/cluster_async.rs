@@ -75,7 +75,6 @@
 //! # Ok::<(), mpc_sim::SimError>(())
 //! ```
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
@@ -90,7 +89,7 @@ use crate::program::MpcProgram;
 use crate::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
 use crate::reroute::LiveProgress;
 use crate::schedule::{self, CostModel, MsgRecord, ScheduleStats, StragglerSpec};
-use crate::server::ServerState;
+use crate::server::{RoundStage, ServerState};
 use crate::stats::RunResult;
 use crate::Result;
 
@@ -552,33 +551,6 @@ enum Packet {
     Abort,
 }
 
-/// The pre-hashed stage of a future round: blocks that raced ahead of
-/// this worker are decoded into per-tag relations *on arrival*, so when
-/// the worker reaches the round it merges whole relations instead of
-/// replaying tuples — the receive-side half of double-buffering.
-#[derive(Debug, Default)]
-struct RoundStage {
-    rels: BTreeMap<Arc<str>, Relation>,
-    bytes: u64,
-    tuples: u64,
-}
-
-impl RoundStage {
-    /// Hash one block's rows into the stage and account its volume.
-    fn absorb(&mut self, block: &TupleBlock) {
-        let arity = block.arity();
-        let rel = self
-            .rels
-            .entry(Arc::clone(&block.tag))
-            .or_insert_with(|| Relation::empty(block.tag.as_ref(), arity));
-        for row in block.rows() {
-            rel.insert(row).expect("blocks under one tag share an arity");
-        }
-        self.bytes += block.payload_bytes();
-        self.tuples += block.len() as u64;
-    }
-}
-
 /// Why a task exited without a report.
 #[derive(Debug)]
 enum Exit {
@@ -691,10 +663,7 @@ impl<P: MpcProgram> Worker<'_, P> {
             // Blocks that raced ahead of us were hashed on arrival; merge
             // the stage's relations and charge its volume to this round.
             let stage = std::mem::take(&mut self.stash[round - 1]);
-            for (_, rel) in stage.rels {
-                self.state.add_local(rel);
-            }
-            self.state.credit_received(round, stage.bytes, stage.tuples);
+            self.state.merge_stage(round, stage).map_err(|e| self.fail(e.into()))?;
 
             // The per-server barrier: all of *our* round-`round` inbound,
             // drained in bursts.
@@ -747,12 +716,13 @@ impl<P: MpcProgram> Worker<'_, P> {
                 if let Some(progress) = &self.progress {
                     progress.record_delivery(self.id, block.payload_bytes(), block.len() as u64);
                 }
-                if round == self.round {
-                    self.state.receive_many(round, &block.tag, block.arity(), block.rows());
+                let ingested = if round == self.round {
+                    self.state.receive_block(round, &block.tag, &block)
                 } else {
-                    self.stash[round - 1].absorb(&block);
-                }
+                    self.stash[round - 1].absorb(&block.tag, &block)
+                };
                 self.pool.give_back(block.into_columns());
+                ingested.map_err(|e| self.fail(e.into()))?;
             }
             Packet::Fin { round } => self.fins[round - 1] += 1,
             Packet::Abort => {
@@ -973,7 +943,7 @@ mod tests {
             ) -> crate::Result<Vec<crate::Routed>> {
                 Ok(relation
                     .iter()
-                    .map(|t| crate::Routed::new("R", t.clone(), vec![p + 3]))
+                    .map(|t| crate::Routed::new("R", mpc_storage::Tuple::new(t), vec![p + 3]))
                     .collect())
             }
             fn compute(&self, _: usize, _: usize, _: &ServerState) -> crate::Result<Vec<Relation>> {
@@ -991,6 +961,48 @@ mod tests {
         let cluster = Cluster::new(MpcConfig::new(2, 0.0)).unwrap();
         let err = cluster.run_async(&Bad, &db, &AsyncConfig::new()).unwrap_err();
         assert!(matches!(err, SimError::Program(_)));
+    }
+
+    #[test]
+    fn two_arities_under_one_tag_are_an_error_on_both_backends() {
+        /// Sends a binary and a ternary relation to server 0 under the
+        /// same tag — what a peer sending malformed blocks looks like to
+        /// the receiving worker.
+        struct OneTag;
+        impl MpcProgram for OneTag {
+            fn num_rounds(&self) -> usize {
+                1
+            }
+            fn route_input(
+                &self,
+                relation: &Relation,
+                _p: usize,
+            ) -> crate::Result<Vec<crate::Routed>> {
+                Ok(relation
+                    .iter()
+                    .map(|t| crate::Routed::new("S1", mpc_storage::Tuple::new(t), vec![0]))
+                    .collect())
+            }
+            fn compute(&self, _: usize, _: usize, _: &ServerState) -> crate::Result<Vec<Relation>> {
+                Ok(Vec::new())
+            }
+            fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
+                Ok(Relation::empty("out", 1))
+            }
+            fn output_arity(&self) -> usize {
+                1
+            }
+        }
+        let mut db = Database::new(5);
+        db.insert_relation(Relation::from_tuples("A", 2, vec![[1u64, 2]]).unwrap());
+        db.insert_relation(Relation::from_tuples("B", 3, vec![[1u64, 2, 3]]).unwrap());
+        let cluster = Cluster::new(MpcConfig::new(2, 0.0)).unwrap();
+        for config in [AsyncConfig::new(), AsyncConfig::new().with_block_capacity(1)] {
+            let err = cluster.run_async(&OneTag, &db, &config).unwrap_err();
+            assert!(matches!(&err, SimError::Storage(msg) if msg.contains("arity")), "{err}");
+        }
+        let err = cluster.run(&OneTag, &db).unwrap_err();
+        assert!(matches!(&err, SimError::Storage(msg) if msg.contains("arity")), "{err}");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use reroute::{
     RerouteSpec,
 };
 pub use schedule::{CostModel, MsgRecord, ScheduleStats, ServerTimeline, StragglerSpec};
-pub use server::ServerState;
+pub use server::{RoundStage, ServerState};
 pub use stats::{RoundStats, RunResult};
 
 /// Convenience result alias used across this crate.

@@ -20,7 +20,7 @@
 //! 4. After the final round each worker reports its share of the output
 //!    ([`MpcProgram::output`]); the cluster unions the shares.
 
-use mpc_storage::{Relation, Tuple};
+use mpc_storage::{Relation, Tuple, Value};
 
 use crate::message::Routed;
 use crate::server::ServerState;
@@ -135,7 +135,7 @@ impl MpcProgram for BroadcastProgram {
     }
 
     fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
-        Ok(relation.iter().map(|t| Routed::broadcast(relation.name(), t.clone(), p)).collect())
+        Ok(relation.iter().map(|t| Routed::broadcast(relation.name(), Tuple::new(t), p)).collect())
     }
 
     fn compute(
@@ -153,9 +153,7 @@ impl MpcProgram for BroadcastProgram {
         if server != 0 {
             return Ok(Relation::empty(self.output_name(), self.output_arity()));
         }
-        let db = state.as_database();
-        let out = mpc_storage::join::evaluate(&self.query, &db)?;
-        Ok(out)
+        Ok(mpc_storage::join::evaluate(&self.query, state)?)
     }
 
     fn output_name(&self) -> String {
@@ -171,9 +169,9 @@ impl MpcProgram for BroadcastProgram {
 /// tuple-based programs use.
 pub fn route_relation<F>(relation: &Relation, mut f: F) -> Vec<Routed>
 where
-    F: FnMut(&Tuple) -> Vec<usize>,
+    F: FnMut(&[Value]) -> Vec<usize>,
 {
-    relation.iter().map(|t| Routed::new(relation.name(), t.clone(), f(t))).collect()
+    relation.iter().map(|t| Routed::new(relation.name(), Tuple::new(t), f(t))).collect()
 }
 
 #[cfg(test)]
@@ -215,7 +213,7 @@ mod tests {
     #[test]
     fn route_relation_applies_function() {
         let rel = Relation::from_tuples("R", 2, vec![[1u64, 2], [3, 4]]).unwrap();
-        let routed = route_relation(&rel, |t| vec![t.values()[0] as usize % 2]);
+        let routed = route_relation(&rel, |t| vec![t[0] as usize % 2]);
         assert_eq!(routed.len(), 2);
         assert_eq!(routed[0].destinations, vec![1]);
         assert_eq!(routed[1].destinations, vec![1]);

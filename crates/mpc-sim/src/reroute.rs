@@ -408,16 +408,9 @@ impl<P: MpcProgram> MpcProgram for RerouteHost<'_, P> {
                     continue;
                 }
                 let rel = state.relation(tag).expect("tag was just listed");
-                let mut renamed = Relation::empty(orig, rel.arity());
-                for t in rel.iter() {
-                    renamed.insert(t.clone())?;
-                }
-                ghost.add_local(renamed);
+                ghost.add_local(rel.with_name(orig));
             }
-            let extra = self.inner.output(home, &ghost)?;
-            for t in extra.iter() {
-                out.insert(t.clone())?;
-            }
+            out.extend_from(&self.inner.output(home, &ghost)?)?;
         }
         Ok(out)
     }

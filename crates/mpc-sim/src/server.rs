@@ -1,8 +1,8 @@
 //! Per-server state: everything a simulated worker knows.
 
-use std::collections::BTreeMap;
+use mpc_storage::{Relation, RelationSource, StorageError, Tuple, Value};
 
-use mpc_storage::{Database, Relation, Tuple};
+use crate::block::TupleBlock;
 
 /// The accumulated knowledge of one worker server.
 ///
@@ -12,13 +12,43 @@ use mpc_storage::{Database, Relation, Tuple};
 /// only for accounting: received data is charged against the round's load
 /// budget, locally derived data is free (local computation is unbounded in
 /// the MPC model).
+///
+/// The state lends its relations to the local join engine in place
+/// ([`RelationSource`]): `mpc_storage::join::evaluate(&query, &state)`.
 #[derive(Debug, Clone)]
 pub struct ServerState {
     id: usize,
     domain_size: u64,
-    relations: BTreeMap<String, Relation>,
+    /// Sorted by name (a relation carries its own), so a tag resolves in
+    /// one binary search and iteration is in tag order.
+    relations: Vec<Relation>,
     bytes_received: Vec<u64>,
     tuples_received: Vec<u64>,
+}
+
+impl RelationSource for ServerState {
+    fn get_relation(&self, name: &str) -> Option<&Relation> {
+        self.relation(name)
+    }
+}
+
+/// Where `tag` is, or belongs, in a name-sorted relation list.
+fn position(relations: &[Relation], tag: &str) -> Result<usize, usize> {
+    relations.binary_search_by(|rel| rel.name().cmp(tag))
+}
+
+/// The relation stored under `tag` in a name-sorted list, created empty
+/// with `arity` columns on first use.
+fn relation_under<'a>(
+    relations: &'a mut Vec<Relation>,
+    tag: &str,
+    arity: usize,
+) -> &'a mut Relation {
+    let at = position(relations, tag).unwrap_or_else(|at| {
+        relations.insert(at, Relation::empty(tag, arity));
+        at
+    });
+    &mut relations[at]
 }
 
 impl ServerState {
@@ -27,7 +57,7 @@ impl ServerState {
         ServerState {
             id,
             domain_size,
-            relations: BTreeMap::new(),
+            relations: Vec::new(),
             bytes_received: Vec::new(),
             tuples_received: Vec::new(),
         }
@@ -43,33 +73,73 @@ impl ServerState {
         self.domain_size
     }
 
-    /// Record the delivery of a tuple under `tag` during `round` (1-based),
-    /// charging its size against that round.
+    /// Record the delivery of one row under `tag` during `round`
+    /// (1-based), charging its size against that round. A duplicate row
+    /// still costs its bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if `tag` already holds rows of
+    /// another arity; nothing is charged then.
+    pub fn receive_row(
+        &mut self,
+        round: usize,
+        tag: &str,
+        row: &[Value],
+    ) -> Result<(), StorageError> {
+        relation_under(&mut self.relations, tag, row.len()).insert_row(row)?;
+        self.credit_received(round, (row.len() as u64) * 8, 1);
+        Ok(())
+    }
+
+    /// Record the delivery of a whole columnar block under `tag` during
+    /// `round`: its columns are appended to the tag's relation in one
+    /// call, with one accounting update. Duplicate rows still cost bytes,
+    /// exactly as under [`ServerState::receive_row`]. `tag` is passed
+    /// apart from `block.tag` because the query service strips a namespace
+    /// prefix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if `tag` already holds rows of
+    /// another arity — block shapes come off a socket, so this is an
+    /// error, not a panic; nothing is charged then.
+    pub fn receive_block(
+        &mut self,
+        round: usize,
+        tag: &str,
+        block: &TupleBlock,
+    ) -> Result<(), StorageError> {
+        relation_under(&mut self.relations, tag, block.arity())
+            .append_columns(block.len(), block.columns())?;
+        self.credit_received(round, block.payload_bytes(), block.len() as u64);
+        Ok(())
+    }
+
+    /// [`ServerState::receive_row`] for an owned tuple.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` already holds tuples of another arity.
     pub fn receive(&mut self, round: usize, tag: &str, tuple: Tuple) {
-        self.credit_received(round, (tuple.arity() as u64) * 8, 1);
-        let arity = tuple.arity();
-        self.relations
-            .entry(tag.to_string())
-            .or_insert_with(|| Relation::empty(tag, arity))
-            .insert(tuple)
+        self.receive_row(round, tag, tuple.values())
             .expect("tuples under the same tag have the same arity");
     }
 
-    /// Record the delivery of a whole batch of `arity`-wide tuples under
-    /// one `tag` during `round` — the decode boundary of a columnar
-    /// block. One relation lookup and one accounting update for the whole
-    /// batch; duplicate tuples still cost bytes, exactly as under
-    /// [`ServerState::receive`].
+    /// [`ServerState::receive_row`] for a batch of owned `arity`-wide
+    /// tuples under one `tag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tuple's arity differs from the tag's.
     pub fn receive_many<I>(&mut self, round: usize, tag: &str, arity: usize, tuples: I)
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let rel =
-            self.relations.entry(tag.to_string()).or_insert_with(|| Relation::empty(tag, arity));
+        let rel = relation_under(&mut self.relations, tag, arity);
         let mut count = 0u64;
         for t in tuples {
-            debug_assert_eq!(t.arity(), arity, "block rows share the tag's arity");
-            rel.insert(t).expect("tuples under the same tag have the same arity");
+            rel.insert_row(t.values()).expect("tuples under the same tag have the same arity");
             count += 1;
         }
         self.credit_received(round, count * (arity as u64) * 8, count);
@@ -88,37 +158,64 @@ impl ServerState {
         self.tuples_received[round - 1] += tuples;
     }
 
-    /// Add a locally derived relation (no communication cost). Tuples are
+    /// Add a locally derived relation (no communication cost). Rows are
     /// merged into any existing relation with the same name; when the tag
     /// is new the whole relation is moved in without re-hashing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tag already holds rows of another arity — use
+    /// [`ServerState::merge_local`] for relations that came from outside
+    /// the program.
     pub fn add_local(&mut self, rel: Relation) {
-        use std::collections::btree_map::Entry;
-        match self.relations.entry(rel.name().to_string()) {
-            Entry::Vacant(v) => {
-                v.insert(rel);
-            }
-            Entry::Occupied(mut o) => {
-                for t in rel.iter() {
-                    o.get_mut().insert(t.clone()).expect("matching arity under the same tag");
-                }
+        self.merge_local(rel).expect("matching arity under the same tag");
+    }
+
+    /// [`ServerState::add_local`] for relations rebuilt from bytes off a
+    /// socket (staged blocks, checkpoints).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if the tag already holds rows
+    /// of another arity.
+    pub fn merge_local(&mut self, rel: Relation) -> Result<(), StorageError> {
+        match position(&self.relations, rel.name()) {
+            Ok(at) => self.relations[at].extend_from(&rel).map(|_| ()),
+            Err(at) => {
+                self.relations.insert(at, rel);
+                Ok(())
             }
         }
     }
 
+    /// Merge the stage of blocks that arrived ahead of `round` and charge
+    /// their volume to it, exactly as live deliveries would have been.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServerState::merge_local`].
+    pub fn merge_stage(&mut self, round: usize, stage: RoundStage) -> Result<(), StorageError> {
+        for rel in stage.rels {
+            self.merge_local(rel)?;
+        }
+        self.credit_received(round, stage.bytes, stage.tuples);
+        Ok(())
+    }
+
     /// The relation known under `tag`, if any.
     pub fn relation(&self, tag: &str) -> Option<&Relation> {
-        self.relations.get(tag)
+        position(&self.relations, tag).ok().map(|at| &self.relations[at])
     }
 
     /// All known tags.
     pub fn tags(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
+        self.relations.iter().map(Relation::name)
     }
 
     /// Every relation this server knows, in tag order — the snapshot a
     /// round checkpoint serialises.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values()
+        self.relations.iter()
     }
 
     /// The per-round received volumes `(bytes, tuples)` up to and
@@ -128,16 +225,6 @@ impl ServerState {
             (1..=rounds).map(|r| self.bytes_received_in_round(r)).collect(),
             (1..=rounds).map(|r| self.tuples_received_in_round(r)).collect(),
         )
-    }
-
-    /// Snapshot the server's knowledge as a [`Database`] (used to run the
-    /// local join engine on it).
-    pub fn as_database(&self) -> Database {
-        let mut db = Database::new(self.domain_size);
-        for rel in self.relations.values() {
-            db.insert_relation(rel.clone());
-        }
-        db
     }
 
     /// Bytes received in a given round (1-based); 0 if nothing was received.
@@ -156,9 +243,44 @@ impl ServerState {
     }
 }
 
+/// The pre-hashed stage of a round a server has not reached yet: blocks
+/// that raced ahead are appended into per-tag relations *on arrival*, so at
+/// the round boundary whole relations are merged
+/// ([`ServerState::merge_stage`]) instead of rows replayed — the
+/// receive-side half of double-buffering, shared by every backend.
+#[derive(Debug, Default)]
+pub struct RoundStage {
+    /// Sorted by name, like [`ServerState`]'s.
+    rels: Vec<Relation>,
+    bytes: u64,
+    tuples: u64,
+}
+
+impl RoundStage {
+    /// Append one block's rows under `tag` and account its volume.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if an earlier block under
+    /// `tag` had another arity.
+    pub fn absorb(&mut self, tag: &str, block: &TupleBlock) -> Result<(), StorageError> {
+        relation_under(&mut self.rels, tag, block.arity())
+            .append_columns(block.len(), block.columns())?;
+        self.bytes += block.payload_bytes();
+        self.tuples += block.len() as u64;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use mpc_storage::join::evaluate;
+    use mpc_storage::Database;
+
     use super::*;
+    use crate::block::ColumnBuf;
 
     #[test]
     fn receive_accumulates_and_accounts() {
@@ -213,13 +335,81 @@ mod tests {
         assert_eq!(s.relation("View").unwrap().len(), 3);
     }
 
+    /// A block of `rows` under `tag`, as an assembler would seal it.
+    fn block(tag: &str, round: usize, rows: &[&[Value]]) -> TupleBlock {
+        let mut cols = ColumnBuf::with_arity(rows[0].len(), rows.len());
+        for row in rows {
+            cols.push(row);
+        }
+        TupleBlock::from_parts(Arc::from(tag), round, 0, 0, cols)
+    }
+
     #[test]
-    fn as_database_snapshot() {
-        let mut s = ServerState::new(0, 42);
-        s.receive(1, "R", Tuple::from([1, 2]));
-        let db = s.as_database();
-        assert_eq!(db.domain_size(), 42);
-        assert_eq!(db.relation("R").unwrap().len(), 1);
+    fn lends_relations_to_the_local_join() {
+        // The reference: a database over the same domain holding a copy of
+        // every relation the server received.
+        let q = mpc_cq::families::chain(3);
+        let input = mpc_data::matching_database(&q, 50, 3);
+        let mut s = ServerState::new(0, input.domain_size());
+        let mut db = Database::new(input.domain_size());
+        for rel in input.relations() {
+            for row in rel.iter() {
+                s.receive_row(1, rel.name(), row).unwrap();
+            }
+            db.insert_relation(rel.clone());
+        }
+        s.add_local(Relation::from_tuples("Unrelated", 1, vec![[7u64]]).unwrap());
+        let lent = evaluate(&q, &s).unwrap();
+        assert_eq!(lent, evaluate(&q, &db).unwrap(), "same rows in the same order");
+        assert_eq!(lent.len(), 50);
+        // A missing atom is the same error on both.
+        let l4 = mpc_cq::families::chain(4);
+        assert_eq!(evaluate(&l4, &s).unwrap_err(), evaluate(&l4, &db).unwrap_err());
+    }
+
+    #[test]
+    fn receive_block_matches_rowwise_receive() {
+        let rows: [&[Value]; 3] = [&[1, 2], &[3, 4], &[1, 2]];
+        let mut a = ServerState::new(0, 100);
+        let mut b = ServerState::new(0, 100);
+        for row in rows {
+            a.receive_row(2, "R", row).unwrap();
+        }
+        b.receive_block(2, "R", &block("R", 2, &rows)).unwrap();
+        assert_eq!(a.relation("R"), b.relation("R"));
+        assert_eq!(a.received_volumes(2), b.received_volumes(2));
+        assert_eq!(b.bytes_received_in_round(2), 3 * 16, "duplicates still cost");
+    }
+
+    #[test]
+    fn a_block_of_another_arity_is_an_error_not_a_panic() {
+        let mut s = ServerState::new(0, 100);
+        s.receive_block(1, "S1", &block("S1", 1, &[&[1, 2]])).unwrap();
+        let err = s.receive_block(1, "S1", &block("S1", 1, &[&[1, 2, 3]])).unwrap_err();
+        assert!(matches!(err, StorageError::TupleArity { expected: 2, actual: 3, .. }));
+        assert!(s.receive_row(1, "S1", &[9]).is_err());
+        assert_eq!(s.tuples_received_in_round(1), 1, "rejected deliveries are not charged");
+
+        // The same through a future-round stage, at absorb and at merge.
+        let mut stage = RoundStage::default();
+        stage.absorb("T", &block("T", 2, &[&[1, 2]])).unwrap();
+        assert!(stage.absorb("T", &block("T", 2, &[&[1]])).is_err());
+        stage.absorb("S1", &block("S1", 2, &[&[1, 2, 3]])).unwrap();
+        assert!(s.merge_stage(2, stage).is_err());
+    }
+
+    #[test]
+    fn a_merged_stage_equals_live_delivery() {
+        let mut live = ServerState::new(0, 100);
+        let mut staged = ServerState::new(0, 100);
+        let mut stage = RoundStage::default();
+        for b in [block("R", 2, &[&[1, 2], &[3, 4]]), block("R", 2, &[&[3, 4], &[5, 6]])] {
+            live.receive_block(2, "R", &b).unwrap();
+            stage.absorb("R", &b).unwrap();
+        }
+        staged.merge_stage(2, stage).unwrap();
+        assert_eq!(live.relation("R"), staged.relation("R"));
+        assert_eq!(live.received_volumes(2), staged.received_volumes(2));
     }
 
     #[test]

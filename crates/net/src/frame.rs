@@ -21,7 +21,7 @@ use std::io::{Read, Write};
 use std::sync::Arc;
 
 use mpc_sim::{BlockPool, TupleBlock};
-use mpc_storage::{Relation, Tuple, Value};
+use mpc_storage::{Relation, Value};
 
 use crate::{NetError, Result};
 
@@ -211,10 +211,8 @@ fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
     put_str(buf, rel.name());
     put_u32(buf, rel.arity() as u32);
     put_u32(buf, rel.len() as u32);
-    for t in rel.iter() {
-        for &v in t.values() {
-            put_u64(buf, v);
-        }
+    for &v in rel.iter().flatten() {
+        put_u64(buf, v);
     }
 }
 
@@ -234,8 +232,7 @@ fn take_relation(b: &mut Body<'_>) -> Result<Relation> {
     for _ in 0..rows {
         row.clear();
         b.values(arity, &mut row)?;
-        rel.insert(Tuple(row.clone()))
-            .map_err(|e| NetError::Protocol(format!("wire relation: {e}")))?;
+        rel.insert_row(&row)?;
     }
     Ok(rel)
 }

@@ -85,6 +85,15 @@ impl From<mpc_sim::SimError> for NetError {
     }
 }
 
+/// Storage errors reach this crate only while ingesting data that came
+/// off a socket (blocks, checkpoints, summaries): a malformed shape is the
+/// peer's protocol violation.
+impl From<mpc_storage::StorageError> for NetError {
+    fn from(e: mpc_storage::StorageError) -> Self {
+        NetError::Protocol(format!("malformed relation data: {e}"))
+    }
+}
+
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)

@@ -65,6 +65,30 @@ use crate::{NetError, Result};
 /// budget for a recovery replacement to dial back in.
 const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
 
+/// How the master waits while no worker is dialing in: it yields for the
+/// first `ACCEPT_YIELDS` empty polls after each connection, then sleeps,
+/// doubling from `ACCEPT_PAUSE_MIN` up to `ACCEPT_PAUSE_CAP`. Workers on
+/// threads of this process dial in within microseconds, so a fixed sleep
+/// would idle the CPU for its whole length on every job — the one stretch
+/// of a threaded run whose length the machine's timer latency decides —
+/// while worker processes that take their time to start must be awaited
+/// without spinning.
+const ACCEPT_YIELDS: u32 = 64;
+const ACCEPT_PAUSE_MIN: Duration = Duration::from_micros(50);
+const ACCEPT_PAUSE_CAP: Duration = Duration::from_millis(5);
+
+/// Give way after the `idle_polls`-th consecutive empty poll of the
+/// accept socket.
+fn accept_pause(idle_polls: u32) {
+    match idle_polls.checked_sub(ACCEPT_YIELDS) {
+        None => std::thread::yield_now(),
+        // Seven doublings already pass the cap.
+        Some(doublings) => {
+            std::thread::sleep((ACCEPT_PAUSE_MIN * (1 << doublings.min(7))).min(ACCEPT_PAUSE_CAP));
+        }
+    }
+}
+
 /// The poll interval while waiting on worker control frames: short enough
 /// that a dead worker fails the job promptly, long enough not to spin.
 const POLL: Duration = Duration::from_millis(25);
@@ -187,6 +211,7 @@ impl ControlPlane {
         let mut slots: Vec<Option<WorkerCtl>> = (0..p).map(|_| None).collect();
         let mut addrs: Vec<Option<String>> = vec![None; p];
         let mut connected = 0usize;
+        let mut idle_polls = 0u32;
         while connected < p {
             let (stream, peer) = match listener.accept() {
                 Ok(conn) => conn,
@@ -199,11 +224,13 @@ impl ControlPlane {
                             "only {connected}/{p} workers dialed in before the deadline"
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(5));
+                    accept_pause(idle_polls);
+                    idle_polls = idle_polls.saturating_add(1);
                     continue;
                 }
                 Err(e) => return Err(e.into()),
             };
+            idle_polls = 0;
             stream.set_nonblocking(false)?;
             let mut ctl = WorkerCtl::from_stream(stream)?;
             let (worker_id, data_port) = match read_frame(&mut ctl.reader, &self.pool)? {
@@ -818,6 +845,52 @@ pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
             use crate::transport::Transport as _;
             transport.abort();
             Err(e)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker that dials in long after the master stopped yielding (the
+    /// pauses have reached their cap by then) is still accepted.
+    #[test]
+    fn a_late_worker_is_accepted_after_the_master_backs_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || -> Result<Frame> {
+            std::thread::sleep(Duration::from_millis(40));
+            let mut control = TcpStream::connect(addr)?;
+            let pool = BlockPool::new();
+            write_frame(&mut control, &Frame::Hello { worker_id: 0, data_port: 9 })?;
+            let peers = read_frame(&mut control, &pool)?;
+            write_frame(&mut control, &Frame::MeshReady)?;
+            assert!(matches!(read_frame(&mut control, &pool)?, Frame::Proceed { round: 0 }));
+            Ok(peers)
+        });
+        let started = Instant::now();
+        ControlPlane::accept(&listener, 1, None, None).expect("handshake");
+        assert!(started.elapsed() >= Duration::from_millis(40));
+        match worker.join().unwrap().expect("worker side") {
+            Frame::Peers { peers } => assert_eq!(peers, vec![(0, "127.0.0.1:9".to_string())]),
+            other => panic!("expected Peers, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn accept_pauses_double_up_to_the_cap() {
+        let timed = |idle_polls| {
+            let start = Instant::now();
+            accept_pause(idle_polls);
+            start.elapsed()
+        };
+        assert!(timed(ACCEPT_YIELDS) >= ACCEPT_PAUSE_MIN);
+        assert!(timed(ACCEPT_YIELDS + 3) >= ACCEPT_PAUSE_MIN * 8);
+        for idle_polls in [ACCEPT_YIELDS + 7, ACCEPT_YIELDS + 40, u32::MAX] {
+            let pause = timed(idle_polls);
+            assert!(pause >= ACCEPT_PAUSE_CAP, "{idle_polls}: {pause:?}");
+            assert!(pause < Duration::from_secs(2), "{idle_polls}: {pause:?}");
         }
     }
 }

@@ -18,7 +18,6 @@
 //! rebuilds the exact [`RunResult`] of [`mpc_sim::Cluster::run`], reusing
 //! the simulator's own statistics helpers so the formulas cannot drift.
 
-use std::collections::BTreeMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +25,7 @@ use std::time::Duration;
 use mpc_sim::queue::Inbox;
 use mpc_sim::{
     build_round_stats, overloaded_server, union_outputs, BlockAssembler, BlockPool, Cluster,
-    MpcProgram, RunResult, ServerState, SimError,
+    MpcProgram, RoundStage, RunResult, ServerState, SimError,
 };
 use mpc_storage::{Database, Relation};
 
@@ -90,29 +89,6 @@ pub struct WorkerSummary {
     pub per_round_tuples: Vec<u64>,
 }
 
-/// A pre-hashed stage of blocks for a round this worker has not reached
-/// yet — the distributed twin of the async backend's `RoundStage`.
-#[derive(Debug, Default)]
-struct Stage {
-    rels: BTreeMap<String, Relation>,
-    bytes: u64,
-    tuples: u64,
-}
-
-impl Stage {
-    fn absorb(&mut self, block: &mpc_sim::TupleBlock) {
-        let rel = self
-            .rels
-            .entry(block.tag.to_string())
-            .or_insert_with(|| Relation::empty(&*block.tag, block.arity()));
-        for t in block.rows() {
-            rel.insert(t).expect("blocks under one tag share an arity");
-        }
-        self.bytes += block.payload_bytes();
-        self.tuples += block.len() as u64;
-    }
-}
-
 /// The per-worker protocol state while [`worker_loop`] runs.
 struct Ctx<'a, T: Transport> {
     transport: &'a mut T,
@@ -120,7 +96,7 @@ struct Ctx<'a, T: Transport> {
     round: usize,
     state: ServerState,
     fins: Vec<usize>,
-    stash: Vec<Stage>,
+    stash: Vec<RoundStage>,
     pool: Arc<BlockPool>,
     scratch: Vec<NetPacket>,
 }
@@ -130,18 +106,18 @@ impl<T: Transport> Ctx<'_, T> {
     fn process(&mut self, pkt: NetPacket) -> Result<()> {
         match pkt {
             NetPacket::Block(block) => {
-                if block.round == self.round {
-                    self.state.receive_many(block.round, &block.tag, block.arity(), block.rows());
-                } else if block.round > self.round {
-                    self.stash[block.round - 1].absorb(&block);
+                let ingested = if block.round == self.round {
+                    self.state.receive_block(block.round, &block.tag, &block)
+                } else if block.round > self.round && block.round <= self.stash.len() {
+                    self.stash[block.round - 1].absorb(&block.tag, &block)
                 } else {
                     return Err(NetError::Protocol(format!(
                         "worker {}: round-{} block arrived in round {}",
                         self.id, block.round, self.round
                     )));
-                }
+                };
                 self.pool.give_back(block.into_columns());
-                Ok(())
+                Ok(ingested?)
             }
             NetPacket::Fin { round } => {
                 if round == 0 || round > self.fins.len() {
@@ -262,7 +238,7 @@ pub fn worker_loop<T: Transport, P: MpcProgram + ?Sized>(
     let mut start_round = 1;
     if let Some(rp) = resume {
         for rel in rp.relations {
-            state.add_local(rel);
+            state.merge_local(rel)?;
         }
         for (i, (&b, &t)) in rp.per_round_bytes.iter().zip(&rp.per_round_tuples).enumerate() {
             state.credit_received(i + 1, b, t);
@@ -275,7 +251,7 @@ pub fn worker_loop<T: Transport, P: MpcProgram + ?Sized>(
         round: 0,
         state,
         fins: vec![0; total_rounds],
-        stash: (0..total_rounds).map(|_| Stage::default()).collect(),
+        stash: (0..total_rounds).map(|_| RoundStage::default()).collect(),
         pool,
         scratch: Vec::new(),
     };
@@ -341,12 +317,7 @@ pub fn worker_loop<T: Transport, P: MpcProgram + ?Sized>(
 
         // Merge the pre-hashed stage for this round, charging its volume.
         let stage = std::mem::take(&mut ctx.stash[round - 1]);
-        for (_, rel) in stage.rels {
-            ctx.state.add_local(rel);
-        }
-        if stage.bytes > 0 || stage.tuples > 0 {
-            ctx.state.credit_received(round, stage.bytes, stage.tuples);
-        }
+        ctx.state.merge_stage(round, stage)?;
 
         // Drain until every sender closed this round.
         while ctx.fins[round - 1] < p {

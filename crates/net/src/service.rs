@@ -20,7 +20,7 @@
 //! after `p` FINs. There is deliberately **no** cross-query barrier —
 //! queries in different rounds interleave freely on the reactors.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -32,8 +32,8 @@ use mpc_cq::Query;
 use mpc_lp::Rational;
 use mpc_sim::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
 use mpc_sim::{
-    build_round_stats, union_outputs, BlockAssembler, BlockPool, MpcConfig, MpcProgram, RoundStats,
-    ServerState, TupleBlock,
+    build_round_stats, union_outputs, BlockAssembler, BlockPool, MpcConfig, MpcProgram, RoundStage,
+    RoundStats, ServerState, TupleBlock,
 };
 use mpc_storage::{Database, Relation};
 
@@ -200,29 +200,6 @@ fn split_tag(tag: &str) -> Result<(u64, usize)> {
     Ok((qid, hash + 1))
 }
 
-/// A pre-hashed stage of blocks for a round this worker has not reached
-/// yet (tags already namespace-stripped).
-#[derive(Default)]
-struct Stage {
-    rels: BTreeMap<String, Relation>,
-    bytes: u64,
-    tuples: u64,
-}
-
-impl Stage {
-    fn absorb(&mut self, raw_tag: &str, block: &TupleBlock) {
-        let rel = self
-            .rels
-            .entry(raw_tag.to_string())
-            .or_insert_with(|| Relation::empty(raw_tag, block.arity()));
-        for t in block.rows() {
-            rel.insert(t).expect("blocks under one tag share an arity");
-        }
-        self.bytes += block.payload_bytes();
-        self.tuples += block.len() as u64;
-    }
-}
-
 /// One query's protocol state on one reactor.
 struct QueryState {
     program: Arc<dyn MpcProgram + Send + Sync>,
@@ -230,7 +207,8 @@ struct QueryState {
     round: usize,
     total_rounds: usize,
     fins: Vec<usize>,
-    stash: Vec<Stage>,
+    /// Future-round stages, under namespace-stripped tags.
+    stash: Vec<RoundStage>,
 }
 
 /// One reactor's end-of-query report.
@@ -332,7 +310,7 @@ impl Reactor {
                     round: 1,
                     total_rounds: rounds,
                     fins: vec![0; rounds],
-                    stash: (0..rounds).map(|_| Stage::default()).collect(),
+                    stash: (0..rounds).map(|_| RoundStage::default()).collect(),
                 };
                 self.queries.insert(qid, qs);
                 if let Some(raced) = self.pending.remove(&qid) {
@@ -447,11 +425,8 @@ impl Reactor {
             // Merge the pre-hashed stage for this round, charging its
             // volume exactly as a live delivery would have.
             let stage = std::mem::take(&mut qs.stash[round - 1]);
-            for (_, rel) in stage.rels {
-                qs.state.add_local(rel);
-            }
-            if stage.bytes > 0 || stage.tuples > 0 {
-                qs.state.credit_received(round, stage.bytes, stage.tuples);
+            if let Err(e) = qs.state.merge_stage(round, stage) {
+                return self.fail_query(qid, &e.to_string());
             }
         }
     }
@@ -548,19 +523,19 @@ impl Reactor {
 /// Apply one block to a query's state: current round → live delivery,
 /// future round → stash; the columns go back to the pool either way.
 fn absorb(qs: &mut QueryState, raw_at: usize, block: TupleBlock, pool: &BlockPool) -> Result<()> {
-    if block.round == qs.round {
-        qs.state.receive_many(block.round, &block.tag[raw_at..], block.arity(), block.rows());
+    let tag = &block.tag[raw_at..];
+    let ingested = if block.round == qs.round {
+        qs.state.receive_block(block.round, tag, &block)
     } else if block.round > qs.round && block.round <= qs.total_rounds {
-        let raw = block.tag[raw_at..].to_string();
-        qs.stash[block.round - 1].absorb(&raw, &block);
+        qs.stash[block.round - 1].absorb(tag, &block)
     } else {
         return Err(NetError::Protocol(format!(
             "round-{} block arrived while the query is in round {}",
             block.round, qs.round
         )));
-    }
+    };
     pool.give_back(block.into_columns());
-    Ok(())
+    Ok(ingested?)
 }
 
 /// The collector: folds per-reactor reports into [`QueryOutcome`]s and

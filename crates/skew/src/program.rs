@@ -28,7 +28,7 @@ use mpc_cq::{Atom, Query};
 use mpc_data::{DbStatistics, StatsMode};
 use mpc_sim::program::hash_value;
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation, Tuple, Value};
 
 use crate::detector::{HeavyHitterDetector, HeavyHitterPolicy};
 use crate::residual::{consistent_cells, ResidualPlanSet};
@@ -103,14 +103,14 @@ impl SkewResilientProgram {
     /// plan whose heavy set equals the tuple's own heavy pattern. Every
     /// tuple has exactly one owning plan ([`None`] only for tuples that
     /// disagree on a repeated variable and are dropped).
-    pub fn owning_plan(&self, atom: &Atom, tuple: &Tuple) -> Option<usize> {
+    pub fn owning_plan(&self, atom: &Atom, tuple: &[Value]) -> Option<usize> {
         let pattern = self.plans.heavy_pattern(atom, tuple)?;
         self.plans.plan_for_pattern(&pattern)
     }
 
     /// The indices of all plans a tuple is routed to: those agreeing with
     /// its pattern on the atom's variables.
-    pub fn routed_plans(&self, atom: &Atom, tuple: &Tuple) -> Vec<usize> {
+    pub fn routed_plans(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         let Some(pattern) = self.plans.heavy_pattern(atom, tuple) else {
             return Vec::new();
         };
@@ -131,14 +131,13 @@ impl SkewResilientProgram {
     }
 
     /// Destination servers of one tuple of `atom` (global indices).
-    pub fn destinations(&self, atom: &Atom, tuple: &Tuple) -> Vec<usize> {
+    pub fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         let mut dests = Vec::new();
         for idx in self.routed_plans(atom, tuple) {
             let plan = &self.plans.plans()[idx];
             let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
             for (pos, var) in atom.vars.iter().enumerate() {
-                let coord =
-                    hash_value(self.seeds[var.0], tuple.values()[pos], plan.shares[var.0].max(1));
+                let coord = hash_value(self.seeds[var.0], tuple[pos], plan.shares[var.0].max(1));
                 partial[var.0] = Some(coord);
             }
             dests.extend(
@@ -161,7 +160,7 @@ impl MpcProgram for SkewResilientProgram {
         };
         Ok(relation
             .iter()
-            .map(|t| Routed::new(relation.name(), t.clone(), self.destinations(atom, t)))
+            .map(|t| Routed::new(relation.name(), Tuple::new(t), self.destinations(atom, t)))
             .collect())
     }
 
@@ -185,8 +184,7 @@ impl MpcProgram for SkewResilientProgram {
                 return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
             }
         }
-        let db = state.as_database();
-        Ok(mpc_storage::join::evaluate(&self.query, &db)?)
+        Ok(mpc_storage::join::evaluate(&self.query, state)?)
     }
 
     fn output_name(&self) -> String {

@@ -274,12 +274,12 @@ impl ResidualPlanSet {
     pub fn heavy_pattern(
         &self,
         atom: &Atom,
-        tuple: &mpc_storage::Tuple,
+        tuple: &[mpc_storage::Value],
     ) -> Option<BTreeSet<VarId>> {
         let mut pattern = BTreeSet::new();
         let mut seen: BTreeMap<VarId, u64> = BTreeMap::new();
         for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple.values()[pos];
+            let value = tuple[pos];
             match seen.insert(*var, value) {
                 Some(prev) if prev != value => return None,
                 _ => {}
@@ -327,16 +327,16 @@ fn count_patterns_with_stats(
         .iter()
         .map(|atom| {
             let mut counts: BTreeMap<BTreeSet<VarId>, u64> = BTreeMap::new();
-            let pattern_of = |t: &mpc_storage::Tuple| -> BTreeSet<VarId> {
+            let pattern_of = |t: &[mpc_storage::Value]| -> BTreeSet<VarId> {
                 atom.vars
                     .iter()
                     .enumerate()
-                    .filter(|(pos, var)| heavy.is_heavy(**var, t.values()[*pos]))
+                    .filter(|(pos, var)| heavy.is_heavy(**var, t[*pos]))
                     .map(|(_, var)| *var)
                     .collect()
             };
             if let Some((tuples, scale)) = stats.relation(&atom.name).and_then(|rs| rs.sample()) {
-                for t in tuples {
+                for t in tuples.iter() {
                     *counts.entry(pattern_of(t)).or_insert(0) += 1;
                 }
                 for c in counts.values_mut() {
@@ -670,9 +670,9 @@ mod tests {
         let set = ResidualPlanSet::build(&q, &db, HeavyHitters::none(q.num_vars()), 8).unwrap();
         let (_, s) = q.atom_by_name("S").unwrap();
         // Conflicting repeated variable → no pattern (never joins).
-        assert_eq!(set.heavy_pattern(s, &mpc_storage::Tuple::from([1, 2])), None);
+        assert_eq!(set.heavy_pattern(s, &[1, 2]), None);
         // Consistent repeated variable → a (light) pattern.
-        assert_eq!(set.heavy_pattern(s, &mpc_storage::Tuple::from([1, 1])), Some(BTreeSet::new()));
+        assert_eq!(set.heavy_pattern(s, &[1, 1]), Some(BTreeSet::new()));
     }
 
     #[test]

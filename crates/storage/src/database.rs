@@ -10,6 +10,39 @@ use crate::error::StorageError;
 use crate::relation::{Relation, Tuple};
 use crate::Result;
 
+/// Anything that can lend relation instances by symbol — the read-only
+/// view [`crate::join::evaluate`] takes of its input. [`Database`]
+/// implements it, and so does the simulator's per-server state, which is
+/// how a server's local join reads the relations it received in place.
+pub trait RelationSource {
+    /// The instance bound to `name`, if any.
+    fn get_relation(&self, name: &str) -> Option<&Relation>;
+}
+
+/// The instance `source` binds to `name`.
+pub(crate) fn require<'a, S: RelationSource + ?Sized>(
+    source: &'a S,
+    name: &str,
+) -> Result<&'a Relation> {
+    source.get_relation(name).ok_or_else(|| StorageError::MissingRelation(name.to_string()))
+}
+
+/// Check that `source` binds every atom of `q` to a relation of the
+/// correct arity.
+pub(crate) fn validate<S: RelationSource + ?Sized>(source: &S, q: &Query) -> Result<()> {
+    for atom in q.atoms() {
+        let rel = require(source, &atom.name)?;
+        if rel.arity() != atom.arity() {
+            return Err(StorageError::ArityMismatch {
+                relation: atom.name.clone(),
+                expected: atom.arity(),
+                actual: rel.arity(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// A database instance over a domain `[n] = {1, …, n}`.
 ///
 /// Relations are keyed by their symbol; a query can be evaluated on the
@@ -43,7 +76,7 @@ impl Database {
     ///
     /// Returns [`StorageError::MissingRelation`] if the symbol is unbound.
     pub fn relation(&self, name: &str) -> Result<&Relation> {
-        self.relations.get(name).ok_or_else(|| StorageError::MissingRelation(name.to_string()))
+        require(self, name)
     }
 
     /// Retrieve a relation mutably.
@@ -95,17 +128,7 @@ impl Database {
     /// Returns [`StorageError::MissingRelation`] or
     /// [`StorageError::ArityMismatch`] accordingly.
     pub fn validate_for(&self, q: &Query) -> Result<()> {
-        for atom in q.atoms() {
-            let rel = self.relation(&atom.name)?;
-            if rel.arity() != atom.arity() {
-                return Err(StorageError::ArityMismatch {
-                    relation: atom.name.clone(),
-                    expected: atom.arity(),
-                    actual: rel.arity(),
-                });
-            }
-        }
-        Ok(())
+        validate(self, q)
     }
 
     /// Restrict the database to the relations used by `q` (cloning them).
@@ -132,6 +155,12 @@ impl Database {
             db.insert_relation(Relation::from_tuples(name, arity, tuples)?);
         }
         Ok(db)
+    }
+}
+
+impl RelationSource for Database {
+    fn get_relation(&self, name: &str) -> Option<&Relation> {
+        self.relations.get(name)
     }
 }
 

@@ -12,122 +12,159 @@
 //! step builds a hash index on the shared variables and extends the
 //! current partial assignments.
 //!
-//! The per-step build is **columnar**: the atom's relation is snapshotted
-//! once into column vectors (self-inconsistent rows on repeated variables
-//! dropped up front) and the index maps shared-variable keys to `u32` row
-//! ids instead of tuple references — probes touch only the new-variable
-//! columns, and single-variable keys skip the per-probe `Vec` allocation
-//! entirely. When enough partial assignments are in flight the probe runs
-//! rayon-parallel in deterministic (input-order-preserving) chunks.
+//! The per-step index reads the atom's relation **in place**: rows stay
+//! where the [`Relation`] stores them and the index is a set of *chains* of
+//! `u32` row ids — per shared-variable key the first and last row, plus one
+//! `next` array linking a key's rows in insertion order. Building it
+//! allocates nothing per row (keys of one or two positions are plain
+//! values), and hashing uses the crate's multiply-rotate mix. Partial
+//! assignments live in one flat buffer of stride `k` (the number of query
+//! variables). When enough partial assignments are in flight the probe runs
+//! rayon-parallel over contiguous chunks, concatenated in order, so the
+//! output row order does not depend on which path ran.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use mpc_cq::{Query, VarId};
 use rayon::prelude::*;
 
-use crate::database::Database;
-use crate::relation::{Relation, Tuple, Value};
+use crate::database::{require, validate, RelationSource};
+use crate::hash::BuildMixHasher;
+use crate::relation::{Relation, Value};
 use crate::Result;
 
 /// Probe in parallel only when at least this many partial assignments are
 /// in flight — below it, thread spawn overhead beats the win.
 const PAR_PROBE_THRESHOLD: usize = 1024;
 
-/// The hash index of one join step over the columnar image of an atom's
-/// relation: rows self-consistent on repeated variables, stored
-/// column-major, with row ids grouped by their shared-variable key.
-struct AtomIndex {
-    cols: Vec<Vec<Value>>,
+/// Partial assignments per parallel probe task.
+const PAR_PROBE_CHUNK: usize = 512;
+
+/// End-of-chain marker; a [`Relation`] never holds a row with this id.
+const NIL: u32 = u32::MAX;
+
+/// First and last row id of one key's chain.
+type Ends = (u32, u32);
+
+/// The hash index of one join step: the rows of an atom's relation that
+/// are self-consistent on repeated variables, chained per shared-variable
+/// key in insertion order.
+struct AtomIndex<'a> {
+    rel: &'a Relation,
     keys: KeyIndex,
+    /// `next[r]` is the row after `r` on `r`'s chain, or [`NIL`].
+    next: Vec<u32>,
 }
 
 enum KeyIndex {
     /// No shared variables (first atom, or a new connected component):
-    /// every row matches every partial.
-    All(Vec<u32>),
-    /// Exactly one shared position — the common case; keyed directly by
-    /// value, no per-row or per-probe key allocation.
-    Single(HashMap<Value, Vec<u32>>),
-    /// Two or more shared positions.
-    Multi(HashMap<Vec<Value>, Vec<u32>>),
+    /// one chain through every consistent row.
+    All(Ends),
+    /// Exactly one shared position — the common case.
+    One(HashMap<Value, Ends, BuildMixHasher>),
+    /// Two shared positions.
+    Two(HashMap<(Value, Value), Ends, BuildMixHasher>),
+    /// Three or more shared positions.
+    Many(HashMap<Vec<Value>, Ends, BuildMixHasher>),
 }
 
-impl AtomIndex {
-    /// Snapshot `rel` column-major, dropping rows that disagree with
-    /// themselves on a repeated variable, and index the survivors on the
-    /// shared positions.
+impl<'a> AtomIndex<'a> {
+    /// Chain the rows of `rel`, skipping rows that disagree with
+    /// themselves on a repeated variable, by their values at the shared
+    /// positions.
     fn build(
-        rel: &Relation,
+        rel: &'a Relation,
         var_positions: &[(VarId, Vec<usize>)],
         shared: &[(VarId, usize)],
-    ) -> AtomIndex {
-        let mut cols: Vec<Vec<Value>> = vec![Vec::with_capacity(rel.len()); rel.arity()];
+    ) -> AtomIndex<'a> {
+        let map_hint = rel.len();
         let mut keys = match shared {
-            [] => KeyIndex::All(Vec::with_capacity(rel.len())),
-            [_] => KeyIndex::Single(HashMap::new()),
-            _ => KeyIndex::Multi(HashMap::new()),
+            [] => KeyIndex::All((NIL, NIL)),
+            [_] => KeyIndex::One(HashMap::with_capacity_and_hasher(map_hint, Default::default())),
+            [_, _] => {
+                KeyIndex::Two(HashMap::with_capacity_and_hasher(map_hint, Default::default()))
+            }
+            _ => KeyIndex::Many(HashMap::with_capacity_and_hasher(map_hint, Default::default())),
         };
-        let mut row = 0u32;
-        'tuples: for t in rel.iter() {
-            let values = t.values();
-            for (_, positions) in var_positions {
-                let first = values[positions[0]];
-                if positions[1..].iter().any(|&p| values[p] != first) {
-                    continue 'tuples;
-                }
+        let repeated: Vec<&[usize]> =
+            var_positions.iter().filter(|(_, ps)| ps.len() > 1).map(|(_, ps)| &ps[..]).collect();
+        let mut next = vec![NIL; rel.len()];
+        for (id, row) in rel.iter().enumerate() {
+            if repeated.iter().any(|ps| ps[1..].iter().any(|&p| row[p] != row[ps[0]])) {
+                continue;
             }
-            for (col, &v) in cols.iter_mut().zip(values) {
-                col.push(v);
-            }
-            match &mut keys {
-                KeyIndex::All(ids) => ids.push(row),
-                KeyIndex::Single(map) => {
-                    map.entry(values[shared[0].1]).or_default().push(row);
+            let id = id as u32;
+            let ends = match &mut keys {
+                KeyIndex::All(ends) => ends,
+                KeyIndex::One(map) => map.entry(row[shared[0].1]).or_insert((NIL, NIL)),
+                KeyIndex::Two(map) => {
+                    map.entry((row[shared[0].1], row[shared[1].1])).or_insert((NIL, NIL))
                 }
-                KeyIndex::Multi(map) => {
-                    let key: Vec<Value> = shared.iter().map(|&(_, pos)| values[pos]).collect();
-                    map.entry(key).or_default().push(row);
-                }
+                KeyIndex::Many(map) => map
+                    .entry(shared.iter().map(|&(_, pos)| row[pos]).collect())
+                    .or_insert((NIL, NIL)),
+            };
+            if ends.0 == NIL {
+                ends.0 = id;
+            } else {
+                next[ends.1 as usize] = id;
             }
-            row += 1;
+            ends.1 = id;
         }
-        AtomIndex { cols, keys }
+        AtomIndex { rel, keys, next }
     }
 
-    /// Row ids matching one partial assignment's shared-variable values.
-    fn candidates(&self, partial: &[Value], shared: &[(VarId, usize)]) -> &[u32] {
-        match &self.keys {
-            KeyIndex::All(ids) => ids,
-            KeyIndex::Single(map) => map.get(&partial[shared[0].0 .0]).map_or(&[], Vec::as_slice),
-            KeyIndex::Multi(map) => {
-                let key: Vec<Value> = shared.iter().map(|&(v, _)| partial[v.0]).collect();
-                map.get(&key).map_or(&[], Vec::as_slice)
-            }
-        }
-    }
-
-    /// Extend `partial` once per matching row, reading only the
-    /// new-variable columns.
-    fn probe(
+    /// The first row matching one partial assignment's shared-variable
+    /// values, or [`NIL`]. `key` is scratch space for wide keys.
+    fn first_match(
         &self,
         partial: &[Value],
         shared: &[(VarId, usize)],
+        key: &mut Vec<Value>,
+    ) -> u32 {
+        let ends = match &self.keys {
+            KeyIndex::All(ends) => Some(ends),
+            KeyIndex::One(map) => map.get(&partial[shared[0].0 .0]),
+            KeyIndex::Two(map) => map.get(&(partial[shared[0].0 .0], partial[shared[1].0 .0])),
+            KeyIndex::Many(map) => {
+                key.clear();
+                key.extend(shared.iter().map(|&(v, _)| partial[v.0]));
+                map.get(key.as_slice())
+            }
+        };
+        ends.map_or(NIL, |ends| ends.0)
+    }
+
+    /// Extend each stride-`k` partial assignment in `partials` once per
+    /// matching row, in chain order, appending the extended assignments to
+    /// `out`.
+    fn probe(
+        &self,
+        partials: &[Value],
+        k: usize,
+        shared: &[(VarId, usize)],
         new_vars: &[(VarId, usize)],
-    ) -> Vec<Vec<Value>> {
-        self.candidates(partial, shared)
-            .iter()
-            .map(|&row| {
-                let mut extended = partial.to_vec();
+        out: &mut Vec<Value>,
+    ) {
+        let mut key = Vec::new();
+        for partial in partials.chunks_exact(k) {
+            let mut id = self.first_match(partial, shared, &mut key);
+            while id != NIL {
+                let row = self.rel.row(id as usize);
+                let at = out.len();
+                out.extend_from_slice(partial);
                 for &(v, pos) in new_vars {
-                    extended[v.0] = self.cols[pos][row as usize];
+                    out[at + v.0] = row[pos];
                 }
-                extended
-            })
-            .collect()
+                id = self.next[id as usize];
+            }
+        }
     }
 }
 
-/// Evaluate the query on the database.
+/// Evaluate the query on the relations `source` lends — a [`Database`], or
+/// a simulated server's state.
 ///
 /// The output relation is named after the query and has one column per
 /// query variable, ordered by [`VarId`] (i.e. [`Query::var_names`] order).
@@ -135,19 +172,33 @@ impl AtomIndex {
 /// # Errors
 ///
 /// Returns an error if a relation is missing or has the wrong arity.
-pub fn evaluate(q: &Query, db: &Database) -> Result<Relation> {
-    db.validate_for(q)?;
-    let k = q.num_vars();
-    let order = join_order(q, db);
+///
+/// [`Database`]: crate::Database
+pub fn evaluate<S: RelationSource + ?Sized>(q: &Query, source: &S) -> Result<Relation> {
+    evaluate_with(q, source, PAR_PROBE_THRESHOLD)
+}
 
-    // Partial assignments: value per variable; `bound[v]` says which
-    // entries are meaningful. All partials share the same bound set.
+/// [`evaluate`] with an explicit parallel-probe threshold (tests force
+/// either path).
+fn evaluate_with<S: RelationSource + ?Sized>(
+    q: &Query,
+    source: &S,
+    par_threshold: usize,
+) -> Result<Relation> {
+    validate(source, q)?;
+    // Atoms are never empty, so k ≥ 1.
+    let k = q.num_vars();
+    let order = join_order(q, source);
+
+    // Partial assignments, flat with stride k: one value per variable;
+    // `bound[v]` says which entries are meaningful. All partials share the
+    // same bound set.
     let mut bound = vec![false; k];
-    let mut partials: Vec<Vec<Value>> = vec![vec![0; k]];
+    let mut partials: Vec<Value> = vec![0; k];
 
     for atom_idx in order {
         let atom = &q.atoms()[atom_idx];
-        let rel = db.relation(&atom.name)?;
+        let rel = require(source, &atom.name)?;
 
         // Positions of the atom grouped by variable (handles repeated
         // variables within one atom, which arise after contraction).
@@ -168,14 +219,25 @@ pub fn evaluate(q: &Query, db: &Database) -> Result<Relation> {
 
         // Probe: order-preserving, so the output stays deterministic
         // whether or not the parallel path runs.
-        partials = if partials.len() >= PAR_PROBE_THRESHOLD {
-            let chunks: Vec<Vec<Vec<Value>>> = partials
-                .par_iter()
-                .map(|partial| index.probe(partial, &shared, &new_vars))
+        let count = partials.len() / k;
+        partials = if count >= par_threshold {
+            let tasks: Vec<Range<usize>> = (0..count)
+                .step_by(PAR_PROBE_CHUNK)
+                .map(|from| from * k..(from + PAR_PROBE_CHUNK).min(count) * k)
                 .collect();
-            chunks.into_iter().flatten().collect()
+            let chunks: Vec<Vec<Value>> = tasks
+                .par_iter()
+                .map(|task| {
+                    let mut out = Vec::new();
+                    index.probe(&partials[task.clone()], k, &shared, &new_vars, &mut out);
+                    out
+                })
+                .collect();
+            chunks.concat()
         } else {
-            partials.iter().flat_map(|partial| index.probe(partial, &shared, &new_vars)).collect()
+            let mut out = Vec::with_capacity(partials.len());
+            index.probe(&partials, k, &shared, &new_vars, &mut out);
+            out
         };
         for (v, _) in &new_vars {
             bound[v.0] = true;
@@ -186,8 +248,9 @@ pub fn evaluate(q: &Query, db: &Database) -> Result<Relation> {
     }
 
     let mut out = Relation::empty(q.name(), k);
-    for p in partials {
-        out.insert(Tuple(p))?;
+    out.reserve(partials.len() / k);
+    for row in partials.chunks_exact(k) {
+        out.insert_row(row)?;
     }
     Ok(out)
 }
@@ -199,9 +262,13 @@ pub fn evaluate(q: &Query, db: &Database) -> Result<Relation> {
 /// # Errors
 ///
 /// Propagates storage and query errors.
-pub fn evaluate_atoms(q: &Query, db: &Database, atoms: &[mpc_cq::AtomId]) -> Result<Relation> {
+pub fn evaluate_atoms<S: RelationSource + ?Sized>(
+    q: &Query,
+    source: &S,
+    atoms: &[mpc_cq::AtomId],
+) -> Result<Relation> {
     let sub = q.induced_subquery(atoms)?;
-    evaluate(&sub, db)
+    evaluate(&sub, source)
 }
 
 /// The output column names of [`evaluate`] for a query: its variable names
@@ -213,10 +280,10 @@ pub fn output_columns(q: &Query) -> Vec<String> {
 /// Choose a join order: start from the smallest relation and repeatedly add
 /// an atom sharing a variable with the already-chosen prefix (falling back
 /// to the smallest remaining atom when the query is disconnected).
-fn join_order(q: &Query, db: &Database) -> Vec<usize> {
+fn join_order<S: RelationSource + ?Sized>(q: &Query, source: &S) -> Vec<usize> {
     let l = q.num_atoms();
     let size_of =
-        |i: usize| db.relation(&q.atoms()[i].name).map(Relation::len).unwrap_or(usize::MAX);
+        |i: usize| source.get_relation(&q.atoms()[i].name).map_or(usize::MAX, Relation::len);
 
     let mut remaining: Vec<usize> = (0..l).collect();
     remaining.sort_by_key(|&i| (size_of(i), i));
@@ -242,6 +309,7 @@ fn join_order(q: &Query, db: &Database) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, Tuple};
     use mpc_cq::families;
 
     fn db_with(relations: Vec<(&str, Vec<[Value; 2]>)>) -> Database {
@@ -372,6 +440,131 @@ mod tests {
         assert_eq!(out.len(), 40 * 40 * 3);
         assert!(out.contains(&Tuple::from([0, 100, 200])));
         assert!(out.contains(&Tuple::from([39, 139, 202])));
+    }
+
+    /// The reference evaluator: nested loops over the atoms in query
+    /// order, one assignment at a time, no index and no reordering.
+    fn nested_loop(q: &Query, db: &Database) -> std::collections::BTreeSet<Vec<Value>> {
+        fn extend(
+            q: &Query,
+            db: &Database,
+            atom: usize,
+            assignment: &mut Vec<Option<Value>>,
+            out: &mut std::collections::BTreeSet<Vec<Value>>,
+        ) {
+            let Some(a) = q.atoms().get(atom) else {
+                out.insert(assignment.iter().map(|v| v.expect("full query binds all")).collect());
+                return;
+            };
+            for row in db.relation(&a.name).unwrap().iter() {
+                let before = assignment.clone();
+                let consistent = a
+                    .vars
+                    .iter()
+                    .zip(row)
+                    .all(|(v, &value)| *assignment[v.0].get_or_insert(value) == value);
+                if consistent {
+                    extend(q, db, atom + 1, assignment, out);
+                }
+                *assignment = before;
+            }
+        }
+        let mut out = std::collections::BTreeSet::new();
+        extend(q, db, 0, &mut vec![None; q.num_vars()], &mut out);
+        out
+    }
+
+    #[test]
+    fn matches_a_nested_loop_evaluator_on_random_databases() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // (atoms with their row counts, value domain). Together: one, two,
+        // three and four shared positions; variables repeated inside an
+        // atom; disconnected components.
+        type Shape = (Vec<(&'static str, Vec<&'static str>, usize)>, u64);
+        let shapes: Vec<Shape> = vec![
+            (
+                vec![
+                    ("A", vec!["x", "y"], 30),
+                    ("B", vec!["y", "z"], 30),
+                    ("C", vec!["z", "w"], 30),
+                ],
+                6,
+            ),
+            (
+                vec![
+                    ("A", vec!["x", "y"], 25),
+                    ("B", vec!["y", "z"], 25),
+                    ("C", vec!["z", "x"], 25),
+                ],
+                5,
+            ),
+            (vec![("A", vec!["x", "y"], 25), ("B", vec!["y", "x"], 25)], 5),
+            (vec![("A", vec!["x", "y", "z"], 60), ("B", vec!["z", "y", "x", "w"], 60)], 3),
+            (vec![("A", vec!["a", "b", "c", "d"], 16), ("B", vec!["d", "c", "b", "a"], 16)], 2),
+            (
+                vec![
+                    ("A", vec!["x", "x"], 40),
+                    ("B", vec!["x", "y", "x"], 40),
+                    ("C", vec!["y", "y"], 9),
+                ],
+                4,
+            ),
+            (vec![("A", vec!["x", "y"], 12), ("B", vec!["z"], 5), ("C", vec!["w", "z"], 12)], 5),
+            // Wide: A × B × C puts |A|·|B|·|C| partial assignments — past
+            // PAR_PROBE_THRESHOLD, many PAR_PROBE_CHUNKs — into the keyed
+            // probe of D.
+            (
+                vec![
+                    ("A", vec!["x"], 35),
+                    ("B", vec!["y"], 35),
+                    ("C", vec!["z", "v"], 6),
+                    ("D", vec!["v", "w"], 45),
+                ],
+                50,
+            ),
+        ];
+        for (case, (atoms, domain)) in shapes.into_iter().enumerate() {
+            let sizes: Vec<usize> = atoms.iter().map(|a| a.2).collect();
+            let q = Query::new("q", atoms.into_iter().map(|(name, vars, _)| (name, vars))).unwrap();
+            for seed in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 101 + case as u64);
+                let mut db = Database::new(domain);
+                for (i, atom) in q.atoms().iter().enumerate() {
+                    // Seed 4 empties the first relation, seed 5 leaves the
+                    // last one a single row.
+                    let rows = match (seed, i) {
+                        (4, 0) => 0,
+                        (5, i) if i + 1 == sizes.len() => 1,
+                        _ => sizes[i],
+                    };
+                    let mut rel = Relation::empty(&atom.name, atom.arity());
+                    for _ in 0..rows {
+                        let row: Vec<Value> =
+                            (0..atom.arity()).map(|_| rng.gen_range(1..=domain)).collect();
+                        rel.insert_row(&row).unwrap();
+                    }
+                    db.insert_relation(rel);
+                }
+                if sizes.len() == 4 && seed < 4 {
+                    let in_flight: usize =
+                        ["A", "B", "C"].iter().map(|r| db.relation(r).unwrap().len()).product();
+                    assert!(
+                        in_flight >= 2 * PAR_PROBE_CHUNK.max(PAR_PROBE_THRESHOLD),
+                        "{in_flight}"
+                    );
+                }
+                let sequential = evaluate_with(&q, &db, usize::MAX).unwrap();
+                let parallel = evaluate_with(&q, &db, 1).unwrap();
+                assert_eq!(sequential, parallel, "{q} seed {seed}: same rows, same order");
+                assert_eq!(sequential, evaluate(&q, &db).unwrap());
+                let expected = nested_loop(&q, &db);
+                assert_eq!(sequential.len(), expected.len(), "{q} seed {seed}");
+                assert!(expected.iter().all(|row| sequential.contains(row)), "{q} seed {seed}");
+                assert!(seed != 4 || sequential.is_empty(), "an empty relation empties the join");
+            }
+        }
     }
 
     #[test]

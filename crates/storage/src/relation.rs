@@ -1,18 +1,20 @@
 //! Tuples and relation instances.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::StorageError;
+use crate::hash::hash_row;
 use crate::Result;
 
 /// A database value. The paper's matching databases draw values from the
 /// domain `[n] = {1, …, n}`; we use `u64` throughout.
 pub type Value = u64;
 
-/// A fixed-arity tuple of values.
+/// An owned fixed-arity tuple of values — the row type of
+/// `mpc_sim::Routed` and of [`Relation::insert`]. Rows *stored* in a
+/// [`Relation`] are lent as `&[Value]` instead.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Tuple(pub Vec<Value>);
 
@@ -57,6 +59,12 @@ impl fmt::Display for Tuple {
     }
 }
 
+impl AsRef<[Value]> for Tuple {
+    fn as_ref(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple(values)
@@ -69,44 +77,65 @@ impl<const N: usize> From<[Value; N]> for Tuple {
     }
 }
 
-/// A named relation instance: a set of tuples of fixed arity.
+/// A named relation instance: a set of rows of fixed arity.
 ///
-/// Duplicates are eliminated on construction and on
-/// [`Relation::insert`]; iteration order is insertion order of the first
-/// occurrence, which keeps downstream algorithms deterministic.
+/// Rows live in one row-major `Vec<Value>` and are lent out as `&[Value]`;
+/// nothing is allocated per row. Duplicates are eliminated on insertion
+/// through an open-addressing table of `u32` row ids (linear probing, the
+/// crate's fixed multiply-rotate hash), so iteration order is the insertion
+/// order of the first occurrence — which keeps downstream algorithms
+/// deterministic. A relation holds at most `u32::MAX` rows.
 ///
-/// Only [`Serialize`] is derived: the deduplication index is rebuilt on
-/// construction, so round-tripping goes through [`Relation::from_tuples`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// Equality compares name, arity and the rows *in order*; use
+/// [`Relation::same_tuples`] to compare as sets.
+#[derive(Debug, Clone)]
 pub struct Relation {
     name: String,
     arity: usize,
-    tuples: Vec<Tuple>,
-    #[serde(skip)]
-    seen: BTreeSet<Tuple>,
+    /// Row count, tracked explicitly so arity-0 relations still count.
+    rows: usize,
+    /// `rows × arity` values, row-major.
+    values: Vec<Value>,
+    /// Row ids (or [`VACANT`]); the length is zero or a power of two, kept
+    /// at most half full.
+    slots: Vec<u32>,
+}
+
+/// The empty-slot marker — which is why row ids stop at `u32::MAX - 1`.
+const VACANT: u32 = u32::MAX;
+
+/// Slots allocated by the first insertion.
+const MIN_SLOTS: usize = 16;
+
+/// The row id of the next row of a relation holding `rows` rows.
+fn next_row_id(name: &str, rows: usize) -> Result<u32> {
+    u32::try_from(rows)
+        .ok()
+        .filter(|&id| id != VACANT)
+        .ok_or_else(|| StorageError::TooManyRows { relation: name.to_string() })
 }
 
 impl Relation {
     /// Create an empty relation with the given name and arity.
     pub fn empty<S: Into<String>>(name: S, arity: usize) -> Self {
-        Relation { name: name.into(), arity, tuples: Vec::new(), seen: BTreeSet::new() }
+        Relation { name: name.into(), arity, rows: 0, values: Vec::new(), slots: Vec::new() }
     }
 
-    /// Create a relation from an iterator of tuples.
+    /// Create a relation from an iterator of rows.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::TupleArity`] if a tuple's arity differs from
+    /// Returns [`StorageError::TupleArity`] if a row's arity differs from
     /// `arity`.
     pub fn from_tuples<S, I, T>(name: S, arity: usize, tuples: I) -> Result<Self>
     where
         S: Into<String>,
         I: IntoIterator<Item = T>,
-        T: Into<Tuple>,
+        T: AsRef<[Value]>,
     {
         let mut rel = Relation::empty(name, arity);
         for t in tuples {
-            rel.insert(t.into())?;
+            rel.insert_row(t.as_ref())?;
         }
         Ok(rel)
     }
@@ -121,51 +150,123 @@ impl Relation {
         self.arity
     }
 
-    /// Number of (distinct) tuples.
+    /// Number of (distinct) rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.rows
     }
 
-    /// True if the relation has no tuples.
+    /// True if the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.rows == 0
     }
 
-    /// Insert a tuple; duplicates are ignored. Returns `true` if the tuple
-    /// was new.
+    /// Insert an owned tuple; see [`Relation::insert_row`].
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::TupleArity`] if the arity does not match.
+    /// As for [`Relation::insert_row`].
     pub fn insert(&mut self, t: Tuple) -> Result<bool> {
-        if t.arity() != self.arity {
-            return Err(StorageError::TupleArity {
-                relation: self.name.clone(),
-                expected: self.arity,
-                actual: t.arity(),
-            });
+        self.insert_row(t.values())
+    }
+
+    /// Insert a row; duplicates are ignored. Returns `true` if the row was
+    /// new.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if the arity does not match and
+    /// [`StorageError::TooManyRows`] past `u32::MAX` rows.
+    pub fn insert_row(&mut self, row: &[Value]) -> Result<bool> {
+        if row.len() != self.arity {
+            return Err(self.arity_error(row.len()));
         }
-        if self.seen.insert(t.clone()) {
-            self.tuples.push(t);
-            Ok(true)
-        } else {
-            Ok(false)
+        self.values.extend_from_slice(row);
+        self.commit_pending_row()
+    }
+
+    /// Append `rows` rows given column-major — `columns[c][r]` is column
+    /// `c` of row `r`, the layout of a transport block — deduplicating as
+    /// [`Relation::insert_row`] does. Returns how many rows were new.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if the number of columns is not
+    /// the relation's arity, [`StorageError::RaggedColumns`] if a column
+    /// does not hold exactly `rows` values, and
+    /// [`StorageError::TooManyRows`] past `u32::MAX` rows. Rows before the
+    /// failing one stay inserted.
+    pub fn append_columns<C: AsRef<[Value]>>(
+        &mut self,
+        rows: usize,
+        columns: &[C],
+    ) -> Result<usize> {
+        if columns.len() != self.arity {
+            return Err(self.arity_error(columns.len()));
+        }
+        if columns.iter().any(|c| c.as_ref().len() != rows) {
+            return Err(StorageError::RaggedColumns { relation: self.name.clone(), rows });
+        }
+        self.reserve(rows);
+        let mut fresh = 0;
+        for r in 0..rows {
+            self.values.extend(columns.iter().map(|c| c.as_ref()[r]));
+            fresh += usize::from(self.commit_pending_row()?);
+        }
+        Ok(fresh)
+    }
+
+    /// Append every row of `other`, deduplicating. Returns how many rows
+    /// were new. An empty `other` is a no-op whatever its arity.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::insert_row`].
+    pub fn extend_from(&mut self, other: &Relation) -> Result<usize> {
+        if other.is_empty() {
+            // Nothing to append, whatever arity the empty relation declares.
+            return Ok(0);
+        }
+        if other.arity != self.arity {
+            return Err(self.arity_error(other.arity));
+        }
+        self.reserve(other.rows);
+        let mut fresh = 0;
+        for row in other.iter() {
+            self.values.extend_from_slice(row);
+            fresh += usize::from(self.commit_pending_row()?);
+        }
+        Ok(fresh)
+    }
+
+    /// Make room for `additional` more rows without regrowing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.values.reserve(additional.saturating_mul(self.arity));
+        let wanted = self.rows.saturating_add(additional).min(VACANT as usize);
+        if wanted * 2 > self.slots.len() {
+            self.rehash((wanted * 2).next_power_of_two().max(MIN_SLOTS));
         }
     }
 
-    /// Membership test.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.seen.contains(t)
+    /// Membership test, for a lent row (`&[Value]`), an array or an owned
+    /// [`Tuple`].
+    pub fn contains<R: AsRef<[Value]> + ?Sized>(&self, row: &R) -> bool {
+        let row = row.as_ref();
+        row.len() == self.arity && !self.slots.is_empty() && self.find(row).is_ok()
     }
 
-    /// The tuples, in deterministic (first-insertion) order.
-    pub fn tuples(&self) -> &[Tuple] {
-        &self.tuples
+    /// The row at position `i` of the insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn row(&self, i: usize) -> &[Value] {
+        assert!(i < self.rows, "row {i} of a relation with {} rows", self.rows);
+        &self.values[i * self.arity..(i + 1) * self.arity]
     }
 
-    /// Iterate over the tuples.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.tuples.iter()
+    /// Iterate over the rows, in deterministic (first-insertion) order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Value]> + Clone + '_ {
+        (0..self.rows).map(move |i| &self.values[i * self.arity..(i + 1) * self.arity])
     }
 
     /// Rename the relation (returns a copy).
@@ -188,18 +289,110 @@ impl Relation {
         (self.len() as u64) * (self.arity as u64) * bits_per_value
     }
 
-    /// The set of tuples as a sorted vector (useful for equality checks in
-    /// tests, ignoring insertion order).
+    /// The set of rows as a sorted vector of owned tuples (useful for
+    /// equality checks in tests, ignoring insertion order).
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
-        let mut v = self.tuples.clone();
+        let mut v: Vec<Tuple> = self.iter().map(Tuple::new).collect();
         v.sort();
         v
     }
 
-    /// True if two relations contain exactly the same tuple sets
+    /// True if two relations contain exactly the same row sets
     /// (names and insertion order are ignored).
     pub fn same_tuples(&self, other: &Relation) -> bool {
-        self.arity == other.arity && self.seen == other.seen
+        self.arity == other.arity
+            && self.rows == other.rows
+            && self.iter().all(|row| other.contains(row))
+    }
+
+    fn arity_error(&self, actual: usize) -> StorageError {
+        StorageError::TupleArity { relation: self.name.clone(), expected: self.arity, actual }
+    }
+
+    /// Where `row` is: `Ok(slot)` holding its id, or `Err(slot)` of the
+    /// vacancy a probe for it ends at. Needs a non-empty table.
+    fn find(&self, row: &[Value]) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut slot = (hash_row(row) >> shift) as usize;
+        loop {
+            match self.slots[slot] {
+                VACANT => return Err(slot),
+                id => {
+                    let at = id as usize * self.arity;
+                    if &self.values[at..at + self.arity] == row {
+                        return Ok(slot);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Decide the fate of the candidate row sitting just past the last
+    /// committed one in `values`: index it if new, drop it if not.
+    fn commit_pending_row(&mut self) -> Result<bool> {
+        let at = self.rows * self.arity;
+        let id = match next_row_id(&self.name, self.rows) {
+            Ok(id) => id,
+            Err(e) => {
+                self.values.truncate(at);
+                return Err(e);
+            }
+        };
+        if (self.rows + 1) * 2 > self.slots.len() {
+            self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
+        }
+        match self.find(&self.values[at..]) {
+            Err(vacancy) => {
+                self.slots[vacancy] = id;
+                self.rows += 1;
+                Ok(true)
+            }
+            Ok(_) => {
+                self.values.truncate(at);
+                Ok(false)
+            }
+        }
+    }
+
+    /// Rebuild the table with `slots` slots (a power of two).
+    fn rehash(&mut self, slots: usize) {
+        debug_assert!(slots.is_power_of_two() && slots >= self.rows * 2);
+        self.slots.clear();
+        self.slots.resize(slots, VACANT);
+        for id in 0..self.rows {
+            let row = &self.values[id * self.arity..(id + 1) * self.arity];
+            let vacancy = self.find(row).expect_err("stored rows are distinct");
+            self.slots[vacancy] = id as u32;
+        }
+    }
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.arity == other.arity
+            && self.rows == other.rows
+            && self.values == other.values
+    }
+}
+
+impl Eq for Relation {}
+
+/// Serialises as `{name, arity, tuples: [[v, …], …]}`; the deduplication
+/// table is rebuilt on construction, so round-tripping goes through
+/// [`Relation::from_tuples`].
+impl Serialize for Relation {
+    fn to_json_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("name".to_string(), self.name.to_json_value()),
+            ("arity".to_string(), self.arity.to_json_value()),
+            (
+                "tuples".to_string(),
+                serde::Value::Array(self.iter().map(|row| row.to_json_value()).collect()),
+            ),
+        ])
     }
 }
 
@@ -233,6 +426,15 @@ mod tests {
         let mut r = Relation::empty("R", 2);
         let err = r.insert(Tuple::from([1, 2, 3])).unwrap_err();
         assert!(matches!(err, StorageError::TupleArity { .. }));
+    }
+
+    #[test]
+    fn row_ids_stop_short_of_the_vacancy_marker() {
+        assert_eq!(next_row_id("R", 0), Ok(0));
+        assert_eq!(next_row_id("R", VACANT as usize - 1), Ok(VACANT - 1));
+        let full = StorageError::TooManyRows { relation: "R".into() };
+        assert_eq!(next_row_id("R", VACANT as usize), Err(full.clone()));
+        assert_eq!(next_row_id("R", usize::MAX), Err(full));
     }
 
     #[test]

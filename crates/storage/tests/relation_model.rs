@@ -1,0 +1,189 @@
+//! Model-based property test of [`Relation`]: seeded random operation
+//! sequences run against the flat row store and against the obvious model
+//! — a `Vec` of rows in first-insertion order plus a `BTreeSet` of them —
+//! which is what `Relation` was before it stored rows flat.
+
+use std::collections::BTreeSet;
+
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+use mpc_storage::{Relation, StorageError, Tuple, Value};
+
+#[derive(Default)]
+struct Model {
+    rows: Vec<Vec<Value>>,
+    seen: BTreeSet<Vec<Value>>,
+}
+
+impl Model {
+    fn insert(&mut self, row: &[Value]) -> bool {
+        let fresh = self.seen.insert(row.to_vec());
+        if fresh {
+            self.rows.push(row.to_vec());
+        }
+        fresh
+    }
+}
+
+fn random_row(rng: &mut StdRng, arity: usize, domain: u64) -> Vec<Value> {
+    (0..arity).map(|_| rng.gen_range(0..domain)).collect()
+}
+
+fn assert_matches_model(rel: &Relation, model: &Model, rng: &mut StdRng, domain: u64) {
+    assert_eq!(rel.len(), model.rows.len());
+    assert_eq!(rel.is_empty(), model.rows.is_empty());
+    assert_eq!(rel.iter().len(), model.rows.len());
+    assert!(rel.iter().eq(model.rows.iter().map(Vec::as_slice)), "first-insertion order");
+    for (i, row) in model.rows.iter().enumerate().take(50) {
+        assert_eq!(rel.row(i), row.as_slice());
+    }
+    for _ in 0..50 {
+        let probe = random_row(rng, rel.arity(), domain + 2);
+        assert_eq!(rel.contains(&probe), model.seen.contains(&probe), "{probe:?}");
+        assert_eq!(rel.contains(&Tuple(probe.clone())), model.seen.contains(&probe));
+    }
+    let shorter = vec![0; rel.arity().saturating_sub(1)];
+    let longer = vec![0; rel.arity() + 1];
+    assert!(rel.arity() == 0 || !rel.contains(&shorter), "a row of another arity is no member");
+    assert!(!rel.contains(&longer));
+}
+
+/// One seeded run: `ops` random operations on an `arity`-wide relation
+/// over `0..domain`, checked against the model as it goes.
+fn run_case(seed: u64, arity: usize, domain: u64, ops: usize) -> (Relation, Model) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rel = Relation::empty("R", arity);
+    let mut model = Model::default();
+    for op in 0..ops {
+        match rng.gen_range(0..20u32) {
+            0 => {
+                // A row of the wrong arity is rejected and changes nothing.
+                let wrong = if arity > 0 && rng.gen_bool(0.5) { arity - 1 } else { arity + 1 };
+                let err = rel.insert_row(&random_row(&mut rng, wrong, domain)).unwrap_err();
+                assert_eq!(
+                    err,
+                    StorageError::TupleArity {
+                        relation: "R".into(),
+                        expected: arity,
+                        actual: wrong
+                    }
+                );
+                assert!(rel.insert(Tuple(vec![0; wrong])).is_err());
+            }
+            1 => {
+                // A column-major batch, duplicates inside it included.
+                let rows: Vec<Vec<Value>> = (0..rng.gen_range(0..40usize))
+                    .map(|_| random_row(&mut rng, arity, domain))
+                    .collect();
+                let columns: Vec<Vec<Value>> =
+                    (0..arity).map(|c| rows.iter().map(|r| r[c]).collect()).collect();
+                let fresh = rows.iter().filter(|r| model.insert(r)).count();
+                assert_eq!(rel.append_columns(rows.len(), &columns).unwrap(), fresh);
+            }
+            2 => {
+                // Malformed batches: wrong column count, ragged columns.
+                let mut columns = vec![vec![1, 2, 3]; arity + 1];
+                assert!(matches!(
+                    rel.append_columns(3, &columns),
+                    Err(StorageError::TupleArity { .. })
+                ));
+                columns.truncate(arity);
+                if let Some(last) = columns.last_mut() {
+                    last.pop();
+                    assert!(matches!(
+                        rel.append_columns(3, &columns),
+                        Err(StorageError::RaggedColumns { rows: 3, .. })
+                    ));
+                }
+            }
+            3 => {
+                let mut other = Relation::empty("Other", arity);
+                for _ in 0..rng.gen_range(0..30usize) {
+                    other.insert_row(&random_row(&mut rng, arity, domain)).unwrap();
+                }
+                let fresh = other.iter().filter(|r| model.insert(r)).count();
+                assert_eq!(rel.extend_from(&other).unwrap(), fresh);
+                assert_eq!(rel.extend_from(&Relation::empty("Wider", arity + 1)), Ok(0));
+            }
+            4 => {
+                let row = random_row(&mut rng, arity, domain);
+                assert_eq!(rel.insert(Tuple(row.clone())).unwrap(), model.insert(&row));
+            }
+            _ => {
+                let row = random_row(&mut rng, arity, domain);
+                assert_eq!(rel.insert_row(&row).unwrap(), model.insert(&row));
+            }
+        }
+        if op % 97 == 0 {
+            assert_matches_model(&rel, &model, &mut rng, domain);
+        }
+    }
+    assert_matches_model(&rel, &model, &mut rng, domain);
+    (rel, model)
+}
+
+#[test]
+fn random_operation_sequences_match_the_model() {
+    // Arity 0 holds at most the empty row; arity 1 over a tiny domain is
+    // almost all duplicates; the wide domains cross a dozen table growths
+    // (16 slots → 32 768).
+    for (arity, domain, ops) in [
+        (0, 1, 200),
+        (1, 7, 400),
+        (1, 1 << 40, 3_000),
+        (2, 12, 2_000),
+        (2, 90, 12_000),
+        (3, 1 << 20, 6_000),
+    ] {
+        for seed in 0..4 {
+            let (rel, model) = run_case(seed * 31 + arity as u64, arity, domain, ops);
+            assert_eq!(rel.size_in_bytes(), (model.rows.len() * arity * 8) as u64);
+            assert_eq!(rel.sorted_tuples().len(), model.seen.len());
+            assert!(rel
+                .sorted_tuples()
+                .iter()
+                .map(Tuple::values)
+                .eq(model.seen.iter().map(Vec::as_slice)));
+        }
+    }
+}
+
+#[test]
+fn equality_is_ordered_and_same_tuples_is_symmetric_set_equality() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let (rel, model) = run_case(11, 2, 60, 4_000);
+    assert!(rel.len() > 1_000, "crossed several growths: {}", rel.len());
+
+    // Same rows, same order: equal — however the table got to its size.
+    let mut replay = Relation::empty("R", 2);
+    replay.reserve(model.rows.len());
+    for row in &model.rows {
+        replay.insert_row(row).unwrap();
+    }
+    assert_eq!(rel, replay);
+    assert_eq!(rel, rel.clone());
+    assert_ne!(rel, rel.with_name("S"), "the name is part of equality");
+    assert!(rel.same_tuples(&rel.with_name("S")));
+
+    // Same rows, another order: the same set, not equal.
+    let mut shuffled = model.rows.clone();
+    shuffled.shuffle(&mut rng);
+    let other = Relation::from_tuples("R", 2, &shuffled).unwrap();
+    assert_ne!(rel, other);
+    assert!(rel.same_tuples(&other) && other.same_tuples(&rel));
+
+    // One row fewer, or one row swapped for a stranger: different sets,
+    // whichever side asks.
+    let fewer = Relation::from_tuples("R", 2, &shuffled[1..]).unwrap();
+    assert!(!rel.same_tuples(&fewer) && !fewer.same_tuples(&rel));
+    let mut swapped = fewer.clone();
+    swapped.insert_row(&[u64::MAX, u64::MAX]).unwrap();
+    assert_eq!(swapped.len(), rel.len());
+    assert!(!rel.same_tuples(&swapped) && !swapped.same_tuples(&rel));
+
+    // Another arity is another set, even when both are empty.
+    assert!(!Relation::empty("A", 1).same_tuples(&Relation::empty("A", 2)));
+    assert!(Relation::empty("A", 1).same_tuples(&Relation::empty("B", 1)));
+}

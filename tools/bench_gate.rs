@@ -1,8 +1,9 @@
 //! CI bench gate: compare a freshly produced `BENCH_*.json` artefact
 //! against the committed baseline and fail on regressions.
 //!
-//! The artefacts are the machine-readable rows the `lp_solver` and
-//! `async_backend` benches write via `mpc_bench::maybe_write_json`:
+//! The artefacts are the machine-readable rows the `lp_solver`,
+//! `local_join` and `async_backend` benches write via
+//! `mpc_bench::maybe_write_json` (`mpc_bench::BenchRow`):
 //! a JSON array of `{"name": "...", "mean_ns": <int>, "iterations": <int>}`
 //! objects. This tool is dependency-free (the workspace's `serde_json`
 //! shim has no parser) and parses exactly that shape.
