@@ -186,12 +186,8 @@ fn main() {
     for o in &outcomes {
         let ti = qid_to_template[&o.qid];
         let t = &templates[ti];
-        if !o.output.same_tuples(&t.reference.output) {
-            eprintln!("DIVERGENCE: qid {} ({}) output differs from dedicated run", o.qid, ti);
-            diverged = true;
-        }
-        if o.rounds != t.reference.rounds {
-            eprintln!("DIVERGENCE: qid {} ({}) per-round stats differ", o.qid, ti);
+        if let Some(what) = t.reference.divergence(&o.run_result()) {
+            eprintln!("DIVERGENCE: qid {} ({}) vs its dedicated run: {what}", o.qid, ti);
             diverged = true;
         }
     }

@@ -26,7 +26,6 @@
 //! behaviour (one tuple per packet), which the differential matrix in
 //! `tests/async_equivalence.rs` exploits as a cross-check.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mpc_storage::{Tuple, Value};
@@ -192,33 +191,6 @@ impl TupleBlock {
     }
 }
 
-/// How a [`BlockAssembler`] adapts its seal threshold to observed link
-/// occupancy (the PR 6 ROADMAP follow-up).
-///
-/// Big blocks amortise per-packet overhead but add batching latency; on a
-/// link whose lane sits near-empty the latency buys nothing. Under this
-/// policy the assembler keeps a per-destination *effective capacity*:
-/// every occupancy sample below `low_watermark` halves it (toward
-/// `min_capacity`), every sample at or above `high_watermark` doubles it
-/// (back toward the configured capacity). Adaptation changes only *when*
-/// buffers seal — never what they carry — so outputs and per-round volume
-/// statistics are invariant (pinned by `tests/async_equivalence.rs`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptivePolicy {
-    /// Floor for the effective capacity (clamped to ≥ 1).
-    pub min_capacity: usize,
-    /// Occupancy strictly below this shrinks the block size.
-    pub low_watermark: f64,
-    /// Occupancy at or above this grows it back.
-    pub high_watermark: f64,
-}
-
-impl Default for AdaptivePolicy {
-    fn default() -> Self {
-        AdaptivePolicy { min_capacity: 8, low_watermark: 0.25, high_watermark: 0.75 }
-    }
-}
-
 /// Sender-side batcher: one open [`ColumnBuf`] per `(destination, tag)`,
 /// sealed into [`TupleBlock`]s at capacity and on flush.
 ///
@@ -259,12 +231,6 @@ pub struct BlockAssembler {
     /// `open[tag][dest]`: the buffer being filled for that pair, if any
     /// (never an empty one). Rows grow to the highest destination seen.
     open: Vec<Vec<Option<ColumnBuf>>>,
-    /// When set, per-destination effective capacities track observed link
-    /// occupancy instead of pinning `capacity`.
-    policy: Option<AdaptivePolicy>,
-    /// Current effective seal threshold per destination (only populated
-    /// when a policy is set and a sample arrived for that destination).
-    effective: BTreeMap<usize, usize>,
 }
 
 impl BlockAssembler {
@@ -280,41 +246,7 @@ impl BlockAssembler {
             tags: Vec::new(),
             last_tag: 0,
             open: Vec::new(),
-            policy: None,
-            effective: BTreeMap::new(),
         }
-    }
-
-    /// Enable per-destination adaptive seal thresholds under `policy`.
-    #[must_use]
-    pub fn with_adaptive(mut self, policy: AdaptivePolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Feed one occupancy sample (see [`crate::queue::LinkSender::occupancy`])
-    /// for the link to `dest`. Below the low watermark the effective
-    /// capacity halves toward the policy floor; at or above the high
-    /// watermark it doubles back toward the configured capacity. No-op
-    /// without a policy.
-    pub fn observe_occupancy(&mut self, dest: usize, occupancy: f64) {
-        let Some(policy) = self.policy else { return };
-        let floor = policy.min_capacity.clamp(1, self.capacity);
-        let current = *self.effective.entry(dest).or_insert(self.capacity);
-        let next = if occupancy < policy.low_watermark {
-            (current / 2).max(floor)
-        } else if occupancy >= policy.high_watermark {
-            (current * 2).min(self.capacity)
-        } else {
-            current
-        };
-        self.effective.insert(dest, next);
-    }
-
-    /// The seal threshold currently in force for `dest`: the configured
-    /// capacity, unless adaptation has shrunk it.
-    pub fn effective_capacity(&self, dest: usize) -> usize {
-        self.effective.get(&dest).copied().unwrap_or(self.capacity)
     }
 
     /// Buffer one tuple for `dest` under `tag`; returns the sealed block
@@ -327,7 +259,7 @@ impl BlockAssembler {
         }
         let buf = row[dest].get_or_insert_with(|| self.pool.checkout(values.len(), self.capacity));
         buf.push(values);
-        if buf.len() >= self.effective.get(&dest).copied().unwrap_or(self.capacity) {
+        if buf.len() >= self.capacity {
             let cols = row[dest].take().expect("buffer just filled");
             Some(self.seal(Arc::clone(&self.tags[t]), cols))
         } else {
@@ -495,68 +427,21 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_shrinks_and_recovers_per_destination() {
+    fn seal_threshold_changes_block_sizes_not_contents() {
         let pool = pool();
-        let mut asm =
-            BlockAssembler::new(Arc::clone(&pool), 64, 0, 1).with_adaptive(AdaptivePolicy {
-                min_capacity: 8,
-                low_watermark: 0.25,
-                high_watermark: 0.75,
-            });
-        assert_eq!(asm.effective_capacity(0), 64);
-        asm.observe_occupancy(0, 0.0); // cold link: halve
-        assert_eq!(asm.effective_capacity(0), 32);
-        for _ in 0..10 {
-            asm.observe_occupancy(0, 0.0);
+        let mut rows_by_capacity = Vec::new();
+        for capacity in [4, 2] {
+            let mut asm = BlockAssembler::new(Arc::clone(&pool), capacity, 0, 1);
+            let mut blocks: Vec<TupleBlock> =
+                (0..7u64).filter_map(|i| asm.push(0, "R", &[i])).collect();
+            blocks.extend(asm.flush().into_iter().map(|(_, b)| b));
+            assert_eq!(blocks.len(), 7usize.div_ceil(capacity), "capacity {capacity}");
+            rows_by_capacity.push(blocks.iter().flat_map(TupleBlock::rows).collect::<Vec<_>>());
+            blocks.into_iter().for_each(|b| pool.give_back(b.into_columns()));
         }
-        assert_eq!(asm.effective_capacity(0), 8, "clamped at the policy floor");
-        assert_eq!(asm.effective_capacity(1), 64, "other destinations untouched");
-        asm.observe_occupancy(0, 0.5); // between watermarks: hold
-        assert_eq!(asm.effective_capacity(0), 8);
-        for _ in 0..10 {
-            asm.observe_occupancy(0, 0.9); // hot link: double back
-        }
-        assert_eq!(asm.effective_capacity(0), 64, "recovers to the configured capacity");
-    }
-
-    #[test]
-    fn adaptive_seal_threshold_changes_block_sizes_not_contents() {
-        let pool = pool();
-        let mut fixed = BlockAssembler::new(Arc::clone(&pool), 4, 0, 1);
-        let mut adaptive =
-            BlockAssembler::new(Arc::clone(&pool), 4, 0, 1).with_adaptive(AdaptivePolicy {
-                min_capacity: 1,
-                low_watermark: 0.25,
-                high_watermark: 0.75,
-            });
-        adaptive.observe_occupancy(0, 0.0); // effective capacity now 2
-        let mut rows_fixed: Vec<Tuple> = Vec::new();
-        let mut rows_adaptive: Vec<Tuple> = Vec::new();
-        let mut sealed_adaptive = 0;
-        for i in 0..8u64 {
-            if let Some(b) = fixed.push(0, "R", &[i]) {
-                rows_fixed.extend(b.rows());
-                pool.give_back(b.into_columns());
-            }
-            if let Some(b) = adaptive.push(0, "R", &[i]) {
-                assert_eq!(b.len(), 2, "adapted seal threshold");
-                sealed_adaptive += 1;
-                rows_adaptive.extend(b.rows());
-                pool.give_back(b.into_columns());
-            }
-        }
-        for (_, b) in fixed.flush() {
-            rows_fixed.extend(b.rows());
-            pool.give_back(b.into_columns());
-        }
-        for (_, b) in adaptive.flush() {
-            rows_adaptive.extend(b.rows());
-            pool.give_back(b.into_columns());
-        }
-        assert_eq!(sealed_adaptive, 4, "twice as many, half-sized blocks");
         // Same tuples in the same per-link order, only framed differently.
-        assert_eq!(rows_fixed.len(), 8);
-        assert_eq!(rows_fixed, rows_adaptive);
+        assert_eq!(rows_by_capacity[0].len(), 7);
+        assert_eq!(rows_by_capacity[0], rows_by_capacity[1]);
         assert!(pool.stats().balanced());
     }
 

@@ -2,63 +2,39 @@
 //!
 //! [`Cluster::run`] executes a program round-synchronously — a global
 //! barrier between communication and computation, which is the *reference
-//! semantics* of the MPC model. This module adds [`Cluster::run_async`]:
-//! the same program, the same rounds, but each server runs as its own
-//! scoped thread (the same primitive the workspace's `rayon` shim is built
-//! on) that receives, computes and sends through the bounded per-link
-//! queues of [`crate::queue`], with real backpressure and no global
-//! barrier — a fast server races ahead into the next round while a
-//! straggler still drains the previous one.
+//! semantics* of the MPC model. [`Cluster::run_async`] executes the same
+//! program, the same rounds, with one scoped thread per server, each
+//! driving a [`WorkerCore`] ([`crate::worker`] describes the protocol)
+//! over the bounded per-link queues of [`crate::queue`]: real
+//! backpressure and no global barrier — a fast server races ahead into
+//! the next round while a straggler still drains the previous one.
 //!
-//! **Protocol.** Round 1 packets come from the input router (one logical
-//! input server per relation, as in the synchronous backend). For a round
-//! `r ≥ 2`, a worker first routes its join tuples (computed from its state
-//! *before* any round-`r` delivery, exactly like the synchronous loop),
-//! sends them — draining its own inbox whenever a peer's lane is full, so
-//! bounded queues can never deadlock — then closes the round towards every
-//! peer with a FIN marker. A worker enters local computation as soon as
-//! *it* has seen every peer's FIN, not when everyone has: the barrier is
-//! per-server. Packets that race ahead (a fast peer's round-`r+1` traffic)
-//! are absorbed into a pre-hashed stage and merged when this worker
-//! reaches that round.
+//! What this driver adds around the cores:
 //!
-//! **The batched data plane.** Tuples do not travel one packet each: the
-//! router side packs them into columnar [`TupleBlock`]s of up to
-//! [`AsyncConfig::block_capacity`] tuples per `(destination, tag)`
-//! ([`crate::block`]), drawing column storage from a shared size-classed
-//! [`BlockPool`] ([`crate::pool`]) that receivers return decoded blocks
-//! to — so a steady-state round moves `O(tuples / block_capacity)` inbox
-//! packets and allocates nothing. Receivers drain their inbox in bursts
-//! ([`crate::queue::InboxReceiver::recv_many`]), and future-round blocks
-//! are hashed into per-tag relations *on arrival* (double-buffering: round
-//! `r+1` build work overlaps round `r`'s drain), with their volume
-//! credited to their own round at its boundary. Block capacity 1
-//! degenerates to the old per-tuple plane, which the differential matrix
-//! uses as a cross-check.
+//! * **The input router.** One more thread routes every input relation
+//!   (one logical input server `p + ri` per relation, as in the
+//!   synchronous backend) and closes round 1 with one FIN per worker.
+//! * **The schedule.** Every core records the blocks it ingested; the
+//!   records are replayed on a virtual clock ([`crate::schedule`]) into a
+//!   [`ScheduleStats`] timeline — busy / blocked / idle spans, per-round
+//!   barrier waits, critical path and makespan under a configurable
+//!   [`CostModel`], with deterministic seeded straggler injection
+//!   ([`StragglerSpec`]). The replay is a pure function of the recorded
+//!   traffic, not of how the threads happened to interleave.
 //!
-//! **Equivalence.** Because a worker computes exactly when it holds the
-//! same packets the synchronous backend would have delivered to it, the
-//! two backends produce identical join outputs and identical per-round
+//! **Equivalence.** A worker computes exactly when it holds the packets
+//! the synchronous backend would have delivered to it, so the two
+//! backends produce identical join outputs and identical per-round
 //! communication volumes for every [`MpcProgram`]. That is not left to
 //! inspection: [`run_differential`] runs both and
-//! [`DifferentialReport::divergence`] checks outputs, per-round byte and
-//! tuple tallies, and per-server output counts. The integration suite
-//! locks this for the HyperCube, multi-round and skew-resilient programs.
-//! One deliberate difference remains: with
-//! [`crate::MpcConfig::fail_on_overload`] the synchronous backend aborts
-//! *at* the violating round, while the async backend — having no global
-//! view mid-flight — finishes the run and reports the same
-//! [`SimError::Overload`] afterwards. A corollary: if the program itself
-//! errors in a round *after* the overload, the async backend surfaces
-//! that program error (the run unwound before the overload scan could
-//! see complete statistics), where the synchronous backend would have
-//! stopped at the overload first.
-//!
-//! What the async backend adds on top of the [`crate::RunResult`] volumes
-//! is the [`ScheduleStats`] timeline from [`crate::schedule`]: busy /
-//! blocked / idle spans, per-round barrier waits, critical path and
-//! makespan under a configurable [`CostModel`], with deterministic
-//! seeded straggler injection ([`StragglerSpec`]).
+//! [`DifferentialReport::divergence`] compares them. One deliberate
+//! difference remains: with [`crate::MpcConfig::fail_on_overload`] the
+//! synchronous backend aborts *at* the violating round, while the async
+//! backend — having no global view mid-flight — finishes the run and
+//! reports the same [`SimError::Overload`] afterwards. A corollary: if
+//! the program itself errors in a round *after* the overload, the async
+//! backend surfaces that program error, where the synchronous backend
+//! would have stopped at the overload first.
 //!
 //! ```
 //! use mpc_sim::{AsyncConfig, Cluster, MpcConfig};
@@ -79,18 +55,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpc_storage::{Database, Relation};
+use mpc_storage::Database;
 
-use crate::block::{BlockAssembler, TupleBlock};
-use crate::cluster::{build_round_stats, overloaded_server, union_outputs, Cluster};
+use crate::cluster::Cluster;
 use crate::error::SimError;
 use crate::pool::{BlockPool, PoolStats};
 use crate::program::MpcProgram;
 use crate::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
 use crate::reroute::LiveProgress;
-use crate::schedule::{self, CostModel, MsgRecord, ScheduleStats, StragglerSpec};
-use crate::server::{RoundStage, ServerState};
+use crate::schedule::{self, CostModel, ScheduleStats, StragglerSpec};
 use crate::stats::RunResult;
+use crate::worker::{
+    drive, fold_summaries, route_input, Input, Link, Packet, SendOutcome, Transport, WorkerCore,
+    WorkerSummary,
+};
 use crate::Result;
 
 /// How long a sender parks on a full lane before draining its own inbox
@@ -125,12 +103,6 @@ pub struct AsyncConfig {
     pub cost: CostModel,
     /// Deterministic straggler injection, if any.
     pub straggler: Option<StragglerSpec>,
-    /// Per-link adaptive block sizing: when set, each sender's
-    /// [`BlockAssembler`] tracks its links' lane occupancy and shrinks the
-    /// seal threshold on cold links (smaller blocks, less batching
-    /// latency). Outputs and volume statistics are invariant under
-    /// adaptation.
-    pub adaptive: Option<crate::block::AdaptivePolicy>,
 }
 
 impl Default for AsyncConfig {
@@ -141,7 +113,6 @@ impl Default for AsyncConfig {
             pipeline_depth: 1,
             cost: CostModel::default(),
             straggler: None,
-            adaptive: None,
         }
     }
 }
@@ -188,13 +159,6 @@ impl AsyncConfig {
         self.straggler = Some(spec);
         self
     }
-
-    /// Builder-style: adapt block sizes to per-link lane occupancy.
-    #[must_use]
-    pub fn with_adaptive_blocks(mut self, policy: crate::block::AdaptivePolicy) -> Self {
-        self.adaptive = Some(policy);
-        self
-    }
 }
 
 /// The outcome of an event-driven run: the volume statistics every
@@ -211,55 +175,7 @@ pub struct AsyncRunResult {
     pub pool: PoolStats,
 }
 
-/// Which execution backend [`Cluster::run_backend`] should use.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Backend {
-    /// The round-synchronous reference backend ([`Cluster::run`]).
-    Synchronous,
-    /// The event-driven backend ([`Cluster::run_async`]).
-    EventDriven(AsyncConfig),
-}
-
-impl Backend {
-    /// The event-driven backend with its default configuration.
-    pub fn event_driven() -> Self {
-        Backend::EventDriven(AsyncConfig::default())
-    }
-}
-
-/// A backend-agnostic run outcome: `schedule` is present iff the
-/// event-driven backend ran.
-#[derive(Debug, Clone)]
-pub struct BackendRun {
-    /// Output and per-round volume statistics.
-    pub result: RunResult,
-    /// The schedule, for the event-driven backend.
-    pub schedule: Option<ScheduleStats>,
-}
-
 impl Cluster {
-    /// Execute a program on the backend selected by `backend`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::run`] / [`Cluster::run_async`].
-    pub fn run_backend<P: MpcProgram>(
-        &self,
-        backend: &Backend,
-        program: &P,
-        db: &Database,
-    ) -> Result<BackendRun> {
-        match backend {
-            Backend::Synchronous => {
-                Ok(BackendRun { result: self.run(program, db)?, schedule: None })
-            }
-            Backend::EventDriven(cfg) => {
-                let run = self.run_async(program, db, cfg)?;
-                Ok(BackendRun { result: run.result, schedule: Some(run.schedule) })
-            }
-        }
-    }
-
     /// Execute a program on the event-driven backend: one task per
     /// server, bounded per-link queues, no global barrier.
     ///
@@ -309,161 +225,86 @@ impl Cluster {
         progress: Option<&Arc<LiveProgress>>,
     ) -> Result<AsyncRunResult> {
         let p = self.config().p;
-        let input_bytes = db.total_bytes();
-        let budget_bytes = self.config().budget_bytes(input_bytes);
-        let total_rounds = program.num_rounds();
-        if total_rounds == 0 {
-            return Err(SimError::Program("program declares zero rounds".to_string()));
-        }
         let capacity = async_config.queue_capacity.max(1);
         let block_capacity = async_config.block_capacity.max(1);
         let pool = Arc::new(BlockPool::new());
 
         // One inbox per worker with p + 1 lanes: lane s < p for peer s,
         // lane p for the input router.
-        let mut lane_senders: Vec<Vec<LinkSender<Packet>>> = Vec::with_capacity(p);
-        let mut receivers: Vec<InboxReceiver<Packet>> = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (senders, rx) = Inbox::channel(p + 1, capacity);
-            lane_senders.push(senders);
-            receivers.push(rx);
-        }
+        let (lane_senders, receivers): (Vec<_>, Vec<_>) =
+            (0..p).map(|_| Inbox::channel::<Packet>(p + 1, capacity)).unzip();
         let input_links: Vec<LinkSender<Packet>> =
-            (0..p).map(|dest| lane_senders[dest][p].clone()).collect();
-        let mut workers: Vec<Worker<'_, P>> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(id, rx)| Worker {
-                id,
-                p,
-                total_rounds,
-                program,
-                rx,
-                peers: (0..p).map(|dest| lane_senders[dest][id].clone()).collect(),
-                pool: Arc::clone(&pool),
-                block_capacity,
-                adaptive: async_config.adaptive,
-                progress: progress.map(Arc::clone),
-                state: ServerState::new(id, db.domain_size()),
-                fins: vec![0; total_rounds],
-                stash: (0..total_rounds).map(|_| RoundStage::default()).collect(),
-                inbound: Vec::new(),
-                scratch: Vec::new(),
-                round: 0,
-                aborted: false,
-            })
-            .collect();
+            lane_senders.iter().map(|lanes| lanes[p].clone()).collect();
+        let mut workers = Vec::with_capacity(p);
+        for (id, rx) in receivers.into_iter().enumerate() {
+            let input = Input::Routed { domain_size: db.domain_size() };
+            let core = WorkerCore::new(program, id, p, input, Arc::clone(&pool), block_capacity)?;
+            let core = match progress {
+                Some(progress) => core.observed_by(Arc::clone(progress)),
+                None => core,
+            };
+            // Server `id`'s lane into `dest`'s inbox is lane `id`.
+            let peers = lane_senders.iter().map(|lanes| lanes[id].clone()).collect();
+            workers.push((core, Lanes { peers, rx }));
+        }
         drop(lane_senders);
 
-        let (input_exit, worker_exits) = std::thread::scope(|scope| {
-            let input_handle = scope.spawn(|| {
-                // Like the workers, the router must broadcast Abort on a
-                // panic inside the program's routing — otherwise every
-                // worker waits forever for the round-1 FIN.
-                catch_unwind(AssertUnwindSafe(|| {
-                    run_input(
-                        program,
-                        db,
-                        p,
-                        &input_links,
-                        &pool,
-                        block_capacity,
-                        async_config.adaptive,
-                    )
-                }))
-                .unwrap_or_else(|_| {
-                    for lane in &input_links {
-                        let _ = lane.force_send(Packet::Abort);
-                    }
-                    Err(Exit::Failed(SimError::Program("input router panicked".to_string())))
+        let exits: Vec<Result<Option<WorkerSummary>>> = std::thread::scope(|scope| {
+            let router = scope.spawn(|| {
+                guarded("input router", &input_links, || {
+                    run_input(program, db, &input_links, &pool, block_capacity).map(|()| None)
                 })
             });
-            let handles: Vec<_> =
-                workers.drain(..).map(|worker| scope.spawn(move || worker.run())).collect();
-            let input_exit = input_handle.join().unwrap_or_else(|_| {
-                Err(Exit::Failed(SimError::Program("input router panicked".to_string())))
-            });
-            let worker_exits: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            (input_exit, worker_exits)
+            let handles: Vec<_> = workers
+                .into_iter()
+                .enumerate()
+                .map(|(id, (mut core, mut lanes))| {
+                    scope.spawn(move || {
+                        let peers = lanes.peers.clone();
+                        guarded(&format!("worker {id}"), &peers, || {
+                            drive(&mut core, &mut lanes).map(Some)
+                        })
+                    })
+                })
+                .collect();
+            let died = |_| Err(SimError::Program("a task died outside its guard".to_string()));
+            std::iter::once(router).chain(handles).map(|h| h.join().unwrap_or_else(died)).collect()
         });
 
         // Resolve errors deterministically: input router first, then
-        // workers in id order; cancellations without a recorded cause
-        // become a generic protocol error.
-        let mut reports: Vec<WorkerReport> = Vec::with_capacity(p);
-        let mut cancelled = false;
-        if let Err(exit) = input_exit {
+        // workers in id order. A task that was only told to unwind never
+        // names the cause, so it is reported last.
+        let mut summaries = Vec::with_capacity(p);
+        let mut unwound = None;
+        for exit in exits {
             match exit {
-                Exit::Failed(e) => return Err(e),
-                Exit::Cancelled => cancelled = true,
+                Ok(summary) => summaries.extend(summary),
+                Err(e @ SimError::Aborted(_)) => unwound = unwound.or(Some(e)),
+                Err(e) => return Err(e),
             }
         }
-        let mut first_failure: Option<SimError> = None;
-        for (id, exit) in worker_exits.into_iter().enumerate() {
-            match exit {
-                Ok(Ok(report)) => reports.push(report),
-                Ok(Err(Exit::Failed(e))) => {
-                    first_failure.get_or_insert(e);
-                }
-                Ok(Err(Exit::Cancelled)) => cancelled = true,
-                Err(_) => {
-                    first_failure.get_or_insert(SimError::Program(format!("worker {id} panicked")));
-                }
-            }
-        }
-        if let Some(e) = first_failure {
+        if let Some(e) = unwound {
             return Err(e);
-        }
-        if cancelled || reports.len() != p {
-            return Err(SimError::Program(
-                "async run cancelled without a recorded error".to_string(),
-            ));
-        }
-
-        // Volume statistics: same formulas, same data as the synchronous
-        // backend — just gathered from the workers' reports.
-        let mut rounds = Vec::with_capacity(total_rounds);
-        for round in 1..=total_rounds {
-            let per_bytes: Vec<u64> =
-                reports.iter().map(|r| r.per_round_bytes[round - 1]).collect();
-            let per_tuples: Vec<u64> =
-                reports.iter().map(|r| r.per_round_tuples[round - 1]).collect();
-            let stats =
-                build_round_stats(round, &per_bytes, &per_tuples, input_bytes, budget_bytes);
-            if stats.exceeds_budget && self.config().fail_on_overload {
-                let (server, received_bytes) = overloaded_server(&per_bytes);
-                return Err(SimError::Overload { round, server, received_bytes, budget_bytes });
-            }
-            rounds.push(stats);
         }
 
         // The schedule: a deterministic virtual-clock replay of the
         // recorded traffic.
-        let mut traffic: Vec<MsgRecord> = Vec::new();
-        for report in &mut reports {
-            traffic.append(&mut report.inbound);
-        }
-        let (output, per_server_output) =
-            union_outputs(program, reports.into_iter().map(|r| r.output).collect())?;
+        let traffic: Vec<_> = summaries.iter_mut().flat_map(|s| s.traffic.drain(..)).collect();
+        let result = fold_summaries(self.config(), program, db.total_bytes(), summaries)?;
         let slowdown = match &async_config.straggler {
             Some(spec) => spec.slowdown_vector(p),
             None => vec![1; p],
         };
-        let sched = schedule::simulate_overlapped(
+        let schedule = schedule::simulate_overlapped(
             p,
-            total_rounds,
+            program.num_rounds(),
             &traffic,
             &async_config.cost,
             &slowdown,
             capacity,
             async_config.pipeline_depth,
         );
-
-        Ok(AsyncRunResult {
-            result: RunResult { output, rounds, per_server_output, input_bytes },
-            schedule: sched,
-            pool: pool.stats(),
-        })
+        Ok(AsyncRunResult { result, schedule, pool: pool.stats() })
     }
 }
 
@@ -478,36 +319,11 @@ pub struct DifferentialReport {
 }
 
 impl DifferentialReport {
-    /// The first observed divergence between the two backends, if any:
-    /// differing outputs, per-round byte/tuple volumes, or per-server
-    /// output counts. `None` means the backends are equivalent on this
-    /// program and input.
+    /// The first observed divergence between the two backends, if any
+    /// ([`RunResult::divergence`]). `None` means the backends are
+    /// equivalent on this program and input.
     pub fn divergence(&self) -> Option<String> {
-        let sync = &self.synchronous;
-        let ed = &self.event_driven.result;
-        if !sync.output.same_tuples(&ed.output) {
-            return Some(format!(
-                "outputs differ: {} tuples synchronous vs {} event-driven",
-                sync.output.len(),
-                ed.output.len()
-            ));
-        }
-        if sync.rounds.len() != ed.rounds.len() {
-            return Some(format!(
-                "round counts differ: {} vs {}",
-                sync.rounds.len(),
-                ed.rounds.len()
-            ));
-        }
-        for (a, b) in sync.rounds.iter().zip(&ed.rounds) {
-            if a != b {
-                return Some(format!("round {} volume stats differ: {a:?} vs {b:?}", a.round));
-            }
-        }
-        if sync.per_server_output != ed.per_server_output {
-            return Some("per-server output counts differ".to_string());
-        }
-        None
+        self.synchronous.divergence(&self.event_driven.result)
     }
 
     /// True when [`DifferentialReport::divergence`] found nothing.
@@ -535,315 +351,85 @@ pub fn run_differential<P: MpcProgram>(
     Ok(DifferentialReport { synchronous, event_driven })
 }
 
-// ---------------------------------------------------------------------------
-// The per-server task.
-// ---------------------------------------------------------------------------
-
-/// A packet on the wire between server tasks.
-#[derive(Debug)]
-enum Packet {
-    /// A columnar block of routed tuples (see [`crate::block`]).
-    Block(TupleBlock),
-    /// The sender's round-`round` traffic towards this receiver is
-    /// complete.
-    Fin { round: usize },
-    /// Unwind the whole run (a task failed).
-    Abort,
-}
-
-/// Why a task exited without a report.
-#[derive(Debug)]
-enum Exit {
-    /// This task hit an error (already broadcast as [`Packet::Abort`]).
-    Failed(SimError),
-    /// This task was told to unwind by a failing peer.
-    Cancelled,
-}
-
-/// What a finished worker hands back to the coordinator.
-#[derive(Debug)]
-struct WorkerReport {
-    output: Relation,
-    per_round_bytes: Vec<u64>,
-    per_round_tuples: Vec<u64>,
-    inbound: Vec<MsgRecord>,
-}
-
-struct Worker<'a, P: MpcProgram> {
-    id: usize,
-    p: usize,
-    total_rounds: usize,
-    program: &'a P,
-    rx: InboxReceiver<Packet>,
+/// One worker's end of the in-process fabric: its lane into every peer's
+/// inbox, and its own inbox.
+struct Lanes {
     /// `peers[dest]` feeds worker `dest`'s inbox (lane = this worker).
     peers: Vec<LinkSender<Packet>>,
-    /// Shared column storage for the blocks this worker sends and frees.
-    pool: Arc<BlockPool>,
-    /// Tuples per outgoing block.
-    block_capacity: usize,
-    /// Per-link adaptive block sizing, if enabled.
-    adaptive: Option<crate::block::AdaptivePolicy>,
-    /// Live observation counters, when this run is being watched.
-    progress: Option<Arc<LiveProgress>>,
-    state: ServerState,
-    /// FIN markers seen, per round (index `round - 1`).
-    fins: Vec<usize>,
-    /// Pre-hashed stages for rounds this worker has not reached yet.
-    stash: Vec<RoundStage>,
-    inbound: Vec<MsgRecord>,
-    /// Reusable burst buffer for [`InboxReceiver::recv_many`] drains.
-    scratch: Vec<Packet>,
-    /// The round currently being received (0 before the first).
-    round: usize,
-    aborted: bool,
+    rx: InboxReceiver<Packet>,
 }
 
-impl<P: MpcProgram> Worker<'_, P> {
-    fn run(mut self) -> std::result::Result<WorkerReport, Exit> {
-        match catch_unwind(AssertUnwindSafe(|| self.run_inner())) {
-            Ok(result) => result,
-            Err(_) => {
-                self.abort_peers();
-                Err(Exit::Failed(SimError::Program(format!("worker {} panicked", self.id))))
-            }
+impl Link for Lanes {
+    fn send(&mut self, dest: usize, pkt: Packet) -> SendOutcome {
+        match self.peers[dest].send_timeout(pkt, BACKOFF) {
+            SendAttempt::Sent => SendOutcome::Sent,
+            SendAttempt::Full(back) => SendOutcome::Full(back),
+            SendAttempt::Closed(_) => SendOutcome::Closed,
         }
     }
 
-    fn run_inner(&mut self) -> std::result::Result<WorkerReport, Exit> {
-        for round in 1..=self.total_rounds {
-            self.round = round;
-            if let Some(progress) = &self.progress {
-                progress.record_round(self.id, round);
-            }
-            if round >= 2 {
-                // Route from the state *before* any round-`round` delivery
-                // — the tuple-based model's view, as in the synchronous
-                // backend. Tuples are packed into per-(destination, tag)
-                // columnar blocks; a block ships as soon as it fills.
-                let routed = self
-                    .program
-                    .route_tuples(round, self.id, &self.state)
-                    .map_err(|e| self.fail(e))?;
-                let mut asm = BlockAssembler::new(
-                    Arc::clone(&self.pool),
-                    self.block_capacity,
-                    self.id,
-                    round,
-                );
-                if let Some(policy) = self.adaptive {
-                    asm = asm.with_adaptive(policy);
-                    for dest in 0..self.p {
-                        asm.observe_occupancy(dest, self.peers[dest].occupancy());
-                    }
-                }
-                for msg in routed {
-                    for &dest in &msg.destinations {
-                        if dest >= self.p {
-                            let p = self.p;
-                            return Err(self.fail(SimError::Program(format!(
-                                "destination {dest} out of range for p = {p}"
-                            ))));
-                        }
-                        if let Some(block) = asm.push(dest, &msg.tag, msg.tuple.values()) {
-                            self.send_packet(dest, Packet::Block(block))?;
-                            // Re-sample after each sealed block: the link's
-                            // backlog is what the send just changed.
-                            asm.observe_occupancy(dest, self.peers[dest].occupancy());
-                        }
-                    }
-                }
-                for (dest, block) in asm.flush() {
-                    self.send_packet(dest, Packet::Block(block))?;
-                }
-                for dest in 0..self.p {
-                    self.send_packet(dest, Packet::Fin { round })?;
-                }
-            }
-
-            // Blocks that raced ahead of us were hashed on arrival; merge
-            // the stage's relations and charge its volume to this round.
-            let stage = std::mem::take(&mut self.stash[round - 1]);
-            self.state.merge_stage(round, stage).map_err(|e| self.fail(e.into()))?;
-
-            // The per-server barrier: all of *our* round-`round` inbound,
-            // drained in bursts.
-            let expected_fins = if round == 1 { 1 } else { self.p };
-            while self.fins[round - 1] < expected_fins {
-                let mut batch = std::mem::take(&mut self.scratch);
-                self.rx.recv_many(&mut batch);
-                let result = self.process_batch(&mut batch);
-                self.scratch = batch;
-                result?;
-            }
-
-            let derived =
-                self.program.compute(round, self.id, &self.state).map_err(|e| self.fail(e))?;
-            for rel in derived {
-                self.state.add_local(rel);
-            }
-        }
-
-        let output = self.program.output(self.id, &self.state).map_err(|e| self.fail(e))?;
-        Ok(WorkerReport {
-            output,
-            per_round_bytes: (1..=self.total_rounds)
-                .map(|r| self.state.bytes_received_in_round(r))
-                .collect(),
-            per_round_tuples: (1..=self.total_rounds)
-                .map(|r| self.state.tuples_received_in_round(r))
-                .collect(),
-            inbound: std::mem::take(&mut self.inbound),
-        })
+    fn try_recv(&mut self, buf: &mut Vec<Packet>) {
+        self.rx.try_recv_many(buf);
     }
+}
 
-    /// Handle one inbound packet. Blocks for the current round decode
-    /// into the server state; blocks for a future round are hashed into
-    /// that round's stage. Either way the column storage goes back to
-    /// the pool.
-    fn process(&mut self, pkt: Packet) -> std::result::Result<(), Exit> {
-        match pkt {
-            Packet::Block(block) => {
-                let round = block.round;
-                debug_assert!(round >= self.round, "a FIN-closed round cannot still deliver");
-                self.inbound.push(MsgRecord {
-                    round,
-                    from: block.from,
-                    to: self.id,
-                    seq: block.seq,
-                    bytes: block.payload_bytes(),
-                    tuples: block.len() as u64,
-                });
-                if let Some(progress) = &self.progress {
-                    progress.record_delivery(self.id, block.payload_bytes(), block.len() as u64);
-                }
-                let ingested = if round == self.round {
-                    self.state.receive_block(round, &block.tag, &block)
-                } else {
-                    self.stash[round - 1].absorb(&block.tag, &block)
-                };
-                self.pool.give_back(block.into_columns());
-                ingested.map_err(|e| self.fail(e.into()))?;
-            }
-            Packet::Fin { round } => self.fins[round - 1] += 1,
-            Packet::Abort => {
-                self.aborted = true;
-                return Err(Exit::Cancelled);
-            }
-        }
+impl Transport for Lanes {
+    type Error = SimError;
+
+    fn recv(&mut self, buf: &mut Vec<Packet>) -> Result<()> {
+        self.rx.recv_many(buf);
         Ok(())
     }
 
-    /// Process a burst of packets. On an early exit the rest of the
-    /// batch is dropped — the run is unwinding anyway.
-    fn process_batch(&mut self, batch: &mut Vec<Packet>) -> std::result::Result<(), Exit> {
-        for pkt in batch.drain(..) {
-            self.process(pkt)?;
-        }
-        Ok(())
+    fn abort(&mut self) {
+        abort_all(&self.peers);
     }
+}
 
-    /// Send with backpressure, draining our own inbox while the
-    /// destination lane is full — the event-driven loop that makes
-    /// bounded queues deadlock-free.
-    fn send_packet(&mut self, dest: usize, pkt: Packet) -> std::result::Result<(), Exit> {
-        let lane = self.peers[dest].clone();
-        let mut pkt = pkt;
-        loop {
-            if self.aborted {
-                return Err(Exit::Cancelled);
-            }
-            match lane.send_timeout(pkt, BACKOFF) {
-                SendAttempt::Sent => return Ok(()),
-                SendAttempt::Closed(_) => {
-                    self.aborted = true;
-                    return Err(Exit::Cancelled);
-                }
-                SendAttempt::Full(back) => {
-                    pkt = back;
-                    let mut batch = std::mem::take(&mut self.scratch);
-                    self.rx.try_recv_many(&mut batch);
-                    let result = self.process_batch(&mut batch);
-                    self.scratch = batch;
-                    result?;
-                }
-            }
-        }
+/// Aborts jump the queue: they must never deadlock behind data traffic.
+fn abort_all(links: &[LinkSender<Packet>]) {
+    for lane in links {
+        let _ = lane.force_send(Packet::Abort);
     }
+}
 
-    fn fail(&mut self, e: SimError) -> Exit {
-        self.abort_peers();
-        Exit::Failed(e)
-    }
-
-    fn abort_peers(&mut self) {
-        for lane in &self.peers {
-            let _ = lane.force_send(Packet::Abort);
-        }
-    }
+/// Run `task`, turning a panic inside the program into an abort of
+/// everyone behind `links` — otherwise they would wait forever for a FIN.
+fn guarded<T>(
+    who: &str,
+    links: &[LinkSender<Packet>],
+    task: impl FnOnce() -> Result<T>,
+) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(task)).unwrap_or_else(|_| {
+        abort_all(links);
+        Err(SimError::Program(format!("{who} panicked")))
+    })
 }
 
 /// The input router: one logical input server per relation (numbered
 /// `p, p+1, …` in the traffic records), all pumped by one task since
-/// round-1 routing is pure.
+/// round-1 routing is pure. It has no inbox, so its sends simply block.
 fn run_input<P: MpcProgram>(
     program: &P,
     db: &Database,
-    p: usize,
     links: &[LinkSender<Packet>],
     pool: &Arc<BlockPool>,
     block_capacity: usize,
-    adaptive: Option<crate::block::AdaptivePolicy>,
-) -> std::result::Result<(), Exit> {
-    let abort_all = |links: &[LinkSender<Packet>]| {
-        for lane in links {
-            let _ = lane.force_send(Packet::Abort);
-        }
+) -> Result<()> {
+    let p = links.len();
+    let send = |dest: usize, pkt| {
+        links[dest]
+            .send(pkt)
+            .map_err(|_| SimError::Aborted(format!("input router: worker {dest} is gone")))
     };
-    for (ri, rel) in db.relations().enumerate() {
-        let routed = match program.route_input(rel, p) {
-            Ok(routed) => routed,
-            Err(e) => {
-                abort_all(links);
-                return Err(Exit::Failed(e));
-            }
-        };
-        // One assembler per logical input server: its blocks carry
-        // `from = p + ri`, round 1.
-        let mut asm = BlockAssembler::new(Arc::clone(pool), block_capacity, p + ri, 1);
-        if let Some(policy) = adaptive {
-            asm = asm.with_adaptive(policy);
-            for (dest, lane) in links.iter().enumerate() {
-                asm.observe_occupancy(dest, lane.occupancy());
-            }
-        }
-        for msg in routed {
-            for &dest in &msg.destinations {
-                if dest >= p {
-                    abort_all(links);
-                    return Err(Exit::Failed(SimError::Program(format!(
-                        "destination {dest} out of range for p = {p}"
-                    ))));
-                }
-                if let Some(block) = asm.push(dest, &msg.tag, msg.tuple.values()) {
-                    if links[dest].send(Packet::Block(block)).is_err() {
-                        return Err(Exit::Cancelled);
-                    }
-                    asm.observe_occupancy(dest, links[dest].occupancy());
-                }
-            }
-        }
-        for (dest, block) in asm.flush() {
-            if links[dest].send(Packet::Block(block)).is_err() {
-                return Err(Exit::Cancelled);
-            }
-        }
+    let routed = route_input(program, db, p, None, pool, block_capacity, |dest, block| {
+        send(dest, Packet::Block(block))
+    })
+    .and_then(|()| (0..p).try_for_each(|dest| send(dest, Packet::Fin { round: 1 })));
+    if routed.is_err() {
+        abort_all(links);
     }
-    for lane in links {
-        if lane.send(Packet::Fin { round: 1 }).is_err() {
-            return Err(Exit::Cancelled);
-        }
-    }
-    Ok(())
+    routed
 }
 
 #[cfg(test)]
@@ -851,9 +437,11 @@ mod tests {
     use super::*;
     use crate::config::MpcConfig;
     use crate::program::BroadcastProgram;
+    use crate::server::ServerState;
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_storage::join::evaluate;
+    use mpc_storage::Relation;
 
     #[test]
     fn broadcast_matches_synchronous_backend() {
@@ -902,16 +490,27 @@ mod tests {
     }
 
     #[test]
-    fn backend_selector_routes_to_both_backends() {
-        let q = families::chain(2);
-        let db = matching_database(&q, 80, 2);
-        let cluster = Cluster::new(MpcConfig::new(4, 0.5)).unwrap();
-        let program = BroadcastProgram::new(q);
-        let sync = cluster.run_backend(&Backend::Synchronous, &program, &db).unwrap();
-        assert!(sync.schedule.is_none());
-        let event = cluster.run_backend(&Backend::event_driven(), &program, &db).unwrap();
-        assert!(event.schedule.is_some());
-        assert!(sync.result.output.same_tuples(&event.result.output));
+    fn lanes_move_packets_and_report_full() {
+        let (senders_a, rx_a) = Inbox::channel(2, 1);
+        let (_senders_b, rx_b) = Inbox::channel(2, 1);
+        // Worker 1's view: its lane into worker 0's inbox is lane 1.
+        let mut w1 = Lanes { peers: vec![senders_a[1].clone(), senders_a[1].clone()], rx: rx_b };
+        assert!(matches!(w1.send(0, Packet::Fin { round: 1 }), SendOutcome::Sent));
+        // Lane capacity is 1: the second send backs off with the packet.
+        assert!(matches!(
+            w1.send(0, Packet::Fin { round: 2 }),
+            SendOutcome::Full(Packet::Fin { round: 2 })
+        ));
+        // An abort jumps the full lane.
+        w1.abort();
+        let mut w0 = Lanes { peers: Vec::new(), rx: rx_a };
+        let mut got = Vec::new();
+        w0.recv(&mut got).unwrap();
+        assert!(matches!(got[..], [Packet::Fin { round: 1 }, Packet::Abort, Packet::Abort]));
+        w0.try_recv(&mut got);
+        assert_eq!(got.len(), 3, "nothing else is pending");
+        drop(w0);
+        assert!(matches!(w1.send(0, Packet::Fin { round: 2 }), SendOutcome::Closed));
     }
 
     #[test]

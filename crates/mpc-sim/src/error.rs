@@ -23,6 +23,12 @@ pub enum SimError {
     Program(String),
     /// The configuration is invalid (e.g. `p = 0` or `ε ∉ [0, 1]`).
     InvalidConfig(String),
+    /// A peer broke the round protocol of [`crate::worker`]: a block or
+    /// FIN for a round the job does not have or that is already closed.
+    Protocol(String),
+    /// This task is unwinding because another one failed (it was sent an
+    /// abort, or found a peer's link closed) — never the root cause.
+    Aborted(String),
 }
 
 impl fmt::Display for SimError {
@@ -35,6 +41,8 @@ impl fmt::Display for SimError {
             ),
             SimError::Program(msg) => write!(f, "program error: {msg}"),
             SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            SimError::Protocol(msg) => write!(f, "protocol error: {msg}"),
+            SimError::Aborted(msg) => write!(f, "aborted: {msg}"),
         }
     }
 }

@@ -54,12 +54,11 @@ pub mod reroute;
 pub mod schedule;
 pub mod server;
 pub mod stats;
+pub mod worker;
 
-pub use block::{AdaptivePolicy, BlockAssembler, ColumnBuf, TupleBlock};
+pub use block::{BlockAssembler, ColumnBuf, TupleBlock};
 pub use cluster::{build_round_stats, overloaded_server, union_outputs, Cluster};
-pub use cluster_async::{
-    run_differential, AsyncConfig, AsyncRunResult, Backend, BackendRun, DifferentialReport,
-};
+pub use cluster_async::{run_differential, AsyncConfig, AsyncRunResult, DifferentialReport};
 pub use config::MpcConfig;
 pub use error::SimError;
 pub use message::Routed;
@@ -72,6 +71,10 @@ pub use reroute::{
 pub use schedule::{CostModel, MsgRecord, ScheduleStats, ServerTimeline, StragglerSpec};
 pub use server::{RoundStage, ServerState};
 pub use stats::{RoundStats, RunResult};
+pub use worker::{
+    fold_summaries, Input, Link, Packet, RestorePoint, SendOutcome, Step, Transport, WorkerCore,
+    WorkerSummary,
+};
 
 /// Convenience result alias used across this crate.
 pub type Result<T> = std::result::Result<T, SimError>;

@@ -10,7 +10,7 @@
 //! [`InboxReceiver`], waking on the arrival of a packet on any lane.
 //!
 //! Lanes preserve per-sender FIFO order (the property the round protocol
-//! of [`crate::cluster_async`] relies on: a round-`r` tuple from server `s`
+//! of [`crate::worker`] relies on: a round-`r` tuple from server `s`
 //! is always seen before `s`'s round-`r` FIN marker), while packets from
 //! *different* senders may interleave arbitrarily — as on a real network.
 //!
@@ -52,8 +52,8 @@ pub enum SendAttempt<T> {
     /// The packet was enqueued.
     Sent,
     /// The lane is still full after the wait; the packet is handed back so
-    /// the caller can service its own inbox and retry (the event-driven
-    /// send loop of the async backend).
+    /// the caller can service its own inbox and retry (the send loop of
+    /// [`crate::worker`]).
     Full(T),
     /// The receiver is gone; the packet is handed back.
     Closed(T),
@@ -127,9 +127,8 @@ impl<T> LinkSender<T> {
 
     /// The lane's current fill level as a fraction of its capacity
     /// (`queued / capacity`). Can exceed 1.0 after [`LinkSender::force_send`]
-    /// pushed past the bound. A point-in-time probe — the adaptive block
-    /// sizing of [`crate::block::AdaptivePolicy`] samples it between block
-    /// sends to decide whether the link is running hot or cold.
+    /// pushed past the bound. A point-in-time probe of whether the link is
+    /// running hot or cold.
     pub fn occupancy(&self) -> f64 {
         let inner = self.shared.inner.lock().expect("queue mutex poisoned");
         inner.lanes[self.lane].len() as f64 / inner.capacity as f64

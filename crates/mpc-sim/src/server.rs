@@ -92,27 +92,20 @@ impl ServerState {
         Ok(())
     }
 
-    /// Record the delivery of a whole columnar block under `tag` during
-    /// `round`: its columns are appended to the tag's relation in one
-    /// call, with one accounting update. Duplicate rows still cost bytes,
-    /// exactly as under [`ServerState::receive_row`]. `tag` is passed
-    /// apart from `block.tag` because the query service strips a namespace
-    /// prefix.
+    /// Record the delivery of a whole columnar block during its round:
+    /// its columns are appended to its tag's relation in one call, with
+    /// one accounting update. Duplicate rows still cost bytes, exactly as
+    /// under [`ServerState::receive_row`].
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::TupleArity`] if `tag` already holds rows of
-    /// another arity — block shapes come off a socket, so this is an
+    /// Returns [`StorageError::TupleArity`] if the tag already holds rows
+    /// of another arity — block shapes come off a socket, so this is an
     /// error, not a panic; nothing is charged then.
-    pub fn receive_block(
-        &mut self,
-        round: usize,
-        tag: &str,
-        block: &TupleBlock,
-    ) -> Result<(), StorageError> {
-        relation_under(&mut self.relations, tag, block.arity())
+    pub fn receive_block(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
+        relation_under(&mut self.relations, &block.tag, block.arity())
             .append_columns(block.len(), block.columns())?;
-        self.credit_received(round, block.payload_bytes(), block.len() as u64);
+        self.credit_received(block.round, block.payload_bytes(), block.len() as u64);
         Ok(())
     }
 
@@ -257,14 +250,14 @@ pub struct RoundStage {
 }
 
 impl RoundStage {
-    /// Append one block's rows under `tag` and account its volume.
+    /// Append one block's rows under its tag and account its volume.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::TupleArity`] if an earlier block under
-    /// `tag` had another arity.
-    pub fn absorb(&mut self, tag: &str, block: &TupleBlock) -> Result<(), StorageError> {
-        relation_under(&mut self.rels, tag, block.arity())
+    /// Returns [`StorageError::TupleArity`] if an earlier block under the
+    /// same tag had another arity.
+    pub fn absorb(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
+        relation_under(&mut self.rels, &block.tag, block.arity())
             .append_columns(block.len(), block.columns())?;
         self.bytes += block.payload_bytes();
         self.tuples += block.len() as u64;
@@ -375,7 +368,7 @@ mod tests {
         for row in rows {
             a.receive_row(2, "R", row).unwrap();
         }
-        b.receive_block(2, "R", &block("R", 2, &rows)).unwrap();
+        b.receive_block(&block("R", 2, &rows)).unwrap();
         assert_eq!(a.relation("R"), b.relation("R"));
         assert_eq!(a.received_volumes(2), b.received_volumes(2));
         assert_eq!(b.bytes_received_in_round(2), 3 * 16, "duplicates still cost");
@@ -384,17 +377,17 @@ mod tests {
     #[test]
     fn a_block_of_another_arity_is_an_error_not_a_panic() {
         let mut s = ServerState::new(0, 100);
-        s.receive_block(1, "S1", &block("S1", 1, &[&[1, 2]])).unwrap();
-        let err = s.receive_block(1, "S1", &block("S1", 1, &[&[1, 2, 3]])).unwrap_err();
+        s.receive_block(&block("S1", 1, &[&[1, 2]])).unwrap();
+        let err = s.receive_block(&block("S1", 1, &[&[1, 2, 3]])).unwrap_err();
         assert!(matches!(err, StorageError::TupleArity { expected: 2, actual: 3, .. }));
         assert!(s.receive_row(1, "S1", &[9]).is_err());
         assert_eq!(s.tuples_received_in_round(1), 1, "rejected deliveries are not charged");
 
         // The same through a future-round stage, at absorb and at merge.
         let mut stage = RoundStage::default();
-        stage.absorb("T", &block("T", 2, &[&[1, 2]])).unwrap();
-        assert!(stage.absorb("T", &block("T", 2, &[&[1]])).is_err());
-        stage.absorb("S1", &block("S1", 2, &[&[1, 2, 3]])).unwrap();
+        stage.absorb(&block("T", 2, &[&[1, 2]])).unwrap();
+        assert!(stage.absorb(&block("T", 2, &[&[1]])).is_err());
+        stage.absorb(&block("S1", 2, &[&[1, 2, 3]])).unwrap();
         assert!(s.merge_stage(2, stage).is_err());
     }
 
@@ -404,8 +397,8 @@ mod tests {
         let mut staged = ServerState::new(0, 100);
         let mut stage = RoundStage::default();
         for b in [block("R", 2, &[&[1, 2], &[3, 4]]), block("R", 2, &[&[3, 4], &[5, 6]])] {
-            live.receive_block(2, "R", &b).unwrap();
-            stage.absorb("R", &b).unwrap();
+            live.receive_block(&b).unwrap();
+            stage.absorb(&b).unwrap();
         }
         staged.merge_stage(2, stage).unwrap();
         assert_eq!(live.relation("R"), staged.relation("R"));

@@ -82,6 +82,44 @@ impl RunResult {
         self.rounds.iter().map(|r| r.balance_ratio).fold(1.0, f64::max)
     }
 
+    /// The first observable difference between this run and `other`, if
+    /// any: output tuple set, per-round statistics, per-server output
+    /// counts, input accounting. `None` means the two runs are the same
+    /// run as far as the MPC model can tell — the one comparison every
+    /// differential wall (backends, transports, recovery, service) makes.
+    pub fn divergence(&self, other: &RunResult) -> Option<String> {
+        if !self.output.same_tuples(&other.output) {
+            return Some(format!(
+                "outputs differ: {} vs {} tuples",
+                self.output.len(),
+                other.output.len()
+            ));
+        }
+        if self.rounds.len() != other.rounds.len() {
+            return Some(format!(
+                "round counts differ: {} vs {}",
+                self.rounds.len(),
+                other.rounds.len()
+            ));
+        }
+        if let Some((a, b)) = self.rounds.iter().zip(&other.rounds).find(|(a, b)| a != b) {
+            return Some(format!("round {} statistics differ: {a:?} vs {b:?}", a.round));
+        }
+        if self.per_server_output != other.per_server_output {
+            return Some(format!(
+                "per-server output counts differ: {:?} vs {:?}",
+                self.per_server_output, other.per_server_output
+            ));
+        }
+        if self.input_bytes != other.input_bytes {
+            return Some(format!(
+                "input accounting differs: {} vs {} bytes",
+                self.input_bytes, other.input_bytes
+            ));
+        }
+        None
+    }
+
     /// One-line human-readable digest of the run: round count, worst
     /// per-server load, replication, balance and the budget verdict. The
     /// experiment binaries print this instead of each hand-formatting the
@@ -159,6 +197,32 @@ mod tests {
             input_bytes: 1000,
         };
         assert!(ok.summary().contains("within budget"));
+    }
+
+    #[test]
+    fn divergence_names_the_first_field_that_differs() {
+        let base = RunResult {
+            output: Relation::from_tuples("q", 1, vec![[1u64], [2]]).unwrap(),
+            rounds: vec![round(1, 100, 800, 128)],
+            per_server_output: vec![1, 1],
+            input_bytes: 1000,
+        };
+        assert_eq!(base.divergence(&base.clone()), None);
+        let mut other = base.clone();
+        other.output = Relation::from_tuples("q", 1, vec![[1u64]]).unwrap();
+        assert!(base.divergence(&other).unwrap().contains("outputs differ"));
+        let mut other = base.clone();
+        other.rounds.push(round(2, 1, 1, 128));
+        assert!(base.divergence(&other).unwrap().contains("round counts"));
+        let mut other = base.clone();
+        other.rounds[0].max_bytes_received += 1;
+        assert!(base.divergence(&other).unwrap().contains("round 1 statistics"));
+        let mut other = base.clone();
+        other.per_server_output = vec![2, 0];
+        assert!(base.divergence(&other).unwrap().contains("per-server"));
+        let mut other = base.clone();
+        other.input_bytes += 8;
+        assert!(base.divergence(&other).unwrap().contains("input accounting"));
     }
 
     #[test]

@@ -33,26 +33,14 @@ fn fail(msg: &str) -> ! {
     exit(1);
 }
 
-fn check(
-    label: &str,
-    reference: &RunResult,
-    got_output: &mpc_storage::Relation,
-    got_rounds: &[mpc_sim::RoundStats],
-) {
-    if !got_output.same_tuples(&reference.output) {
-        fail(&format!(
-            "{label}: output differs ({} vs {} tuples)",
-            got_output.len(),
-            reference.output.len()
-        ));
-    }
-    if got_rounds != reference.rounds.as_slice() {
-        fail(&format!("{label}: per-round statistics differ"));
+fn check(label: &str, reference: &RunResult, got: &RunResult) {
+    if let Some(what) = reference.divergence(got) {
+        fail(&format!("{label}: {what}"));
     }
     println!(
         "distributed_smoke: {label}: OK ({} output tuples, {} rounds)",
-        got_output.len(),
-        got_rounds.len()
+        got.output.len(),
+        got.num_rounds()
     );
 }
 
@@ -121,10 +109,7 @@ fn spawned_stage(program: SmokeProgram) -> RunResult {
     let label = format!("spawned {} p=4", program.label());
     let got = mpc_net::run_spawned(&job, &worker_bin())
         .unwrap_or_else(|e| fail(&format!("spawned: distributed run: {e}")));
-    check(&label, &reference, &got.output, &got.rounds);
-    if got.per_server_output != reference.per_server_output {
-        fail(&format!("{label}: per-server output counts differ"));
-    }
+    check(&label, &reference, &got);
     reference
 }
 
@@ -136,13 +121,7 @@ fn fault_stage(program: SmokeProgram, reference: &RunResult, plan: FaultPlan) {
     let cfg = MasterConfig { recovery: RecoveryPolicy::with_respawns(2), faults: Some(plan) };
     let report = mpc_net::run_spawned_with(&job, &worker_bin(), &cfg)
         .unwrap_or_else(|e| fail(&format!("{label}: recovering run: {e}")));
-    check(&label, reference, &report.result.output, &report.result.rounds);
-    if report.result.per_server_output != reference.per_server_output {
-        fail(&format!("{label}: per-server output counts differ"));
-    }
-    if report.result.input_bytes != reference.input_bytes {
-        fail(&format!("{label}: total input bytes differ"));
-    }
+    check(&label, reference, &report.result);
     if report.respawns == 0 {
         fail(&format!("{label}: the fault plan never killed anything (0 respawns)"));
     }
@@ -183,8 +162,7 @@ fn service_stage() {
         let reference = cluster
             .run(&program, &db)
             .unwrap_or_else(|e| fail(&format!("service: reference run: {e}")));
-        let outcome = &outcomes[qid as usize];
-        check(&format!("service query {qid}"), &reference, &outcome.output, &outcome.rounds);
+        check(&format!("service query {qid}"), &reference, &outcomes[qid as usize].run_result());
     }
 }
 

@@ -11,12 +11,12 @@
 //!   pooled [`mpc_sim::ColumnBuf`]s via a [`mpc_sim::BlockPool`], so the
 //!   receive path allocates nothing in steady state. Control frames cover
 //!   the master/worker handshake, per-round barriers and fail-fast aborts.
-//! * **[`transport`] / [`runner`]** — a [`Transport`] trait with two
-//!   implementations: the in-process bounded lanes of
-//!   [`mpc_sim::queue`] (so the differential layer keeps proving
-//!   semantics) and real TCP sockets. [`runner::run_distributed`] drives
-//!   one worker per server through either transport and rebuilds the
-//!   exact [`mpc_sim::RunResult`] the single-process backends produce.
+//! * **[`transport`] / [`runner`]** — [`TcpTransport`], the socket
+//!   implementation of the simulator's [`Transport`] trait.
+//!   [`runner::run_distributed`] drives one [`mpc_sim::WorkerCore`] per
+//!   server over it — or, in-process, over the event-driven backend's own
+//!   lanes — and rebuilds the exact [`mpc_sim::RunResult`] the
+//!   single-process backends produce.
 //! * **[`master`] / [`spec`]** — the spawned-process mode: each server is
 //!   a real OS process (`mpc_workerd`) coordinated over localhost by a
 //!   master (hello handshake, per-round ready/proceed signals, clean
@@ -26,8 +26,8 @@
 //! * **[`service`]** — a [`QueryService`] front-end that accepts a stream
 //!   of parsed CQs, analyses them (cache-hot via `mpc_lp::LpCache`),
 //!   admits them against a server byte budget, and multiplexes many
-//!   concurrent query executions over one shared cluster using per-query
-//!   namespaces in message tags.
+//!   concurrent query executions over one shared cluster: one worker core
+//!   per query on each reactor, packets addressed by query id.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,11 +46,12 @@ use std::fmt;
 pub use fault::{Fault, FaultKind, FaultPhase, FaultPlan};
 pub use frame::Frame;
 pub use master::{run_spawned, run_spawned_with, worker_main, SpawnedReport};
+pub use mpc_sim::{Link, Packet, SendOutcome, Transport};
 pub use recovery::{MasterConfig, RecoveryPolicy, RecoverySettings};
 pub use runner::{run_distributed, run_transport_differential, DistConfig, TransportKind};
 pub use service::{Admission, QueryJob, QueryOutcome, QueryService, ServiceConfig, Submission};
 pub use spec::{JobSpec, ProgramSpec};
-pub use transport::{InProcTransport, NetPacket, SendOutcome, TcpTransport, Transport};
+pub use transport::TcpTransport;
 
 /// Errors raised by the networking layer.
 #[derive(Debug)]

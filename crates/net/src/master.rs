@@ -48,15 +48,14 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Child, Command};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mpc_sim::{BlockPool, RunResult};
+use mpc_sim::{fold_summaries, BlockPool, RunResult, Transport as _, WorkerSummary};
 
 use crate::fault::FaultPhase;
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::recovery::{MasterConfig, RecoveryPolicy, RecoverySettings};
-use crate::runner::{assemble_result, tcp_worker_setup, worker_loop, WorkerRun, WorkerSummary};
+use crate::runner::{run_tcp_worker, tcp_worker_setup};
 use crate::spec::JobSpec;
 use crate::{NetError, Result};
 
@@ -397,7 +396,12 @@ impl ControlPlane {
                             output,
                             per_round_bytes,
                             per_round_tuples,
-                        }) => Ok(Some(WorkerSummary { output, per_round_bytes, per_round_tuples })),
+                        }) => Ok(Some(WorkerSummary {
+                            output,
+                            per_round_bytes,
+                            per_round_tuples,
+                            traffic: Vec::new(),
+                        })),
                         Polled::Got(Frame::Abort { reason }) => {
                             Err(NetError::Protocol(format!("worker {id} aborted: {reason}")))
                         }
@@ -776,8 +780,8 @@ pub fn run_spawned_with(
         let _ = c.wait();
     }
     let summaries = outcome?;
-    let result =
-        assemble_result(&built.cluster, built.program.as_ref(), built.db.total_bytes(), summaries)?;
+    let (config, program) = (built.cluster.config(), built.program.as_ref());
+    let result = fold_summaries(config, program, built.db.total_bytes(), summaries)?;
     Ok(SpawnedReport { result, respawns: used.get() })
 }
 
@@ -808,14 +812,8 @@ pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
             )));
         }
         let built = spec.build()?;
-        let run = WorkerRun {
-            id: worker_id,
-            p: spec.p,
-            block_capacity: spec.block_capacity,
-            pool: Arc::new(BlockPool::new()),
-            resume,
-        };
-        worker_loop(&mut transport, built.program.as_ref(), &built.db, run)
+        let (program, capacity) = (built.program.as_ref(), spec.block_capacity);
+        run_tcp_worker(&mut transport, program, &built.db, worker_id, capacity, resume)
     })();
     match run {
         Ok(summary) => {
@@ -830,7 +828,6 @@ pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
             match transport.read_control()? {
                 Frame::Shutdown => {}
                 Frame::Abort { reason } => {
-                    use crate::transport::Transport as _;
                     transport.abort();
                     return Err(NetError::Protocol(format!("master aborted: {reason}")));
                 }
@@ -842,7 +839,6 @@ pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
             Ok(())
         }
         Err(e) => {
-            use crate::transport::Transport as _;
             transport.abort();
             Err(e)
         }

@@ -1,41 +1,37 @@
-//! The distributed worker loop and the transport-parametrised runner.
+//! The transport-parametrised runner.
 //!
-//! [`worker_loop`] is the network mirror of the event-driven backend's
-//! per-server task ([`mpc_sim::cluster_async`]): route from the
-//! pre-delivery state, ship columnar blocks, broadcast per-round FIN
-//! markers, merge pre-hashed future-round stages, drain until every
-//! sender's FIN arrived, compute, and finally report the local output
-//! plus per-round received volumes. The only structural difference is
-//! round 1: there is no shared input router across processes, so input
-//! relation `ri` is routed by worker `ri mod p` (with the original input
-//! server id `p + ri` preserved on its blocks) and **every** worker
-//! broadcasts a round-1 FIN — the expected FIN count is `p` in every
-//! round. Since routing is a pure function of the tuple, the delivered
-//! multiset — and therefore every volume statistic — is identical to the
-//! single-process backends', which the differential tests assert.
-//!
-//! [`run_distributed`] executes a program over either transport and
-//! rebuilds the exact [`RunResult`] of [`mpc_sim::Cluster::run`], reusing
-//! the simulator's own statistics helpers so the formulas cannot drift.
+//! [`run_distributed`] executes a program on `p` workers — one
+//! [`WorkerCore`] per server, [`mpc_sim::worker`] describes the protocol —
+//! and returns the exact [`RunResult`] of [`mpc_sim::Cluster::run`].
+//! Over [`TransportKind::InProcess`] that is literally
+//! [`mpc_sim::Cluster::run_async`]. Over [`TransportKind::Tcp`] the same
+//! driver loop ([`mpc_sim::worker::drive`]) runs each core over a
+//! [`TcpTransport`], which adds what only a network needs: there is no
+//! shared input router across processes, so input relation `ri` is routed
+//! by worker `ri mod p` ([`Input::Sharded`], the original input server id
+//! `p + ri` preserved on its blocks) and **every** worker broadcasts a
+//! round-1 FIN; and after each round the worker checkpoints (when recovery
+//! is on) and waits on the master's barrier. Since routing is a pure
+//! function of the tuple, the delivered multiset — and therefore every
+//! volume statistic — is identical on every path, which the differential
+//! tests assert.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mpc_sim::queue::Inbox;
+use mpc_sim::worker::drive;
 use mpc_sim::{
-    build_round_stats, overloaded_server, union_outputs, BlockAssembler, BlockPool, Cluster,
-    MpcProgram, RoundStage, RunResult, ServerState, SimError,
+    fold_summaries, AsyncConfig, BlockPool, Cluster, Input, MpcProgram, RestorePoint, RunResult,
+    WorkerCore, WorkerSummary,
 };
-use mpc_storage::{Database, Relation};
+use mpc_storage::Database;
 
+use crate::fault::{self, FaultPhase};
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::master::ControlPlane;
 use crate::recovery::RecoverySettings;
-use crate::transport::{
-    dial_with_backoff, FailFastBarrier, InProcTransport, NetPacket, SendOutcome, TcpEndpoints,
-    TcpTransport, Transport,
-};
+use crate::transport::{dial_with_backoff, TcpEndpoints, TcpTransport};
 use crate::{NetError, Result};
 
 /// How long a worker keeps retrying its master and mesh dials before
@@ -46,7 +42,7 @@ const DIAL_DEADLINE: Duration = Duration::from_secs(10);
 /// Which fabric moves the packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Bounded in-process lanes (the async backend's channels).
+    /// Bounded in-process lanes: the run *is* [`Cluster::run_async`].
     InProcess,
     /// Real TCP sockets over localhost, with an in-process master serving
     /// the control plane.
@@ -78,317 +74,35 @@ impl DistConfig {
     }
 }
 
-/// What one worker reports when its job is done.
-#[derive(Debug, Clone)]
-pub struct WorkerSummary {
-    /// The server's local (pre-union) output relation.
-    pub output: Relation,
-    /// Bytes received per round (index `round - 1`).
-    pub per_round_bytes: Vec<u64>,
-    /// Tuples received per round.
-    pub per_round_tuples: Vec<u64>,
-}
-
-/// The per-worker protocol state while [`worker_loop`] runs.
-struct Ctx<'a, T: Transport> {
-    transport: &'a mut T,
-    id: usize,
-    round: usize,
-    state: ServerState,
-    fins: Vec<usize>,
-    stash: Vec<RoundStage>,
-    pool: Arc<BlockPool>,
-    scratch: Vec<NetPacket>,
-}
-
-impl<T: Transport> Ctx<'_, T> {
-    /// Process one received packet against the current round.
-    fn process(&mut self, pkt: NetPacket) -> Result<()> {
-        match pkt {
-            NetPacket::Block(block) => {
-                let ingested = if block.round == self.round {
-                    self.state.receive_block(block.round, &block.tag, &block)
-                } else if block.round > self.round && block.round <= self.stash.len() {
-                    self.stash[block.round - 1].absorb(&block.tag, &block)
-                } else {
-                    return Err(NetError::Protocol(format!(
-                        "worker {}: round-{} block arrived in round {}",
-                        self.id, block.round, self.round
-                    )));
-                };
-                self.pool.give_back(block.into_columns());
-                Ok(ingested?)
-            }
-            NetPacket::Fin { round } => {
-                if round == 0 || round > self.fins.len() {
-                    return Err(NetError::Protocol(format!("FIN for invalid round {round}")));
-                }
-                self.fins[round - 1] += 1;
-                Ok(())
-            }
-            NetPacket::Abort => {
-                Err(NetError::Protocol(format!("worker {}: a peer aborted", self.id)))
-            }
-            // Transport-internal wake-up markers are stripped inside the
-            // transport's recv; one leaking through is harmless.
-            NetPacket::Resync => Ok(()),
-        }
-    }
-
-    /// Ship one packet, draining our own inbox whenever the link is full —
-    /// the deadlock-free send loop of the event-driven backend.
-    fn send(&mut self, dest: usize, mut pkt: NetPacket) -> Result<()> {
-        debug_assert_ne!(dest, self.id, "self-deliveries bypass the transport");
-        loop {
-            match self.transport.send(dest, pkt) {
-                SendOutcome::Sent => return Ok(()),
-                SendOutcome::Full(back) => {
-                    pkt = back;
-                    let mut tmp = std::mem::take(&mut self.scratch);
-                    self.transport.try_recv(&mut tmp);
-                    let res = tmp.drain(..).try_for_each(|p| self.process(p));
-                    self.scratch = tmp;
-                    res?;
-                }
-                SendOutcome::Closed => {
-                    return Err(NetError::Protocol(format!(
-                        "worker {}: link to {dest} is closed",
-                        self.id
-                    )));
-                }
-            }
-        }
-    }
-
-    /// Deliver a sealed block: locally when it is ours, over the wire
-    /// otherwise.
-    fn deliver(&mut self, dest: usize, block: mpc_sim::TupleBlock) -> Result<()> {
-        if dest == self.id {
-            self.process(NetPacket::Block(block))
-        } else {
-            self.send(dest, NetPacket::Block(block))
-        }
-    }
-}
-
-/// A restored round checkpoint: everything a re-spawned worker needs to
-/// resume at `round + 1` instead of round 1 (decoded from the master's
-/// [`Frame::Checkpoint`]).
-#[derive(Debug, Clone)]
-pub struct RestorePoint {
-    /// The completed round the snapshot describes.
-    pub round: usize,
-    /// Every relation the server knew, in tag order.
-    pub relations: Vec<Relation>,
-    /// Bytes received per round (index `round - 1`).
-    pub per_round_bytes: Vec<u64>,
-    /// Tuples received per round.
-    pub per_round_tuples: Vec<u64>,
-}
-
-/// The per-worker parameters of [`worker_loop`], bundled so call sites
-/// stay readable as the list grows.
-pub struct WorkerRun {
-    /// This worker's server id in `0..p`.
-    pub id: usize,
-    /// Cluster size.
-    pub p: usize,
-    /// Tuples per columnar block.
-    pub block_capacity: usize,
-    /// The block pool shared with the transport's decoder.
-    pub pool: Arc<BlockPool>,
-    /// Resume from this checkpoint instead of starting at round 1 —
-    /// the re-spawned worker's recovery path.
-    pub resume: Option<RestorePoint>,
-}
-
-impl WorkerRun {
-    /// A fresh (round-1) run for worker `id` of `p`.
-    pub fn fresh(id: usize, p: usize, block_capacity: usize, pool: Arc<BlockPool>) -> Self {
-        WorkerRun { id, p, block_capacity, pool, resume: None }
-    }
-}
-
-/// Run one server's share of `program` over `transport`. See the module
-/// docs for the protocol; the caller provides the (deterministically
-/// reconstructed or shared) input database.
-///
-/// A resumed run (`run.resume`) rebuilds the checkpointed server state
-/// and re-executes only the rounds after the checkpoint. Because routing
-/// and computation are pure functions of the pre-round state, the
-/// re-execution reproduces the original rounds' blocks (and block
-/// sequence numbers) exactly — surviving peers drop the duplicates by
-/// watermark while the replacement's missing frames arrive via their
-/// replay logs.
+/// Run server `id`'s share of `program` over its meshed `transport`; the
+/// caller provides the (deterministically reconstructed or shared) input
+/// database. With `resume`, the core starts from that checkpoint and
+/// re-executes only the rounds after it: surviving peers drop the
+/// duplicates it re-sends by watermark while the frames it missed arrive
+/// via their replay logs. A failing worker aborts its peers before the
+/// error is returned.
 ///
 /// # Errors
 ///
-/// Fails on program errors, protocol violations and dead peers; the
-/// transport's abort broadcast is the caller's job (it owns the
-/// transport).
-pub fn worker_loop<T: Transport, P: MpcProgram + ?Sized>(
-    transport: &mut T,
+/// Fails on program errors, protocol violations and dead peers.
+pub(crate) fn run_tcp_worker<P: MpcProgram + ?Sized>(
+    transport: &mut TcpTransport,
     program: &P,
     db: &Database,
-    run: WorkerRun,
+    id: usize,
+    block_capacity: usize,
+    resume: Option<RestorePoint>,
 ) -> Result<WorkerSummary> {
-    let WorkerRun { id, p, block_capacity, pool, resume } = run;
-    let total_rounds = program.num_rounds();
-    let mut state = ServerState::new(id, db.domain_size());
-    let mut start_round = 1;
-    if let Some(rp) = resume {
-        for rel in rp.relations {
-            state.merge_local(rel)?;
-        }
-        for (i, (&b, &t)) in rp.per_round_bytes.iter().zip(&rp.per_round_tuples).enumerate() {
-            state.credit_received(i + 1, b, t);
-        }
-        start_round = rp.round + 1;
+    let pool = Arc::new(BlockPool::new());
+    let input = Input::Sharded(db);
+    let mut core = WorkerCore::new(program, id, transport.parties(), input, pool, block_capacity)?;
+    let mut first_round = 1;
+    if let Some(point) = resume {
+        first_round = point.round + 1;
+        core = core.resume(point)?;
     }
-    let mut ctx = Ctx {
-        transport,
-        id,
-        round: 0,
-        state,
-        fins: vec![0; total_rounds],
-        stash: (0..total_rounds).map(|_| RoundStage::default()).collect(),
-        pool,
-        scratch: Vec::new(),
-    };
-
-    for round in start_round..=total_rounds {
-        ctx.round = round;
-        crate::fault::trip(id as u32, crate::fault::FaultPhase::RoundStart(round as u32));
-        if round == 1 {
-            // Input sharding: relation `ri` is routed by worker `ri % p`,
-            // its blocks carrying the logical input server id `p + ri`.
-            for (ri, rel) in db.relations().enumerate() {
-                if ri % p != id {
-                    continue;
-                }
-                let routed = program.route_input(rel, p)?;
-                let mut asm = BlockAssembler::new(Arc::clone(&ctx.pool), block_capacity, p + ri, 1);
-                for msg in routed {
-                    for &dest in &msg.destinations {
-                        if dest >= p {
-                            return Err(NetError::Sim(SimError::Program(format!(
-                                "destination {dest} out of range for p = {p}"
-                            ))));
-                        }
-                        if let Some(block) = asm.push(dest, &msg.tag, msg.tuple.values()) {
-                            ctx.deliver(dest, block)?;
-                        }
-                    }
-                }
-                for (dest, block) in asm.flush() {
-                    ctx.deliver(dest, block)?;
-                }
-            }
-        } else {
-            // Route from the state *before* any round-`round` delivery —
-            // the tuple-based model's view.
-            let routed = program.route_tuples(round, id, &ctx.state)?;
-            let mut asm = BlockAssembler::new(Arc::clone(&ctx.pool), block_capacity, id, round);
-            for msg in routed {
-                for &dest in &msg.destinations {
-                    if dest >= p {
-                        return Err(NetError::Sim(SimError::Program(format!(
-                            "destination {dest} out of range for p = {p}"
-                        ))));
-                    }
-                    if let Some(block) = asm.push(dest, &msg.tag, msg.tuple.values()) {
-                        ctx.deliver(dest, block)?;
-                    }
-                }
-            }
-            for (dest, block) in asm.flush() {
-                ctx.deliver(dest, block)?;
-            }
-        }
-        // Every worker FINs every round (unlike the async backend, where
-        // round 1 has a single input router): p FINs end a round.
-        for dest in 0..p {
-            if dest == id {
-                ctx.fins[round - 1] += 1;
-            } else {
-                ctx.send(dest, NetPacket::Fin { round })?;
-            }
-        }
-
-        // Merge the pre-hashed stage for this round, charging its volume.
-        let stage = std::mem::take(&mut ctx.stash[round - 1]);
-        ctx.state.merge_stage(round, stage)?;
-
-        // Drain until every sender closed this round.
-        while ctx.fins[round - 1] < p {
-            let mut tmp = std::mem::take(&mut ctx.scratch);
-            ctx.transport.recv(&mut tmp)?;
-            let res = tmp.drain(..).try_for_each(|pkt| ctx.process(pkt));
-            ctx.scratch = tmp;
-            res?;
-        }
-
-        // Unbounded local computation.
-        for rel in program.compute(round, id, &ctx.state)? {
-            ctx.state.add_local(rel);
-        }
-
-        // The coordination barrier: nobody enters round + 1 until every
-        // worker finished this one (ready/proceed in the TCP transport).
-        // The barrier is the checkpoint cut — the post-compute state is
-        // snapshotted right before declaring the round done, so a
-        // restored worker resumes exactly at the next round's start.
-        crate::fault::trip(id as u32, crate::fault::FaultPhase::Barrier(round as u32));
-        ctx.transport.checkpoint(round, &ctx.state, round == total_rounds)?;
-        ctx.transport.barrier(round)?;
-    }
-
-    let output = program.output(id, &ctx.state)?;
-    Ok(WorkerSummary {
-        output,
-        per_round_bytes: (1..=total_rounds).map(|r| ctx.state.bytes_received_in_round(r)).collect(),
-        per_round_tuples: (1..=total_rounds)
-            .map(|r| ctx.state.tuples_received_in_round(r))
-            .collect(),
-    })
-}
-
-/// Fold per-worker summaries into the [`RunResult`] every backend agrees
-/// on, using the simulator's own statistics helpers.
-pub(crate) fn assemble_result<P: MpcProgram + ?Sized>(
-    cluster: &Cluster,
-    program: &P,
-    input_bytes: u64,
-    summaries: Vec<WorkerSummary>,
-) -> Result<RunResult> {
-    let total_rounds = program.num_rounds();
-    let budget_bytes = cluster.config().budget_bytes(input_bytes);
-    let mut rounds = Vec::with_capacity(total_rounds);
-    for round in 1..=total_rounds {
-        let per_bytes: Vec<u64> = summaries
-            .iter()
-            .map(|s| s.per_round_bytes.get(round - 1).copied().unwrap_or(0))
-            .collect();
-        let per_tuples: Vec<u64> = summaries
-            .iter()
-            .map(|s| s.per_round_tuples.get(round - 1).copied().unwrap_or(0))
-            .collect();
-        let stats = build_round_stats(round, &per_bytes, &per_tuples, input_bytes, budget_bytes);
-        if stats.exceeds_budget && cluster.config().fail_on_overload {
-            let (server, received_bytes) = overloaded_server(&per_bytes);
-            return Err(NetError::Sim(SimError::Overload {
-                round,
-                server,
-                received_bytes,
-                budget_bytes,
-            }));
-        }
-        rounds.push(stats);
-    }
-    let (output, per_server_output) =
-        union_outputs(program, summaries.into_iter().map(|s| s.output).collect())
-            .map_err(NetError::Sim)?;
-    Ok(RunResult { output, rounds, per_server_output, input_bytes })
+    fault::trip(id as u32, FaultPhase::RoundStart(first_round as u32));
+    drive(&mut core, transport)
 }
 
 /// Execute `program` over `db` on a distributed cluster of `p` workers
@@ -405,63 +119,18 @@ pub fn run_distributed<P: MpcProgram>(
     db: &Database,
     cfg: &DistConfig,
 ) -> Result<RunResult> {
-    let p = cluster.config().p;
-    let input_bytes = db.total_bytes();
-    let summaries = match cfg.transport {
-        TransportKind::InProcess => run_in_process(program, db, p, cfg)?,
-        TransportKind::Tcp => run_tcp_threads(program, db, p, cfg)?,
-    };
-    assemble_result(cluster, program, input_bytes, summaries)
-}
-
-/// The in-process fabric: `p` worker threads over bounded lanes plus a
-/// shared fail-fast barrier.
-fn run_in_process<P: MpcProgram>(
-    program: &P,
-    db: &Database,
-    p: usize,
-    cfg: &DistConfig,
-) -> Result<Vec<WorkerSummary>> {
-    let pool = Arc::new(BlockPool::new());
-    let barrier = Arc::new(FailFastBarrier::new(p));
-    let mut lane_senders = Vec::with_capacity(p);
-    let mut receivers = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (senders, rx) = Inbox::channel::<NetPacket>(p, cfg.queue_capacity);
-        lane_senders.push(senders);
-        receivers.push(rx);
+    match cfg.transport {
+        TransportKind::InProcess => {
+            let lanes = AsyncConfig::new()
+                .with_queue_capacity(cfg.queue_capacity)
+                .with_block_capacity(cfg.block_capacity);
+            Ok(cluster.run_async(program, db, &lanes)?.result)
+        }
+        TransportKind::Tcp => {
+            let summaries = run_tcp_threads(program, db, cluster.config().p, cfg)?;
+            Ok(fold_summaries(cluster.config(), program, db.total_bytes(), summaries)?)
+        }
     }
-    let results: Vec<Result<WorkerSummary>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(id, rx)| {
-                // Worker `id`'s lane into `dest`'s inbox is lane `id`.
-                let peers: Vec<_> = (0..p).map(|dest| lane_senders[dest][id].clone()).collect();
-                let barrier = Arc::clone(&barrier);
-                let pool = Arc::clone(&pool);
-                scope.spawn(move || {
-                    let mut transport = InProcTransport::new(peers, rx, barrier);
-                    let run = WorkerRun::fresh(id, p, cfg.block_capacity, pool);
-                    let out = worker_loop(&mut transport, program, db, run);
-                    if out.is_err() {
-                        transport.abort();
-                    }
-                    out
-                })
-            })
-            .collect();
-        drop(lane_senders);
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(NetError::Protocol("worker thread panicked".to_string()))
-                })
-            })
-            .collect()
-    });
-    collect_summaries(results)
 }
 
 /// The TCP fabric with in-process workers: a real localhost socket mesh
@@ -474,53 +143,36 @@ fn run_tcp_threads<P: MpcProgram>(
     cfg: &DistConfig,
 ) -> Result<Vec<WorkerSummary>> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    let master_addr = listener.local_addr()?;
+    let master_addr = listener.local_addr()?.to_string();
     let total_rounds = program.num_rounds();
 
-    let results: Vec<Result<WorkerSummary>> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let master = scope.spawn(move || -> Result<()> {
-            let mut plane = ControlPlane::accept(&listener, p, None, None)?;
-            plane.serve_barriers(total_rounds)?;
-            Ok(())
+            ControlPlane::accept(&listener, p, None, None)?.serve_barriers(total_rounds)
         });
         let handles: Vec<_> = (0..p)
             .map(|id| {
+                let master_addr = &master_addr;
                 scope.spawn(move || -> Result<WorkerSummary> {
-                    let setup = tcp_worker_setup(
-                        id,
-                        Some(p),
-                        &master_addr.to_string(),
-                        cfg.queue_capacity,
-                    )?;
-                    let mut transport = setup.transport;
-                    let pool = Arc::new(BlockPool::new());
-                    let run = WorkerRun::fresh(id, p, cfg.block_capacity, pool);
-                    let out = worker_loop(&mut transport, program, db, run);
-                    if out.is_err() {
-                        transport.abort();
-                    }
+                    let mut transport =
+                        tcp_worker_setup(id, Some(p), master_addr, cfg.queue_capacity)?.transport;
+                    let out =
+                        run_tcp_worker(&mut transport, program, db, id, cfg.block_capacity, None);
                     transport.shutdown();
                     out
                 })
             })
             .collect();
-        let mut results: Vec<Result<WorkerSummary>> = handles
+        let panicked = |who: &str| NetError::Protocol(format!("{who} thread panicked"));
+        // The first worker error wins; the master's only when every
+        // worker came through. (The scope joins whatever is left.)
+        let summaries: Result<Vec<WorkerSummary>> = handles
             .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(NetError::Protocol("worker thread panicked".to_string()))
-                })
-            })
+            .map(|h| h.join().unwrap_or_else(|_| Err(panicked("worker"))))
             .collect();
-        if let Err(e) = master
-            .join()
-            .unwrap_or_else(|_| Err(NetError::Protocol("master thread panicked".to_string())))
-        {
-            results.push(Err(e));
-        }
-        results
-    });
-    collect_summaries(results)
+        let served = master.join().unwrap_or_else(|_| Err(panicked("master")));
+        summaries.and_then(|summaries| served.map(|()| summaries))
+    })
 }
 
 /// What [`tcp_worker_setup`] hands back: the meshed transport, the raw
@@ -653,23 +305,6 @@ pub(crate) fn tcp_worker_setup(
     Ok(WorkerSetup { transport, job, restore })
 }
 
-fn collect_summaries(results: Vec<Result<WorkerSummary>>) -> Result<Vec<WorkerSummary>> {
-    let mut summaries = Vec::with_capacity(results.len());
-    let mut first_err = None;
-    for r in results {
-        match r {
-            Ok(s) => summaries.push(s),
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(summaries),
-    }
-}
-
 /// The three-way differential report: the synchronous reference against
 /// both distributed transports.
 #[derive(Debug)]
@@ -683,28 +318,12 @@ pub struct TransportDifferential {
 }
 
 impl TransportDifferential {
-    /// The first observable difference between the three runs, if any:
-    /// outputs, per-round statistics or per-server output counts.
+    /// The first observable difference between the reference and either
+    /// distributed run, if any ([`RunResult::divergence`]).
     pub fn divergence(&self) -> Option<String> {
-        for (label, run) in [("in-process", &self.in_process), ("tcp", &self.tcp)] {
-            if !run.output.same_tuples(&self.reference.output) {
-                return Some(format!(
-                    "{label}: output differs ({} vs {} tuples)",
-                    run.output.len(),
-                    self.reference.output.len()
-                ));
-            }
-            if run.rounds != self.reference.rounds {
-                return Some(format!("{label}: per-round statistics differ"));
-            }
-            if run.per_server_output != self.reference.per_server_output {
-                return Some(format!("{label}: per-server output counts differ"));
-            }
-            if run.input_bytes != self.reference.input_bytes {
-                return Some(format!("{label}: input accounting differs"));
-            }
-        }
-        None
+        [("in-process", &self.in_process), ("tcp", &self.tcp)].into_iter().find_map(
+            |(label, run)| self.reference.divergence(run).map(|what| format!("{label}: {what}")),
+        )
     }
 }
 

@@ -4,21 +4,20 @@
 //! analyses each ([`mpc_core::analysis::QueryAnalysis`], cache-hot via
 //! `mpc_lp`'s global LP cache), admits it against a per-server byte
 //! budget, and executes many queries **concurrently** over the same `p`
-//! reactor threads. Multiplexing rides on per-query namespaces in the
-//! message tags: a block for query 17 whose program tag is `"hc"`
-//! travels as `"17#hc"`, and the receiving reactor splits the prefix off
-//! to find the right per-query protocol state. Tag bytes never enter the
-//! volume accounting (a message costs `tuples × arity × 8`), so each
-//! query's per-round statistics are identical to a dedicated
-//! [`mpc_sim::Cluster::run`] of the same program — the multiplexing
-//! differential the tests pin down.
+//! reactor threads. Each reactor keeps one [`WorkerCore`] per query in
+//! flight ([`mpc_sim::worker`] describes the protocol a core speaks) and
+//! every packet travels in an envelope naming its query, so a reactor
+//! feeds whatever arrives to the right core and steps the cores whose
+//! rounds that completed. A query's blocks are exactly those of a
+//! dedicated [`mpc_sim::Cluster::run`] of the same program, so its
+//! per-round statistics are identical — the multiplexing differential the
+//! tests pin down.
 //!
-//! Per query the protocol is the event-driven one ([`crate::runner`]):
-//! the front-end routes all input itself (preserving the logical input
-//! server ids `p + ri`), so round 1 expects exactly one FIN per worker;
-//! from round 2 on every worker routes and FINs, so a round completes
-//! after `p` FINs. There is deliberately **no** cross-query barrier —
-//! queries in different rounds interleave freely on the reactors.
+//! What this driver adds around the cores: query ids, analysis and the
+//! admission gate. The front-end routes all input itself (preserving the
+//! logical input server ids `p + ri`), so round 1 closes on one FIN per
+//! worker. There is deliberately **no** cross-query barrier — queries in
+//! different rounds interleave freely on the reactors.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc;
@@ -31,9 +30,10 @@ use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::Query;
 use mpc_lp::Rational;
 use mpc_sim::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
+use mpc_sim::worker::route_input;
 use mpc_sim::{
-    build_round_stats, union_outputs, BlockAssembler, BlockPool, MpcConfig, MpcProgram, RoundStage,
-    RoundStats, ServerState, TupleBlock,
+    fold_summaries, BlockPool, Input, Link, MpcConfig, MpcProgram, Packet, RoundStats, RunResult,
+    SendOutcome, Step, WorkerCore, WorkerSummary,
 };
 use mpc_storage::{Database, Relation};
 
@@ -42,9 +42,6 @@ use crate::{NetError, Result};
 /// How long a reactor parks on a full peer lane before draining its own
 /// inbox and retrying.
 const REACTOR_POLL: Duration = Duration::from_micros(200);
-
-/// How long the front-end parks on a full worker lane.
-const FRONTEND_POLL: Duration = Duration::from_micros(500);
 
 /// Service shape and admission policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,6 +103,8 @@ pub struct QueryOutcome {
     pub rounds: Vec<RoundStats>,
     /// Each server's pre-deduplication output contribution.
     pub per_server_output: Vec<usize>,
+    /// Input size in bytes (the `N` of the budget).
+    pub input_bytes: u64,
     /// Which LP solver path the analysis took (`"cache-hit"` when hot).
     pub analysis_path: String,
     /// Whether the analysis was served entirely from the LP cache.
@@ -119,6 +118,19 @@ pub struct QueryOutcome {
     /// How the admission gate treated the query at submit time
     /// (immediate admission or deferral).
     pub admission: Admission,
+}
+
+impl QueryOutcome {
+    /// The execution half of the outcome as the [`RunResult`] a dedicated
+    /// run returns — what [`RunResult::divergence`] compares.
+    pub fn run_result(&self) -> RunResult {
+        RunResult {
+            output: self.output.clone(),
+            rounds: self.rounds.clone(),
+            per_server_output: self.per_server_output.clone(),
+            input_bytes: self.input_bytes,
+        }
+    }
 }
 
 /// How a submission got past the admission gate.
@@ -149,90 +161,58 @@ pub struct Submission {
 /// The admission gate: a counting budget over admitted query costs.
 #[derive(Debug)]
 struct AdmissionGate {
-    inflight: Mutex<u64>,
+    charged: Mutex<u64>,
     capacity: u64,
 }
 
 impl AdmissionGate {
     fn new(capacity: u64) -> Self {
-        AdmissionGate { inflight: Mutex::new(0), capacity }
+        AdmissionGate { charged: Mutex::new(0), capacity }
     }
 
     /// Charge `cost` if it fits (an oversized query is admitted alone);
     /// never blocks — a refusal sends the query to the deferral queue.
     fn try_admit(&self, cost: u64) -> bool {
-        let mut inflight = self.inflight.lock().expect("admission mutex poisoned");
-        if *inflight > 0 && *inflight + cost > self.capacity {
+        let mut charged = self.charged.lock().expect("admission mutex poisoned");
+        if *charged > 0 && *charged + cost > self.capacity {
             return false;
         }
-        *inflight += cost;
+        *charged += cost;
         true
     }
 
     fn release(&self, cost: u64) {
-        let mut inflight = self.inflight.lock().expect("admission mutex poisoned");
-        *inflight = inflight.saturating_sub(cost);
+        let mut charged = self.charged.lock().expect("admission mutex poisoned");
+        *charged = charged.saturating_sub(cost);
     }
 }
 
-/// A packet on the service fabric. Reactor lanes `0..p` carry peer
-/// traffic; lane `p` is the front-end's.
+/// The program handle a query's cores share across reactors.
+type SharedProgram = Arc<dyn MpcProgram + Send + Sync>;
+
+/// A packet on the service fabric: the protocol's packets in an envelope
+/// naming their query, plus the two messages only a service has. Reactor
+/// lanes `0..p` carry peer traffic; lane `p` is the front-end's.
 enum SvcPacket {
-    /// A query starts: create its per-worker protocol state.
-    Start { qid: u64, program: Arc<dyn MpcProgram + Send + Sync>, domain_size: u64, rounds: usize },
-    /// A columnar batch, tag-namespaced as `"qid#tag"`.
-    Block(TupleBlock),
-    /// The sender finished `round` of query `qid`.
-    Fin { qid: u64, round: usize },
+    /// A query starts: create its core on this reactor.
+    Start { qid: u64, program: SharedProgram, domain_size: u64 },
+    /// One packet of query `qid`'s round protocol.
+    Data { qid: u64, pkt: Packet },
     /// Tear the reactor down.
     Shutdown,
-}
-
-/// Split a namespaced tag into the query id and the offset of the raw
-/// program tag.
-fn split_tag(tag: &str) -> Result<(u64, usize)> {
-    let Some(hash) = tag.find('#') else {
-        return Err(NetError::Protocol(format!("block tag {tag:?} has no query namespace")));
-    };
-    let qid = tag[..hash]
-        .parse()
-        .map_err(|_| NetError::Protocol(format!("bad query id in tag {tag:?}")))?;
-    Ok((qid, hash + 1))
-}
-
-/// One query's protocol state on one reactor.
-struct QueryState {
-    program: Arc<dyn MpcProgram + Send + Sync>,
-    state: ServerState,
-    round: usize,
-    total_rounds: usize,
-    fins: Vec<usize>,
-    /// Future-round stages, under namespace-stripped tags.
-    stash: Vec<RoundStage>,
-}
-
-/// One reactor's end-of-query report.
-struct WorkerDone {
-    server: usize,
-    output: Relation,
-    per_round_bytes: Vec<u64>,
-    per_round_tuples: Vec<u64>,
 }
 
 /// Reactor/front-end → collector messages.
 enum CollectorMsg {
     Meta(u64, QueryMeta),
-    Done(u64, WorkerDone),
+    Done { qid: u64, server: usize, summary: WorkerSummary },
     Failed { qid: u64, server: usize, error: String },
-    Fatal(String),
 }
 
 /// Everything the collector needs to assemble a query's outcome.
 struct QueryMeta {
-    program: Arc<dyn MpcProgram + Send + Sync>,
+    program: SharedProgram,
     input_bytes: u64,
-    budget_bytes: u64,
-    total_rounds: usize,
     started: Instant,
     planning_micros: u64,
     analysis_path: String,
@@ -245,10 +225,8 @@ struct QueryMeta {
 /// everything [`QueryService`] needs to launch it later, in FIFO order.
 struct PreparedQuery {
     qid: u64,
-    program: Arc<dyn MpcProgram + Send + Sync>,
+    program: SharedProgram,
     db: Arc<Database>,
-    domain_size: u64,
-    total_rounds: usize,
     cost: u64,
     meta: QueryMeta,
 }
@@ -260,318 +238,166 @@ struct Reactor {
     rx: InboxReceiver<SvcPacket>,
     /// `peers[dest]` is this reactor's lane into `dest`'s inbox.
     peers: Vec<LinkSender<SvcPacket>>,
-    queries: HashMap<u64, QueryState>,
+    /// One core per query in flight here (the one being stepped is out).
+    cores: HashMap<u64, WorkerCore<'static, SharedProgram>>,
     /// Packets that raced ahead of their query's `Start`.
-    pending: HashMap<u64, Vec<SvcPacket>>,
+    pending: HashMap<u64, Vec<Packet>>,
+    /// Queries that took a FIN since they were last stepped.
     dirty: Vec<u64>,
     done_tx: mpsc::Sender<CollectorMsg>,
     pool: Arc<BlockPool>,
     block_capacity: usize,
     scratch: Vec<SvcPacket>,
+    stopping: bool,
 }
 
 impl Reactor {
     fn run(mut self) {
         let mut buf = Vec::new();
-        loop {
-            let n = self.rx.recv_many(&mut buf);
-            if n == 0 {
-                return;
-            }
-            for pkt in buf.drain(..) {
-                if matches!(pkt, SvcPacket::Shutdown) {
-                    return;
-                }
-                if let Err(e) = self.process(pkt) {
-                    let _ =
-                        self.done_tx.send(CollectorMsg::Fatal(format!("reactor {}: {e}", self.id)));
-                    return;
-                }
-            }
+        while !self.stopping {
+            self.rx.recv_many(&mut buf);
+            buf.drain(..).for_each(|pkt| self.dispatch(pkt));
             while let Some(qid) = self.dirty.pop() {
-                if let Err(e) = self.advance(qid) {
-                    let _ =
-                        self.done_tx.send(CollectorMsg::Fatal(format!("reactor {}: {e}", self.id)));
+                self.advance(qid);
+            }
+        }
+    }
+
+    /// Apply one packet. Only FINs (and the replays a `Start` triggers)
+    /// can complete a round, so only they mark the query dirty.
+    fn dispatch(&mut self, pkt: SvcPacket) {
+        match pkt {
+            SvcPacket::Start { qid, program, domain_size } => {
+                let input = Input::Routed { domain_size };
+                let pool = Arc::clone(&self.pool);
+                match WorkerCore::new(program, self.id, self.p, input, pool, self.block_capacity) {
+                    Ok(core) => {
+                        self.cores.insert(qid, core);
+                        for pkt in self.pending.remove(&qid).unwrap_or_default() {
+                            self.feed(qid, pkt);
+                        }
+                    }
+                    Err(e) => self.fail_query(qid, &e.to_string()),
+                }
+            }
+            SvcPacket::Data { qid, pkt } => self.feed(qid, pkt),
+            SvcPacket::Shutdown => self.stopping = true,
+        }
+    }
+
+    /// Hand one protocol packet to its query's core.
+    fn feed(&mut self, qid: u64, pkt: Packet) {
+        let Some(core) = self.cores.get_mut(&qid) else {
+            self.pending.entry(qid).or_default().push(pkt);
+            return;
+        };
+        let closes_a_round = matches!(pkt, Packet::Fin { .. });
+        match core.accept(pkt) {
+            Ok(()) if closes_a_round => self.dirty.push(qid),
+            Ok(()) => {}
+            Err(e) => {
+                self.cores.remove(&qid);
+                self.fail_query(qid, &e.to_string());
+            }
+        }
+    }
+
+    /// Step `qid`'s core through as many rounds as its FIN counts allow.
+    fn advance(&mut self, qid: u64) {
+        let Some(mut core) = self.cores.remove(&qid) else { return };
+        loop {
+            match core.step(&mut QueryLink { reactor: self, qid }) {
+                Ok(Step::RoundDone(_)) => {}
+                Ok(Step::NeedInput) => {
+                    self.cores.insert(qid, core);
                     return;
                 }
-            }
-        }
-    }
-
-    /// Apply one packet to the per-query state. Only FINs (and the
-    /// replays a `Start` triggers) can complete a round, so only they
-    /// mark the query dirty.
-    fn process(&mut self, pkt: SvcPacket) -> Result<()> {
-        match pkt {
-            SvcPacket::Start { qid, program, domain_size, rounds } => {
-                let qs = QueryState {
-                    program,
-                    state: ServerState::new(self.id, domain_size),
-                    round: 1,
-                    total_rounds: rounds,
-                    fins: vec![0; rounds],
-                    stash: (0..rounds).map(|_| RoundStage::default()).collect(),
-                };
-                self.queries.insert(qid, qs);
-                if let Some(raced) = self.pending.remove(&qid) {
-                    for pkt in raced {
-                        self.process(pkt)?;
-                    }
+                Ok(Step::Finished(summary)) => {
+                    let done = CollectorMsg::Done { qid, server: self.id, summary };
+                    let _ = self.done_tx.send(done);
+                    return;
                 }
-                Ok(())
-            }
-            SvcPacket::Block(block) => {
-                let (qid, raw_at) = split_tag(&block.tag)?;
-                match self.queries.get_mut(&qid) {
-                    Some(qs) => absorb(qs, raw_at, block, &self.pool),
-                    None => {
-                        self.pending.entry(qid).or_default().push(SvcPacket::Block(block));
-                        Ok(())
-                    }
-                }
-            }
-            SvcPacket::Fin { qid, round } => match self.queries.get_mut(&qid) {
-                Some(qs) => {
-                    if round == 0 || round > qs.total_rounds {
-                        return Err(NetError::Protocol(format!(
-                            "query {qid}: FIN for invalid round {round}"
-                        )));
-                    }
-                    qs.fins[round - 1] += 1;
-                    self.dirty.push(qid);
-                    Ok(())
-                }
-                None => {
-                    self.pending.entry(qid).or_default().push(SvcPacket::Fin { qid, round });
-                    Ok(())
-                }
-            },
-            SvcPacket::Shutdown => Err(NetError::Protocol("shutdown mid-advance".to_string())),
-        }
-    }
-
-    /// Drive `qid` through as many rounds as its FIN counts allow.
-    fn advance(&mut self, qid: u64) -> Result<()> {
-        let Some(mut qs) = self.queries.remove(&qid) else { return Ok(()) };
-        loop {
-            let expected = if qs.round == 1 { 1 } else { self.p };
-            if qs.fins[qs.round - 1] < expected {
-                self.queries.insert(qid, qs);
-                return Ok(());
-            }
-            // The round's deliveries are complete: unbounded local compute.
-            let computed = match qs.program.compute(qs.round, self.id, &qs.state) {
-                Ok(rels) => rels,
                 Err(e) => return self.fail_query(qid, &e.to_string()),
-            };
-            for rel in computed {
-                qs.state.add_local(rel);
-            }
-            if qs.round == qs.total_rounds {
-                let output = match qs.program.output(self.id, &qs.state) {
-                    Ok(rel) => rel,
-                    Err(e) => return self.fail_query(qid, &e.to_string()),
-                };
-                let done = WorkerDone {
-                    server: self.id,
-                    output,
-                    per_round_bytes: (1..=qs.total_rounds)
-                        .map(|r| qs.state.bytes_received_in_round(r))
-                        .collect(),
-                    per_round_tuples: (1..=qs.total_rounds)
-                        .map(|r| qs.state.tuples_received_in_round(r))
-                        .collect(),
-                };
-                let _ = self.done_tx.send(CollectorMsg::Done(qid, done));
-                return Ok(());
-            }
-            qs.round += 1;
-            let round = qs.round;
-            // Route from the pre-delivery state — the tuple-based model.
-            let routed = match qs.program.route_tuples(round, self.id, &qs.state) {
-                Ok(routed) => routed,
-                Err(e) => return self.fail_query(qid, &e.to_string()),
-            };
-            let mut asm =
-                BlockAssembler::new(Arc::clone(&self.pool), self.block_capacity, self.id, round);
-            let mut ns_tags: HashMap<String, String> = HashMap::new();
-            for msg in routed {
-                let tag = ns_tags
-                    .entry(msg.tag.clone())
-                    .or_insert_with(|| format!("{qid}#{}", msg.tag))
-                    .clone();
-                for &dest in &msg.destinations {
-                    if dest >= self.p {
-                        return self.fail_query(
-                            qid,
-                            &format!("destination {dest} out of range for p = {}", self.p),
-                        );
-                    }
-                    if let Some(block) = asm.push(dest, &tag, msg.tuple.values()) {
-                        self.ship(qid, &mut qs, dest, block)?;
-                    }
-                }
-            }
-            for (dest, block) in asm.flush() {
-                self.ship(qid, &mut qs, dest, block)?;
-            }
-            for dest in 0..self.p {
-                if dest == self.id {
-                    qs.fins[round - 1] += 1;
-                } else {
-                    self.ship_pkt(qid, &mut qs, dest, SvcPacket::Fin { qid, round })?;
-                }
-            }
-            // Merge the pre-hashed stage for this round, charging its
-            // volume exactly as a live delivery would have.
-            let stage = std::mem::take(&mut qs.stash[round - 1]);
-            if let Err(e) = qs.state.merge_stage(round, stage) {
-                return self.fail_query(qid, &e.to_string());
             }
         }
     }
 
-    /// Report a per-query failure and drop its local state; the reactor
-    /// itself keeps serving other queries.
-    fn fail_query(&mut self, qid: u64, error: &str) -> Result<()> {
-        let _ = self.done_tx.send(CollectorMsg::Failed {
-            qid,
-            server: self.id,
-            error: error.to_string(),
-        });
-        Ok(())
-    }
-
-    /// Deliver a block of the in-flight query: locally when it is ours.
-    fn ship(
-        &mut self,
-        qid: u64,
-        qs: &mut QueryState,
-        dest: usize,
-        block: TupleBlock,
-    ) -> Result<()> {
-        if dest == self.id {
-            let (bqid, raw_at) = split_tag(&block.tag)?;
-            debug_assert_eq!(bqid, qid, "self-delivery of a foreign query's block");
-            absorb(qs, raw_at, block, &self.pool)
-        } else {
-            self.ship_pkt(qid, qs, dest, SvcPacket::Block(block))
-        }
-    }
-
-    /// Send to a peer, draining our own inbox whenever the lane is full —
-    /// the deadlock-free send loop. Packets for the in-flight query are
-    /// applied to `qs` directly; everything else goes through
-    /// [`Reactor::process`].
-    fn ship_pkt(
-        &mut self,
-        qid: u64,
-        qs: &mut QueryState,
-        dest: usize,
-        mut pkt: SvcPacket,
-    ) -> Result<()> {
-        loop {
-            match self.peers[dest].send_timeout(pkt, REACTOR_POLL) {
-                SendAttempt::Sent => return Ok(()),
-                SendAttempt::Full(back) => {
-                    pkt = back;
-                    let mut tmp = std::mem::take(&mut self.scratch);
-                    self.rx.try_recv_many(&mut tmp);
-                    let res = tmp.drain(..).try_for_each(|other| self.inflight(qid, qs, other));
-                    self.scratch = tmp;
-                    res?;
-                }
-                SendAttempt::Closed(_) => {
-                    return Err(NetError::Protocol(format!(
-                        "reactor {}: lane to {dest} closed mid-query",
-                        self.id
-                    )));
-                }
-            }
-        }
-    }
-
-    /// Handle a packet drained mid-send, routing the in-flight query's
-    /// own traffic straight into `qs`.
-    fn inflight(&mut self, qid: u64, qs: &mut QueryState, pkt: SvcPacket) -> Result<()> {
-        match pkt {
-            SvcPacket::Block(block) => {
-                let (bqid, raw_at) = split_tag(&block.tag)?;
-                if bqid == qid {
-                    absorb(qs, raw_at, block, &self.pool)
-                } else {
-                    self.process(SvcPacket::Block(block))
-                }
-            }
-            SvcPacket::Fin { qid: fqid, round } if fqid == qid => {
-                if round == 0 || round > qs.total_rounds {
-                    return Err(NetError::Protocol(format!(
-                        "query {qid}: FIN for invalid round {round}"
-                    )));
-                }
-                qs.fins[round - 1] += 1;
-                Ok(())
-            }
-            SvcPacket::Shutdown => {
-                Err(NetError::Protocol("service shut down mid-query".to_string()))
-            }
-            other => self.process(other),
-        }
+    /// Report a per-query failure; its local state is gone and the reactor
+    /// keeps serving other queries.
+    fn fail_query(&mut self, qid: u64, error: &str) {
+        let failed = CollectorMsg::Failed { qid, server: self.id, error: error.to_string() };
+        let _ = self.done_tx.send(failed);
     }
 }
 
-/// Apply one block to a query's state: current round → live delivery,
-/// future round → stash; the columns go back to the pool either way.
-fn absorb(qs: &mut QueryState, raw_at: usize, block: TupleBlock, pool: &BlockPool) -> Result<()> {
-    let tag = &block.tag[raw_at..];
-    let ingested = if block.round == qs.round {
-        qs.state.receive_block(block.round, tag, &block)
-    } else if block.round > qs.round && block.round <= qs.total_rounds {
-        qs.stash[block.round - 1].absorb(tag, &block)
-    } else {
-        return Err(NetError::Protocol(format!(
-            "round-{} block arrived while the query is in round {}",
-            block.round, qs.round
-        )));
-    };
-    pool.give_back(block.into_columns());
-    Ok(ingested?)
+/// The fabric as the one core being stepped sees it: its sends go out in
+/// `qid`'s envelope, and draining the reactor's inbox hands it its own
+/// packets while everything else is dispatched as usual.
+struct QueryLink<'r> {
+    reactor: &'r mut Reactor,
+    qid: u64,
 }
 
-/// The collector: folds per-reactor reports into [`QueryOutcome`]s and
+impl Link for QueryLink<'_> {
+    fn send(&mut self, dest: usize, pkt: Packet) -> SendOutcome {
+        if self.reactor.stopping {
+            return SendOutcome::Closed;
+        }
+        let enveloped = SvcPacket::Data { qid: self.qid, pkt };
+        match self.reactor.peers[dest].send_timeout(enveloped, REACTOR_POLL) {
+            SendAttempt::Sent => SendOutcome::Sent,
+            SendAttempt::Full(SvcPacket::Data { pkt, .. }) => SendOutcome::Full(pkt),
+            SendAttempt::Full(_) | SendAttempt::Closed(_) => SendOutcome::Closed,
+        }
+    }
+
+    fn try_recv(&mut self, buf: &mut Vec<Packet>) {
+        let mut batch = std::mem::take(&mut self.reactor.scratch);
+        self.reactor.rx.try_recv_many(&mut batch);
+        for pkt in batch.drain(..) {
+            match pkt {
+                SvcPacket::Data { qid, pkt } if qid == self.qid => buf.push(pkt),
+                other => self.reactor.dispatch(other),
+            }
+        }
+        self.reactor.scratch = batch;
+    }
+}
+
+/// The collector: folds per-reactor summaries into [`QueryOutcome`]s and
 /// releases admission budget as queries drain.
 fn collector_run(
-    p: usize,
+    config: MpcConfig,
     rx: mpsc::Receiver<CollectorMsg>,
     tx: mpsc::Sender<Result<QueryOutcome>>,
     admission: Arc<AdmissionGate>,
 ) {
     let mut meta: HashMap<u64, QueryMeta> = HashMap::new();
-    let mut parts: HashMap<u64, Vec<Option<WorkerDone>>> = HashMap::new();
+    let mut parts: HashMap<u64, Vec<Option<WorkerSummary>>> = HashMap::new();
     let mut failed: HashSet<u64> = HashSet::new();
     while let Ok(msg) = rx.recv() {
         match msg {
             CollectorMsg::Meta(qid, m) => {
                 meta.insert(qid, m);
             }
-            CollectorMsg::Done(qid, done) => {
+            CollectorMsg::Done { qid, server, summary } => {
                 if failed.contains(&qid) {
                     continue;
                 }
-                let entry = parts.entry(qid).or_insert_with(|| (0..p).map(|_| None).collect());
-                let server = done.server;
-                entry[server] = Some(done);
-                if entry.iter().all(Option::is_some) {
-                    let dones = parts.remove(&qid).expect("entry just checked");
-                    let Some(m) = meta.remove(&qid) else {
-                        let _ = tx.send(Err(NetError::Protocol(format!(
-                            "query {qid} finished without metadata"
-                        ))));
-                        continue;
-                    };
-                    admission.release(m.admitted_cost);
-                    let _ = tx.send(assemble_outcome(qid, m, dones));
+                let entry = parts.entry(qid).or_insert_with(|| vec![None; config.p]);
+                entry[server] = Some(summary);
+                if entry.iter().any(Option::is_none) {
+                    continue;
                 }
+                let summaries = parts.remove(&qid).into_iter().flatten().flatten().collect();
+                let Some(m) = meta.remove(&qid) else {
+                    let _ = tx.send(Err(NetError::Protocol(format!(
+                        "query {qid} finished without metadata"
+                    ))));
+                    continue;
+                };
+                admission.release(m.admitted_cost);
+                let _ = tx.send(assemble_outcome(&config, qid, m, summaries));
             }
             CollectorMsg::Failed { qid, server, error } => {
                 if failed.insert(qid) {
@@ -584,43 +410,24 @@ fn collector_run(
                     ))));
                 }
             }
-            CollectorMsg::Fatal(msg) => {
-                let _ = tx.send(Err(NetError::Protocol(msg)));
-                return;
-            }
         }
     }
 }
 
 fn assemble_outcome(
+    config: &MpcConfig,
     qid: u64,
     m: QueryMeta,
-    dones: Vec<Option<WorkerDone>>,
+    summaries: Vec<WorkerSummary>,
 ) -> Result<QueryOutcome> {
-    let dones: Vec<WorkerDone> =
-        dones.into_iter().map(|d| d.expect("all parts collected")).collect();
-    let mut rounds = Vec::with_capacity(m.total_rounds);
-    for round in 1..=m.total_rounds {
-        let per_bytes: Vec<u64> =
-            dones.iter().map(|d| d.per_round_bytes.get(round - 1).copied().unwrap_or(0)).collect();
-        let per_tuples: Vec<u64> =
-            dones.iter().map(|d| d.per_round_tuples.get(round - 1).copied().unwrap_or(0)).collect();
-        rounds.push(build_round_stats(
-            round,
-            &per_bytes,
-            &per_tuples,
-            m.input_bytes,
-            m.budget_bytes,
-        ));
-    }
-    let (output, per_server_output) =
-        union_outputs(m.program.as_ref(), dones.into_iter().map(|d| d.output).collect())
-            .map_err(NetError::Sim)?;
+    let RunResult { output, rounds, per_server_output, input_bytes } =
+        fold_summaries(config, m.program.as_ref(), m.input_bytes, summaries)?;
     Ok(QueryOutcome {
         qid,
         output,
         rounds,
         per_server_output,
+        input_bytes,
         analysis_path: m.analysis_path,
         cache_hot: m.cache_hot,
         planning_micros: m.planning_micros,
@@ -673,14 +480,9 @@ impl QueryService {
         let (done_tx, done_rx) = mpsc::channel();
         let (outcome_tx, outcome_rx) = mpsc::channel();
         let admission = Arc::new(AdmissionGate::new(cfg.admission_capacity_bytes));
-        let mut lane_senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            // Lanes 0..p are peers, lane p is the front-end.
-            let (senders, rx) = Inbox::channel::<SvcPacket>(p + 1, cfg.queue_capacity);
-            lane_senders.push(senders);
-            receivers.push(rx);
-        }
+        // Lanes 0..p are peers, lane p is the front-end.
+        let (lane_senders, receivers): (Vec<_>, Vec<_>) =
+            (0..p).map(|_| Inbox::channel::<SvcPacket>(p + 1, cfg.queue_capacity)).unzip();
         let workers: Vec<_> = receivers
             .into_iter()
             .enumerate()
@@ -689,21 +491,22 @@ impl QueryService {
                     id,
                     p,
                     rx,
-                    peers: (0..p).map(|dest| lane_senders[dest][id].clone()).collect(),
-                    queries: HashMap::new(),
+                    peers: lane_senders.iter().map(|lanes| lanes[id].clone()).collect(),
+                    cores: HashMap::new(),
                     pending: HashMap::new(),
                     dirty: Vec::new(),
                     done_tx: done_tx.clone(),
                     pool: Arc::clone(&pool),
                     block_capacity: cfg.block_capacity,
                     scratch: Vec::new(),
+                    stopping: false,
                 };
                 std::thread::spawn(move || reactor.run())
             })
             .collect();
         let collector = {
-            let admission = Arc::clone(&admission);
-            std::thread::spawn(move || collector_run(p, done_rx, outcome_tx, admission))
+            let (config, admission) = (config.clone(), Arc::clone(&admission));
+            std::thread::spawn(move || collector_run(config, done_rx, outcome_tx, admission))
         };
         let frontend_lanes = lane_senders.iter().map(|senders| senders[p].clone()).collect();
         Ok(QueryService {
@@ -776,7 +579,7 @@ impl QueryService {
         let analysis = QueryAnalysis::analyze(&job.query)
             .map_err(|e| NetError::Protocol(format!("analysis: {e}")))?;
         let p = self.config.p;
-        let program: Arc<dyn MpcProgram + Send + Sync> = match job.plan_epsilon {
+        let program: SharedProgram = match job.plan_epsilon {
             Some(eps) => {
                 let plan = MultiRoundPlan::build(&job.query, eps)
                     .map_err(|e| NetError::Protocol(format!("plan: {e}")))?;
@@ -790,10 +593,6 @@ impl QueryService {
                     .map_err(|e| NetError::Protocol(format!("hypercube: {e}")))?,
             ),
         };
-        let total_rounds = program.num_rounds();
-        if total_rounds == 0 {
-            return Err(NetError::Protocol("program declares zero rounds".to_string()));
-        }
         let planning_micros = started.elapsed().as_micros() as u64;
         let input_bytes = job.db.total_bytes();
         let budget_bytes = self.config.budget_bytes(input_bytes);
@@ -802,8 +601,6 @@ impl QueryService {
         let meta = QueryMeta {
             program: Arc::clone(&program),
             input_bytes,
-            budget_bytes,
-            total_rounds,
             started,
             planning_micros,
             analysis_path: analysis.lp_solver_path.clone(),
@@ -811,22 +608,14 @@ impl QueryService {
             admitted_cost: budget_bytes,
             admission: Admission::Admitted,
         };
-        Ok(PreparedQuery {
-            qid,
-            program,
-            db: Arc::clone(&job.db),
-            domain_size: job.db.domain_size(),
-            total_rounds,
-            cost: budget_bytes,
-            meta,
-        })
+        Ok(PreparedQuery { qid, program, db: Arc::clone(&job.db), cost: budget_bytes, meta })
     }
 
     /// Inject a prepared (and already admission-charged) query into the
     /// reactors: metadata to the collector, a `Start` to every worker,
     /// then the routed input and the round-1 FINs.
     fn launch(&mut self, prepared: PreparedQuery) -> Result<()> {
-        let PreparedQuery { qid, program, db, domain_size, total_rounds, cost: _, meta } = prepared;
+        let PreparedQuery { qid, program, db, cost: _, meta } = prepared;
         let p = self.config.p;
         let send_meta = self
             .collector_tx
@@ -836,48 +625,19 @@ impl QueryService {
         if send_meta.is_err() {
             return Err(NetError::Protocol("service collector is gone".to_string()));
         }
+        let domain_size = db.domain_size();
         for w in 0..p {
-            self.frontend_send(
-                w,
-                SvcPacket::Start {
-                    qid,
-                    program: Arc::clone(&program),
-                    domain_size,
-                    rounds: total_rounds,
-                },
-            )?;
+            let start = SvcPacket::Start { qid, program: Arc::clone(&program), domain_size };
+            self.frontend_send(w, start)?;
         }
         // The front-end routes all input itself, preserving the logical
         // input server ids `p + ri` on the blocks.
-        for (ri, rel) in db.relations().enumerate() {
-            let routed = program.route_input(rel, p).map_err(NetError::Sim)?;
-            let mut asm =
-                BlockAssembler::new(Arc::clone(&self.pool), self.block_capacity, p + ri, 1);
-            let mut ns_tags: HashMap<String, String> = HashMap::new();
-            for msg in routed {
-                let tag = ns_tags
-                    .entry(msg.tag.clone())
-                    .or_insert_with(|| format!("{qid}#{}", msg.tag))
-                    .clone();
-                for &dest in &msg.destinations {
-                    if dest >= p {
-                        return Err(NetError::Sim(mpc_sim::SimError::Program(format!(
-                            "destination {dest} out of range for p = {p}"
-                        ))));
-                    }
-                    if let Some(block) = asm.push(dest, &tag, msg.tuple.values()) {
-                        self.frontend_send(dest, SvcPacket::Block(block))?;
-                    }
-                }
-            }
-            for (dest, block) in asm.flush() {
-                self.frontend_send(dest, SvcPacket::Block(block))?;
-            }
-        }
-        for w in 0..p {
-            self.frontend_send(w, SvcPacket::Fin { qid, round: 1 })?;
-        }
-        Ok(())
+        let data = |pkt| SvcPacket::Data { qid, pkt };
+        let (pool, capacity) = (&self.pool, self.block_capacity);
+        route_input(program.as_ref(), &db, p, None, pool, capacity, |dest, block| {
+            self.frontend_send(dest, data(Packet::Block(block)))
+        })?;
+        (0..p).try_for_each(|w| self.frontend_send(w, data(Packet::Fin { round: 1 })))
     }
 
     /// Block until the next query (in completion order) finishes. The
@@ -924,16 +684,10 @@ impl QueryService {
     }
 
     /// Blocking send on a front-end lane.
-    fn frontend_send(&self, worker: usize, mut pkt: SvcPacket) -> Result<()> {
-        loop {
-            match self.frontend_lanes[worker].send_timeout(pkt, FRONTEND_POLL) {
-                SendAttempt::Sent => return Ok(()),
-                SendAttempt::Full(back) => pkt = back,
-                SendAttempt::Closed(_) => {
-                    return Err(NetError::Protocol(format!("service worker {worker} is gone")));
-                }
-            }
-        }
+    fn frontend_send(&self, worker: usize, pkt: SvcPacket) -> Result<()> {
+        self.frontend_lanes[worker]
+            .send(pkt)
+            .map_err(|_| NetError::Protocol(format!("service worker {worker} is gone")))
     }
 }
 
@@ -976,9 +730,7 @@ mod tests {
         assert_eq!(sub.admission, Admission::Admitted);
         let outcome = svc.next_outcome().unwrap();
         assert_eq!(outcome.qid, sub.qid);
-        assert!(outcome.output.same_tuples(&reference.output), "same output as Cluster::run");
-        assert_eq!(outcome.rounds, reference.rounds, "identical per-round statistics");
-        assert_eq!(outcome.per_server_output, reference.per_server_output);
+        assert_eq!(outcome.run_result().divergence(&reference), None, "same as Cluster::run");
         svc.shutdown().unwrap();
     }
 
@@ -1005,8 +757,7 @@ mod tests {
             let program = mpc_core::hypercube::HyperCubeProgram::new(&q, p, seed).unwrap();
             let reference = cluster.run(&program, &db).unwrap();
             let outcome = &outcomes[qid as usize];
-            assert!(outcome.output.same_tuples(&reference.output), "query {qid} output");
-            assert_eq!(outcome.rounds, reference.rounds, "query {qid} stats");
+            assert_eq!(outcome.run_result().divergence(&reference), None, "query {qid}");
         }
         svc.shutdown().unwrap();
     }

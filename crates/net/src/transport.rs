@@ -1,24 +1,23 @@
-//! The [`Transport`] abstraction: how a worker's packets reach its peers.
+//! The socket fabric: [`TcpTransport`], the [`Transport`] a worker's
+//! [`mpc_sim::WorkerCore`] is driven over when its peers are reached by
+//! TCP. (The in-process fabric is the event-driven backend's own lanes —
+//! `run_distributed(.., TransportKind::InProcess)` *is*
+//! [`mpc_sim::Cluster::run_async`].)
 //!
-//! Two implementations ship:
+//! Packets travel as length-prefixed frames ([`crate::frame`]) over one
+//! full-duplex TCP stream per peer pair, with a reader thread per inbound
+//! connection decoding frames into the worker's inbox. The
+//! [`Transport::round_done`] hook is where this fabric adds what the
+//! protocol itself does not need: the round checkpoint and the
+//! cluster-wide barrier, both on the worker's control connection to the
+//! master (`Checkpoint`, `Ready`/`Proceed`), bracketed by the
+//! fault-injection trip points.
 //!
-//! * [`InProcTransport`] wraps the bounded per-link lanes of
-//!   [`mpc_sim::queue`] — the exact channels of the event-driven backend —
-//!   plus a shared fail-fast round barrier. It exists so the differential
-//!   layer can prove that swapping the transport (rather than the
-//!   protocol) never changes semantics.
-//! * [`TcpTransport`] moves the same packets as length-prefixed frames
-//!   ([`crate::frame`]) over one TCP stream per peer, with a reader
-//!   thread per inbound connection decoding frames into the worker's
-//!   inbox. The round barrier rides on the worker's control connection to
-//!   the master (`Ready`/`Proceed`).
-//!
-//! **Backpressure note.** The in-process lanes bound their capacity and
-//! report `Full`, mirroring the async backend. TCP inboxes are fed by
-//! reader threads via `force_send` — the kernel's socket buffers provide
-//! the real backpressure there, and bounding the inbox as well could
-//! deadlock the single reader thread behind a stalled worker. The volume
-//! accounting is identical either way.
+//! **Backpressure note.** TCP inboxes are fed by reader threads via
+//! `force_send` — the kernel's socket buffers provide the real
+//! backpressure, and bounding the inbox as well could deadlock the single
+//! reader thread behind a stalled worker. A send therefore never reports
+//! `Full`.
 //!
 //! **Recovery note.** With [`RecoverySettings::enabled`] the TCP
 //! transport additionally (a) retains every outbound data frame of the
@@ -35,163 +34,24 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mpc_sim::queue::{InboxReceiver, LinkSender, SendAttempt};
-use mpc_sim::{BlockPool, ServerState, TupleBlock};
+use mpc_sim::queue::{InboxReceiver, LinkSender};
+use mpc_sim::{BlockPool, Link, Packet, SendOutcome, ServerState, Transport};
 use mpc_storage::Relation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::{self, FaultKind};
+use crate::fault::{self, FaultKind, FaultPhase};
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::recovery::RecoverySettings;
 use crate::{NetError, Result};
 
-/// A packet between workers — the network mirror of the async backend's
-/// private packet type.
-#[derive(Debug)]
-pub enum NetPacket {
-    /// A sealed columnar batch.
-    Block(TupleBlock),
-    /// All blocks of `round` from this sender are out.
-    Fin {
-        /// The finished round (1-based).
-        round: usize,
-    },
-    /// A peer failed; unwind.
-    Abort,
-    /// A wake-up marker the rejoin acceptor pushes into its own worker's
-    /// inbox: "a re-spawned peer is waiting, service it". Never crosses
-    /// the wire and never reaches the worker loop — the transport
-    /// swallows it inside `recv`/`try_recv`.
-    Resync,
-}
-
-/// Outcome of a non-blocking transport send.
-#[derive(Debug)]
-pub enum SendOutcome {
-    /// The packet is on its way.
-    Sent,
-    /// The link is backpressured; the packet is handed back so the caller
-    /// can drain its own inbox and retry.
-    Full(NetPacket),
-    /// The peer is gone.
-    Closed,
-}
-
-/// One worker's view of the cluster fabric.
-pub trait Transport {
-    /// Attempt to send `pkt` to server `dest` without blocking forever:
-    /// back off at most a poll interval when the link is full.
-    fn send(&mut self, dest: usize, pkt: NetPacket) -> SendOutcome;
-
-    /// Block until at least one packet is available, appending every
-    /// pending packet to `buf`; returns how many arrived.
-    ///
-    /// # Errors
-    ///
-    /// Fails when every peer is gone and nothing is pending.
-    fn recv(&mut self, buf: &mut Vec<NetPacket>) -> Result<usize>;
-
-    /// Drain whatever is pending without blocking.
-    fn try_recv(&mut self, buf: &mut Vec<NetPacket>) -> usize;
-
-    /// The per-round barrier: signal this worker finished `round` and
-    /// block until every worker has.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the job aborted (a worker died or the master is gone).
-    fn barrier(&mut self, round: usize) -> Result<()>;
-
-    /// Snapshot `state` as the round-`round` checkpoint if this transport
-    /// checkpoints at all (`last` marks the job's final round, which is
-    /// always checkpointed). The default does nothing — only the spawned
-    /// TCP mode has a master to hold checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the checkpoint cannot reach the master.
-    fn checkpoint(&mut self, round: usize, state: &ServerState, last: bool) -> Result<()> {
-        let _ = (round, state, last);
-        Ok(())
-    }
-
-    /// Broadcast a fail-fast abort to everyone reachable.
-    fn abort(&mut self);
-}
-
-/// A shared fail-fast round barrier for in-process workers: generation
-/// counting over a mutex/condvar, poisoned permanently by the first
-/// abort so no waiter can hang on a dead cluster.
-#[derive(Debug)]
-pub struct FailFastBarrier {
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl FailFastBarrier {
-    /// A barrier over `parties` workers.
-    pub fn new(parties: usize) -> Self {
-        FailFastBarrier {
-            state: Mutex::new(BarrierState {
-                parties: parties.max(1),
-                arrived: 0,
-                generation: 0,
-                poisoned: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Wait for all parties.
-    ///
-    /// # Errors
-    ///
-    /// Fails immediately (for every current and future waiter) once the
-    /// barrier is poisoned.
-    pub fn wait(&self) -> Result<()> {
-        let mut s = self.state.lock().expect("barrier mutex poisoned");
-        if s.poisoned {
-            return Err(NetError::Protocol("barrier poisoned: a worker aborted".to_string()));
-        }
-        s.arrived += 1;
-        if s.arrived == s.parties {
-            s.arrived = 0;
-            s.generation += 1;
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = s.generation;
-        while s.generation == gen && !s.poisoned {
-            s = self.cv.wait(s).expect("barrier mutex poisoned");
-        }
-        if s.poisoned {
-            return Err(NetError::Protocol("barrier poisoned: a worker aborted".to_string()));
-        }
-        Ok(())
-    }
-
-    /// Poison the barrier: every current and future waiter errors out.
-    pub fn poison(&self) {
-        let mut s = self.state.lock().expect("barrier mutex poisoned");
-        s.poisoned = true;
-        self.cv.notify_all();
-    }
-}
-
-/// How long a full in-process link parks before handing the packet back.
-const POLL: Duration = Duration::from_micros(200);
+/// What travels through a TCP worker's inbox: a decoded packet, or `None`
+/// — the rejoin acceptor's wake-up ("a re-spawned peer is waiting, service
+/// it"), which `recv`/`try_recv` swallow.
+type Inbound = Option<Packet>;
 
 /// The poll interval of the recovery-mode barrier wait and the rejoin
 /// acceptor: short enough to service a rejoining peer promptly.
@@ -227,57 +87,6 @@ pub fn dial_with_backoff(addr: &str, deadline: Duration, seed: u64) -> Result<Tc
                 std::thread::sleep(pause + Duration::from_micros(jitter_us));
                 pause = (pause * 2).min(DIAL_PAUSE_CAP);
             }
-        }
-    }
-}
-
-/// The channel transport: per-peer bounded lanes plus a shared fail-fast
-/// barrier, all inside one process.
-#[derive(Debug)]
-pub struct InProcTransport {
-    /// `peers[dest]` is this worker's lane into `dest`'s inbox.
-    peers: Vec<LinkSender<NetPacket>>,
-    rx: InboxReceiver<NetPacket>,
-    barrier: Arc<FailFastBarrier>,
-}
-
-impl InProcTransport {
-    /// Assemble a worker's transport from its lanes, inbox and the shared
-    /// barrier.
-    pub fn new(
-        peers: Vec<LinkSender<NetPacket>>,
-        rx: InboxReceiver<NetPacket>,
-        barrier: Arc<FailFastBarrier>,
-    ) -> Self {
-        InProcTransport { peers, rx, barrier }
-    }
-}
-
-impl Transport for InProcTransport {
-    fn send(&mut self, dest: usize, pkt: NetPacket) -> SendOutcome {
-        match self.peers[dest].send_timeout(pkt, POLL) {
-            SendAttempt::Sent => SendOutcome::Sent,
-            SendAttempt::Full(p) => SendOutcome::Full(p),
-            SendAttempt::Closed(_) => SendOutcome::Closed,
-        }
-    }
-
-    fn recv(&mut self, buf: &mut Vec<NetPacket>) -> Result<usize> {
-        Ok(self.rx.recv_many(buf))
-    }
-
-    fn try_recv(&mut self, buf: &mut Vec<NetPacket>) -> usize {
-        self.rx.try_recv_many(buf)
-    }
-
-    fn barrier(&mut self, _round: usize) -> Result<()> {
-        self.barrier.wait()
-    }
-
-    fn abort(&mut self) {
-        self.barrier.poison();
-        for peer in &self.peers {
-            let _ = peer.force_send(NetPacket::Abort);
         }
     }
 }
@@ -332,7 +141,9 @@ pub struct TcpTransport {
     /// `writers[dest]` is the framed stream into `dest` (`None` at
     /// `dest == id`; self-sends never reach the transport).
     writers: Vec<Option<BufWriter<TcpStream>>>,
-    rx: InboxReceiver<NetPacket>,
+    rx: InboxReceiver<Inbound>,
+    /// Reusable burst buffer between the inbox and `recv`'s caller.
+    raw: Vec<Inbound>,
     /// Reader-thread handles, joined by [`TcpTransport::shutdown`].
     readers: Vec<std::thread::JoinHandle<()>>,
     control: BufReader<TcpStream>,
@@ -349,7 +160,7 @@ pub struct TcpTransport {
     log: BTreeMap<usize, Vec<(usize, Vec<u8>)>>,
     /// Inbound lanes, retained in recovery mode so pumps for rejoining
     /// peers can be spawned and the acceptor can wake a blocked `recv`.
-    senders: Vec<LinkSender<NetPacket>>,
+    senders: Vec<LinkSender<Inbound>>,
     dedup: Arc<Mutex<Dedup>>,
     rejoins: Option<Arc<RejoinShared>>,
     acceptor: Option<std::thread::JoinHandle<()>>,
@@ -377,7 +188,7 @@ struct PumpShared {
     recovery: bool,
 }
 
-fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<NetPacket>, sh: Arc<PumpShared>) {
+fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<Inbound>, sh: Arc<PumpShared>) {
     let mut r = BufReader::new(stream);
     loop {
         match read_frame(&mut r, &sh.pool) {
@@ -391,7 +202,7 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<NetPacket>, sh: 
                     }
                     d.block_watermark.insert(key, b.seq);
                 }
-                if lane.force_send(NetPacket::Block(b)).is_err() {
+                if lane.force_send(Some(Packet::Block(b))).is_err() {
                     return;
                 }
             }
@@ -402,7 +213,7 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<NetPacket>, sh: 
                 {
                     continue;
                 }
-                if lane.force_send(NetPacket::Fin { round }).is_err() {
+                if lane.force_send(Some(Packet::Fin { round })).is_err() {
                     return;
                 }
             }
@@ -411,13 +222,13 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<NetPacket>, sh: 
             }
             Ok(Frame::Abort { .. }) => {
                 sh.aborted.store(true, Ordering::SeqCst);
-                let _ = lane.force_send(NetPacket::Abort);
+                let _ = lane.force_send(Some(Packet::Abort));
                 return;
             }
             Ok(_) => {
                 // A data socket carries only blocks, FINs and aborts.
                 sh.aborted.store(true, Ordering::SeqCst);
-                let _ = lane.force_send(NetPacket::Abort);
+                let _ = lane.force_send(Some(Packet::Abort));
                 return;
             }
             Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
@@ -433,7 +244,7 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<NetPacket>, sh: 
             Err(_) => {
                 // A dead or corrupt peer: fail the local worker fast.
                 sh.aborted.store(true, Ordering::SeqCst);
-                let _ = lane.force_send(NetPacket::Abort);
+                let _ = lane.force_send(Some(Packet::Abort));
                 return;
             }
         }
@@ -443,14 +254,14 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<NetPacket>, sh: 
 /// Poll `listener` for re-spawned peers dialing back in. Each rejoin
 /// socket starts with `DataHello{from}` + `ReplayRequest{from_round}`;
 /// the pair is queued for the worker thread (which owns the writers and
-/// the replay log) and a `Resync` marker is forced into the worker's own
-/// inbox lane to wake a blocked `recv`.
+/// the replay log) and a `None` is forced into the worker's own inbox
+/// lane to wake a blocked `recv`.
 fn accept_rejoins(
     listener: TcpListener,
     p: usize,
     stop: Arc<AtomicBool>,
     shared: Arc<RejoinShared>,
-    wake: LinkSender<NetPacket>,
+    wake: LinkSender<Inbound>,
 ) {
     let pool = BlockPool::new();
     if listener.set_nonblocking(true).is_err() {
@@ -482,7 +293,7 @@ fn accept_rejoins(
         }
         shared.queue.lock().expect("rejoin queue lock").push(Rejoin { from, from_round, stream });
         shared.pending.store(true, Ordering::SeqCst);
-        if wake.force_send(NetPacket::Resync).is_err() {
+        if wake.force_send(None).is_err() {
             return;
         }
     }
@@ -551,6 +362,7 @@ impl TcpTransport {
             id,
             writers,
             rx,
+            raw: Vec::new(),
             readers,
             control: BufReader::new(control),
             aborted,
@@ -712,24 +524,19 @@ impl TcpTransport {
     }
 }
 
-impl Transport for TcpTransport {
-    fn send(&mut self, dest: usize, pkt: NetPacket) -> SendOutcome {
+impl Link for TcpTransport {
+    fn send(&mut self, dest: usize, pkt: Packet) -> SendOutcome {
         if self.aborted.load(Ordering::SeqCst) {
             return SendOutcome::Closed;
         }
         self.service_rejoins();
         let (frame, round) = match pkt {
-            NetPacket::Block(b) => {
+            Packet::Block(b) => {
                 let r = b.round;
                 (Frame::Block(b), Some(r))
             }
-            NetPacket::Fin { round } => (Frame::Fin { round: round as u32 }, Some(round)),
-            NetPacket::Abort => {
-                (Frame::Abort { reason: format!("worker {} aborted", self.id) }, None)
-            }
-            // Resync markers are transport-internal and never leave the
-            // process.
-            NetPacket::Resync => return SendOutcome::Sent,
+            Packet::Fin { round } => (Frame::Fin { round: round as u32 }, Some(round)),
+            Packet::Abort => (Frame::Abort { reason: format!("worker {} aborted", self.id) }, None),
         };
         // Deterministic link faults (drop is fatal by design; corrupt is
         // detected by the receiver's decoder and fails the job).
@@ -791,29 +598,58 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn recv(&mut self, buf: &mut Vec<NetPacket>) -> Result<usize> {
+    fn try_recv(&mut self, buf: &mut Vec<Packet>) {
+        self.service_rejoins();
+        self.rx.try_recv_many(&mut self.raw);
+        buf.extend(self.raw.drain(..).flatten());
+    }
+}
+
+impl Transport for TcpTransport {
+    type Error = NetError;
+
+    fn recv(&mut self, buf: &mut Vec<Packet>) -> Result<()> {
         let base = buf.len();
-        loop {
+        while buf.len() == base {
             self.service_rejoins();
-            let got = self.rx.recv_many(buf);
-            buf.retain(|p| !matches!(p, NetPacket::Resync));
-            if buf.len() > base {
-                return Ok(buf.len() - base);
-            }
-            if got == 0 {
-                return Ok(0);
+            self.rx.recv_many(&mut self.raw);
+            buf.extend(self.raw.drain(..).flatten());
+        }
+        Ok(())
+    }
+
+    /// The coordination barrier: nobody enters `round + 1` until every
+    /// worker finished `round`. The barrier is the checkpoint cut — the
+    /// post-compute state is snapshotted right before declaring the round
+    /// done, so a restored worker resumes exactly at the next round's
+    /// start.
+    fn round_done(&mut self, round: usize, state: &ServerState, last: bool) -> Result<()> {
+        fault::trip(self.id as u32, FaultPhase::Barrier(round as u32));
+        self.checkpoint(round, state, last)?;
+        self.barrier(round)?;
+        if !last {
+            fault::trip(self.id as u32, FaultPhase::RoundStart(round as u32 + 1));
+        }
+        Ok(())
+    }
+
+    fn abort(&mut self) {
+        self.aborted.store(true, Ordering::SeqCst);
+        for dest in 0..self.writers.len() {
+            if self.writers[dest].is_some() {
+                let _ = self.write_to(
+                    dest,
+                    &Frame::Abort { reason: format!("worker {} aborted", self.id) },
+                );
             }
         }
+        let _ = self.flush_all();
     }
+}
 
-    fn try_recv(&mut self, buf: &mut Vec<NetPacket>) -> usize {
-        self.service_rejoins();
-        let base = buf.len();
-        self.rx.try_recv_many(buf);
-        buf.retain(|p| !matches!(p, NetPacket::Resync));
-        buf.len() - base
-    }
-
+impl TcpTransport {
+    /// Signal the master this worker finished `round` and block until
+    /// every worker has.
     fn barrier(&mut self, round: usize) -> Result<()> {
         if self.aborted.load(Ordering::SeqCst) {
             return Err(NetError::Protocol("job aborted".to_string()));
@@ -878,6 +714,8 @@ impl Transport for TcpTransport {
         }
     }
 
+    /// Snapshot `state` as the round-`round` checkpoint when recovery is
+    /// on and the cadence (or the job's `last` round) asks for one.
     fn checkpoint(&mut self, round: usize, state: &ServerState, last: bool) -> Result<()> {
         if !self.recovery.enabled {
             return Ok(());
@@ -894,63 +732,11 @@ impl Transport for TcpTransport {
             per_round_tuples,
         })
     }
-
-    fn abort(&mut self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        for dest in 0..self.writers.len() {
-            if self.writers[dest].is_some() {
-                let _ = self.write_to(
-                    dest,
-                    &Frame::Abort { reason: format!("worker {} aborted", self.id) },
-                );
-            }
-        }
-        let _ = self.flush_all();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fail_fast_barrier_synchronises_and_poisons() {
-        let barrier = Arc::new(FailFastBarrier::new(3));
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                let b = Arc::clone(&barrier);
-                scope.spawn(move || b.wait().unwrap());
-            }
-        });
-        // Round 2: one party aborts while another waits.
-        let b2 = Arc::clone(&barrier);
-        let waiter = std::thread::spawn(move || b2.wait());
-        std::thread::sleep(Duration::from_millis(10));
-        barrier.poison();
-        assert!(waiter.join().unwrap().is_err(), "poison releases the waiter with an error");
-        assert!(barrier.wait().is_err(), "the poison is permanent");
-    }
-
-    #[test]
-    fn in_proc_transport_moves_packets_and_reports_full() {
-        let (senders_a, rx_a) = mpc_sim::queue::Inbox::channel(2, 1);
-        let (_senders_b, rx_b) = mpc_sim::queue::Inbox::channel(2, 1);
-        let barrier = Arc::new(FailFastBarrier::new(1));
-        // Worker 1's view: its lane into worker 0's inbox is lane 1.
-        let mut t1 = InProcTransport::new(
-            vec![senders_a[1].clone(), senders_a[1].clone()],
-            rx_b,
-            Arc::clone(&barrier),
-        );
-        assert!(matches!(t1.send(0, NetPacket::Fin { round: 1 }), SendOutcome::Sent));
-        // Lane capacity is 1: the second send backs off with Full.
-        assert!(matches!(t1.send(0, NetPacket::Fin { round: 1 }), SendOutcome::Full(_)));
-        let mut got = Vec::new();
-        let mut t0 = InProcTransport::new(vec![], rx_a, Arc::new(FailFastBarrier::new(1)));
-        assert_eq!(t0.recv(&mut got).unwrap(), 1);
-        assert!(matches!(got[0], NetPacket::Fin { round: 1 }));
-        assert!(t1.barrier(1).is_ok(), "single-party barrier trivially passes");
-    }
 
     #[test]
     fn dial_with_backoff_reaches_a_late_listener() {

@@ -53,18 +53,6 @@ fn reference_run(job: &JobSpec) -> RunResult {
     built.cluster.run(built.program.as_ref(), &built.db).expect("reference run succeeds")
 }
 
-fn assert_identical(label: &str, got: &RunResult, reference: &RunResult) {
-    assert!(
-        got.output.same_tuples(&reference.output),
-        "{label}: output differs ({} vs {} tuples)",
-        got.output.len(),
-        reference.output.len()
-    );
-    assert_eq!(got.rounds, reference.rounds, "{label}: per-round statistics differ");
-    assert_eq!(got.per_server_output, reference.per_server_output, "{label}: placement differs");
-    assert_eq!(got.input_bytes, reference.input_bytes, "{label}: input accounting differs");
-}
-
 /// Run `job` under `plan` with recovery enabled; the result must be
 /// byte-identical to `reference` and at least one re-spawn must have
 /// actually happened (otherwise the fault never fired and the test
@@ -76,7 +64,7 @@ fn assert_recovers(label: &str, job: &JobSpec, reference: &RunResult, plan: &str
     };
     let report = mpc_net::run_spawned_with(job, worker_bin(), &cfg)
         .unwrap_or_else(|e| panic!("{label} under {plan}: recovery failed: {e}"));
-    assert_identical(label, &report.result, reference);
+    assert_eq!(report.result.divergence(reference), None, "{label} under {plan}");
     assert!(report.respawns >= 1, "{label} under {plan}: the kill never fired");
     report.respawns
 }

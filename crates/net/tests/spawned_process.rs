@@ -18,15 +18,7 @@ fn assert_spawned_matches_reference(label: &str, job: &JobSpec) {
         built.cluster.run(built.program.as_ref(), &built.db).expect("reference run succeeds");
     let got = mpc_net::run_spawned(job, worker_bin())
         .unwrap_or_else(|e| panic!("{label}: spawned run failed: {e}"));
-    assert!(
-        got.output.same_tuples(&reference.output),
-        "{label}: output differs ({} vs {} tuples)",
-        got.output.len(),
-        reference.output.len()
-    );
-    assert_eq!(got.rounds, reference.rounds, "{label}: per-round statistics differ");
-    assert_eq!(got.per_server_output, reference.per_server_output, "{label}");
-    assert_eq!(got.input_bytes, reference.input_bytes, "{label}");
+    assert_eq!(got.divergence(&reference), None, "{label}");
 }
 
 #[test]

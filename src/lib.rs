@@ -90,7 +90,7 @@ pub mod prelude {
     pub use mpc_data::{matching_database, output_controlled_database};
     pub use mpc_lp::Rational;
     pub use mpc_net::{QueryJob, QueryService, ServiceConfig, TransportKind};
-    pub use mpc_sim::{AsyncConfig, Backend, Cluster, CostModel, MpcConfig, StragglerSpec};
+    pub use mpc_sim::{AsyncConfig, Cluster, CostModel, MpcConfig, StragglerSpec};
     pub use mpc_skew::{HeavyHitterPolicy, SkewResilient};
     pub use mpc_storage::{Database, Relation, Tuple};
 }
@@ -120,7 +120,6 @@ mod tests {
             _: &Cluster,
             _: &MpcConfig,
             _: &AsyncConfig,
-            _: &Backend,
             _: &CostModel,
             _: &StragglerSpec,
             _: &Database,

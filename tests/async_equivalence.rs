@@ -150,42 +150,6 @@ fn differential_matrix_over_block_and_queue_capacities() {
     }
 }
 
-/// Per-link adaptive block capacity is a *scheduling* knob: when a lane
-/// sits mostly empty the assembler seals smaller blocks to cut latency,
-/// but outputs and per-round volumes must stay bit-identical to both the
-/// synchronous backend and the fixed-capacity async plane. Aggressive
-/// watermarks maximise the number of capacity transitions exercised.
-#[test]
-fn adaptive_block_capacity_never_changes_outputs() {
-    use mpc_query::sim::AdaptivePolicy;
-
-    let hc_q = families::triangle();
-    let hc_db = matching_database(&hc_q, 600, 11);
-    let hc = HyperCubeProgram::new(&hc_q, 8, 42).unwrap();
-    let hc_cfg = MpcConfig::new(8, 1.0 / 3.0);
-
-    let mr_q = families::chain(4);
-    let plan = MultiRoundPlan::build(&mr_q, Rational::ZERO).unwrap();
-    let mr = PlanProgram::new(&plan, 8, 5).unwrap();
-    let mr_db = matching_database(&mr_q, 400, 3);
-    let mr_cfg = MpcConfig::new(8, 0.0);
-
-    for policy in [
-        AdaptivePolicy::default(),
-        AdaptivePolicy { min_capacity: 1, low_watermark: 0.9, high_watermark: 0.95 },
-    ] {
-        let async_cfg = AsyncConfig::new().with_adaptive_blocks(policy);
-        assert_equivalent("adaptive HC", &hc, &hc_db, &hc_cfg, &async_cfg);
-        assert_equivalent("adaptive plan", &mr, &mr_db, &mr_cfg, &async_cfg);
-        // Against the fixed-capacity async plane, too: identical volumes.
-        let cluster = Cluster::new(hc_cfg.clone()).unwrap();
-        let fixed = cluster.run_async(&hc, &hc_db, &AsyncConfig::new()).unwrap();
-        let adaptive = cluster.run_async(&hc, &hc_db, &async_cfg).unwrap();
-        assert!(fixed.result.output.same_tuples(&adaptive.result.output));
-        assert_eq!(fixed.result.rounds, adaptive.result.rounds);
-    }
-}
-
 /// With block capacity 1 every block carries exactly one tuple, so the
 /// pool's checkout count equals the total delivered tuple count — the
 /// observable signature of the per-tuple degeneration.
