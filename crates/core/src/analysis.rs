@@ -7,12 +7,13 @@ use mpc_cq::Query;
 use mpc_data::DbStatistics;
 use mpc_lp::{QueryLps, Rational};
 
+use crate::heavy::heavy_occurrences;
 use crate::multiround::load::PlanLoadPrediction;
 use crate::multiround::lower_bound::round_lower_bound;
 use crate::multiround::planner::{round_upper_bound, MultiRoundPlan};
 use crate::output_sensitive::OutputSensitiveBounds;
 use crate::shares::ShareAllocation;
-use crate::wco::{PlannerChoice, WcoLoadPrediction, WorstCaseOptimalPlan};
+use crate::wco::PlannerChoice;
 use crate::Result;
 
 /// Round bounds of a query at a particular space exponent ε.
@@ -204,7 +205,8 @@ impl QueryAnalysis {
     /// are handled by the one-round residual plans of `mpc-skew` or the
     /// multi-round `Γ^r_ε` plan; skewed *cyclic* queries are where the
     /// one-round load provably degrades to `n/p^{1/2}`-style bounds and
-    /// the BKS 2018 heavy/light strategy ([`WorstCaseOptimalPlan`]) wins.
+    /// the BKS 2018 heavy/light strategy
+    /// ([`crate::wco::WorstCaseOptimalPlan`]) wins.
     ///
     /// When the caller holds [`DbStatistics`] rather than a pre-computed
     /// skew verdict, use [`QueryAnalysis::planner_choice_with_stats`] —
@@ -256,9 +258,9 @@ impl QueryAnalysis {
     /// frequency at some occurrence of `x` exceeds `|R| / p_x` for that
     /// atom's relation and `x`'s integer share on `p` servers — the exact
     /// threshold beyond which hash-partitioning cannot balance the
-    /// HyperCube (and the same threshold [`WorstCaseOptimalPlan`] and the
-    /// `mpc-skew` detector key heavy values on). Variables with share 1
-    /// are never skew evidence: the HyperCube does not balance on them.
+    /// HyperCube, and the very comparison both skew planners key heavy
+    /// values on ([`heavy_occurrences`]). Variables with share 1 are never
+    /// skew evidence: the HyperCube does not balance on them.
     ///
     /// The verdict is read from [`DbStatistics`], so one scan (or one
     /// seeded sample) serves analysis, detection and planning alike; under
@@ -271,23 +273,8 @@ impl QueryAnalysis {
     /// Propagates LP/allocation errors from the share computation.
     pub fn is_skewed(&self, p: usize, stats: &DbStatistics) -> Result<bool> {
         let alloc = self.shares_for(p)?;
-        for atom in self.query.atoms() {
-            let Some(rs) = stats.relation(&atom.name) else { continue };
-            let total = rs.total() as f64;
-            if total == 0.0 {
-                continue;
-            }
-            for (pos, var) in atom.vars.iter().enumerate() {
-                let share = alloc.share(*var).max(1) as f64;
-                if share <= 1.0 {
-                    continue;
-                }
-                if rs.column_estimates(pos).any(|(_, est)| est * share > total) {
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+        let skewed = heavy_occurrences(&self.query, stats, &alloc, 1.0).next().is_some();
+        Ok(skewed)
     }
 
     /// [`QueryAnalysis::planner_choice`] with the skew verdict derived
@@ -308,22 +295,6 @@ impl QueryAnalysis {
     ) -> Result<PlannerChoice> {
         let skewed = self.is_skewed(p, stats)?;
         self.planner_choice(epsilon, skewed)
-    }
-
-    /// Plan the query worst-case optimally against `db` on `p` servers
-    /// and predict the per-round per-server loads (the WCO counterpart
-    /// of [`QueryAnalysis::round_load_profile`]; exact masses, not
-    /// matching estimates).
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and LP errors; rejects `p = 0`.
-    pub fn wco_load_profile(
-        &self,
-        db: &mpc_storage::Database,
-        p: usize,
-    ) -> Result<WcoLoadPrediction> {
-        WcoLoadPrediction::predict(&WorstCaseOptimalPlan::build(&self.query, db, p)?)
     }
 
     /// Human-readable one-line summary (used by the table binaries).

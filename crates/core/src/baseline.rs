@@ -15,11 +15,12 @@
 use mpc_cq::{Query, VarId};
 use mpc_sim::program::hash_value;
 use mpc_sim::{MpcProgram, Routed, ServerState};
-use mpc_storage::{Relation, Tuple};
+use mpc_storage::Relation;
 
 pub use mpc_sim::program::BroadcastProgram;
 
 use crate::error::CoreError;
+use crate::grid::{local_join, route_rows};
 use crate::Result;
 
 /// One-round shuffle join that hash-partitions every relation on a single
@@ -93,31 +94,16 @@ impl MpcProgram for SingleKeyShuffleProgram {
             .iter()
             .position(|v| *v == self.key)
             .expect("key occurs in every atom by construction");
-        Ok(relation
-            .iter()
-            .map(|t| {
-                let dest = hash_value(self.seed, t[position], p);
-                Routed::new(relation.name(), Tuple::new(t), vec![dest])
-            })
-            .collect())
-    }
-
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Relation>> {
-        Ok(Vec::new())
+        let mut out = Vec::new();
+        route_rows(&mut out, relation.name(), relation.iter(), |t, dests| {
+            dests.push(hash_value(self.seed, t[position], p));
+            true
+        });
+        Ok(out)
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
-        for atom in self.query.atoms() {
-            if state.relation(&atom.name).is_none() {
-                return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
-            }
-        }
-        Ok(mpc_storage::join::evaluate(&self.query, state)?)
+        local_join(&self.query, state)
     }
 
     fn output_name(&self) -> String {

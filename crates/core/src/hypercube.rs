@@ -1,32 +1,28 @@
 //! The HyperCube (HC) algorithm (Section 3.1) and its partial-answer
-//! variant (Proposition 3.11).
+//! variant (Proposition 3.11), as programs over the one grid router of
+//! [`crate::grid`].
 //!
-//! The `p` servers are identified with the cells of the hypercube
-//! `[p₁] × ⋯ × [p_k]` given by the share allocation. Each variable `xᵢ`
-//! gets an independent hash function `hᵢ : [n] → [pᵢ]`. During the single
-//! communication round, the input server of relation `Sⱼ` sends each tuple
-//! to every cell that agrees with the tuple's hashed coordinates on the
-//! variables of `Sⱼ` (the other coordinates are free — that is the
-//! replication). Every potential output tuple `(a₁,…,a_k)` is then fully
-//! known by the cell `(h₁(a₁),…,h_k(a_k))`, so computing the query locally
-//! at every server finds all answers.
-//!
-//! On a matching database the per-server load is `O(n / p^{1/τ})` with high
-//! probability, i.e. space exponent `ε = 1 − 1/τ` (Proposition 3.2); with
-//! the optimal fractional vertex cover this matches the lower bound of
-//! Theorem 3.3.
+//! [`HyperCubeProgram`] is the grid of the optimal share allocation with
+//! hashed coordinates on every dimension and nothing else: one round, one
+//! group, all `p` servers. On a matching database the per-server load is
+//! `O(n / p^{1/τ})` with high probability, i.e. space exponent
+//! `ε = 1 − 1/τ` (Proposition 3.2); with the optimal fractional vertex
+//! cover this matches the lower bound of Theorem 3.3.
+//! [`PartialHyperCubeProgram`] adds the one thing Proposition 3.11 needs:
+//! a virtual grid larger than `p` of which only a random subset of cells
+//! is backed by a server.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use mpc_cq::{Atom, Query};
 use mpc_lp::Rational;
-use mpc_sim::program::hash_value;
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple, Value};
+use mpc_storage::{Database, Relation, Value};
 
 use crate::error::CoreError;
+use crate::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute, Grid};
 use crate::shares::ShareAllocation;
 use crate::space_exponent::space_exponent;
 use crate::Result;
@@ -37,6 +33,8 @@ use crate::Result;
 pub struct HyperCubeProgram {
     query: Query,
     allocation: ShareAllocation,
+    /// The routing rule of every atom in the allocation's grid.
+    routes: Vec<AtomRoute>,
     /// Per-variable hash seeds (`hᵢ`).
     seeds: Vec<u64>,
 }
@@ -64,8 +62,9 @@ impl HyperCubeProgram {
 
     /// Build the program from an explicit share allocation.
     pub fn with_allocation(query: &Query, allocation: ShareAllocation, seed: u64) -> Self {
+        let routes = Grid::new(&allocation.shares, 0).routes(query);
         let seeds = derive_seeds(seed, query.num_vars());
-        HyperCubeProgram { query: query.clone(), allocation, seeds }
+        HyperCubeProgram { query: query.clone(), allocation, routes, seeds }
     }
 
     /// The share allocation in use.
@@ -73,37 +72,15 @@ impl HyperCubeProgram {
         &self.allocation
     }
 
-    /// The hypercube cell coordinates (one per query variable) that a tuple
-    /// of `atom` determines: `Some(coord)` for the atom's variables, `None`
-    /// (free) for the others. Returns `None` for tuples that disagree on a
-    /// repeated variable (they can never contribute to an answer).
-    fn partial_coordinates(&self, atom: &Atom, tuple: &[Value]) -> Option<Vec<Option<usize>>> {
-        let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple[pos];
-            let coord = hash_value(self.seeds[var.0], value, self.allocation.share(*var).max(1));
-            match partial[var.0] {
-                None => partial[var.0] = Some(coord),
-                Some(existing) => {
-                    // Repeated variable: require equal values (hence equal
-                    // coordinates); unequal values never join.
-                    let first_pos = atom.vars.iter().position(|w| w == var).expect("var occurs");
-                    if tuple[first_pos] != value {
-                        return None;
-                    }
-                    debug_assert_eq!(existing, coord);
-                }
-            }
-        }
-        Some(partial)
-    }
-
-    /// Destination servers of one tuple of `atom`.
+    /// Destination servers of one tuple of `atom` (an atom of the
+    /// program's query); none for a tuple that disagrees with itself on a
+    /// repeated variable.
     pub fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
-        match self.partial_coordinates(atom, tuple) {
-            Some(partial) => self.allocation.consistent_cells(&partial),
-            None => Vec::new(),
+        let mut cells = Vec::new();
+        if let Some((id, _)) = self.query.atom_by_name(&atom.name) {
+            self.routes[id.0].cells_into(tuple, hashed(&self.seeds), &mut cells);
         }
+        cells
     }
 }
 
@@ -113,34 +90,20 @@ impl MpcProgram for HyperCubeProgram {
     }
 
     fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
-        let Some((_, atom)) = self.query.atom_by_name(relation.name()) else {
+        let Some((id, _)) = self.query.atom_by_name(relation.name()) else {
             // Relations not mentioned by the query are simply not shuffled.
             return Ok(Vec::new());
         };
-        Ok(relation
-            .iter()
-            .map(|t| Routed::new(relation.name(), Tuple::new(t), self.destinations(atom, t)))
-            .collect())
-    }
-
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Relation>> {
-        Ok(Vec::new())
+        let (route, coord) = (&self.routes[id.0], hashed(&self.seeds));
+        let mut out = Vec::new();
+        route_rows(&mut out, relation.name(), relation.iter(), |t, cells| {
+            route.cells_into(t, &coord, cells)
+        });
+        Ok(out)
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
-        // A cell may have received nothing from some relation; it then has
-        // no answers.
-        for atom in self.query.atoms() {
-            if state.relation(&atom.name).is_none() {
-                return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
-            }
-        }
-        Ok(mpc_storage::join::evaluate(&self.query, state)?)
+        local_join(&self.query, state)
     }
 
     fn output_name(&self) -> String {
@@ -210,6 +173,8 @@ impl HyperCube {
 pub struct PartialHyperCubeProgram {
     query: Query,
     allocation: ShareAllocation,
+    /// The routing rule of every atom in the *virtual* grid.
+    routes: Vec<AtomRoute>,
     seeds: Vec<u64>,
     /// Sorted list of materialised cells; index in this list = server id.
     chosen_cells: Vec<usize>,
@@ -238,8 +203,15 @@ impl PartialHyperCubeProgram {
         };
         let mut chosen_cells = chosen_cells;
         chosen_cells.sort_unstable();
+        let routes = Grid::new(&allocation.shares, 0).routes(query);
         let seeds = derive_seeds(seed, query.num_vars());
-        Ok(PartialHyperCubeProgram { query: query.clone(), allocation, seeds, chosen_cells })
+        Ok(PartialHyperCubeProgram {
+            query: query.clone(),
+            allocation,
+            routes,
+            seeds,
+            chosen_cells,
+        })
     }
 
     /// Total number of cells of the (virtual) hypercube.
@@ -252,24 +224,6 @@ impl PartialHyperCubeProgram {
     pub fn expected_fraction(&self) -> f64 {
         self.chosen_cells.len() as f64 / self.total_cells().max(1) as f64
     }
-
-    fn cell_to_server(&self, cell: usize) -> Option<usize> {
-        self.chosen_cells.binary_search(&cell).ok()
-    }
-
-    fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
-        let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple[pos];
-            let coord = hash_value(self.seeds[var.0], value, self.allocation.share(*var).max(1));
-            partial[var.0] = Some(coord);
-        }
-        self.allocation
-            .consistent_cells(&partial)
-            .into_iter()
-            .filter_map(|cell| self.cell_to_server(cell))
-            .collect()
-    }
 }
 
 impl MpcProgram for PartialHyperCubeProgram {
@@ -278,31 +232,25 @@ impl MpcProgram for PartialHyperCubeProgram {
     }
 
     fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
-        let Some((_, atom)) = self.query.atom_by_name(relation.name()) else {
+        let Some((id, _)) = self.query.atom_by_name(relation.name()) else {
             return Ok(Vec::new());
         };
-        Ok(relation
-            .iter()
-            .map(|t| Routed::new(relation.name(), Tuple::new(t), self.destinations(atom, t)))
-            .collect())
-    }
-
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Relation>> {
-        Ok(Vec::new())
+        let (route, coord) = (&self.routes[id.0], hashed(&self.seeds));
+        let mut out = Vec::new();
+        route_rows(&mut out, relation.name(), relation.iter(), |t, cells| {
+            // Virtual cell → the server materialising it, if any; a tuple
+            // none of whose cells is materialised goes out to nobody.
+            let consistent = route.cells_into(t, &coord, cells);
+            cells.retain_mut(|cell| {
+                self.chosen_cells.binary_search(cell).map(|server| *cell = server).is_ok()
+            });
+            consistent
+        });
+        Ok(out)
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
-        for atom in self.query.atoms() {
-            if state.relation(&atom.name).is_none() {
-                return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
-            }
-        }
-        Ok(mpc_storage::join::evaluate(&self.query, state)?)
+        local_join(&self.query, state)
     }
 
     fn output_name(&self) -> String {
@@ -352,12 +300,6 @@ impl PartialHyperCube {
         let result = cluster.run(&program, db)?;
         Ok(PartialOutcome { result, expected_fraction, total_cells })
     }
-}
-
-/// Derive `k` independent per-variable seeds from one master seed.
-fn derive_seeds(seed: u64, k: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..k).map(|_| rng.gen()).collect()
 }
 
 /// Shuffle helper used in tests and ablations: a random permutation of

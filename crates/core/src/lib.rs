@@ -9,9 +9,12 @@
 //! * [`shares`] — HyperCube *share exponents* `e_i = v_i / τ` read off an
 //!   optimal fractional vertex cover, and their integer rounding to actual
 //!   per-variable shares `p_i` with `∏ p_i ≤ p` (Section 3.1).
+//! * [`grid`] — the server grid `[p₁] × ⋯ × [p_k]` and the paper's one
+//!   routing rule — a tuple goes to every cell that agrees with its
+//!   coordinates — compiled once per atom and shared by every program
+//!   below.
 //! * [`hypercube`] — the **HyperCube (HC) algorithm**: the one-round
-//!   MPC(ε) program that routes every base tuple to all hypercube cells
-//!   consistent with its hashed coordinates and joins locally
+//!   MPC(ε) program over the grid of the optimal shares
 //!   (Proposition 3.2), plus the *partial-answer* variant run below the
 //!   space exponent (Proposition 3.11).
 //! * [`baseline`] — broadcast and single-key shuffle joins expressed as MPC
@@ -26,12 +29,15 @@
 //! * [`output_sensitive`] — the journal version's output-sensitive load
 //!   bounds parameterised by `(n, m, p)` (arXiv:1602.06236), with exact
 //!   rational exponents read off the LP duals.
+//! * [`heavy`] — the heavy/light split both skew planners share: heavy
+//!   values and the threshold that defines them, heavy patterns, pattern
+//!   counts, proportional server groups, residual queries, the greedy
+//!   share search.
 //! * [`wco`] — the **worst-case optimal** multi-round strategy of BKS
-//!   2018 (arXiv:1604.01848): heavy/light split by degree threshold,
-//!   broadcast-join rounds for the heavy patterns, the skew-free
-//!   HyperCube for the light side — load `Õ(n/p^{1/ρ*})` on *every*
-//!   database in O(1) rounds, beating the one-round `n/p^{1/τ*}` on
-//!   cycles and cliques.
+//!   2018 (arXiv:1604.01848) on top of it: broadcast-join rounds for the
+//!   active heavy patterns, the skew-free HyperCube for the light side —
+//!   load `Õ(n/p^{1/ρ*})` on *every* database in O(1) rounds, beating
+//!   the one-round `n/p^{1/τ*}` on cycles and cliques.
 //! * [`analysis`] — the one-stop [`analysis::QueryAnalysis`] report used by
 //!   the Table 1 / Table 2 reproduction binaries.
 //!
@@ -59,6 +65,8 @@ pub mod analysis;
 pub mod baseline;
 pub mod error;
 pub mod friedgut;
+pub mod grid;
+pub mod heavy;
 pub mod hypercube;
 pub mod multiround;
 pub mod output_sensitive;

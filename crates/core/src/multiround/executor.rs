@@ -1,56 +1,59 @@
 //! Execution of multi-round plans on the MPC simulator.
 //!
-//! A [`MultiRoundPlan`] is turned into an [`MpcProgram`] as follows. Every
-//! operator gets its own HyperCube share allocation (over the operator's
-//! variables) and hash seeds. Base relations are routed in round 1 straight
-//! to the hypercube cells of the operator that consumes them — even if that
-//! operator only runs in a later round, the routing depends only on the
-//! tuple, so the data simply waits at the right server. At the end of each
-//! round every server locally evaluates the operators of that round for
-//! which it holds data, producing intermediate views; at the beginning of
-//! the next round the view tuples are shipped — as join tuples, exactly
-//! what the tuple-based MPC model of Section 4.1 permits — to the cells of
-//! the operator that consumes them. After the final round each server
-//! projects its part of the final view onto the original variable order.
+//! A [`MultiRoundPlan`] becomes an [`MpcProgram`] of one grid
+//! ([`crate::grid`]) per operator: the operator's own share allocation
+//! over its own variables, hashed coordinates from its own seeds, all `p`
+//! servers. What this module adds is *when* tuples travel. Base relations
+//! are routed in round 1 straight to the cells of the operator that
+//! consumes them — even if that operator only runs in a later round, the
+//! routing depends only on the tuple, so the data simply waits at the
+//! right server. At the end of each round every server locally evaluates
+//! the operators of that round for which it holds data, producing
+//! intermediate views; at the beginning of the next round the view tuples
+//! are shipped — as join tuples, exactly what the tuple-based MPC model of
+//! Section 4.1 permits — to the cells of the operator that consumes them.
+//! After the final round each server projects its part of the final view
+//! onto the original variable order.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mpc_cq::{Atom, Query};
+use mpc_cq::Query;
 use mpc_lp::Rational;
-use mpc_sim::program::hash_value;
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple, Value};
+use mpc_storage::{Database, Relation, Value};
 
 use crate::error::CoreError;
+use crate::grid::{hashed, route_rows, AtomRoute, Grid};
 use crate::multiround::planner::MultiRoundPlan;
 use crate::shares::ShareAllocation;
 use crate::Result;
 
-/// One operator of a plan, instantiated for execution: its share
-/// allocation and hash seeds.
+/// One operator of a plan, instantiated for execution: the routing rule of
+/// each of its atoms in its own grid, and its hash seeds.
 #[derive(Debug, Clone)]
 struct OperatorExec {
     round: usize,
     view_name: String,
     query: Query,
-    alloc: ShareAllocation,
+    routes: Vec<AtomRoute>,
     seeds: Vec<u64>,
 }
 
 impl OperatorExec {
-    /// HyperCube destinations of one tuple of `atom` (an atom of this
-    /// operator's query).
-    fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
-        let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple[pos];
-            let coord = hash_value(self.seeds[var.0], value, self.alloc.share(*var).max(1));
-            partial[var.0] = Some(coord);
-        }
-        self.alloc.consistent_cells(&partial)
+    /// Route `rows` of the operator's atom `atom` under the atom's name.
+    fn route<'a>(
+        &self,
+        out: &mut Vec<Routed>,
+        atom: usize,
+        rows: impl Iterator<Item = &'a [Value]>,
+    ) {
+        let (route, coord) = (&self.routes[atom], hashed(&self.seeds));
+        route_rows(out, &self.query.atoms()[atom].name, rows, |t, cells| {
+            route.cells_into(t, &coord, cells)
+        });
     }
 }
 
@@ -88,7 +91,7 @@ impl PlanProgram {
         for (li, level) in plan.levels().iter().enumerate() {
             let round = li + 1;
             for op in &level.operators {
-                let alloc = ShareAllocation::optimal(&op.query, p)?;
+                let shares = ShareAllocation::optimal(&op.query, p)?.shares;
                 let seeds: Vec<u64> = (0..op.query.num_vars()).map(|_| rng.gen()).collect();
                 let index = operators.len();
                 for atom in op.query.atoms() {
@@ -104,7 +107,7 @@ impl PlanProgram {
                     round,
                     view_name: op.view_name.clone(),
                     query: op.query.clone(),
-                    alloc,
+                    routes: Grid::new(&shares, 0).routes(&op.query),
                     seeds,
                 });
             }
@@ -150,13 +153,11 @@ impl MpcProgram for PlanProgram {
             return Ok(Vec::new());
         };
         let op = &self.operators[op_idx];
-        let Some((_, atom)) = op.query.atom_by_name(relation.name()) else {
-            return Ok(Vec::new());
-        };
-        Ok(relation
-            .iter()
-            .map(|t| Routed::new(relation.name(), Tuple::new(t), op.destinations(atom, t)))
-            .collect())
+        let mut msgs = Vec::new();
+        if let Some((id, _)) = op.query.atom_by_name(relation.name()) {
+            op.route(&mut msgs, id.0, relation.iter());
+        }
+        Ok(msgs)
     }
 
     fn compute(
@@ -183,7 +184,7 @@ impl MpcProgram for PlanProgram {
     ) -> mpc_sim::Result<Vec<Routed>> {
         let mut msgs = Vec::new();
         for op in self.operators.iter().filter(|op| op.round == round) {
-            for atom in op.query.atoms() {
+            for (id, atom) in op.query.atoms().iter().enumerate() {
                 // Base relations were already placed in round 1; only views
                 // produced in earlier rounds travel now.
                 let Some(&produced_round) = self.produced_in_round.get(&atom.name) else {
@@ -192,15 +193,8 @@ impl MpcProgram for PlanProgram {
                 if produced_round >= round {
                     continue;
                 }
-                let Some(rel) = state.relation(&atom.name) else {
-                    continue;
-                };
-                for t in rel.iter() {
-                    msgs.push(Routed::new(
-                        atom.name.clone(),
-                        Tuple::new(t),
-                        op.destinations(atom, t),
-                    ));
+                if let Some(rel) = state.relation(&atom.name) {
+                    op.route(&mut msgs, id, rel.iter());
                 }
             }
         }

@@ -189,14 +189,6 @@ impl ShareAllocation {
         }
         server
     }
-
-    /// Enumerate all cells consistent with the given partial coordinates
-    /// (`None` = free dimension), returning their server indices. The
-    /// number of returned cells is the replication factor of the tuple
-    /// being routed.
-    pub fn consistent_cells(&self, partial: &[Option<usize>]) -> Vec<usize> {
-        consistent_cells(&self.shares, partial)
-    }
 }
 
 /// An optimal fractional vertex cover through the layered LP solver
@@ -205,35 +197,6 @@ impl ShareAllocation {
 /// the skew-resilient planner — reuse one solve.
 fn optimal_cover(q: &Query) -> Result<VertexCover> {
     Ok(QueryLps::solve(q).map_err(CoreError::from)?.vertex_cover().clone())
-}
-
-/// Enumerate the cells of a mixed-radix grid (radix `shares[i]` in
-/// dimension `i`) consistent with partial coordinates (`None` = free
-/// dimension). This is the routing enumeration of every HyperCube-style
-/// program; [`ShareAllocation::consistent_cells`] delegates here, and the
-/// skew-resilient residual plans reuse it over their own share vectors.
-pub fn consistent_cells(shares: &[usize], partial: &[Option<usize>]) -> Vec<usize> {
-    debug_assert_eq!(partial.len(), shares.len());
-    let mut cells = vec![0usize];
-    for (dim, share) in shares.iter().enumerate() {
-        let mut next = Vec::with_capacity(cells.len() * share);
-        match partial[dim] {
-            Some(coord) => {
-                for base in &cells {
-                    next.push(base * share + coord);
-                }
-            }
-            None => {
-                for base in &cells {
-                    for coord in 0..*share {
-                        next.push(base * share + coord);
-                    }
-                }
-            }
-        }
-        cells = next;
-    }
-    cells
 }
 
 /// `p^e` for a rational exponent, as `f64`.
@@ -377,13 +340,13 @@ mod tests {
     fn consistent_cells_enumerates_free_dimensions() {
         let q = families::triangle();
         let alloc = ShareAllocation::optimal(&q, 27).unwrap();
-        // Tuple of S1(x1,x2): x1, x2 fixed, x3 free → 3 destinations.
-        let cells = alloc.consistent_cells(&[Some(1), Some(2), None]);
-        assert_eq!(cells.len(), 3);
-        // All coordinates fixed → exactly one destination.
-        assert_eq!(alloc.consistent_cells(&[Some(0), Some(0), Some(0)]).len(), 1);
-        // All free → every server.
-        assert_eq!(alloc.consistent_cells(&[None, None, None]).len(), 27);
+        let routes = crate::grid::Grid::new(&alloc.shares, 0).routes(&q);
+        // Tuple of S1(x1,x2): x1, x2 fixed, x3 free → 3 destinations, as
+        // many as the allocation's replication of the atom.
+        let mut cells = Vec::new();
+        assert!(routes[0].cells_into(&[1, 2], |_, value, _| value as usize, &mut cells));
+        assert_eq!(cells, vec![alloc.cell_to_server(&[1, 2, 0]), 16, 17]);
+        assert_eq!(alloc.replication_of_atom(&q, mpc_cq::AtomId(0)).unwrap(), 3);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod plan;
 pub mod program;
 
 pub use load::{PatternLoadPrediction, WcoLoadPrediction};
-pub use plan::{HeavyValues, WcoPattern, WorstCaseOptimalPlan};
+pub use plan::{WcoPattern, WorstCaseOptimalPlan};
 pub use program::WcoProgram;
 
 use mpc_lp::Rational;

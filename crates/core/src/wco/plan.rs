@@ -1,93 +1,38 @@
-//! The worst-case optimal plan: degree statistics, heavy patterns and
-//! server-group carving.
+//! The worst-case optimal plan: what BKS 2018 decides on top of the
+//! shared heavy/light core ([`crate::heavy`]).
 //!
-//! Planning consumes the database *statistics* (degree histograms), never
-//! the data at routing time: everything a router needs — heavy value
-//! lists, group offsets, share vectors — is frozen into the plan, so
-//! destinations remain a pure function of `(tag, tuple, round)` as the
-//! tuple-based MPC model requires, and every process planning from the
-//! same `(query, database, p)` builds bit-identical routing.
+//! * **Which subsets get a group** — only the *active* ones: heavy
+//!   configurations `H` for which every atom has a compatible tuple
+//!   (under sampled statistics, every non-empty `H`: a sample can witness
+//!   a pattern, never rule one out). When `p` cannot host them all, the
+//!   heavy variable carrying the least tuple mass is demoted first.
+//! * **The heavy share** — a heavy variable is a *value-indexed*
+//!   dimension (coordinate = heavy rank mod share), capped at its number
+//!   of heavy values; shares are grown greedily against the cell load.
+//! * **Two rounds** — heavy-bound tuples are staged evenly in round 1 and
+//!   fanned out in round 2 ([`crate::wco::program`]); the plan records
+//!   the staged volume for the load prediction.
+//!
+//! Planning consumes the database *statistics*, never the data at routing
+//! time: heavy value lists, group offsets and share vectors are frozen
+//! into the plan, so every process planning from the same
+//! `(query, database, p)` builds bit-identical routing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use mpc_cq::{Atom, Query, VarId};
-use mpc_data::{DbStatistics, RelationStats, StatsMode};
+use mpc_data::{DbStatistics, StatsMode};
 use mpc_lp::{QueryLps, Rational};
-use mpc_storage::{Database, Value};
+use mpc_storage::Database;
 
 use crate::error::CoreError;
+use crate::heavy::{
+    grow_shares, proportional_groups, residual_query, HeavyValues, Mask, PatternCounts,
+};
 use crate::multiround::lower_bound::round_lower_bound;
 use crate::shares::ShareAllocation;
 use crate::wco::effective_epsilon;
 use crate::Result;
-
-/// The per-variable heavy value lists a plan is keyed on: value `v` is
-/// heavy at variable `x` when its degree at some occurrence of `x`
-/// exceeds `|R| / p_x` for that atom's relation `R` and `x`'s cover-based
-/// share `p_x` (so variables the HyperCube does not balance on — share 1
-/// — have no heavy values: their skew never concentrates load).
-#[derive(Debug, Clone, Default)]
-pub struct HeavyValues {
-    /// Sorted heavy values, indexed by `VarId`.
-    values: Vec<Vec<Value>>,
-}
-
-impl HeavyValues {
-    /// No heavy values for `k` variables.
-    pub fn none(k: usize) -> Self {
-        HeavyValues { values: vec![Vec::new(); k] }
-    }
-
-    /// The sorted heavy values of a variable.
-    pub fn of(&self, var: VarId) -> &[Value] {
-        &self.values[var.0]
-    }
-
-    /// Is `value` heavy at `var`?
-    pub fn is_heavy(&self, var: VarId, value: Value) -> bool {
-        self.values[var.0].binary_search(&value).is_ok()
-    }
-
-    /// The index of a heavy value in its variable's sorted list (the
-    /// value-indexed grid coordinate before the modulus).
-    pub fn index_of(&self, var: VarId, value: Value) -> Option<usize> {
-        self.values[var.0].binary_search(&value).ok()
-    }
-
-    /// Number of heavy values at `var`.
-    pub fn count(&self, var: VarId) -> usize {
-        self.values[var.0].len()
-    }
-
-    /// Variables with at least one heavy value, ascending.
-    pub fn heavy_vars(&self) -> Vec<VarId> {
-        (0..self.values.len()).filter(|i| !self.values[*i].is_empty()).map(VarId).collect()
-    }
-
-    /// Drop the heavy values of `var` (demote it to light).
-    fn demote(&mut self, var: VarId) {
-        self.values[var.0].clear();
-    }
-
-    /// The heavy pattern of one tuple of `atom`: the atom's variables
-    /// whose value is heavy. `None` for tuples that disagree on a
-    /// repeated variable (they can never contribute to an answer).
-    pub fn pattern_of(&self, atom: &Atom, tuple: &[Value]) -> Option<BTreeSet<VarId>> {
-        let mut pattern = BTreeSet::new();
-        let mut seen: BTreeMap<VarId, Value> = BTreeMap::new();
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple[pos];
-            match seen.insert(*var, value) {
-                Some(prev) if prev != value => return None,
-                _ => {}
-            }
-            if self.is_heavy(*var, value) {
-                pattern.insert(*var);
-            }
-        }
-        Some(pattern)
-    }
-}
 
 /// One pattern group of the plan: the servers and shares dedicated to the
 /// answers whose heavy configuration is exactly
@@ -191,7 +136,7 @@ impl WorstCaseOptimalPlan {
     /// never correctness:
     ///
     /// * heavy values, pattern masses and [`Self::staged_tuples`] become
-    ///   scaled estimates within [`RelationStats::slack_for`];
+    ///   scaled estimates within [`mpc_data::RelationStats::slack_for`];
     /// * **every** non-empty subset of the detected heavy variables is
     ///   treated as active: a sampled scan can prove a pattern populated
     ///   but never empty, and a grid-less active pattern would silently
@@ -228,60 +173,48 @@ impl WorstCaseOptimalPlan {
             .unwrap_or(0);
 
         let base = ShareAllocation::optimal(query, p)?;
-        let mut heavy = detect_heavy(query, stats, &base);
+        let mut heavy = HeavyValues::detect(query, stats, &base, 1.0);
 
         // Demote until every active pattern (plus the light grid) can be
         // granted at least one server.
-        let (mut pattern_counts, mut active) = scan_patterns(query, db, &heavy, stats);
-        while active.len() + 1 > p {
+        let (counts, active) = loop {
+            let counts = PatternCounts::scan(query, db, &heavy, stats);
+            let active = active_patterns(&heavy, &counts, stats.is_sampled());
+            if active.len() < p {
+                break (counts, active);
+            }
+            let mentioning = |var: &VarId| -> u64 {
+                let bit = heavy.bit(*var);
+                counts.patterns().filter(|(_, phi, _)| phi & bit != 0).map(|(.., n)| n).sum()
+            };
             let weakest = heavy
                 .heavy_vars()
                 .into_iter()
-                .min_by_key(|v| heavy_mass(query, &pattern_counts, *v))
+                .min_by_key(mentioning)
                 .expect("active patterns imply heavy variables");
             heavy.demote(weakest);
-            let rescan = scan_patterns(query, db, &heavy, stats);
-            pattern_counts = rescan.0;
-            active = rescan.1;
-        }
-
-        // Tuple mass per group, light first, for proportional carving.
-        let mass_of = |h: &BTreeSet<VarId>| -> u64 {
-            query
-                .atoms()
-                .iter()
-                .zip(&pattern_counts)
-                .map(|(atom, counts)| {
-                    let induced: BTreeSet<VarId> =
-                        atom.distinct_vars().intersection(h).copied().collect();
-                    counts.get(&induced).copied().unwrap_or(0)
-                })
-                .sum()
         };
-        let light_mass = mass_of(&BTreeSet::new());
-        let masses: Vec<u64> =
-            std::iter::once(light_mass).chain(active.iter().map(&mass_of)).collect();
+
+        // One group per active pattern after the light one, carved
+        // proportionally to the tuple mass each attracts.
+        let groups: Vec<Mask> = std::iter::once(0).chain(active.iter().copied()).collect();
+        let masses: Vec<u64> = groups.iter().map(|h| counts.mass(*h)).collect();
         let group_sizes = proportional_groups(p, &masses);
 
-        let mut patterns = Vec::with_capacity(active.len() + 1);
+        let mut patterns = Vec::with_capacity(groups.len());
         let mut offset = 0usize;
-        for (idx, group_size) in group_sizes.into_iter().enumerate() {
-            let heavy_vars = if idx == 0 { BTreeSet::new() } else { active[idx - 1].clone() };
-            let atom_tuples: Vec<u64> = query
-                .atoms()
-                .iter()
-                .zip(&pattern_counts)
-                .map(|(atom, counts)| {
-                    let induced: BTreeSet<VarId> =
-                        atom.distinct_vars().intersection(&heavy_vars).copied().collect();
-                    counts.get(&induced).copied().unwrap_or(0)
-                })
-                .collect();
-            let (shares, residual_rho_star) = if heavy_vars.is_empty() {
+        for (h, group_size) in groups.into_iter().zip(group_sizes) {
+            let heavy_vars = heavy.vars_of(h);
+            let atom_tuples: Vec<u64> = counts.atom_tuples(h).collect();
+            let (shares, residual_rho_star) = if h == 0 {
                 (ShareAllocation::optimal(query, group_size)?.shares, Some(rho_star))
             } else {
+                // A dimension wider than its value list is wasted.
+                let cap =
+                    |v: VarId| if heavy_vars.contains(&v) { heavy.count(v) } else { usize::MAX };
+                let weights: Vec<f64> = atom_tuples.iter().map(|m| *m as f64).collect();
                 let shares =
-                    capped_greedy_shares(query, &heavy_vars, &heavy, &atom_tuples, group_size);
+                    grow_shares(query, &weights, group_size, cap, vec![1; query.num_vars()]);
                 let rho = match residual_query(query, &heavy_vars) {
                     Some(rq) => Some(QueryLps::solve(&rq)?.edge_cover().total()),
                     None => None,
@@ -300,25 +233,12 @@ impl WorstCaseOptimalPlan {
             patterns.push(pattern);
         }
 
-        // Exact staging volume: a base tuple is staged when some heavy
-        // grid needs it, i.e. its own pattern is the one some active `H`
-        // induces on the atom.
-        let staged_tuples = query
-            .atoms()
-            .iter()
-            .zip(&pattern_counts)
-            .map(|(atom, counts)| {
-                counts
-                    .iter()
-                    .filter(|(phi, _)| {
-                        active.iter().any(|h| {
-                            atom.distinct_vars().intersection(h).copied().collect::<BTreeSet<_>>()
-                                == **phi
-                        })
-                    })
-                    .map(|(_, c)| *c)
-                    .sum::<u64>()
-            })
+        // A base tuple is staged when some heavy grid needs it, i.e. its
+        // own pattern is the one some active `H` induces on its atom.
+        let staged_tuples = counts
+            .patterns()
+            .filter(|(vars, phi, _)| active.iter().any(|h| h & vars == *phi))
+            .map(|(.., n)| n)
             .sum();
 
         Ok(WorstCaseOptimalPlan {
@@ -438,240 +358,18 @@ impl WorstCaseOptimalPlan {
     pub fn pattern_of_server(&self, s: usize) -> Option<usize> {
         self.patterns.iter().position(|pat| pat.owns_server(s))
     }
-
-    /// The indices of the heavy patterns (≥ 1) whose induced pattern on
-    /// `atom` equals `phi` — the grids one tuple with pattern `phi` must
-    /// reach in the broadcast-join round.
-    pub fn heavy_patterns_for(&self, atom: &Atom, phi: &BTreeSet<VarId>) -> Vec<usize> {
-        let vars = atom.distinct_vars();
-        self.patterns
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, pat)| {
-                pat.heavy_vars.intersection(&vars).copied().collect::<BTreeSet<_>>() == *phi
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
-/// Degree-threshold heavy detection: value `v` is heavy at `x` when some
-/// atom containing `x` has more than `|R| / p_x` tuples carrying `v` at
-/// an occurrence of `x` (estimated frequency under sampled statistics).
-/// The per-column histograms are read off the shared [`DbStatistics`] —
-/// collected once per database, not once per `(atom, position)`.
-fn detect_heavy(query: &Query, stats: &DbStatistics, base: &ShareAllocation) -> HeavyValues {
-    let mut values: Vec<BTreeSet<Value>> = vec![BTreeSet::new(); query.num_vars()];
-    for atom in query.atoms() {
-        let Some(rs) = stats.relation(&atom.name) else { continue };
-        let total = rs.total() as f64;
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let share = base.share(*var).max(1) as f64;
-            if share <= 1.0 {
-                continue;
-            }
-            for (v, est) in rs.column_estimates(pos) {
-                if est * share > total {
-                    values[var.0].insert(v);
-                }
-            }
-        }
-    }
-    HeavyValues { values: values.into_iter().map(|s| s.into_iter().collect()).collect() }
-}
-
-/// One scan of the input: per-atom tuple counts keyed by heavy pattern,
-/// plus the list of *active* heavy patterns — subsets `H` of the heavy
-/// variables for which **every** atom has at least one compatible tuple
-/// (otherwise the residual join is empty and `H` needs no grid).
-///
-/// Under sampled statistics the scan walks only the sampled tuples
-/// (scaled counts, minimum 1 per observed pattern) and activity is
-/// decided *conservatively*: every non-empty subset of the heavy
-/// variables is active, because a sample can witness a pattern but never
-/// certify its absence — and a tuple routed at a missing grid would be
-/// dropped, losing answers.
-#[allow(clippy::type_complexity)]
-fn scan_patterns(
-    query: &Query,
-    db: &Database,
-    heavy: &HeavyValues,
-    stats: &DbStatistics,
-) -> (Vec<BTreeMap<BTreeSet<VarId>, u64>>, Vec<BTreeSet<VarId>>) {
-    let counts: Vec<BTreeMap<BTreeSet<VarId>, u64>> = query
-        .atoms()
-        .iter()
-        .map(|atom| {
-            let mut m: BTreeMap<BTreeSet<VarId>, u64> = BTreeMap::new();
-            match stats.relation(&atom.name).and_then(RelationStats::sample) {
-                Some((tuples, scale)) => {
-                    for t in tuples.iter() {
-                        if let Some(phi) = heavy.pattern_of(atom, t) {
-                            *m.entry(phi).or_insert(0) += 1;
-                        }
-                    }
-                    for c in m.values_mut() {
-                        *c = (*c as f64 * scale).round().max(1.0) as u64;
-                    }
-                }
-                None => {
-                    if let Ok(rel) = db.relation(&atom.name) {
-                        for t in rel.iter() {
-                            if let Some(phi) = heavy.pattern_of(atom, t) {
-                                *m.entry(phi).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            m
-        })
-        .collect();
-
-    let capable = heavy.heavy_vars();
-    let mut active = Vec::new();
-    for mask in 1usize..(1 << capable.len()) {
-        let h: BTreeSet<VarId> = capable
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, v)| *v)
-            .collect();
-        let feasible = stats.is_sampled()
-            || query.atoms().iter().zip(&counts).all(|(atom, c)| {
-                let induced: BTreeSet<VarId> =
-                    atom.distinct_vars().intersection(&h).copied().collect();
-                c.get(&induced).copied().unwrap_or(0) > 0
-            });
-        if feasible {
-            active.push(h);
-        }
-    }
-    (counts, active)
-}
-
-/// Total tuples whose pattern mentions `var` — the demotion severity.
-fn heavy_mass(query: &Query, counts: &[BTreeMap<BTreeSet<VarId>, u64>], var: VarId) -> u64 {
-    query
-        .atoms()
-        .iter()
-        .zip(counts)
-        .map(|(_, c)| c.iter().filter(|(phi, _)| phi.contains(&var)).map(|(_, n)| *n).sum::<u64>())
-        .sum()
-}
-
-/// Carve `p` servers into groups proportional to `weights`, at least one
-/// server per group; leftovers go to the group with the highest
-/// weight-per-server.
-fn proportional_groups(p: usize, weights: &[u64]) -> Vec<usize> {
-    let m = weights.len();
-    debug_assert!(m <= p, "caller guarantees one server per group");
-    let total: u64 = weights.iter().sum();
-    let mut sizes: Vec<usize> = if total == 0 {
-        vec![p / m; m]
-    } else {
-        weights.iter().map(|w| (p as f64 * *w as f64 / total as f64).floor() as usize).collect()
-    };
-    for s in &mut sizes {
-        *s = (*s).max(1);
-    }
-    while sizes.iter().sum::<usize>() > p {
-        let (idx, _) = sizes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s > 1)
-            .max_by_key(|(_, s)| **s)
-            .expect("sum > p ≥ m implies some group > 1");
-        sizes[idx] -= 1;
-    }
-    while sizes.iter().sum::<usize>() < p {
-        let (idx, _) = weights
-            .iter()
-            .enumerate()
-            .max_by(|(i, a), (j, b)| {
-                let la = **a as f64 / sizes[*i] as f64;
-                let lb = **b as f64 / sizes[*j] as f64;
-                la.partial_cmp(&lb).expect("finite").then(j.cmp(i))
-            })
-            .expect("at least one group");
-        sizes[idx] += 1;
-    }
-    sizes
-}
-
-/// The residual query `q_H`: heavy variables deleted from every atom,
-/// fully-heavy atoms dropped. `None` when every atom is fully heavy.
-pub fn residual_query(q: &Query, heavy_vars: &BTreeSet<VarId>) -> Option<Query> {
-    let mut atoms: Vec<(String, Vec<String>)> = Vec::new();
-    for atom in q.atoms() {
-        let light: Vec<String> = atom
-            .vars
-            .iter()
-            .filter(|v| !heavy_vars.contains(v))
-            .map(|v| q.var_names()[v.0].clone())
-            .collect();
-        if !light.is_empty() {
-            atoms.push((atom.name.clone(), light));
-        }
-    }
-    if atoms.is_empty() {
-        return None;
-    }
-    let label: Vec<&str> = heavy_vars.iter().map(|v| q.var_names()[v.0].as_str()).collect();
-    Query::new(format!("{}%{}", q.name(), label.join(",")), atoms).ok()
-}
-
-/// Cardinality-aware share search for one heavy pattern's grid: grow, one
-/// unit at a time, the dimension whose increment most reduces the
-/// estimated per-server load `Σ_j m_j / ∏_{x ∈ vars(R_j)} p_x`, subject
-/// to the grid fitting the group and heavy dimensions never exceeding
-/// their value count (a dimension wider than its domain is wasted).
-fn capped_greedy_shares(
-    q: &Query,
-    heavy_vars: &BTreeSet<VarId>,
-    heavy: &HeavyValues,
-    atom_tuples: &[u64],
-    group: usize,
-) -> Vec<usize> {
-    let estimated = |shares: &[usize]| -> f64 {
-        q.atoms()
-            .iter()
-            .zip(atom_tuples)
-            .map(|(atom, m)| {
-                let spread: usize = atom.distinct_vars().iter().map(|v| shares[v.0]).product();
-                *m as f64 / spread as f64
-            })
-            .sum()
-    };
-    let cap = |v: usize| -> usize {
-        if heavy_vars.contains(&VarId(v)) {
-            heavy.count(VarId(v)).max(1)
-        } else {
-            usize::MAX
-        }
-    };
-    let mut shares = vec![1usize; q.num_vars()];
-    loop {
-        let product: usize = shares.iter().product();
-        let current = estimated(&shares);
-        let mut best: Option<(usize, f64)> = None;
-        for v in 0..shares.len() {
-            if shares[v] + 1 > cap(v) || product / shares[v] * (shares[v] + 1) > group {
-                continue;
-            }
-            shares[v] += 1;
-            let load = estimated(&shares);
-            shares[v] -= 1;
-            if load < current && best.is_none_or(|(_, b)| load < b) {
-                best = Some((v, load));
-            }
-        }
-        match best {
-            Some((v, _)) => shares[v] += 1,
-            None => return shares,
-        }
-    }
+/// The *active* heavy configurations: subsets `H` of the heavy variables
+/// for which **every** atom has at least one compatible tuple (otherwise
+/// the residual join is empty and `H` needs no grid). Under sampled
+/// statistics every non-empty subset is active: a sample can witness a
+/// pattern but never certify its absence, and a tuple routed at a missing
+/// grid would be dropped, losing answers.
+fn active_patterns(heavy: &HeavyValues, counts: &PatternCounts, sampled: bool) -> Vec<Mask> {
+    (1..1 << heavy.heavy_vars().len())
+        .filter(|h| sampled || counts.atom_tuples(*h).all(|n| n > 0))
+        .collect()
 }
 
 #[cfg(test)]
@@ -743,19 +441,6 @@ mod tests {
         assert!(plan.patterns().len() <= 2);
         let used: usize = plan.patterns().iter().map(WcoPattern::cells).sum();
         assert!(used <= 2);
-    }
-
-    #[test]
-    fn residual_query_deletes_heavy_positions() {
-        let q = families::triangle();
-        let x1 = q.var_id("x1").unwrap();
-        let rq = residual_query(&q, &[x1].into_iter().collect()).unwrap();
-        assert_eq!(rq.num_atoms(), 3);
-        // S1(x1,x2) and S3(x3,x1) lose a position; S2(x2,x3) is intact.
-        let total: usize = rq.atoms().iter().map(Atom::arity).sum();
-        assert_eq!(total, 4);
-        let all: BTreeSet<VarId> = q.var_ids().collect();
-        assert!(residual_query(&q, &all).is_none());
     }
 
     #[test]

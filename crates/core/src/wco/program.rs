@@ -1,15 +1,17 @@
 //! [`WcoProgram`]: a [`WorstCaseOptimalPlan`] compiled to an
 //! [`MpcProgram`], runnable unchanged on `Cluster::run`, `run_async` and
-//! the `mpc-net` transports.
+//! the `mpc-net` transports — one grid ([`crate::grid`]) per pattern
+//! group, plus the two things only this program has: value-indexed
+//! coordinates on a group's heavy dimensions, and a staging round.
 //!
 //! Dataflow (two rounds when any heavy pattern is active, one otherwise):
 //!
 //! * **Round 1** — the input server of relation `R` sends each tuple
-//!   whose heavy pattern is `∅` into the light HyperCube grid (ordinary
-//!   hashed routing at the cover shares), and *stages* each tuple needed
-//!   by at least one heavy grid onto a single server chosen by hashing
-//!   the whole tuple over all `p` servers (tag `wco.stage##R`). Staging
-//!   spreads the heavy-bound volume evenly: `O(ℓn/p)` extra per server.
+//!   whose heavy pattern is `∅` into the light grid, and *stages* each
+//!   tuple needed by at least one heavy grid onto a single server chosen
+//!   by hashing the whole tuple over all `p` servers (tag
+//!   `wco.stage##R`). Staging spreads the heavy-bound volume evenly:
+//!   `O(ℓn/p)` extra per server.
 //! * **Round 2** — every server re-emits its staged tuples to the grid
 //!   cells of the heavy patterns that want them, under the plain relation
 //!   tag. Atoms missing a grid dimension are replicated across it (the
@@ -21,26 +23,39 @@
 //!   in exactly one cell of exactly one grid — the partition property the
 //!   differential suite pins.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use mpc_cq::{Atom, Query};
-use mpc_sim::program::{hash_to_bucket, hash_value};
+use mpc_cq::{Query, VarId};
+use mpc_sim::program::{emit, hash_to_bucket, hash_value};
 use mpc_sim::{MpcProgram, Routed, ServerState};
-use mpc_storage::{Database, Relation, Tuple, Value};
+use mpc_storage::{Database, Relation, Value};
 
-use crate::shares::consistent_cells;
-use crate::wco::plan::{WcoPattern, WorstCaseOptimalPlan};
+use crate::grid::{derive_seeds, local_join, route_rows, AtomRoute, Grid};
+use crate::heavy::Mask;
+use crate::wco::plan::WorstCaseOptimalPlan;
 use crate::Result;
 
 /// Tag prefix of staged (round-1 parked, round-2 re-emitted) tuples.
 const STAGE_PREFIX: &str = "wco.stage##";
+
+/// One pattern group compiled for routing.
+#[derive(Debug, Clone)]
+struct GroupRoutes {
+    /// The group's heavy configuration.
+    heavy: Mask,
+    /// Per variable: is it a value-indexed (heavy) dimension here?
+    value_indexed: Vec<bool>,
+    /// The routing rule of every atom in the group's grid.
+    atoms: Vec<AtomRoute>,
+}
 
 /// The worst-case optimal heavy/light program. See the [module
 /// docs](self) for the round structure.
 #[derive(Debug, Clone)]
 pub struct WcoProgram {
     plan: WorstCaseOptimalPlan,
+    /// One entry per pattern group of the plan, the light one first.
+    groups: Vec<GroupRoutes>,
+    /// Per atom: the [`Mask`] of its heavy-capable variables.
+    atom_vars: Vec<Mask>,
     /// Per-variable hash seeds for light dimensions.
     var_seeds: Vec<u64>,
     /// Seed of the round-1 staging hash.
@@ -76,10 +91,22 @@ impl WcoProgram {
 
     /// Compile an already-built plan.
     pub fn with_plan(plan: WorstCaseOptimalPlan, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let var_seeds = (0..plan.query().num_vars()).map(|_| rng.gen()).collect();
-        let stage_seed = rng.gen();
-        WcoProgram { plan, var_seeds, stage_seed }
+        let (query, heavy) = (plan.query(), plan.heavy());
+        let groups = plan
+            .patterns()
+            .iter()
+            .map(|pat| GroupRoutes {
+                heavy: heavy.mask_of(pat.heavy_vars.iter().copied()),
+                value_indexed: query.var_ids().map(|v| pat.heavy_vars.contains(&v)).collect(),
+                atoms: Grid::new(&pat.shares, pat.offset).routes(query),
+            })
+            .collect();
+        let atom_vars =
+            query.atoms().iter().map(|atom| heavy.mask_of(atom.vars.iter().copied())).collect();
+        // One generator: the per-variable seeds, then the staging seed.
+        let mut var_seeds = derive_seeds(seed, query.num_vars() + 1);
+        let stage_seed = var_seeds.pop().expect("k + 1 seeds were derived");
+        WcoProgram { plan, groups, atom_vars, var_seeds, stage_seed }
     }
 
     /// The underlying plan.
@@ -87,28 +114,28 @@ impl WcoProgram {
         &self.plan
     }
 
-    /// Destination cells (global server indices) of one tuple of `atom`
-    /// inside one pattern's grid: heavy dimensions are value-indexed
-    /// (heavy rank mod share), light dimensions hashed, dimensions the
-    /// atom does not fix are free (the replication).
-    fn grid_destinations(&self, pat: &WcoPattern, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
-        let mut partial: Vec<Option<usize>> = vec![None; self.plan.query().num_vars()];
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple[pos];
-            let share = pat.shares[var.0].max(1);
-            let coord = if pat.heavy_vars.contains(var) {
-                match self.plan.heavy().index_of(*var, value) {
-                    Some(rank) => rank % share,
-                    // The caller only routes pattern-compatible tuples;
-                    // a non-heavy value here means an incompatible tuple.
-                    None => return Vec::new(),
-                }
+    /// Append the destination cells of one tuple of atom `atom` inside
+    /// one group's grid: heavy dimensions are value-indexed (heavy rank
+    /// mod share), light dimensions hashed.
+    fn group_cells(&self, group: &GroupRoutes, atom: usize, tuple: &[Value], out: &mut Vec<usize>) {
+        let coord = |var: VarId, value: Value, share: usize| {
+            if group.value_indexed[var.0] {
+                // Only tuples whose pattern the group induces on the atom
+                // are routed at it, so the value has a rank.
+                self.plan.heavy().rank(var, value).expect("a heavy value on a heavy dimension")
+                    % share
             } else {
                 hash_value(self.var_seeds[var.0], value, share)
-            };
-            partial[var.0] = Some(coord);
-        }
-        consistent_cells(&pat.shares, &partial).into_iter().map(|c| c + pat.offset).collect()
+            }
+        };
+        group.atoms[atom].cells_into(tuple, coord, out);
+    }
+
+    /// The heavy groups that need a tuple of atom `atom` with heavy
+    /// pattern `phi`: those inducing exactly `phi` on the atom.
+    fn heavy_groups_for(&self, atom: usize, phi: Mask) -> impl Iterator<Item = &GroupRoutes> {
+        let vars = self.atom_vars[atom];
+        self.groups[1..].iter().filter(move |group| group.heavy & vars == phi)
     }
 
     /// The single staging server of a tuple: an even hash of the whole
@@ -126,28 +153,22 @@ impl MpcProgram for WcoProgram {
     }
 
     fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
-        let query = self.plan.query();
-        let Some((atom_id, atom)) = query.atom_by_name(relation.name()) else {
+        let Some((id, atom)) = self.plan.query().atom_by_name(relation.name()) else {
             return Ok(Vec::new());
         };
-        let light = &self.plan.patterns()[0];
+        let stage_tag = format!("{STAGE_PREFIX}{}", relation.name());
         let mut out = Vec::new();
+        let mut cells = Vec::new();
         for t in relation.iter() {
             // Tuples disagreeing on a repeated variable never join.
-            let Some(phi) = self.plan.heavy().pattern_of(atom, t) else { continue };
-            if phi.is_empty() {
-                out.push(Routed::new(
-                    relation.name(),
-                    Tuple::new(t),
-                    self.grid_destinations(light, atom, t),
-                ));
+            let Some(phi) = self.plan.heavy().pattern(atom, t) else { continue };
+            if phi == 0 {
+                cells.clear();
+                self.group_cells(&self.groups[0], id.0, t, &mut cells);
+                emit(&mut out, relation.name(), t, &cells);
             }
-            if !self.plan.heavy_patterns_for(atom, &phi).is_empty() {
-                out.push(Routed::new(
-                    format!("{STAGE_PREFIX}{}", relation.name()),
-                    Tuple::new(t),
-                    vec![self.stage_server(atom_id.0, t)],
-                ));
+            if self.heavy_groups_for(id.0, phi).next().is_some() {
+                emit(&mut out, &stage_tag, t, &[self.stage_server(id.0, t)]);
             }
         }
         Ok(out)
@@ -162,50 +183,31 @@ impl MpcProgram for WcoProgram {
         if round != 2 {
             return Ok(Vec::new());
         }
-        let query = self.plan.query();
         let mut out = Vec::new();
         for tag in state.tags() {
             let Some(name) = tag.strip_prefix(STAGE_PREFIX) else { continue };
-            let Some((_, atom)) = query.atom_by_name(name) else { continue };
+            let Some((id, atom)) = self.plan.query().atom_by_name(name) else { continue };
             let staged = state.relation(tag).expect("tag was just listed");
-            for t in staged.iter() {
-                let Some(phi) = self.plan.heavy().pattern_of(atom, t) else { continue };
-                let mut dests = Vec::new();
-                for pi in self.plan.heavy_patterns_for(atom, &phi) {
-                    dests.extend(self.grid_destinations(&self.plan.patterns()[pi], atom, t));
+            route_rows(&mut out, name, staged.iter(), |t, cells| {
+                let Some(phi) = self.plan.heavy().pattern(atom, t) else { return false };
+                for group in self.heavy_groups_for(id.0, phi) {
+                    self.group_cells(group, id.0, t, cells);
                 }
-                if !dests.is_empty() {
-                    out.push(Routed::new(name, Tuple::new(t), dests));
-                }
-            }
+                !cells.is_empty()
+            });
         }
         Ok(out)
     }
 
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Relation>> {
-        Ok(Vec::new())
-    }
-
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
         let query = self.plan.query();
-        let empty = || Relation::empty(query.name(), query.num_vars());
         if self.plan.pattern_of_server(server).is_none() {
             // A pure staging server: holds parked copies, owns no grid cell.
-            return Ok(empty());
-        }
-        for atom in query.atoms() {
-            if state.relation(&atom.name).is_none() {
-                return Ok(empty());
-            }
+            return Ok(Relation::empty(query.name(), query.num_vars()));
         }
         // Staged tags remain in the state, but the evaluator only reads
         // the relations the query's atoms name.
-        Ok(mpc_storage::join::evaluate(query, state)?)
+        local_join(query, state)
     }
 
     /// The heavy grid cells. A heavy cell's final-round inbound is

@@ -89,15 +89,6 @@ impl MpcProgram for LabelPropagationCc {
             .collect())
     }
 
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Relation>> {
-        Ok(Vec::new())
-    }
-
     fn route_tuples(
         &self,
         _round: usize,

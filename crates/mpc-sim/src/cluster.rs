@@ -203,7 +203,7 @@ pub fn union_outputs<P: MpcProgram + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{hash_value, route_relation, BroadcastProgram};
+    use crate::program::{emit, hash_value, BroadcastProgram};
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_storage::join::evaluate;
@@ -227,16 +227,11 @@ mod tests {
                 "S2" => 0, // x1 is the first column of S2
                 other => return Err(SimError::Program(format!("unexpected relation {other}"))),
             };
-            Ok(route_relation(relation, |t| vec![hash_value(self.seed, t[position], p)]))
-        }
-
-        fn compute(
-            &self,
-            _round: usize,
-            _server: usize,
-            _state: &ServerState,
-        ) -> Result<Vec<Relation>> {
-            Ok(Vec::new())
+            let mut out = Vec::with_capacity(relation.len());
+            for t in relation.iter() {
+                emit(&mut out, relation.name(), t, &[hash_value(self.seed, t[position], p)]);
+            }
+            Ok(out)
         }
 
         fn output(&self, _server: usize, state: &ServerState) -> Result<Relation> {
@@ -309,9 +304,6 @@ mod tests {
             fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
                 Ok(relation.iter().map(|t| Routed::new("R", Tuple::new(t), vec![p + 3])).collect())
             }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> Result<Vec<Relation>> {
-                Ok(Vec::new())
-            }
             fn output(&self, _: usize, _: &ServerState) -> Result<Relation> {
                 Ok(Relation::empty("out", 1))
             }
@@ -334,9 +326,6 @@ mod tests {
                 0
             }
             fn route_input(&self, _: &Relation, _: usize) -> Result<Vec<Routed>> {
-                Ok(Vec::new())
-            }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> Result<Vec<Relation>> {
                 Ok(Vec::new())
             }
             fn output(&self, _: usize, _: &ServerState) -> Result<Relation> {
@@ -374,10 +363,9 @@ mod tests {
                 2
             }
             fn route_input(&self, relation: &Relation, _p: usize) -> Result<Vec<Routed>> {
-                Ok(route_relation(relation, |_| vec![0]))
-            }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> Result<Vec<Relation>> {
-                Ok(Vec::new())
+                let mut out = Vec::new();
+                relation.iter().for_each(|t| emit(&mut out, relation.name(), t, &[0]));
+                Ok(out)
             }
             fn route_tuples(
                 &self,

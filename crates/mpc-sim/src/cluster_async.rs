@@ -545,9 +545,6 @@ mod tests {
                     .map(|t| crate::Routed::new("R", mpc_storage::Tuple::new(t), vec![p + 3]))
                     .collect())
             }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> crate::Result<Vec<Relation>> {
-                Ok(Vec::new())
-            }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
                 Ok(Relation::empty("out", 1))
             }
@@ -582,9 +579,6 @@ mod tests {
                     .map(|t| crate::Routed::new("S1", mpc_storage::Tuple::new(t), vec![0]))
                     .collect())
             }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> crate::Result<Vec<Relation>> {
-                Ok(Vec::new())
-            }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
                 Ok(Relation::empty("out", 1))
             }
@@ -613,9 +607,6 @@ mod tests {
             }
             fn route_input(&self, _: &Relation, _: usize) -> crate::Result<Vec<crate::Routed>> {
                 panic!("routing bug");
-            }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> crate::Result<Vec<Relation>> {
-                Ok(Vec::new())
             }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
                 Ok(Relation::empty("out", 1))
@@ -650,9 +641,6 @@ mod tests {
                 0
             }
             fn route_input(&self, _: &Relation, _: usize) -> crate::Result<Vec<crate::Routed>> {
-                Ok(Vec::new())
-            }
-            fn compute(&self, _: usize, _: usize, _: &ServerState) -> crate::Result<Vec<Relation>> {
                 Ok(Vec::new())
             }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {

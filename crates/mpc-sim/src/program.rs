@@ -40,8 +40,12 @@ pub trait MpcProgram: Sync {
 
     /// Local computation at the end of round `round` (1-based) on worker
     /// `server`. Returns relations derived locally (added to the server's
-    /// knowledge at no communication cost).
-    fn compute(&self, round: usize, server: usize, state: &ServerState) -> Result<Vec<Relation>>;
+    /// knowledge at no communication cost). The default implementation
+    /// derives nothing — what every one-round program wants.
+    fn compute(&self, round: usize, server: usize, state: &ServerState) -> Result<Vec<Relation>> {
+        let _ = (round, server, state);
+        Ok(Vec::new())
+    }
 
     /// Routing performed by worker `server` at the beginning of round
     /// `round ≥ 2`: join tuples to send, with their destinations.
@@ -138,15 +142,6 @@ impl MpcProgram for BroadcastProgram {
         Ok(relation.iter().map(|t| Routed::broadcast(relation.name(), Tuple::new(t), p)).collect())
     }
 
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> Result<Vec<Relation>> {
-        Ok(Vec::new())
-    }
-
     fn output(&self, server: usize, state: &ServerState) -> Result<Relation> {
         // Every server has the whole input; only server 0 reports to avoid
         // duplicating work in the union.
@@ -165,13 +160,13 @@ impl MpcProgram for BroadcastProgram {
     }
 }
 
-/// Route every tuple of a relation with a pure function — the shape all
-/// tuple-based programs use.
-pub fn route_relation<F>(relation: &Relation, mut f: F) -> Vec<Routed>
-where
-    F: FnMut(&[Value]) -> Vec<usize>,
-{
-    relation.iter().map(|t| Routed::new(relation.name(), Tuple::new(t), f(t))).collect()
+/// Append one routed tuple to `out`: the row travels under `tag` to every
+/// server in `destinations`. Row and destinations are borrowed, so a
+/// program routes a whole relation out of one scratch vector; the planner
+/// crates build every [`MpcProgram::route_input`] /
+/// [`MpcProgram::route_tuples`] result through this one call.
+pub fn emit(out: &mut Vec<Routed>, tag: &str, row: &[Value], destinations: &[usize]) {
+    out.push(Routed::new(tag, Tuple::new(row), destinations.to_vec()));
 }
 
 #[cfg(test)]
@@ -211,12 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn route_relation_applies_function() {
+    fn emit_copies_tag_row_and_destinations() {
         let rel = Relation::from_tuples("R", 2, vec![[1u64, 2], [3, 4]]).unwrap();
-        let routed = route_relation(&rel, |t| vec![t[0] as usize % 2]);
+        let mut routed = Vec::new();
+        for t in rel.iter() {
+            emit(&mut routed, rel.name(), t, &[t[0] as usize % 2]);
+        }
         assert_eq!(routed.len(), 2);
         assert_eq!(routed[0].destinations, vec![1]);
         assert_eq!(routed[1].destinations, vec![1]);
         assert_eq!(routed[0].tag, "R");
+        assert_eq!(routed[1].tuple.values(), &[3, 4]);
     }
 }

@@ -627,7 +627,7 @@ pub fn fold_summaries<P: MpcProgram + ?Sized>(
 mod tests {
     use super::*;
     use crate::block::ColumnBuf;
-    use crate::program::route_relation;
+    use crate::program::emit;
     use mpc_storage::{Tuple, Value};
 
     /// `rounds` rounds of forwarding: the input relation `hop1` is hashed
@@ -644,10 +644,9 @@ mod tests {
             self.rounds
         }
         fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
-            Ok(route_relation(relation, |t| vec![t[0] as usize % p]))
-        }
-        fn compute(&self, _: usize, _: usize, _: &ServerState) -> Result<Vec<Relation>> {
-            Ok(Vec::new())
+            let mut out = Vec::new();
+            relation.iter().for_each(|t| emit(&mut out, relation.name(), t, &[t[0] as usize % p]));
+            Ok(out)
         }
         fn route_tuples(&self, round: usize, _: usize, state: &ServerState) -> Result<Vec<Routed>> {
             let Some(held) = state.relation(&format!("hop{}", round - 1)) else {

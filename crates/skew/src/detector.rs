@@ -1,31 +1,24 @@
-//! Heavy-hitter detection (Beame et al. 2014, "Skew in Parallel Query
-//! Processing", Section 3).
+//! Heavy-hitter detection for the one-round residual plans (Beame et al.
+//! 2014, "Skew in Parallel Query Processing", Section 3).
 //!
-//! The HyperCube load guarantee `O(n / p^{1/τ*})` assumes skew-free
-//! inputs: every value of a partitioned variable `x` occurs `O(n / p_x)`
-//! times, so hashing `x` into `p_x` buckets balances. A value that occurs
-//! **more** often than `n / p_x` necessarily overloads the bucket it hashes
-//! to, no matter how good the hash function is — such values are the
-//! *heavy hitters* of `x`, and they are exactly the values the detector
-//! reports. The residual plans of [`crate::residual`] then route them
-//! around the grid.
-//!
-//! Because the threshold is `n_R / p_x`, a variable with share 1 (not
-//! partitioned by HyperCube) can never have heavy hitters: skew on an
-//! unpartitioned column is invisible to the algorithm. Detection is a
-//! statistics pass over the database — the resulting sets are baked into
-//! the routing function, which therefore stays a pure function of the
-//! tuple as the tuple-based MPC model requires.
+//! What a heavy value is, and the one comparison that decides it, live in
+//! [`mpc_core::heavy`]. This module adds the tuning that is on the wire
+//! (`ProgramSpec::SkewResilient { scale }`): a [`HeavyHitterPolicy`]
+//! multiplies the `n_R / p_x` threshold, and a [`HeavyHitterDetector`]
+//! applies it to collected [`DbStatistics`]. Detection is a statistics
+//! pass — the resulting sets are baked into the routing function, which
+//! therefore stays a pure function of the tuple as the tuple-based MPC
+//! model requires.
 
-use std::collections::BTreeSet;
-
+use mpc_core::heavy;
 use mpc_core::shares::ShareAllocation;
-use mpc_cq::{Query, VarId};
-use mpc_data::skew::frequency_histograms;
-use mpc_data::{DbStatistics, StatsMode};
-use mpc_storage::Database;
+use mpc_cq::Query;
+use mpc_data::DbStatistics;
 
 use crate::Result;
+
+/// The detected heavy values, per query variable.
+pub use mpc_core::heavy::HeavyValues as HeavyHitters;
 
 /// Tuning knobs of the detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,89 +44,11 @@ impl HeavyHitterPolicy {
     /// The frequency above which a value of a column with `len` tuples is
     /// heavy, for a variable with HyperCube share `share`.
     pub fn threshold(&self, len: usize, share: usize) -> f64 {
-        self.scale * len as f64 / share as f64
+        heavy::threshold(len, share, self.scale)
     }
 }
 
-/// The detected heavy values, per query variable.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeavyHitters {
-    /// `per_var[v]` = the heavy values of variable `VarId(v)`.
-    per_var: Vec<BTreeSet<u64>>,
-    /// Worst ratio `frequency / threshold` observed per variable (1.0 when
-    /// nothing exceeded the threshold); used to rank variables when the
-    /// plan set must drop some to fit `2^h ≤ p`.
-    severity: Vec<f64>,
-}
-
-impl HeavyHitters {
-    /// No heavy values for any of `k` variables.
-    pub fn none(k: usize) -> Self {
-        HeavyHitters { per_var: vec![BTreeSet::new(); k], severity: vec![1.0; k] }
-    }
-
-    /// Number of query variables covered.
-    pub fn num_vars(&self) -> usize {
-        self.per_var.len()
-    }
-
-    /// Is `value` heavy for variable `v`?
-    pub fn is_heavy(&self, v: VarId, value: u64) -> bool {
-        self.per_var.get(v.0).is_some_and(|s| s.contains(&value))
-    }
-
-    /// The heavy values of a variable.
-    pub fn values(&self, v: VarId) -> &BTreeSet<u64> {
-        &self.per_var[v.0]
-    }
-
-    /// The variables with at least one heavy value, in `VarId` order.
-    pub fn heavy_vars(&self) -> Vec<VarId> {
-        (0..self.per_var.len()).filter(|&i| !self.per_var[i].is_empty()).map(VarId).collect()
-    }
-
-    /// Worst observed `frequency / threshold` ratio for a variable.
-    pub fn severity(&self, v: VarId) -> f64 {
-        self.severity.get(v.0).copied().unwrap_or(1.0)
-    }
-
-    /// Total number of heavy (variable, value) pairs.
-    pub fn num_heavy_values(&self) -> usize {
-        self.per_var.iter().map(BTreeSet::len).sum()
-    }
-
-    /// True when no variable has heavy values (skew-free as far as the
-    /// detector is concerned).
-    pub fn is_empty(&self) -> bool {
-        self.per_var.iter().all(BTreeSet::is_empty)
-    }
-
-    /// A copy with only the listed variables' heavy sets retained; used
-    /// when the plan set cannot afford a residual plan for every subset.
-    pub fn restricted_to(&self, keep: &BTreeSet<VarId>) -> Self {
-        let per_var =
-            (0..self.per_var.len())
-                .map(|i| {
-                    if keep.contains(&VarId(i)) {
-                        self.per_var[i].clone()
-                    } else {
-                        BTreeSet::new()
-                    }
-                })
-                .collect();
-        HeavyHitters { per_var, severity: self.severity.clone() }
-    }
-
-    /// Record a heavy value (used by the detector and by tests).
-    pub fn insert(&mut self, v: VarId, value: u64, severity: f64) {
-        self.per_var[v.0].insert(value);
-        if severity > self.severity[v.0] {
-            self.severity[v.0] = severity;
-        }
-    }
-}
-
-/// Scans a database and classifies values as heavy per query variable.
+/// Classifies values as heavy per query variable.
 #[derive(Debug, Clone, Default)]
 pub struct HeavyHitterDetector {
     policy: HeavyHitterPolicy,
@@ -150,165 +65,50 @@ impl HeavyHitterDetector {
         &self.policy
     }
 
-    /// Detect the heavy hitters of `db` with respect to the share
-    /// allocation `alloc` (normally [`ShareAllocation::optimal`] for the
-    /// query): a value of variable `x` is heavy when its frequency in
-    /// *some* column holding `x` exceeds `scale · n_R / p_x`. Variables
-    /// with share 1 are skipped (hashing does not partition them), as are
-    /// atoms whose relation is absent from the database.
+    /// Detect the heavy hitters of a database from its collected
+    /// statistics, with respect to the share allocation `alloc` (normally
+    /// [`ShareAllocation::optimal`] for the query): a value of variable
+    /// `x` is heavy when its frequency in *some* column holding `x`
+    /// exceeds `scale · n_R / p_x`. Variables with share 1 are skipped
+    /// (hashing does not partition them), as are atoms whose relation the
+    /// statistics do not cover. Analysis, detection and planning share one
+    /// [`DbStatistics`] artefact instead of scanning the database once
+    /// each.
+    ///
+    /// Exact statistics are one full scan. Sampled statistics cost
+    /// `O(budget)` per relation instead of `O(n_R)`: frequencies are the
+    /// scaled in-sample counts, so the detected set is a subset of the
+    /// exact one up to the estimator's confidence slack
+    /// ([`mpc_data::RelationStats::slack_for`]). A hitter the sample
+    /// misses is *consistently* missed — the residual plans route its
+    /// tuples through the light grid, which is slower, never wrong.
+    ///
+    /// ```
+    /// use mpc_core::shares::ShareAllocation;
+    /// use mpc_data::{DbStatistics, StatsMode};
+    /// use mpc_skew::HeavyHitterDetector;
+    ///
+    /// let q = mpc_cq::families::chain(2);
+    /// let db = mpc_data::skew::zipf_database(&q, 6000, 6000, 1.2, 5);
+    /// let alloc = ShareAllocation::optimal(&q, 32).unwrap();
+    ///
+    /// // A 10% sample still catches the head of the Zipf distribution.
+    /// let stats = DbStatistics::collect(&db, StatsMode::Sampled { budget: 600, seed: 42 });
+    /// let heavy = HeavyHitterDetector::default().detect_from_stats(&q, &stats, &alloc).unwrap();
+    /// assert!(heavy.is_heavy(q.var_id("x1").unwrap(), 1));
+    /// ```
     ///
     /// # Errors
     ///
     /// Currently infallible; the `Result` reserves room for statistics
-    /// sources that can fail (samples, sketches).
-    pub fn detect(
-        &self,
-        q: &Query,
-        db: &Database,
-        alloc: &ShareAllocation,
-    ) -> Result<HeavyHitters> {
-        let mut heavy = HeavyHitters::none(q.num_vars());
-        for atom in q.atoms() {
-            let Ok(rel) = db.relation(&atom.name) else {
-                continue;
-            };
-            if rel.is_empty() {
-                continue;
-            }
-            // One shared statistics pass per relation (all columns at
-            // once) instead of one scan per column — but only when some
-            // column can actually qualify (share > 1 and a positive
-            // threshold), so atoms of unpartitioned variables cost no scan.
-            let qualifies =
-                |share: usize| share > 1 && self.policy.threshold(rel.len(), share) > 0.0;
-            if !atom.vars.iter().any(|var| qualifies(alloc.share(*var))) {
-                continue;
-            }
-            let histograms = frequency_histograms(rel);
-            for (pos, var) in atom.vars.iter().enumerate() {
-                let share = alloc.share(*var);
-                if !qualifies(share) {
-                    continue;
-                }
-                let threshold = self.policy.threshold(rel.len(), share);
-                for (&value, &count) in &histograms[pos] {
-                    if count as f64 > threshold {
-                        heavy.insert(*var, value, count as f64 / threshold);
-                    }
-                }
-            }
-        }
-        Ok(heavy)
-    }
-
-    /// Like [`HeavyHitterDetector::detect`], but against statistics that
-    /// were **already collected** (exactly or from a sample) — the entry
-    /// point of the adaptive runtime, where analysis, detection and
-    /// planning share one [`DbStatistics`] artefact instead of scanning
-    /// the database once each.
-    ///
-    /// In sampled mode, frequencies are the scaled in-sample counts: a
-    /// value the sample missed is treated as light *everywhere* (routing
-    /// stays self-consistent and outputs are unchanged), and any value the
-    /// sample did catch is classified against the same `scale · n_R / p_x`
-    /// threshold, so the detected set is a subset of the exact one up to
-    /// the estimator's confidence slack ([`mpc_data::RelationStats::slack_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible, like [`HeavyHitterDetector::detect`].
+    /// sources that can fail (sketches).
     pub fn detect_from_stats(
         &self,
         q: &Query,
         stats: &DbStatistics,
         alloc: &ShareAllocation,
     ) -> Result<HeavyHitters> {
-        let mut heavy = HeavyHitters::none(q.num_vars());
-        for atom in q.atoms() {
-            let Some(rs) = stats.relation(&atom.name) else {
-                continue;
-            };
-            if rs.total() == 0 {
-                continue;
-            }
-            for (pos, var) in atom.vars.iter().enumerate() {
-                let share = alloc.share(*var);
-                if share <= 1 {
-                    continue;
-                }
-                let threshold = self.policy.threshold(rs.total(), share);
-                if threshold <= 0.0 {
-                    continue;
-                }
-                for (value, estimate) in rs.column_estimates(pos) {
-                    if estimate > threshold {
-                        heavy.insert(*var, value, estimate / threshold);
-                    }
-                }
-            }
-        }
-        Ok(heavy)
-    }
-}
-
-/// Sub-linear heavy-hitter detection from a seeded uniform sample.
-///
-/// Wraps [`HeavyHitterDetector`] over [`StatsMode::Sampled`] statistics:
-/// the cost is `O(budget)` per relation instead of `O(n_R)`, the
-/// interface (and the [`HeavyHitters`] it produces) is identical, and
-/// every estimate carries the confidence slack of
-/// [`mpc_data::RelationStats::slack_for`]. A hitter the sample misses is
-/// *consistently* missed — the residual plans simply route its tuples
-/// through the light grid, which is slower, never wrong.
-///
-/// # Example
-///
-/// ```
-/// use mpc_core::shares::ShareAllocation;
-/// use mpc_skew::detector::SampledDetector;
-///
-/// let q = mpc_cq::families::chain(2);
-/// let db = mpc_data::skew::zipf_database(&q, 6000, 6000, 1.2, 5);
-/// let alloc = ShareAllocation::optimal(&q, 32).unwrap();
-///
-/// // A 10% sample still catches the head of the Zipf distribution.
-/// let detector = SampledDetector::new(Default::default(), 600, 42);
-/// let heavy = detector.detect(&q, &db, &alloc).unwrap();
-/// assert!(heavy.is_heavy(q.var_id("x1").unwrap(), 1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct SampledDetector {
-    policy: HeavyHitterPolicy,
-    budget: usize,
-    seed: u64,
-}
-
-impl SampledDetector {
-    /// A sampled detector drawing `budget` tuples per relation under
-    /// `seed` and classifying with `policy`.
-    pub fn new(policy: HeavyHitterPolicy, budget: usize, seed: u64) -> Self {
-        SampledDetector { policy, budget, seed }
-    }
-
-    /// The [`StatsMode`] this detector collects under.
-    pub fn mode(&self) -> StatsMode {
-        StatsMode::Sampled { budget: self.budget, seed: self.seed }
-    }
-
-    /// Draw the sample and classify: same contract as
-    /// [`HeavyHitterDetector::detect`], at `O(p · budget)` cost.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible.
-    pub fn detect(
-        &self,
-        q: &Query,
-        db: &Database,
-        alloc: &ShareAllocation,
-    ) -> Result<HeavyHitters> {
-        let stats = DbStatistics::collect(db, self.mode());
-        HeavyHitterDetector::new(self.policy.clone()).detect_from_stats(q, &stats, alloc)
+        Ok(HeavyHitters::detect(q, stats, alloc, self.policy.scale))
     }
 }
 
@@ -317,11 +117,18 @@ mod tests {
     use super::*;
     use mpc_cq::families;
     use mpc_data::matching_database;
-    use mpc_data::skew::{heavy_hitter_database, zipf_database};
+    use mpc_data::skew::{frequency_histograms, heavy_hitter_database, zipf_database};
+    use mpc_data::StatsMode;
+    use mpc_storage::Database;
+
+    fn detect_with(q: &Query, db: &Database, p: usize, policy: HeavyHitterPolicy) -> HeavyHitters {
+        let alloc = ShareAllocation::optimal(q, p).unwrap();
+        let stats = DbStatistics::collect(db, StatsMode::Exact);
+        HeavyHitterDetector::new(policy).detect_from_stats(q, &stats, &alloc).unwrap()
+    }
 
     fn detect(q: &Query, db: &Database, p: usize) -> HeavyHitters {
-        let alloc = ShareAllocation::optimal(q, p).unwrap();
-        HeavyHitterDetector::default().detect(q, db, &alloc).unwrap()
+        detect_with(q, db, p, HeavyHitterPolicy::default())
     }
 
     #[test]
@@ -354,7 +161,7 @@ mod tests {
         let db = zipf_database(&q, 6000, 6000, 1.2, 5);
         let heavy = detect(&q, &db, 32);
         let x1 = q.var_id("x1").unwrap();
-        let values = heavy.values(x1);
+        let values = heavy.of(x1);
         assert!(!values.is_empty(), "zipf(1.2) exceeds the n/32 threshold");
         assert!(values.len() < 20, "only the head of the distribution is heavy");
         assert!(values.contains(&1), "the most frequent key is heavy");
@@ -364,13 +171,8 @@ mod tests {
     fn scale_controls_sensitivity() {
         let q = families::chain(2);
         let db = zipf_database(&q, 6000, 6000, 1.0, 5);
-        let alloc = ShareAllocation::optimal(&q, 32).unwrap();
-        let strict = HeavyHitterDetector::new(HeavyHitterPolicy::with_scale(4.0))
-            .detect(&q, &db, &alloc)
-            .unwrap();
-        let lax = HeavyHitterDetector::new(HeavyHitterPolicy::with_scale(0.25))
-            .detect(&q, &db, &alloc)
-            .unwrap();
+        let strict = detect_with(&q, &db, 32, HeavyHitterPolicy::with_scale(4.0));
+        let lax = detect_with(&q, &db, 32, HeavyHitterPolicy::with_scale(0.25));
         assert!(lax.num_heavy_values() > strict.num_heavy_values());
     }
 
@@ -380,8 +182,10 @@ mod tests {
         let db = heavy_hitter_database(&q, 2000, 2000, 0.5, 3);
         let heavy = detect(&q, &db, 27);
         assert!(heavy.heavy_vars().len() >= 2, "every relation plants a heavy first column");
-        let keep: BTreeSet<VarId> = [heavy.heavy_vars()[0]].into_iter().collect();
-        let restricted = heavy.restricted_to(&keep);
+        let mut restricted = heavy.clone();
+        for demoted in &heavy.heavy_vars()[1..] {
+            restricted.demote(*demoted);
+        }
         assert_eq!(restricted.heavy_vars(), vec![heavy.heavy_vars()[0]]);
     }
 
@@ -391,21 +195,6 @@ mod tests {
         let db = Database::new(100);
         let heavy = detect(&q, &db, 16);
         assert!(heavy.is_empty());
-    }
-
-    #[test]
-    fn stats_based_detection_in_exact_mode_matches_detect() {
-        let q = families::chain(2);
-        for db in
-            [zipf_database(&q, 6000, 6000, 1.2, 5), heavy_hitter_database(&q, 2000, 2000, 0.5, 7)]
-        {
-            let alloc = ShareAllocation::optimal(&q, 32).unwrap();
-            let scan = HeavyHitterDetector::default().detect(&q, &db, &alloc).unwrap();
-            let stats = DbStatistics::collect(&db, StatsMode::Exact);
-            let from_stats =
-                HeavyHitterDetector::default().detect_from_stats(&q, &stats, &alloc).unwrap();
-            assert_eq!(scan, from_stats, "exact statistics are just the shared scan");
-        }
     }
 
     /// The detector-agreement wall of the adaptive runtime: over a seeded
@@ -426,7 +215,7 @@ mod tests {
             ] {
                 let alloc = ShareAllocation::optimal(&q, p).unwrap();
                 let policy = HeavyHitterPolicy::default();
-                let exact = HeavyHitterDetector::default().detect(&q, &db, &alloc).unwrap();
+                let exact = detect(&q, &db, p);
                 let stats =
                     DbStatistics::collect(&db, StatsMode::Sampled { budget, seed: seed * 31 + 7 });
                 let sampled =

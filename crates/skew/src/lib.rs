@@ -12,23 +12,25 @@
 //! configuration with its own **residual query plan**. This crate
 //! implements that machinery on top of the workspace simulator:
 //!
-//! * [`detector`] — [`HeavyHitterDetector`]: scans a database and, per
-//!   query variable `x`, classifies values as heavy when their frequency
-//!   exceeds `scale · n_R / p_x` (the share-relative threshold beyond
-//!   which hashing *cannot* balance), with the tuning in
-//!   [`HeavyHitterPolicy`]. [`SampledDetector`] is the sub-linear variant
-//!   of the adaptive runtime: same interface, `O(budget)` per relation
-//!   from a seeded sample, estimates within the confidence slack of
-//!   [`mpc_data::RelationStats::slack_for`].
+//! Both this crate's one-round planner and the worst-case optimal
+//! two-round planner of `mpc-core::wco` are built on one heavy/light core,
+//! [`mpc_core::heavy`] (heavy values, the threshold, patterns, pattern
+//! counts, group carving, residual queries, the greedy share search), and
+//! route through one grid router, [`mpc_core::grid`]. What is here is what
+//! BKS14 decides for itself:
+//!
+//! * [`detector`] — [`HeavyHitterDetector`] with its [`HeavyHitterPolicy`]:
+//!   the `scale` on the `n_R / p_x` threshold, applied to collected
+//!   [`mpc_data::DbStatistics`] — exact, or a seeded sub-linear sample.
+//!   [`HeavyHitters`] is the shared [`mpc_core::heavy::HeavyValues`].
 //! * [`residual`] — [`ResidualPlanSet`]: one plan per subset `H` of the
-//!   heavy-capable variables. Each plan owns a disjoint group of servers
-//!   (sized proportionally to the tuple mass it attracts), computes a
-//!   [`mpc_core::shares::ShareAllocation`] for its residual query
-//!   (degenerate variables get share 1) and refines it with the
-//!   **degree-aware statistics LP** of [`mpc_lp::degree`].
+//!   heavy-capable variables, demoted by severity when `2^h > p`; heavy
+//!   variables get share 1, and the light ones the better of the residual
+//!   query's cover shares and the **degree-aware statistics LP** of
+//!   [`mpc_lp::degree`].
 //! * [`program`] — [`SkewResilientProgram`]: an
-//!   [`mpc_sim::MpcProgram`] that routes light tuples through the ordinary
-//!   HyperCube grid and heavy tuples to their residual plans' servers, so
+//!   [`mpc_sim::MpcProgram`] that sends each tuple to every plan inducing
+//!   its heavy pattern, still in one round, so
 //!   [`mpc_sim::Cluster::run`] executes it unchanged. [`SkewResilient`] is
 //!   the one-call runner mirroring [`mpc_core::hypercube::HyperCube`].
 //!
@@ -59,7 +61,7 @@ pub mod error;
 pub mod program;
 pub mod residual;
 
-pub use detector::{HeavyHitterDetector, HeavyHitterPolicy, HeavyHitters, SampledDetector};
+pub use detector::{HeavyHitterDetector, HeavyHitterPolicy, HeavyHitters};
 pub use error::SkewError;
 pub use program::{SkewResilient, SkewResilientOutcome, SkewResilientProgram};
 pub use residual::{ResidualPlan, ResidualPlanSet};

@@ -1,37 +1,30 @@
-//! The skew-resilient one-round program: light tuples through the ordinary
-//! HyperCube grid, heavy tuples through their residual plan's grid.
+//! The skew-resilient one-round program: every residual plan's grid
+//! ([`mpc_core::grid`]) side by side on disjoint server groups, hashed
+//! coordinates throughout.
 //!
-//! Routing (Beame et al. 2014, Section 4): a base tuple `t` of atom `S_j`
-//! has a *heavy pattern* `h(t) = {x ∈ vars(S_j) : t[x] heavy}`. The plan
-//! for heavy set `H` must see exactly the `S_j`-tuples whose pattern is
-//! `H ∩ vars(S_j)`, so `t` is sent to every plan `H` with
-//! `H ∩ vars(S_j) = h(t)` — its own pattern's plan plus the plans that
-//! additionally fix variables `t` does not mention. That cross-plan
-//! replication is a factor of at most `2^{|capable ∖ vars(S_j)|}`,
-//! independent of `p`, and it is what makes the outputs line up: an answer
-//! whose heavy configuration is `G` is produced by plan `G` and by no
-//! other, so the per-plan outputs partition the join result.
-//!
-//! Within a plan the routing is ordinary HyperCube over the plan's share
-//! vector: heavy variables have share 1 (their single coordinate carries
-//! no information — the residual shares on the light variables do the
-//! balancing), and variables absent from the atom are free dimensions.
-//! Destinations remain a pure function of `(tag, tuple)`, as the
-//! tuple-based MPC model requires — the database statistics are consumed
-//! at *planning* time, not at routing time.
+//! What this program adds is the fan-out across plans (Beame et al. 2014,
+//! Section 4). The plan for heavy set `H` must see exactly the
+//! `S_j`-tuples whose heavy pattern is `H ∩ vars(S_j)`, so a tuple `t` is
+//! sent to every plan `H` with `H ∩ vars(S_j) = h(t)` — its own pattern's
+//! plan plus the plans that additionally fix variables `t` does not
+//! mention. That cross-plan replication is a factor of at most
+//! `2^{|capable ∖ vars(S_j)|}`, independent of `p`, and it is what makes
+//! the outputs line up: an answer whose heavy configuration is `G` is
+//! produced by plan `G` and by no other, so the per-plan outputs partition
+//! the join result. Destinations remain a pure function of
+//! `(tag, tuple)`, as the tuple-based MPC model requires — the database
+//! statistics are consumed at *planning* time, not at routing time.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use mpc_core::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute, Grid};
+use mpc_core::heavy::Mask;
 use mpc_core::shares::ShareAllocation;
 use mpc_cq::{Atom, Query};
 use mpc_data::{DbStatistics, StatsMode};
-use mpc_sim::program::hash_value;
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple, Value};
+use mpc_storage::{Database, Relation, Value};
 
 use crate::detector::{HeavyHitterDetector, HeavyHitterPolicy};
-use crate::residual::{consistent_cells, ResidualPlanSet};
+use crate::residual::ResidualPlanSet;
 use crate::Result;
 
 /// A one-round [`MpcProgram`] that executes every residual plan of a
@@ -40,6 +33,11 @@ use crate::Result;
 pub struct SkewResilientProgram {
     query: Query,
     plans: ResidualPlanSet,
+    /// Per plan: its heavy set, and the routing rule of every atom in its
+    /// grid.
+    routes: Vec<(Mask, Vec<AtomRoute>)>,
+    /// Per atom: the [`Mask`] of its heavy-capable variables.
+    atom_vars: Vec<Mask>,
     /// Per-variable hash seeds, shared by every plan (a value must land on
     /// the same coordinate no matter which plan routes it).
     seeds: Vec<u64>,
@@ -90,8 +88,19 @@ impl SkewResilientProgram {
 
     /// Build the program from an explicit plan set.
     pub fn with_plans(query: &Query, plans: ResidualPlanSet, seed: u64) -> Self {
+        let heavy = plans.heavy();
+        let routes = plans
+            .plans()
+            .iter()
+            .map(|plan| {
+                let h = heavy.mask_of(plan.heavy_vars.iter().copied());
+                (h, Grid::new(&plan.shares, plan.offset).routes(query))
+            })
+            .collect();
+        let atom_vars =
+            query.atoms().iter().map(|atom| heavy.mask_of(atom.vars.iter().copied())).collect();
         let seeds = derive_seeds(seed, query.num_vars());
-        SkewResilientProgram { query: query.clone(), plans, seeds }
+        SkewResilientProgram { query: query.clone(), plans, routes, atom_vars, seeds }
     }
 
     /// The residual plan set in use.
@@ -104,47 +113,50 @@ impl SkewResilientProgram {
     /// tuple has exactly one owning plan ([`None`] only for tuples that
     /// disagree on a repeated variable and are dropped).
     pub fn owning_plan(&self, atom: &Atom, tuple: &[Value]) -> Option<usize> {
-        let pattern = self.plans.heavy_pattern(atom, tuple)?;
-        self.plans.plan_for_pattern(&pattern)
+        let pattern = self.plans.heavy().pattern(atom, tuple)?;
+        self.routes.iter().position(|(h, _)| *h == pattern)
     }
 
     /// The indices of all plans a tuple is routed to: those agreeing with
     /// its pattern on the atom's variables.
     pub fn routed_plans(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
-        let Some(pattern) = self.plans.heavy_pattern(atom, tuple) else {
-            return Vec::new();
-        };
-        let vars = atom.distinct_vars();
-        self.plans
-            .plans()
-            .iter()
-            .enumerate()
-            .filter(|(_, pl)| {
-                pl.heavy_vars
-                    .intersection(&vars)
-                    .copied()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    == pattern
-            })
-            .map(|(i, _)| i)
-            .collect()
+        let mut plans = Vec::new();
+        if let Some((id, _)) = self.query.atom_by_name(&atom.name) {
+            self.fan_out(id.0, tuple, |plan, _| plans.push(plan));
+        }
+        plans
     }
 
     /// Destination servers of one tuple of `atom` (global indices).
     pub fn destinations(&self, atom: &Atom, tuple: &[Value]) -> Vec<usize> {
         let mut dests = Vec::new();
-        for idx in self.routed_plans(atom, tuple) {
-            let plan = &self.plans.plans()[idx];
-            let mut partial: Vec<Option<usize>> = vec![None; self.query.num_vars()];
-            for (pos, var) in atom.vars.iter().enumerate() {
-                let coord = hash_value(self.seeds[var.0], tuple[pos], plan.shares[var.0].max(1));
-                partial[var.0] = Some(coord);
-            }
-            dests.extend(
-                consistent_cells(&plan.shares, &partial).into_iter().map(|c| plan.offset + c),
-            );
+        if let Some((id, _)) = self.query.atom_by_name(&atom.name) {
+            self.cells_into(id.0, tuple, &mut dests);
         }
         dests
+    }
+
+    /// Call `each(plan index, the atom's route in that plan)` for every
+    /// plan whose heavy set induces the tuple's own pattern on atom number
+    /// `id`; `false` for a tuple that disagrees with itself on a repeated
+    /// variable.
+    fn fan_out(&self, id: usize, tuple: &[Value], mut each: impl FnMut(usize, &AtomRoute)) -> bool {
+        let atom = &self.query.atoms()[id];
+        let Some(pattern) = self.plans.heavy().pattern(atom, tuple) else { return false };
+        for (plan, (h, routes)) in self.routes.iter().enumerate() {
+            if h & self.atom_vars[id] == pattern {
+                each(plan, &routes[id]);
+            }
+        }
+        true
+    }
+
+    /// Append the tuple's cells in every plan it is routed to.
+    fn cells_into(&self, id: usize, tuple: &[Value], out: &mut Vec<usize>) -> bool {
+        let coord = hashed(&self.seeds);
+        self.fan_out(id, tuple, |_, route| {
+            route.cells_into(tuple, &coord, out);
+        })
     }
 }
 
@@ -154,37 +166,23 @@ impl MpcProgram for SkewResilientProgram {
     }
 
     fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
-        let Some((_, atom)) = self.query.atom_by_name(relation.name()) else {
+        let Some((id, _)) = self.query.atom_by_name(relation.name()) else {
             // Relations not mentioned by the query are simply not shuffled.
             return Ok(Vec::new());
         };
-        Ok(relation
-            .iter()
-            .map(|t| Routed::new(relation.name(), Tuple::new(t), self.destinations(atom, t)))
-            .collect())
-    }
-
-    fn compute(
-        &self,
-        _round: usize,
-        _server: usize,
-        _state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Relation>> {
-        Ok(Vec::new())
+        let mut out = Vec::new();
+        route_rows(&mut out, relation.name(), relation.iter(), |t, cells| {
+            self.cells_into(id.0, t, cells)
+        });
+        Ok(out)
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
-        // Idle servers (beyond the packed plan grids) and cells that never
-        // received a complete atom set report nothing.
+        // Idle servers (beyond the packed plan grids) report nothing.
         if self.plans.plan_of_server(server).is_none() {
             return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
         }
-        for atom in self.query.atoms() {
-            if state.relation(&atom.name).is_none() {
-                return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
-            }
-        }
-        Ok(mpc_storage::join::evaluate(&self.query, state)?)
+        local_join(&self.query, state)
     }
 
     fn output_name(&self) -> String {
@@ -227,34 +225,22 @@ impl SkewResilientOutcome {
 
 impl SkewResilient {
     /// Run the skew-resilient HyperCube for `q` on `db` under the given
-    /// configuration with the default detection policy and seed.
+    /// configuration with the default detection policy and seed, planning
+    /// from exact statistics.
     ///
     /// # Errors
     ///
     /// Propagates planning, configuration and simulation errors.
     pub fn run(q: &Query, db: &Database, config: &MpcConfig) -> Result<SkewResilientOutcome> {
-        Self::run_seeded(q, db, config, &HeavyHitterPolicy::default(), 0x5EED)
+        let policy = HeavyHitterPolicy::default();
+        Self::run_with_mode(q, db, config, &policy, 0x5EED, StatsMode::Exact)
     }
 
-    /// Run with an explicit policy and hash seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, configuration and simulation errors.
-    pub fn run_seeded(
-        q: &Query,
-        db: &Database,
-        config: &MpcConfig,
-        policy: &HeavyHitterPolicy,
-        seed: u64,
-    ) -> Result<SkewResilientOutcome> {
-        Self::run_with_mode(q, db, config, policy, seed, StatsMode::Exact)
-    }
-
-    /// Run with an explicit [`StatsMode`]: `Sampled` plans from a seeded
-    /// sub-linear sample instead of full scans. The *output* is identical
-    /// either way — sampling moves tuples between plans, not out of the
-    /// join — only load balance and planning cost differ.
+    /// Run with an explicit policy, hash seed and [`StatsMode`]: `Sampled`
+    /// plans from a seeded sub-linear sample instead of full scans. The
+    /// *output* is identical either way — sampling moves tuples between
+    /// plans, not out of the join — only load balance and planning cost
+    /// differ.
     ///
     /// # Errors
     ///
@@ -273,13 +259,6 @@ impl SkewResilient {
         let result = cluster.run(&program, db).map_err(crate::SkewError::from)?;
         Ok(SkewResilientOutcome { result, plan_set })
     }
-}
-
-/// Derive `k` independent per-variable seeds from one master seed (same
-/// scheme as the vanilla HyperCube program).
-fn derive_seeds(seed: u64, k: usize) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..k).map(|_| rng.gen()).collect()
 }
 
 #[cfg(test)]
@@ -367,7 +346,8 @@ mod tests {
             let db = zipf_database(&q, 3000, 3000, 1.2, seed);
             let cfg = MpcConfig::new(16, 0.0);
             let policy = HeavyHitterPolicy::default();
-            let exact = SkewResilient::run_seeded(&q, &db, &cfg, &policy, 7).unwrap();
+            let exact =
+                SkewResilient::run_with_mode(&q, &db, &cfg, &policy, 7, StatsMode::Exact).unwrap();
             let sampled = SkewResilient::run_with_mode(
                 &q,
                 &db,

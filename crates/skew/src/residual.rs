@@ -1,45 +1,37 @@
-//! Residual query plans (Beame et al. 2014, Section 4).
+//! Residual query plans (Beame et al. 2014, Section 4): what the
+//! one-round skew planner decides on top of the shared heavy/light core
+//! ([`mpc_core::heavy`]).
 //!
-//! Fix a set `H` of query variables to *heavy* values. The answers whose
-//! heavy configuration is exactly `H` are the answers of the **residual
-//! query** `q_H`: the query obtained by deleting the variables of `H` from
-//! every atom (an atom all of whose variables are heavy degenerates into a
-//! filter). Because each heavy value exceeds the `n_R / p_x` frequency
-//! threshold, there are at most `p_x` heavy values per variable — few — so
-//! the residual queries can each be given their own, smaller, HyperCube
-//! grid in which the heavy variables have share 1 and the remaining
-//! (light) variables share the servers of the plan's group.
+//! * **Which subsets get a group** — all `2^h` subsets of the
+//!   heavy-capable variables, the light plan (`∅`) first. When `2^h > p`
+//!   the least *severe* variables (worst frequency / threshold ratio) are
+//!   demoted first.
+//! * **The heavy share** — 1: a heavy variable's single coordinate carries
+//!   no information, the residual shares on the light variables do the
+//!   balancing, and everything still happens in one round.
+//! * **The share candidates** — two per plan, keeping whichever estimates
+//!   the lower cell load: the cover-based [`ShareAllocation`] of the
+//!   residual query (the paper's worst-case-optimal choice,
+//!   cardinality-blind; one cover LP per heavy subset, served through the
+//!   memoising LP cache of `mpc-lp`, so isomorphic residuals across plans,
+//!   rebuilds and sibling queries cost one solve), and a statistics-aware
+//!   vector from the **degree-aware LP** of BKS14 §5
+//!   ([`mpc_lp::degree`]): per-pattern cardinalities and per-column
+//!   maximum degrees become LP constraints, the optimal exponents are
+//!   floored onto the group's integer grid, and the leftover integer slack
+//!   is filled greedily.
 //!
-//! [`ResidualPlanSet::build`] enumerates one plan per subset of the
-//! heavy-capable variables (the light plan is the subset `∅`), carves the
-//! `p` servers into disjoint groups sized proportionally to the tuple mass
-//! each plan attracts, and equips every plan with two share candidates:
-//!
-//! * the cover-based [`ShareAllocation`] of its residual query (the
-//!   paper's worst-case-optimal choice, cardinality-blind) — one cover LP
-//!   per heavy subset, served through the memoising LP cache of `mpc-lp`,
-//!   so isomorphic residuals across plans, rebuilds and sibling queries
-//!   cost one solve, and
-//! * a statistics-aware share vector from the **degree-aware LP** of
-//!   BKS14 §5 ([`mpc_lp::degree`]): per-pattern cardinalities and
-//!   per-column maximum degrees become LP constraints, the optimal
-//!   exponents are floored onto the group's integer grid, and the leftover
-//!   integer slack is filled greedily against the estimated per-server
-//!   load `Σ_j |R_j^H| / ∏_{x ∈ lightvars(R_j)} p_x`,
-//!
-//! keeping whichever estimates lower. Degenerate (heavy or absent)
-//! variables always get share 1.
-//!
-//! [`ResidualPlanSet::build_with_stats`] is the adaptive-runtime entry
-//! point: it plans from a shared [`mpc_data::DbStatistics`] artefact —
-//! pattern counts come from the sample (scaled) when the statistics are
-//! sampled, so the whole planning pass costs `O(p · budget)` instead of a
-//! full scan. [`ResidualPlanSet::build`] keeps the exact behaviour.
+//! [`ResidualPlanSet::build_with_stats`] plans from a shared
+//! [`mpc_data::DbStatistics`] artefact — exact or sampled;
+//! [`ResidualPlanSet::build`] collects exact ones itself.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
+use mpc_core::heavy::{
+    cell_load, grow_shares, proportional_groups, residual_query, Mask, PatternCounts,
+};
 use mpc_core::shares::ShareAllocation;
-use mpc_cq::{Atom, Query, VarId};
+use mpc_cq::{Query, VarId};
 use mpc_data::{DbStatistics, StatsMode};
 use mpc_lp::degree::{rational_log, solve_degree_lp, DegreeStatistics};
 use mpc_lp::Rational;
@@ -103,10 +95,10 @@ pub struct ResidualPlanSet {
 }
 
 impl ResidualPlanSet {
-    /// Build the plan set. If `2^h > p` for `h` heavy-capable variables,
-    /// the least severe variables are demoted to light (their heavy sets
-    /// dropped) until every residual plan can be granted at least one
-    /// server.
+    /// Build the plan set from exact statistics. If `2^h > p` for `h`
+    /// heavy-capable variables, the least severe variables are demoted to
+    /// light (their heavy sets dropped) until every residual plan can be
+    /// granted at least one server.
     ///
     /// # Errors
     ///
@@ -130,7 +122,7 @@ impl ResidualPlanSet {
     pub fn build_with_stats(
         q: &Query,
         db: &Database,
-        heavy: HeavyHitters,
+        mut heavy: HeavyHitters,
         p: usize,
         stats: &DbStatistics,
     ) -> Result<Self> {
@@ -151,71 +143,50 @@ impl ResidualPlanSet {
             heavy.severity(*b).partial_cmp(&heavy.severity(*a)).expect("severities are finite")
         });
         while (1usize << capable.len().min(usize::BITS as usize - 1)) > p {
-            capable.pop();
+            heavy.demote(capable.pop().expect("2^h > p ≥ 1 implies a heavy variable"));
         }
-        let kept: BTreeSet<VarId> = capable.iter().copied().collect();
-        let heavy = heavy.restricted_to(&kept);
-        let mut capable: Vec<VarId> = kept.into_iter().collect();
-        capable.sort_unstable();
-
-        // Per-atom tuple counts by heavy pattern: one scan of the input,
-        // or — with sampled statistics — one scaled pass over the sample.
-        let pattern_counts = count_patterns_with_stats(q, db, &heavy, stats);
 
         // One plan per subset of the capable variables, the light plan
-        // (mask 0) first.
-        let subsets: Vec<BTreeSet<VarId>> = (0..(1usize << capable.len()))
-            .map(|mask| {
-                capable
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, v)| *v)
-                    .collect()
-            })
-            .collect();
-
-        // Tuple mass attracted by each plan, for proportional group sizing.
-        let weights: Vec<u64> = subsets
-            .iter()
-            .map(|h| {
-                q.atoms()
-                    .iter()
-                    .zip(&pattern_counts)
-                    .map(|(atom, counts)| {
-                        let pattern: BTreeSet<VarId> =
-                            atom.distinct_vars().intersection(h).copied().collect();
-                        counts.get(&pattern).copied().unwrap_or(0)
-                    })
-                    .sum()
-            })
-            .collect();
+        // (mask 0) first, on a group proportional to the mass it attracts.
+        let counts = PatternCounts::scan(q, db, &heavy, stats);
+        let subsets: Vec<Mask> = (0..1 << capable.len()).collect();
+        let weights: Vec<u64> = subsets.iter().map(|h| counts.mass(*h)).collect();
         let group_sizes = proportional_groups(p, &weights);
 
         let mut plans = Vec::with_capacity(subsets.len());
         let mut offset = 0usize;
-        for ((heavy_vars, group_size), weight_tuples) in
-            subsets.into_iter().zip(group_sizes).zip(weights)
-        {
+        for ((h, group_size), weight_tuples) in subsets.into_iter().zip(group_sizes).zip(weights) {
+            let heavy_vars = heavy.vars_of(h);
             let residual = residual_query(q, &heavy_vars);
             let allocation = match &residual {
                 Some(rq) => Some(ShareAllocation::optimal(rq, group_size)?),
                 None => None,
             };
+            let tuples: Vec<u64> = counts.atom_tuples(h).collect();
+            // Cell loads are compared in bytes: wider atoms weigh more.
+            let bytes: Vec<f64> = q
+                .atoms()
+                .iter()
+                .zip(&tuples)
+                .map(|(atom, m)| *m as f64 * atom.arity() as f64 * 8.0)
+                .collect();
 
             // Candidate 1: cover-based shares, lifted to full width.
-            let lifted = allocation.as_ref().map(|alloc| {
-                let rq = residual.as_ref().expect("allocation implies residual");
-                lift_shares(q, rq, alloc)
-            });
+            let lifted =
+                residual.as_ref().zip(allocation.as_ref()).map(|(rq, a)| lift_shares(q, rq, a));
             // Candidate 2: statistics-aware shares from the degree LP.
-            let refined = statistics_shares(q, &heavy_vars, &pattern_counts, stats, group_size);
+            let refined = statistics_shares(
+                q,
+                residual.as_ref(),
+                &heavy_vars,
+                &tuples,
+                &bytes,
+                stats,
+                group_size,
+            );
 
             let shares = match lifted {
-                Some(lifted)
-                    if estimated_load(q, &heavy_vars, &pattern_counts, &lifted)
-                        <= estimated_load(q, &heavy_vars, &pattern_counts, &refined) =>
-                {
+                Some(lifted) if cell_load(q, &bytes, &lifted) <= cell_load(q, &bytes, &refined) => {
                     lifted
                 }
                 _ => refined,
@@ -257,140 +228,11 @@ impl ResidualPlanSet {
         self.plans.iter().map(ResidualPlan::cells).sum()
     }
 
-    /// The plan whose heavy-variable set is exactly `pattern`.
-    pub fn plan_for_pattern(&self, pattern: &BTreeSet<VarId>) -> Option<usize> {
-        self.plans.iter().position(|pl| &pl.heavy_vars == pattern)
-    }
-
     /// The plan owning global server `s`, if any (servers beyond
     /// [`ResidualPlanSet::servers_used`] are idle).
     pub fn plan_of_server(&self, s: usize) -> Option<usize> {
         self.plans.iter().position(|pl| pl.owns_server(s))
     }
-
-    /// The heavy pattern of a tuple of `atom`: the atom's variables whose
-    /// value is heavy. Returns `None` for tuples that disagree on a
-    /// repeated variable (they can never contribute to an answer).
-    pub fn heavy_pattern(
-        &self,
-        atom: &Atom,
-        tuple: &[mpc_storage::Value],
-    ) -> Option<BTreeSet<VarId>> {
-        let mut pattern = BTreeSet::new();
-        let mut seen: BTreeMap<VarId, u64> = BTreeMap::new();
-        for (pos, var) in atom.vars.iter().enumerate() {
-            let value = tuple[pos];
-            match seen.insert(*var, value) {
-                Some(prev) if prev != value => return None,
-                _ => {}
-            }
-            if self.heavy.is_heavy(*var, value) {
-                pattern.insert(*var);
-            }
-        }
-        Some(pattern)
-    }
-}
-
-/// The residual query `q_H`: heavy variables deleted from every atom,
-/// fully-heavy atoms dropped. `None` when every atom is fully heavy.
-pub fn residual_query(q: &Query, heavy_vars: &BTreeSet<VarId>) -> Option<Query> {
-    let mut atoms: Vec<(String, Vec<String>)> = Vec::new();
-    for atom in q.atoms() {
-        let light: Vec<String> = atom
-            .vars
-            .iter()
-            .filter(|v| !heavy_vars.contains(v))
-            .map(|v| q.var_names()[v.0].clone())
-            .collect();
-        if !light.is_empty() {
-            atoms.push((atom.name.clone(), light));
-        }
-    }
-    if atoms.is_empty() {
-        return None;
-    }
-    let label: Vec<&str> = heavy_vars.iter().map(|v| q.var_names()[v.0].as_str()).collect();
-    Query::new(format!("{}|{}", q.name(), label.join(",")), atoms).ok()
-}
-
-/// Per-atom tuple counts keyed by heavy pattern. With sampled statistics
-/// the counts are estimated from the sample and scaled (rounded to the
-/// nearest tuple); otherwise the relation is scanned once.
-fn count_patterns_with_stats(
-    q: &Query,
-    db: &Database,
-    heavy: &HeavyHitters,
-    stats: &DbStatistics,
-) -> Vec<BTreeMap<BTreeSet<VarId>, u64>> {
-    q.atoms()
-        .iter()
-        .map(|atom| {
-            let mut counts: BTreeMap<BTreeSet<VarId>, u64> = BTreeMap::new();
-            let pattern_of = |t: &[mpc_storage::Value]| -> BTreeSet<VarId> {
-                atom.vars
-                    .iter()
-                    .enumerate()
-                    .filter(|(pos, var)| heavy.is_heavy(**var, t[*pos]))
-                    .map(|(_, var)| *var)
-                    .collect()
-            };
-            if let Some((tuples, scale)) = stats.relation(&atom.name).and_then(|rs| rs.sample()) {
-                for t in tuples.iter() {
-                    *counts.entry(pattern_of(t)).or_insert(0) += 1;
-                }
-                for c in counts.values_mut() {
-                    *c = (*c as f64 * scale).round().max(1.0) as u64;
-                }
-            } else if let Ok(rel) = db.relation(&atom.name) {
-                for t in rel.iter() {
-                    *counts.entry(pattern_of(t)).or_insert(0) += 1;
-                }
-            }
-            counts
-        })
-        .collect()
-}
-
-/// Carve `p` servers into groups proportional to `weights`, at least one
-/// server per group; leftovers go to the heaviest groups.
-fn proportional_groups(p: usize, weights: &[u64]) -> Vec<usize> {
-    let m = weights.len();
-    debug_assert!(m <= p, "caller guarantees 2^h ≤ p");
-    let total: u64 = weights.iter().sum();
-    let mut sizes: Vec<usize> = if total == 0 {
-        vec![p / m; m]
-    } else {
-        weights.iter().map(|w| (p as f64 * *w as f64 / total as f64).floor() as usize).collect()
-    };
-    for s in &mut sizes {
-        *s = (*s).max(1);
-    }
-    // The max(1) clamp may overshoot: shrink the largest groups.
-    while sizes.iter().sum::<usize>() > p {
-        let (idx, _) = sizes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s > 1)
-            .max_by_key(|(_, s)| **s)
-            .expect("sum > p ≥ m implies some group > 1");
-        sizes[idx] -= 1;
-    }
-    // Hand leftovers to the heaviest groups (ties: first wins, which is
-    // the light plan for equal weights).
-    while sizes.iter().sum::<usize>() < p {
-        let (idx, _) = weights
-            .iter()
-            .enumerate()
-            .max_by(|(i, a), (j, b)| {
-                let la = **a as f64 / sizes[*i] as f64;
-                let lb = **b as f64 / sizes[*j] as f64;
-                la.partial_cmp(&lb).expect("finite").then(j.cmp(i))
-            })
-            .expect("at least one group");
-        sizes[idx] += 1;
-    }
-    sizes
 }
 
 /// Lift a residual allocation to a full-width share vector over the
@@ -401,51 +243,28 @@ fn lift_shares(q: &Query, residual: &Query, alloc: &ShareAllocation) -> Vec<usiz
         .collect()
 }
 
-/// Estimated per-server load of a plan in tuple-bytes: each atom's routed
-/// tuples spread over its hashed dimensions and replicate along the rest,
-/// so one server expects `Σ_j bytes_j / ∏_{x ∈ lightvars_j} p_x`.
-fn estimated_load(
-    q: &Query,
-    heavy_vars: &BTreeSet<VarId>,
-    pattern_counts: &[BTreeMap<BTreeSet<VarId>, u64>],
-    shares: &[usize],
-) -> f64 {
-    q.atoms()
-        .iter()
-        .zip(pattern_counts)
-        .map(|(atom, counts)| {
-            let pattern: BTreeSet<VarId> =
-                atom.distinct_vars().intersection(heavy_vars).copied().collect();
-            let tuples = counts.get(&pattern).copied().unwrap_or(0);
-            let bytes = tuples as f64 * atom.arity() as f64 * 8.0;
-            let spread: usize = atom
-                .distinct_vars()
-                .iter()
-                .filter(|v| !heavy_vars.contains(v))
-                .map(|v| shares[v.0])
-                .product();
-            bytes / spread as f64
-        })
-        .sum()
-}
-
 /// Statistics-aware shares: solve the degree-aware LP of BKS14 §5 on the
 /// residual query — per-pattern cardinalities as `ν_j`, per-column maximum
 /// frequencies (capped at the pattern mass) as `δ_{j,x}` — floor the
 /// optimal exponents `e_x` onto the integer grid `p_x = ⌊group^{e_x}⌋`,
 /// then fill the leftover integer slack with the load-greedy loop of
-/// [`fill_shares`]. Falls back to the pure greedy fill when the residual
-/// is degenerate or the LP errors (never observed for workspace sizes).
+/// [`grow_shares`], heavy variables pinned at 1. Falls back to the pure
+/// greedy fill when the residual is degenerate or the LP errors (never
+/// observed for workspace sizes).
 fn statistics_shares(
     q: &Query,
+    residual: Option<&Query>,
     heavy_vars: &BTreeSet<VarId>,
-    pattern_counts: &[BTreeMap<BTreeSet<VarId>, u64>],
+    tuples: &[u64],
+    bytes: &[f64],
     stats: &DbStatistics,
     group: usize,
 ) -> Vec<usize> {
     let mut shares = vec![1usize; q.num_vars()];
     if group > 1 {
-        if let Some(exponents) = degree_lp_exponents(q, heavy_vars, pattern_counts, stats, group) {
+        let exponents =
+            residual.and_then(|rq| degree_lp_exponents(q, rq, heavy_vars, tuples, stats, group));
+        if let Some(exponents) = exponents {
             for (v, e) in exponents {
                 shares[v.0] = (group as f64).powf(e.to_f64()).floor().max(1.0) as usize;
             }
@@ -456,26 +275,28 @@ fn statistics_shares(
             }
         }
     }
-    fill_shares(q, heavy_vars, pattern_counts, group, shares)
+    let cap = |v: VarId| if heavy_vars.contains(&v) { 1 } else { usize::MAX };
+    grow_shares(q, bytes, group, cap, shares)
 }
 
-/// The optimal exponents of the degree-aware LP for the residual query of
-/// `heavy_vars`, mapped back to the original query's light variables.
-/// `None` when the residual is a pure filter or the LP fails.
+/// The optimal exponents of the degree-aware LP for `rq`, the residual
+/// query of `heavy_vars`, mapped back to the original query's light
+/// variables; `tuples[j]` is the pattern mass of atom `j`. `None` when the
+/// LP fails.
 fn degree_lp_exponents(
     q: &Query,
+    rq: &Query,
     heavy_vars: &BTreeSet<VarId>,
-    pattern_counts: &[BTreeMap<BTreeSet<VarId>, u64>],
+    tuples: &[u64],
     stats: &DbStatistics,
     group: usize,
 ) -> Option<Vec<(VarId, Rational)>> {
-    let rq = residual_query(q, heavy_vars)?;
     // Exponent space has base `group` (shares are p_x = group^{e_x}):
     // ν_j = log_group(m_j) over the pattern mass, δ capped at ν_j.
     let mut cardinality = Vec::with_capacity(rq.num_atoms());
     let mut degree = vec![vec![Rational::ZERO; rq.num_vars()]; rq.num_atoms()];
     let mut rj = 0usize;
-    for (atom, counts) in q.atoms().iter().zip(pattern_counts) {
+    for (atom, &mass) in q.atoms().iter().zip(tuples) {
         let lights: Vec<(usize, VarId)> = atom
             .vars
             .iter()
@@ -486,9 +307,6 @@ fn degree_lp_exponents(
         if lights.is_empty() {
             continue; // fully-heavy atom: dropped from the residual
         }
-        let pattern: BTreeSet<VarId> =
-            atom.distinct_vars().intersection(heavy_vars).copied().collect();
-        let mass = counts.get(&pattern).copied().unwrap_or(0);
         cardinality.push(rational_log(mass, group, LOG_GRID));
         let rs = stats.relation(&atom.name);
         for (pos, var) in lights {
@@ -509,7 +327,7 @@ fn degree_lp_exponents(
         }
         rj += 1;
     }
-    let sol = solve_degree_lp(&rq, &DegreeStatistics { cardinality, degree }).ok()?;
+    let sol = solve_degree_lp(rq, &DegreeStatistics { cardinality, degree }).ok()?;
     Some(
         (0..q.num_vars())
             .filter_map(|v| {
@@ -520,48 +338,6 @@ fn degree_lp_exponents(
     )
 }
 
-/// Load-greedy integer fill: grow, one unit at a time, the light variable
-/// whose increment most reduces the estimated load, while the grid stays
-/// within `group` servers. Used to top up the degree-LP floor (and, from
-/// an all-ones start, as the LP-free fallback).
-fn fill_shares(
-    q: &Query,
-    heavy_vars: &BTreeSet<VarId>,
-    pattern_counts: &[BTreeMap<BTreeSet<VarId>, u64>],
-    group: usize,
-    mut shares: Vec<usize>,
-) -> Vec<usize> {
-    loop {
-        let product: usize = shares.iter().product();
-        let current = estimated_load(q, heavy_vars, pattern_counts, &shares);
-        let mut best: Option<(usize, f64)> = None;
-        for v in 0..shares.len() {
-            if heavy_vars.contains(&VarId(v)) {
-                continue;
-            }
-            if product / shares[v] * (shares[v] + 1) > group {
-                continue;
-            }
-            shares[v] += 1;
-            let load = estimated_load(q, heavy_vars, pattern_counts, &shares);
-            shares[v] -= 1;
-            if load < current && best.is_none_or(|(_, b)| load < b) {
-                best = Some((v, load));
-            }
-        }
-        match best {
-            Some((v, _)) => shares[v] += 1,
-            None => return shares,
-        }
-    }
-}
-
-/// Enumerate the cells of a mixed-radix grid consistent with partial
-/// coordinates (`None` = free dimension), over an arbitrary full-width
-/// share vector. Re-exported from [`mpc_core::shares`] so HyperCube and
-/// the residual plans share one implementation of the routing enumeration.
-pub use mpc_core::shares::consistent_cells;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,10 +347,14 @@ mod tests {
     use mpc_data::matching_database;
     use mpc_data::skew::heavy_hitter_database;
 
-    fn plan_set(q: &Query, db: &Database, p: usize) -> ResidualPlanSet {
+    fn detect(q: &Query, db: &Database, p: usize) -> HeavyHitters {
         let alloc = ShareAllocation::optimal(q, p).unwrap();
-        let heavy = HeavyHitterDetector::default().detect(q, db, &alloc).unwrap();
-        ResidualPlanSet::build(q, db, heavy, p).unwrap()
+        let stats = DbStatistics::collect(db, StatsMode::Exact);
+        HeavyHitterDetector::default().detect_from_stats(q, &stats, &alloc).unwrap()
+    }
+
+    fn plan_set(q: &Query, db: &Database, p: usize) -> ResidualPlanSet {
+        ResidualPlanSet::build(q, db, detect(q, db, p), p).unwrap()
     }
 
     #[test]
@@ -614,27 +394,15 @@ mod tests {
     }
 
     #[test]
-    fn residual_query_deletes_heavy_positions() {
-        let q = families::chain(2); // S1(x0,x1), S2(x1,x2)
-        let x1 = q.var_id("x1").unwrap();
-        let rq = residual_query(&q, &[x1].into_iter().collect()).unwrap();
-        assert_eq!(rq.num_atoms(), 2);
-        let (_, s1) = rq.atom_by_name("S1").unwrap();
-        assert_eq!(s1.arity(), 1, "S1(x0,x1) becomes S1(x0)");
-        // Fixing every variable leaves a pure filter.
-        let all: BTreeSet<VarId> = q.var_ids().collect();
-        assert!(residual_query(&q, &all).is_none());
-    }
-
-    #[test]
     fn plan_lookup_by_pattern_and_server() {
         let q = families::chain(2);
         let db = heavy_hitter_database(&q, 2000, 2000, 0.5, 7);
         let set = plan_set(&q, &db, 32);
         let x1 = q.var_id("x1").unwrap();
-        let light = set.plan_for_pattern(&BTreeSet::new()).unwrap();
-        let heavy = set.plan_for_pattern(&[x1].into_iter().collect()).unwrap();
-        assert_ne!(light, heavy);
+        let plan_for = |pattern: BTreeSet<VarId>| {
+            set.plans().iter().position(|pl| pl.heavy_vars == pattern).unwrap()
+        };
+        assert_ne!(plan_for(BTreeSet::new()), plan_for([x1].into_iter().collect()));
         for s in 0..set.servers_used() {
             let owner = set.plan_of_server(s).expect("used servers have an owner");
             assert!(set.plans()[owner].owns_server(s));
@@ -646,8 +414,7 @@ mod tests {
     fn too_many_heavy_vars_are_demoted_by_severity() {
         let q = families::cycle(3);
         let db = heavy_hitter_database(&q, 2000, 2000, 0.5, 3);
-        let alloc = ShareAllocation::optimal(&q, 27).unwrap();
-        let heavy = HeavyHitterDetector::default().detect(&q, &db, &alloc).unwrap();
+        let heavy = detect(&q, &db, 27);
         assert_eq!(heavy.heavy_vars().len(), 3);
         // p = 4 can host at most 4 plans = 2 capable variables.
         let set = ResidualPlanSet::build(&q, &db, heavy, 4).unwrap();
@@ -670,9 +437,9 @@ mod tests {
         let set = ResidualPlanSet::build(&q, &db, HeavyHitters::none(q.num_vars()), 8).unwrap();
         let (_, s) = q.atom_by_name("S").unwrap();
         // Conflicting repeated variable → no pattern (never joins).
-        assert_eq!(set.heavy_pattern(s, &[1, 2]), None);
+        assert_eq!(set.heavy().pattern(s, &[1, 2]), None);
         // Consistent repeated variable → a (light) pattern.
-        assert_eq!(set.heavy_pattern(s, &[1, 1]), Some(BTreeSet::new()));
+        assert_eq!(set.heavy().pattern(s, &[1, 1]), Some(0));
     }
 
     #[test]
@@ -708,36 +475,16 @@ mod tests {
     }
 
     #[test]
-    fn consistent_cells_mixed_radix() {
-        let shares = [2usize, 3, 1];
-        assert_eq!(consistent_cells(&shares, &[Some(1), Some(2), Some(0)]), vec![5]);
-        assert_eq!(consistent_cells(&shares, &[Some(0), None, Some(0)]), vec![0, 1, 2]);
-        assert_eq!(consistent_cells(&shares, &[None, None, None]).len(), 6);
-    }
-
-    #[test]
-    fn proportional_groups_respect_minimums_and_total() {
-        assert_eq!(proportional_groups(8, &[0, 0]), vec![4, 4]);
-        let sizes = proportional_groups(32, &[9000, 3000]);
-        assert_eq!(sizes.iter().sum::<usize>(), 32);
-        assert!(sizes[0] > sizes[1]);
-        assert!(sizes.iter().all(|&s| s >= 1));
-        // Tiny p still grants every group one server.
-        let sizes = proportional_groups(4, &[1000, 1, 1, 1]);
-        assert_eq!(sizes, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
     fn statistics_shares_follow_cardinalities() {
         // Product residual S1'(x0) × S2'(x2) with |S2'| ≫ |S1'|: the
         // degree-LP shares put (almost) everything on x2, unlike the
         // cover-based (√g, √g) split.
         let q = families::chain(2);
         let x1: BTreeSet<VarId> = [q.var_id("x1").unwrap()].into_iter().collect();
-        let counts =
-            vec![BTreeMap::from([(x1.clone(), 4u64)]), BTreeMap::from([(x1.clone(), 2000u64)])];
         let stats = DbStatistics::collect(&Database::new(100), StatsMode::Exact);
-        let shares = statistics_shares(&q, &x1, &counts, &stats, 8);
+        let rq = residual_query(&q, &x1);
+        let shares =
+            statistics_shares(&q, rq.as_ref(), &x1, &[4, 2000], &[64.0, 32000.0], &stats, 8);
         assert_eq!(shares[q.var_id("x1").unwrap().0], 1, "heavy variables stay degenerate");
         assert!(
             shares[q.var_id("x2").unwrap().0] >= 4,
@@ -754,11 +501,6 @@ mod tests {
         // [1, 16, 1]; the degree LP lands on the balanced [1, 4, 4].
         let q = families::chain(2);
         let no_heavy: BTreeSet<VarId> = BTreeSet::new();
-        let empty = BTreeSet::new();
-        let counts = vec![
-            BTreeMap::from([(empty.clone(), 1000u64)]),
-            BTreeMap::from([(empty.clone(), 1000u64)]),
-        ];
         let mut db = Database::new(100_000);
         db.insert_relation(
             mpc_storage::Relation::from_tuples(
@@ -778,7 +520,15 @@ mod tests {
             .unwrap(),
         );
         let stats = DbStatistics::collect(&db, StatsMode::Exact);
-        let shares = statistics_shares(&q, &no_heavy, &counts, &stats, 16);
+        let shares = statistics_shares(
+            &q,
+            Some(&q),
+            &no_heavy,
+            &[1000, 1000],
+            &[16000.0, 16000.0],
+            &stats,
+            16,
+        );
         let (x1, x2) = (q.var_id("x1").unwrap(), q.var_id("x2").unwrap());
         assert!(shares[x2.0] >= 4, "the degree bound forces share onto x2: {shares:?}");
         assert!(shares[x1.0] < 16, "x1 no longer takes the whole grid: {shares:?}");
@@ -796,8 +546,7 @@ mod tests {
             let db = mpc_data::skew::zipf_database(&q, 4000, 4000, 1.1, seed);
             let alloc = ShareAllocation::optimal(&q, p).unwrap();
 
-            let exact_heavy = HeavyHitterDetector::default().detect(&q, &db, &alloc).unwrap();
-            let exact_set = ResidualPlanSet::build(&q, &db, exact_heavy, p).unwrap();
+            let exact_set = plan_set(&q, &db, p);
             assert!(exact_set.servers_used() <= p);
 
             let stats =
