@@ -20,7 +20,7 @@
 //! CLI flags: `--scale <f64>` shrinks/grows the inputs (CI uses 0.1),
 //! `--p <usize>` overrides the server count of the HyperCube case (the
 //! multi-round plan cases are fixed at `p = 8`), `--batch-size <usize>`
-//! sets the columnar block capacity of the async data plane (CI runs a
+//! sets the block capacity of the async data plane (CI runs a
 //! `--batch-size 1` smoke, degenerating to per-tuple packets, on top of
 //! the default), `--json <path>` (or `MPC_BENCH_JSON=<dir>`) writes the
 //! rows as JSON.

@@ -10,7 +10,7 @@ use mpc_lp::{QueryLps, Rational};
 use crate::heavy::heavy_occurrences;
 use crate::multiround::load::PlanLoadPrediction;
 use crate::multiround::lower_bound::round_lower_bound;
-use crate::multiround::planner::{round_upper_bound, MultiRoundPlan};
+use crate::multiround::planner::{check_plannable, round_upper_bound, MultiRoundPlan};
 use crate::output_sensitive::OutputSensitiveBounds;
 use crate::shares::ShareAllocation;
 use crate::wco::PlannerChoice;
@@ -232,17 +232,23 @@ impl QueryAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates planning and LP errors.
+    /// Those of multi-round planning's argument check: a disconnected
+    /// query is [`crate::CoreError::Unsupported`], `ε ∉ [0, 1)` is
+    /// [`crate::CoreError::InvalidPlan`].
     pub fn planner_choice(&self, epsilon: Rational, skewed: bool) -> Result<PlannerChoice> {
-        let depth = MultiRoundPlan::build(&self.query, epsilon)?.num_rounds();
+        check_plannable(&self.query, epsilon)?;
+        // The `Γ^r_ε` plan has depth 1 exactly when the query itself is in
+        // `Γ¹_ε`, i.e. `τ* ≤ 1/(1−ε)` ⇔ `ε*(q) = 1 − 1/τ* ≤ ε` — a bit
+        // this analysis already holds.
+        let one_round = self.space_exponent <= epsilon;
         Ok(if !skewed {
-            if depth == 1 {
+            if one_round {
                 PlannerChoice::OneRoundHyperCube
             } else {
                 PlannerChoice::MultiRound
             }
         } else if self.is_tree_like {
-            if depth == 1 {
+            if one_round {
                 PlannerChoice::OneRoundSkewResilient
             } else {
                 PlannerChoice::MultiRound
@@ -445,6 +451,57 @@ mod tests {
         let profile = a.round_load_profile(Rational::ZERO, 8, 500).unwrap();
         assert_eq!(profile.rounds.len(), 3); // ⌈log₂ 8⌉
         assert!(profile.max_predicted_tuples() > 0.0);
+    }
+
+    #[test]
+    fn planner_choice_equals_the_depth_of_the_plan_it_no_longer_builds() {
+        // The oracle is the old body: build the whole `Γ^r_ε` plan and
+        // ask whether it has one round.
+        let oracle = |a: &QueryAnalysis, eps: Rational, skewed: bool| {
+            let one_round = MultiRoundPlan::build(a.query(), eps).unwrap().num_rounds() == 1;
+            match (skewed, a.is_tree_like, one_round) {
+                (false, _, true) => PlannerChoice::OneRoundHyperCube,
+                (true, true, true) => PlannerChoice::OneRoundSkewResilient,
+                (true, false, _) => PlannerChoice::WorstCaseOptimal,
+                _ => PlannerChoice::MultiRound,
+            }
+        };
+        let queries = (3..=6)
+            .map(families::cycle)
+            .chain((2..=9).map(families::chain))
+            .chain((2..=5).map(families::star))
+            .chain((2..=4).map(families::spoke))
+            .chain([families::binomial(4, 2).unwrap(), families::witness_query()]);
+        let mut seen = std::collections::BTreeSet::new();
+        for q in queries {
+            let a = QueryAnalysis::analyze(&q).unwrap();
+            for eps in [Rational::ZERO, r(1, 3), r(1, 2), r(2, 3), r(3, 4)] {
+                for skewed in [false, true] {
+                    let choice = a.planner_choice(eps, skewed).unwrap();
+                    assert_eq!(
+                        choice,
+                        oracle(&a, eps, skewed),
+                        "{} ε={eps} skewed={skewed}",
+                        a.name
+                    );
+                    seen.insert(choice.to_string());
+                }
+            }
+        }
+        assert_eq!(seen.len(), 4, "every choice was exercised: {seen:?}");
+
+        // The plan's two argument errors survive, whatever the skew.
+        let c3 = QueryAnalysis::analyze(&families::triangle()).unwrap();
+        let apart = mpc_cq::parser::parse_query("q(x,y) :- R(x), S(y)").unwrap();
+        let apart = QueryAnalysis::analyze(&apart).unwrap();
+        for skewed in [false, true] {
+            for eps in [Rational::ONE, r(3, 2), r(-1, 2)] {
+                let err = c3.planner_choice(eps, skewed).unwrap_err();
+                assert!(matches!(err, crate::CoreError::InvalidPlan(_)), "{eps}: {err}");
+            }
+            let err = apart.planner_choice(Rational::ZERO, skewed).unwrap_err();
+            assert!(matches!(err, crate::CoreError::Unsupported(_)), "{err}");
+        }
     }
 
     #[test]

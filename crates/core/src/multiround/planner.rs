@@ -25,6 +25,26 @@ use crate::error::CoreError;
 use crate::space_exponent::{gamma_one_contains, k_epsilon};
 use crate::Result;
 
+/// What [`MultiRoundPlan::build`] requires of its arguments: a connected
+/// query and `ε ∈ [0, 1)`.
+///
+/// # Errors
+///
+/// [`CoreError::Unsupported`] for a disconnected query,
+/// [`CoreError::InvalidPlan`] for an ε out of range.
+pub(crate) fn check_plannable(q: &Query, epsilon: Rational) -> Result<()> {
+    if !q.is_connected() {
+        return Err(CoreError::Unsupported(format!(
+            "{} is disconnected; multi-round planning requires a connected query",
+            q.name()
+        )));
+    }
+    if epsilon.is_negative() || epsilon >= Rational::ONE {
+        return Err(CoreError::InvalidPlan(format!("ε must lie in [0, 1), got {epsilon}")));
+    }
+    Ok(())
+}
+
 /// One one-round operator of a plan: a connected query in `Γ¹_ε` over the
 /// relation names of its level (base relations and/or earlier views),
 /// producing a view named [`Operator::view_name`] whose columns are the
@@ -77,15 +97,7 @@ impl MultiRoundPlan {
     /// Returns [`CoreError::Unsupported`] for disconnected queries and
     /// propagates LP errors.
     pub fn build(q: &Query, epsilon: Rational) -> Result<MultiRoundPlan> {
-        if !q.is_connected() {
-            return Err(CoreError::Unsupported(format!(
-                "{} is disconnected; multi-round planning requires a connected query",
-                q.name()
-            )));
-        }
-        if epsilon.is_negative() || epsilon >= Rational::ONE {
-            return Err(CoreError::InvalidPlan(format!("ε must lie in [0, 1), got {epsilon}")));
-        }
+        check_plannable(q, epsilon)?;
 
         let mut levels: Vec<PlanLevel> = Vec::new();
         let mut current = q.clone();

@@ -413,7 +413,6 @@ mod tests {
             run.baseline.schedule.makespan,
             run.adaptive.schedule.makespan
         );
-        assert!(run.observed.iter().any(|s| s.tuples > 0), "live counters were surfaced");
         let again = cluster.run_adaptive(&program, &db, &cfg, &RerouteSpec::default()).unwrap();
         assert_eq!(run.plan, again.plan, "the decision is deterministic");
         assert!(run.adaptive.result.output.same_tuples(&again.adaptive.result.output));

@@ -23,15 +23,22 @@ use mpc_storage::{Database, Relation, Tuple};
 /// matchings).
 pub fn matching_relation(name: &str, arity: usize, n: u64, rng: &mut StdRng) -> Relation {
     assert!(arity >= 1, "relations must have arity >= 1");
-    let mut columns: Vec<Vec<u64>> = Vec::with_capacity(arity);
-    columns.push((1..=n).collect());
-    for _ in 1..arity {
-        let mut perm: Vec<u64> = (1..=n).collect();
-        perm.shuffle(rng);
-        columns.push(perm);
-    }
+    let perms: Vec<Vec<u64>> = (1..arity)
+        .map(|_| {
+            let mut perm: Vec<u64> = (1..=n).collect();
+            perm.shuffle(rng);
+            perm
+        })
+        .collect();
     let mut rel = Relation::empty(name, arity);
-    rel.append_columns(n as usize, &columns).expect("arity is consistent by construction");
+    rel.reserve(n as usize);
+    let mut row = Vec::with_capacity(arity);
+    for i in 0..n as usize {
+        row.clear();
+        row.push(i as u64 + 1);
+        row.extend(perms.iter().map(|perm| perm[i]));
+        rel.insert_row(&row).expect("arity is consistent by construction");
+    }
     rel
 }
 

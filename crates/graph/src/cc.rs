@@ -12,9 +12,9 @@
 
 use std::collections::BTreeMap;
 
-use mpc_sim::program::hash_value;
+use mpc_sim::program::{emit, hash_value};
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation};
 
 use mpc_data::graphs::sequential_components;
 
@@ -83,10 +83,9 @@ impl MpcProgram for LabelPropagationCc {
         // Edges (u, v) are owned by hash(u); the generator stores both
         // orientations, so every vertex with an incident edge is owned
         // somewhere.
-        Ok(relation
-            .iter()
-            .map(|t| Routed::new(EDGE_TAG, Tuple::new(t), vec![self.owner(t[0])]))
-            .collect())
+        let mut out = Vec::with_capacity(relation.len());
+        relation.iter().for_each(|t| emit(&mut out, EDGE_TAG, t, &[self.owner(t[0])]));
+        Ok(out)
     }
 
     fn route_tuples(
@@ -106,7 +105,7 @@ impl MpcProgram for LabelPropagationCc {
             let (u, v) = (t[0], t[1]);
             let label = labels.get(&u).copied().unwrap_or(u);
             if label < v {
-                msgs.push(Routed::new(PROP_TAG, Tuple(vec![v, label]), vec![self.owner(v)]));
+                emit(&mut msgs, PROP_TAG, &[v, label], &[self.owner(v)]);
             }
         }
         Ok(msgs)

@@ -19,9 +19,9 @@
 
 use std::collections::BTreeMap;
 
-use mpc_sim::program::hash_to_bucket;
+use mpc_sim::program::{emit, hash_to_bucket};
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation};
 
 use crate::cc::partition_matches;
 use crate::Result;
@@ -115,13 +115,11 @@ impl MpcProgram for DenseTwoRoundCc {
     }
 
     fn route_input(&self, relation: &Relation, p: usize) -> mpc_sim::Result<Vec<Routed>> {
-        Ok(relation
+        let mut out = Vec::with_capacity(relation.len());
+        relation
             .iter()
-            .map(|t| {
-                let dest = hash_to_bucket(self.seed, t, p);
-                Routed::new(EDGE_TAG, Tuple::new(t), vec![dest])
-            })
-            .collect())
+            .for_each(|t| emit(&mut out, EDGE_TAG, t, &[hash_to_bucket(self.seed, t, p)]));
+        Ok(out)
     }
 
     fn compute(
@@ -155,7 +153,9 @@ impl MpcProgram for DenseTwoRoundCc {
         let Some(forest) = state.relation(FOREST_TAG) else {
             return Ok(Vec::new());
         };
-        Ok(forest.iter().map(|t| Routed::new(FOREST_TAG, Tuple::new(t), vec![0])).collect())
+        let mut out = Vec::with_capacity(forest.len());
+        forest.iter().for_each(|t| emit(&mut out, FOREST_TAG, t, &[0]));
+        Ok(out)
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

@@ -16,9 +16,9 @@
 
 use std::collections::BTreeSet;
 
-use mpc_sim::program::hash_value;
+use mpc_sim::program::{emit, hash_value};
 use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation};
 
 use crate::Result;
 
@@ -83,8 +83,8 @@ impl MpcProgram for PathDoublingTc {
         let mut out = Vec::with_capacity(relation.len() * 2);
         for t in relation.iter() {
             let (u, v) = (t[0], t[1]);
-            out.push(Routed::new(BY_TARGET, Tuple::new(t), vec![self.owner(v)]));
-            out.push(Routed::new(BY_SOURCE, Tuple::new(t), vec![self.owner(u)]));
+            emit(&mut out, BY_TARGET, t, &[self.owner(v)]);
+            emit(&mut out, BY_SOURCE, t, &[self.owner(u)]);
         }
         Ok(out)
     }
@@ -134,9 +134,8 @@ impl MpcProgram for PathDoublingTc {
         // tuple, so the program is tuple-based.
         let mut msgs = Vec::new();
         for (x, y) in self.known_pairs(state) {
-            let t = Tuple(vec![x, y]);
-            msgs.push(Routed::new(BY_TARGET, t.clone(), vec![self.owner(y)]));
-            msgs.push(Routed::new(BY_SOURCE, t, vec![self.owner(x)]));
+            emit(&mut msgs, BY_TARGET, &[x, y], &[self.owner(y)]);
+            emit(&mut msgs, BY_SOURCE, &[x, y], &[self.owner(x)]);
         }
         Ok(msgs)
     }

@@ -1,25 +1,28 @@
-//! Columnar tuple blocks — the unit of transport of the batched data
+//! Row-major tuple blocks — the unit of transport of the batched data
 //! plane.
 //!
 //! The event-driven backend used to push one inbox packet *per tuple
 //! per destination*, so every delivered tuple paid a mutex/condvar round
 //! trip. A [`TupleBlock`] amortises that: up to `block_capacity` tuples
 //! sharing one `(destination, tag, round)` travel as a single packet whose
-//! payload is **arity-major column slices** — `cols[c][r]` is column `c`
-//! of row `r`. Column layout keeps the values of one attribute contiguous,
-//! which is what the vectorised hash build/probe of the local join wants,
-//! and makes the payload size a closed formula
-//! (`rows × arity × 8` bytes — the same accounting unit as
+//! payload is **one flat row-major buffer** — row `r` is
+//! `values[r × arity .. (r + 1) × arity]`, the layout both ends of a hop
+//! already have (a sender routes rows out of a row-major
+//! `mpc_storage::Relation`, a receiver appends rows to one), so sealing is
+//! an `extend_from_slice` per routed copy and ingest one bulk
+//! `Relation::insert_rows`. The model's unit of communication is the tuple
+//! (BKS13 §2.1), so all the theory sees of a block is its size,
+//! `rows × arity × 8` bytes — the same accounting unit as
 //! [`crate::message::Routed::bytes_per_delivery`], so volume statistics
-//! are bit-identical to the per-tuple plane).
+//! are bit-identical to the per-tuple plane.
 //!
 //! Blocks are assembled sender-side by a [`BlockAssembler`], which keeps
-//! one open buffer per `(destination, tag)`, seals a block the moment it
+//! one open block per `(destination, tag)`, seals it the moment it
 //! reaches capacity, and drains the partial remainder on
 //! [`BlockAssembler::flush`] — in deterministic `(destination, tag)`
 //! order, so the canonical per-sender sequence numbers are reproducible.
-//! Column storage is checked out of a [`crate::pool::BlockPool`] and
-//! handed back by the receiver after decoding, so steady-state routing
+//! Value buffers are checked out of a [`crate::pool::BlockPool`] and
+//! handed back by the receiver after ingest, so steady-state routing
 //! allocates nothing.
 //!
 //! A block capacity of 1 degenerates to exactly the old per-tuple
@@ -30,96 +33,9 @@ use std::sync::Arc;
 
 use mpc_storage::{Tuple, Value};
 
-use crate::pool::BlockPool;
+use crate::pool::{BlockBuf, BlockPool};
 
-/// Reusable column storage: `arity` value vectors growing in lockstep.
-///
-/// This is the pooled part of a [`TupleBlock`] — everything that owns heap
-/// allocations — so returning it to the [`BlockPool`] recycles the block's
-/// entire footprint.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnBuf {
-    cols: Vec<Vec<Value>>,
-    /// Row count, tracked explicitly so zero-arity tuples still count.
-    rows: usize,
-}
-
-impl ColumnBuf {
-    /// An empty buffer with `arity` columns, each with room for
-    /// `capacity` values.
-    pub fn with_arity(arity: usize, capacity: usize) -> Self {
-        ColumnBuf { cols: (0..arity).map(|_| Vec::with_capacity(capacity)).collect(), rows: 0 }
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Append one row. `values` must have exactly [`ColumnBuf::arity`]
-    /// entries.
-    pub fn push(&mut self, values: &[Value]) {
-        debug_assert_eq!(values.len(), self.cols.len(), "row arity must match the buffer");
-        for (col, &v) in self.cols.iter_mut().zip(values) {
-            col.push(v);
-        }
-        self.rows += 1;
-    }
-
-    /// The contiguous values of column `c`.
-    pub fn column(&self, c: usize) -> &[Value] {
-        &self.cols[c]
-    }
-
-    /// Every column, each holding [`ColumnBuf::len`] values — the shape
-    /// `mpc_storage::Relation::append_columns` ingests.
-    pub fn columns(&self) -> &[Vec<Value>] {
-        &self.cols
-    }
-
-    /// Drop all rows, keeping the column capacities (pool recycling).
-    pub fn clear(&mut self) {
-        for col in &mut self.cols {
-            col.clear();
-        }
-        self.rows = 0;
-    }
-
-    /// Refill the buffer column by column: `fill` is called once per
-    /// column, in order, and must append exactly `rows` values to the
-    /// vector it is handed. This is the deserialisation boundary of the
-    /// wire codec in `mpc-net` — a pooled buffer is refilled straight from
-    /// the socket without an intermediate row-major copy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error `fill` returns; the buffer is left
-    /// cleared in that case.
-    pub fn refill<E, F>(&mut self, rows: usize, mut fill: F) -> Result<(), E>
-    where
-        F: FnMut(&mut Vec<Value>) -> Result<(), E>,
-    {
-        self.clear();
-        for col in &mut self.cols {
-            fill(col)?;
-            debug_assert_eq!(col.len(), rows, "fill must append exactly `rows` values");
-        }
-        self.rows = rows;
-        Ok(())
-    }
-}
-
-/// A sealed columnar batch on the wire: up to the assembler's capacity of
+/// A sealed row-major batch on the wire: up to the assembler's capacity of
 /// tuples sharing one tag, round and sender, bound for one destination.
 #[derive(Debug, Clone)]
 pub struct TupleBlock {
@@ -132,72 +48,89 @@ pub struct TupleBlock {
     /// Sequence number within `(from, round)`, in send order — blocks on
     /// one link inherit the FIFO order of the lane they travel on.
     pub seq: u64,
-    cols: ColumnBuf,
+    arity: usize,
+    /// Row count, tracked explicitly so zero-arity tuples still count.
+    rows: usize,
+    /// `rows × arity` values, row-major — the pooled part of the block.
+    values: BlockBuf,
 }
 
 impl TupleBlock {
     /// Number of tuples in the block.
     pub fn len(&self) -> usize {
-        self.cols.len()
+        self.rows
     }
 
     /// True when the block carries no tuples (never on the wire; the
     /// assembler only seals non-empty blocks).
     pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
+        self.rows == 0
     }
 
     /// Number of columns (the tag's relation arity).
     pub fn arity(&self) -> usize {
-        self.cols.arity()
+        self.arity
     }
 
     /// Payload size in bytes: `len × arity × 8`, the simulator's
     /// accounting unit — identical to the sum over the rows of
     /// [`crate::message::Routed::bytes_per_delivery`].
     pub fn payload_bytes(&self) -> u64 {
-        (self.len() as u64) * (self.arity() as u64) * 8
+        (self.rows as u64) * (self.arity as u64) * 8
     }
 
-    /// The contiguous values of column `c`.
-    pub fn column(&self, c: usize) -> &[Value] {
-        self.cols.column(c)
-    }
-
-    /// Every column, each holding [`TupleBlock::len`] values.
-    pub fn columns(&self) -> &[Vec<Value>] {
-        self.cols.columns()
+    /// All `len × arity` values, row-major — what
+    /// [`crate::ServerState::receive_block`] ingests in one call and the
+    /// wire codec of `mpc-net` copies verbatim.
+    pub fn values(&self) -> &[Value] {
+        &self.values
     }
 
     /// Iterate the rows as owned [`Tuple`]s — a convenience for callers
-    /// outside the data path; servers ingest blocks by column
-    /// ([`crate::ServerState::receive_block`]).
+    /// outside the data path.
     pub fn rows(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.len()).map(move |r| Tuple((0..self.arity()).map(|c| self.column(c)[r]).collect()))
+        (0..self.rows).map(move |r| Tuple::new(&self.values[r * self.arity..(r + 1) * self.arity]))
     }
 
-    /// Tear the block down into its column storage, for return to the
-    /// pool.
-    pub fn into_columns(self) -> ColumnBuf {
-        self.cols
+    /// Tear the block down into its value buffer, for return to the pool
+    /// (the name predates the row layout; the repo benchmark calls it).
+    pub fn into_columns(self) -> BlockBuf {
+        self.values
     }
 
-    /// Rebuild a block from its parts — the deserialisation boundary of
-    /// the wire codec in `mpc-net`, where `cols` was refilled from a
-    /// pooled buffer via [`ColumnBuf::refill`]. Everything else in the
-    /// simulator receives blocks only from a [`BlockAssembler`].
-    pub fn from_parts(tag: Arc<str>, round: usize, from: usize, seq: u64, cols: ColumnBuf) -> Self {
-        TupleBlock { tag, round, from, seq, cols }
+    /// Rebuild a block of `rows` rows from its parts — the deserialisation
+    /// boundary of the wire codec in `mpc-net`, where `values` is a pooled
+    /// buffer filled from the socket. Everything else in the simulator
+    /// receives blocks only from a [`BlockAssembler`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `values` holds exactly `rows × arity` values.
+    pub fn from_parts(
+        tag: Arc<str>,
+        round: usize,
+        from: usize,
+        seq: u64,
+        arity: usize,
+        rows: usize,
+        values: BlockBuf,
+    ) -> Self {
+        assert_eq!(
+            Some(values.len()),
+            rows.checked_mul(arity),
+            "a block holds rows × arity values"
+        );
+        TupleBlock { tag, round, from, seq, arity, rows, values }
     }
 }
 
-/// Sender-side batcher: one open [`ColumnBuf`] per `(destination, tag)`,
-/// sealed into [`TupleBlock`]s at capacity and on flush.
+/// Sender-side batcher: one open [`TupleBlock`] per `(destination, tag)`,
+/// sealed at capacity and on flush.
 ///
-/// A push is on the per-routed-copy path, so it resolves its buffer by
+/// A push is on the per-routed-copy path, so it resolves its block by
 /// index: the tag is interned to a small integer once (consecutive pushes
 /// almost always repeat the last tag, which is remembered) and open
-/// buffers sit in a `[tag][destination]` table.
+/// blocks sit in a `[tag][destination]` table.
 ///
 /// One assembler serves one `(sender, round)`: its sequence counter spans
 /// all destinations and tags, so the per-sender send order is globally
@@ -213,6 +146,7 @@ impl TupleBlock {
 /// assert!(asm.push(3, "R", &[1, 2]).is_none()); // buffering
 /// let sealed = asm.push(3, "R", &[3, 4]).expect("capacity reached");
 /// assert_eq!((sealed.len(), sealed.seq), (2, 0));
+/// assert_eq!(sealed.values(), &[1, 2, 3, 4]);
 /// pool.give_back(sealed.into_columns());
 /// assert!(asm.flush().is_empty());
 /// ```
@@ -228,9 +162,10 @@ pub struct BlockAssembler {
     tags: Vec<Arc<str>>,
     /// Index into `tags` of the latest push's tag.
     last_tag: usize,
-    /// `open[tag][dest]`: the buffer being filled for that pair, if any
-    /// (never an empty one). Rows grow to the highest destination seen.
-    open: Vec<Vec<Option<ColumnBuf>>>,
+    /// `open[tag][dest]`: the block being filled for that pair, if any
+    /// (never an empty one; its `seq` is assigned when it seals). Rows
+    /// grow to the highest destination seen.
+    open: Vec<Vec<Option<TupleBlock>>>,
 }
 
 impl BlockAssembler {
@@ -250,18 +185,28 @@ impl BlockAssembler {
     }
 
     /// Buffer one tuple for `dest` under `tag`; returns the sealed block
-    /// when this push fills the `(dest, tag)` buffer to capacity.
+    /// when this push fills the `(dest, tag)` block to capacity.
     pub fn push(&mut self, dest: usize, tag: &str, values: &[Value]) -> Option<TupleBlock> {
         let t = self.intern(tag);
         let row = &mut self.open[t];
         if row.len() <= dest {
             row.resize_with(dest + 1, || None);
         }
-        let buf = row[dest].get_or_insert_with(|| self.pool.checkout(values.len(), self.capacity));
-        buf.push(values);
-        if buf.len() >= self.capacity {
-            let cols = row[dest].take().expect("buffer just filled");
-            Some(self.seal(Arc::clone(&self.tags[t]), cols))
+        let block = row[dest].get_or_insert_with(|| TupleBlock {
+            tag: Arc::clone(&self.tags[t]),
+            round: self.round,
+            from: self.from,
+            seq: 0,
+            arity: values.len(),
+            rows: 0,
+            values: self.pool.checkout(self.capacity * values.len()),
+        });
+        debug_assert_eq!(values.len(), block.arity, "row arity must match the block");
+        block.values.extend_from_slice(values);
+        block.rows += 1;
+        if block.rows >= self.capacity {
+            let full = row[dest].take().expect("block just filled");
+            Some(self.seal(full))
         } else {
             None
         }
@@ -280,7 +225,7 @@ impl BlockAssembler {
         self.last_tag
     }
 
-    /// Seal and return every partially filled buffer, in deterministic
+    /// Seal and return every partially filled block, in deterministic
     /// `(destination, tag)` order, paired with its destination.
     pub fn flush(&mut self) -> Vec<(usize, TupleBlock)> {
         let mut by_name: Vec<usize> = (0..self.tags.len()).collect();
@@ -289,18 +234,18 @@ impl BlockAssembler {
         let mut sealed = Vec::new();
         for dest in 0..dests {
             for &t in &by_name {
-                if let Some(cols) = self.open[t].get_mut(dest).and_then(Option::take) {
-                    sealed.push((dest, self.seal(Arc::clone(&self.tags[t]), cols)));
+                if let Some(block) = self.open[t].get_mut(dest).and_then(Option::take) {
+                    sealed.push((dest, self.seal(block)));
                 }
             }
         }
         sealed
     }
 
-    fn seal(&mut self, tag: Arc<str>, cols: ColumnBuf) -> TupleBlock {
-        let seq = self.next_seq;
+    fn seal(&mut self, mut block: TupleBlock) -> TupleBlock {
+        block.seq = self.next_seq;
         self.next_seq += 1;
-        TupleBlock { tag, round: self.round, from: self.from, seq, cols }
+        block
     }
 }
 
@@ -313,17 +258,29 @@ mod tests {
     }
 
     #[test]
-    fn column_layout_round_trips_rows() {
-        let mut buf = ColumnBuf::with_arity(3, 4);
-        buf.push(&[1, 2, 3]);
-        buf.push(&[4, 5, 6]);
-        assert_eq!(buf.column(0), &[1, 4]);
-        assert_eq!(buf.column(1), &[2, 5]);
-        assert_eq!(buf.column(2), &[3, 6]);
-        let block = TupleBlock { tag: Arc::from("R"), round: 1, from: 0, seq: 0, cols: buf };
+    fn row_layout_round_trips_rows() {
+        let pool = pool();
+        let mut asm = BlockAssembler::new(Arc::clone(&pool), 2, 0, 1);
+        assert!(asm.push(0, "R", &[1, 2, 3]).is_none());
+        let block = asm.push(0, "R", &[4, 5, 6]).expect("sealed at capacity");
+        assert_eq!((block.len(), block.arity()), (2, 3));
+        assert_eq!(block.values(), &[1, 2, 3, 4, 5, 6], "row-major, in push order");
         let rows: Vec<Tuple> = block.rows().collect();
         assert_eq!(rows, vec![Tuple::from([1, 2, 3]), Tuple::from([4, 5, 6])]);
         assert_eq!(block.payload_bytes(), 2 * 3 * 8);
+        pool.give_back(block.into_columns());
+    }
+
+    #[test]
+    fn zero_arity_rows_still_count() {
+        let pool = pool();
+        let mut asm = BlockAssembler::new(Arc::clone(&pool), 3, 0, 1);
+        let sealed: Vec<TupleBlock> = (0..3).filter_map(|_| asm.push(0, "Unit", &[])).collect();
+        assert_eq!(sealed.len(), 1, "the third empty row fills the block");
+        assert_eq!((sealed[0].len(), sealed[0].arity(), sealed[0].payload_bytes()), (3, 0, 0));
+        assert_eq!(sealed[0].rows().collect::<Vec<_>>(), vec![Tuple(Vec::new()); 3]);
+        sealed.into_iter().for_each(|b| pool.give_back(b.into_columns()));
+        assert!(pool.stats().balanced());
     }
 
     #[test]
@@ -396,7 +353,7 @@ mod tests {
         // Only (2, "T") reached capacity 2; it carries both its rows.
         assert_eq!(sealed.len(), 1);
         assert_eq!((sealed[0].0, &*sealed[0].1.tag, sealed[0].1.seq), (2, "T", 0));
-        assert_eq!(sealed[0].1.column(0), &[0, 6]);
+        assert_eq!(sealed[0].1.values(), &[0, 6]);
         let flushed = asm.flush();
         let labels: Vec<(usize, &str, u64)> =
             flushed.iter().map(|(d, b)| (*d, &*b.tag, b.seq)).collect();
@@ -409,21 +366,18 @@ mod tests {
     }
 
     #[test]
-    fn refill_and_from_parts_round_trip() {
-        let mut buf = ColumnBuf::with_arity(2, 4);
-        buf.push(&[9, 9]);
-        buf.refill::<(), _>(3, |col| {
-            col.extend_from_slice(&[1, 2, 3]);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.column(0), &[1, 2, 3]);
-        let block = TupleBlock::from_parts(Arc::from("R"), 4, 7, 11, buf);
-        assert_eq!((block.round, block.from, block.seq, block.len()), (4, 7, 11, 3));
-        let mut err = ColumnBuf::with_arity(1, 1);
-        assert_eq!(err.refill(1, |_| Err("short read")), Err("short read"));
-        assert!(err.is_empty(), "failed refill leaves the buffer cleared");
+    fn from_parts_round_trip() {
+        let block = TupleBlock::from_parts(Arc::from("R"), 4, 7, 11, 2, 3, vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!((block.round, block.from, block.seq), (4, 7, 11));
+        assert_eq!((block.len(), block.arity()), (3, 2));
+        assert_eq!(block.rows().nth(2), Some(Tuple::from([5, 6])));
+        assert_eq!(block.into_columns(), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows × arity")]
+    fn from_parts_refuses_a_buffer_of_the_wrong_size() {
+        TupleBlock::from_parts(Arc::from("R"), 1, 0, 0, 2, 3, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -59,26 +59,30 @@ impl Cluster {
             (0..p).map(|i| ServerState::new(i, db.domain_size())).collect();
         let mut rounds = Vec::with_capacity(total_rounds);
 
+        // One message buffer for the whole run, sized by the input (a tuple
+        // is at most one message) and reused by every round. Vectors grown
+        // by doubling, or allocated afresh each round, leave holes behind
+        // them, and whether the allocator could reuse those made the peak
+        // memory of equal runs differ by 10 %.
+        let mut routed: Vec<Routed> = Vec::with_capacity(db.total_tuples());
+
         for round in 1..=total_rounds {
             // -- Communication ------------------------------------------------
-            let routed: Vec<Routed> = if round == 1 {
+            routed.clear();
+            if round == 1 {
                 // Input servers route their base tuples (Section 2.4). One
                 // logical input server per relation.
-                let mut msgs = Vec::new();
                 for rel in db.relations() {
-                    msgs.extend(program.route_input(rel, p)?);
+                    routed.extend(program.route_input(rel, p)?);
                 }
-                msgs
             } else {
                 // Workers send join tuples (tuple-based model, Section 4.1).
                 let per_server: Vec<Result<Vec<Routed>>> =
                     servers.par_iter().map(|s| program.route_tuples(round, s.id(), s)).collect();
-                let mut msgs = Vec::new();
                 for r in per_server {
-                    msgs.extend(r?);
+                    routed.extend(r?);
                 }
-                msgs
-            };
+            }
 
             // -- Delivery ------------------------------------------------------
             for msg in &routed {

@@ -62,7 +62,6 @@ use crate::error::SimError;
 use crate::pool::{BlockPool, PoolStats};
 use crate::program::MpcProgram;
 use crate::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
-use crate::reroute::LiveProgress;
 use crate::schedule::{self, CostModel, ScheduleStats, StragglerSpec};
 use crate::stats::RunResult;
 use crate::worker::{
@@ -93,7 +92,7 @@ pub struct AsyncConfig {
     /// Capacity, in packets, of each per-link queue (clamped to ≥ 1).
     /// Doubles as the per-link send window of the schedule model.
     pub queue_capacity: usize,
-    /// Tuples per columnar block on the wire (clamped to ≥ 1). Capacity 1
+    /// Tuples per block on the wire (clamped to ≥ 1). Capacity 1
     /// degenerates to per-tuple packets.
     pub block_capacity: usize,
     /// Rounds of overlap the virtual-clock replay models (0 = strict
@@ -131,8 +130,8 @@ impl AsyncConfig {
         self
     }
 
-    /// Builder-style: set the tuples-per-block capacity of the columnar
-    /// data plane.
+    /// Builder-style: set the tuples-per-block capacity of the data
+    /// plane.
     #[must_use]
     pub fn with_block_capacity(mut self, capacity: usize) -> Self {
         self.block_capacity = capacity.max(1);
@@ -170,7 +169,7 @@ pub struct AsyncRunResult {
     pub result: RunResult,
     /// The virtual-clock timeline of the run.
     pub schedule: ScheduleStats,
-    /// Buffer-pool accounting of the columnar data plane; balanced after
+    /// Buffer-pool accounting of the block data plane; balanced after
     /// every clean run (each checked-out block was returned).
     pub pool: PoolStats,
 }
@@ -195,35 +194,6 @@ impl Cluster {
         db: &Database,
         async_config: &AsyncConfig,
     ) -> Result<AsyncRunResult> {
-        self.run_async_inner(program, db, async_config, None)
-    }
-
-    /// [`Cluster::run_async`] with live observation: every worker bumps
-    /// its per-server counters in `progress` on each delivered block and
-    /// each round boundary, so an outside thread — or the adaptive
-    /// runtime's controller ([`crate::reroute`]) — can watch the run
-    /// while it is in flight.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::run_async`].
-    pub fn run_async_observed<P: MpcProgram>(
-        &self,
-        program: &P,
-        db: &Database,
-        async_config: &AsyncConfig,
-        progress: &Arc<LiveProgress>,
-    ) -> Result<AsyncRunResult> {
-        self.run_async_inner(program, db, async_config, Some(progress))
-    }
-
-    fn run_async_inner<P: MpcProgram>(
-        &self,
-        program: &P,
-        db: &Database,
-        async_config: &AsyncConfig,
-        progress: Option<&Arc<LiveProgress>>,
-    ) -> Result<AsyncRunResult> {
         let p = self.config().p;
         let capacity = async_config.queue_capacity.max(1);
         let block_capacity = async_config.block_capacity.max(1);
@@ -239,10 +209,6 @@ impl Cluster {
         for (id, rx) in receivers.into_iter().enumerate() {
             let input = Input::Routed { domain_size: db.domain_size() };
             let core = WorkerCore::new(program, id, p, input, Arc::clone(&pool), block_capacity)?;
-            let core = match progress {
-                Some(progress) => core.observed_by(Arc::clone(progress)),
-                None => core,
-            };
             // Server `id`'s lane into `dest`'s inbox is lane `id`.
             let peers = lane_senders.iter().map(|lanes| lanes[id].clone()).collect();
             workers.push((core, Lanes { peers, rx }));

@@ -56,7 +56,7 @@ pub mod server;
 pub mod stats;
 pub mod worker;
 
-pub use block::{BlockAssembler, ColumnBuf, TupleBlock};
+pub use block::{BlockAssembler, TupleBlock};
 pub use cluster::{build_round_stats, overloaded_server, union_outputs, Cluster};
 pub use cluster_async::{run_differential, AsyncConfig, AsyncRunResult, DifferentialReport};
 pub use config::MpcConfig;
@@ -64,10 +64,7 @@ pub use error::SimError;
 pub use message::Routed;
 pub use pool::{BlockPool, PoolStats};
 pub use program::MpcProgram;
-pub use reroute::{
-    AdaptiveRunResult, LiveProgress, ProgressSnapshot, RerouteController, RerouteHost, ReroutePlan,
-    RerouteSpec,
-};
+pub use reroute::{AdaptiveRunResult, RerouteController, RerouteHost, ReroutePlan, RerouteSpec};
 pub use schedule::{CostModel, MsgRecord, ScheduleStats, ServerTimeline, StragglerSpec};
 pub use server::{RoundStage, ServerState};
 pub use stats::{RoundStats, RunResult};

@@ -28,11 +28,6 @@ impl Routed {
         Routed { tag: tag.into(), tuple, destinations }
     }
 
-    /// Broadcast a tuple to every server in `0..p`.
-    pub fn broadcast<S: Into<String>>(tag: S, tuple: Tuple, p: usize) -> Self {
-        Routed { tag: tag.into(), tuple, destinations: (0..p).collect() }
-    }
-
     /// Size in bytes of a single delivery of this tuple (8 bytes per value).
     pub fn bytes_per_delivery(&self) -> u64 {
         (self.tuple.arity() as u64) * 8
@@ -54,12 +49,5 @@ mod tests {
         assert_eq!(r.bytes_per_delivery(), 24);
         assert_eq!(r.replication(), 2);
         assert_eq!(r.tag, "S1");
-    }
-
-    #[test]
-    fn broadcast_targets_every_server() {
-        let r = Routed::broadcast("S", Tuple::from([7]), 5);
-        assert_eq!(r.destinations, vec![0, 1, 2, 3, 4]);
-        assert_eq!(r.replication(), 5);
     }
 }

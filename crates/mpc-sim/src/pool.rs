@@ -1,24 +1,22 @@
-//! A size-classed buffer pool for columnar tuple blocks.
+//! A buffer pool for tuple blocks.
 //!
 //! The batched data plane of [`crate::cluster_async`] moves
-//! [`crate::block::TupleBlock`]s between workers. Allocating a fresh set
-//! of column vectors for every block would put the allocator straight
-//! back on the hot path the batching removed, so blocks draw their column
-//! storage from a [`BlockPool`]: checked out when a sender opens a block,
-//! handed back when the receiver has decoded it, and recycled for the
-//! next send.
+//! [`crate::block::TupleBlock`]s between workers. Allocating a fresh value
+//! buffer for every block would put the allocator straight back on the
+//! hot path the batching removed, so blocks draw their storage from a
+//! [`BlockPool`]: checked out when a sender opens a block, handed back
+//! when the receiver has ingested it, and recycled for the next send.
 //!
-//! **Size classes.** Buffers are classed by *arity* (column count): a
-//! returned 2-column buffer is only ever reused for another 2-column
-//! block, so the per-column `Vec` capacities stay warm and no column is
-//! ever re-grown from zero. Each class keeps a bounded free list
-//! ([`BlockPool::MAX_FREE_PER_CLASS`]); overflow buffers are dropped
+//! **One free list.** A block's storage is one flat `Vec<Value>`, so any
+//! returned buffer serves any block whatever its arity; a recycled buffer
+//! that is too small for its new block grows once and stays grown. The
+//! list is bounded ([`BlockPool::MAX_FREE`]); overflow buffers are dropped
 //! rather than hoarded.
 //!
 //! **Accounting.** The pool counts every checkout and every return
 //! ([`PoolStats`]); a clean run returns every block it checked out, which
 //! `tests/pool_invariants.rs` locks as a property. The counters are
-//! atomics and the free lists sit behind one mutex per pool — the pool is
+//! atomics and the free list sits behind one mutex per pool — the pool is
 //! shared by all worker tasks of a run, and contention stays low because
 //! checkouts happen once per *block*, not once per tuple.
 //!
@@ -26,10 +24,10 @@
 //! use mpc_sim::pool::BlockPool;
 //!
 //! let pool = BlockPool::new();
-//! let buf = pool.checkout(2, 64);
-//! assert_eq!(buf.arity(), 2);
+//! let buf = pool.checkout(128);
+//! assert!(buf.is_empty() && buf.capacity() >= 128);
 //! pool.give_back(buf);
-//! let again = pool.checkout(2, 64); // recycled, not reallocated
+//! let again = pool.checkout(64); // recycled, not reallocated
 //! pool.give_back(again);
 //! assert_eq!(pool.stats().reused, 1);
 //! assert!(pool.stats().balanced());
@@ -38,7 +36,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::block::ColumnBuf;
+use mpc_storage::Value;
 
 /// Checkout/return accounting of a [`BlockPool`], captured by
 /// [`BlockPool::stats`].
@@ -67,12 +65,14 @@ impl PoolStats {
     }
 }
 
-/// A thread-safe, size-classed free list of [`ColumnBuf`]s.
+/// A block's storage as the pool lends it: one flat value buffer, which a
+/// [`crate::block::TupleBlock`] fills row-major.
+pub type BlockBuf = Vec<Value>;
+
+/// A thread-safe, bounded free list of [`BlockBuf`]s.
 #[derive(Debug, Default)]
 pub struct BlockPool {
-    /// `classes[arity]` holds the free buffers with exactly `arity`
-    /// columns (the vector grows lazily as arities appear).
-    classes: Mutex<Vec<Vec<ColumnBuf>>>,
+    free: Mutex<Vec<BlockBuf>>,
     checked_out: AtomicU64,
     returned: AtomicU64,
     allocated: AtomicU64,
@@ -80,50 +80,35 @@ pub struct BlockPool {
 }
 
 impl BlockPool {
-    /// Free buffers retained per size class; returns beyond this bound
-    /// drop the buffer instead of growing the pool without limit.
-    pub const MAX_FREE_PER_CLASS: usize = 1024;
+    /// Free buffers retained; returns beyond this bound drop the buffer
+    /// instead of growing the pool without limit.
+    pub const MAX_FREE: usize = 1024;
 
     /// An empty pool.
     pub fn new() -> Self {
         BlockPool::default()
     }
 
-    /// Check out a buffer with `arity` columns, each with room for
-    /// `capacity` values: recycled from the `arity` class when possible,
-    /// freshly allocated otherwise.
-    pub fn checkout(&self, arity: usize, capacity: usize) -> ColumnBuf {
+    /// Check out an empty buffer with room for `capacity` values: recycled
+    /// when the free list has one, freshly allocated otherwise.
+    pub fn checkout(&self, capacity: usize) -> BlockBuf {
         self.checked_out.fetch_add(1, Ordering::Relaxed);
-        let recycled = {
-            let mut classes = self.classes.lock().expect("pool mutex poisoned");
-            classes.get_mut(arity).and_then(Vec::pop)
-        };
-        match recycled {
-            Some(buf) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                debug_assert!(buf.is_empty() && buf.arity() == arity);
-                buf
-            }
-            None => {
-                self.allocated.fetch_add(1, Ordering::Relaxed);
-                ColumnBuf::with_arity(arity, capacity)
-            }
-        }
+        let recycled = self.free.lock().expect("pool mutex poisoned").pop();
+        let counter = if recycled.is_some() { &self.reused } else { &self.allocated };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let mut buf = recycled.unwrap_or_default();
+        buf.reserve(capacity);
+        buf
     }
 
-    /// Return a buffer to its size class. The buffer is cleared (values
-    /// dropped, capacity kept) and becomes available to the next
-    /// [`BlockPool::checkout`] of the same arity.
-    pub fn give_back(&self, mut buf: ColumnBuf) {
+    /// Return a buffer. It is cleared (values dropped, capacity kept) and
+    /// becomes available to the next [`BlockPool::checkout`].
+    pub fn give_back(&self, mut buf: BlockBuf) {
         self.returned.fetch_add(1, Ordering::Relaxed);
         buf.clear();
-        let arity = buf.arity();
-        let mut classes = self.classes.lock().expect("pool mutex poisoned");
-        if classes.len() <= arity {
-            classes.resize_with(arity + 1, Vec::new);
-        }
-        if classes[arity].len() < Self::MAX_FREE_PER_CLASS {
-            classes[arity].push(buf);
+        let mut free = self.free.lock().expect("pool mutex poisoned");
+        if free.len() < Self::MAX_FREE {
+            free.push(buf);
         }
         // else: drop the buffer; the return is still counted, so the
         // checkout/return balance is preserved.
@@ -139,10 +124,9 @@ impl BlockPool {
         }
     }
 
-    /// Free buffers currently parked in the `arity` size class.
-    pub fn free_in_class(&self, arity: usize) -> usize {
-        let classes = self.classes.lock().expect("pool mutex poisoned");
-        classes.get(arity).map_or(0, Vec::len)
+    /// Free buffers currently parked in the pool.
+    pub fn free_buffers(&self) -> usize {
+        self.free.lock().expect("pool mutex poisoned").len()
     }
 }
 
@@ -153,10 +137,10 @@ mod tests {
     #[test]
     fn checkout_allocates_then_reuses() {
         let pool = BlockPool::new();
-        let a = pool.checkout(3, 8);
+        let a = pool.checkout(24);
         assert_eq!(pool.stats().allocated, 1);
         pool.give_back(a);
-        let b = pool.checkout(3, 8);
+        let b = pool.checkout(24);
         assert_eq!(pool.stats().reused, 1);
         assert_eq!(pool.stats().allocated, 1);
         pool.give_back(b);
@@ -164,27 +148,26 @@ mod tests {
     }
 
     #[test]
-    fn classes_are_segregated_by_arity() {
+    fn one_free_list_serves_every_block_shape() {
         let pool = BlockPool::new();
-        let two = pool.checkout(2, 4);
-        pool.give_back(two);
-        // A 3-column checkout cannot be served by the 2-column buffer.
-        let three = pool.checkout(3, 4);
-        assert_eq!(three.arity(), 3);
-        assert_eq!(pool.stats().reused, 0);
-        assert_eq!(pool.free_in_class(2), 1);
-        pool.give_back(three);
+        pool.give_back(pool.checkout(2 * 4));
+        // A larger block takes the parked buffer and grows it — once.
+        let wide = pool.checkout(3 * 4);
+        assert!(wide.capacity() >= 12);
+        assert_eq!((pool.stats().reused, pool.stats().allocated), (1, 1));
+        pool.give_back(wide);
+        assert_eq!(pool.free_buffers(), 1);
+        assert!(pool.checkout(0).capacity() >= 12, "and stays grown");
     }
 
     #[test]
     fn free_lists_are_bounded() {
         let pool = BlockPool::new();
-        let bufs: Vec<_> =
-            (0..BlockPool::MAX_FREE_PER_CLASS + 10).map(|_| pool.checkout(1, 2)).collect();
+        let bufs: Vec<_> = (0..BlockPool::MAX_FREE + 10).map(|_| pool.checkout(2)).collect();
         for b in bufs {
             pool.give_back(b);
         }
-        assert_eq!(pool.free_in_class(1), BlockPool::MAX_FREE_PER_CLASS);
+        assert_eq!(pool.free_buffers(), BlockPool::MAX_FREE);
         // Overflow returns were still counted.
         assert!(pool.stats().balanced());
     }
@@ -192,11 +175,10 @@ mod tests {
     #[test]
     fn returned_buffers_come_back_empty_with_capacity() {
         let pool = BlockPool::new();
-        let mut buf = pool.checkout(2, 4);
-        buf.push(&[1, 2]);
-        buf.push(&[3, 4]);
+        let mut buf = pool.checkout(4);
+        buf.extend_from_slice(&[1, 2, 3, 4]);
         pool.give_back(buf);
-        let buf = pool.checkout(2, 4);
+        let buf = pool.checkout(4);
         assert!(buf.is_empty());
         pool.give_back(buf);
     }

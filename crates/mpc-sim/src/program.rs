@@ -139,7 +139,10 @@ impl MpcProgram for BroadcastProgram {
     }
 
     fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
-        Ok(relation.iter().map(|t| Routed::broadcast(relation.name(), Tuple::new(t), p)).collect())
+        let everyone: Vec<usize> = (0..p).collect();
+        let mut out = Vec::with_capacity(relation.len());
+        relation.iter().for_each(|t| emit(&mut out, relation.name(), t, &everyone));
+        Ok(out)
     }
 
     fn output(&self, server: usize, state: &ServerState) -> Result<Relation> {
@@ -162,9 +165,10 @@ impl MpcProgram for BroadcastProgram {
 
 /// Append one routed tuple to `out`: the row travels under `tag` to every
 /// server in `destinations`. Row and destinations are borrowed, so a
-/// program routes a whole relation out of one scratch vector; the planner
-/// crates build every [`MpcProgram::route_input`] /
-/// [`MpcProgram::route_tuples`] result through this one call.
+/// program routes a whole relation out of one scratch vector. Every
+/// program in the workspace builds its [`MpcProgram::route_input`] /
+/// [`MpcProgram::route_tuples`] results through this one call — the only
+/// place outside tests where a [`Routed`] is constructed.
 pub fn emit(out: &mut Vec<Routed>, tag: &str, row: &[Value], destinations: &[usize]) {
     out.push(Routed::new(tag, Tuple::new(row), destinations.to_vec()));
 }
@@ -203,6 +207,16 @@ mod tests {
         for c in counts {
             assert!((c as f64 - expected).abs() < 250.0, "bucket count {c} far from {expected}");
         }
+    }
+
+    #[test]
+    fn broadcast_targets_every_server() {
+        let rel = Relation::from_tuples("S", 1, vec![[7u64], [9]]).unwrap();
+        let routed =
+            BroadcastProgram::new(mpc_cq::families::chain(2)).route_input(&rel, 5).unwrap();
+        assert_eq!(routed.len(), 2);
+        assert!(routed.iter().all(|r| r.destinations == [0, 1, 2, 3, 4] && r.tag == "S"));
+        assert_eq!(routed[1].tuple.values(), &[9]);
     }
 
     #[test]

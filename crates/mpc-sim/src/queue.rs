@@ -125,15 +125,6 @@ impl<T> LinkSender<T> {
         }
     }
 
-    /// The lane's current fill level as a fraction of its capacity
-    /// (`queued / capacity`). Can exceed 1.0 after [`LinkSender::force_send`]
-    /// pushed past the bound. A point-in-time probe of whether the link is
-    /// running hot or cold.
-    pub fn occupancy(&self) -> f64 {
-        let inner = self.shared.inner.lock().expect("queue mutex poisoned");
-        inner.lanes[self.lane].len() as f64 / inner.capacity as f64
-    }
-
     /// Enqueue ignoring the capacity bound. Reserved for control packets
     /// (aborts) that must never deadlock behind data traffic.
     ///
@@ -184,7 +175,7 @@ impl<T> InboxReceiver<T> {
     /// Block until at least one packet is available, then drain
     /// *everything* currently pending into `buf` under a single lock
     /// acquisition. Returns the number of packets appended. This is the
-    /// batched receive of the columnar data plane: one mutex/condvar round
+    /// batched receive of the block data plane: one mutex/condvar round
     /// trip per burst instead of one per packet.
     pub fn recv_many(&self, buf: &mut Vec<T>) -> usize {
         let mut inner = self.shared.inner.lock().expect("queue mutex poisoned");
@@ -405,22 +396,6 @@ mod tests {
         rx.recv_many(&mut buf);
         handle.join().unwrap().unwrap();
         assert_eq!(buf, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn occupancy_tracks_fill_level() {
-        let (senders, rx) = Inbox::channel(2, 4);
-        assert_eq!(senders[0].occupancy(), 0.0);
-        senders[0].send(1).unwrap();
-        senders[0].send(2).unwrap();
-        assert_eq!(senders[0].occupancy(), 0.5);
-        assert_eq!(senders[1].occupancy(), 0.0, "lanes are probed independently");
-        for _ in 0..2 {
-            senders[0].send(9).unwrap();
-        }
-        senders[0].force_send(9).unwrap();
-        assert!(senders[0].occupancy() > 1.0, "force_send overshoots the bound");
-        drop(rx);
     }
 
     #[test]

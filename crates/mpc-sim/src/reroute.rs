@@ -4,12 +4,9 @@
 //! The adaptive runtime closes a feedback loop over the event-driven
 //! backend:
 //!
-//! 1. **Observe** — [`Cluster::run_async_observed`] executes the static
-//!    schedule while workers publish per-server counters into a shared
-//!    [`LiveProgress`] (lock-free atomics, updated on every block
-//!    delivery and round boundary). The run's [`ScheduleStats`] timeline
-//!    exposes the same signal post-hoc: per-server round-1 finish times
-//!    under the injected [`crate::StragglerSpec`].
+//! 1. **Observe** — [`Cluster::run_async`] executes the static schedule;
+//!    the run's [`ScheduleStats`] timeline carries the signal: per-server
+//!    round-1 finish times under the injected [`crate::StragglerSpec`].
 //! 2. **Decide** — [`RerouteController::plan`] compares each server's
 //!    round-1 finish against the cohort median; servers lagging beyond
 //!    [`RerouteSpec::lag_percent`] are stragglers. Movable cells homed on
@@ -59,15 +56,13 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use mpc_storage::{Database, Relation};
 
 use crate::cluster::Cluster;
 use crate::cluster_async::{AsyncConfig, AsyncRunResult};
 use crate::message::Routed;
-use crate::program::MpcProgram;
+use crate::program::{emit, MpcProgram};
 use crate::schedule::ScheduleStats;
 use crate::server::ServerState;
 use crate::Result;
@@ -94,88 +89,6 @@ fn mix(seed: u64, v: u64) -> u64 {
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
     x.wrapping_mul(0x94D0_49BB_1331_11EB)
-}
-
-// ---------------------------------------------------------------------------
-// Live progress counters.
-// ---------------------------------------------------------------------------
-
-/// Per-server counters one worker updates without coordination.
-#[derive(Debug, Default)]
-struct ServerCounters {
-    bytes: AtomicU64,
-    tuples: AtomicU64,
-    round: AtomicUsize,
-}
-
-/// Live per-server progress counters, shared between the running workers
-/// and an outside observer.
-///
-/// Workers of [`Cluster::run_async_observed`] bump their server's
-/// counters on every delivered block and on every round they enter;
-/// [`LiveProgress::snapshot`] can be read at any moment from any thread
-/// — this is the "schedule counters surfaced live" half of the adaptive
-/// runtime, and what [`AdaptiveRunResult::observed`] records.
-#[derive(Debug)]
-pub struct LiveProgress {
-    servers: Vec<ServerCounters>,
-}
-
-/// One server's counters at the moment of a [`LiveProgress::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProgressSnapshot {
-    /// The server index in `0..p`.
-    pub server: usize,
-    /// Payload bytes delivered to this server so far.
-    pub bytes: u64,
-    /// Tuples delivered to this server so far.
-    pub tuples: u64,
-    /// The round this server is currently receiving (1-based; 0 before
-    /// the first).
-    pub round: usize,
-}
-
-impl LiveProgress {
-    /// Fresh zeroed counters for `p` servers.
-    pub fn new(p: usize) -> Self {
-        LiveProgress { servers: (0..p).map(|_| ServerCounters::default()).collect() }
-    }
-
-    /// Number of tracked servers.
-    pub fn num_servers(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Credit a delivered block to `server` (called by the worker tasks).
-    pub(crate) fn record_delivery(&self, server: usize, bytes: u64, tuples: u64) {
-        if let Some(c) = self.servers.get(server) {
-            c.bytes.fetch_add(bytes, Ordering::Relaxed);
-            c.tuples.fetch_add(tuples, Ordering::Relaxed);
-        }
-    }
-
-    /// Record that `server` entered `round` (called by the worker tasks).
-    pub(crate) fn record_round(&self, server: usize, round: usize) {
-        if let Some(c) = self.servers.get(server) {
-            c.round.store(round, Ordering::Relaxed);
-        }
-    }
-
-    /// A consistent-enough point-in-time view of every server's counters
-    /// (each counter individually atomic; the set is read racily, which
-    /// is fine for progress observation).
-    pub fn snapshot(&self) -> Vec<ProgressSnapshot> {
-        self.servers
-            .iter()
-            .enumerate()
-            .map(|(server, c)| ProgressSnapshot {
-                server,
-                bytes: c.bytes.load(Ordering::Relaxed),
-                tuples: c.tuples.load(Ordering::Relaxed),
-                round: c.round.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,25 +281,22 @@ impl<P: MpcProgram> MpcProgram for RerouteHost<'_, P> {
             return Ok(routed);
         }
         let mut out = Vec::with_capacity(routed.len());
+        let (mut stay, mut moved): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
         for msg in routed {
-            let mut stay: Vec<usize> = Vec::with_capacity(msg.destinations.len());
-            let mut moved: Vec<usize> = Vec::new();
+            stay.clear();
+            moved.clear();
             for &dest in &msg.destinations {
                 match self.plan.target(dest) {
                     None => stay.push(dest),
-                    Some(_) => {
-                        if !moved.contains(&dest) {
-                            moved.push(dest);
-                        }
+                    Some(_) if moved.contains(&dest) => {}
+                    Some(target) => {
+                        moved.push(dest);
+                        emit(&mut out, &guest_tag(dest, &msg.tag), msg.tuple.values(), &[target]);
                     }
                 }
             }
-            for home in moved {
-                let target = self.plan.target(home).expect("home came from the plan");
-                out.push(Routed::new(guest_tag(home, &msg.tag), msg.tuple.clone(), vec![target]));
-            }
             if !stay.is_empty() {
-                out.push(Routed::new(msg.tag, msg.tuple, stay));
+                emit(&mut out, &msg.tag, msg.tuple.values(), &stay);
             }
         }
         Ok(out)
@@ -434,8 +344,7 @@ impl<P: MpcProgram> MpcProgram for RerouteHost<'_, P> {
 // ---------------------------------------------------------------------------
 
 /// The outcome of an adaptive run: the static observation, the rerouted
-/// execution, the plan that connected them and the live counters the
-/// observation surfaced.
+/// execution and the plan that connected them.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRunResult {
     /// The static (observation) run.
@@ -444,8 +353,6 @@ pub struct AdaptiveRunResult {
     pub adaptive: AsyncRunResult,
     /// The relocation decision derived from the observation.
     pub plan: ReroutePlan,
-    /// The live per-server counters at the end of the observation run.
-    pub observed: Vec<ProgressSnapshot>,
 }
 
 impl AdaptiveRunResult {
@@ -502,10 +409,10 @@ impl AdaptiveRunResult {
 }
 
 impl Cluster {
-    /// Observe, decide, act: run `program` statically while surfacing
-    /// live progress, derive a [`ReroutePlan`] from the observed
-    /// schedule, and re-run under a [`RerouteHost`] with the *same*
-    /// configuration (including injected stragglers).
+    /// Observe, decide, act: run `program` statically, derive a
+    /// [`ReroutePlan`] from the observed schedule, and re-run under a
+    /// [`RerouteHost`] with the *same* configuration (including injected
+    /// stragglers).
     ///
     /// Programs that declare no [`MpcProgram::reroutable_cells`] — or
     /// observations without stragglers — yield an empty plan, and the
@@ -521,14 +428,12 @@ impl Cluster {
         async_config: &AsyncConfig,
         spec: &RerouteSpec,
     ) -> Result<AdaptiveRunResult> {
-        let progress = Arc::new(LiveProgress::new(self.config().p));
-        let baseline = self.run_async_observed(program, db, async_config, &progress)?;
-        let observed = progress.snapshot();
+        let baseline = self.run_async(program, db, async_config)?;
         let cells = program.reroutable_cells();
         let plan = RerouteController::plan(&baseline.schedule, &cells, spec);
         let host = RerouteHost::new(program, plan.clone());
         let adaptive = self.run_async(&host, db, async_config)?;
-        Ok(AdaptiveRunResult { baseline, adaptive, plan, observed })
+        Ok(AdaptiveRunResult { baseline, adaptive, plan })
     }
 }
 
@@ -617,18 +522,5 @@ mod tests {
         // No cells declared.
         let skew = schedule_of(&[10, 10, 10, 400]);
         assert!(RerouteController::plan(&skew, &[], &RerouteSpec::default()).is_empty());
-    }
-
-    #[test]
-    fn live_progress_counters_accumulate() {
-        let lp = LiveProgress::new(3);
-        lp.record_delivery(1, 128, 4);
-        lp.record_delivery(1, 64, 2);
-        lp.record_round(1, 2);
-        lp.record_delivery(99, 1, 1); // out of range: ignored, not a panic
-        let snap = lp.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!((snap[1].bytes, snap[1].tuples, snap[1].round), (192, 6, 2));
-        assert_eq!((snap[0].bytes, snap[0].round), (0, 0));
     }
 }

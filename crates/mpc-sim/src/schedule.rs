@@ -140,7 +140,7 @@ impl StragglerSpec {
 /// matter for timing).
 ///
 /// `from` may be `>= p`: round-1 packets originate at the per-relation
-/// input servers, numbered `p, p+1, …`. A packet is a columnar
+/// input servers, numbered `p, p+1, …`. A packet is a
 /// [`crate::block::TupleBlock`] on the batched data plane, so it carries
 /// `tuples ≥ 1` tuples; per-tuple traffic sets `tuples = 1`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
@@ -476,7 +476,7 @@ struct Actor {
     ingested: Vec<u64>,
     /// Packets this worker will receive, per round.
     expected: Vec<u64>,
-    /// Tuples this worker will receive, per round (a packet is a columnar
+    /// Tuples this worker will receive, per round (a packet is a
     /// block carrying one or more tuples; compute cost scales with
     /// tuples, not packets).
     expected_tuples: Vec<u64>,

@@ -92,9 +92,9 @@ impl ServerState {
         Ok(())
     }
 
-    /// Record the delivery of a whole columnar block during its round:
-    /// its columns are appended to its tag's relation in one call, with
-    /// one accounting update. Duplicate rows still cost bytes, exactly as
+    /// Record the delivery of a whole block during its round: its rows
+    /// are inserted into its tag's relation in one call, with one
+    /// accounting update. Duplicate rows still cost bytes, exactly as
     /// under [`ServerState::receive_row`].
     ///
     /// # Errors
@@ -104,7 +104,7 @@ impl ServerState {
     /// error, not a panic; nothing is charged then.
     pub fn receive_block(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
         relation_under(&mut self.relations, &block.tag, block.arity())
-            .append_columns(block.len(), block.columns())?;
+            .insert_rows(block.len(), block.values())?;
         self.credit_received(block.round, block.payload_bytes(), block.len() as u64);
         Ok(())
     }
@@ -258,7 +258,7 @@ impl RoundStage {
     /// same tag had another arity.
     pub fn absorb(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
         relation_under(&mut self.rels, &block.tag, block.arity())
-            .append_columns(block.len(), block.columns())?;
+            .insert_rows(block.len(), block.values())?;
         self.bytes += block.payload_bytes();
         self.tuples += block.len() as u64;
         Ok(())
@@ -273,7 +273,6 @@ mod tests {
     use mpc_storage::Database;
 
     use super::*;
-    use crate::block::ColumnBuf;
 
     #[test]
     fn receive_accumulates_and_accounts() {
@@ -330,11 +329,15 @@ mod tests {
 
     /// A block of `rows` under `tag`, as an assembler would seal it.
     fn block(tag: &str, round: usize, rows: &[&[Value]]) -> TupleBlock {
-        let mut cols = ColumnBuf::with_arity(rows[0].len(), rows.len());
-        for row in rows {
-            cols.push(row);
-        }
-        TupleBlock::from_parts(Arc::from(tag), round, 0, 0, cols)
+        TupleBlock::from_parts(
+            Arc::from(tag),
+            round,
+            0,
+            0,
+            rows[0].len(),
+            rows.len(),
+            rows.concat(),
+        )
     }
 
     #[test]

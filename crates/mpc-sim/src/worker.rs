@@ -25,7 +25,7 @@
 //! [`RoundStage`] on arrival and merged — with their volume credited to
 //! their own round — when the worker gets there.
 //!
-//! **Data plane.** Tuples travel as columnar [`TupleBlock`]s of up to
+//! **Data plane.** Tuples travel as row-major [`TupleBlock`]s of up to
 //! `block_capacity` rows per `(destination, tag)`, sealed by one
 //! [`BlockAssembler`] per `(sender, round)` whose sequence numbers make the
 //! per-sender send order reproducible. There is exactly one place that
@@ -61,7 +61,6 @@ use crate::error::SimError;
 use crate::message::Routed;
 use crate::pool::BlockPool;
 use crate::program::MpcProgram;
-use crate::reroute::LiveProgress;
 use crate::schedule::MsgRecord;
 use crate::server::{RoundStage, ServerState};
 use crate::stats::RunResult;
@@ -70,7 +69,7 @@ use crate::Result;
 /// A packet between servers, on every fabric.
 #[derive(Debug)]
 pub enum Packet {
-    /// A sealed columnar batch of routed tuples.
+    /// A sealed batch of routed tuples.
     Block(TupleBlock),
     /// Every block of `round` from this sender is out.
     Fin {
@@ -282,7 +281,6 @@ pub struct WorkerCore<'a, H> {
     stages: Vec<RoundStage>,
     traffic: Vec<MsgRecord>,
     scratch: Vec<Packet>,
-    progress: Option<Arc<LiveProgress>>,
 }
 
 impl<'a, H> WorkerCore<'a, H>
@@ -326,7 +324,6 @@ where
             stages: (0..rounds).map(|_| RoundStage::default()).collect(),
             traffic: Vec::new(),
             scratch: Vec::new(),
-            progress: None,
         })
     }
 
@@ -359,14 +356,6 @@ where
         self.round = point.round;
         self.computed = point.round;
         Ok(self)
-    }
-
-    /// Bump this server's counters in `progress` on every ingested block
-    /// and every round entered.
-    #[must_use]
-    pub fn observed_by(mut self, progress: Arc<LiveProgress>) -> Self {
-        self.progress = Some(progress);
-        self
     }
 
     /// Everything this server knows so far.
@@ -403,7 +392,7 @@ where
 
     /// Ingest one packet. A block of the round being received goes
     /// straight into the server state; a block that raced ahead is hashed
-    /// into its round's stage. Either way its columns return to the pool.
+    /// into its round's stage. Either way its buffer returns to the pool.
     ///
     /// # Errors
     ///
@@ -421,9 +410,6 @@ where
                     bytes: block.payload_bytes(),
                     tuples: block.len() as u64,
                 });
-                if let Some(progress) = &self.progress {
-                    progress.record_delivery(self.id, block.payload_bytes(), block.len() as u64);
-                }
                 // Rounds before `self.round` are closed, so an open round
                 // that is not the current one lies ahead.
                 let ingested = if block.round == self.round {
@@ -492,9 +478,6 @@ where
             _ => Some(program.route_tuples(round, self.id, &self.state)?),
         };
         self.round = round;
-        if let Some(progress) = &self.progress {
-            progress.record_round(self.id, round);
-        }
         let (p, pool, capacity) = (self.p, Arc::clone(&self.pool), self.block_capacity);
         let sends = match (routed, self.input) {
             (Some(routed), _) => {
@@ -626,7 +609,6 @@ pub fn fold_summaries<P: MpcProgram + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::ColumnBuf;
     use crate::program::emit;
     use mpc_storage::{Tuple, Value};
 
@@ -682,9 +664,8 @@ mod tests {
     }
 
     fn block(tag: &str, round: usize, from: usize, seq: u64, rows: &[Value]) -> Packet {
-        let mut cols = ColumnBuf::with_arity(1, rows.len());
-        rows.iter().for_each(|&v| cols.push(&[v]));
-        Packet::Block(TupleBlock::from_parts(Arc::from(tag), round, from, seq, cols))
+        let tag = Arc::from(tag);
+        Packet::Block(TupleBlock::from_parts(tag, round, from, seq, 1, rows.len(), rows.to_vec()))
     }
 
     fn core(program: &Relay) -> WorkerCore<'static, &Relay> {
@@ -790,10 +771,8 @@ mod tests {
         let mut core = core(&program);
         assert!(matches!(core.step(&mut link).unwrap(), Step::NeedInput));
         let wide = |round| {
-            let mut cols = ColumnBuf::with_arity(2, 1);
-            cols.push(&[1, 2]);
             let tag = format!("hop{round}");
-            Packet::Block(TupleBlock::from_parts(Arc::from(&*tag), round, 1, 1, cols))
+            Packet::Block(TupleBlock::from_parts(Arc::from(&*tag), round, 1, 1, 2, 1, vec![1, 2]))
         };
         for round in [1, 2] {
             core.accept(block(&format!("hop{round}"), round, 1, 0, &[1])).unwrap();

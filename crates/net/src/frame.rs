@@ -3,13 +3,16 @@
 //! Every frame is `u32 LE body length` followed by the body; the body is
 //! one kind byte plus kind-specific fields. Integers are little-endian,
 //! strings are `u32 length + UTF-8 bytes`. The only data frame is
-//! [`Frame::Block`], whose payload is the columnar
-//! [`TupleBlock`] layout **verbatim**: `arity`
-//! contiguous runs of `rows` 8-byte values each, one per column — the
-//! same bytes the in-process plane keeps in its pooled
-//! [`ColumnBuf`](mpc_sim::ColumnBuf)s, so encoding is a columnwise copy
-//! and decoding refills a pooled buffer straight from the socket with no
-//! row-major detour.
+//! [`Frame::Block`], whose payload is the row-major
+//! [`TupleBlock`] buffer **verbatim**: `rows × arity` 8-byte values, row
+//! after row — the same bytes the in-process plane keeps in its pooled
+//! buffers, and the same row codec the relations of `Summary` and
+//! `Checkpoint` frames go through, so a batch of rows is encoded one way.
+//!
+//! Bytes off a socket are not trusted: every count a body announces is
+//! checked against the bytes the body still holds *before* anything is
+//! allocated for it, so a hostile length prefix is a
+//! [`NetError::Protocol`], never an allocation.
 //!
 //! Control frames implement the master/worker protocol (see
 //! [`crate::master`] for the state machine): `Hello` → `Job` → `Peers` →
@@ -80,7 +83,7 @@ pub enum Frame {
         /// The round every worker has completed.
         round: u32,
     },
-    /// A sealed columnar tuple block (the only data frame).
+    /// A sealed tuple block (the only data frame).
     Block(TupleBlock),
     /// All round-`round` blocks from this sender have been sent.
     Fin {
@@ -197,13 +200,49 @@ impl<'a> Body<'a> {
             .map_err(|_| NetError::Protocol("frame string is not UTF-8".to_string()))
     }
 
-    fn values(&mut self, count: usize, out: &mut Vec<Value>) -> Result<()> {
-        let raw = self.take(count * 8)?;
-        out.reserve(count);
-        for chunk in raw.chunks_exact(8) {
-            out.push(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+    /// `count` elements announced by a length prefix, refused unless that
+    /// many — at least `min_bytes` encoded bytes each — can still follow:
+    /// what every allocation sized by the wire is checked by first.
+    fn announced(&self, count: usize, min_bytes: usize) -> Result<usize> {
+        match count.checked_mul(min_bytes) {
+            Some(need) if need <= self.bytes.len() - self.at => Ok(count),
+            _ => Err(NetError::Protocol(
+                "frame announces more elements than its body holds".to_string(),
+            )),
         }
-        Ok(())
+    }
+
+    /// A `u32` element count, checked by [`Body::announced`].
+    fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        self.announced(count, min_bytes)
+    }
+
+    /// Decode a batch of `rows` rows of `arity` values — the payload of a
+    /// block and of a relation alike — into a buffer obtained from `lend`,
+    /// which is asked for room only once the body is known to hold every
+    /// value the header announced.
+    fn rows(
+        &mut self,
+        arity: usize,
+        rows: usize,
+        lend: impl FnOnce(usize) -> Vec<Value>,
+    ) -> Result<Vec<Value>> {
+        let count = self.announced(rows.saturating_mul(arity), 8)?;
+        let raw = self.take(count * 8)?;
+        let mut values = lend(count);
+        values.extend(
+            raw.chunks_exact(8).map(|v| u64::from_le_bytes(v.try_into().expect("8 bytes"))),
+        );
+        Ok(values)
+    }
+}
+
+/// Row-major values, 8 bytes each — how the rows of a block and of a
+/// relation are both written.
+fn put_values<'v>(buf: &mut Vec<u8>, values: impl IntoIterator<Item = &'v Value>) {
+    for &v in values {
+        put_u64(buf, v);
     }
 }
 
@@ -211,16 +250,12 @@ fn put_relation(buf: &mut Vec<u8>, rel: &Relation) {
     put_str(buf, rel.name());
     put_u32(buf, rel.arity() as u32);
     put_u32(buf, rel.len() as u32);
-    for &v in rel.iter().flatten() {
-        put_u64(buf, v);
-    }
+    put_values(buf, rel.iter().flatten());
 }
 
 fn put_u64s(buf: &mut Vec<u8>, vs: &[u64]) {
     put_u32(buf, vs.len() as u32);
-    for &v in vs {
-        put_u64(buf, v);
-    }
+    put_values(buf, vs);
 }
 
 fn take_relation(b: &mut Body<'_>) -> Result<Relation> {
@@ -228,22 +263,14 @@ fn take_relation(b: &mut Body<'_>) -> Result<Relation> {
     let arity = b.u32()? as usize;
     let rows = b.u32()? as usize;
     let mut rel = Relation::empty(&name, arity);
-    let mut row = Vec::with_capacity(arity);
-    for _ in 0..rows {
-        row.clear();
-        b.values(arity, &mut row)?;
-        rel.insert_row(&row)?;
-    }
+    rel.insert_rows(rows, &b.rows(arity, rows, Vec::with_capacity)?)?;
     Ok(rel)
 }
 
+/// A list of `u64`s is `count` rows of one value.
 fn take_u64s(b: &mut Body<'_>) -> Result<Vec<u64>> {
     let count = b.u32()? as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(b.u64()?);
-    }
-    Ok(out)
+    b.rows(1, count, Vec::with_capacity)
 }
 
 /// Serialise `frame` into `buf` (cleared first): length prefix + body.
@@ -285,11 +312,7 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
             put_u64(buf, block.seq);
             put_u32(buf, block.arity() as u32);
             put_u32(buf, block.len() as u32);
-            for c in 0..block.arity() {
-                for &v in block.column(c) {
-                    put_u64(buf, v);
-                }
-            }
+            put_values(buf, block.values());
         }
         Frame::Fin { round } => {
             buf.push(KIND_FIN);
@@ -346,8 +369,8 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
     Ok(())
 }
 
-/// Read one frame from `r`. Block payloads refill a [`mpc_sim::ColumnBuf`] checked
-/// out of `pool`, so steady-state decoding reuses storage.
+/// Read one frame from `r`. Block payloads fill a buffer checked out of
+/// `pool`, so steady-state decoding reuses storage.
 ///
 /// # Errors
 ///
@@ -377,7 +400,8 @@ pub fn decode_body(raw: &[u8], pool: &BlockPool) -> Result<Frame> {
         KIND_HELLO => Frame::Hello { worker_id: b.u32()?, data_port: b.u16()? },
         KIND_JOB => Frame::Job { spec: b.str()? },
         KIND_PEERS => {
-            let count = b.u32()? as usize;
+            // A peer is at least an id and a string length.
+            let count = b.count(4 + 4)?;
             let mut peers = Vec::with_capacity(count);
             for _ in 0..count {
                 let id = b.u32()?;
@@ -396,13 +420,8 @@ pub fn decode_body(raw: &[u8], pool: &BlockPool) -> Result<Frame> {
             let seq = b.u64()?;
             let arity = b.u32()? as usize;
             let rows = b.u32()? as usize;
-            let mut cols = pool.checkout(arity, rows);
-            let refilled = cols.refill(rows, |col| b.values(rows, col));
-            if let Err(e) = refilled {
-                pool.give_back(cols);
-                return Err(e);
-            }
-            Frame::Block(TupleBlock::from_parts(tag, round, from, seq, cols))
+            let values = b.rows(arity, rows, |count| pool.checkout(count))?;
+            Frame::Block(TupleBlock::from_parts(tag, round, from, seq, arity, rows, values))
         }
         KIND_FIN => Frame::Fin { round: b.u32()? },
         KIND_SUMMARY => {
@@ -416,7 +435,8 @@ pub fn decode_body(raw: &[u8], pool: &BlockPool) -> Result<Frame> {
         KIND_DATA_HELLO => Frame::DataHello { from: b.u32()? },
         KIND_CHECKPOINT => {
             let round = b.u32()?;
-            let count = b.u32()? as usize;
+            // A relation is at least a name length, an arity and a row count.
+            let count = b.count(4 + 4 + 4)?;
             let mut relations = Vec::with_capacity(count);
             for _ in 0..count {
                 relations.push(take_relation(&mut b)?);
@@ -497,13 +517,40 @@ mod tests {
         assert_eq!((&*got.tag, got.round, got.from, got.seq), ("Edge", 2, 7, 0));
         assert_eq!(got.len(), 4);
         assert_eq!(got.arity(), 3);
-        for c in 0..3 {
-            assert_eq!(got.column(c), block.column(c), "column {c} intact");
-        }
+        assert_eq!(got.values(), block.values(), "every row intact, in order");
         assert_eq!(got.payload_bytes(), block.payload_bytes());
         pool.give_back(block.into_columns());
         pool.give_back(got.into_columns());
         assert!(pool.stats().balanced());
+    }
+
+    #[test]
+    fn a_block_frame_is_its_header_plus_eight_bytes_per_value() {
+        let header = |tag: &str| 4 + 1 + (4 + tag.len()) + 4 + 4 + 8 + 4 + 4;
+        let mut wire = Vec::new();
+        for (tag, arity, rows) in [("R", 2, 3), ("Edge", 3, 256), ("Unit", 0, 5), ("V1_0", 1, 1)] {
+            let values = (0..(rows * arity) as u64).collect();
+            let block = TupleBlock::from_parts(Arc::from(tag), 1, 0, 0, arity, rows, values);
+            encode_frame(&Frame::Block(block), &mut wire);
+            assert_eq!(wire.len(), header(tag) + rows * arity * 8, "{tag}");
+        }
+    }
+
+    #[test]
+    fn a_relation_and_a_block_of_the_same_rows_share_their_payload_bytes() {
+        let rows = [[7u64, 1], [2, 9], [u64::MAX, 0]];
+        let rel = Relation::from_tuples("R", 2, rows).unwrap();
+        let block = TupleBlock::from_parts(Arc::from("R"), 1, 0, 0, 2, 3, rows.concat());
+        let (mut as_block, mut as_relation) = (Vec::new(), Vec::new());
+        encode_frame(&Frame::Block(block), &mut as_block);
+        let summary =
+            Frame::Summary { output: rel, per_round_bytes: vec![], per_round_tuples: vec![] };
+        encode_frame(&summary, &mut as_relation);
+        let payload = 3 * 2 * 8;
+        // The summary ends in two empty `u64` lists (4 bytes each).
+        let of_relation = &as_relation[as_relation.len() - 8 - payload..as_relation.len() - 8];
+        assert_eq!(&as_block[as_block.len() - payload..], of_relation);
+        assert_eq!(&of_relation[..16], [7u64.to_le_bytes(), 1u64.to_le_bytes()].concat());
     }
 
     #[test]

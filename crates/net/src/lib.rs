@@ -6,11 +6,13 @@
 //! onto a real network stack, in three layers:
 //!
 //! * **[`frame`]** — a length-prefixed binary wire format. Data frames
-//!   carry the columnar [`mpc_sim::TupleBlock`] layout verbatim (one
-//!   contiguous run of 8-byte values per column), and the decoder refills
-//!   pooled [`mpc_sim::ColumnBuf`]s via a [`mpc_sim::BlockPool`], so the
-//!   receive path allocates nothing in steady state. Control frames cover
-//!   the master/worker handshake, per-round barriers and fail-fast aborts.
+//!   carry the row-major [`mpc_sim::TupleBlock`] buffer verbatim (8-byte
+//!   values, row after row — the one row codec relations in control
+//!   frames use too), and the decoder fills buffers lent by a
+//!   [`mpc_sim::BlockPool`], so the receive path allocates nothing in
+//!   steady state — and nothing at all for a count its frame cannot back.
+//!   Control frames cover the master/worker handshake, per-round barriers
+//!   and fail-fast aborts.
 //! * **[`transport`] / [`runner`]** — [`TcpTransport`], the socket
 //!   implementation of the simulator's [`Transport`] trait.
 //!   [`runner::run_distributed`] drives one [`mpc_sim::WorkerCore`] per

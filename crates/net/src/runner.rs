@@ -57,7 +57,7 @@ pub struct DistConfig {
     /// Per-link lane capacity, in packets (in-process transport only; TCP
     /// backpressure comes from the kernel's socket buffers).
     pub queue_capacity: usize,
-    /// Tuples per columnar block.
+    /// Tuples per block.
     pub block_capacity: usize,
 }
 

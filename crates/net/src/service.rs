@@ -52,7 +52,7 @@ pub struct ServiceConfig {
     pub epsilon: f64,
     /// Per-link lane capacity of the reactor inboxes, in packets.
     pub queue_capacity: usize,
-    /// Tuples per columnar block.
+    /// Tuples per block.
     pub block_capacity: usize,
     /// Admission capacity: the sum of admitted per-query budgets
     /// (`budget_bytes(N)` each) may not exceed this. A query larger than

@@ -97,7 +97,7 @@ pub struct JobSpec {
     pub seed: u64,
     /// Per-link lane capacity for the workers' inboxes.
     pub queue_capacity: usize,
-    /// Tuples per columnar block.
+    /// Tuples per block.
     pub block_capacity: usize,
 }
 

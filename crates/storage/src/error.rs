@@ -28,14 +28,6 @@ pub enum StorageError {
         /// Arity of the offending tuple.
         actual: usize,
     },
-    /// Column-major input whose columns do not all hold the announced
-    /// number of rows.
-    RaggedColumns {
-        /// Relation symbol.
-        relation: String,
-        /// The announced row count.
-        rows: usize,
-    },
     /// A relation would grow past the `u32::MAX` rows its row ids can
     /// address.
     TooManyRows {
@@ -57,10 +49,6 @@ impl fmt::Display for StorageError {
             StorageError::TupleArity { relation, expected, actual } => write!(
                 f,
                 "tuple of arity {actual} inserted into relation `{relation}` of arity {expected}"
-            ),
-            StorageError::RaggedColumns { relation, rows } => write!(
-                f,
-                "columns appended to relation `{relation}` do not all hold the announced {rows} rows"
             ),
             StorageError::TooManyRows { relation } => {
                 write!(f, "relation `{relation}` cannot hold more than {} rows", u32::MAX)

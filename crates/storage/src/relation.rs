@@ -184,32 +184,29 @@ impl Relation {
         self.commit_pending_row()
     }
 
-    /// Append `rows` rows given column-major — `columns[c][r]` is column
-    /// `c` of row `r`, the layout of a transport block — deduplicating as
-    /// [`Relation::insert_row`] does. Returns how many rows were new.
+    /// Insert `rows` rows given as one row-major slice — the layout of a
+    /// transport block and of [`Relation`] itself — deduplicating as
+    /// [`Relation::insert_row`] does. Returns how many rows were new. The
+    /// row count is explicit because zero-arity rows occupy no values.
     ///
     /// # Errors
     ///
-    /// Returns [`StorageError::TupleArity`] if the number of columns is not
-    /// the relation's arity, [`StorageError::RaggedColumns`] if a column
-    /// does not hold exactly `rows` values, and
-    /// [`StorageError::TooManyRows`] past `u32::MAX` rows. Rows before the
-    /// failing one stay inserted.
-    pub fn append_columns<C: AsRef<[Value]>>(
-        &mut self,
-        rows: usize,
-        columns: &[C],
-    ) -> Result<usize> {
-        if columns.len() != self.arity {
-            return Err(self.arity_error(columns.len()));
+    /// Returns [`StorageError::TupleArity`] (reporting the row width the
+    /// slice implies, `values.len() / rows`) unless `values` holds exactly
+    /// `rows × arity` values — nothing is inserted then — and
+    /// [`StorageError::TooManyRows`] past `u32::MAX` rows, with the rows
+    /// before the failing one inserted.
+    pub fn insert_rows(&mut self, rows: usize, values: &[Value]) -> Result<usize> {
+        if rows.checked_mul(self.arity) != Some(values.len()) {
+            return Err(self.arity_error(values.len().checked_div(rows).unwrap_or(values.len())));
         }
-        if columns.iter().any(|c| c.as_ref().len() != rows) {
-            return Err(StorageError::RaggedColumns { relation: self.name.clone(), rows });
-        }
+        // Zero-arity rows are all the same row, so one insertion decides
+        // them all — and a block header can announce 2³² of them in no bytes.
+        let rows = if self.arity == 0 { rows.min(1) } else { rows };
         self.reserve(rows);
         let mut fresh = 0;
         for r in 0..rows {
-            self.values.extend(columns.iter().map(|c| c.as_ref()[r]));
+            self.values.extend_from_slice(&values[r * self.arity..(r + 1) * self.arity]);
             fresh += usize::from(self.commit_pending_row()?);
         }
         Ok(fresh)
@@ -226,16 +223,7 @@ impl Relation {
             // Nothing to append, whatever arity the empty relation declares.
             return Ok(0);
         }
-        if other.arity != self.arity {
-            return Err(self.arity_error(other.arity));
-        }
-        self.reserve(other.rows);
-        let mut fresh = 0;
-        for row in other.iter() {
-            self.values.extend_from_slice(row);
-            fresh += usize::from(self.commit_pending_row()?);
-        }
-        Ok(fresh)
+        self.insert_rows(other.rows, &other.values)
     }
 
     /// Make room for `additional` more rows without regrowing.

@@ -73,28 +73,28 @@ fn run_case(seed: u64, arity: usize, domain: u64, ops: usize) -> (Relation, Mode
                 assert!(rel.insert(Tuple(vec![0; wrong])).is_err());
             }
             1 => {
-                // A column-major batch, duplicates inside it included.
+                // A row-major batch, duplicates inside it included.
                 let rows: Vec<Vec<Value>> = (0..rng.gen_range(0..40usize))
                     .map(|_| random_row(&mut rng, arity, domain))
                     .collect();
-                let columns: Vec<Vec<Value>> =
-                    (0..arity).map(|c| rows.iter().map(|r| r[c]).collect()).collect();
                 let fresh = rows.iter().filter(|r| model.insert(r)).count();
-                assert_eq!(rel.append_columns(rows.len(), &columns).unwrap(), fresh);
+                assert_eq!(rel.insert_rows(rows.len(), &rows.concat()).unwrap(), fresh);
             }
             2 => {
-                // Malformed batches: wrong column count, ragged columns.
-                let mut columns = vec![vec![1, 2, 3]; arity + 1];
-                assert!(matches!(
-                    rel.append_columns(3, &columns),
-                    Err(StorageError::TupleArity { .. })
-                ));
-                columns.truncate(arity);
-                if let Some(last) = columns.last_mut() {
-                    last.pop();
+                // Malformed batches — rows of another width, a slice one
+                // value short — are rejected whole and change nothing.
+                let wide = vec![1; 3 * (arity + 1)];
+                let wrong_width = StorageError::TupleArity {
+                    relation: "R".into(),
+                    expected: arity,
+                    actual: arity + 1,
+                };
+                assert_eq!(rel.insert_rows(3, &wide), Err(wrong_width));
+                if arity > 0 {
+                    let short = &wide[..3 * arity - 1];
                     assert!(matches!(
-                        rel.append_columns(3, &columns),
-                        Err(StorageError::RaggedColumns { rows: 3, .. })
+                        rel.insert_rows(3, short),
+                        Err(StorageError::TupleArity { .. })
                     ));
                 }
             }

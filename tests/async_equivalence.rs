@@ -31,7 +31,7 @@ fn assert_equivalent<P: MpcProgram>(
     for s in &sched.servers {
         assert!(s.span_partition_holds(), "{label}: server {} timeline leaks", s.server);
     }
-    // The columnar data plane leaks no blocks on a clean run.
+    // The block data plane leaks no blocks on a clean run.
     let pool = &report.event_driven.pool;
     assert!(pool.balanced(), "{label}: block pool unbalanced: {pool:?}");
 }
@@ -97,7 +97,7 @@ fn skew_resilient_program_is_backend_independent() {
     }
 }
 
-/// The differential matrix of the columnar data plane: every program kind
+/// The differential matrix of the block data plane: every program kind
 /// × block capacities spanning per-tuple (1), awkward (7), steady-state
 /// (64) and whole-round (4096) blocks × tight and roomy queues. Identical
 /// outputs and per-round volumes everywhere — block capacity 1 must

@@ -1,8 +1,8 @@
-//! Property tests of the size-classed block pool behind the columnar data
-//! plane (`mpc_sim::pool`): a seeded loop over real async runs asserting
-//! the checkout/return balance, plus direct concurrent storms on a shared
-//! pool asserting no buffer is ever aliased to two holders and that size
-//! classes actually recycle under parallel churn.
+//! Property tests of the block pool behind the block data plane
+//! (`mpc_sim::pool`): a seeded loop over real async runs asserting the
+//! checkout/return balance, plus a direct concurrent storm on a shared
+//! pool asserting no buffer is ever aliased to two holders and that the
+//! one free list recycles across block shapes under parallel churn.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,16 +57,17 @@ fn concurrent_checkout_never_aliases_buffers() {
         .par_iter()
         .map(|&stamp| {
             for iter in 0..32 {
+                // Mixed arities share the one free list.
                 let arity = ((stamp + iter) % 3 + 1) as usize;
-                let mut buf = pool.checkout(arity, 16);
+                let mut buf = pool.checkout(16 * arity);
                 if !buf.is_empty() {
                     return false; // stale rows from another holder
                 }
                 let row = vec![stamp; arity];
                 for _ in 0..16 {
-                    buf.push(&row);
+                    buf.extend_from_slice(&row);
                 }
-                let stamped = (0..arity).all(|c| buf.column(c).iter().all(|&v| v == stamp));
+                let stamped = buf.len() == 16 * arity && buf.iter().all(|&v| v == stamp);
                 pool.give_back(buf);
                 if !stamped {
                     return false;
@@ -80,11 +81,11 @@ fn concurrent_checkout_never_aliases_buffers() {
     let stats = pool.stats();
     assert!(stats.balanced(), "storm left the pool unbalanced: {stats:?}");
     assert_eq!(stats.checked_out, 64 * 32);
-    // 2048 checkouts over 3 size classes cannot all miss: the free lists
-    // must have served a substantial share.
-    assert!(stats.reused > 0, "no size-class reuse under churn: {stats:?}");
-    // Bounded retention per class, even after the storm.
-    for arity in 0..4 {
-        assert!(pool.free_in_class(arity) <= BlockPool::MAX_FREE_PER_CLASS);
-    }
+    // At most one buffer per task is out at a time, so the free list
+    // must have served all but a handful of the 2048 checkouts.
+    assert!(stats.allocated <= 64, "more buffers than concurrent holders: {stats:?}");
+    assert!(stats.reused >= 64 * 31, "no reuse across block shapes under churn: {stats:?}");
+    // Bounded retention, even after the storm.
+    assert!(pool.free_buffers() <= BlockPool::MAX_FREE);
+    assert_eq!(pool.free_buffers() as u64, stats.allocated, "every buffer is parked again");
 }
