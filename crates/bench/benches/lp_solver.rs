@@ -1,16 +1,15 @@
-//! Criterion bench: the layered LP solver behind Figure 1 / Table 1.
+//! Criterion bench: the LP solver behind Figure 1 / Table 1, and the planning it serves.
 //!
 //! Three groups track the perf story of the LP layer across PRs:
 //!
-//! * `query_lps` — the production fast path ([`QueryLps::solve`]:
-//!   closed form → cache → sparse simplex) on the figure-1 suite plus the
-//!   `--k` sweep sizes;
+//! * `query_lps` — the production path ([`QueryLps::solve`]: closed form,
+//!   else sparse simplex) on the figure-1 suite plus the `--k` sweep sizes;
 //! * `sparse_vs_dense` — the raw sparse revised simplex against the dense
-//!   tableau oracle on the same queries (no cache, no closed forms);
-//! * `cache_cold_vs_warm` — the full layered solve against a cold private
-//!   cache vs a pre-warmed one, on **non-family** queries (recognised
-//!   families short-circuit to the closed form and never touch the cache,
-//!   so family queries would measure the wrong layer).
+//!   tableau oracle on the same queries (no closed forms);
+//! * `plan` — what the LPs are solved *for*: building and compiling the
+//!   `ε = 0` multi-round plan of a chain ([`MultiRoundPlan::build`] +
+//!   [`PlanProgram::new`] at `p = 64`), which solves the LPs of every
+//!   operator of the plan several times over.
 //!
 //! With `MPC_BENCH_JSON=<dir>` (or `--json <path>`) the bench also writes
 //! machine-readable rows — `{name, mean_ns, iterations}` — to
@@ -20,12 +19,19 @@
 //! ```text
 //! MPC_BENCH_JSON=target/bench-json cargo bench -p mpc-bench --bench lp_solver
 //! ```
+//!
+//! CI ratchets `plan/L24 ≤ 25 × sparse/L24` within one run: planning a
+//! chain must stay a small multiple of solving it (6.7× when recorded;
+//! 530× while a memo table keyed by a canonical labelling sat in front of
+//! the simplex).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 
 use mpc_bench::{json_output_path, maybe_write_json, BenchRow};
+use mpc_core::multiround::executor::PlanProgram;
+use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::{families, Query};
-use mpc_lp::{LpCache, QueryLps};
+use mpc_lp::{QueryLps, Rational};
 
 /// The benched queries: the figure-1 suite plus the sweep sizes the
 /// `table1`/`figure1_lps` binaries now reach.
@@ -69,50 +75,27 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
     group.finish();
 }
 
-/// Non-family queries for the cache group: a triangle with a pendant path
-/// of `tail` edges (never recognised, so the layered solve reaches the
-/// cache), plus the witness query.
-fn tailed_triangle(tail: usize) -> Query {
-    let mut atoms = vec![
-        ("S1".to_string(), vec!["a".to_string(), "b".to_string()]),
-        ("S2".to_string(), vec!["b".to_string(), "c".to_string()]),
-        ("S3".to_string(), vec!["c".to_string(), "a".to_string()]),
-        ("B".to_string(), vec!["a".to_string(), "t0".to_string()]),
-    ];
-    for j in 0..tail {
-        atoms.push((format!("P{j}"), vec![format!("t{j}"), format!("t{}", j + 1)]));
-    }
-    Query::new(format!("TT{tail}"), atoms).expect("valid tailed triangle")
+/// The chains whose `ε = 0` plan the `plan` group builds and compiles.
+const PLAN_CHAINS: [usize; 2] = [8, 24];
+
+/// Plan `q` at `ε = 0` and compile the plan for `p = 64` servers.
+fn plan_and_compile(q: &Query) -> PlanProgram {
+    let plan = MultiRoundPlan::build(q, Rational::ZERO).unwrap();
+    PlanProgram::new(&plan, 64, 7).unwrap()
 }
 
-/// The queries the cache groups run over.
-fn cache_suite() -> Vec<(String, Query)> {
-    let mut qs = vec![("W".to_string(), families::witness_query())];
-    for tail in [2usize, 8, 16] {
-        qs.push((format!("TT{tail}"), tailed_triangle(tail)));
-    }
-    qs
-}
-
-fn bench_cache_cold_vs_warm(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cache_cold_vs_warm");
-    for (name, q) in cache_suite() {
-        group.bench_with_input(BenchmarkId::new("cold", &name), &q, |b, q| {
-            b.iter(|| {
-                let cache = LpCache::new(8);
-                QueryLps::solve_with_cache(&cache, q).unwrap()
-            });
-        });
-        let warm = LpCache::new(8);
-        QueryLps::solve_with_cache(&warm, &q).unwrap();
-        group.bench_with_input(BenchmarkId::new("warm", &name), &q, |b, q| {
-            b.iter(|| QueryLps::solve_with_cache(&warm, q).unwrap());
+fn bench_plan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("plan");
+    for k in PLAN_CHAINS {
+        let q = families::chain(k);
+        group.bench_with_input(BenchmarkId::from_parameter(format!("L{k}")), &q, |b, q| {
+            b.iter(|| plan_and_compile(q));
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_query_lps, bench_sparse_vs_dense, bench_cache_cold_vs_warm);
+criterion_group!(benches, bench_query_lps, bench_sparse_vs_dense, bench_plan);
 
 /// Measure every case once more, deterministically, and write the JSON
 /// artefact. Skipped entirely unless a JSON sink was requested, so plain
@@ -134,15 +117,10 @@ fn write_bench_json() {
             drop(QueryLps::solve(&q).unwrap());
         }));
     }
-    for (name, q) in cache_suite() {
-        rows.push(BenchRow::measure(format!("cache_cold/{name}"), iters, || {
-            let cache = LpCache::new(8);
-            drop(QueryLps::solve_with_cache(&cache, &q).unwrap());
-        }));
-        let warm = LpCache::new(8);
-        QueryLps::solve_with_cache(&warm, &q).unwrap();
-        rows.push(BenchRow::measure(format!("cache_warm/{name}"), iters, || {
-            drop(QueryLps::solve_with_cache(&warm, &q).unwrap());
+    for k in PLAN_CHAINS {
+        let q = families::chain(k);
+        rows.push(BenchRow::measure(format!("plan/L{k}"), iters, || {
+            drop(plan_and_compile(&q));
         }));
     }
     maybe_write_json("BENCH_lp", &rows);

@@ -2,8 +2,7 @@
 //! vertex-cover LP and its dual edge-packing LP, solved exactly for the
 //! worked examples `L_3` and `C_3` (plus a few more), reporting the
 //! optimal solutions, their common optimal value `τ*`, tightness, and the
-//! **solver path** that produced each row (`closed-form` / `cache-hit` /
-//! `simplex`).
+//! **solver path** that produced each row (`closed-form` / `simplex`).
 //!
 //! The `--k <n>` sweep (default 15, ≥3× the original sizes) appends
 //! `C_k`, `L_{3k/5}`, `T_{3k/5}`, `B_{min(4k/5,12),2}` and `SP_{3k/5}`.

@@ -7,8 +7,8 @@
 //!
 //! The `--k <n>` sweep (default 18, ≥3× the sizes of the original table)
 //! extends the table with LP-only rows `C_k`, `L_k`, `T_k`, `B_{min(k,12),2}`
-//! and `SP_{k/2}`, and a **solver-path** column reports which LP layer
-//! answered each row (`closed-form` / `cache-hit` / `simplex`).
+//! and `SP_{k/2}`, and a **solver-path** column reports which LP path
+//! answered each row (`closed-form` / `simplex`).
 //!
 //! Every row is verified by [`mpc_bench::verify_lp_solver_agreement`]: the
 //! dense oracle, the sparse revised simplex and the closed form (when

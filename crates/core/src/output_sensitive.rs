@@ -137,9 +137,8 @@ pub struct OutputSensitiveBounds {
 }
 
 impl OutputSensitiveBounds {
-    /// Compute the bounds for a query through the layered LP solver
-    /// (closed form → cache → sparse simplex), reusing the packing and
-    /// edge-cover duals of [`QueryLps::solve`].
+    /// Compute the bounds for a query from the packing and edge-cover
+    /// duals of [`QueryLps::solve`] (closed form, else sparse simplex).
     ///
     /// ```
     /// use mpc_core::output_sensitive::OutputSensitiveBounds;

@@ -191,10 +191,10 @@ impl ShareAllocation {
     }
 }
 
-/// An optimal fractional vertex cover through the layered LP solver
-/// (closed form → cache → sparse simplex), so repeated allocations over
-/// isomorphic queries — notably the per-heavy-subset residual covers of
-/// the skew-resilient planner — reuse one solve.
+/// An optimal fractional vertex cover from [`QueryLps::solve`] (closed
+/// form, else sparse simplex). Solved afresh on every call — microseconds
+/// at the sizes planned here — so the cover, and the shares rounded from
+/// it, depend on `q` alone.
 fn optimal_cover(q: &Query) -> Result<VertexCover> {
     Ok(QueryLps::solve(q).map_err(CoreError::from)?.vertex_cover().clone())
 }

@@ -21,7 +21,7 @@
 //!   their own, atoms missing a dimension are replicated across it (the
 //!   broadcast), and the residual light variables are hashed with the
 //!   residual query's own cover shares — one fractional edge-cover LP per
-//!   residual subquery, served through the memoising cache of `mpc-lp`.
+//!   residual subquery (closed form, else sparse simplex; solved afresh).
 //!
 //! Because a potential answer has exactly one heavy configuration, the
 //! per-group outputs **partition** the join result: no duplicates, no

@@ -14,8 +14,8 @@
 //!   `SP_k`, the JOIN-WITNESS query) in [`families`], together with
 //!   [`families::recognize`] which classifies an arbitrary query as one of
 //!   them up to renaming (feeding the LP layer's closed-form solver),
-//! * canonical hypergraph signatures ([`signature`]) — the
-//!   isomorphism-aware cache key of the LP layer — and
+//! * canonical hypergraph signatures ([`signature`]) — an isomorphism
+//!   test for queries; costly, and with no production caller — and
 //! * a small text [`parser`] for the usual `q(x,y) :- R(x,y), S(y,z)`
 //!   notation.
 //!

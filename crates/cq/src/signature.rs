@@ -1,27 +1,39 @@
-//! Canonical hypergraph signatures, the cache key of the LP layer.
+//! Canonical hypergraph signatures: an isomorphism test for queries.
 //!
 //! Two queries have equal [`QuerySignature`]s only if their hypergraphs
 //! (one node per variable, one hyperedge per atom's *distinct* variable
-//! set) are isomorphic — the LPs of the paper (vertex cover, edge packing,
-//! edge cover) depend on exactly that structure, so an LP solution computed
-//! for one query can be transported to any query with the same signature by
-//! permuting weights through the two queries' canonical maps.
+//! set) are isomorphic — the structure the LPs of the paper (vertex cover,
+//! edge packing, edge cover) depend on. [`CanonicalForm`] also carries the
+//! variable and atom maps into canonical coordinates, so the isomorphism
+//! itself is the composition of two queries' maps.
 //!
 //! The canonical labeling is computed by **colour refinement**
 //! (1-dimensional Weisfeiler–Leman) followed, when refinement does not
 //! discretise the partition, by a bounded individualise-and-refine
 //! backtracking search for the lexicographically smallest edge encoding.
 //! When the search budget is exhausted (possible only for highly symmetric
-//! hypergraphs such as `B_{k,m}`, which the closed-form LP layer handles
-//! without the cache anyway), the labeling falls back to refinement order
-//! with variable-id tie-breaks: still deterministic — identical queries keep
-//! hitting the cache — merely no longer isomorphism-invariant, so *renamed*
-//! copies of such queries may miss.
+//! hypergraphs such as `B_{k,m}`), the labeling falls back to refinement
+//! order with variable-id tie-breaks: still deterministic — identical
+//! queries keep equal signatures — merely no longer isomorphism-invariant,
+//! so *renamed* copies of such queries may differ.
 //!
 //! Soundness does not depend on which branch produced the labeling: the
 //! signature embeds the full canonically-labelled incidence structure, so
 //! equal signatures always certify an isomorphism via the composition of
 //! the two canonical maps.
+//!
+//! # Cost, and who calls this
+//!
+//! The search is **factorial in the size of a class of interchangeable
+//! variables**: every member of the target cell is individualised in turn,
+//! recursively. Two arity-5 atoms sharing one variable (`V(x0,…,x4),
+//! W(x4,…,x8)`: two classes of four private variables) take 3–4 ms to
+//! canonicalise, where solving that query's three LPs takes 11–15 µs. That is
+//! why this is **not** a cache key of the LP layer any more: `mpc-lp` used
+//! to memoise solved LPs under the signature, and on the workspace's own
+//! traffic the key cost more than the solves it saved. Do not put it on a
+//! per-query path without measuring. Its one remaining caller outside this
+//! crate is a unit test of `benchmark/` (`renamed_copies_are_isomorphic`).
 
 use std::collections::BTreeMap;
 
@@ -55,19 +67,17 @@ impl QuerySignature {
     }
 }
 
-/// A query's canonical form: the signature plus the maps needed to
-/// transport per-variable and per-atom weight vectors between the query's
-/// own labeling and the canonical one.
+/// A query's canonical form: the signature plus the maps from the query's
+/// own variable and atom numbering to the canonical one.
 #[derive(Debug, Clone)]
 pub struct CanonicalForm {
-    /// The canonical signature (the cache key).
+    /// The canonical signature.
     pub signature: QuerySignature,
     /// `var_to_canonical[v]` is the canonical label of `VarId(v)`.
     pub var_to_canonical: Vec<usize>,
     /// `atom_to_canonical[a]` is the position of atom `a`'s edge in the
     /// signature's sorted edge list. Atoms with identical variable sets map
-    /// to distinct positions (ties broken by atom id), which is sound for
-    /// LP transport because such atoms have identical constraints.
+    /// to distinct positions (ties broken by atom id).
     pub atom_to_canonical: Vec<usize>,
 }
 
@@ -282,35 +292,6 @@ impl Query {
     }
 }
 
-/// Transport a per-variable weight vector into canonical coordinates.
-pub fn vars_to_canonical<T: Clone + Default>(cf: &CanonicalForm, weights: &[T]) -> Vec<T> {
-    let mut out = vec![T::default(); weights.len()];
-    for (v, w) in weights.iter().enumerate() {
-        out[cf.var_to_canonical[v]] = w.clone();
-    }
-    out
-}
-
-/// Transport a canonical per-variable weight vector back to query
-/// coordinates.
-pub fn vars_from_canonical<T: Clone + Default>(cf: &CanonicalForm, canonical: &[T]) -> Vec<T> {
-    (0..canonical.len()).map(|v| canonical[cf.var_to_canonical[v]].clone()).collect()
-}
-
-/// Transport a per-atom weight vector into canonical coordinates.
-pub fn atoms_to_canonical<T: Clone + Default>(cf: &CanonicalForm, weights: &[T]) -> Vec<T> {
-    let mut out = vec![T::default(); weights.len()];
-    for (a, w) in weights.iter().enumerate() {
-        out[cf.atom_to_canonical[a]] = w.clone();
-    }
-    out
-}
-
-/// Transport a canonical per-atom weight vector back to query coordinates.
-pub fn atoms_from_canonical<T: Clone + Default>(cf: &CanonicalForm, canonical: &[T]) -> Vec<T> {
-    (0..canonical.len()).map(|a| canonical[cf.atom_to_canonical[a]].clone()).collect()
-}
-
 /// Convenience for tests: does `v` occur in canonical edge `e`?
 #[cfg(test)]
 fn canonical_edge_contains(sig: &QuerySignature, e: usize, label: u32) -> bool {
@@ -398,15 +379,14 @@ mod tests {
                     );
                 }
             }
-            // Round-trip of a weight vector.
-            let weights: Vec<usize> = (0..q.num_vars()).collect();
-            let there = vars_to_canonical(&cf, &weights);
-            let back = vars_from_canonical(&cf, &there);
-            assert_eq!(back, weights);
-            let aw: Vec<usize> = (0..q.num_atoms()).collect();
-            let athere = atoms_to_canonical(&cf, &aw);
-            let aback = atoms_from_canonical(&cf, &athere);
-            assert_eq!(aback, aw);
+            // Both maps are bijections onto 0..n.
+            for (map, n) in
+                [(&cf.var_to_canonical, q.num_vars()), (&cf.atom_to_canonical, q.num_atoms())]
+            {
+                let mut seen = map.clone();
+                seen.sort_unstable();
+                assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{}", q.name());
+            }
         }
     }
 

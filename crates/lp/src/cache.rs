@@ -1,215 +1,30 @@
-//! A memoising cache for solved query LPs.
-//!
-//! The LP triple of a query depends only on its hypergraph *up to variable
-//! and atom renaming*, so the cache is keyed by the **canonical hypergraph
-//! signature** of [`mpc_cq::signature`] and stores the optimal weight
-//! vectors in canonical coordinates. A lookup transports the cached
-//! vectors back through the querying query's own canonical maps, so
-//! isomorphic queries — repeated experiment sweeps, multi-round subplans,
-//! the one-cover-LP-per-heavy-subset enumeration of the skew-resilient
-//! planner — all share a single solve.
-//!
-//! The cache is bounded (when full, the next *new* signature flushes it —
-//! the working sets of this workspace are far below the bound) and fully
-//! thread-safe; [`LpCache::global`] is the process-wide instance used by
-//! [`crate::QueryLps::solve`], and independent instances can be created
-//! for isolation (tests, one-off sweeps).
+//! Inert remains of the deleted memoising LP tier, kept for `benchmark/`
+//! alone: its workloads call `LpCache::global().clear()` / `.stats()` and
+//! may not change in the PR that deleted the tier. Nothing is stored and
+//! nothing else calls this; the benchmark-archetype PR of ROADMAP item 1
+//! removes it together with the never-constructed `SolverPath` variant.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-use mpc_cq::signature::{
-    atoms_from_canonical, atoms_to_canonical, vars_from_canonical, vars_to_canonical,
-    CanonicalForm, QuerySignature,
-};
-
-use crate::cover::{EdgeCover, EdgePacking, QueryLps, VertexCover};
-use crate::rational::Rational;
-
-/// Default capacity (distinct signatures) of [`LpCache::global`].
-const GLOBAL_CAPACITY: usize = 4096;
-
-/// A solved LP triple in canonical coordinates.
-struct CachedEntry {
-    cover: Vec<Rational>,
-    packing: Vec<Rational>,
-    edge_cover: Vec<Rational>,
-}
-
-/// Cache observability counters (monotonic since process start for the
-/// global instance).
+/// Counters of the deleted cache: always zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Always 0.
     pub hits: u64,
-    /// Lookups that fell through to a solver.
+    /// Always 0.
     pub misses: u64,
-    /// Signatures currently stored.
-    pub entries: usize,
 }
 
-/// A bounded, thread-safe memo table from canonical hypergraph signatures
-/// to solved LP triples.
-pub struct LpCache {
-    entries: Mutex<HashMap<QuerySignature, CachedEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    capacity: usize,
-}
+/// Zero-sized stand-in for the deleted memo table.
+pub struct LpCache;
 
 impl LpCache {
-    /// Create an empty cache holding at most `capacity` signatures.
-    pub fn new(capacity: usize) -> Self {
-        LpCache {
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The process-wide cache used by [`QueryLps::solve`].
+    /// The stand-in itself.
     pub fn global() -> &'static LpCache {
-        static GLOBAL: OnceLock<LpCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| LpCache::new(GLOBAL_CAPACITY))
+        &LpCache
     }
-
-    /// Look up the LP triple of the query whose canonical form is `cf`,
-    /// transporting the canonical-space vectors back to the query's own
-    /// variable/atom numbering. Updates the hit/miss counters.
-    pub fn lookup(&self, cf: &CanonicalForm) -> Option<QueryLps> {
-        let entries = self.entries.lock().expect("lp cache poisoned");
-        let Some(entry) = entries.get(&cf.signature) else {
-            drop(entries);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let cover = VertexCover::from_weights(vars_from_canonical(cf, &entry.cover)).ok()?;
-        let packing = EdgePacking::from_weights(atoms_from_canonical(cf, &entry.packing)).ok()?;
-        let edge_cover =
-            EdgeCover::from_weights(atoms_from_canonical(cf, &entry.edge_cover)).ok()?;
-        drop(entries);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(QueryLps::from_parts(cover, packing, edge_cover))
-    }
-
-    /// Store a solved triple under the query's canonical form.
-    pub fn insert(&self, cf: &CanonicalForm, lps: &QueryLps) {
-        let entry = CachedEntry {
-            cover: vars_to_canonical(cf, lps.vertex_cover().weights()),
-            packing: atoms_to_canonical(cf, lps.edge_packing().weights()),
-            edge_cover: atoms_to_canonical(cf, lps.edge_cover().weights()),
-        };
-        let mut entries = self.entries.lock().expect("lp cache poisoned");
-        if entries.len() >= self.capacity && !entries.contains_key(&cf.signature) {
-            entries.clear();
-        }
-        entries.insert(cf.signature.clone(), entry);
-    }
-
-    /// Current counters.
+    /// Zero hits, zero misses.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().expect("lp cache poisoned").len(),
-        }
+        CacheStats { hits: 0, misses: 0 }
     }
-
-    /// Drop every stored signature (counters are kept).
-    pub fn clear(&self) {
-        self.entries.lock().expect("lp cache poisoned").clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cover::QueryLps;
-    use mpc_cq::families;
-
-    /// A triangle with a pendant path of `tail` extra edges — connected,
-    /// not isomorphic to any recognised family, distinct per `tail`.
-    fn tailed_triangle(tail: usize) -> mpc_cq::Query {
-        let mut atoms = vec![
-            ("S1".to_string(), vec!["a".to_string(), "b".to_string()]),
-            ("S2".to_string(), vec!["b".to_string(), "c".to_string()]),
-            ("S3".to_string(), vec!["c".to_string(), "a".to_string()]),
-        ];
-        for j in 0..tail {
-            atoms.push((format!("P{j}"), vec![format!("t{j}"), format!("t{}", j + 1)]));
-        }
-        if tail > 0 {
-            atoms.push(("B".to_string(), vec!["a".to_string(), "t0".to_string()]));
-        }
-        mpc_cq::Query::new(format!("TT{tail}"), atoms).unwrap()
-    }
-
-    #[test]
-    fn cold_then_warm() {
-        let cache = LpCache::new(16);
-        let q = tailed_triangle(2);
-        let (first, path1) = QueryLps::solve_with_cache(&cache, &q).unwrap();
-        let (second, path2) = QueryLps::solve_with_cache(&cache, &q).unwrap();
-        assert_eq!(path1, crate::SolverPath::SparseSimplex);
-        assert_eq!(path2, crate::SolverPath::CacheHit);
-        assert_eq!(first.covering_number(), second.covering_number());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn family_queries_bypass_the_cache() {
-        // Closed forms are cheaper than cache hits, so recognised families
-        // never touch the cache at all.
-        let cache = LpCache::new(16);
-        let (_, path) = QueryLps::solve_with_cache(&cache, &families::cycle(5)).unwrap();
-        assert_eq!(path, crate::SolverPath::ClosedForm);
-        let (_, path) = QueryLps::solve_with_cache(&cache, &families::cycle(5)).unwrap();
-        assert_eq!(path, crate::SolverPath::ClosedForm);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
-    }
-
-    #[test]
-    fn isomorphic_queries_share_an_entry() {
-        let cache = LpCache::new(16);
-        // The witness query is asymmetric enough for full canonicalisation,
-        // and not a recognised family, so both solves exercise simplex+cache.
-        let q = families::witness_query();
-        let renamed = mpc_cq::Query::new(
-            "W2",
-            vec![
-                ("T2", vec!["d"]),
-                ("U3", vec!["c", "d"]),
-                ("U2", vec!["b", "c"]),
-                ("U1", vec!["a", "b"]),
-                ("T1", vec!["a"]),
-            ],
-        )
-        .unwrap();
-        let (lps1, path1) = QueryLps::solve_with_cache(&cache, &q).unwrap();
-        let (lps2, path2) = QueryLps::solve_with_cache(&cache, &renamed).unwrap();
-        assert_eq!(path1, crate::SolverPath::SparseSimplex);
-        assert_eq!(path2, crate::SolverPath::CacheHit, "renamed copy must hit");
-        assert_eq!(lps1.covering_number(), lps2.covering_number());
-        // The transported solutions must be feasible for *their* query.
-        assert!(lps2.vertex_cover().is_valid_for(&renamed));
-        assert!(lps2.edge_packing().is_valid_for(&renamed));
-        assert!(lps2.edge_cover().is_valid_for(&renamed));
-    }
-
-    #[test]
-    fn capacity_flush_keeps_working() {
-        let cache = LpCache::new(2);
-        for tail in 1..6usize {
-            QueryLps::solve_with_cache(&cache, &tailed_triangle(tail)).unwrap();
-        }
-        assert!(cache.stats().entries <= 2);
-        QueryLps::solve_with_cache(&cache, &tailed_triangle(5)).unwrap();
-        assert!(cache.stats().hits >= 1, "the just-inserted entry must serve");
-    }
+    /// Does nothing.
+    pub fn clear(&self) {}
 }

@@ -20,7 +20,6 @@ use serde::{Deserialize, Serialize};
 
 use mpc_cq::{AtomId, Query, VarId};
 
-use crate::cache::LpCache;
 use crate::error::LpError;
 use crate::rational::Rational;
 use crate::simplex::{ConstraintOp, LinearProgram, Objective};
@@ -205,11 +204,12 @@ pub struct QueryLps {
     edge_cover: EdgeCover,
 }
 
-/// Which of the three solver layers produced a [`QueryLps`].
+/// Which solver path produced a [`QueryLps`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SolverPath {
-    /// The triple was transported from the memoising cache (an isomorphic
-    /// query was solved earlier).
+    /// Never constructed: the memoising tier it reported is deleted. Kept,
+    /// like the stand-in in [`crate::cache`], only because `benchmark/`
+    /// matches on it.
     CacheHit,
     /// The query was recognised as a known family and the certified
     /// analytic optimum was returned.
@@ -229,31 +229,24 @@ impl fmt::Display for SolverPath {
 }
 
 impl QueryLps {
-    /// Solve all three LPs for the query, fastest applicable path first:
+    /// Solve all three LPs for the query, through one of two paths:
     ///
     /// 1. **closed form** — queries recognised (up to variable/atom
     ///    renaming) as a cycle `C_k`, chain `L_k`, star `T_k`, binomial
     ///    `B_{k,m}` or spoke `SP_k` get the certificate-checked analytic
-    ///    optimum from [`crate::families::closed_form`]. This runs first
-    ///    because recognition + certification is `O(nnz)` — cheaper than
-    ///    even a cache hit, whose canonical labelling is what pays for
-    ///    isomorphism-invariance (and is most expensive exactly on these
-    ///    highly symmetric families);
-    /// 2. **cache** — the process-wide [`LpCache::global`] is consulted
-    ///    under the query's *canonical hypergraph signature*
-    ///    ([`mpc_cq::Query::canonical_signature`]): the number of variables
-    ///    plus the canonically-labelled distinct-variable sets of the
-    ///    atoms, so any query isomorphic (modulo renaming) to a previously
-    ///    solved one is answered by transporting the cached weight vectors
-    ///    through the canonical maps;
-    /// 3. **sparse simplex** — everything else is solved exactly by the
-    ///    sparse revised simplex ([`QueryLps::solve_sparse`]) and the
-    ///    result is inserted into the cache before returning.
+    ///    optimum from [`crate::families::closed_form`]; recognition +
+    ///    certification is `O(nnz)`;
+    /// 2. **sparse simplex** — everything else is solved exactly by the
+    ///    sparse revised simplex ([`QueryLps::solve_sparse`]).
     ///
-    /// To **bypass the cache** (e.g. for benchmarking or when memory must
-    /// not grow), call [`QueryLps::solve_uncached`]; to use a private
-    /// cache, call [`QueryLps::solve_with_cache`]; the dense-tableau
-    /// oracle is kept as [`QueryLps::solve_dense`].
+    /// Nothing is memoised, so the result is a pure function of the query:
+    /// the same text gets the same cover — and downstream the same shares
+    /// and plan — whatever the process solved before. (A memo table keyed
+    /// by [`mpc_cq::signature`] used to sit between the two paths; on the
+    /// workspace's own traffic computing the key cost more than the solves
+    /// it saved, and a transported optimum need not be the vertex the
+    /// simplex returns for the query itself.) The dense-tableau oracle is
+    /// kept as [`QueryLps::solve_dense`].
     ///
     /// # Errors
     ///
@@ -265,30 +258,9 @@ impl QueryLps {
         Self::solve_traced(q).map(|(lps, _)| lps)
     }
 
-    /// Like [`QueryLps::solve`], additionally reporting which layer
+    /// Like [`QueryLps::solve`], additionally reporting which path
     /// answered.
     pub fn solve_traced(q: &Query) -> Result<(QueryLps, SolverPath)> {
-        Self::solve_with_cache(LpCache::global(), q)
-    }
-
-    /// Like [`QueryLps::solve_traced`] but against a caller-supplied cache
-    /// instead of the global one.
-    pub fn solve_with_cache(cache: &LpCache, q: &Query) -> Result<(QueryLps, SolverPath)> {
-        if let Some(lps) = Self::try_closed_form(q)? {
-            return Ok((lps, SolverPath::ClosedForm));
-        }
-        let cf = q.canonical_form();
-        if let Some(lps) = cache.lookup(&cf) {
-            return Ok((lps, SolverPath::CacheHit));
-        }
-        let lps = Self::solve_sparse(q)?;
-        cache.insert(&cf, &lps);
-        Ok((lps, SolverPath::SparseSimplex))
-    }
-
-    /// Solve without touching any cache: closed form when the family is
-    /// recognised, sparse simplex otherwise.
-    pub fn solve_uncached(q: &Query) -> Result<(QueryLps, SolverPath)> {
         if let Some(lps) = Self::try_closed_form(q)? {
             return Ok((lps, SolverPath::ClosedForm));
         }
@@ -396,8 +368,7 @@ impl QueryLps {
         Ok(QueryLps { vertex_cover, edge_packing, edge_cover })
     }
 
-    /// Assemble a triple from already-validated parts (closed forms and
-    /// cache transport).
+    /// Assemble a triple from already-validated parts (the closed forms).
     pub(crate) fn from_parts(
         vertex_cover: VertexCover,
         edge_packing: EdgePacking,
@@ -474,7 +445,7 @@ pub fn solve_edge_cover(q: &Query) -> Result<EdgeCover> {
 
 /// The fractional covering number `τ*(q)` (shortcut for
 /// `QueryLps::solve(q)?.covering_number()`, so it shares the closed-form
-/// and cache fast paths).
+/// fast path).
 pub fn tau_star(q: &Query) -> Result<Rational> {
     Ok(QueryLps::solve(q)?.covering_number())
 }

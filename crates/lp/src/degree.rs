@@ -25,23 +25,15 @@
 //! point, and the LP collapses to the classic share LP whose optimum is
 //! the fractional-vertex-cover scaling `e_x = v_x / τ*` (see
 //! [`solve_degree_lp`] for the duality argument). That is the **closed
-//! form** tier; everything else is either a **cache hit** — the cache is
-//! keyed on the canonical hypergraph signature *plus the canonically
-//! transported statistics vectors*, so isomorphic residual plans across
-//! rebuilds and sibling queries share one solve — or an exact **sparse
-//! simplex** solve: the same three-tier ladder as [`crate::QueryLps`].
+//! form** path; everything else is an exact **sparse simplex** solve —
+//! the same two paths as [`crate::QueryLps::solve`], and like it nothing
+//! is memoised: the shares are a pure function of `(q, stats)`.
 //!
 //! Statistics are *rationalised* logs (see [`rational_log`]): the
 //! rounding moves the optimum by at most the grid width, which affects
 //! plan **quality** only — correctness of routing never depends on the
 //! statistics.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-use mpc_cq::signature::{atoms_to_canonical, vars_from_canonical, vars_to_canonical};
-use mpc_cq::signature::{CanonicalForm, QuerySignature};
 use mpc_cq::Query;
 
 use crate::cover::SolverPath;
@@ -50,9 +42,6 @@ use crate::rational::Rational;
 use crate::simplex::{ConstraintOp, LinearProgram, Objective};
 use crate::QueryLps;
 use crate::Result;
-
-/// Default capacity (distinct keys) of [`DegreeLpCache::global`].
-const GLOBAL_CAPACITY: usize = 4096;
 
 /// The statistics of one query instance, as `log_b` exponents.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,13 +92,13 @@ pub struct DegreeShares {
     /// The optimal load exponent `t` (clamped at 0: loads below one tuple
     /// are not meaningful).
     pub load_exponent: Rational,
-    /// Which solver tier answered.
+    /// Which solver path answered.
     pub path: SolverPath,
 }
 
 /// `log_base(value)` rounded to the nearest multiple of
 /// `1 / denominator`, clamped at 0. The rationalisation keeps the LP data
-/// (and therefore the cache keys) exact and small; a denominator of 12–24
+/// exact and small; a denominator of 12–24
 /// places the optimum within one grid step of the real-valued optimum,
 /// which affects plan quality only.
 pub fn rational_log(value: u64, base: usize, denominator: i128) -> Rational {
@@ -121,7 +110,8 @@ pub fn rational_log(value: u64, base: usize, denominator: i128) -> Rational {
     Rational::new(num.max(0), denominator)
 }
 
-/// Solve the degree-aware statistics LP through the process-global cache.
+/// Solve the degree-aware statistics LP: closed form when the statistics
+/// are uniform and skew-free, sparse simplex otherwise.
 ///
 /// # Example
 ///
@@ -150,21 +140,12 @@ pub fn rational_log(value: u64, base: usize, denominator: i128) -> Rational {
 /// Rejects empty queries and malformed statistics; propagates simplex
 /// errors (never observed for realistic sizes).
 pub fn solve_degree_lp(q: &Query, stats: &DegreeStatistics) -> Result<DegreeShares> {
-    solve_degree_lp_with_cache(DegreeLpCache::global(), q, stats)
-}
-
-/// Like [`solve_degree_lp`] but against a caller-supplied cache.
-pub fn solve_degree_lp_with_cache(
-    cache: &DegreeLpCache,
-    q: &Query,
-    stats: &DegreeStatistics,
-) -> Result<DegreeShares> {
     if q.num_atoms() == 0 {
         return Err(LpError::Malformed("degree LP needs at least one atom".to_string()));
     }
     stats.validate(q)?;
 
-    // Tier 1 — closed form. Uniform cardinalities with dominated degrees
+    // Closed form. Uniform cardinalities with dominated degrees
     // reduce to the classic share LP: for ANY e with Σe ≤ 1, the optimal
     // fractional edge packing u (Σu = τ*) gives
     //   Σ_j u_j · (Σ_{x ∈ vars_j} e_x) ≤ Σ_x e_x · Σ_{j ∋ x} u_j ≤ Σ_x e_x ≤ 1,
@@ -192,19 +173,7 @@ pub fn solve_degree_lp_with_cache(
         return Ok(DegreeShares { exponents, load_exponent: t, path: SolverPath::ClosedForm });
     }
 
-    // Tier 2 — cache, keyed on (canonical signature, canonical statistics).
-    let cf = q.canonical_form();
-    let key = canonical_key(&cf, stats);
-    if let Some((canon_exps, t)) = cache.lookup(&key) {
-        let exponents = vars_from_canonical(&cf, &canon_exps);
-        if is_feasible(q, stats, &exponents, t) {
-            return Ok(DegreeShares { exponents, load_exponent: t, path: SolverPath::CacheHit });
-        }
-        // A transported solution failing feasibility would be a canonical-
-        // labelling bug; fall through to the simplex rather than panic.
-    }
-
-    // Tier 3 — sparse simplex, in shifted ≤-form so the origin is
+    // Sparse simplex, in shifted ≤-form so the origin is
     // feasible: with C = max statistic and z = C − t, maximise z s.t.
     //   z − Σ_{x ∈ vars_j} e_x ≤ C − ν_j,
     //   z − Σ_{y ∈ vars_j∖x} e_y ≤ C − δ_{j,x}   (only rows with δ > 0:
@@ -256,7 +225,6 @@ pub fn solve_degree_lp_with_cache(
             q.name()
         )));
     }
-    cache.insert(key, vars_to_canonical(&cf, &exponents), t);
     Ok(DegreeShares { exponents, load_exponent: t, path: SolverPath::SparseSimplex })
 }
 
@@ -288,79 +256,6 @@ pub fn is_feasible(
             stats.degree[j][x.0] - rest <= t
         })
     })
-}
-
-type CacheKey = (QuerySignature, Vec<Rational>, Vec<Vec<Rational>>);
-
-fn canonical_key(cf: &CanonicalForm, stats: &DegreeStatistics) -> CacheKey {
-    let nu = atoms_to_canonical(cf, &stats.cardinality);
-    let rows: Vec<Vec<Rational>> =
-        stats.degree.iter().map(|row| vars_to_canonical(cf, row)).collect();
-    let delta = atoms_to_canonical(cf, &rows);
-    (cf.signature.clone(), nu, delta)
-}
-
-/// A bounded, thread-safe memo table for solved degree LPs, keyed on the
-/// canonical hypergraph signature **plus the canonically transported
-/// statistics** — two isomorphic residual plans share an entry only when
-/// their (rationalised) statistics agree too.
-pub struct DegreeLpCache {
-    entries: Mutex<HashMap<CacheKey, (Vec<Rational>, Rational)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    capacity: usize,
-}
-
-impl DegreeLpCache {
-    /// An empty cache holding at most `capacity` keys.
-    pub fn new(capacity: usize) -> Self {
-        DegreeLpCache {
-            entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The process-wide cache used by [`solve_degree_lp`].
-    pub fn global() -> &'static DegreeLpCache {
-        static GLOBAL: OnceLock<DegreeLpCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| DegreeLpCache::new(GLOBAL_CAPACITY))
-    }
-
-    fn lookup(&self, key: &CacheKey) -> Option<(Vec<Rational>, Rational)> {
-        let entries = self.entries.lock().expect("degree lp cache poisoned");
-        match entries.get(key) {
-            Some(hit) => {
-                let out = hit.clone();
-                drop(entries);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(out)
-            }
-            None => {
-                drop(entries);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: CacheKey, canonical_exponents: Vec<Rational>, t: Rational) {
-        let mut entries = self.entries.lock().expect("degree lp cache poisoned");
-        if entries.len() >= self.capacity && !entries.contains_key(&key) {
-            entries.clear();
-        }
-        entries.insert(key, (canonical_exponents, t));
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> crate::cache::CacheStats {
-        crate::cache::CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().expect("degree lp cache poisoned").len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,24 +313,6 @@ mod tests {
         let sol = solve_degree_lp(&q, &stats).unwrap();
         assert!(is_feasible(&q, &stats, &sol.exponents, sol.load_exponent));
         assert_eq!(sol.load_exponent, Rational::ZERO, "statistics-aware optimum");
-    }
-
-    #[test]
-    fn isomorphic_instances_with_equal_stats_hit_the_cache() {
-        let cache = DegreeLpCache::new(16);
-        let q = families::cycle(4);
-        let mut stats = DegreeStatistics::cardinalities_only(&q, vec![Rational::ONE; 4]);
-        stats.degree[0][q.var_id("x1").unwrap().0] = Rational::ONE; // force simplex
-        let a = solve_degree_lp_with_cache(&cache, &q, &stats).unwrap();
-        assert_eq!(a.path, SolverPath::SparseSimplex);
-        let b = solve_degree_lp_with_cache(&cache, &q, &stats).unwrap();
-        assert_eq!(b.path, SolverPath::CacheHit);
-        assert_eq!(a.exponents, b.exponents);
-        assert_eq!(cache.stats().hits, 1);
-        // Different statistics, same hypergraph → NOT a hit.
-        stats.degree[0][q.var_id("x1").unwrap().0] = r(1, 2);
-        let c = solve_degree_lp_with_cache(&cache, &q, &stats).unwrap();
-        assert_eq!(c.path, SolverPath::SparseSimplex, "stats are part of the key");
     }
 
     #[test]

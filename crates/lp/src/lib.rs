@@ -17,17 +17,19 @@
 //!   eta-factorised basis and steepest-edge/Bland pricing,
 //! * [`families`]: certificate-checked **closed-form** optima for the
 //!   recognised query families (cycles, chains, stars, `B_{k,m}`, spokes),
-//! * [`cache`]: a process-wide memoising cache keyed by the query's
-//!   canonical hypergraph signature,
 //! * [`degree`]: the **degree-aware statistics LP** of BKS14 §5, which
 //!   refines the share LP with per-relation cardinality and max-degree
-//!   constraints (its cache keys include the statistics), and
+//!   constraints, and
 //! * [`cover`]: builders and solvers for the vertex-cover, edge-packing and
 //!   edge-cover LPs of a [`mpc_cq::Query`], plus duality/tightness checks.
 //!
-//! [`QueryLps::solve`] stacks those layers: closed form → cache hit →
-//! sparse simplex (see its docs for the exact contract and how to bypass
-//! the cache).
+//! [`QueryLps::solve`] and [`solve_degree_lp`] take one of **two paths**:
+//! closed form, else sparse simplex. Nothing is memoised — solving these
+//! LPs costs microseconds (11–15 µs for two arity-5 atoms sharing a variable)
+//! where the isomorphism-invariant key a memo table needs costs up to
+//! milliseconds ([`mpc_cq::signature`]) — so an analysis is a pure function
+//! of the query text and no solve takes a lock. ([`cache`] is an inert
+//! stand-in that only `benchmark/` still names.)
 //!
 //! # Example
 //!
@@ -56,7 +58,7 @@ pub mod sparse;
 
 pub use cache::LpCache;
 pub use cover::{QueryLps, SolverPath};
-pub use degree::{solve_degree_lp, DegreeLpCache, DegreeShares, DegreeStatistics};
+pub use degree::{solve_degree_lp, DegreeShares, DegreeStatistics};
 pub use error::LpError;
 pub use rational::Rational;
 

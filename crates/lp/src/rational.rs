@@ -23,14 +23,15 @@ pub struct Rational {
     den: i128,
 }
 
-/// Greatest common divisor of two non-negative integers.
-fn gcd(mut a: i128, mut b: i128) -> i128 {
+/// Greatest common divisor of `|a|` and `b`, for `b > 0` (every caller
+/// passes a denominator there, so the result — at most `b` — fits).
+/// Computed unsigned: `i128::MIN % -1` and `i128::MIN.abs()` overflow.
+fn gcd(a: i128, b: i128) -> i128 {
+    let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
     while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+        (a, b) = (b, a % b);
     }
-    a.abs()
+    i128::try_from(a).expect("gcd(a, b) <= b for b > 0")
 }
 
 impl Rational {
@@ -43,23 +44,30 @@ impl Rational {
     ///
     /// # Panics
     ///
-    /// Panics if `den == 0`. Use [`Rational::checked_new`] for a fallible
-    /// variant.
+    /// Panics if `den == 0` or either argument is `i128::MIN`. Use
+    /// [`Rational::checked_new`] for a fallible variant — always, for
+    /// numbers that come from outside the program.
     pub fn new(num: i128, den: i128) -> Rational {
-        Self::checked_new(num, den).expect("denominator must be non-zero")
+        Self::checked_new(num, den).expect("non-zero denominator, no i128::MIN")
     }
 
-    /// Construct `num / den`, returning an error when `den == 0`.
+    /// Construct `num / den`.
+    ///
+    /// # Errors
+    ///
+    /// [`LpError::DivisionByZero`] when `den == 0`, [`LpError::Overflow`]
+    /// when either argument is `i128::MIN`: it has no negation, so it can
+    /// neither be sign-normalised as a denominator nor be a numerator
+    /// that [`Neg`], [`Rational::abs`] and [`Rational::recip`] must negate.
     pub fn checked_new(num: i128, den: i128) -> Result<Rational> {
         if den == 0 {
             return Err(LpError::DivisionByZero);
         }
-        let sign = if den < 0 { -1 } else { 1 };
-        let (num, den) = (num * sign, den * sign);
-        let g = gcd(num, den);
-        if g == 0 {
-            return Ok(Rational::ZERO);
+        if num == i128::MIN || den == i128::MIN {
+            return Err(LpError::Overflow("new"));
         }
+        let (num, den) = if den < 0 { (-num, -den) } else { (num, den) };
+        let g = gcd(num, den);
         Ok(Rational { num: num / g, den: den / g })
     }
 
@@ -124,7 +132,7 @@ impl Rational {
     /// difference between finishing and overflowing on long simplex pivot
     /// sequences.
     pub fn checked_add(&self, other: &Rational) -> Result<Rational> {
-        let g = gcd(self.den, other.den).max(1);
+        let g = gcd(self.den, other.den);
         let (rb, rd) = (self.den / g, other.den / g);
         let num = self
             .num
@@ -143,8 +151,8 @@ impl Rational {
     /// Checked multiplication.
     pub fn checked_mul(&self, other: &Rational) -> Result<Rational> {
         // Cross-reduce first to keep the intermediate products small.
-        let g1 = gcd(self.num, other.den).max(1);
-        let g2 = gcd(other.num, self.den).max(1);
+        let g1 = gcd(self.num, other.den);
+        let g2 = gcd(other.num, self.den);
         let num = (self.num / g1).checked_mul(other.num / g2).ok_or(LpError::Overflow("mul"))?;
         let den = (self.den / g2).checked_mul(other.den / g1).ok_or(LpError::Overflow("mul"))?;
         Rational::checked_new(num, den)
@@ -331,6 +339,23 @@ mod tests {
     #[test]
     fn zero_denominator_is_error() {
         assert_eq!(Rational::checked_new(1, 0), Err(LpError::DivisionByZero));
+    }
+
+    #[test]
+    fn i128_min_is_overflow_not_a_panic() {
+        // `i128::MIN` has no negation: as a denominator it cannot be
+        // sign-normalised, as a numerator `-r` and `r.abs()` would wrap.
+        let overflow = Err(LpError::Overflow("new"));
+        for other in [1, -1, 3, i128::MAX] {
+            assert_eq!(Rational::checked_new(i128::MIN, other), overflow, "MIN/{other}");
+            assert_eq!(Rational::checked_new(other, i128::MIN), overflow, "{other}/MIN");
+        }
+        assert_eq!(Rational::checked_new(i128::MIN, i128::MIN), overflow);
+        // One off the edge is an ordinary value, negation included.
+        let big = Rational::checked_new(i128::MAX, -1).unwrap();
+        assert_eq!(big.numer(), -i128::MAX);
+        assert_eq!((-big).numer(), i128::MAX);
+        assert_eq!(Rational::checked_new(i128::MAX, i128::MAX), Ok(Rational::ONE));
     }
 
     #[test]

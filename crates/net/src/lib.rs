@@ -26,8 +26,8 @@
 //!   pattern). A [`JobSpec`] describes the job in a self-contained wire
 //!   form so workers can rebuild the program and database on their own.
 //! * **[`service`]** — a [`QueryService`] front-end that accepts a stream
-//!   of parsed CQs, analyses them (cache-hot via `mpc_lp::LpCache`),
-//!   admits them against a server byte budget, and multiplexes many
+//!   of parsed CQs, analyses them (afresh per submission; nothing is
+//!   memoised), admits them against a server byte budget, and multiplexes many
 //!   concurrent query executions over one shared cluster: one worker core
 //!   per query on each reactor, packets addressed by query id.
 

@@ -1,10 +1,11 @@
 //! A multi-query front-end over one shared cluster of reactor workers.
 //!
 //! [`QueryService`] accepts a stream of parsed conjunctive queries,
-//! analyses each ([`mpc_core::analysis::QueryAnalysis`], cache-hot via
-//! `mpc_lp`'s global LP cache), admits it against a per-server byte
-//! budget, and executes many queries **concurrently** over the same `p`
-//! reactor threads. Each reactor keeps one [`WorkerCore`] per query in
+//! analyses each ([`mpc_core::analysis::QueryAnalysis`]: afresh per
+//! submission — nothing is memoised, so a repeated template is planned
+//! identically and in the same microseconds every time), admits it
+//! against a per-server byte budget, and executes many queries
+//! **concurrently** over the same `p` reactor threads. Each reactor keeps one [`WorkerCore`] per query in
 //! flight ([`mpc_sim::worker`] describes the protocol a core speaks) and
 //! every packet travels in an envelope naming its query, so a reactor
 //! feeds whatever arrives to the right core and steps the cores whose
@@ -105,9 +106,11 @@ pub struct QueryOutcome {
     pub per_server_output: Vec<usize>,
     /// Input size in bytes (the `N` of the budget).
     pub input_bytes: u64,
-    /// Which LP solver path the analysis took (`"cache-hit"` when hot).
+    /// Which LP solver path the analysis took (`"closed-form"` or
+    /// `"simplex"`).
     pub analysis_path: String,
-    /// Whether the analysis was served entirely from the LP cache.
+    /// Always `false`: the LP cache it reported is deleted. The field
+    /// stays until `benchmark/`, which reads it, may change.
     pub cache_hot: bool,
     /// Time spent in analysis + planning, before admission.
     pub planning_micros: u64,
@@ -216,7 +219,6 @@ struct QueryMeta {
     started: Instant,
     planning_micros: u64,
     analysis_path: String,
-    cache_hot: bool,
     admitted_cost: u64,
     admission: Admission,
 }
@@ -429,7 +431,7 @@ fn assemble_outcome(
         per_server_output,
         input_bytes,
         analysis_path: m.analysis_path,
-        cache_hot: m.cache_hot,
+        cache_hot: false,
         planning_micros: m.planning_micros,
         latency_micros: m.started.elapsed().as_micros() as u64,
         admitted_cost: m.admitted_cost,
@@ -604,7 +606,6 @@ impl QueryService {
             started,
             planning_micros,
             analysis_path: analysis.lp_solver_path.clone(),
-            cache_hot: analysis.lp_solver_path == "cache-hit",
             admitted_cost: budget_bytes,
             admission: Admission::Admitted,
         };
@@ -766,7 +767,7 @@ mod tests {
     fn exhausted_budget_defers_then_launches_in_fifo_order() {
         let q = families::triangle();
         // Big enough that the first query is still in flight when the
-        // later ones are submitted (their analyses are cache-hot).
+        // later ones are submitted (planning one takes microseconds).
         let db = Arc::new(matching_database(&q, 3000, 11));
         let p = 3;
         // Capacity 1: the first (oversized) query is admitted alone,

@@ -115,20 +115,11 @@ pub struct BuiltJob {
 
 fn parse_rational(s: &str) -> Result<Rational> {
     let bad = || NetError::Protocol(format!("bad rational {s:?}"));
-    match s.split_once('/') {
-        Some((n, d)) => {
-            let n: i128 = n.trim().parse().map_err(|_| bad())?;
-            let d: i128 = d.trim().parse().map_err(|_| bad())?;
-            if d == 0 {
-                return Err(bad());
-            }
-            Ok(Rational::new(n, d))
-        }
-        None => {
-            let n: i128 = s.trim().parse().map_err(|_| bad())?;
-            Ok(Rational::new(n, 1))
-        }
-    }
+    let (n, d) = s.split_once('/').unwrap_or((s, "1"));
+    let n: i128 = n.trim().parse().map_err(|_| bad())?;
+    let d: i128 = d.trim().parse().map_err(|_| bad())?;
+    // Wire text: zero and un-negatable parts are errors, never panics.
+    Rational::checked_new(n, d).map_err(|_| bad())
 }
 
 impl JobSpec {
@@ -395,6 +386,17 @@ mod tests {
         assert!(JobSpec::from_wire("no equals sign").is_err());
         assert!(JobSpec::from_wire("program=hypercube\n").is_err(), "missing keys");
         assert!(parse_rational("1/0").is_err());
+        // i128::MIN parses as an integer but has no negation.
+        let min = "-170141183460469231731687303715884105728";
+        for text in [format!("1/{min}"), format!("{min}/1"), format!("{min}/{min}"), min.into()] {
+            assert!(parse_rational(&text).is_err(), "{text}");
+        }
+        // The same text inside a Job frame's spec: an error, not a dead worker.
+        let job = spec(ProgramSpec::MultiRound { plan_epsilon: Rational::ZERO }).to_wire();
+        assert!(JobSpec::from_wire(&job).is_ok());
+        let hostile = job.replace("plan_epsilon=0\n", &format!("plan_epsilon=1/{min}\n"));
+        assert_ne!(hostile, job);
+        assert!(matches!(JobSpec::from_wire(&hostile), Err(NetError::Protocol(_))));
         assert_eq!(parse_rational("2/3").unwrap(), Rational::new(2, 3));
         assert_eq!(parse_rational("0").unwrap(), Rational::ZERO);
     }

@@ -11,13 +11,17 @@
 //!   (`mpc_lp::families::closed_form`),
 //!
 //! on `τ*`, the feasibility of every returned cover/packing/edge-cover,
-//! and LP duality (`cover total == packing total`). The cached fast path
-//! (`QueryLps::solve`) is exercised on top, which also validates the
-//! canonical-signature transport of the memoising cache.
+//! and LP duality (`cover total == packing total`). The production path
+//! (`QueryLps::solve`: closed form, else sparse simplex) is checked on
+//! top, together with the property that makes plans reproducible: what it
+//! returns for a query does not depend on what was solved before.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mpc_query::core::analysis::QueryAnalysis;
+use mpc_query::core::shares::ShareAllocation;
+use mpc_query::cq::parser::parse_query;
 use mpc_query::cq::{families, Query};
 use mpc_query::lp::{QueryLps, Rational};
 
@@ -200,21 +204,73 @@ fn clique_closed_forms_pin_tau_and_rho_at_k_halves() {
     }
 }
 
+/// An isomorphic copy with a different text: fresh variable and relation
+/// names, atoms in reverse order (so variable ids are assigned in another
+/// order too).
+fn renamed_copy(q: &Query) -> Query {
+    let atoms: Vec<(String, Vec<String>)> = q
+        .atoms()
+        .iter()
+        .rev()
+        .map(|a| (format!("{}2", a.name), a.vars.iter().map(|v| format!("w{}", v.0)).collect()))
+        .collect();
+    Query::new(format!("{}2", q.name()), atoms).expect("valid renamed copy")
+}
+
+/// `QueryLps::solve` is a pure function of the query: it returns exactly
+/// what the sparse simplex returns for *this* text (or the certified
+/// closed form), not an optimum carried over from an isomorphic query
+/// solved earlier — so the shares rounded from its cover, and every plan
+/// built on them, are the same in a cold process and a warm one.
 #[test]
-fn cached_fast_path_agrees_and_transports_validly() {
+fn analysis_does_not_depend_on_what_was_analysed_before() {
+    // K2 is K with its atoms reversed and its variables renamed. Solved
+    // on its own its cover is (½,½,½,½); K's optimum carried over through
+    // the isomorphism is (0,1,0,1), which rounds to shares [1,8,1,8].
+    let k = parse_query("K(a,b,c,d) :- R(a,b), S(a,c), T(a,d), U(b,c), V(c,d)").unwrap();
+    let k2 = parse_query("K2(d,c,b,a) :- V2(d,c), U2(c,b), T2(d,a), S2(c,a), R2(b,a)").unwrap();
+    QueryAnalysis::analyze(&k).expect("K analyses");
+    assert_eq!(QueryLps::solve(&k2).unwrap(), QueryLps::solve_sparse(&k2).unwrap());
+    assert_eq!(ShareAllocation::optimal(&k2, 64).unwrap().shares, [3, 3, 3, 2]);
+
+    // The same on the witness query and three shapes with arity-3 atoms,
+    // none a recognised family: original first, then its renamed copy.
+    let shapes = [
+        families::witness_query(),
+        parse_query("H1(x,y,z,u,v) :- A(x,y,z), B(z,u), C(u,v,x)").unwrap(),
+        parse_query("H2(x,y,z,u,v) :- A(x,y,z), B(x,u,v), C(y,u), D(z,v)").unwrap(),
+        parse_query("H3(x,y,z,w,t) :- A(x,y,z), B(z,w), C(w,x), D(y,w,t)").unwrap(),
+    ];
+    for q in &shapes {
+        assert!(mpc_query::lp::families::closed_form(q).is_none(), "{q} is no family");
+        QueryAnalysis::analyze(q).expect("original analyses");
+        let copy = renamed_copy(q);
+        let own = QueryLps::solve_sparse(&copy).expect("sparse solver solves");
+        assert_eq!(QueryLps::solve(&copy).unwrap(), own, "{copy} after {q}");
+        assert_eq!(
+            ShareAllocation::optimal(&copy, 64).unwrap().shares,
+            ShareAllocation::from_cover(&copy, own.vertex_cover(), 64).unwrap().shares,
+            "shares of {copy} after {q}"
+        );
+    }
+
+    // On random queries: the production path agrees with both solvers on
+    // τ* and ρ*, returns valid and tight (cover = packing) solutions, and
+    // returns the same triple when asked again.
     let mut rng = StdRng::seed_from_u64(CASE_SEED ^ 0x5EED);
     for case in 0..CASES / 4 {
         let q = random_query(&mut rng, case);
         let fast = QueryLps::solve(&q).expect("fast path solves");
         let dense = QueryLps::solve_dense(&q).expect("dense oracle solves");
-        assert_eq!(fast.covering_number(), dense.covering_number(), "fast path τ* on {q}");
+        let sparse = QueryLps::solve_sparse(&q).expect("sparse solver solves");
+        for (label, other) in [("dense", &dense), ("sparse", &sparse)] {
+            assert_eq!(fast.covering_number(), other.covering_number(), "τ* vs {label} on {q}");
+            assert_eq!(fast.edge_cover().total(), other.edge_cover().total(), "ρ* vs {label}");
+        }
         assert!(fast.vertex_cover().is_valid_for(&q), "fast path cover feasible on {q}");
         assert!(fast.edge_packing().is_valid_for(&q), "fast path packing feasible on {q}");
         assert!(fast.edge_cover().is_valid_for(&q), "fast path edge cover feasible on {q}");
-        // Twice more: whatever mixture of cache hits this produces must
-        // transport to identical optima.
-        let again = QueryLps::solve(&q).expect("fast path solves twice");
-        assert_eq!(again.covering_number(), fast.covering_number());
-        assert!(again.vertex_cover().is_valid_for(&q));
+        assert_eq!(fast.vertex_cover().total(), fast.edge_packing().total(), "duality on {q}");
+        assert_eq!(QueryLps::solve(&q).expect("solves twice"), fast, "repeat solve of {q}");
     }
 }

@@ -97,7 +97,7 @@ fn parse_rows(text: &str) -> Result<Vec<BenchRow>, String> {
 }
 
 /// Split the member list of a flat JSON object on commas that are outside
-/// string literals (names like `cache_cold/TT2` contain no commas today,
+/// string literals (names like `sparse/B12_2` contain no commas today,
 /// but quoted commas must not split a member).
 fn split_top_level_fields(object: &str) -> Vec<&str> {
     let mut fields = Vec::new();
