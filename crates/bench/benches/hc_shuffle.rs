@@ -3,11 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mpc_core::hypercube::HyperCube;
+use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
-use mpc_sim::MpcConfig;
+use mpc_sim::{Cluster, MpcConfig};
 
 fn bench_hc_triangle(c: &mut Criterion) {
     let q = families::triangle();
@@ -19,8 +19,8 @@ fn bench_hc_triangle(c: &mut Criterion) {
     group.sample_size(10);
     for p in [8usize, 64, 216] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {
-            let cfg = MpcConfig::new(p, eps);
-            b.iter(|| HyperCube::run(&q, &db, &cfg).unwrap());
+            let cluster = Cluster::new(MpcConfig::new(p, eps)).unwrap();
+            b.iter(|| cluster.run(&HyperCubeProgram::new(&q, p, 0x5EED).unwrap(), &db).unwrap());
         });
     }
     group.finish();
@@ -35,8 +35,8 @@ fn bench_hc_chain(c: &mut Criterion) {
         let db = matching_database(&q, n, 7);
         let eps = space_exponent(&q).unwrap().to_f64();
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            let cfg = MpcConfig::new(64, eps);
-            b.iter(|| HyperCube::run(&q, &db, &cfg).unwrap());
+            let cluster = Cluster::new(MpcConfig::new(64, eps)).unwrap();
+            b.iter(|| cluster.run(&HyperCubeProgram::new(&q, 64, 0x5EED).unwrap(), &db).unwrap());
         });
     }
     group.finish();

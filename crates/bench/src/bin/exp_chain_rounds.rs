@@ -19,12 +19,13 @@
 use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
-use mpc_core::multiround::executor::MultiRound;
+use mpc_core::multiround::executor::PlanProgram;
 use mpc_core::multiround::lower_bound::round_lower_bound;
 use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_lp::Rational;
+use mpc_sim::{Cluster, MpcConfig};
 use mpc_storage::join::evaluate;
 
 #[derive(Serialize)]
@@ -64,16 +65,18 @@ fn main() {
             let ke = mpc_core::space_exponent::k_epsilon(eps);
             let lower = round_lower_bound(&q, eps).expect("bound computable");
             let plan = MultiRoundPlan::build(&q, eps).expect("planning succeeds");
-            let outcome = MultiRound::run_plan(&plan, &db, p, 5).expect("execution succeeds");
-            let correct = outcome.result.output.same_tuples(&truth);
+            let program = PlanProgram::new(&plan, p, 5).expect("plan compiles");
+            let cluster = Cluster::new(MpcConfig::new(p, eps.to_f64())).expect("valid config");
+            let result = cluster.run(&program, &db).expect("execution succeeds");
+            let correct = result.output.same_tuples(&truth);
             let row = Row {
                 k,
                 epsilon: eps.to_string(),
                 k_epsilon: ke,
                 lower_bound: lower,
                 plan_rounds: plan.num_rounds(),
-                executed_rounds: outcome.result.num_rounds(),
-                max_bytes_per_round: outcome.result.max_load_bytes(),
+                executed_rounds: result.num_rounds(),
+                max_bytes_per_round: result.max_load_bytes(),
                 correct,
             };
             table.row([

@@ -20,7 +20,7 @@ use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
 use mpc_core::baseline::BroadcastProgram;
-use mpc_core::hypercube::HyperCube;
+use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
@@ -59,21 +59,21 @@ fn main() {
     ]);
     let mut rows = Vec::new();
     for p in [8usize, 27, 64, 216, 512, 1000] {
-        let cfg = MpcConfig::new(p, eps.to_f64());
-        let hc = HyperCube::run(&q, &db, &cfg).expect("HC run succeeds");
-        let cluster = Cluster::new(cfg.clone()).expect("valid config");
+        let cluster = Cluster::new(MpcConfig::new(p, eps.to_f64())).expect("valid config");
+        let program = HyperCubeProgram::new(&q, p, 0x5EED).expect("HC plans");
+        let hc = cluster.run(&program, &db).expect("HC run succeeds");
         let broadcast =
             cluster.run(&BroadcastProgram::new(q.clone()), &db).expect("broadcast run succeeds");
-        let correct = hc.result.output.same_tuples(&truth);
+        let correct = hc.output.same_tuples(&truth);
         let row = Row {
             p,
-            shares: hc.allocation.shares.clone(),
-            hc_max_bytes: hc.result.max_load_bytes(),
-            budget_bytes: hc.result.rounds[0].budget_bytes,
-            hc_within_budget: hc.result.within_budget(),
-            hc_replication: hc.result.max_replication_rate(),
+            shares: program.allocation().shares.clone(),
+            hc_max_bytes: hc.max_load_bytes(),
+            budget_bytes: hc.rounds[0].budget_bytes,
+            hc_within_budget: hc.within_budget(),
+            hc_replication: hc.max_replication_rate(),
             broadcast_max_bytes: broadcast.max_load_bytes(),
-            answers: hc.result.output.len(),
+            answers: hc.output.len(),
             correct,
         };
         table.row([

@@ -22,11 +22,13 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
-use mpc_core::hypercube::PartialHyperCube;
-use mpc_core::multiround::executor::MultiRound;
+use mpc_core::hypercube::PartialHyperCubeProgram;
+use mpc_core::multiround::executor::PlanProgram;
+use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_lp::Rational;
+use mpc_sim::{Cluster, MpcConfig};
 use mpc_storage::join::evaluate;
 use mpc_storage::{Database, Relation, Tuple};
 
@@ -74,7 +76,11 @@ fn main() {
         "2-round plan found a witness",
     ]);
     let mut rows = Vec::new();
+    let half = Rational::new(1, 2);
+    let plan = MultiRoundPlan::build(&q, half).expect("planning succeeds");
     for p in [4usize, 16, 64] {
+        let one_round_cluster = Cluster::new(MpcConfig::new(p, 0.0)).expect("valid config");
+        let two_round_cluster = Cluster::new(MpcConfig::new(p, 0.5)).expect("valid config");
         let mut with_witness = 0usize;
         let mut one_round_found = 0usize;
         let mut two_round_found = 0usize;
@@ -85,14 +91,14 @@ fn main() {
                 continue;
             }
             with_witness += 1;
-            let one_round =
-                PartialHyperCube::run(&q, &db, p, eps, t as u64).expect("partial HC run succeeds");
-            if !one_round.result.output.is_empty() {
+            let partial = PartialHyperCubeProgram::new(&q, p, eps, t as u64).expect("HC plans");
+            let one_round = one_round_cluster.run(&partial, &db).expect("partial HC run succeeds");
+            if !one_round.output.is_empty() {
                 one_round_found += 1;
             }
-            let two_round = MultiRound::run(&q, &db, p, Rational::new(1, 2), t as u64)
-                .expect("plan execution succeeds");
-            if two_round.result.output.same_tuples(&truth) {
+            let program = PlanProgram::new(&plan, p, t as u64).expect("plan compiles");
+            let two_round = two_round_cluster.run(&program, &db).expect("plan execution succeeds");
+            if two_round.output.same_tuples(&truth) {
                 two_round_found += 1;
             }
         }

@@ -20,11 +20,12 @@
 use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
-use mpc_core::hypercube::PartialHyperCube;
+use mpc_core::hypercube::PartialHyperCubeProgram;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_lp::cover::tau_star;
 use mpc_lp::Rational;
+use mpc_sim::{Cluster, MpcConfig};
 use mpc_storage::join::evaluate;
 
 #[derive(Serialize)]
@@ -56,9 +57,10 @@ fn main() {
         let truth = evaluate(&q, &db).expect("sequential evaluation succeeds");
         let tau = tau_star(&q).expect("LP solvable");
         for p in [4usize, 16, 64, 256] {
-            let outcome =
-                PartialHyperCube::run(&q, &db, p, eps, 9).expect("partial HC run succeeds");
-            let reported = outcome.result.output.len();
+            let program = PartialHyperCubeProgram::new(&q, p, eps, 9).expect("partial HC plans");
+            let cluster = Cluster::new(MpcConfig::new(p, eps.to_f64())).expect("valid config");
+            let result = cluster.run(&program, &db).expect("partial HC run succeeds");
+            let reported = result.output.len();
             let total = truth.len().max(1);
             let exponent = tau.to_f64() * (1.0 - eps.to_f64()) - 1.0;
             let predicted = 1.0 / (p as f64).powf(exponent);

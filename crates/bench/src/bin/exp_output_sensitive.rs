@@ -31,15 +31,15 @@ use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
 use mpc_core::analysis::QueryAnalysis;
-use mpc_core::hypercube::HyperCube;
-use mpc_core::multiround::executor::MultiRound;
+use mpc_core::hypercube::HyperCubeProgram;
+use mpc_core::multiround::executor::PlanProgram;
 use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_core::shares::ShareAllocation;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_data::output_controlled_database;
 use mpc_lp::Rational;
-use mpc_sim::MpcConfig;
+use mpc_sim::{Cluster, MpcConfig};
 
 #[derive(Serialize)]
 struct SweepRow {
@@ -92,7 +92,9 @@ fn main() {
     let mut sweep_rows = Vec::new();
     for (q, p) in cases {
         let analysis = QueryAnalysis::analyze(&q).expect("LP solvable");
-        let eps = analysis.space_exponent.to_f64();
+        let cluster = Cluster::new(MpcConfig::new(p, analysis.space_exponent.to_f64()))
+            .expect("cluster config valid");
+        let program = HyperCubeProgram::new(&q, p, 0x5EED).expect("HyperCube plans");
         let m_sweep: Vec<u64> = {
             let mut ms: Vec<u64> =
                 [0.0, 0.01, 0.1, 0.5, 1.0].iter().map(|f| (n as f64 * f) as u64).collect();
@@ -102,19 +104,18 @@ fn main() {
         for (i, &m) in m_sweep.iter().enumerate() {
             let planted = output_controlled_database(&q, n, m, 42 + i as u64);
             let bounds = analysis.output_bounds(n, m, p).expect("bounds computable");
-            let run = HyperCube::run(&q, &planted.db, &MpcConfig::new(p, eps))
-                .expect("HyperCube run succeeds");
+            let run = cluster.run(&program, &planted.db).expect("HyperCube run succeeds");
             let verdict = bounds
-                .bracket(&q, &run.allocation, run.result.max_load_tuples(), slack)
+                .bracket(&q, program.allocation(), run.max_load_tuples(), slack)
                 .expect("bracket computable");
-            let max_emitted = run.result.per_server_output.iter().copied().max().unwrap_or(0);
-            let output_exact = run.result.output.len() as u64 == planted.output_size;
+            let max_emitted = run.per_server_output.iter().copied().max().unwrap_or(0);
+            let output_exact = run.output.len() as u64 == planted.output_size;
 
             if !output_exact {
                 failures.push(format!(
                     "{} m={m}: simulated output {} ≠ planted cardinality {}",
                     q.name(),
-                    run.result.output.len(),
+                    run.output.len(),
                     planted.output_size
                 ));
             }
@@ -198,12 +199,14 @@ fn main() {
         let db = matching_database(&q, n, 7 + k as u64);
         let plan = MultiRoundPlan::build(&q, Rational::ZERO).expect("plan builds");
         let profile = plan.predict_loads(p, n).expect("profile computable");
-        let outcome = MultiRound::run_plan(&plan, &db, p, 3).expect("plan runs");
+        let program = PlanProgram::new(&plan, p, 3).expect("plan compiles");
+        let cluster = Cluster::new(MpcConfig::new(p, 0.0)).expect("cluster config valid");
+        let run = cluster.run(&program, &db).expect("plan runs");
         let truth = mpc_storage::join::evaluate(&q, &db).expect("sequential join");
-        if !outcome.result.output.same_tuples(&truth) {
+        if !run.output.same_tuples(&truth) {
             failures.push(format!("L{k}: multi-round output diverges from sequential join"));
         }
-        for cmp in profile.compare(&outcome.result).expect("round counts match") {
+        for cmp in profile.compare(&run).expect("round counts match") {
             let ok = cmp.ratio <= slack && cmp.ratio >= 1.0 / slack;
             if !ok {
                 failures.push(format!(

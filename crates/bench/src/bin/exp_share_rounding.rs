@@ -19,12 +19,11 @@
 use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
-use mpc_core::hypercube::HyperCube;
-use mpc_core::shares::ShareAllocation;
+use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
-use mpc_sim::MpcConfig;
+use mpc_sim::{Cluster, MpcConfig};
 
 #[derive(Serialize)]
 struct Row {
@@ -57,13 +56,14 @@ fn main() {
         let eps = space_exponent(&q).expect("LP solvable");
         let tau = mpc_lp::cover::tau_star(&q).expect("LP solvable").to_f64();
         for p in [16usize, 50, 64, 100, 256] {
-            let alloc = ShareAllocation::optimal(&q, p).expect("allocation succeeds");
-            let run =
-                HyperCube::run(&q, &db, &MpcConfig::new(p, eps.to_f64())).expect("HC run succeeds");
+            let program = HyperCubeProgram::new(&q, p, 0x5EED).expect("HC plans");
+            let alloc = program.allocation();
+            let cluster = Cluster::new(MpcConfig::new(p, eps.to_f64())).expect("valid config");
+            let run = cluster.run(&program, &db).expect("HC run succeeds");
             // Ideal per-server tuple count with perfect fractional shares:
             // every relation contributes n / p^{1/τ*} tuples.
             let ideal = q.num_atoms() as f64 * n as f64 / (p as f64).powf(1.0 / tau);
-            let measured = run.result.max_load_tuples();
+            let measured = run.max_load_tuples();
             let row = Row {
                 query: q.name().to_string(),
                 p,

@@ -26,13 +26,13 @@
 use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
-use mpc_core::hypercube::HyperCube;
+use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_data::skew::{heavy_hitter_database, zipf_database};
-use mpc_sim::MpcConfig;
-use mpc_skew::SkewResilient;
+use mpc_sim::{Cluster, MpcConfig};
+use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
 
 #[derive(Serialize)]
 struct Row {
@@ -69,6 +69,9 @@ fn main() {
 
     for q in [families::chain(2), families::cycle(3)] {
         let eps = space_exponent(&q).expect("LP solvable").to_f64();
+        let cluster = Cluster::new(MpcConfig::new(p, eps)).expect("valid config");
+        let hc = HyperCubeProgram::new(&q, p, 0x5EED).expect("HC plans");
+        let policy = HeavyHitterPolicy::default();
         let inputs: Vec<(String, mpc_storage::Database)> = vec![
             ("matching".to_string(), matching_database(&q, n, 5)),
             ("zipf θ=0.8".to_string(), zipf_database(&q, n, n as usize, 0.8, 5)),
@@ -76,28 +79,29 @@ fn main() {
             ("heavy 50%".to_string(), heavy_hitter_database(&q, n, n as usize, 0.5, 5)),
         ];
         for (label, db) in inputs {
-            let cfg = MpcConfig::new(p, eps);
-            let vanilla = HyperCube::run(&q, &db, &cfg).expect("HC run succeeds");
-            let resilient = SkewResilient::run(&q, &db, &cfg).expect("skew-resilient run succeeds");
+            let vanilla = cluster.run(&hc, &db).expect("HC run succeeds");
+            let program = SkewResilientProgram::new(&q, &db, p, &policy, 0x5EED)
+                .expect("skew-resilient plan builds");
+            let resilient = cluster.run(&program, &db).expect("skew-resilient run succeeds");
             assert!(
-                resilient.result.output.same_tuples(&vanilla.result.output),
+                resilient.output.same_tuples(&vanilla.output),
                 "skew-resilient output must equal the vanilla join"
             );
-            if !resilient.result.within_budget() {
+            if !resilient.within_budget() {
                 regression = true;
             }
             let row = Row {
                 query: q.name().to_string(),
                 input: label,
                 p,
-                vanilla_max_bytes: vanilla.result.max_load_bytes(),
-                vanilla_balance: vanilla.result.max_balance_ratio(),
-                vanilla_within_budget: vanilla.result.within_budget(),
-                resilient_max_bytes: resilient.result.max_load_bytes(),
-                resilient_balance: resilient.result.max_balance_ratio(),
-                resilient_within_budget: resilient.result.within_budget(),
-                heavy_values: resilient.num_heavy_values(),
-                plans: resilient.num_plans(),
+                vanilla_max_bytes: vanilla.max_load_bytes(),
+                vanilla_balance: vanilla.max_balance_ratio(),
+                vanilla_within_budget: vanilla.within_budget(),
+                resilient_max_bytes: resilient.max_load_bytes(),
+                resilient_balance: resilient.max_balance_ratio(),
+                resilient_within_budget: resilient.within_budget(),
+                heavy_values: program.plan_set().heavy().num_heavy_values(),
+                plans: program.plan_set().plans().len(),
             };
             table.row([
                 row.query.clone(),
@@ -116,10 +120,10 @@ fn main() {
                     "{} on {}: vanilla  {}\n{} on {}: resilient {}",
                     row.query,
                     row.input,
-                    vanilla.result.summary(),
+                    vanilla.summary(),
                     row.query,
                     row.input,
-                    resilient.result.summary()
+                    resilient.summary()
                 );
             }
             rows.push(row);

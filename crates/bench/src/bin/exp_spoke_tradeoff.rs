@@ -19,13 +19,14 @@
 use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
-use mpc_core::hypercube::HyperCube;
-use mpc_core::multiround::executor::MultiRound;
+use mpc_core::hypercube::HyperCubeProgram;
+use mpc_core::multiround::executor::PlanProgram;
+use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_lp::Rational;
-use mpc_sim::MpcConfig;
+use mpc_sim::{Cluster, MpcConfig};
 use mpc_storage::join::evaluate;
 
 #[derive(Serialize)]
@@ -57,22 +58,25 @@ fn main() {
         let q = families::spoke(k);
         let db = matching_database(&q, n, 31 + k as u64);
         let truth = evaluate(&q, &db).expect("sequential evaluation succeeds");
+        let plan = MultiRoundPlan::build(&q, Rational::ZERO).expect("planning succeeds");
         for p in [16usize, 64] {
             let eps = space_exponent(&q).expect("LP solvable");
-            let one_round =
-                HyperCube::run(&q, &db, &MpcConfig::new(p, eps.to_f64())).expect("HC run succeeds");
-            let two_round =
-                MultiRound::run(&q, &db, p, Rational::ZERO, 7).expect("plan execution succeeds");
-            let correct = one_round.result.output.same_tuples(&truth)
-                && two_round.result.output.same_tuples(&truth);
+            let hc = HyperCubeProgram::new(&q, p, 0x5EED).expect("HC plans");
+            let cluster = Cluster::new(MpcConfig::new(p, eps.to_f64())).expect("valid config");
+            let one_round = cluster.run(&hc, &db).expect("HC run succeeds");
+            let program = PlanProgram::new(&plan, p, 7).expect("plan compiles");
+            let cluster = Cluster::new(MpcConfig::new(p, 0.0)).expect("valid config");
+            let two_round = cluster.run(&program, &db).expect("plan execution succeeds");
+            let correct =
+                one_round.output.same_tuples(&truth) && two_round.output.same_tuples(&truth);
             let row = Row {
                 k,
                 p,
                 one_round_epsilon: eps.to_string(),
-                one_round_replication: one_round.result.max_replication_rate(),
-                one_round_max_bytes: one_round.result.max_load_bytes(),
-                two_round_replication: two_round.result.max_replication_rate(),
-                two_round_max_bytes: two_round.result.max_load_bytes(),
+                one_round_replication: one_round.max_replication_rate(),
+                one_round_max_bytes: one_round.max_load_bytes(),
+                two_round_replication: two_round.max_replication_rate(),
+                two_round_max_bytes: two_round.max_load_bytes(),
                 both_correct: correct,
             };
             table.row([

@@ -30,7 +30,7 @@ use serde::Serialize;
 
 use mpc_bench::{arg_f64, maybe_write_json, scaled, TextTable};
 use mpc_core::analysis::QueryAnalysis;
-use mpc_core::hypercube::HyperCube;
+use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::space_exponent::space_exponent;
 use mpc_core::wco::{PlannerChoice, WcoLoadPrediction, WcoProgram, WorstCaseOptimalPlan};
 use mpc_cq::families;
@@ -88,19 +88,20 @@ fn main() {
             "winner",
         ]);
         for &p in &sweep {
-            let hc = HyperCube::run(q, &db, &MpcConfig::new(p, eps)).expect("HC run succeeds");
+            let cluster = Cluster::new(MpcConfig::new(p, eps)).expect("cluster config valid");
+            let hc = HyperCubeProgram::new(q, p, 0x5EED).expect("HC plans");
+            let hc = cluster.run(&hc, &db).expect("HC run succeeds");
             let plan = WorstCaseOptimalPlan::build(q, &db, p).expect("WCO plan builds");
             plan.verify_round_floor().expect("round floor holds");
             let pred = WcoLoadPrediction::predict(&plan).expect("prediction succeeds");
             let program = WcoProgram::with_plan(plan, 7 + p as u64);
-            let cluster = Cluster::new(MpcConfig::new(p, eps)).expect("cluster config valid");
             let wco = cluster.run(&program, &db).expect("WCO run succeeds");
-            if !wco.output.same_tuples(&hc.result.output) {
+            if !wco.output.same_tuples(&hc.output) {
                 failures.push(format!(
                     "{} at p = {p}: WCO answered {} tuples, HyperCube {}",
                     q.name(),
                     wco.output.len(),
-                    hc.result.output.len()
+                    hc.output.len()
                 ));
             }
             for cmp in pred.compare(&wco).expect("round counts match") {
@@ -118,12 +119,12 @@ fn main() {
                 query: q.name().to_string(),
                 p,
                 rounds: wco.num_rounds(),
-                hc_max_tuples: hc.result.max_load_tuples(),
+                hc_max_tuples: hc.max_load_tuples(),
                 wco_max_tuples: wco.max_load_tuples(),
                 wco_predicted: pred.max_predicted_tuples(),
                 agm_target: pred.agm_target,
                 one_round_target: pred.one_round_target,
-                wco_wins: wco.max_load_tuples() < hc.result.max_load_tuples(),
+                wco_wins: wco.max_load_tuples() < hc.max_load_tuples(),
             };
             table.row([
                 row.p.to_string(),

@@ -20,12 +20,13 @@ use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
 use mpc_core::analysis::QueryAnalysis;
-use mpc_core::multiround::executor::MultiRound;
+use mpc_core::multiround::executor::PlanProgram;
 use mpc_core::multiround::lower_bound::round_lower_bound;
 use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::{families, Query};
 use mpc_data::matching_database;
 use mpc_lp::Rational;
+use mpc_sim::{Cluster, MpcConfig};
 use mpc_storage::join::evaluate;
 
 #[derive(Serialize)]
@@ -78,9 +79,12 @@ fn main() {
 
         // Execute the ε = 0 plan and check exactness.
         let db = matching_database(q, n, 7);
-        let outcome = MultiRound::run(q, &db, p, Rational::ZERO, 3).expect("execution succeeds");
+        let plan = MultiRoundPlan::build(q, Rational::ZERO).expect("planning succeeds");
+        let program = PlanProgram::new(&plan, p, 3).expect("plan compiles");
+        let cluster = Cluster::new(MpcConfig::new(p, 0.0)).expect("valid config");
+        let result = cluster.run(&program, &db).expect("execution succeeds");
         let truth = evaluate(q, &db).expect("sequential evaluation succeeds");
-        let correct = outcome.result.output.same_tuples(&truth);
+        let correct = result.output.same_tuples(&truth);
 
         table.row([
             q.name().to_string(),

@@ -5,6 +5,7 @@ use serde::Serialize;
 
 use mpc_cq::Query;
 use mpc_data::DbStatistics;
+use mpc_lp::cover::VertexCover;
 use mpc_lp::{QueryLps, Rational};
 
 use crate::heavy::heavy_occurrences;
@@ -125,13 +126,15 @@ impl QueryAnalysis {
         &self.query
     }
 
-    /// The integer share allocation for `p` servers.
+    /// The integer share allocation for `p` servers: the optimal cover this
+    /// analysis already holds, rounded (no LP is solved).
     ///
     /// # Errors
     ///
-    /// Propagates LP errors.
+    /// Rejects `p == 0`.
     pub fn shares_for(&self, p: usize) -> Result<ShareAllocation> {
-        ShareAllocation::optimal(&self.query, p)
+        let cover = VertexCover::from_weights(self.vertex_cover.clone())?;
+        ShareAllocation::from_cover(&self.query, &cover, p)
     }
 
     /// Round lower/upper bounds at a given space exponent (connected
@@ -508,5 +511,12 @@ mod tests {
         let a = QueryAnalysis::analyze(&families::cycle(3)).unwrap();
         let alloc = a.shares_for(27).unwrap();
         assert_eq!(alloc.shares, vec![3, 3, 3]);
+        // The stored cover, rounded, is the allocation a fresh solve gives.
+        for q in [families::chain(7), families::witness_query(), families::spoke(3)] {
+            let a = QueryAnalysis::analyze(&q).unwrap();
+            for p in [1, 16, 64] {
+                assert_eq!(a.shares_for(p).unwrap(), ShareAllocation::optimal(&q, p).unwrap());
+            }
+        }
     }
 }

@@ -14,10 +14,12 @@
 //! a heavy configuration `H`, and the answers with configuration exactly
 //! `H` are those of the **residual query** `q_H` ([`residual_query`]) over
 //! the tuples whose pattern is `H ∩ vars(S_j)`. Each `H` that gets a
-//! server group gets one sized by the tuple mass it attracts
-//! ([`PatternCounts`], [`proportional_groups`]), with a share vector grown
-//! against the expected load of one cell ([`cell_load`],
-//! [`grow_shares`]); the per-group outputs partition the answers.
+//! server [`Group`] gets one sized by the tuple mass it attracts
+//! ([`PatternCounts`], [`carve`]), with a share vector grown against the
+//! expected load of one cell ([`cell_load`], [`grow_shares`]); a tuple is
+//! sent to every group inducing its pattern on its atom
+//! ([`GroupRoutes::inducing`]), and the per-group outputs partition the
+//! answers.
 //!
 //! Patterns and heavy-variable subsets are [`Mask`]s over the variables
 //! that have heavy values, so classifying a tuple builds no collection.
@@ -32,7 +34,9 @@ use mpc_cq::{Atom, Query, VarId};
 use mpc_data::{DbStatistics, RelationStats};
 use mpc_storage::{Database, Relation, Value};
 
+use crate::grid::{AtomRoute, Grid};
 use crate::shares::ShareAllocation;
+use crate::Result;
 
 /// A set of heavy-capable variables — a tuple's heavy pattern or a
 /// group's heavy configuration — as a bitmask: bit `i` is the `i`-th
@@ -260,10 +264,142 @@ impl PatternCounts {
     }
 }
 
+/// One server group of a heavy/light plan: the servers and shares
+/// dedicated to the answers whose heavy configuration is exactly
+/// [`Group::heavy_vars`]. A plan's groups sit on disjoint server ranges,
+/// back to back from server 0, the light group (`heavy_vars = ∅`) first.
+#[derive(Debug, Clone)]
+pub struct Group {
+    /// The variables fixed to heavy values (`∅` = the light group).
+    pub heavy_vars: BTreeSet<VarId>,
+    /// Full-width share vector over the query's variables; the product is
+    /// ≤ [`Group::group_size`].
+    pub shares: Vec<usize>,
+    /// First server (global index) of the group's grid.
+    pub offset: usize,
+    /// Servers granted to the group (`cells() ≤ group_size`).
+    pub group_size: usize,
+    /// Tuples each atom routes into this grid (before replication), in
+    /// atom order — counted by the planning scan, or scaled up from the
+    /// planning sample.
+    pub atom_tuples: Vec<u64>,
+}
+
+impl Group {
+    /// Number of grid cells, `∏ shares`.
+    pub fn cells(&self) -> usize {
+        self.shares.iter().product()
+    }
+
+    /// Does global server `s` belong to this group's grid?
+    pub fn owns_server(&self, s: usize) -> bool {
+        s >= self.offset && s < self.offset + self.cells()
+    }
+
+    /// Replication factor of one tuple of `atom` in this grid: the
+    /// product of the shares of the dimensions the atom does not fix.
+    pub fn replication_of(&self, atom: &Atom) -> usize {
+        let fixed = atom.distinct_vars();
+        self.shares
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !fixed.contains(&VarId(*i)))
+            .map(|(_, s)| *s)
+            .product()
+    }
+}
+
+/// The group owning global server `s`, if any: servers beyond the last
+/// grid belong to none.
+pub fn group_of_server(groups: &[Group], s: usize) -> Option<usize> {
+    groups.iter().position(|g| g.owns_server(s))
+}
+
+/// Carve `p` servers into one [`Group`] per heavy configuration of
+/// `configs`, in order: each sized by the tuple mass it attracts (at
+/// least one server), each grid starting where the previous one ends.
+/// `shares(group)` picks a group's share vector, seeing the group with
+/// everything but its shares filled in.
+///
+/// # Errors
+///
+/// Propagates the errors of `shares`.
+pub fn carve(
+    p: usize,
+    configs: &[Mask],
+    heavy: &HeavyValues,
+    counts: &PatternCounts,
+    mut shares: impl FnMut(&Group) -> Result<Vec<usize>>,
+) -> Result<Vec<Group>> {
+    let masses: Vec<u64> = configs.iter().map(|h| counts.mass(*h)).collect();
+    let mut groups = Vec::with_capacity(configs.len());
+    let mut offset = 0;
+    for (&h, group_size) in configs.iter().zip(proportional_groups(p, &masses)) {
+        let mut group = Group {
+            heavy_vars: heavy.vars_of(h),
+            shares: Vec::new(),
+            offset,
+            group_size,
+            atom_tuples: counts.atom_tuples(h).collect(),
+        };
+        group.shares = shares(&group)?;
+        offset += group.cells();
+        groups.push(group);
+    }
+    Ok(groups)
+}
+
+/// A plan's groups compiled for routing: per group its heavy
+/// configuration and the route of every atom in its grid, and per atom
+/// the [`Mask`] of its heavy-capable variables.
+#[derive(Debug, Clone)]
+pub struct GroupRoutes {
+    groups: Vec<(Mask, Vec<AtomRoute>)>,
+    atom_vars: Vec<Mask>,
+}
+
+impl GroupRoutes {
+    /// Compile `groups`, planned for `q` under `heavy`.
+    pub fn new(q: &Query, heavy: &HeavyValues, groups: &[Group]) -> Self {
+        let groups = groups
+            .iter()
+            .map(|g| {
+                let h = heavy.mask_of(g.heavy_vars.iter().copied());
+                (h, Grid::new(&g.shares, g.offset).routes(q))
+            })
+            .collect();
+        let atom_vars =
+            q.atoms().iter().map(|atom| heavy.mask_of(atom.vars.iter().copied())).collect();
+        GroupRoutes { groups, atom_vars }
+    }
+
+    /// The groups that need a tuple of atom number `atom` whose heavy
+    /// pattern is `phi` — those whose configuration induces exactly `phi`
+    /// on the atom — as `(group, configuration, the atom's route there)`,
+    /// in group order.
+    pub fn inducing(
+        &self,
+        atom: usize,
+        phi: Mask,
+    ) -> impl Iterator<Item = (usize, Mask, &AtomRoute)> + '_ {
+        let vars = self.atom_vars[atom];
+        self.groups
+            .iter()
+            .enumerate()
+            .filter(move |(_, (h, _))| h & vars == phi)
+            .map(move |(g, (h, routes))| (g, *h, &routes[atom]))
+    }
+
+    /// The group whose heavy configuration is exactly `h`.
+    pub fn group_of(&self, h: Mask) -> Option<usize> {
+        self.groups.iter().position(|(config, _)| *config == h)
+    }
+}
+
 /// Carve `p` servers into groups proportional to `weights`, at least one
 /// server per group; leftovers go to the group with the highest
 /// weight-per-server (ties: the first).
-pub fn proportional_groups(p: usize, weights: &[u64]) -> Vec<usize> {
+fn proportional_groups(p: usize, weights: &[u64]) -> Vec<usize> {
     let m = weights.len();
     debug_assert!(m <= p, "caller guarantees one server per group");
     let total: u64 = weights.iter().sum();

@@ -18,17 +18,16 @@ use rand::SeedableRng;
 
 use mpc_cq::{Atom, Query};
 use mpc_lp::Rational;
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Value};
+use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_storage::{Relation, Value};
 
 use crate::error::CoreError;
 use crate::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute, Grid};
 use crate::shares::ShareAllocation;
-use crate::space_exponent::space_exponent;
 use crate::Result;
 
 /// The one-round HyperCube program: an [`MpcProgram`] that can be run on
-/// any [`Cluster`].
+/// any [`mpc_sim::Cluster`].
 #[derive(Debug, Clone)]
 pub struct HyperCubeProgram {
     query: Query,
@@ -112,53 +111,6 @@ impl MpcProgram for HyperCubeProgram {
 
     fn output_arity(&self) -> usize {
         self.query.num_vars()
-    }
-}
-
-/// Convenience entry point: run HyperCube end to end on a database and
-/// return both the simulator result and the allocation that was used.
-#[derive(Debug, Clone)]
-pub struct HyperCube;
-
-/// The outcome of a HyperCube run.
-#[derive(Debug, Clone)]
-pub struct HyperCubeOutcome {
-    /// Simulator output and per-round statistics.
-    pub result: RunResult,
-    /// The share allocation used.
-    pub allocation: ShareAllocation,
-    /// The space exponent `1 − 1/τ*` of the query (what ε the algorithm
-    /// needs to stay within budget on matching databases).
-    pub space_exponent: Rational,
-}
-
-impl HyperCube {
-    /// Run the HC algorithm for `q` on `db` under the given configuration
-    /// with a default seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation, configuration and simulation errors.
-    pub fn run(q: &Query, db: &Database, config: &MpcConfig) -> Result<HyperCubeOutcome> {
-        Self::run_seeded(q, db, config, 0x5EED)
-    }
-
-    /// Run the HC algorithm with an explicit hash seed.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation, configuration and simulation errors.
-    pub fn run_seeded(
-        q: &Query,
-        db: &Database,
-        config: &MpcConfig,
-        seed: u64,
-    ) -> Result<HyperCubeOutcome> {
-        let program = HyperCubeProgram::new(q, config.p, seed)?;
-        let allocation = program.allocation().clone();
-        let cluster = Cluster::new(config.clone())?;
-        let result = cluster.run(&program, db)?;
-        Ok(HyperCubeOutcome { result, allocation, space_exponent: space_exponent(q)? })
     }
 }
 
@@ -262,46 +214,6 @@ impl MpcProgram for PartialHyperCubeProgram {
     }
 }
 
-/// The outcome of a partial HyperCube run.
-#[derive(Debug, Clone)]
-pub struct PartialOutcome {
-    /// Simulator output and statistics (the output is a *subset* of the
-    /// true answers).
-    pub result: RunResult,
-    /// The fraction of answers the program expects to report.
-    pub expected_fraction: f64,
-    /// Number of cells of the virtual hypercube.
-    pub total_cells: usize,
-}
-
-/// Convenience runner for the partial-answer HyperCube.
-#[derive(Debug, Clone)]
-pub struct PartialHyperCube;
-
-impl PartialHyperCube {
-    /// Run the partial HC for `q` on `db` with `p` servers at space
-    /// exponent `epsilon` (< `1 − 1/τ*` to be meaningful).
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation, configuration and simulation errors.
-    pub fn run(
-        q: &Query,
-        db: &Database,
-        p: usize,
-        epsilon: Rational,
-        seed: u64,
-    ) -> Result<PartialOutcome> {
-        let program = PartialHyperCubeProgram::new(q, p, epsilon, seed)?;
-        let expected_fraction = program.expected_fraction();
-        let total_cells = program.total_cells();
-        let config = MpcConfig::new(p, epsilon.to_f64().clamp(0.0, 1.0));
-        let cluster = Cluster::new(config)?;
-        let result = cluster.run(&program, db)?;
-        Ok(PartialOutcome { result, expected_fraction, total_cells })
-    }
-}
-
 /// Shuffle helper used in tests and ablations: a random permutation of
 /// `0..n` derived from a seed.
 pub fn seeded_permutation(n: usize, seed: u64) -> Vec<usize> {
@@ -316,10 +228,24 @@ mod tests {
     use super::*;
     use mpc_cq::families;
     use mpc_data::matching_database;
+    use mpc_sim::{Cluster, MpcConfig, RunResult};
     use mpc_storage::join::evaluate;
+    use mpc_storage::Database;
+
+    use crate::space_exponent::space_exponent;
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
+    }
+
+    /// `program` on `p` servers at space exponent `eps`.
+    fn run(program: &impl MpcProgram, db: &Database, p: usize, eps: f64) -> RunResult {
+        Cluster::new(MpcConfig::new(p, eps)).unwrap().run(program, db).unwrap()
+    }
+
+    /// The HyperCube of `q` on `p` servers at `eps`, default seed.
+    fn run_hc(q: &Query, db: &Database, p: usize, eps: f64) -> RunResult {
+        run(&HyperCubeProgram::new(q, p, 0x5EED).unwrap(), db, p, eps)
     }
 
     #[test]
@@ -327,40 +253,38 @@ mod tests {
         // Example 3.1: C3 on p = 64 with ε = 1/3.
         let q = families::triangle();
         let db = matching_database(&q, 2000, 11);
-        let config = MpcConfig::new(64, 1.0 / 3.0);
-        let outcome = HyperCube::run(&q, &db, &config).unwrap();
+        let result = run_hc(&q, &db, 64, 1.0 / 3.0);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
-        assert_eq!(outcome.space_exponent, r(1, 3));
+        assert!(result.output.same_tuples(&expected));
+        assert_eq!(space_exponent(&q).unwrap(), r(1, 3));
         // Replication rate ≈ p^{1/3} = 4.
-        let rate = outcome.result.rounds[0].replication_rate;
+        let rate = result.rounds[0].replication_rate;
         assert!(rate > 3.0 && rate < 5.0, "replication rate {rate}");
         // Within the ε = 1/3 budget.
-        assert!(outcome.result.within_budget());
+        assert!(result.within_budget());
     }
 
     #[test]
     fn chain_l2_hypercube_no_replication() {
         let q = families::chain(2);
         let db = matching_database(&q, 3000, 3);
-        let config = MpcConfig::new(32, 0.0);
-        let outcome = HyperCube::run(&q, &db, &config).unwrap();
+        let result = run_hc(&q, &db, 32, 0.0);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
-        assert!((outcome.result.rounds[0].replication_rate - 1.0).abs() < 1e-9);
-        assert!(outcome.result.within_budget());
-        assert_eq!(outcome.space_exponent, Rational::ZERO);
+        assert!(result.output.same_tuples(&expected));
+        assert!((result.rounds[0].replication_rate - 1.0).abs() < 1e-9);
+        assert!(result.within_budget());
+        assert_eq!(space_exponent(&q).unwrap(), Rational::ZERO);
     }
 
     #[test]
     fn star_query_hypercube() {
         let q = families::star(3);
         let db = matching_database(&q, 1000, 5);
-        let outcome = HyperCube::run(&q, &db, &MpcConfig::new(16, 0.0)).unwrap();
+        let result = run_hc(&q, &db, 16, 0.0);
         let expected = evaluate(&q, &db).unwrap();
         assert_eq!(expected.len(), 1000);
-        assert!(outcome.result.output.same_tuples(&expected));
-        assert!(outcome.result.within_budget());
+        assert!(result.output.same_tuples(&expected));
+        assert!(result.within_budget());
     }
 
     #[test]
@@ -368,13 +292,9 @@ mod tests {
         for q in [families::chain(4), families::cycle(4)] {
             let db = matching_database(&q, 600, 17);
             let eps = space_exponent(&q).unwrap().to_f64();
-            let outcome = HyperCube::run(&q, &db, &MpcConfig::new(27, eps)).unwrap();
+            let result = run_hc(&q, &db, 27, eps);
             let expected = evaluate(&q, &db).unwrap();
-            assert!(
-                outcome.result.output.same_tuples(&expected),
-                "HC output mismatch for {}",
-                q.name()
-            );
+            assert!(result.output.same_tuples(&expected), "HC output mismatch for {}", q.name());
         }
     }
 
@@ -384,11 +304,11 @@ mod tests {
         // is solved by HC with shares (√p, √p).
         let q = mpc_cq::Query::new("CP", vec![("R", vec!["x"]), ("S", vec!["y"])]).unwrap();
         let db = matching_database(&q, 200, 23);
-        let outcome = HyperCube::run(&q, &db, &MpcConfig::new(16, 0.5)).unwrap();
-        assert_eq!(outcome.allocation.shares, vec![4, 4]);
+        let program = HyperCubeProgram::new(&q, 16, 0x5EED).unwrap();
+        assert_eq!(program.allocation().shares, vec![4, 4]);
         let expected = evaluate(&q, &db).unwrap();
         assert_eq!(expected.len(), 200 * 200);
-        assert!(outcome.result.output.same_tuples(&expected));
+        assert!(run(&program, &db, 16, 0.5).output.same_tuples(&expected));
     }
 
     #[test]
@@ -419,11 +339,12 @@ mod tests {
         let n = 4000u64;
         let p = 16usize;
         let db = matching_database(&q, n, 31);
-        let outcome = PartialHyperCube::run(&q, &db, p, Rational::ZERO, 9).unwrap();
-        let reported = outcome.result.output.len() as f64;
-        let expected_total = n as f64;
-        let predicted = outcome.expected_fraction * expected_total;
-        assert!(outcome.expected_fraction < 0.2, "fraction {}", outcome.expected_fraction);
+        let program = PartialHyperCubeProgram::new(&q, p, Rational::ZERO, 9).unwrap();
+        let fraction = program.expected_fraction();
+        let result = run(&program, &db, p, 0.0);
+        let reported = result.output.len() as f64;
+        let predicted = fraction * n as f64;
+        assert!(fraction < 0.2, "fraction {fraction}");
         // Within a factor of 2.5 of the prediction (randomness of the hash).
         assert!(
             reported <= 2.5 * predicted + 10.0 && reported * 2.5 + 10.0 >= predicted,
@@ -431,7 +352,7 @@ mod tests {
         );
         // All reported answers are genuine answers.
         let truth = evaluate(&q, &db).unwrap();
-        for t in outcome.result.output.iter() {
+        for t in result.output.iter() {
             assert!(truth.contains(t));
         }
     }
@@ -442,16 +363,28 @@ mod tests {
         // cells are materialised and (nearly) all answers are reported.
         let q = families::chain(2); // ε* = 0
         let db = matching_database(&q, 1000, 13);
-        let outcome = PartialHyperCube::run(&q, &db, 16, Rational::ZERO, 5).unwrap();
-        assert!(outcome.expected_fraction > 0.99);
+        let program = PartialHyperCubeProgram::new(&q, 16, Rational::ZERO, 5).unwrap();
+        assert!(program.expected_fraction() > 0.99);
         let truth = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth));
+        assert!(run(&program, &db, 16, 0.0).output.same_tuples(&truth));
     }
 
     #[test]
     fn partial_hypercube_rejects_epsilon_one() {
         let q = families::chain(2);
         assert!(PartialHyperCubeProgram::new(&q, 4, Rational::ONE, 1).is_err());
+    }
+
+    #[test]
+    fn partial_hypercube_rejects_a_virtual_grid_past_usize() {
+        // p^{τ*} cells: 64^12, 1024^8 and (2^17)^4 all exceed 2^64.
+        for (k, p) in [(24, 64), (16, 1024), (8, 1 << 17)] {
+            let err = PartialHyperCubeProgram::new(&families::chain(k), p, Rational::ZERO, 1);
+            assert!(matches!(err, Err(CoreError::InvalidPlan(_))), "L{k} at p = {p}: {err:?}");
+        }
+        // A grid that fits is unchanged: 8^{1/2} rounds to 3 per variable.
+        let small = PartialHyperCubeProgram::new(&families::triangle(), 8, Rational::ZERO, 1);
+        assert_eq!(small.unwrap().total_cells(), 27);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //!   rational exponents read off the LP duals.
 //! * [`heavy`] — the heavy/light split both skew planners share: heavy
 //!   values and the threshold that defines them, heavy patterns, pattern
-//!   counts, proportional server groups, residual queries, the greedy
-//!   share search.
+//!   counts, the one server-group type ([`heavy::Group`]) with its carving
+//!   and route table, residual queries, the greedy share search.
 //! * [`wco`] — the **worst-case optimal** multi-round strategy of BKS
 //!   2018 (arXiv:1604.01848) on top of it: broadcast-join rounds for the
 //!   active heavy patterns, the skew-free HyperCube for the light side —
@@ -53,9 +53,11 @@
 //!
 //! // Run HyperCube on 8 servers over a random matching database.
 //! let db = mpc_data::matching_database(&q, 500, 42);
-//! let outcome = HyperCube::run(&q, &db, &MpcConfig::new(8, 1.0 / 3.0)).unwrap();
+//! let program = HyperCubeProgram::new(&q, 8, 0x5EED).unwrap();
+//! let cluster = Cluster::new(MpcConfig::new(8, 1.0 / 3.0)).unwrap();
+//! let result = cluster.run(&program, &db).unwrap();
 //! let expected = mpc_storage::join::evaluate(&q, &db).unwrap();
-//! assert!(outcome.result.output.same_tuples(&expected));
+//! assert!(result.output.same_tuples(&expected));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,7 +84,7 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 /// Commonly used items, re-exported for downstream crates and examples.
 pub mod prelude {
     pub use crate::analysis::QueryAnalysis;
-    pub use crate::hypercube::{HyperCube, PartialHyperCube};
+    pub use crate::hypercube::{HyperCubeProgram, PartialHyperCubeProgram};
     pub use crate::multiround::executor::PlanProgram;
     pub use crate::multiround::load::PlanLoadPrediction;
     pub use crate::multiround::planner::MultiRoundPlan;

@@ -21,14 +21,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mpc_cq::Query;
-use mpc_lp::Rational;
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
-use mpc_storage::{Database, Relation, Value};
+use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_storage::{Relation, Value};
 
 use crate::error::CoreError;
 use crate::grid::{hashed, route_rows, AtomRoute, Grid};
 use crate::multiround::planner::MultiRoundPlan;
-use crate::shares::ShareAllocation;
 use crate::Result;
 
 /// One operator of a plan, instantiated for execution: the routing rule of
@@ -91,7 +89,7 @@ impl PlanProgram {
         for (li, level) in plan.levels().iter().enumerate() {
             let round = li + 1;
             for op in &level.operators {
-                let shares = ShareAllocation::optimal(&op.query, p)?.shares;
+                let shares = op.allocation(p)?.shares;
                 let seeds: Vec<u64> = (0..op.query.num_vars()).map(|_| rng.gen()).collect();
                 let index = operators.len();
                 for atom in op.query.atoms() {
@@ -224,77 +222,42 @@ impl MpcProgram for PlanProgram {
     }
 }
 
-/// The outcome of running a multi-round plan.
-#[derive(Debug, Clone)]
-pub struct MultiRoundOutcome {
-    /// Simulator output and per-round statistics.
-    pub result: RunResult,
-    /// The plan that was executed.
-    pub plan: MultiRoundPlan,
-}
-
-/// Convenience runner: plan + execute a query with multiple rounds.
-#[derive(Debug, Clone)]
-pub struct MultiRound;
-
-impl MultiRound {
-    /// Plan `q` at the given space exponent and execute it on `db` with `p`
-    /// servers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, allocation and simulation errors.
-    pub fn run(
-        q: &Query,
-        db: &Database,
-        p: usize,
-        epsilon: Rational,
-        seed: u64,
-    ) -> Result<MultiRoundOutcome> {
-        let plan = MultiRoundPlan::build(q, epsilon)?;
-        Self::run_plan(&plan, db, p, seed)
-    }
-
-    /// Execute an existing plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and simulation errors.
-    pub fn run_plan(
-        plan: &MultiRoundPlan,
-        db: &Database,
-        p: usize,
-        seed: u64,
-    ) -> Result<MultiRoundOutcome> {
-        let program = PlanProgram::new(plan, p, seed)?;
-        let config = MpcConfig::new(p, plan.epsilon().to_f64().clamp(0.0, 1.0));
-        let cluster = Cluster::new(config)?;
-        let result = cluster.run(&program, db)?;
-        Ok(MultiRoundOutcome { result, plan: plan.clone() })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_cq::families;
     use mpc_data::matching_database;
+    use mpc_lp::Rational;
+    use mpc_sim::{Cluster, MpcConfig, RunResult};
     use mpc_storage::join::evaluate;
+    use mpc_storage::Database;
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)
+    }
+
+    /// Compile `plan` for `p` servers and run it at the plan's ε.
+    fn execute(plan: &MultiRoundPlan, db: &Database, p: usize, seed: u64) -> RunResult {
+        let program = PlanProgram::new(plan, p, seed).unwrap();
+        let config = MpcConfig::new(p, plan.epsilon().to_f64());
+        Cluster::new(config).unwrap().run(&program, db).unwrap()
+    }
+
+    /// Plan `q` at `epsilon` and run it.
+    fn run(q: &Query, db: &Database, p: usize, epsilon: Rational, seed: u64) -> RunResult {
+        execute(&MultiRoundPlan::build(q, epsilon).unwrap(), db, p, seed)
     }
 
     #[test]
     fn chain_l4_two_rounds_at_epsilon_zero() {
         let q = families::chain(4);
         let db = matching_database(&q, 1200, 3);
-        let outcome = MultiRound::run(&q, &db, 16, Rational::ZERO, 7).unwrap();
-        assert_eq!(outcome.result.num_rounds(), 2);
+        let result = run(&q, &db, 16, Rational::ZERO, 7);
+        assert_eq!(result.num_rounds(), 2);
         let expected = evaluate(&q, &db).unwrap();
         assert_eq!(expected.len(), 1200);
-        assert!(outcome.result.output.same_tuples(&expected));
-        assert!(outcome.result.within_budget(), "L4 bushy plan stays within the ε = 0 budget");
+        assert!(result.output.same_tuples(&expected));
+        assert!(result.within_budget(), "L4 bushy plan stays within the ε = 0 budget");
     }
 
     #[test]
@@ -302,60 +265,60 @@ mod tests {
         // Example 4.2.
         let q = families::chain(16);
         let db = matching_database(&q, 300, 5);
-        let outcome = MultiRound::run(&q, &db, 16, r(1, 2), 11).unwrap();
-        assert_eq!(outcome.result.num_rounds(), 2);
+        let result = run(&q, &db, 16, r(1, 2), 11);
+        assert_eq!(result.num_rounds(), 2);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
+        assert!(result.output.same_tuples(&expected));
     }
 
     #[test]
     fn chain_l8_three_rounds_at_epsilon_zero() {
         let q = families::chain(8);
         let db = matching_database(&q, 500, 23);
-        let outcome = MultiRound::run(&q, &db, 8, Rational::ZERO, 2).unwrap();
-        assert_eq!(outcome.result.num_rounds(), 3);
+        let result = run(&q, &db, 8, Rational::ZERO, 2);
+        assert_eq!(result.num_rounds(), 3);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
+        assert!(result.output.same_tuples(&expected));
     }
 
     #[test]
     fn spoke_two_rounds_at_epsilon_zero() {
         let q = families::spoke(3);
         let db = matching_database(&q, 400, 9);
-        let outcome = MultiRound::run(&q, &db, 9, Rational::ZERO, 3).unwrap();
-        assert_eq!(outcome.result.num_rounds(), 2);
+        let result = run(&q, &db, 9, Rational::ZERO, 3);
+        assert_eq!(result.num_rounds(), 2);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
+        assert!(result.output.same_tuples(&expected));
     }
 
     #[test]
     fn cycle_c6_multi_round_matches_sequential() {
         let q = families::cycle(6);
         let db = matching_database(&q, 400, 13);
-        let outcome = MultiRound::run(&q, &db, 8, Rational::ZERO, 5).unwrap();
-        assert_eq!(outcome.result.num_rounds(), 3);
+        let result = run(&q, &db, 8, Rational::ZERO, 5);
+        assert_eq!(result.num_rounds(), 3);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
+        assert!(result.output.same_tuples(&expected));
     }
 
     #[test]
     fn single_round_queries_collapse_to_hypercube() {
         let q = families::star(3);
         let db = matching_database(&q, 600, 21);
-        let outcome = MultiRound::run(&q, &db, 8, Rational::ZERO, 1).unwrap();
-        assert_eq!(outcome.result.num_rounds(), 1);
+        let result = run(&q, &db, 8, Rational::ZERO, 1);
+        assert_eq!(result.num_rounds(), 1);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
+        assert!(result.output.same_tuples(&expected));
     }
 
     #[test]
     fn binomial_query_multi_round() {
         let q = families::binomial(4, 2).unwrap();
         let db = matching_database(&q, 200, 2);
-        let outcome = MultiRound::run(&q, &db, 8, Rational::ZERO, 17).unwrap();
+        let result = run(&q, &db, 8, Rational::ZERO, 17);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&expected));
-        assert_eq!(outcome.result.num_rounds(), 2);
+        assert!(result.output.same_tuples(&expected));
+        assert_eq!(result.num_rounds(), 2);
     }
 
     #[test]
@@ -363,23 +326,23 @@ mod tests {
         let q = families::chain(6);
         let db = matching_database(&q, 300, 4);
         let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
-        let a = MultiRound::run_plan(&plan, &db, 8, 1).unwrap();
-        let b = MultiRound::run_plan(&plan, &db, 8, 2).unwrap();
-        assert!(a.result.output.same_tuples(&b.result.output));
+        let a = execute(&plan, &db, 8, 1);
+        let b = execute(&plan, &db, 8, 2);
+        assert!(a.output.same_tuples(&b.output));
         let expected = evaluate(&q, &db).unwrap();
-        assert!(a.result.output.same_tuples(&expected));
+        assert!(a.output.same_tuples(&expected));
     }
 
     #[test]
     fn deterministic_given_seed() {
         let q = families::chain(5);
         let db = matching_database(&q, 200, 6);
-        let a = MultiRound::run(&q, &db, 8, Rational::ZERO, 99).unwrap();
-        let b = MultiRound::run(&q, &db, 8, Rational::ZERO, 99).unwrap();
-        assert_eq!(a.result.output.sorted_tuples(), b.result.output.sorted_tuples());
+        let a = run(&q, &db, 8, Rational::ZERO, 99);
+        let b = run(&q, &db, 8, Rational::ZERO, 99);
+        assert_eq!(a.output.sorted_tuples(), b.output.sorted_tuples());
         assert_eq!(
-            a.result.rounds.iter().map(|r| r.total_bytes_received).collect::<Vec<_>>(),
-            b.result.rounds.iter().map(|r| r.total_bytes_received).collect::<Vec<_>>()
+            a.rounds.iter().map(|r| r.total_bytes_received).collect::<Vec<_>>(),
+            b.rounds.iter().map(|r| r.total_bytes_received).collect::<Vec<_>>()
         );
     }
 }

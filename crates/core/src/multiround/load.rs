@@ -25,7 +25,6 @@ use mpc_sim::RunResult;
 
 use crate::error::CoreError;
 use crate::multiround::planner::MultiRoundPlan;
-use crate::shares::ShareAllocation;
 use crate::Result;
 
 /// Predicted communication of one operator of a plan.
@@ -158,7 +157,7 @@ impl MultiRoundPlan {
         for (li, level) in self.levels().iter().enumerate() {
             let round = li + 1;
             for op in &level.operators {
-                let alloc = ShareAllocation::optimal(&op.query, p)?;
+                let alloc = op.allocation(p)?;
                 let cells = alloc.num_cells() as f64;
                 let mut input_tuples = Vec::new();
                 let mut expected_server_tuples = 0.0;
@@ -201,8 +200,10 @@ mod tests {
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_lp::Rational;
+    use mpc_sim::{Cluster, MpcConfig};
 
-    use crate::multiround::executor::MultiRound;
+    use crate::hypercube::HyperCubeProgram;
+    use crate::multiround::executor::PlanProgram;
 
     fn close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9 * b.abs().max(1.0), "{a} vs {b}");
@@ -251,8 +252,9 @@ mod tests {
             let db = matching_database(&q, n, 17);
             let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
             let profile = plan.predict_loads(p, n).unwrap();
-            let outcome = MultiRound::run_plan(&plan, &db, p, 3).unwrap();
-            let rows = profile.compare(&outcome.result).unwrap();
+            let program = PlanProgram::new(&plan, p, 3).unwrap();
+            let cluster = Cluster::new(MpcConfig::new(p, 0.0)).unwrap();
+            let rows = profile.compare(&cluster.run(&program, &db).unwrap()).unwrap();
             assert_eq!(rows.len(), plan.num_rounds());
             for row in &rows {
                 assert!(
@@ -274,9 +276,9 @@ mod tests {
         let profile = plan.predict_loads(8, 300).unwrap();
         // A one-round HyperCube run has the wrong round count for the
         // two-round plan profile.
-        let one_round =
-            crate::hypercube::HyperCube::run(&q, &db, &mpc_sim::MpcConfig::new(8, 0.9)).unwrap();
-        assert!(profile.compare(&one_round.result).is_err());
+        let hc = HyperCubeProgram::new(&q, 8, 0x5EED).unwrap();
+        let one_round = Cluster::new(MpcConfig::new(8, 0.9)).unwrap().run(&hc, &db).unwrap();
+        assert!(profile.compare(&one_round).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub mod load;
 pub mod lower_bound;
 pub mod planner;
 
-pub use executor::{MultiRound, MultiRoundOutcome, PlanProgram};
+pub use executor::PlanProgram;
 pub use load::{OperatorLoadPrediction, PlanLoadPrediction, RoundComparison, RoundLoadPrediction};
 pub use lower_bound::{
     find_er_plan, is_epsilon_good, round_lower_bound, round_lower_bound_via_plan,

@@ -19,9 +19,11 @@
 use serde::Serialize;
 
 use mpc_cq::{AtomId, Query};
-use mpc_lp::Rational;
+use mpc_lp::cover::VertexCover;
+use mpc_lp::{QueryLps, Rational};
 
 use crate::error::CoreError;
+use crate::shares::ShareAllocation;
 use crate::space_exponent::{gamma_one_contains, k_epsilon};
 use crate::Result;
 
@@ -55,6 +57,28 @@ pub struct Operator {
     pub view_name: String,
     /// The operator query (its name equals `view_name`).
     pub query: Query,
+    /// An optimal fractional vertex cover of [`Operator::query`], solved
+    /// once when the plan is built: it certifies the operator's `Γ¹_ε`
+    /// membership and fixes its shares on any `p`.
+    #[serde(skip)]
+    pub cover: VertexCover,
+}
+
+impl Operator {
+    /// An operator computing `query` as the view of the same name.
+    fn new(query: Query) -> Result<Self> {
+        let cover = QueryLps::solve(&query)?.vertex_cover().clone();
+        Ok(Operator { view_name: query.name().to_string(), query, cover })
+    }
+
+    /// The operator's HyperCube shares on `p` servers: its cover, rounded.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ShareAllocation::from_cover`] (`p = 0`).
+    pub fn allocation(&self, p: usize) -> Result<ShareAllocation> {
+        ShareAllocation::from_cover(&self.query, &self.cover, p)
+    }
 }
 
 /// One level (round) of a plan.
@@ -106,9 +130,8 @@ impl MultiRoundPlan {
         loop {
             if gamma_one_contains(&current, epsilon)? {
                 // Final level: a single operator computing the remaining query.
-                let view_name = format!("{}__final", q.name());
-                let op_query = current.with_name(view_name.clone());
-                levels.push(PlanLevel { operators: vec![Operator { view_name, query: op_query }] });
+                let last = Operator::new(current.with_name(format!("{}__final", q.name())))?;
+                levels.push(PlanLevel { operators: vec![last] });
                 break;
             }
 
@@ -128,10 +151,11 @@ impl MultiRoundPlan {
                         .collect::<std::result::Result<Vec<_>, _>>()?;
                     next_atoms.push((atom.name.clone(), vars));
                 } else {
-                    let view_name = format!("V{level_no}_{gi}");
-                    let sub = current.induced_subquery(group)?.with_name(view_name.clone());
-                    next_atoms.push((view_name.clone(), sub.var_names().to_vec()));
-                    operators.push(Operator { view_name, query: sub });
+                    let op = Operator::new(
+                        current.induced_subquery(group)?.with_name(format!("V{level_no}_{gi}")),
+                    )?;
+                    next_atoms.push((op.view_name.clone(), op.query.var_names().to_vec()));
+                    operators.push(op);
                 }
             }
 
@@ -180,12 +204,15 @@ impl MultiRoundPlan {
 
     /// Validate the plan: every operator must be connected and in `Γ¹_ε`,
     /// and the final operator must bind every variable of the original
-    /// query.
+    /// query. Membership is certified by the operator's own cover, without
+    /// solving an LP: a valid cover of value `≤ 1/(1−ε)` bounds `τ*`.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidPlan`] describing the first violation.
     pub fn validate(&self) -> Result<()> {
+        // `build` admits only ε ∈ [0, 1), so the threshold is finite.
+        let threshold = (Rational::ONE - self.epsilon).recip()?;
         for (li, level) in self.levels.iter().enumerate() {
             for op in &level.operators {
                 if !op.query.is_connected() {
@@ -194,7 +221,7 @@ impl MultiRoundPlan {
                         op.view_name, li
                     )));
                 }
-                if !gamma_one_contains(&op.query, self.epsilon)? {
+                if !op.cover.is_valid_for(&op.query) || op.cover.total() > threshold {
                     return Err(CoreError::InvalidPlan(format!(
                         "operator {} in level {} is not one-round computable at ε = {}",
                         op.view_name, li, self.epsilon
@@ -422,6 +449,28 @@ mod tests {
                 plan.num_rounds()
                     <= round_upper_bound(&families::chain(k), Rational::ZERO).unwrap()
             );
+        }
+    }
+
+    #[test]
+    fn operator_shares_round_the_cover_solved_at_build() {
+        // The oracle is the old body: solve the operator's LP again.
+        let queries = (4..=24).map(families::chain).chain((3..=8).map(families::cycle));
+        for q in queries {
+            for eps in [Rational::ZERO, r(1, 3), r(1, 2)] {
+                let plan = MultiRoundPlan::build(&q, eps).unwrap();
+                for op in plan.levels().iter().flat_map(|level| &level.operators) {
+                    for p in [16, 64] {
+                        assert_eq!(
+                            op.allocation(p).unwrap(),
+                            ShareAllocation::optimal(&op.query, p).unwrap(),
+                            "{} at ε = {eps}, p = {p}: {}",
+                            q.name(),
+                            op.view_name
+                        );
+                    }
+                }
+            }
         }
     }
 

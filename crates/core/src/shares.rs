@@ -110,7 +110,9 @@ impl ShareAllocation {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ShareAllocation::from_cover`].
+    /// Same conditions as [`ShareAllocation::from_cover`], and
+    /// [`CoreError::InvalidPlan`] when the virtual grid has more cells than
+    /// a `usize` counts.
     pub fn scaled(q: &Query, p: usize, one_minus_epsilon: Rational) -> Result<Self> {
         if p == 0 {
             return Err(CoreError::InvalidPlan("p must be at least 1".to_string()));
@@ -128,6 +130,13 @@ impl ShareAllocation {
         // exceed p (that is the point of the partial variant).
         let shares: Vec<usize> =
             exponents.iter().map(|e| fractional_power(p, *e).round().max(1.0) as usize).collect();
+        if shares.iter().try_fold(1usize, |cells, s| cells.checked_mul(*s)).is_none() {
+            return Err(CoreError::InvalidPlan(format!(
+                "the virtual grid {shares:?} of {} on {p} servers has more than {} cells",
+                q.name(),
+                usize::MAX
+            )));
+        }
         Ok(ShareAllocation {
             cover: cover.weights().to_vec(),
             tau: cover.total(),

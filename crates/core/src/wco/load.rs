@@ -11,10 +11,12 @@
 
 use serde::Serialize;
 
-use mpc_lp::Rational;
+use mpc_cq::Query;
+use mpc_lp::{QueryLps, Rational};
 use mpc_sim::RunResult;
 
 use crate::error::CoreError;
+use crate::heavy::{residual_query, Group};
 use crate::multiround::load::{RoundComparison, RoundLoadPrediction};
 use crate::shares::fractional_power;
 use crate::wco::plan::WorstCaseOptimalPlan;
@@ -154,6 +156,21 @@ pub fn load_target(n: u64, p: usize, e: Rational) -> Result<f64> {
     Ok(n as f64 / fractional_power(p, e.recip()?))
 }
 
+/// The fractional edge-cover value `ρ*_H` of a group's residual query
+/// (its heavy variables deleted) — the AGM exponent of the group's load
+/// target `n_H / u^{1/ρ*_H}`; `None` when every variable is heavy and the
+/// residual is a pure filter.
+///
+/// # Errors
+///
+/// Propagates LP errors.
+pub fn residual_rho_star(query: &Query, group: &Group) -> Result<Option<Rational>> {
+    match residual_query(query, &group.heavy_vars) {
+        Some(rq) => Ok(Some(QueryLps::solve(&rq)?.edge_cover().total())),
+        None => Ok(None),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +238,8 @@ mod tests {
         assert_eq!(plan.num_rounds(), 2);
         let pred = WcoLoadPrediction::predict(&plan).unwrap();
         // A one-round HyperCube run cannot be compared to it.
-        let hc = crate::hypercube::HyperCube::run(&q, &db, &MpcConfig::new(8, 0.9)).unwrap();
-        assert!(pred.compare(&hc.result).is_err());
+        let hc = crate::hypercube::HyperCubeProgram::new(&q, 8, 0x5EED).unwrap();
+        let one_round = Cluster::new(MpcConfig::new(8, 0.9)).unwrap().run(&hc, &db).unwrap();
+        assert!(pred.compare(&one_round).is_err());
     }
 }

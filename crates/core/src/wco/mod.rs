@@ -29,7 +29,8 @@
 //! the sequential join.
 //!
 //! * [`plan`] — [`WorstCaseOptimalPlan`]: degree statistics, heavy
-//!   patterns, server-group carving and per-pattern share vectors.
+//!   patterns, and one [`crate::heavy::Group`] per active pattern with its
+//!   share vector.
 //! * [`program`] — [`WcoProgram`]: the plan compiled to an
 //!   [`mpc_sim::MpcProgram`] (round 1: light HyperCube + even staging;
 //!   round 2: the broadcast-join for every active heavy pattern).
@@ -43,7 +44,7 @@ pub mod plan;
 pub mod program;
 
 pub use load::{PatternLoadPrediction, WcoLoadPrediction};
-pub use plan::{WcoPattern, WorstCaseOptimalPlan};
+pub use plan::WorstCaseOptimalPlan;
 pub use program::WcoProgram;
 
 use mpc_lp::Rational;

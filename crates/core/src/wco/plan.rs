@@ -18,73 +18,17 @@
 //! into the plan, so every process planning from the same
 //! `(query, database, p)` builds bit-identical routing.
 
-use std::collections::BTreeSet;
-
-use mpc_cq::{Atom, Query, VarId};
+use mpc_cq::{Query, VarId};
 use mpc_data::{DbStatistics, StatsMode};
 use mpc_lp::{QueryLps, Rational};
 use mpc_storage::Database;
 
 use crate::error::CoreError;
-use crate::heavy::{
-    grow_shares, proportional_groups, residual_query, HeavyValues, Mask, PatternCounts,
-};
+use crate::heavy::{carve, grow_shares, Group, HeavyValues, Mask, PatternCounts};
 use crate::multiround::lower_bound::round_lower_bound;
 use crate::shares::ShareAllocation;
 use crate::wco::effective_epsilon;
 use crate::Result;
-
-/// One pattern group of the plan: the servers and shares dedicated to the
-/// answers whose heavy configuration is exactly
-/// [`WcoPattern::heavy_vars`]. Index 0 is always the light pattern
-/// (`heavy_vars = ∅`, the skew-free HyperCube).
-#[derive(Debug, Clone)]
-pub struct WcoPattern {
-    /// The variables fixed to heavy values (`∅` = the light pattern).
-    pub heavy_vars: BTreeSet<VarId>,
-    /// Full-width share vector over the query's variables. Heavy
-    /// variables are *value-indexed* dimensions (coordinate = heavy rank
-    /// mod share); light variables are hashed; the product is ≤
-    /// [`WcoPattern::group_size`].
-    pub shares: Vec<usize>,
-    /// First server (global index) of this pattern's grid.
-    pub offset: usize,
-    /// Servers granted to the pattern (`cells() ≤ group_size`).
-    pub group_size: usize,
-    /// Tuples each atom routes into this grid (before replication), in
-    /// atom order — read off the planning scan (exact statistics), or
-    /// scaled up from the planning sample (sampled statistics).
-    pub atom_tuples: Vec<u64>,
-    /// The fractional edge-cover value `ρ*` of the residual query (heavy
-    /// variables deleted); `None` when every variable is heavy and the
-    /// residual is a pure filter. This is the AGM exponent the group's
-    /// load target `n_H / u^{1/ρ*_H}` is read from.
-    pub residual_rho_star: Option<Rational>,
-}
-
-impl WcoPattern {
-    /// Number of grid cells, `∏ shares`.
-    pub fn cells(&self) -> usize {
-        self.shares.iter().product()
-    }
-
-    /// Does global server `s` belong to this pattern's grid?
-    pub fn owns_server(&self, s: usize) -> bool {
-        s >= self.offset && s < self.offset + self.cells()
-    }
-
-    /// Replication factor of one tuple of `atom` in this grid: the
-    /// product of the shares of the dimensions the atom does not fix.
-    pub fn replication_of(&self, atom: &Atom) -> usize {
-        let fixed = atom.distinct_vars();
-        self.shares
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !fixed.contains(&VarId(*i)))
-            .map(|(_, s)| *s)
-            .product()
-    }
-}
 
 /// The worst-case optimal multi-round plan for one `(query, database, p)`
 /// triple: heavy value lists, one grid per active heavy pattern, and the
@@ -96,8 +40,10 @@ pub struct WorstCaseOptimalPlan {
     /// Largest base relation cardinality (the `n` of the load targets).
     n: u64,
     heavy: HeavyValues,
-    /// Pattern groups; index 0 is the light pattern.
-    patterns: Vec<WcoPattern>,
+    /// Pattern groups; index 0 is the light pattern. A heavy group's heavy
+    /// variables are *value-indexed* dimensions (coordinate = heavy rank
+    /// mod share), its light variables hashed.
+    patterns: Vec<Group>,
     /// Number of base tuples the staging round distributes (tuples
     /// needed by at least one heavy grid) — exact under
     /// [`StatsMode::Exact`], a scaled estimate under sampling.
@@ -197,41 +143,17 @@ impl WorstCaseOptimalPlan {
 
         // One group per active pattern after the light one, carved
         // proportionally to the tuple mass each attracts.
-        let groups: Vec<Mask> = std::iter::once(0).chain(active.iter().copied()).collect();
-        let masses: Vec<u64> = groups.iter().map(|h| counts.mass(*h)).collect();
-        let group_sizes = proportional_groups(p, &masses);
-
-        let mut patterns = Vec::with_capacity(groups.len());
-        let mut offset = 0usize;
-        for (h, group_size) in groups.into_iter().zip(group_sizes) {
-            let heavy_vars = heavy.vars_of(h);
-            let atom_tuples: Vec<u64> = counts.atom_tuples(h).collect();
-            let (shares, residual_rho_star) = if h == 0 {
-                (ShareAllocation::optimal(query, group_size)?.shares, Some(rho_star))
-            } else {
-                // A dimension wider than its value list is wasted.
-                let cap =
-                    |v: VarId| if heavy_vars.contains(&v) { heavy.count(v) } else { usize::MAX };
-                let weights: Vec<f64> = atom_tuples.iter().map(|m| *m as f64).collect();
-                let shares =
-                    grow_shares(query, &weights, group_size, cap, vec![1; query.num_vars()]);
-                let rho = match residual_query(query, &heavy_vars) {
-                    Some(rq) => Some(QueryLps::solve(&rq)?.edge_cover().total()),
-                    None => None,
-                };
-                (shares, rho)
-            };
-            let pattern = WcoPattern {
-                heavy_vars,
-                shares,
-                offset,
-                group_size,
-                atom_tuples,
-                residual_rho_star,
-            };
-            offset += pattern.cells();
-            patterns.push(pattern);
-        }
+        let configs: Vec<Mask> = std::iter::once(0).chain(active.iter().copied()).collect();
+        let patterns = carve(p, &configs, &heavy, &counts, |group| {
+            if group.heavy_vars.is_empty() {
+                return Ok(ShareAllocation::optimal(query, group.group_size)?.shares);
+            }
+            // A dimension wider than its value list is wasted.
+            let cap =
+                |v: VarId| if group.heavy_vars.contains(&v) { heavy.count(v) } else { usize::MAX };
+            let weights: Vec<f64> = group.atom_tuples.iter().map(|m| *m as f64).collect();
+            Ok(grow_shares(query, &weights, group.group_size, cap, vec![1; query.num_vars()]))
+        })?;
 
         // A base tuple is staged when some heavy grid needs it, i.e. its
         // own pattern is the one some active `H` induces on its atom.
@@ -274,7 +196,7 @@ impl WorstCaseOptimalPlan {
     }
 
     /// All pattern groups, the light pattern first.
-    pub fn patterns(&self) -> &[WcoPattern] {
+    pub fn patterns(&self) -> &[Group] {
         &self.patterns
     }
 
@@ -352,12 +274,6 @@ impl WorstCaseOptimalPlan {
         }
         Ok(floor)
     }
-
-    /// The pattern owning global server `s`, if any (servers beyond the
-    /// last grid only stage).
-    pub fn pattern_of_server(&self, s: usize) -> Option<usize> {
-        self.patterns.iter().position(|pat| pat.owns_server(s))
-    }
 }
 
 /// The *active* heavy configurations: subsets `H` of the heavy variables
@@ -378,6 +294,7 @@ mod tests {
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_data::skew::{heavy_hitter_database, zipf_database};
+    use std::collections::BTreeSet;
 
     #[test]
     fn skew_free_input_collapses_to_the_light_hypercube() {
@@ -414,7 +331,8 @@ mod tests {
                 assert!(pat.shares[v.0] <= plan.heavy().count(*v).max(1));
             }
             // Only the all-heavy configuration leaves no residual query.
-            assert_eq!(pat.residual_rho_star.is_none(), pat.heavy_vars.len() == q.num_vars());
+            let rho = crate::wco::load::residual_rho_star(&q, pat).unwrap();
+            assert_eq!(rho.is_none(), pat.heavy_vars.len() == q.num_vars());
         }
     }
 
@@ -439,7 +357,7 @@ mod tests {
         // p = 2: at most the light grid plus one heavy group.
         let plan = WorstCaseOptimalPlan::build(&q, &db, 2).unwrap();
         assert!(plan.patterns().len() <= 2);
-        let used: usize = plan.patterns().iter().map(WcoPattern::cells).sum();
+        let used: usize = plan.patterns().iter().map(Group::cells).sum();
         assert!(used <= 2);
     }
 

@@ -28,34 +28,25 @@ use mpc_sim::program::{emit, hash_to_bucket, hash_value};
 use mpc_sim::{MpcProgram, Routed, ServerState};
 use mpc_storage::{Database, Relation, Value};
 
-use crate::grid::{derive_seeds, local_join, route_rows, AtomRoute, Grid};
-use crate::heavy::Mask;
+use crate::grid::{derive_seeds, local_join, route_rows, AtomRoute};
+use crate::heavy::{group_of_server, GroupRoutes, Mask};
 use crate::wco::plan::WorstCaseOptimalPlan;
 use crate::Result;
 
 /// Tag prefix of staged (round-1 parked, round-2 re-emitted) tuples.
 const STAGE_PREFIX: &str = "wco.stage##";
 
-/// One pattern group compiled for routing.
-#[derive(Debug, Clone)]
-struct GroupRoutes {
-    /// The group's heavy configuration.
-    heavy: Mask,
-    /// Per variable: is it a value-indexed (heavy) dimension here?
-    value_indexed: Vec<bool>,
-    /// The routing rule of every atom in the group's grid.
-    atoms: Vec<AtomRoute>,
-}
-
 /// The worst-case optimal heavy/light program. See the [module
 /// docs](self) for the round structure.
 #[derive(Debug, Clone)]
 pub struct WcoProgram {
     plan: WorstCaseOptimalPlan,
-    /// One entry per pattern group of the plan, the light one first.
-    groups: Vec<GroupRoutes>,
-    /// Per atom: the [`Mask`] of its heavy-capable variables.
-    atom_vars: Vec<Mask>,
+    /// The plan's pattern groups compiled for routing, the light one
+    /// first.
+    routes: GroupRoutes,
+    /// Per variable: its [`Mask`] bit. A dimension is value-indexed in
+    /// the groups whose configuration has that bit.
+    var_bits: Vec<Mask>,
     /// Per-variable hash seeds for light dimensions.
     var_seeds: Vec<u64>,
     /// Seed of the round-1 staging hash.
@@ -92,21 +83,12 @@ impl WcoProgram {
     /// Compile an already-built plan.
     pub fn with_plan(plan: WorstCaseOptimalPlan, seed: u64) -> Self {
         let (query, heavy) = (plan.query(), plan.heavy());
-        let groups = plan
-            .patterns()
-            .iter()
-            .map(|pat| GroupRoutes {
-                heavy: heavy.mask_of(pat.heavy_vars.iter().copied()),
-                value_indexed: query.var_ids().map(|v| pat.heavy_vars.contains(&v)).collect(),
-                atoms: Grid::new(&pat.shares, pat.offset).routes(query),
-            })
-            .collect();
-        let atom_vars =
-            query.atoms().iter().map(|atom| heavy.mask_of(atom.vars.iter().copied())).collect();
+        let routes = GroupRoutes::new(query, heavy, plan.patterns());
+        let var_bits = query.var_ids().map(|v| heavy.bit(v)).collect();
         // One generator: the per-variable seeds, then the staging seed.
         let mut var_seeds = derive_seeds(seed, query.num_vars() + 1);
         let stage_seed = var_seeds.pop().expect("k + 1 seeds were derived");
-        WcoProgram { plan, groups, atom_vars, var_seeds, stage_seed }
+        WcoProgram { plan, routes, var_bits, var_seeds, stage_seed }
     }
 
     /// The underlying plan.
@@ -114,12 +96,13 @@ impl WcoProgram {
         &self.plan
     }
 
-    /// Append the destination cells of one tuple of atom `atom` inside
-    /// one group's grid: heavy dimensions are value-indexed (heavy rank
-    /// mod share), light dimensions hashed.
-    fn group_cells(&self, group: &GroupRoutes, atom: usize, tuple: &[Value], out: &mut Vec<usize>) {
+    /// Append the destination cells of one tuple in the grid of a group
+    /// with heavy configuration `h`, where its atom routes by `route`:
+    /// heavy dimensions are value-indexed (heavy rank mod share), light
+    /// dimensions hashed.
+    fn group_cells(&self, h: Mask, route: &AtomRoute, tuple: &[Value], out: &mut Vec<usize>) {
         let coord = |var: VarId, value: Value, share: usize| {
-            if group.value_indexed[var.0] {
+            if self.var_bits[var.0] & h != 0 {
                 // Only tuples whose pattern the group induces on the atom
                 // are routed at it, so the value has a rank.
                 self.plan.heavy().rank(var, value).expect("a heavy value on a heavy dimension")
@@ -128,14 +111,7 @@ impl WcoProgram {
                 hash_value(self.var_seeds[var.0], value, share)
             }
         };
-        group.atoms[atom].cells_into(tuple, coord, out);
-    }
-
-    /// The heavy groups that need a tuple of atom `atom` with heavy
-    /// pattern `phi`: those inducing exactly `phi` on the atom.
-    fn heavy_groups_for(&self, atom: usize, phi: Mask) -> impl Iterator<Item = &GroupRoutes> {
-        let vars = self.atom_vars[atom];
-        self.groups[1..].iter().filter(move |group| group.heavy & vars == phi)
+        route.cells_into(tuple, coord, out);
     }
 
     /// The single staging server of a tuple: an even hash of the whole
@@ -162,12 +138,18 @@ impl MpcProgram for WcoProgram {
         for t in relation.iter() {
             // Tuples disagreeing on a repeated variable never join.
             let Some(phi) = self.plan.heavy().pattern(atom, t) else { continue };
-            if phi == 0 {
+            let mut staged = false;
+            for (group, h, route) in self.routes.inducing(id.0, phi) {
+                if group > 0 {
+                    // The heavy grids fill in round 2, from one staged copy.
+                    staged = true;
+                    break;
+                }
                 cells.clear();
-                self.group_cells(&self.groups[0], id.0, t, &mut cells);
+                self.group_cells(h, route, t, &mut cells);
                 emit(&mut out, relation.name(), t, &cells);
             }
-            if self.heavy_groups_for(id.0, phi).next().is_some() {
+            if staged {
                 emit(&mut out, &stage_tag, t, &[self.stage_server(id.0, t)]);
             }
         }
@@ -190,8 +172,8 @@ impl MpcProgram for WcoProgram {
             let staged = state.relation(tag).expect("tag was just listed");
             route_rows(&mut out, name, staged.iter(), |t, cells| {
                 let Some(phi) = self.plan.heavy().pattern(atom, t) else { return false };
-                for group in self.heavy_groups_for(id.0, phi) {
-                    self.group_cells(group, id.0, t, cells);
+                for (_, h, route) in self.routes.inducing(id.0, phi).filter(|(g, ..)| *g > 0) {
+                    self.group_cells(h, route, t, cells);
                 }
                 !cells.is_empty()
             });
@@ -201,7 +183,7 @@ impl MpcProgram for WcoProgram {
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
         let query = self.plan.query();
-        if self.plan.pattern_of_server(server).is_none() {
+        if group_of_server(self.plan.patterns(), server).is_none() {
             // A pure staging server: holds parked copies, owns no grid cell.
             return Ok(Relation::empty(query.name(), query.num_vars()));
         }
@@ -225,7 +207,7 @@ impl MpcProgram for WcoProgram {
             return Vec::new();
         }
         (0..self.plan.p())
-            .filter(|&s| matches!(self.plan.pattern_of_server(s), Some(pi) if pi >= 1))
+            .filter(|&s| matches!(group_of_server(self.plan.patterns(), s), Some(g) if g >= 1))
             .collect()
     }
 
@@ -368,7 +350,7 @@ mod tests {
         let cells = program.reroutable_cells();
         assert!(!cells.is_empty(), "heavy input must expose movable cells");
         for &c in &cells {
-            let pi = program.plan().pattern_of_server(c).expect("a cell owns a grid");
+            let pi = group_of_server(program.plan().patterns(), c).expect("a cell owns a grid");
             assert!(pi >= 1, "server {c} is in the light grid, not movable");
         }
         // Skew-free input: one round, nothing movable.

@@ -26,6 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mpc_core::analysis::QueryAnalysis;
+use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::multiround::executor::PlanProgram;
 use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::Query;
@@ -459,6 +460,8 @@ pub struct QueryService {
     pool: Arc<BlockPool>,
     block_capacity: usize,
     next_qid: u64,
+    /// Accepted submissions whose outcome has not been delivered yet.
+    outstanding: usize,
 }
 
 impl std::fmt::Debug for QueryService {
@@ -524,6 +527,7 @@ impl QueryService {
             pool,
             block_capacity: cfg.block_capacity,
             next_qid: 0,
+            outstanding: 0,
         })
     }
 
@@ -548,6 +552,7 @@ impl QueryService {
         // even when its own budget would fit right now.
         if self.deferred.is_empty() && self.admission.try_admit(prepared.cost) {
             self.launch(prepared)?;
+            self.outstanding += 1;
             return Ok(Submission { qid, admission: Admission::Admitted });
         }
         if self.deferred.len() >= self.deferral_depth {
@@ -559,6 +564,7 @@ impl QueryService {
         let admission = Admission::Deferred { position: self.deferred.len() };
         prepared.meta.admission = admission;
         self.deferred.push_back(prepared);
+        self.outstanding += 1;
         Ok(Submission { qid, admission })
     }
 
@@ -569,7 +575,11 @@ impl QueryService {
                 return Ok(());
             }
             let prepared = self.deferred.pop_front().expect("front just checked");
-            self.launch(prepared)?;
+            if let Err(e) = self.launch(prepared) {
+                // A query that never launched never reports.
+                self.outstanding -= 1;
+                return Err(e);
+            }
         }
         Ok(())
     }
@@ -590,10 +600,12 @@ impl QueryService {
                         .map_err(|e| NetError::Protocol(format!("plan program: {e}")))?,
                 )
             }
-            None => Arc::new(
-                mpc_core::hypercube::HyperCubeProgram::new(&job.query, p, job.seed)
-                    .map_err(|e| NetError::Protocol(format!("hypercube: {e}")))?,
-            ),
+            None => {
+                let shares = analysis
+                    .shares_for(p)
+                    .map_err(|e| NetError::Protocol(format!("hypercube: {e}")))?;
+                Arc::new(HyperCubeProgram::with_allocation(&job.query, shares, job.seed))
+            }
         };
         let planning_micros = started.elapsed().as_micros() as u64;
         let input_bytes = job.db.total_bytes();
@@ -647,9 +659,14 @@ impl QueryService {
     ///
     /// # Errors
     ///
-    /// Returns the query's own failure when one failed, or a service
-    /// error when the cluster died.
+    /// Returns the query's own failure when one failed, a service error
+    /// when the cluster died, and [`NetError::Protocol`] at once when no
+    /// submitted query is still waiting for its outcome.
     pub fn next_outcome(&mut self) -> Result<QueryOutcome> {
+        if self.outstanding == 0 {
+            return Err(NetError::Protocol("no submitted query is outstanding".to_string()));
+        }
+        self.outstanding -= 1;
         let outcome = match self.outcome_rx.recv() {
             Ok(outcome) => outcome,
             Err(_) => Err(NetError::Protocol("service stopped".to_string())),

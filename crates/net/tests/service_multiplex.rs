@@ -3,7 +3,8 @@
 //! dedicated [`Cluster::run`], and repeats of a template planned and
 //! answered identically.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use mpc_core::hypercube::HyperCubeProgram;
 use mpc_cq::families;
@@ -95,6 +96,33 @@ fn repeated_templates_report_the_same_path_and_outcome() {
         assert_eq!(repeat.analysis_path, "simplex", "submission {i}");
         assert_eq!(repeat.run_result().divergence(&first), None, "submission {i}");
     }
+}
+
+/// `next_outcome` with nothing outstanding — on a fresh service, and once
+/// every outcome has been drained — is an error at once, not a hang.
+#[test]
+fn next_outcome_without_outstanding_queries_errors_instead_of_blocking() {
+    /// `svc.next_outcome()` on another thread; `None` if it blocks 5 s.
+    fn next_within_timeout(mut svc: QueryService) -> Option<(bool, QueryService)> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = svc.next_outcome();
+            let _ = tx.send((outcome.is_err(), svc));
+        });
+        rx.recv_timeout(Duration::from_secs(5)).ok()
+    }
+
+    let svc = QueryService::start(&ServiceConfig::new(2, 0.5)).unwrap();
+    let (failed, mut svc) = next_within_timeout(svc).expect("a fresh service does not block");
+    assert!(failed, "nothing was submitted");
+
+    let q = families::triangle();
+    let db = Arc::new(matching_database(&q, 200, 3));
+    svc.submit(&QueryJob { query: q, db, seed: 1, plan_epsilon: None }).unwrap();
+    svc.next_outcome().unwrap();
+    let (failed, svc) = next_within_timeout(svc).expect("a drained service does not block");
+    assert!(failed, "the one outcome was already delivered");
+    svc.shutdown().unwrap();
 }
 
 /// A multi-round plan and a one-round query interleaved on the same

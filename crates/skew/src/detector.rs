@@ -12,10 +12,9 @@
 
 use mpc_core::heavy;
 use mpc_core::shares::ShareAllocation;
+use mpc_core::Result;
 use mpc_cq::Query;
 use mpc_data::DbStatistics;
-
-use crate::Result;
 
 /// The detected heavy values, per query variable.
 pub use mpc_core::heavy::HeavyValues as HeavyHitters;

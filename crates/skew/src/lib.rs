@@ -23,48 +23,46 @@
 //!   the `scale` on the `n_R / p_x` threshold, applied to collected
 //!   [`mpc_data::DbStatistics`] — exact, or a seeded sub-linear sample.
 //!   [`HeavyHitters`] is the shared [`mpc_core::heavy::HeavyValues`].
-//! * [`residual`] — [`ResidualPlanSet`]: one plan per subset `H` of the
-//!   heavy-capable variables, demoted by severity when `2^h > p`; heavy
-//!   variables get share 1, and the light ones the better of the residual
-//!   query's cover shares and the **degree-aware statistics LP** of
-//!   [`mpc_lp::degree`].
+//! * [`residual`] — [`ResidualPlanSet`]: one [`mpc_core::heavy::Group`]
+//!   per subset `H` of the heavy-capable variables, demoted by severity
+//!   when `2^h > p`; heavy variables get share 1, and the light ones the
+//!   better of the residual query's cover shares and the **degree-aware
+//!   statistics LP** of [`mpc_lp::degree`].
 //! * [`program`] — [`SkewResilientProgram`]: an
 //!   [`mpc_sim::MpcProgram`] that sends each tuple to every plan inducing
 //!   its heavy pattern, still in one round, so
-//!   [`mpc_sim::Cluster::run`] executes it unchanged. [`SkewResilient`] is
-//!   the one-call runner mirroring [`mpc_core::hypercube::HyperCube`].
+//!   [`mpc_sim::Cluster::run`] executes it unchanged.
+//!
+//! Errors are [`mpc_core::CoreError`]s.
 //!
 //! # Quick start
 //!
 //! ```
-//! use mpc_skew::SkewResilient;
-//! use mpc_sim::MpcConfig;
+//! use mpc_sim::{Cluster, MpcConfig};
+//! use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
 //!
 //! // A chain join whose join variable carries a massive heavy hitter:
 //! // vanilla HyperCube piles half of S2 onto one server.
 //! let q = mpc_cq::families::chain(2);
 //! let db = mpc_data::skew::heavy_hitter_database(&q, 2000, 2000, 0.5, 7);
 //!
-//! let outcome = SkewResilient::run(&q, &db, &MpcConfig::new(32, 0.0)).unwrap();
+//! let policy = HeavyHitterPolicy::default();
+//! let program = SkewResilientProgram::new(&q, &db, 32, &policy, 0x5EED).unwrap();
 //! // The detector found the heavy value and split off a residual plan…
-//! assert_eq!(outcome.num_plans(), 2);
+//! assert_eq!(program.plan_set().plans().len(), 2);
 //! // …and the output still equals the sequential join.
+//! let result = Cluster::new(MpcConfig::new(32, 0.0)).unwrap().run(&program, &db).unwrap();
 //! let truth = mpc_storage::join::evaluate(&q, &db).unwrap();
-//! assert!(outcome.result.output.same_tuples(&truth));
+//! assert!(result.output.same_tuples(&truth));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod detector;
-pub mod error;
 pub mod program;
 pub mod residual;
 
 pub use detector::{HeavyHitterDetector, HeavyHitterPolicy, HeavyHitters};
-pub use error::SkewError;
-pub use program::{SkewResilient, SkewResilientOutcome, SkewResilientProgram};
-pub use residual::{ResidualPlan, ResidualPlanSet};
-
-/// Convenience result alias used across this crate.
-pub type Result<T> = std::result::Result<T, SkewError>;
+pub use program::SkewResilientProgram;
+pub use residual::ResidualPlanSet;

@@ -15,17 +15,17 @@
 //! `(tag, tuple)`, as the tuple-based MPC model requires — the database
 //! statistics are consumed at *planning* time, not at routing time.
 
-use mpc_core::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute, Grid};
-use mpc_core::heavy::Mask;
+use mpc_core::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute};
+use mpc_core::heavy::{group_of_server, GroupRoutes};
 use mpc_core::shares::ShareAllocation;
+use mpc_core::Result;
 use mpc_cq::{Atom, Query};
 use mpc_data::{DbStatistics, StatsMode};
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
+use mpc_sim::{MpcProgram, Routed, ServerState};
 use mpc_storage::{Database, Relation, Value};
 
 use crate::detector::{HeavyHitterDetector, HeavyHitterPolicy};
 use crate::residual::ResidualPlanSet;
-use crate::Result;
 
 /// A one-round [`MpcProgram`] that executes every residual plan of a
 /// [`ResidualPlanSet`] side by side on disjoint server groups.
@@ -33,11 +33,8 @@ use crate::Result;
 pub struct SkewResilientProgram {
     query: Query,
     plans: ResidualPlanSet,
-    /// Per plan: its heavy set, and the routing rule of every atom in its
-    /// grid.
-    routes: Vec<(Mask, Vec<AtomRoute>)>,
-    /// Per atom: the [`Mask`] of its heavy-capable variables.
-    atom_vars: Vec<Mask>,
+    /// The plans' groups compiled for routing.
+    routes: GroupRoutes,
     /// Per-variable hash seeds, shared by every plan (a value must land on
     /// the same coordinate no matter which plan routes it).
     seeds: Vec<u64>,
@@ -78,7 +75,7 @@ impl SkewResilientProgram {
         seed: u64,
         mode: StatsMode,
     ) -> Result<Self> {
-        let base = ShareAllocation::optimal(query, p).map_err(crate::SkewError::from)?;
+        let base = ShareAllocation::optimal(query, p)?;
         let stats = DbStatistics::collect(db, mode);
         let detector = HeavyHitterDetector::new(policy.clone());
         let heavy = detector.detect_from_stats(query, &stats, &base)?;
@@ -88,19 +85,9 @@ impl SkewResilientProgram {
 
     /// Build the program from an explicit plan set.
     pub fn with_plans(query: &Query, plans: ResidualPlanSet, seed: u64) -> Self {
-        let heavy = plans.heavy();
-        let routes = plans
-            .plans()
-            .iter()
-            .map(|plan| {
-                let h = heavy.mask_of(plan.heavy_vars.iter().copied());
-                (h, Grid::new(&plan.shares, plan.offset).routes(query))
-            })
-            .collect();
-        let atom_vars =
-            query.atoms().iter().map(|atom| heavy.mask_of(atom.vars.iter().copied())).collect();
+        let routes = GroupRoutes::new(query, plans.heavy(), plans.plans());
         let seeds = derive_seeds(seed, query.num_vars());
-        SkewResilientProgram { query: query.clone(), plans, routes, atom_vars, seeds }
+        SkewResilientProgram { query: query.clone(), plans, routes, seeds }
     }
 
     /// The residual plan set in use.
@@ -113,8 +100,7 @@ impl SkewResilientProgram {
     /// tuple has exactly one owning plan ([`None`] only for tuples that
     /// disagree on a repeated variable and are dropped).
     pub fn owning_plan(&self, atom: &Atom, tuple: &[Value]) -> Option<usize> {
-        let pattern = self.plans.heavy().pattern(atom, tuple)?;
-        self.routes.iter().position(|(h, _)| *h == pattern)
+        self.routes.group_of(self.plans.heavy().pattern(atom, tuple)?)
     }
 
     /// The indices of all plans a tuple is routed to: those agreeing with
@@ -143,10 +129,8 @@ impl SkewResilientProgram {
     fn fan_out(&self, id: usize, tuple: &[Value], mut each: impl FnMut(usize, &AtomRoute)) -> bool {
         let atom = &self.query.atoms()[id];
         let Some(pattern) = self.plans.heavy().pattern(atom, tuple) else { return false };
-        for (plan, (h, routes)) in self.routes.iter().enumerate() {
-            if h & self.atom_vars[id] == pattern {
-                each(plan, &routes[id]);
-            }
+        for (plan, _, route) in self.routes.inducing(id, pattern) {
+            each(plan, route);
         }
         true
     }
@@ -179,7 +163,7 @@ impl MpcProgram for SkewResilientProgram {
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
         // Idle servers (beyond the packed plan grids) report nothing.
-        if self.plans.plan_of_server(server).is_none() {
+        if group_of_server(self.plans.plans(), server).is_none() {
             return Ok(Relation::empty(self.query.name(), self.query.num_vars()));
         }
         local_join(&self.query, state)
@@ -194,124 +178,72 @@ impl MpcProgram for SkewResilientProgram {
     }
 }
 
-/// Convenience entry point mirroring [`mpc_core::hypercube::HyperCube`]:
-/// plan against the database, run on a cluster, return result + plan
-/// diagnostics.
-#[derive(Debug, Clone)]
-pub struct SkewResilient;
-
-/// The outcome of a skew-resilient run.
-#[derive(Debug, Clone)]
-pub struct SkewResilientOutcome {
-    /// Simulator output and per-round statistics.
-    pub result: RunResult,
-    /// The residual plan set that was executed (plan shares, server
-    /// groups, detected heavy values).
-    pub plan_set: ResidualPlanSet,
-}
-
-impl SkewResilientOutcome {
-    /// Number of residual plans (1 = no heavy hitters detected, the run
-    /// was an ordinary HyperCube).
-    pub fn num_plans(&self) -> usize {
-        self.plan_set.plans().len()
-    }
-
-    /// Total number of detected heavy (variable, value) pairs.
-    pub fn num_heavy_values(&self) -> usize {
-        self.plan_set.heavy().num_heavy_values()
-    }
-}
-
-impl SkewResilient {
-    /// Run the skew-resilient HyperCube for `q` on `db` under the given
-    /// configuration with the default detection policy and seed, planning
-    /// from exact statistics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, configuration and simulation errors.
-    pub fn run(q: &Query, db: &Database, config: &MpcConfig) -> Result<SkewResilientOutcome> {
-        let policy = HeavyHitterPolicy::default();
-        Self::run_with_mode(q, db, config, &policy, 0x5EED, StatsMode::Exact)
-    }
-
-    /// Run with an explicit policy, hash seed and [`StatsMode`]: `Sampled`
-    /// plans from a seeded sub-linear sample instead of full scans. The
-    /// *output* is identical either way — sampling moves tuples between
-    /// plans, not out of the join — only load balance and planning cost
-    /// differ.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning, configuration and simulation errors.
-    pub fn run_with_mode(
-        q: &Query,
-        db: &Database,
-        config: &MpcConfig,
-        policy: &HeavyHitterPolicy,
-        seed: u64,
-        mode: StatsMode,
-    ) -> Result<SkewResilientOutcome> {
-        let program = SkewResilientProgram::with_mode(q, db, config.p, policy, seed, mode)?;
-        let plan_set = program.plan_set().clone();
-        let cluster = Cluster::new(config.clone()).map_err(crate::SkewError::from)?;
-        let result = cluster.run(&program, db).map_err(crate::SkewError::from)?;
-        Ok(SkewResilientOutcome { result, plan_set })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_data::skew::{heavy_hitter_database, zipf_database};
+    use mpc_sim::{Cluster, MpcConfig, RunResult};
     use mpc_storage::join::evaluate;
+
+    /// The program planned under `mode` with the default policy and `seed`,
+    /// and its run on `p` servers at space exponent `eps`.
+    fn run(
+        q: &Query,
+        db: &Database,
+        p: usize,
+        eps: f64,
+        seed: u64,
+        mode: StatsMode,
+    ) -> (SkewResilientProgram, RunResult) {
+        let policy = HeavyHitterPolicy::default();
+        let program = SkewResilientProgram::with_mode(q, db, p, &policy, seed, mode).unwrap();
+        let result = Cluster::new(MpcConfig::new(p, eps)).unwrap().run(&program, db).unwrap();
+        (program, result)
+    }
 
     #[test]
     fn matches_sequential_join_on_skewed_chain() {
         let q = families::chain(2);
         let db = heavy_hitter_database(&q, 1000, 1000, 0.5, 3);
-        let cfg = MpcConfig::new(16, 0.0);
-        let outcome = SkewResilient::run(&q, &db, &cfg).unwrap();
+        let (program, result) = run(&q, &db, 16, 0.0, 0x5EED, StatsMode::Exact);
         let truth = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth));
-        assert_eq!(outcome.num_plans(), 2);
-        assert!(outcome.num_heavy_values() >= 1);
+        assert!(result.output.same_tuples(&truth));
+        assert_eq!(program.plan_set().plans().len(), 2);
+        assert!(program.plan_set().heavy().num_heavy_values() >= 1);
     }
 
     #[test]
     fn matches_sequential_join_on_zipf_cycle() {
         let q = families::cycle(3);
         let db = zipf_database(&q, 400, 1200, 1.5, 9);
-        let cfg = MpcConfig::new(27, 1.0 / 3.0);
-        let outcome = SkewResilient::run(&q, &db, &cfg).unwrap();
+        let (_, result) = run(&q, &db, 27, 1.0 / 3.0, 0x5EED, StatsMode::Exact);
         let truth = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth));
+        assert!(result.output.same_tuples(&truth));
     }
 
     #[test]
     fn skew_free_input_runs_as_plain_hypercube() {
         let q = families::triangle();
         let db = matching_database(&q, 500, 11);
-        let outcome = SkewResilient::run(&q, &db, &MpcConfig::new(27, 1.0 / 3.0)).unwrap();
-        assert_eq!(outcome.num_plans(), 1);
-        assert_eq!(outcome.num_heavy_values(), 0);
+        let (program, result) = run(&q, &db, 27, 1.0 / 3.0, 0x5EED, StatsMode::Exact);
+        assert_eq!(program.plan_set().plans().len(), 1);
+        assert_eq!(program.plan_set().heavy().num_heavy_values(), 0);
         let truth = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth));
-        assert!(outcome.result.within_budget());
+        assert!(result.output.same_tuples(&truth));
+        assert!(result.within_budget());
     }
 
     #[test]
     fn each_answer_is_produced_by_exactly_one_server() {
         let q = families::chain(2);
         let db = heavy_hitter_database(&q, 800, 800, 0.4, 21);
-        let outcome = SkewResilient::run(&q, &db, &MpcConfig::new(24, 0.0)).unwrap();
-        let produced: usize = outcome.result.per_server_output.iter().sum();
+        let (_, result) = run(&q, &db, 24, 0.0, 0x5EED, StatsMode::Exact);
+        let produced: usize = result.per_server_output.iter().sum();
         assert_eq!(
             produced,
-            outcome.result.output.len(),
+            result.output.len(),
             "per-plan outputs partition the answers — no cross-server duplicates"
         );
     }
@@ -344,22 +276,12 @@ mod tests {
         let q = families::chain(2);
         for seed in [3u64, 8, 21] {
             let db = zipf_database(&q, 3000, 3000, 1.2, seed);
-            let cfg = MpcConfig::new(16, 0.0);
-            let policy = HeavyHitterPolicy::default();
-            let exact =
-                SkewResilient::run_with_mode(&q, &db, &cfg, &policy, 7, StatsMode::Exact).unwrap();
-            let sampled = SkewResilient::run_with_mode(
-                &q,
-                &db,
-                &cfg,
-                &policy,
-                7,
-                StatsMode::Sampled { budget: 500, seed },
-            )
-            .unwrap();
+            let (_, exact) = run(&q, &db, 16, 0.0, 7, StatsMode::Exact);
+            let mode = StatsMode::Sampled { budget: 500, seed };
+            let (_, sampled) = run(&q, &db, 16, 0.0, 7, mode);
             let truth = evaluate(&q, &db).unwrap();
-            assert!(exact.result.output.same_tuples(&truth));
-            assert!(sampled.result.output.same_tuples(&truth), "seed {seed}");
+            assert!(exact.output.same_tuples(&truth));
+            assert!(sampled.output.same_tuples(&truth), "seed {seed}");
         }
     }
 

@@ -27,10 +27,9 @@
 
 use std::collections::BTreeSet;
 
-use mpc_core::heavy::{
-    cell_load, grow_shares, proportional_groups, residual_query, Mask, PatternCounts,
-};
+use mpc_core::heavy::{carve, cell_load, grow_shares, residual_query, Group, Mask, PatternCounts};
 use mpc_core::shares::ShareAllocation;
+use mpc_core::{CoreError, Result};
 use mpc_cq::{Query, VarId};
 use mpc_data::{DbStatistics, StatsMode};
 use mpc_lp::degree::{rational_log, solve_degree_lp, DegreeStatistics};
@@ -38,59 +37,20 @@ use mpc_lp::Rational;
 use mpc_storage::Database;
 
 use crate::detector::HeavyHitters;
-use crate::error::SkewError;
-use crate::Result;
 
 /// Denominator of the rationalised `log` grid the degree LP solves on:
 /// statistics are rounded to multiples of `1/12` in exponent space, which
 /// keeps the LP data small and moves the optimum by at most one grid step.
 const LOG_GRID: i128 = 12;
 
-/// One residual plan: the servers and shares dedicated to the answers
-/// whose heavy configuration is exactly [`ResidualPlan::heavy_vars`].
-#[derive(Debug, Clone)]
-pub struct ResidualPlan {
-    /// The variables fixed to heavy values in this plan (`∅` = the light
-    /// plan, the ordinary HyperCube over the group).
-    pub heavy_vars: BTreeSet<VarId>,
-    /// The residual query `q_H` (heavy variables deleted); `None` when
-    /// every variable is heavy and the residual is a pure filter.
-    pub residual: Option<Query>,
-    /// The cover-based allocation of the residual query within this
-    /// plan's group, kept for reporting even when the cardinality-aware
-    /// candidate won.
-    pub allocation: Option<ShareAllocation>,
-    /// The share vector actually used for routing, full-width over the
-    /// *original* query's variables; heavy and absent variables have
-    /// share 1.
-    pub shares: Vec<usize>,
-    /// First server (global index) of this plan's group.
-    pub offset: usize,
-    /// Number of servers the group was granted (`cells() ≤ group_size`).
-    pub group_size: usize,
-    /// Estimated tuples routed to this plan (before replication), used for
-    /// proportional group sizing.
-    pub weight_tuples: u64,
-}
-
-impl ResidualPlan {
-    /// Number of grid cells actually used, `∏ shares ≤ group_size`.
-    pub fn cells(&self) -> usize {
-        self.shares.iter().product()
-    }
-
-    /// Does global server `s` belong to this plan's grid?
-    pub fn owns_server(&self, s: usize) -> bool {
-        s >= self.offset && s < self.offset + self.cells()
-    }
-}
-
 /// The complete set of residual plans for a query, a database and `p`
-/// servers: disjoint server groups, one per heavy-variable subset.
+/// servers: one [`Group`] per heavy-variable subset, on disjoint servers.
+/// A plan's heavy variables have share 1 (their single coordinate carries
+/// no information); its light ones are hashed.
 #[derive(Debug, Clone)]
 pub struct ResidualPlanSet {
     heavy: HeavyHitters,
-    plans: Vec<ResidualPlan>,
+    plans: Vec<Group>,
     p: usize,
 }
 
@@ -127,10 +87,10 @@ impl ResidualPlanSet {
         stats: &DbStatistics,
     ) -> Result<Self> {
         if p == 0 {
-            return Err(SkewError::InvalidPlan("p must be at least 1".to_string()));
+            return Err(CoreError::InvalidPlan("p must be at least 1".to_string()));
         }
         if heavy.num_vars() != q.num_vars() {
-            return Err(SkewError::InvalidPlan(format!(
+            return Err(CoreError::InvalidPlan(format!(
                 "heavy hitters cover {} variables but the query has {}",
                 heavy.num_vars(),
                 q.num_vars()
@@ -150,60 +110,41 @@ impl ResidualPlanSet {
         // (mask 0) first, on a group proportional to the mass it attracts.
         let counts = PatternCounts::scan(q, db, &heavy, stats);
         let subsets: Vec<Mask> = (0..1 << capable.len()).collect();
-        let weights: Vec<u64> = subsets.iter().map(|h| counts.mass(*h)).collect();
-        let group_sizes = proportional_groups(p, &weights);
-
-        let mut plans = Vec::with_capacity(subsets.len());
-        let mut offset = 0usize;
-        for ((h, group_size), weight_tuples) in subsets.into_iter().zip(group_sizes).zip(weights) {
-            let heavy_vars = heavy.vars_of(h);
-            let residual = residual_query(q, &heavy_vars);
-            let allocation = match &residual {
-                Some(rq) => Some(ShareAllocation::optimal(rq, group_size)?),
-                None => None,
-            };
-            let tuples: Vec<u64> = counts.atom_tuples(h).collect();
+        let plans = carve(p, &subsets, &heavy, &counts, |group| {
+            let residual = residual_query(q, &group.heavy_vars);
             // Cell loads are compared in bytes: wider atoms weigh more.
             let bytes: Vec<f64> = q
                 .atoms()
                 .iter()
-                .zip(&tuples)
+                .zip(&group.atom_tuples)
                 .map(|(atom, m)| *m as f64 * atom.arity() as f64 * 8.0)
                 .collect();
 
-            // Candidate 1: cover-based shares, lifted to full width.
-            let lifted =
-                residual.as_ref().zip(allocation.as_ref()).map(|(rq, a)| lift_shares(q, rq, a));
+            // Candidate 1: the residual query's cover-based shares, lifted
+            // to full width.
+            let lifted = match &residual {
+                Some(rq) => {
+                    Some(lift_shares(q, rq, &ShareAllocation::optimal(rq, group.group_size)?))
+                }
+                None => None,
+            };
             // Candidate 2: statistics-aware shares from the degree LP.
             let refined = statistics_shares(
                 q,
                 residual.as_ref(),
-                &heavy_vars,
-                &tuples,
+                &group.heavy_vars,
+                &group.atom_tuples,
                 &bytes,
                 stats,
-                group_size,
+                group.group_size,
             );
-
-            let shares = match lifted {
+            Ok(match lifted {
                 Some(lifted) if cell_load(q, &bytes, &lifted) <= cell_load(q, &bytes, &refined) => {
                     lifted
                 }
                 _ => refined,
-            };
-
-            let plan = ResidualPlan {
-                heavy_vars,
-                residual,
-                allocation,
-                shares,
-                offset,
-                group_size,
-                weight_tuples,
-            };
-            offset += plan.cells();
-            plans.push(plan);
-        }
+            })
+        })?;
 
         Ok(ResidualPlanSet { heavy, plans, p })
     }
@@ -214,7 +155,7 @@ impl ResidualPlanSet {
     }
 
     /// All plans, light plan first.
-    pub fn plans(&self) -> &[ResidualPlan] {
+    pub fn plans(&self) -> &[Group] {
         &self.plans
     }
 
@@ -225,13 +166,7 @@ impl ResidualPlanSet {
 
     /// Total servers actually holding grid cells, `Σ cells ≤ p`.
     pub fn servers_used(&self) -> usize {
-        self.plans.iter().map(ResidualPlan::cells).sum()
-    }
-
-    /// The plan owning global server `s`, if any (servers beyond
-    /// [`ResidualPlanSet::servers_used`] are idle).
-    pub fn plan_of_server(&self, s: usize) -> Option<usize> {
-        self.plans.iter().position(|pl| pl.owns_server(s))
+        self.plans.iter().map(Group::cells).sum()
     }
 }
 
@@ -391,23 +326,6 @@ mod tests {
         // Proportional sizing favours the light plan (it attracts more
         // than half the tuple mass: all of S1 plus the light part of S2).
         assert!(light.group_size > heavy.group_size);
-    }
-
-    #[test]
-    fn plan_lookup_by_pattern_and_server() {
-        let q = families::chain(2);
-        let db = heavy_hitter_database(&q, 2000, 2000, 0.5, 7);
-        let set = plan_set(&q, &db, 32);
-        let x1 = q.var_id("x1").unwrap();
-        let plan_for = |pattern: BTreeSet<VarId>| {
-            set.plans().iter().position(|pl| pl.heavy_vars == pattern).unwrap()
-        };
-        assert_ne!(plan_for(BTreeSet::new()), plan_for([x1].into_iter().collect()));
-        for s in 0..set.servers_used() {
-            let owner = set.plan_of_server(s).expect("used servers have an owner");
-            assert!(set.plans()[owner].owns_server(s));
-        }
-        assert_eq!(set.plan_of_server(32), None);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 use mpc_query::core::baseline::BroadcastProgram;
 use mpc_query::prelude::*;
-use mpc_query::sim::Cluster;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two "drug catalogues" of n entries each. A tuple is just the drug id;
@@ -46,19 +45,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "p", "shares", "HC max bytes", "broadcast bytes", "pairs found"
     );
     for p in [4usize, 16, 64, 256] {
-        let cfg = MpcConfig::new(p, analysis.space_exponent.to_f64());
-        let hc = HyperCube::run(&q, &db, &cfg)?;
-        let cluster = Cluster::new(cfg)?;
+        let cluster = Cluster::new(MpcConfig::new(p, analysis.space_exponent.to_f64()))?;
+        let program = HyperCubeProgram::new(&q, p, 0x5EED)?;
+        let hc = cluster.run(&program, &db)?;
         let broadcast = cluster.run(&BroadcastProgram::new(q.clone()), &db)?;
         println!(
             "{:>6} {:>12} {:>16} {:>16} {:>12}",
             p,
-            format!("{:?}", hc.allocation.shares),
-            hc.result.max_load_bytes(),
+            format!("{:?}", program.allocation().shares),
+            hc.max_load_bytes(),
             broadcast.max_load_bytes(),
-            hc.result.output.len(),
+            hc.output.len(),
         );
-        assert_eq!(hc.result.output.len() as u64, n * n);
+        assert_eq!(hc.output.len() as u64, n * n);
     }
 
     println!(

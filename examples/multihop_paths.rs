@@ -32,15 +32,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for eps in [Rational::ZERO, Rational::new(1, 2), Rational::new(2, 3)] {
         let plan = MultiRoundPlan::build(&q, eps)?;
-        let outcome = MultiRound::run_plan(&plan, &db, p, 11)?;
-        let correct = outcome.result.output.same_tuples(&truth);
+        let cluster = Cluster::new(MpcConfig::new(p, eps.to_f64()))?;
+        let result = cluster.run(&PlanProgram::new(&plan, p, 11)?, &db)?;
+        let correct = result.output.same_tuples(&truth);
         println!(
             "{:>8} {:>8} {:>10} {:>18} {:>16} {:>10}",
             eps.to_string(),
-            outcome.result.num_rounds(),
+            result.num_rounds(),
             plan.num_operators(),
-            outcome.result.max_load_bytes(),
-            outcome.result.total_bytes(),
+            result.max_load_bytes(),
+            result.total_bytes(),
             correct
         );
     }

@@ -10,7 +10,6 @@
 
 use mpc_query::core::baseline::BroadcastProgram;
 use mpc_query::prelude::*;
-use mpc_query::sim::Cluster;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
@@ -38,26 +37,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. HyperCube at the space exponent: one round, load O(n / p^{1/τ*}).
     // ------------------------------------------------------------------
     let cfg = MpcConfig::new(p, analysis.space_exponent.to_f64());
-    let hc = HyperCube::run(&q, &db, &cfg)?;
+    let cluster = Cluster::new(cfg.clone())?;
+    let program = HyperCubeProgram::new(&q, p, 0x5EED)?;
+    let hc = cluster.run(&program, &db)?;
     let truth = mpc_query::storage::join::evaluate(&q, &db)?;
-    assert!(hc.result.output.same_tuples(&truth));
+    assert!(hc.output.same_tuples(&truth));
     println!("\nHyperCube on p = {p} servers (ε = {}):", analysis.space_exponent);
-    println!("  shares             : {:?}", hc.allocation.shares);
-    println!("  answers found      : {} (ground truth {})", hc.result.output.len(), truth.len());
-    println!("  rounds             : {}", hc.result.num_rounds());
-    println!("  max bytes/server   : {}", hc.result.max_load_bytes());
-    println!("  per-round budget   : {}", hc.result.rounds[0].budget_bytes);
+    println!("  shares             : {:?}", program.allocation().shares);
+    println!("  answers found      : {} (ground truth {})", hc.output.len(), truth.len());
+    println!("  rounds             : {}", hc.num_rounds());
+    println!("  max bytes/server   : {}", hc.max_load_bytes());
+    println!("  per-round budget   : {}", hc.rounds[0].budget_bytes);
     println!(
         "  replication rate   : {:.2} (≈ p^ε = {:.2})",
-        hc.result.rounds[0].replication_rate,
+        hc.rounds[0].replication_rate,
         cfg.allowed_replication()
     );
-    println!("  within budget      : {}", hc.result.within_budget());
+    println!("  within budget      : {}", hc.within_budget());
 
     // ------------------------------------------------------------------
     // 4. The broadcast baseline: correct, but p-fold replication.
     // ------------------------------------------------------------------
-    let cluster = Cluster::new(cfg)?;
     let broadcast = cluster.run(&BroadcastProgram::new(q.clone()), &db)?;
     println!("\nBroadcast baseline:");
     println!("  max bytes/server   : {}", broadcast.max_load_bytes());
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  within budget      : {}", broadcast.within_budget());
     println!(
         "\nHyperCube moves {:.1}x less data to the busiest server than broadcast.",
-        broadcast.max_load_bytes() as f64 / hc.result.max_load_bytes() as f64
+        broadcast.max_load_bytes() as f64 / hc.max_load_bytes() as f64
     );
     Ok(())
 }

@@ -14,14 +14,15 @@
 //! * what that minimum is — the **space exponent** `ε*(q) = 1 − 1/τ*(q)`
 //!   ([`core::space_exponent`]) — and what fraction of the answers any
 //!   one-round algorithm can report below it
-//!   ([`core::hypercube::PartialHyperCube`]);
+//!   ([`core::hypercube::PartialHyperCubeProgram`]);
 //! * how many **rounds** are needed and sufficient at a given replication
 //!   level — multi-round plans, their execution, and the matching round
 //!   lower bounds ([`core::multiround`]);
 //! * what this implies for iterative graph computations — connected
 //!   components need `Ω(log p)` rounds on sparse graphs ([`graph`]).
 //!
-//! All algorithms run on an in-process cluster simulator ([`sim`]) that
+//! All algorithms are [`sim::MpcProgram`]s: build one and hand it to the
+//! in-process cluster simulator's [`sim::Cluster::run`] ([`sim`]), which
 //! accounts for exactly the costs the theory talks about: bytes received
 //! per server per round, replication rates, and round counts.
 //!
@@ -50,13 +51,13 @@
 //! assert_eq!(analysis.space_exponent, Rational::new(1, 3));
 //!
 //! let db = mpc_query::data::matching_database(&q, 1_000, 42);
-//! let cfg = MpcConfig::new(64, analysis.space_exponent.to_f64());
-//! let run = HyperCube::run(&q, &db, &cfg)?;
-//! assert!(run.result.within_budget());
+//! let cluster = Cluster::new(MpcConfig::new(64, analysis.space_exponent.to_f64()))?;
+//! let result = cluster.run(&HyperCubeProgram::new(&q, 64, 0x5EED)?, &db)?;
+//! assert!(result.within_budget());
 //!
 //! // The parallel result equals the sequential join.
 //! let truth = mpc_query::storage::join::evaluate(&q, &db)?;
-//! assert!(run.result.output.same_tuples(&truth));
+//! assert!(result.output.same_tuples(&truth));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -78,8 +79,8 @@ pub use mpc_core as core;
 /// Commonly used items.
 pub mod prelude {
     pub use mpc_core::analysis::QueryAnalysis;
-    pub use mpc_core::hypercube::{HyperCube, PartialHyperCube};
-    pub use mpc_core::multiround::executor::MultiRound;
+    pub use mpc_core::hypercube::{HyperCubeProgram, PartialHyperCubeProgram};
+    pub use mpc_core::multiround::executor::PlanProgram;
     pub use mpc_core::multiround::load::PlanLoadPrediction;
     pub use mpc_core::multiround::planner::MultiRoundPlan;
     pub use mpc_core::output_sensitive::OutputSensitiveBounds;
@@ -91,7 +92,7 @@ pub mod prelude {
     pub use mpc_lp::Rational;
     pub use mpc_net::{QueryJob, QueryService, ServiceConfig, TransportKind};
     pub use mpc_sim::{AsyncConfig, Cluster, CostModel, MpcConfig, StragglerSpec};
-    pub use mpc_skew::{HeavyHitterPolicy, SkewResilient};
+    pub use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
     pub use mpc_storage::{Database, Relation, Tuple};
 }
 
@@ -108,9 +109,9 @@ mod tests {
         #[allow(clippy::too_many_arguments)] // one parameter per advertised type
         fn _takes_types(
             _: &QueryAnalysis,
-            _: &HyperCube,
-            _: &PartialHyperCube,
-            _: &MultiRound,
+            _: &HyperCubeProgram,
+            _: &PartialHyperCubeProgram,
+            _: &PlanProgram,
             _: &MultiRoundPlan,
             _: &PlanLoadPrediction,
             _: &OutputSensitiveBounds,
@@ -125,7 +126,7 @@ mod tests {
             _: &Database,
             _: &Relation,
             _: &Tuple,
-            _: &SkewResilient,
+            _: &SkewResilientProgram,
             _: &HeavyHitterPolicy,
             _: &QueryJob,
             _: &QueryService,
@@ -154,7 +155,8 @@ mod tests {
         let analysis = QueryAnalysis::analyze(&q).unwrap();
         assert_eq!(analysis.space_exponent, Rational::ZERO);
         let db = matching_database(&q, 200, 3);
-        let run = HyperCube::run(&q, &db, &MpcConfig::new(8, 0.0)).unwrap();
-        assert_eq!(run.result.output.len(), 200);
+        let program = HyperCubeProgram::new(&q, 8, 0x5EED).unwrap();
+        let result = Cluster::new(MpcConfig::new(8, 0.0)).unwrap().run(&program, &db).unwrap();
+        assert_eq!(result.output.len(), 200);
     }
 }

@@ -4,7 +4,15 @@
 use mpc_query::core::multiround::lower_bound::round_lower_bound;
 use mpc_query::core::multiround::planner::round_upper_bound;
 use mpc_query::prelude::*;
+use mpc_query::sim::RunResult;
 use mpc_query::storage::join::evaluate;
+
+/// Compile `plan` for `p` servers and run it at the plan's ε.
+fn run(plan: &MultiRoundPlan, db: &Database, p: usize, seed: u64) -> RunResult {
+    let program = PlanProgram::new(plan, p, seed).unwrap();
+    let cluster = Cluster::new(MpcConfig::new(p, plan.epsilon().to_f64())).unwrap();
+    cluster.run(&program, db).unwrap()
+}
 
 /// Table 2: rounds at ε = 0 for the running examples, upper = lower where
 /// the paper states an exact value.
@@ -60,9 +68,9 @@ fn multiround_execution_is_exact() {
     ];
     for (q, eps, p) in cases {
         let db = matching_database(&q, 300, 0xFEED ^ q.num_atoms() as u64);
-        let outcome = MultiRound::run(&q, &db, p, eps, 5).unwrap();
+        let result = run(&MultiRoundPlan::build(&q, eps).unwrap(), &db, p, 5);
         let truth = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth), "{} at ε = {eps} on p = {p}", q.name());
+        assert!(result.output.same_tuples(&truth), "{} at ε = {eps} on p = {p}", q.name());
     }
 }
 
@@ -150,10 +158,10 @@ fn cyclic_operators_cover_the_negative_chi_view_sizing() {
 
         // The prediction still brackets a real run on a matching.
         let db = matching_database(&q, n, 29);
-        let outcome = MultiRound::run(&q, &db, p, Rational::ZERO, 5).unwrap();
+        let result = run(&plan, &db, p, 5);
         let truth = evaluate(&q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth), "{} exactness", q.name());
-        for row in pred.compare(&outcome.result).unwrap() {
+        assert!(result.output.same_tuples(&truth), "{} exactness", q.name());
+        for row in pred.compare(&result).unwrap() {
             assert!(
                 row.simulated_max_tuples as f64 <= 4.0 * row.predicted_tuples + 16.0,
                 "{} round {}: measured {} escapes 4 × {:.1} + 16",

@@ -7,8 +7,18 @@
 
 use mpc_query::core::baseline::{BroadcastProgram, SingleKeyShuffleProgram};
 use mpc_query::prelude::*;
-use mpc_query::sim::Cluster;
+use mpc_query::sim::{MpcProgram, RunResult};
 use mpc_query::storage::join::evaluate;
+
+/// `program` on `p` servers at space exponent `eps`.
+fn run(program: &impl MpcProgram, db: &Database, p: usize, eps: f64) -> RunResult {
+    Cluster::new(MpcConfig::new(p, eps)).unwrap().run(program, db).unwrap()
+}
+
+/// The HyperCube of `q` on `p` servers at `eps`, default seed.
+fn run_hc(q: &Query, db: &Database, p: usize, eps: f64) -> RunResult {
+    run(&HyperCubeProgram::new(q, p, 0x5EED).unwrap(), db, p, eps)
+}
 
 /// HC is exact on every running-example family from Table 1.
 #[test]
@@ -28,15 +38,14 @@ fn hypercube_matches_sequential_join_on_table1_families() {
     for q in queries {
         let db = matching_database(&q, 400, 0xABC + q.num_atoms() as u64);
         let eps = space_exponent(&q).unwrap();
-        let cfg = MpcConfig::new(16, eps.to_f64());
-        let run = HyperCube::run(&q, &db, &cfg).unwrap();
+        let result = run_hc(&q, &db, 16, eps.to_f64());
         let truth = evaluate(&q, &db).unwrap();
         assert!(
-            run.result.output.same_tuples(&truth),
+            result.output.same_tuples(&truth),
             "{}: HC output differs from sequential join",
             q.name()
         );
-        assert_eq!(run.result.num_rounds(), 1, "{}", q.name());
+        assert_eq!(result.num_rounds(), 1, "{}", q.name());
     }
 }
 
@@ -50,16 +59,16 @@ fn hypercube_load_scales_with_p() {
     let eps = space_exponent(&q).unwrap().to_f64();
     let mut previous_load = u64::MAX;
     for p in [8usize, 64, 512] {
-        let run = HyperCube::run(&q, &db, &MpcConfig::new(p, eps)).unwrap();
-        assert!(run.result.within_budget(), "p = {p} exceeds budget");
-        let load = run.result.max_load_bytes();
+        let result = run_hc(&q, &db, p, eps);
+        assert!(result.within_budget(), "p = {p} exceeds budget");
+        let load = result.max_load_bytes();
         assert!(
             load < previous_load,
             "load should shrink as p grows: p = {p}, load {load} >= previous {previous_load}"
         );
         previous_load = load;
         // Replication rate ≈ p^ε (within a factor ~2 for integer shares).
-        let rate = run.result.rounds[0].replication_rate;
+        let rate = result.rounds[0].replication_rate;
         let allowed = (p as f64).powf(eps);
         assert!(rate <= allowed * 1.5 + 1.0, "p = {p}: rate {rate} vs p^ε = {allowed}");
     }
@@ -74,17 +83,17 @@ fn one_round_strategy_load_ordering() {
     let db = matching_database(&q, 2000, 9);
     let cfg = MpcConfig::new(32, 0.0);
 
-    let hc = HyperCube::run(&q, &db, &cfg).unwrap();
+    let hc = run_hc(&q, &db, 32, 0.0);
     let cluster = Cluster::new(cfg).unwrap();
     let shuffle = cluster.run(&SingleKeyShuffleProgram::new(&q, 1).unwrap(), &db).unwrap();
     let broadcast = cluster.run(&BroadcastProgram::new(q.clone()), &db).unwrap();
 
     let truth = evaluate(&q, &db).unwrap();
-    for (name, result) in [("hc", &hc.result), ("shuffle", &shuffle), ("broadcast", &broadcast)] {
+    for (name, result) in [("hc", &hc), ("shuffle", &shuffle), ("broadcast", &broadcast)] {
         assert!(result.output.same_tuples(&truth), "{name} output mismatch");
     }
-    assert!(shuffle.max_load_bytes() <= hc.result.max_load_bytes() * 2);
-    assert!(hc.result.max_load_bytes() * 4 < broadcast.max_load_bytes());
+    assert!(shuffle.max_load_bytes() <= hc.max_load_bytes() * 2);
+    assert!(hc.max_load_bytes() * 4 < broadcast.max_load_bytes());
 }
 
 /// Below the space exponent, the partial HyperCube reports roughly the
@@ -97,8 +106,8 @@ fn partial_answers_fraction_decays_with_p() {
     let db = matching_database(&q, n, 3);
     let mut previous_fraction = f64::INFINITY;
     for p in [4usize, 16, 64] {
-        let outcome = PartialHyperCube::run(&q, &db, p, Rational::ZERO, 7).unwrap();
-        let reported = outcome.result.output.len() as f64 / n as f64;
+        let program = PartialHyperCubeProgram::new(&q, p, Rational::ZERO, 7).unwrap();
+        let reported = run(&program, &db, p, 0.0).output.len() as f64 / n as f64;
         let predicted = 1.0 / p as f64; // 1/p^{τ*(1−ε)−1} with τ* = 2, ε = 0
         assert!(reported < previous_fraction + 1e-9, "reported fraction should shrink with p");
         assert!(
@@ -146,8 +155,9 @@ fn join_witness_hard_instance() {
     assert!(truth.len() <= 10);
 
     // The multi-round plan at ε = 1/2 finds exactly the true answers.
-    let outcome = MultiRound::run(&q, &db, 16, Rational::new(1, 2), 3).unwrap();
-    assert!(outcome.result.output.same_tuples(&truth));
+    let plan = MultiRoundPlan::build(&q, Rational::new(1, 2)).unwrap();
+    let program = PlanProgram::new(&plan, 16, 3).unwrap();
+    assert!(run(&program, &db, 16, 0.5).output.same_tuples(&truth));
 }
 
 /// Skew ablation: on a Zipf-skewed input the HyperCube load balance
@@ -164,11 +174,11 @@ fn skewed_inputs_degrade_balance() {
     let matching = matching_database(&q, n, 1);
     let skewed = zipf_database(&q, n, n as usize, 1.2, 1);
 
-    let balanced = HyperCube::run(&q, &matching, &MpcConfig::new(p, eps)).unwrap();
-    let unbalanced = HyperCube::run(&q, &skewed, &MpcConfig::new(p, eps)).unwrap();
+    let balanced = run_hc(&q, &matching, p, eps);
+    let unbalanced = run_hc(&q, &skewed, p, eps);
 
-    let b = balanced.result.rounds[0].balance_ratio;
-    let u = unbalanced.result.rounds[0].balance_ratio;
+    let b = balanced.rounds[0].balance_ratio;
+    let u = unbalanced.rounds[0].balance_ratio;
     assert!(b < 2.0, "matching database should be well balanced, ratio {b}");
     assert!(u > b * 1.5, "skewed input should be notably less balanced ({u} vs {b})");
 }

@@ -20,9 +20,11 @@ fn layered_graph_components_equal_chain_answers() {
     assert_eq!(chain_answers.len() as u64, g.num_components());
 
     // The multi-round plan for L4 computes the same answers in 2 rounds.
-    let outcome = MultiRound::run(&q, &db, 8, Rational::ZERO, 3).unwrap();
-    assert!(outcome.result.output.same_tuples(&chain_answers));
-    assert_eq!(outcome.result.num_rounds(), 2);
+    let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
+    let program = PlanProgram::new(&plan, 8, 3).unwrap();
+    let result = Cluster::new(MpcConfig::new(8, 0.0)).unwrap().run(&program, &db).unwrap();
+    assert!(result.output.same_tuples(&chain_answers));
+    assert_eq!(result.num_rounds(), 2);
 
     // Label propagation labels the same components.
     let edges = g.edge_relation("E");

@@ -19,14 +19,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mpc_query::core::analysis::QueryAnalysis;
-use mpc_query::core::hypercube::HyperCube;
-use mpc_query::core::multiround::executor::MultiRound;
+use mpc_query::core::hypercube::HyperCubeProgram;
+use mpc_query::core::multiround::executor::PlanProgram;
 use mpc_query::core::multiround::planner::MultiRoundPlan;
 use mpc_query::cq::{families, Query};
 use mpc_query::data::matching_database;
 use mpc_query::data::output_controlled_database;
 use mpc_query::lp::Rational;
-use mpc_query::sim::MpcConfig;
+use mpc_query::sim::{Cluster, MpcConfig};
 use mpc_query::storage::join::evaluate;
 
 /// Number of random cases.
@@ -99,19 +99,20 @@ fn bracket_holds_on_120_random_queries_and_databases() {
 
         let analysis = QueryAnalysis::analyze(&q).expect("LP solvable");
         let bounds = analysis.output_bounds(n, m, p).expect("bounds computable");
-        let cfg = MpcConfig::new(p, analysis.space_exponent.to_f64());
-        let run = HyperCube::run(&q, &planted.db, &cfg).expect("HyperCube run");
+        let cluster = Cluster::new(MpcConfig::new(p, analysis.space_exponent.to_f64())).unwrap();
+        let program = HyperCubeProgram::new(&q, p, 0x5EED).expect("HyperCube plans");
+        let run = cluster.run(&program, &planted.db).expect("HyperCube run");
 
         // Correctness of the run itself.
         assert!(
-            run.result.output.same_tuples(&truth),
+            run.output.same_tuples(&truth),
             "{} case {case}: HyperCube output diverges",
             q.name()
         );
 
         // The proven bracket.
         let verdict = bounds
-            .bracket(&q, &run.allocation, run.result.max_load_tuples(), SLACK)
+            .bracket(&q, program.allocation(), run.max_load_tuples(), SLACK)
             .expect("bracket computable");
         assert!(
             verdict.lower_ok,
@@ -129,7 +130,7 @@ fn bracket_holds_on_120_random_queries_and_databases() {
         );
 
         // Per-server emission: some server emits at least m/p answers.
-        let max_emitted = run.result.per_server_output.iter().copied().max().unwrap_or(0);
+        let max_emitted = run.per_server_output.iter().copied().max().unwrap_or(0);
         assert!(
             max_emitted as f64 + 1e-9 >= bounds.output_lower_per_server,
             "{} case {case}: max emitted {max_emitted} below m/p = {}",
@@ -186,8 +187,9 @@ fn multiround_predictions_bracket_simulated_loads() {
         let db = matching_database(&q, n, rng.gen());
         let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
         let profile = plan.predict_loads(8, n).unwrap();
-        let outcome = MultiRound::run_plan(&plan, &db, 8, rng.gen()).unwrap();
-        for cmp in profile.compare(&outcome.result).unwrap() {
+        let program = PlanProgram::new(&plan, 8, rng.gen()).unwrap();
+        let run = Cluster::new(MpcConfig::new(8, 0.0)).unwrap().run(&program, &db).unwrap();
+        for cmp in profile.compare(&run).unwrap() {
             assert!(
                 cmp.ratio <= SLACK && cmp.ratio >= 1.0 / SLACK,
                 "L{k} n={n} round {}: predicted {} vs simulated {}",
@@ -207,16 +209,18 @@ fn planted_databases_also_satisfy_bounds_under_partial_output() {
     let n = 200u64;
     let p = 27usize;
     let analysis = QueryAnalysis::analyze(&q).unwrap();
+    let program = HyperCubeProgram::new(&q, p, 0x5EED).unwrap();
+    let cluster = Cluster::new(MpcConfig::new(p, 1.0 / 3.0)).unwrap();
     let mut last_lower = 0.0f64;
     for m in [0u64, 1, 20, 100, 200] {
         let planted = output_controlled_database(&q, n, m, 9 + m);
         let bounds = analysis.output_bounds(n, m, p).unwrap();
         assert!(bounds.lower_tuples >= last_lower, "monotone in m");
         last_lower = bounds.lower_tuples;
-        let run = HyperCube::run(&q, &planted.db, &MpcConfig::new(p, 1.0 / 3.0)).unwrap();
-        assert_eq!(run.result.output.len() as u64, m);
+        let run = cluster.run(&program, &planted.db).unwrap();
+        assert_eq!(run.output.len() as u64, m);
         let verdict =
-            bounds.bracket(&q, &run.allocation, run.result.max_load_tuples(), SLACK).unwrap();
+            bounds.bracket(&q, program.allocation(), run.max_load_tuples(), SLACK).unwrap();
         assert!(verdict.ok(), "m = {m}: {verdict:?}");
     }
 }

@@ -143,9 +143,10 @@ fn hypercube_is_exact() {
         let seed = rng.gen_range(0u64..1000);
         let db = matching_database(q, 60, seed);
         let eps = space_exponent(q).unwrap().to_f64();
-        let run = HyperCube::run_seeded(q, &db, &MpcConfig::new(p, eps), seed).unwrap();
+        let program = HyperCubeProgram::new(q, p, seed).unwrap();
+        let result = Cluster::new(MpcConfig::new(p, eps)).unwrap().run(&program, &db).unwrap();
         let truth = evaluate(q, &db).unwrap();
-        assert!(run.result.output.same_tuples(&truth));
+        assert!(result.output.same_tuples(&truth));
     });
 }
 
@@ -167,9 +168,10 @@ fn multiround_plans_are_exact() {
         assert!(lower <= upper);
 
         let db = matching_database(q, 40, seed);
-        let outcome = MultiRound::run(q, &db, 8, eps, seed).unwrap();
+        let program = PlanProgram::new(&MultiRoundPlan::build(q, eps).unwrap(), 8, seed).unwrap();
+        let cluster = Cluster::new(MpcConfig::new(8, eps.to_f64())).unwrap();
         let truth = evaluate(q, &db).unwrap();
-        assert!(outcome.result.output.same_tuples(&truth));
+        assert!(cluster.run(&program, &db).unwrap().output.same_tuples(&truth));
     });
 }
 

@@ -13,15 +13,12 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use mpc_query::core::hypercube::{HyperCubeProgram, PartialHyperCubeProgram};
-use mpc_query::core::multiround::executor::PlanProgram;
-use mpc_query::core::wco::WcoProgram;
+use mpc_query::core::heavy::{Group, HeavyValues};
 use mpc_query::cq::VarId;
 use mpc_query::data::skew::{degree_planted_database, heavy_hitter_database, zipf_database};
 use mpc_query::data::{DbStatistics, StatsMode};
 use mpc_query::prelude::*;
 use mpc_query::sim::{MpcProgram, Routed, ServerState};
-use mpc_query::skew::SkewResilientProgram;
 use mpc_query::storage::join::evaluate;
 
 /// FNV-1a over 64-bit words.
@@ -155,38 +152,14 @@ fn heavy_values(q: &Query, n: u64, is_heavy: impl Fn(VarId, u64) -> bool) -> Str
         .join(" ")
 }
 
-/// One server group: heavy variables, shares, `@offset+group_size`.
-fn group(
-    heavy_vars: impl Iterator<Item = VarId>,
-    shares: &[usize],
-    at: usize,
-    size: usize,
-) -> String {
-    let vars: Vec<usize> = heavy_vars.map(|v| v.0).collect();
-    format!("{vars:?} {shares:?} @{at}+{size}")
-}
-
-/// Heavy values first, then one line per residual plan.
-fn skew_shape(program: &SkewResilientProgram, q: &Query, n: u64) -> Vec<String> {
-    let set = program.plan_set();
-    std::iter::once(heavy_values(q, n, |v, x| set.heavy().is_heavy(v, x)))
-        .chain(
-            set.plans().iter().map(|pl| {
-                group(pl.heavy_vars.iter().copied(), &pl.shares, pl.offset, pl.group_size)
-            }),
-        )
-        .collect()
-}
-
-/// Heavy values first, then one line per pattern group.
-fn wco_shape(program: &WcoProgram, q: &Query, n: u64) -> Vec<String> {
-    let plan = program.plan();
-    std::iter::once(heavy_values(q, n, |v, x| plan.heavy().is_heavy(v, x)))
-        .chain(
-            plan.patterns().iter().map(|pt| {
-                group(pt.heavy_vars.iter().copied(), &pt.shares, pt.offset, pt.group_size)
-            }),
-        )
+/// Heavy values first, then one line per server group: heavy variables,
+/// shares, `@offset+group_size`.
+fn shape(heavy: &HeavyValues, groups: &[Group], q: &Query, n: u64) -> Vec<String> {
+    std::iter::once(heavy_values(q, n, |v, x| heavy.is_heavy(v, x)))
+        .chain(groups.iter().map(|g| {
+            let vars: Vec<usize> = g.heavy_vars.iter().map(|v| v.0).collect();
+            format!("{vars:?} {:?} @{}+{}", g.shares, g.offset, g.group_size)
+        }))
         .collect()
 }
 
@@ -228,7 +201,7 @@ fn skew_resilient_routing_and_plans_are_pinned() {
     let db = zipf_database(&q, 3000, 3000, 1.2, 5);
     let program = SkewResilientProgram::new(&q, &db, 32, &policy, 42).unwrap();
     assert_eq!(
-        skew_shape(&program, &q, 3000),
+        shape(program.plan_set().heavy(), program.plan_set().plans(), &q, 3000),
         ["[] [1, 2, 3, 4] []", "[] [1, 25, 1] @0+25", "[1] [1, 1, 7] @25+7",]
     );
     assert_eq!(trace(&program, &q, &db, 32, true), (15620753659358018653, 6000, 6030));
@@ -237,7 +210,7 @@ fn skew_resilient_routing_and_plans_are_pinned() {
     let db = heavy_hitter_database(&q, 1000, 2000, 0.5, 11);
     let program = SkewResilientProgram::new(&q, &db, 32, &policy, 42).unwrap();
     assert_eq!(
-        skew_shape(&program, &q, 1000),
+        shape(program.plan_set().heavy(), program.plan_set().plans(), &q, 1000),
         [
             "[1] [1] [1]",
             "[] [2, 1, 3] @0+7",
@@ -264,7 +237,7 @@ fn wco_routing_and_plans_are_pinned() {
     let program = WcoProgram::new_with_stats(&q, &db, 27, 5, &exact).unwrap();
     assert_eq!(program.num_rounds(), 2);
     assert_eq!(
-        wco_shape(&program, &q, 2400),
+        shape(program.plan().heavy(), program.plan().patterns(), &q, 2400),
         ["[1, 2] [1, 2] [1, 2]", "[] [3, 3, 2] @0+26", "[0, 1, 2] [1, 1, 1] @18+1",]
     );
     assert_eq!(trace(&program, &q, &db, 27, true), (17469224017460809696, 324, 824));
@@ -272,7 +245,7 @@ fn wco_routing_and_plans_are_pinned() {
     let sampled = DbStatistics::collect(&db, StatsMode::Sampled { budget: 200, seed: 3 });
     let program = WcoProgram::new_with_stats(&q, &db, 27, 5, &sampled).unwrap();
     assert_eq!(
-        wco_shape(&program, &q, 2400),
+        shape(program.plan().heavy(), program.plan().patterns(), &q, 2400),
         [
             "[1, 2] [1, 2] [1, 2]",
             "[] [2, 1, 1] @0+2",
@@ -292,7 +265,7 @@ fn wco_routing_and_plans_are_pinned() {
     let db = heavy_hitter_database(&q, 1000, 2000, 0.5, 11);
     let program = WcoProgram::new(&q, &db, 27, 5).unwrap();
     assert_eq!(
-        wco_shape(&program, &q, 1000),
+        shape(program.plan().heavy(), program.plan().patterns(), &q, 1000),
         [
             "[1] [1] [1]",
             "[] [3, 2, 2] @0+13",

@@ -9,11 +9,28 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mpc_query::core::heavy::group_of_server;
 use mpc_query::cq::families;
 use mpc_query::data::skew::{heavy_hitter_database, zipf_database};
 use mpc_query::prelude::*;
-use mpc_query::skew::{SkewResilient, SkewResilientProgram};
+use mpc_query::sim::RunResult;
 use mpc_query::storage::join::evaluate;
+
+/// The vanilla HyperCube's run on `cfg`, default seed.
+fn run_vanilla(q: &Query, db: &Database, cfg: &MpcConfig) -> RunResult {
+    let program = HyperCubeProgram::new(q, cfg.p, 0x5EED).expect("vanilla HC plans");
+    Cluster::new(cfg.clone()).unwrap().run(&program, db).expect("vanilla HC runs")
+}
+
+/// The skew-resilient program (default policy and seed, exact statistics)
+/// and its run on `cfg`.
+fn run_resilient(q: &Query, db: &Database, cfg: &MpcConfig) -> (SkewResilientProgram, RunResult) {
+    let policy = HeavyHitterPolicy::default();
+    let program =
+        SkewResilientProgram::new(q, db, cfg.p, &policy, 0x5EED).expect("resilient plans");
+    let result = Cluster::new(cfg.clone()).unwrap().run(&program, db).expect("resilient runs");
+    (program, result)
+}
 
 /// The headline guarantee: on the canonical heavy-hitter input the vanilla
 /// HyperCube exceeds its `c · N / p^{1−ε}` budget while the resilient plan
@@ -24,29 +41,29 @@ fn resilient_within_budget_where_vanilla_fails() {
     let db = heavy_hitter_database(&q, 2000, 2000, 0.5, 7);
     let cfg = MpcConfig::new(32, 0.0);
 
-    let vanilla = HyperCube::run(&q, &db, &cfg).expect("vanilla HC runs");
-    let resilient = SkewResilient::run(&q, &db, &cfg).expect("resilient runs");
+    let vanilla = run_vanilla(&q, &db, &cfg);
+    let (_, resilient) = run_resilient(&q, &db, &cfg);
 
     assert!(
-        !vanilla.result.within_budget(),
+        !vanilla.within_budget(),
         "half of S2 shares one join key: one server must drown ({})",
-        vanilla.result.summary()
+        vanilla.summary()
     );
     assert!(
-        resilient.result.within_budget(),
+        resilient.within_budget(),
         "residual plans spread the heavy key ({})",
-        resilient.result.summary()
+        resilient.summary()
     );
-    assert!(resilient.result.output.same_tuples(&vanilla.result.output));
+    assert!(resilient.output.same_tuples(&vanilla.output));
 
     // "Within a constant factor of the skew-free budget": the resilient
     // max load is not just under the (generous, c = 2) budget but within a
     // small factor of the perfectly balanced load N / p.
     let perfectly_balanced = db.total_bytes() / 32;
     assert!(
-        resilient.result.max_load_bytes() <= 3 * perfectly_balanced,
+        resilient.max_load_bytes() <= 3 * perfectly_balanced,
         "max load {} vs perfectly balanced {}",
-        resilient.result.max_load_bytes(),
+        resilient.max_load_bytes(),
         perfectly_balanced
     );
 }
@@ -63,19 +80,19 @@ fn resilient_never_regresses_on_zipf_inputs() {
         let eps = space_exponent(&q).expect("LP solvable").to_f64();
         let db = zipf_database(&q, 3000, 3000, theta, 11);
         let cfg = MpcConfig::new(p, eps);
-        let vanilla = HyperCube::run(&q, &db, &cfg).expect("vanilla HC runs");
-        let resilient = SkewResilient::run(&q, &db, &cfg).expect("resilient runs");
-        assert!(resilient.result.output.same_tuples(&vanilla.result.output));
-        if !vanilla.result.within_budget() {
+        let vanilla = run_vanilla(&q, &db, &cfg);
+        let (_, resilient) = run_resilient(&q, &db, &cfg);
+        assert!(resilient.output.same_tuples(&vanilla.output));
+        if !vanilla.within_budget() {
             assert!(
-                resilient.result.within_budget(),
+                resilient.within_budget(),
                 "{} θ={theta}: vanilla over budget must be rescued ({})",
                 q.name(),
-                resilient.result.summary()
+                resilient.summary()
             );
         }
         assert!(
-            resilient.result.max_load_bytes() <= vanilla.result.max_load_bytes(),
+            resilient.max_load_bytes() <= vanilla.max_load_bytes(),
             "{} θ={theta}: the resilient plan never increases the worst load",
             q.name()
         );
@@ -94,11 +111,10 @@ fn output_equals_sequential_join() {
     ];
     for (q, db) in cases {
         let eps = space_exponent(&q).expect("LP solvable").to_f64();
-        let outcome =
-            SkewResilient::run(&q, &db, &MpcConfig::new(16, eps)).expect("resilient runs");
+        let (_, result) = run_resilient(&q, &db, &MpcConfig::new(16, eps));
         let truth = evaluate(&q, &db).expect("sequential join");
         assert!(
-            outcome.result.output.same_tuples(&truth),
+            result.output.same_tuples(&truth),
             "{}: resilient output must equal the direct join",
             q.name()
         );
@@ -112,13 +128,12 @@ fn matching_inputs_collapse_to_one_plan() {
     for q in [families::chain(2), families::triangle()] {
         let db = matching_database(&q, 1000, 17);
         let eps = space_exponent(&q).expect("LP solvable").to_f64();
-        let outcome =
-            SkewResilient::run(&q, &db, &MpcConfig::new(16, eps)).expect("resilient runs");
-        assert_eq!(outcome.num_plans(), 1, "{}", q.name());
-        assert_eq!(outcome.num_heavy_values(), 0);
-        assert!(outcome.result.within_budget());
+        let (program, result) = run_resilient(&q, &db, &MpcConfig::new(16, eps));
+        assert_eq!(program.plan_set().plans().len(), 1, "{}", q.name());
+        assert_eq!(program.plan_set().heavy().num_heavy_values(), 0);
+        assert!(result.within_budget());
         let truth = evaluate(&q, &db).expect("sequential join");
-        assert!(outcome.result.output.same_tuples(&truth));
+        assert!(result.output.same_tuples(&truth));
     }
 }
 
@@ -170,7 +185,7 @@ fn heavy_light_partition_invariant() {
                 let dests = program.destinations(atom, t);
                 assert!(!dests.is_empty(), "case {case}: tuple dropped");
                 for d in dests {
-                    let plan = plans.plan_of_server(d).expect("destinations are live servers");
+                    let plan = group_of_server(plans.plans(), d).expect("destinations are live");
                     assert!(routed.contains(&plan), "case {case}: routed outside its plans");
                 }
             }
