@@ -14,13 +14,13 @@
 
 use mpc_cq::{Query, VarId};
 use mpc_sim::program::hash_value;
-use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
 use mpc_storage::Relation;
 
 pub use mpc_sim::program::BroadcastProgram;
 
 use crate::error::CoreError;
-use crate::grid::{local_join, route_rows};
+use crate::grid::local_join;
 use crate::Result;
 
 /// One-round shuffle join that hash-partitions every relation on a single
@@ -85,21 +85,23 @@ impl MpcProgram for SingleKeyShuffleProgram {
         1
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         let Some((_, atom)) = self.query.atom_by_name(relation.name()) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let position = atom
             .vars
             .iter()
             .position(|v| *v == self.key)
             .expect("key occurs in every atom by construction");
-        let mut out = Vec::new();
-        route_rows(&mut out, relation.name(), relation.iter(), |t, dests| {
-            dests.push(hash_value(self.seed, t[position], p));
-            true
-        });
-        Ok(out)
+        relation.iter().try_for_each(|t| {
+            sink.emit(relation.name(), t, &[hash_value(self.seed, t[position], p)])
+        })
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

@@ -29,8 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mpc_cq::{Atom, Query, VarId};
-use mpc_sim::program::{emit, hash_value};
-use mpc_sim::{Routed, ServerState};
+use mpc_sim::program::hash_value;
+use mpc_sim::ServerState;
 use mpc_storage::{Relation, Value};
 
 /// A group of servers laid out as a mixed-radix grid over the query's
@@ -130,25 +130,6 @@ pub fn derive_seeds(seed: u64, k: usize) -> Vec<u64> {
 /// variable.
 pub fn hashed(seeds: &[u64]) -> impl Fn(VarId, Value, usize) -> usize + '_ {
     move |var, value, share| hash_value(seeds[var.0], value, share)
-}
-
-/// Route `rows` under `tag`, appending to `out`: `cells(row, &mut dests)`
-/// lists the row's destination servers into the (emptied) scratch vector
-/// and returns `false` for a row that is not sent at all.
-pub fn route_rows<'a>(
-    out: &mut Vec<Routed>,
-    tag: &str,
-    rows: impl Iterator<Item = &'a [Value]>,
-    mut cells: impl FnMut(&[Value], &mut Vec<usize>) -> bool,
-) {
-    out.reserve(rows.size_hint().0);
-    let mut dests = Vec::new();
-    for row in rows {
-        dests.clear();
-        if cells(row, &mut dests) {
-            emit(out, tag, row, &dests);
-        }
-    }
 }
 
 /// What a grid cell reports after the shuffle: the join of `query` over
@@ -289,8 +270,10 @@ mod tests {
         let q = mpc_cq::families::chain(2);
         let mut state = ServerState::new(0, 10);
         state.receive_row(1, "S1", &[1, 2]).unwrap();
+        state.settle().unwrap();
         assert!(local_join(&q, &state).unwrap().is_empty());
         state.receive_row(1, "S2", &[2, 3]).unwrap();
+        state.settle().unwrap();
         let out = local_join(&q, &state).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(&[1u64, 2, 3]));

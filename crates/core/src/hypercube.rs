@@ -18,11 +18,11 @@ use rand::SeedableRng;
 
 use mpc_cq::{Atom, Query};
 use mpc_lp::Rational;
-use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
 use mpc_storage::{Relation, Value};
 
 use crate::error::CoreError;
-use crate::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute, Grid};
+use crate::grid::{derive_seeds, hashed, local_join, AtomRoute, Grid};
 use crate::shares::ShareAllocation;
 use crate::Result;
 
@@ -88,17 +88,25 @@ impl MpcProgram for HyperCubeProgram {
         1
     }
 
-    fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        _p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         let Some((id, _)) = self.query.atom_by_name(relation.name()) else {
             // Relations not mentioned by the query are simply not shuffled.
-            return Ok(Vec::new());
+            return Ok(());
         };
         let (route, coord) = (&self.routes[id.0], hashed(&self.seeds));
-        let mut out = Vec::new();
-        route_rows(&mut out, relation.name(), relation.iter(), |t, cells| {
-            route.cells_into(t, &coord, cells)
-        });
-        Ok(out)
+        let mut cells = Vec::new();
+        for t in relation.iter() {
+            cells.clear();
+            if route.cells_into(t, &coord, &mut cells) {
+                sink.emit(relation.name(), t, &cells)?;
+            }
+        }
+        Ok(())
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
@@ -183,22 +191,30 @@ impl MpcProgram for PartialHyperCubeProgram {
         1
     }
 
-    fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        _p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         let Some((id, _)) = self.query.atom_by_name(relation.name()) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let (route, coord) = (&self.routes[id.0], hashed(&self.seeds));
-        let mut out = Vec::new();
-        route_rows(&mut out, relation.name(), relation.iter(), |t, cells| {
+        let mut cells = Vec::new();
+        for t in relation.iter() {
+            cells.clear();
+            if !route.cells_into(t, &coord, &mut cells) {
+                continue;
+            }
             // Virtual cell → the server materialising it, if any; a tuple
             // none of whose cells is materialised goes out to nobody.
-            let consistent = route.cells_into(t, &coord, cells);
             cells.retain_mut(|cell| {
                 self.chosen_cells.binary_search(cell).map(|server| *cell = server).is_ok()
             });
-            consistent
-        });
-        Ok(out)
+            sink.emit(relation.name(), t, &cells)?;
+        }
+        Ok(())
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
@@ -328,7 +344,7 @@ mod tests {
         let q = families::chain(2);
         let program = HyperCubeProgram::new(&q, 8, 1).unwrap();
         let junk = Relation::from_tuples("Junk", 2, vec![[1u64, 2]]).unwrap();
-        assert!(program.route_input(&junk, 8).unwrap().is_empty());
+        assert!((&program as &dyn MpcProgram).route_input(&junk, 8).unwrap().is_empty());
     }
 
     #[test]

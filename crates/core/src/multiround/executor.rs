@@ -21,11 +21,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mpc_cq::Query;
-use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
 use mpc_storage::{Relation, Value};
 
 use crate::error::CoreError;
-use crate::grid::{hashed, route_rows, AtomRoute, Grid};
+use crate::grid::{hashed, AtomRoute, Grid};
 use crate::multiround::planner::MultiRoundPlan;
 use crate::Result;
 
@@ -41,17 +41,19 @@ struct OperatorExec {
 }
 
 impl OperatorExec {
-    /// Route `rows` of the operator's atom `atom` under the atom's name.
-    fn route<'a>(
-        &self,
-        out: &mut Vec<Routed>,
-        atom: usize,
-        rows: impl Iterator<Item = &'a [Value]>,
-    ) {
+    /// Route the rows of `rel` as the operator's atom `atom`, under the
+    /// atom's name.
+    fn route(&self, sink: &mut dyn RouteSink, atom: usize, rel: &Relation) -> mpc_sim::Result<()> {
         let (route, coord) = (&self.routes[atom], hashed(&self.seeds));
-        route_rows(out, &self.query.atoms()[atom].name, rows, |t, cells| {
-            route.cells_into(t, &coord, cells)
-        });
+        let tag = &self.query.atoms()[atom].name;
+        let mut cells = Vec::new();
+        for t in rel.iter() {
+            cells.clear();
+            if route.cells_into(t, &coord, &mut cells) {
+                sink.emit(tag, t, &cells)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -146,16 +148,20 @@ impl MpcProgram for PlanProgram {
         self.num_rounds
     }
 
-    fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        _p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         let Some(&op_idx) = self.consumer_of.get(relation.name()) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let op = &self.operators[op_idx];
-        let mut msgs = Vec::new();
-        if let Some((id, _)) = op.query.atom_by_name(relation.name()) {
-            op.route(&mut msgs, id.0, relation.iter());
+        match op.query.atom_by_name(relation.name()) {
+            Some((id, _)) => op.route(sink, id.0, relation),
+            None => Ok(()),
         }
-        Ok(msgs)
     }
 
     fn compute(
@@ -174,13 +180,13 @@ impl MpcProgram for PlanProgram {
         Ok(produced)
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         _server: usize,
         state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Routed>> {
-        let mut msgs = Vec::new();
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         for op in self.operators.iter().filter(|op| op.round == round) {
             for (id, atom) in op.query.atoms().iter().enumerate() {
                 // Base relations were already placed in round 1; only views
@@ -192,11 +198,11 @@ impl MpcProgram for PlanProgram {
                     continue;
                 }
                 if let Some(rel) = state.relation(&atom.name) {
-                    op.route(&mut msgs, id, rel.iter());
+                    op.route(sink, id, rel)?;
                 }
             }
         }
-        Ok(msgs)
+        Ok(())
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

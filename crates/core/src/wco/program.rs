@@ -24,11 +24,11 @@
 //!   differential suite pins.
 
 use mpc_cq::{Query, VarId};
-use mpc_sim::program::{emit, hash_to_bucket, hash_value};
-use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_sim::program::{hash_to_bucket, hash_value};
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
 use mpc_storage::{Database, Relation, Value};
 
-use crate::grid::{derive_seeds, local_join, route_rows, AtomRoute};
+use crate::grid::{derive_seeds, local_join, AtomRoute};
 use crate::heavy::{group_of_server, GroupRoutes, Mask};
 use crate::wco::plan::WorstCaseOptimalPlan;
 use crate::Result;
@@ -128,12 +128,16 @@ impl MpcProgram for WcoProgram {
         self.plan.num_rounds()
     }
 
-    fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        _p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         let Some((id, atom)) = self.plan.query().atom_by_name(relation.name()) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
         let stage_tag = format!("{STAGE_PREFIX}{}", relation.name());
-        let mut out = Vec::new();
         let mut cells = Vec::new();
         for t in relation.iter() {
             // Tuples disagreeing on a repeated variable never join.
@@ -147,38 +151,42 @@ impl MpcProgram for WcoProgram {
                 }
                 cells.clear();
                 self.group_cells(h, route, t, &mut cells);
-                emit(&mut out, relation.name(), t, &cells);
+                sink.emit(relation.name(), t, &cells)?;
             }
             if staged {
-                emit(&mut out, &stage_tag, t, &[self.stage_server(id.0, t)]);
+                sink.emit(&stage_tag, t, &[self.stage_server(id.0, t)])?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         _server: usize,
         state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Routed>> {
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         if round != 2 {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let mut out = Vec::new();
+        let mut cells = Vec::new();
         for tag in state.tags() {
             let Some(name) = tag.strip_prefix(STAGE_PREFIX) else { continue };
             let Some((id, atom)) = self.plan.query().atom_by_name(name) else { continue };
             let staged = state.relation(tag).expect("tag was just listed");
-            route_rows(&mut out, name, staged.iter(), |t, cells| {
-                let Some(phi) = self.plan.heavy().pattern(atom, t) else { return false };
+            for t in staged.iter() {
+                let Some(phi) = self.plan.heavy().pattern(atom, t) else { continue };
+                cells.clear();
                 for (_, h, route) in self.routes.inducing(id.0, phi).filter(|(g, ..)| *g > 0) {
-                    self.group_cells(h, route, t, cells);
+                    self.group_cells(h, route, t, &mut cells);
                 }
-                !cells.is_empty()
-            });
+                if !cells.is_empty() {
+                    sink.emit(name, t, &cells)?;
+                }
+            }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

@@ -12,8 +12,8 @@
 
 use std::collections::BTreeMap;
 
-use mpc_sim::program::{emit, hash_value};
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
+use mpc_sim::program::hash_value;
+use mpc_sim::{Cluster, MpcConfig, MpcProgram, RouteSink, RunResult, ServerState};
 use mpc_storage::{Database, Relation};
 
 use mpc_data::graphs::sequential_components;
@@ -73,7 +73,12 @@ impl MpcProgram for LabelPropagationCc {
         self.rounds
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         if p != self.p {
             return Err(mpc_sim::SimError::Program(format!(
                 "program was built for p = {} but the cluster has p = {p}",
@@ -83,32 +88,30 @@ impl MpcProgram for LabelPropagationCc {
         // Edges (u, v) are owned by hash(u); the generator stores both
         // orientations, so every vertex with an incident edge is owned
         // somewhere.
-        let mut out = Vec::with_capacity(relation.len());
-        relation.iter().for_each(|t| emit(&mut out, EDGE_TAG, t, &[self.owner(t[0])]));
-        Ok(out)
+        relation.iter().try_for_each(|t| sink.emit(EDGE_TAG, t, &[self.owner(t[0])]))
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         _round: usize,
         _server: usize,
         state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Routed>> {
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         // Propagate each owned vertex's current label along its edges. The
         // destination depends only on the tuple's vertex value.
         let labels = self.current_labels(state);
         let Some(edges) = state.relation(EDGE_TAG) else {
-            return Ok(Vec::new());
+            return Ok(());
         };
-        let mut msgs = Vec::new();
         for t in edges.iter() {
             let (u, v) = (t[0], t[1]);
             let label = labels.get(&u).copied().unwrap_or(u);
             if label < v {
-                emit(&mut msgs, PROP_TAG, &[v, label], &[self.owner(v)]);
+                sink.emit(PROP_TAG, &[v, label], &[self.owner(v)])?;
             }
         }
-        Ok(msgs)
+        Ok(())
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

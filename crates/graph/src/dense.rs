@@ -19,8 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use mpc_sim::program::{emit, hash_to_bucket};
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
+use mpc_sim::program::hash_to_bucket;
+use mpc_sim::{Cluster, MpcConfig, MpcProgram, RouteSink, RunResult, ServerState};
 use mpc_storage::{Database, Relation};
 
 use crate::cc::partition_matches;
@@ -114,12 +114,13 @@ impl MpcProgram for DenseTwoRoundCc {
         2
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> mpc_sim::Result<Vec<Routed>> {
-        let mut out = Vec::with_capacity(relation.len());
-        relation
-            .iter()
-            .for_each(|t| emit(&mut out, EDGE_TAG, t, &[hash_to_bucket(self.seed, t, p)]));
-        Ok(out)
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
+        relation.iter().try_for_each(|t| sink.emit(EDGE_TAG, t, &[hash_to_bucket(self.seed, t, p)]))
     }
 
     fn compute(
@@ -141,21 +142,19 @@ impl MpcProgram for DenseTwoRoundCc {
         Ok(vec![forest])
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         _server: usize,
         state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Routed>> {
-        if round != 2 {
-            return Ok(Vec::new());
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
+        match state.relation(FOREST_TAG) {
+            Some(forest) if round == 2 => {
+                forest.iter().try_for_each(|t| sink.emit(FOREST_TAG, t, &[0]))
+            }
+            _ => Ok(()),
         }
-        let Some(forest) = state.relation(FOREST_TAG) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::with_capacity(forest.len());
-        forest.iter().for_each(|t| emit(&mut out, FOREST_TAG, t, &[0]));
-        Ok(out)
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

@@ -16,8 +16,8 @@
 
 use std::collections::BTreeSet;
 
-use mpc_sim::program::{emit, hash_value};
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, Routed, RunResult, ServerState};
+use mpc_sim::program::hash_value;
+use mpc_sim::{Cluster, MpcConfig, MpcProgram, RouteSink, RunResult, ServerState};
 use mpc_storage::{Database, Relation};
 
 use crate::Result;
@@ -71,7 +71,12 @@ impl MpcProgram for PathDoublingTc {
         self.rounds
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         if p != self.p {
             return Err(mpc_sim::SimError::Program(format!(
                 "program was built for p = {} but the cluster has p = {p}",
@@ -80,13 +85,12 @@ impl MpcProgram for PathDoublingTc {
         }
         // Each edge (u, v) participates both as a left factor (hashed by
         // its target v) and as a right factor (hashed by its source u).
-        let mut out = Vec::with_capacity(relation.len() * 2);
         for t in relation.iter() {
             let (u, v) = (t[0], t[1]);
-            emit(&mut out, BY_TARGET, t, &[self.owner(v)]);
-            emit(&mut out, BY_SOURCE, t, &[self.owner(u)]);
+            sink.emit(BY_TARGET, t, &[self.owner(v)])?;
+            sink.emit(BY_SOURCE, t, &[self.owner(u)])?;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn compute(
@@ -123,21 +127,21 @@ impl MpcProgram for PathDoublingTc {
         Ok(vec![closed])
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         _round: usize,
         _server: usize,
         state: &ServerState,
-    ) -> mpc_sim::Result<Vec<Routed>> {
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         // Re-shuffle every known pair under both roles so the next round
         // can double path lengths again. Destinations depend only on the
         // tuple, so the program is tuple-based.
-        let mut msgs = Vec::new();
         for (x, y) in self.known_pairs(state) {
-            emit(&mut msgs, BY_TARGET, &[x, y], &[self.owner(y)]);
-            emit(&mut msgs, BY_SOURCE, &[x, y], &[self.owner(x)]);
+            sink.emit(BY_TARGET, &[x, y], &[self.owner(y)])?;
+            sink.emit(BY_SOURCE, &[x, y], &[self.owner(x)])?;
         }
-        Ok(msgs)
+        Ok(())
     }
 
     fn output(&self, _server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {

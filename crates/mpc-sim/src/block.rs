@@ -7,14 +7,14 @@
 //! sharing one `(destination, tag, round)` travel as a single packet whose
 //! payload is **one flat row-major buffer** — row `r` is
 //! `values[r × arity .. (r + 1) × arity]`, the layout both ends of a hop
-//! already have (a sender routes rows out of a row-major
-//! `mpc_storage::Relation`, a receiver appends rows to one), so sealing is
-//! an `extend_from_slice` per routed copy and ingest one bulk
-//! `Relation::insert_rows`. The model's unit of communication is the tuple
+//! already have (a program routes rows out of a row-major
+//! `mpc_storage::Relation` into a [`crate::program::RouteSink`] that
+//! pushes them here, a receiver appends rows to one), so sealing is an
+//! `extend_from_slice` per routed copy and ingest one bulk
+//! `Relation::append_rows`. The model's unit of communication is the tuple
 //! (BKS13 §2.1), so all the theory sees of a block is its size,
-//! `rows × arity × 8` bytes — the same accounting unit as
-//! [`crate::message::Routed::bytes_per_delivery`], so volume statistics
-//! are bit-identical to the per-tuple plane.
+//! `rows × arity × 8` bytes — 8 bytes per value of every delivered copy,
+//! so volume statistics are bit-identical to the per-tuple plane.
 //!
 //! Blocks are assembled sender-side by a [`BlockAssembler`], which keeps
 //! one open block per `(destination, tag)`, seals it the moment it
@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use mpc_storage::{Tuple, Value};
+use mpc_storage::{StorageError, Tuple, Value};
 
 use crate::pool::{BlockBuf, BlockPool};
 
@@ -73,8 +73,7 @@ impl TupleBlock {
     }
 
     /// Payload size in bytes: `len × arity × 8`, the simulator's
-    /// accounting unit — identical to the sum over the rows of
-    /// [`crate::message::Routed::bytes_per_delivery`].
+    /// accounting unit — 8 bytes per value of every row.
     pub fn payload_bytes(&self) -> u64 {
         (self.rows as u64) * (self.arity as u64) * 8
     }
@@ -130,7 +129,8 @@ impl TupleBlock {
 /// A push is on the per-routed-copy path, so it resolves its block by
 /// index: the tag is interned to a small integer once (consecutive pushes
 /// almost always repeat the last tag, which is remembered) and open
-/// blocks sit in a `[tag][destination]` table.
+/// blocks sit in a `[tag][destination]` table. Interning also fixes the
+/// tag's arity: a row of another width under a known tag is refused.
 ///
 /// One assembler serves one `(sender, round)`: its sequence counter spans
 /// all destinations and tags, so the per-sender send order is globally
@@ -158,8 +158,9 @@ pub struct BlockAssembler {
     round: usize,
     next_seq: u64,
     /// Interned tags, in first-push order: one `Arc<str>` per distinct tag,
-    /// shared by every block sent under it.
-    tags: Vec<Arc<str>>,
+    /// shared by every block sent under it, with the arity its first row
+    /// fixed.
+    tags: Vec<(Arc<str>, usize)>,
     /// Index into `tags` of the latest push's tag.
     last_tag: usize,
     /// `open[tag][dest]`: the block being filled for that pair, if any
@@ -186,14 +187,49 @@ impl BlockAssembler {
 
     /// Buffer one tuple for `dest` under `tag`; returns the sealed block
     /// when this push fills the `(dest, tag)` block to capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` was pushed before with another arity. The
+    /// executors' block sink reports that as an error instead.
     pub fn push(&mut self, dest: usize, tag: &str, values: &[Value]) -> Option<TupleBlock> {
-        let t = self.intern(tag);
+        let t = self.intern(tag, values.len()).expect("rows under one tag share an arity");
+        self.append(t, dest, values)
+    }
+
+    /// The index of `tag` in the intern table, adding it on first sight
+    /// with `arity` columns.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::TupleArity`] if `tag` is known with another arity —
+    /// the error a receiving relation would report.
+    pub(crate) fn intern(&mut self, tag: &str, arity: usize) -> Result<usize, StorageError> {
+        let known = |(name, _): &(Arc<str>, usize)| &**name == tag;
+        if !self.tags.get(self.last_tag).is_some_and(known) {
+            self.last_tag = self.tags.iter().position(known).unwrap_or_else(|| {
+                self.tags.push((Arc::from(tag), arity));
+                self.open.push(Vec::new());
+                self.tags.len() - 1
+            });
+        }
+        match self.tags[self.last_tag].1 {
+            expected if expected == arity => Ok(self.last_tag),
+            expected => {
+                Err(StorageError::TupleArity { relation: tag.to_string(), expected, actual: arity })
+            }
+        }
+    }
+
+    /// Buffer `values` for `dest` under the interned tag `t`, whose arity
+    /// it has; returns the block this fills to capacity.
+    pub(crate) fn append(&mut self, t: usize, dest: usize, values: &[Value]) -> Option<TupleBlock> {
         let row = &mut self.open[t];
         if row.len() <= dest {
             row.resize_with(dest + 1, || None);
         }
         let block = row[dest].get_or_insert_with(|| TupleBlock {
-            tag: Arc::clone(&self.tags[t]),
+            tag: Arc::clone(&self.tags[t].0),
             round: self.round,
             from: self.from,
             seq: 0,
@@ -201,7 +237,6 @@ impl BlockAssembler {
             rows: 0,
             values: self.pool.checkout(self.capacity * values.len()),
         });
-        debug_assert_eq!(values.len(), block.arity, "row arity must match the block");
         block.values.extend_from_slice(values);
         block.rows += 1;
         if block.rows >= self.capacity {
@@ -212,24 +247,11 @@ impl BlockAssembler {
         }
     }
 
-    /// The index of `tag` in the intern table, adding it on first sight.
-    fn intern(&mut self, tag: &str) -> usize {
-        if self.tags.get(self.last_tag).is_some_and(|last| &**last == tag) {
-            return self.last_tag;
-        }
-        self.last_tag = self.tags.iter().position(|known| &**known == tag).unwrap_or_else(|| {
-            self.tags.push(Arc::from(tag));
-            self.open.push(Vec::new());
-            self.tags.len() - 1
-        });
-        self.last_tag
-    }
-
     /// Seal and return every partially filled block, in deterministic
     /// `(destination, tag)` order, paired with its destination.
     pub fn flush(&mut self) -> Vec<(usize, TupleBlock)> {
         let mut by_name: Vec<usize> = (0..self.tags.len()).collect();
-        by_name.sort_by(|&a, &b| self.tags[a].cmp(&self.tags[b]));
+        by_name.sort_by(|&a, &b| self.tags[a].0.cmp(&self.tags[b].0));
         let dests = self.open.iter().map(Vec::len).max().unwrap_or(0);
         let mut sealed = Vec::new();
         for dest in 0..dests {
@@ -363,6 +385,17 @@ mod tests {
             pool.give_back(b.into_columns());
         }
         assert!(pool.stats().balanced());
+    }
+
+    #[test]
+    fn a_known_tag_refuses_rows_of_another_arity() {
+        let mut asm = BlockAssembler::new(pool(), 4, 0, 1);
+        let t = asm.intern("T", 2).unwrap();
+        assert!(asm.append(t, 0, &[1, 2]).is_none());
+        let err = asm.intern("T", 3).unwrap_err();
+        assert_eq!(err, StorageError::TupleArity { relation: "T".into(), expected: 2, actual: 3 });
+        assert_eq!(asm.intern("U", 3), Ok(1), "another tag has its own arity");
+        assert_eq!(asm.intern("T", 2), Ok(t));
     }
 
     #[test]

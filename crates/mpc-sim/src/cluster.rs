@@ -2,13 +2,12 @@
 
 use rayon::prelude::*;
 
-use mpc_storage::{Database, Relation};
+use mpc_storage::{Database, Relation, Value};
 
 use crate::config::MpcConfig;
 use crate::error::SimError;
-use crate::message::Routed;
-use crate::program::MpcProgram;
-use crate::server::ServerState;
+use crate::program::{out_of_range, MpcProgram, RouteSink};
+use crate::server::{RoundStage, ServerState};
 use crate::stats::{RoundStats, RunResult};
 use crate::Result;
 
@@ -59,41 +58,35 @@ impl Cluster {
             (0..p).map(|i| ServerState::new(i, db.domain_size())).collect();
         let mut rounds = Vec::with_capacity(total_rounds);
 
-        // One message buffer for the whole run, sized by the input (a tuple
-        // is at most one message) and reused by every round. Vectors grown
-        // by doubling, or allocated afresh each round, leave holes behind
-        // them, and whether the allocator could reuse those made the peak
-        // memory of equal runs differ by 10 %.
-        let mut routed: Vec<Routed> = Vec::with_capacity(db.total_tuples());
-
         for round in 1..=total_rounds {
-            // -- Communication ------------------------------------------------
-            routed.clear();
+            // -- Communication and delivery -----------------------------------
+            // A sender's copies wait in one stage per destination and are
+            // appended in sender order. Input servers (one per relation,
+            // Section 2.4) deliver as soon as each has routed; workers send
+            // join tuples (tuple-based model, Section 4.1) from their state
+            // before any of the round's deliveries, so theirs wait until
+            // every worker has routed.
             if round == 1 {
-                // Input servers route their base tuples (Section 2.4). One
-                // logical input server per relation.
                 for rel in db.relations() {
-                    routed.extend(program.route_input(rel, p)?);
+                    let mut stages = Stages::new(p);
+                    program.route_input_into(rel, p, &mut stages)?;
+                    stages.deliver(&mut servers, round)?;
                 }
             } else {
-                // Workers send join tuples (tuple-based model, Section 4.1).
-                let per_server: Vec<Result<Vec<Routed>>> =
-                    servers.par_iter().map(|s| program.route_tuples(round, s.id(), s)).collect();
-                for r in per_server {
-                    routed.extend(r?);
+                let staged: Vec<Result<Stages>> = servers
+                    .par_iter()
+                    .map(|s| {
+                        let mut stages = Stages::new(p);
+                        program.route_tuples_into(round, s.id(), s, &mut stages)?;
+                        Ok(stages)
+                    })
+                    .collect();
+                for stages in staged {
+                    stages?.deliver(&mut servers, round)?;
                 }
             }
-
-            // -- Delivery ------------------------------------------------------
-            for msg in &routed {
-                for &dest in &msg.destinations {
-                    if dest >= p {
-                        return Err(SimError::Program(format!(
-                            "destination {dest} out of range for p = {p}"
-                        )));
-                    }
-                    servers[dest].receive_row(round, &msg.tag, msg.tuple.values())?;
-                }
+            for server in &mut servers {
+                server.settle()?;
             }
 
             // -- Accounting ----------------------------------------------------
@@ -140,6 +133,34 @@ impl Cluster {
         let per_server_tuples: Vec<u64> =
             servers.iter().map(|s| s.tuples_received_in_round(round)).collect();
         build_round_stats(round, &per_server, &per_server_tuples, input_bytes, budget_bytes)
+    }
+}
+
+/// The reference loop's sink: one sender's copies, held per destination
+/// until they are delivered.
+struct Stages(Vec<RoundStage>);
+
+impl Stages {
+    fn new(p: usize) -> Self {
+        Stages((0..p).map(|_| RoundStage::default()).collect())
+    }
+
+    /// Append every destination's copies to its state, charged to `round`.
+    fn deliver(self, servers: &mut [ServerState], round: usize) -> Result<()> {
+        for (server, stage) in servers.iter_mut().zip(self.0) {
+            server.merge_stage(round, stage)?;
+        }
+        Ok(())
+    }
+}
+
+impl RouteSink for Stages {
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> Result<()> {
+        let p = self.0.len();
+        for &dest in dests {
+            self.0.get_mut(dest).ok_or_else(|| out_of_range(dest, p))?.push_row(tag, row)?;
+        }
+        Ok(())
     }
 }
 
@@ -207,7 +228,7 @@ pub fn union_outputs<P: MpcProgram + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{emit, hash_value, BroadcastProgram};
+    use crate::program::{hash_value, BroadcastProgram};
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_storage::join::evaluate;
@@ -225,17 +246,21 @@ mod tests {
             1
         }
 
-        fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
+        fn route_input_into(
+            &self,
+            relation: &Relation,
+            p: usize,
+            sink: &mut dyn RouteSink,
+        ) -> Result<()> {
             let position = match relation.name() {
                 "S1" => 1, // x1 is the second column of S1
                 "S2" => 0, // x1 is the first column of S2
                 other => return Err(SimError::Program(format!("unexpected relation {other}"))),
             };
-            let mut out = Vec::with_capacity(relation.len());
             for t in relation.iter() {
-                emit(&mut out, relation.name(), t, &[hash_value(self.seed, t[position], p)]);
+                sink.emit(relation.name(), t, &[hash_value(self.seed, t[position], p)])?;
             }
-            Ok(out)
+            Ok(())
         }
 
         fn output(&self, _server: usize, state: &ServerState) -> Result<Relation> {
@@ -305,8 +330,13 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 1
             }
-            fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
-                Ok(relation.iter().map(|t| Routed::new("R", Tuple::new(t), vec![p + 3])).collect())
+            fn route_input_into(
+                &self,
+                relation: &Relation,
+                p: usize,
+                sink: &mut dyn RouteSink,
+            ) -> Result<()> {
+                relation.iter().try_for_each(|t| sink.emit("R", t, &[p + 3]))
             }
             fn output(&self, _: usize, _: &ServerState) -> Result<Relation> {
                 Ok(Relation::empty("out", 1))
@@ -329,8 +359,13 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 0
             }
-            fn route_input(&self, _: &Relation, _: usize) -> Result<Vec<Routed>> {
-                Ok(Vec::new())
+            fn route_input_into(
+                &self,
+                _: &Relation,
+                _: usize,
+                _: &mut dyn RouteSink,
+            ) -> Result<()> {
+                Ok(())
             }
             fn output(&self, _: usize, _: &ServerState) -> Result<Relation> {
                 Ok(Relation::empty("out", 1))
@@ -366,26 +401,27 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 2
             }
-            fn route_input(&self, relation: &Relation, _p: usize) -> Result<Vec<Routed>> {
-                let mut out = Vec::new();
-                relation.iter().for_each(|t| emit(&mut out, relation.name(), t, &[0]));
-                Ok(out)
+            fn route_input_into(
+                &self,
+                relation: &Relation,
+                _p: usize,
+                sink: &mut dyn RouteSink,
+            ) -> Result<()> {
+                relation.iter().try_for_each(|t| sink.emit(relation.name(), t, &[0]))
             }
-            fn route_tuples(
+            fn route_tuples_into(
                 &self,
                 round: usize,
                 server: usize,
                 state: &ServerState,
-            ) -> Result<Vec<Routed>> {
-                if round == 2 && server == 0 {
-                    if let Some(rel) = state.relation("S1") {
-                        return Ok(rel
-                            .iter()
-                            .map(|t| Routed::new("Fwd", Tuple::new(t), vec![1]))
-                            .collect());
+                sink: &mut dyn RouteSink,
+            ) -> Result<()> {
+                match state.relation("S1") {
+                    Some(rel) if round == 2 && server == 0 => {
+                        rel.iter().try_for_each(|t| sink.emit("Fwd", t, &[1]))
                     }
+                    _ => Ok(()),
                 }
-                Ok(Vec::new())
             }
             fn output(&self, server: usize, state: &ServerState) -> Result<Relation> {
                 if server == 1 {

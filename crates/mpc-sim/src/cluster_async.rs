@@ -402,7 +402,7 @@ fn run_input<P: MpcProgram>(
 mod tests {
     use super::*;
     use crate::config::MpcConfig;
-    use crate::program::BroadcastProgram;
+    use crate::program::{BroadcastProgram, RouteSink};
     use crate::server::ServerState;
     use mpc_cq::families;
     use mpc_data::matching_database;
@@ -501,15 +501,13 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 1
             }
-            fn route_input(
+            fn route_input_into(
                 &self,
                 relation: &Relation,
                 p: usize,
-            ) -> crate::Result<Vec<crate::Routed>> {
-                Ok(relation
-                    .iter()
-                    .map(|t| crate::Routed::new("R", mpc_storage::Tuple::new(t), vec![p + 3]))
-                    .collect())
+                sink: &mut dyn RouteSink,
+            ) -> crate::Result<()> {
+                relation.iter().try_for_each(|t| sink.emit("R", t, &[p + 3]))
             }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
                 Ok(Relation::empty("out", 1))
@@ -535,15 +533,13 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 1
             }
-            fn route_input(
+            fn route_input_into(
                 &self,
                 relation: &Relation,
                 _p: usize,
-            ) -> crate::Result<Vec<crate::Routed>> {
-                Ok(relation
-                    .iter()
-                    .map(|t| crate::Routed::new("S1", mpc_storage::Tuple::new(t), vec![0]))
-                    .collect())
+                sink: &mut dyn RouteSink,
+            ) -> crate::Result<()> {
+                relation.iter().try_for_each(|t| sink.emit("S1", t, &[0]))
             }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
                 Ok(Relation::empty("out", 1))
@@ -571,7 +567,12 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 1
             }
-            fn route_input(&self, _: &Relation, _: usize) -> crate::Result<Vec<crate::Routed>> {
+            fn route_input_into(
+                &self,
+                _: &Relation,
+                _: usize,
+                _: &mut dyn RouteSink,
+            ) -> crate::Result<()> {
                 panic!("routing bug");
             }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
@@ -606,8 +607,13 @@ mod tests {
             fn num_rounds(&self) -> usize {
                 0
             }
-            fn route_input(&self, _: &Relation, _: usize) -> crate::Result<Vec<crate::Routed>> {
-                Ok(Vec::new())
+            fn route_input_into(
+                &self,
+                _: &Relation,
+                _: usize,
+                _: &mut dyn RouteSink,
+            ) -> crate::Result<()> {
+                Ok(())
             }
             fn output(&self, _: usize, _: &ServerState) -> crate::Result<Relation> {
                 Ok(Relation::empty("out", 1))

@@ -28,7 +28,8 @@
 //! A differential layer ([`cluster_async::run_differential`]) asserts
 //! the two backends agree on outputs and volumes for every program.
 //!
-//! Programs are expressed against the [`MpcProgram`] trait: round 1 routes
+//! Programs are expressed against the [`MpcProgram`] trait, routing each
+//! row into the [`RouteSink`] the executor hands them: round 1 routes
 //! base tuples from the input servers (one per relation, Section 2.4);
 //! later rounds may only send *join tuples* whose destinations depend on
 //! the tuple itself — the **tuple-based MPC model** of Section 4.1 — which
@@ -63,7 +64,7 @@ pub use config::MpcConfig;
 pub use error::SimError;
 pub use message::Routed;
 pub use pool::{BlockPool, PoolStats};
-pub use program::MpcProgram;
+pub use program::{MpcProgram, RouteSink};
 pub use reroute::{AdaptiveRunResult, RerouteController, RerouteHost, ReroutePlan, RerouteSpec};
 pub use schedule::{CostModel, MsgRecord, ScheduleStats, ServerTimeline, StragglerSpec};
 pub use server::{RoundStage, ServerState};

@@ -1,4 +1,9 @@
-//! Messages exchanged between servers.
+//! A routed tuple as an owned value.
+//!
+//! Executors never build one: programs push rows into a
+//! [`crate::program::RouteSink`]. A [`Routed`] is what the collecting
+//! `route_input` / `route_tuples` of `dyn MpcProgram` return, for callers
+//! that inspect routing rather than execute it.
 
 use serde::Serialize;
 

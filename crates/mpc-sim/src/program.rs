@@ -5,13 +5,13 @@
 //!
 //! 1. **Round 1** — every input relation lives on its own *input server*,
 //!    which sends each of its tuples to a set of workers
-//!    ([`MpcProgram::route_input`]). This round is unrestricted in the
+//!    ([`MpcProgram::route_input_into`]). This round is unrestricted in the
 //!    model; the programs in this repository route by hashing.
 //! 2. After every round's delivery, each worker runs unbounded local
 //!    computation ([`MpcProgram::compute`]), deriving new local relations
 //!    (join tuples) at no communication cost.
 //! 3. **Rounds ≥ 2** — each worker sends *join tuples* it knows to other
-//!    workers ([`MpcProgram::route_tuples`]). The tuple-based MPC model
+//!    workers ([`MpcProgram::route_tuples_into`]). The tuple-based MPC model
 //!    requires the destinations to depend only on the tuple itself (its
 //!    tag and values), the round and the sending server — never on other
 //!    data the server holds. Implementations must respect this; the
@@ -19,12 +19,42 @@
 //!    `(tag, tuple, round) → destinations`.
 //! 4. After the final round each worker reports its share of the output
 //!    ([`MpcProgram::output`]); the cluster unions the shares.
+//!
+//! **Routing is push-style.** A program hands each row, borrowed, to the
+//! [`RouteSink`] the executor passes in — `sink.emit(tag, row, dests)` —
+//! and the sink copies it straight to where it is going: into the
+//! receiving server's state on the reference loop, into the block bound
+//! for each destination on every other backend. No routed row is
+//! materialised in between.
 
 use mpc_storage::{Relation, Tuple, Value};
 
+use crate::error::SimError;
 use crate::message::Routed;
 use crate::server::ServerState;
 use crate::Result;
+
+/// Where a program's routed rows go: one call per row, with the tag it
+/// travels under and every server that receives a copy (indices in
+/// `0..p`; an empty list drops the row). The row and the destinations are
+/// borrowed, so a program routes a whole relation out of one scratch
+/// vector.
+pub trait RouteSink {
+    /// Send `row` under `tag` to every server in `dests`.
+    ///
+    /// # Errors
+    ///
+    /// A destination `≥ p` is a [`SimError::Program`]; a sink that
+    /// delivers may also fail with what delivery fails with (a second
+    /// arity under one tag). Programs pass the error on.
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> Result<()>;
+}
+
+/// The error for a destination outside `0..p` — the check every
+/// delivering sink makes.
+pub(crate) fn out_of_range(dest: usize, p: usize) -> SimError {
+    SimError::Program(format!("destination {dest} out of range for p = {p}"))
+}
 
 /// An algorithm in the (tuple-based) MPC model.
 ///
@@ -35,8 +65,14 @@ pub trait MpcProgram: Sync {
     fn num_rounds(&self) -> usize;
 
     /// Round-1 routing performed by the input server that stores
-    /// `relation`: return, for each tuple, the workers that receive it.
-    fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>>;
+    /// `relation`: emit each tuple into `sink` with the workers that
+    /// receive it.
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> Result<()>;
 
     /// Local computation at the end of round `round` (1-based) on worker
     /// `server`. Returns relations derived locally (added to the server's
@@ -48,19 +84,22 @@ pub trait MpcProgram: Sync {
     }
 
     /// Routing performed by worker `server` at the beginning of round
-    /// `round ≥ 2`: join tuples to send, with their destinations.
+    /// `round ≥ 2`: emit into `sink` the join tuples to send, with their
+    /// destinations. `state` is the server's state before any of the
+    /// round's deliveries.
     ///
     /// Tuple-based restriction: destinations may depend only on the tag,
     /// the tuple values, the round and the sender — not on anything else in
     /// `state`. The default implementation sends nothing.
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         server: usize,
         state: &ServerState,
-    ) -> Result<Vec<Routed>> {
-        let _ = (round, server, state);
-        Ok(Vec::new())
+        sink: &mut dyn RouteSink,
+    ) -> Result<()> {
+        let _ = (round, server, state, sink);
+        Ok(())
     }
 
     /// The output tuples this worker reports after the final round.
@@ -91,6 +130,48 @@ pub trait MpcProgram: Sync {
 
     /// Arity of the output relation.
     fn output_arity(&self) -> usize;
+}
+
+/// Routing collected into owned [`Routed`] messages — for callers that
+/// inspect what a program sends rather than execute it. These are inherent
+/// methods of the trait object, so no program can override them and be
+/// bypassed by the executors, which only ever call the `_into` forms.
+impl dyn MpcProgram + '_ {
+    /// [`MpcProgram::route_input_into`], collected.
+    ///
+    /// # Errors
+    ///
+    /// The program's routing errors.
+    pub fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
+        let mut out = Vec::new();
+        self.route_input_into(relation, p, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`MpcProgram::route_tuples_into`], collected.
+    ///
+    /// # Errors
+    ///
+    /// The program's routing errors.
+    pub fn route_tuples(
+        &self,
+        round: usize,
+        server: usize,
+        state: &ServerState,
+    ) -> Result<Vec<Routed>> {
+        let mut out = Vec::new();
+        self.route_tuples_into(round, server, state, &mut out)?;
+        Ok(out)
+    }
+}
+
+/// The collecting sink behind the `dyn MpcProgram` collectors: one owned
+/// [`Routed`] per emitted row, destinations unchecked.
+impl RouteSink for Vec<Routed> {
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> Result<()> {
+        self.push(Routed::new(tag, Tuple::new(row), dests.to_vec()));
+        Ok(())
+    }
 }
 
 /// A helper for hash-based routing: a deterministic hash of a tuple
@@ -138,11 +219,14 @@ impl MpcProgram for BroadcastProgram {
         1
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> Result<()> {
         let everyone: Vec<usize> = (0..p).collect();
-        let mut out = Vec::with_capacity(relation.len());
-        relation.iter().for_each(|t| emit(&mut out, relation.name(), t, &everyone));
-        Ok(out)
+        relation.iter().try_for_each(|t| sink.emit(relation.name(), t, &everyone))
     }
 
     fn output(&self, server: usize, state: &ServerState) -> Result<Relation> {
@@ -161,16 +245,6 @@ impl MpcProgram for BroadcastProgram {
     fn output_arity(&self) -> usize {
         self.query.num_vars()
     }
-}
-
-/// Append one routed tuple to `out`: the row travels under `tag` to every
-/// server in `destinations`. Row and destinations are borrowed, so a
-/// program routes a whole relation out of one scratch vector. Every
-/// program in the workspace builds its [`MpcProgram::route_input`] /
-/// [`MpcProgram::route_tuples`] results through this one call — the only
-/// place outside tests where a [`Routed`] is constructed.
-pub fn emit(out: &mut Vec<Routed>, tag: &str, row: &[Value], destinations: &[usize]) {
-    out.push(Routed::new(tag, Tuple::new(row), destinations.to_vec()));
 }
 
 #[cfg(test)]
@@ -212,8 +286,8 @@ mod tests {
     #[test]
     fn broadcast_targets_every_server() {
         let rel = Relation::from_tuples("S", 1, vec![[7u64], [9]]).unwrap();
-        let routed =
-            BroadcastProgram::new(mpc_cq::families::chain(2)).route_input(&rel, 5).unwrap();
+        let program: &dyn MpcProgram = &BroadcastProgram::new(mpc_cq::families::chain(2));
+        let routed = program.route_input(&rel, 5).unwrap();
         assert_eq!(routed.len(), 2);
         assert!(routed.iter().all(|r| r.destinations == [0, 1, 2, 3, 4] && r.tag == "S"));
         assert_eq!(routed[1].tuple.values(), &[9]);
@@ -222,9 +296,9 @@ mod tests {
     #[test]
     fn emit_copies_tag_row_and_destinations() {
         let rel = Relation::from_tuples("R", 2, vec![[1u64, 2], [3, 4]]).unwrap();
-        let mut routed = Vec::new();
+        let mut routed: Vec<Routed> = Vec::new();
         for t in rel.iter() {
-            emit(&mut routed, rel.name(), t, &[t[0] as usize % 2]);
+            routed.emit(rel.name(), t, &[t[0] as usize % 2]).unwrap();
         }
         assert_eq!(routed.len(), 2);
         assert_eq!(routed[0].destinations, vec![1]);

@@ -15,8 +15,9 @@
 //!    pure function of `(schedule, cells, spec)` — deterministic and
 //!    seeded, so runs replay exactly.
 //! 3. **Act** — [`RerouteHost`] wraps the program. Final-round emissions
-//!    towards a moved home `h` are re-tagged `reroute#h#<tag>` and sent
-//!    to the replacement server, which reconstructs `h`'s inbound as a
+//!    towards a moved home `h` are re-tagged `reroute#h#<tag>` in flight,
+//!    by a sink adapter in front of the executor's sink, and sent to the
+//!    replacement server, which reconstructs `h`'s inbound as a
 //!    ghost [`ServerState`] and evaluates the *inner* program's
 //!    `output(h, ·)` on it. Everything else — earlier rounds, unmoved
 //!    destinations, the senders' emission order — is untouched.
@@ -57,12 +58,11 @@
 
 use std::collections::BTreeMap;
 
-use mpc_storage::{Database, Relation};
+use mpc_storage::{Database, Relation, Value};
 
 use crate::cluster::Cluster;
 use crate::cluster_async::{AsyncConfig, AsyncRunResult};
-use crate::message::Routed;
-use crate::program::{emit, MpcProgram};
+use crate::program::{MpcProgram, RouteSink};
 use crate::schedule::ScheduleStats;
 use crate::server::ServerState;
 use crate::Result;
@@ -258,48 +258,35 @@ impl<P: MpcProgram> MpcProgram for RerouteHost<'_, P> {
         self.inner.num_rounds()
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> Result<()> {
         // Round 1 is never remapped: reroutable cells' movable inbound is
-        // final-round `route_tuples` traffic (programs with reroutable
+        // final-round `route_tuples_into` traffic (programs with reroutable
         // cells have ≥ 2 rounds — single-round inbound is input routing,
         // which the contract excludes).
-        self.inner.route_input(relation, p)
+        self.inner.route_input_into(relation, p, sink)
     }
 
     fn compute(&self, round: usize, server: usize, state: &ServerState) -> Result<Vec<Relation>> {
         self.inner.compute(round, server, state)
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         server: usize,
         state: &ServerState,
-    ) -> Result<Vec<Routed>> {
-        let routed = self.inner.route_tuples(round, server, state)?;
+        sink: &mut dyn RouteSink,
+    ) -> Result<()> {
         if self.plan.is_empty() || round != self.inner.num_rounds() {
-            return Ok(routed);
+            return self.inner.route_tuples_into(round, server, state, sink);
         }
-        let mut out = Vec::with_capacity(routed.len());
-        let (mut stay, mut moved): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
-        for msg in routed {
-            stay.clear();
-            moved.clear();
-            for &dest in &msg.destinations {
-                match self.plan.target(dest) {
-                    None => stay.push(dest),
-                    Some(_) if moved.contains(&dest) => {}
-                    Some(target) => {
-                        moved.push(dest);
-                        emit(&mut out, &guest_tag(dest, &msg.tag), msg.tuple.values(), &[target]);
-                    }
-                }
-            }
-            if !stay.is_empty() {
-                emit(&mut out, &msg.tag, msg.tuple.values(), &stay);
-            }
-        }
-        Ok(out)
+        let mut rewrite = Rewrite { plan: &self.plan, sink, stay: Vec::new(), moved: Vec::new() };
+        self.inner.route_tuples_into(round, server, state, &mut rewrite)
     }
 
     fn output(&self, server: usize, state: &ServerState) -> Result<Relation> {
@@ -336,6 +323,39 @@ impl<P: MpcProgram> MpcProgram for RerouteHost<'_, P> {
 
     fn output_arity(&self) -> usize {
         self.inner.output_arity()
+    }
+}
+
+/// The final-round sink adapter of a [`RerouteHost`]: a copy bound for a
+/// moved home `h` leaves under `reroute#h#<tag>` for `h`'s replacement
+/// (once per home, however often the program lists it); the others pass
+/// through unchanged, after the moved ones.
+struct Rewrite<'a> {
+    plan: &'a ReroutePlan,
+    sink: &'a mut dyn RouteSink,
+    /// Scratch: this row's destinations that stay, and its moved homes.
+    stay: Vec<usize>,
+    moved: Vec<usize>,
+}
+
+impl RouteSink for Rewrite<'_> {
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> Result<()> {
+        self.stay.clear();
+        self.moved.clear();
+        for &dest in dests {
+            match self.plan.target(dest) {
+                None => self.stay.push(dest),
+                Some(_) if self.moved.contains(&dest) => {}
+                Some(target) => {
+                    self.moved.push(dest);
+                    self.sink.emit(&guest_tag(dest, tag), row, &[target])?;
+                }
+            }
+        }
+        if self.stay.is_empty() {
+            return Ok(());
+        }
+        self.sink.emit(tag, row, &self.stay)
     }
 }
 

@@ -13,6 +13,13 @@ use crate::block::TupleBlock;
 /// budget, locally derived data is free (local computation is unbounded in
 /// the MPC model).
 ///
+/// Deliveries ([`ServerState::receive_row`], [`ServerState::receive_block`],
+/// [`ServerState::merge_stage`]) only append: one arity check and one copy
+/// per row or block. Set semantics are restored once per round, by the
+/// driver, in one [`ServerState::settle`] before the state is lent to the
+/// program; reading a relation with rows still unsettled is a bug, caught
+/// by a debug assertion.
+///
 /// The state lends its relations to the local join engine in place
 /// ([`RelationSource`]): `mpc_storage::join::evaluate(&query, &state)`.
 #[derive(Debug, Clone)]
@@ -74,53 +81,52 @@ impl ServerState {
     }
 
     /// Record the delivery of one row under `tag` during `round`
-    /// (1-based), charging its size against that round. A duplicate row
-    /// still costs its bytes.
+    /// (1-based), charging its size against that round: the row is
+    /// appended, unsettled. A duplicate row still costs its bytes.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::TupleArity`] if `tag` already holds rows of
-    /// another arity; nothing is charged then.
+    /// another arity; nothing is appended or charged then.
     pub fn receive_row(
         &mut self,
         round: usize,
         tag: &str,
         row: &[Value],
     ) -> Result<(), StorageError> {
-        relation_under(&mut self.relations, tag, row.len()).insert_row(row)?;
+        relation_under(&mut self.relations, tag, row.len()).append_rows(1, row)?;
         self.credit_received(round, (row.len() as u64) * 8, 1);
         Ok(())
     }
 
     /// Record the delivery of a whole block during its round: its rows
-    /// are inserted into its tag's relation in one call, with one
-    /// accounting update. Duplicate rows still cost bytes, exactly as
-    /// under [`ServerState::receive_row`].
+    /// are appended to its tag's relation in one copy, with one accounting
+    /// update. Duplicate rows still cost bytes, exactly as under
+    /// [`ServerState::receive_row`].
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::TupleArity`] if the tag already holds rows
     /// of another arity — block shapes come off a socket, so this is an
-    /// error, not a panic; nothing is charged then.
+    /// error, not a panic; nothing is appended or charged then.
     pub fn receive_block(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
         relation_under(&mut self.relations, &block.tag, block.arity())
-            .insert_rows(block.len(), block.values())?;
+            .append_rows(block.len(), block.values())?;
         self.credit_received(block.round, block.payload_bytes(), block.len() as u64);
         Ok(())
     }
 
-    /// [`ServerState::receive_row`] for an owned tuple.
+    /// [`ServerState::receive_row`] for an owned tuple, settled at once.
     ///
     /// # Panics
     ///
     /// Panics if `tag` already holds tuples of another arity.
     pub fn receive(&mut self, round: usize, tag: &str, tuple: Tuple) {
-        self.receive_row(round, tag, tuple.values())
-            .expect("tuples under the same tag have the same arity");
+        self.receive_many(round, tag, tuple.arity(), [tuple]);
     }
 
     /// [`ServerState::receive_row`] for a batch of owned `arity`-wide
-    /// tuples under one `tag`.
+    /// tuples under one `tag`, settled at once.
     ///
     /// # Panics
     ///
@@ -132,10 +138,21 @@ impl ServerState {
         let rel = relation_under(&mut self.relations, tag, arity);
         let mut count = 0u64;
         for t in tuples {
-            rel.insert_row(t.values()).expect("tuples under the same tag have the same arity");
+            rel.append_rows(1, t.values()).expect("tuples under the same tag have the same arity");
             count += 1;
         }
+        rel.settle().expect("a relation holds fewer than 2³² rows");
         self.credit_received(round, count * (arity as u64) * 8, count);
+    }
+
+    /// Deduplicate every relation's appended rows — once per round, before
+    /// the state is read.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::TooManyRows`] when a relation outgrows its row ids.
+    pub fn settle(&mut self) -> Result<(), StorageError> {
+        self.relations.iter_mut().try_for_each(Relation::settle)
     }
 
     /// Charge `bytes`/`tuples` of received volume against `round` without
@@ -181,23 +198,36 @@ impl ServerState {
         }
     }
 
-    /// Merge the stage of blocks that arrived ahead of `round` and charge
-    /// their volume to it, exactly as live deliveries would have been.
+    /// Append a stage's rows — blocks that arrived ahead of `round`, or
+    /// one sender's round on the reference loop — and charge their volume
+    /// to `round`, exactly as live deliveries would have been. A tag new
+    /// to the server moves in whole.
     ///
     /// # Errors
     ///
-    /// As for [`ServerState::merge_local`].
+    /// Returns [`StorageError::TupleArity`] if a staged tag already holds
+    /// rows of another arity here.
     pub fn merge_stage(&mut self, round: usize, stage: RoundStage) -> Result<(), StorageError> {
         for rel in stage.rels {
-            self.merge_local(rel)?;
+            match position(&self.relations, rel.name()) {
+                Ok(at) => self.relations[at].append_from(&rel)?,
+                Err(at) => self.relations.insert(at, rel),
+            }
         }
         self.credit_received(round, stage.bytes, stage.tuples);
         Ok(())
     }
 
     /// The relation known under `tag`, if any.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the relation has rows not yet settled
+    /// ([`ServerState::settle`]).
     pub fn relation(&self, tag: &str) -> Option<&Relation> {
-        position(&self.relations, tag).ok().map(|at| &self.relations[at])
+        let rel = position(&self.relations, tag).ok().map(|at| &self.relations[at]);
+        debug_assert!(rel.is_none_or(Relation::is_settled), "{tag} is read before it settled");
+        rel
     }
 
     /// All known tags.
@@ -207,7 +237,12 @@ impl ServerState {
 
     /// Every relation this server knows, in tag order — the snapshot a
     /// round checkpoint serialises.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if a relation has rows not yet settled.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
+        debug_assert!(self.relations.iter().all(Relation::is_settled), "read before settling");
         self.relations.iter()
     }
 
@@ -236,9 +271,10 @@ impl ServerState {
     }
 }
 
-/// The pre-hashed stage of a round a server has not reached yet: blocks
-/// that raced ahead are appended into per-tag relations *on arrival*, so at
-/// the round boundary whole relations are merged
+/// Rows held back from a server until their round: blocks that raced ahead
+/// of a worker, or what one sender routes to one destination on the
+/// reference loop. They are appended into per-tag relations *on arrival*,
+/// unsettled, so at the round boundary whole relations are merged
 /// ([`ServerState::merge_stage`]) instead of rows replayed — the
 /// receive-side half of double-buffering, shared by every backend.
 #[derive(Debug, Default)]
@@ -258,9 +294,22 @@ impl RoundStage {
     /// same tag had another arity.
     pub fn absorb(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
         relation_under(&mut self.rels, &block.tag, block.arity())
-            .insert_rows(block.len(), block.values())?;
+            .append_rows(block.len(), block.values())?;
         self.bytes += block.payload_bytes();
         self.tuples += block.len() as u64;
+        Ok(())
+    }
+
+    /// Append one row under `tag` and account its volume.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TupleArity`] if an earlier row under the
+    /// same tag had another arity.
+    pub fn push_row(&mut self, tag: &str, row: &[Value]) -> Result<(), StorageError> {
+        relation_under(&mut self.rels, tag, row.len()).append_rows(1, row)?;
+        self.bytes += (row.len() as u64) * 8;
+        self.tuples += 1;
         Ok(())
     }
 }
@@ -355,6 +404,7 @@ mod tests {
             db.insert_relation(rel.clone());
         }
         s.add_local(Relation::from_tuples("Unrelated", 1, vec![[7u64]]).unwrap());
+        s.settle().unwrap();
         let lent = evaluate(&q, &s).unwrap();
         assert_eq!(lent, evaluate(&q, &db).unwrap(), "same rows in the same order");
         assert_eq!(lent.len(), 50);
@@ -372,7 +422,10 @@ mod tests {
             a.receive_row(2, "R", row).unwrap();
         }
         b.receive_block(&block("R", 2, &rows)).unwrap();
+        a.settle().unwrap();
+        b.settle().unwrap();
         assert_eq!(a.relation("R"), b.relation("R"));
+        assert_eq!(b.relation("R").unwrap().len(), 2);
         assert_eq!(a.received_volumes(2), b.received_volumes(2));
         assert_eq!(b.bytes_received_in_round(2), 3 * 16, "duplicates still cost");
     }
@@ -404,8 +457,36 @@ mod tests {
             stage.absorb(&b).unwrap();
         }
         staged.merge_stage(2, stage).unwrap();
+        live.settle().unwrap();
+        staged.settle().unwrap();
         assert_eq!(live.relation("R"), staged.relation("R"));
         assert_eq!(live.received_volumes(2), staged.received_volumes(2));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before it settled")]
+    fn reading_a_relation_before_it_settles_is_caught() {
+        let mut s = ServerState::new(0, 10);
+        s.receive_row(1, "R", &[1, 2]).unwrap();
+        s.receive_row(1, "R", &[1, 2]).unwrap();
+        let _ = s.relation("R");
+    }
+
+    #[test]
+    fn settling_deduplicates_what_was_appended_and_keeps_the_charge() {
+        let mut s = ServerState::new(0, 10);
+        s.add_local(Relation::from_tuples("R", 2, vec![[5u64, 6]]).unwrap());
+        let mut stage = RoundStage::default();
+        stage.push_row("R", &[1, 2]).unwrap();
+        stage.push_row("R", &[5, 6]).unwrap();
+        assert!(stage.push_row("R", &[1]).is_err());
+        s.merge_stage(1, stage).unwrap();
+        s.receive_row(1, "R", &[1, 2]).unwrap();
+        s.settle().unwrap();
+        let rows: Vec<&[Value]> = s.relation("R").unwrap().iter().collect();
+        assert_eq!(rows, [&[5, 6][..], &[1, 2]], "first occurrences, in arrival order");
+        assert_eq!((s.tuples_received_in_round(1), s.bytes_received_in_round(1)), (3, 48));
     }
 
     #[test]

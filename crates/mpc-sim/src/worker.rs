@@ -21,26 +21,32 @@
 //! closes the round towards every peer with a [`Packet::Fin`]. It computes
 //! as soon as *it* holds every sender's FIN: the barrier is per server,
 //! so a fast peer's round-`r+1` (or `r+2`) traffic may arrive while this
-//! worker still drains round `r`. Such blocks are hashed into a
+//! worker still drains round `r`. Such blocks are appended to a
 //! [`RoundStage`] on arrival and merged — with their volume credited to
-//! their own round — when the worker gets there.
+//! their own round — when the worker gets there. Ingest only appends; the
+//! core settles its state ([`ServerState::settle`]) once per round, when
+//! the last FIN is in and before the program computes.
 //!
 //! **Data plane.** Tuples travel as row-major [`TupleBlock`]s of up to
 //! `block_capacity` rows per `(destination, tag)`, sealed by one
 //! [`BlockAssembler`] per `(sender, round)` whose sequence numbers make the
-//! per-sender send order reproducible. There is exactly one place that
-//! turns routed tuples into blocks ([`seal_routed`]), one place that
-//! decides whether a block is ingested live or staged
-//! ([`WorkerCore::accept`]), and one send loop: a block for this server
-//! never touches the transport, and a send that finds its link full drains
-//! the worker's own inbox before retrying, so bounded links cannot
-//! deadlock.
+//! per-sender send order reproducible. There is exactly one sink that
+//! turns routed rows into blocks (the [`RouteSink`] behind [`route_input`]
+//! and round ≥ 2 routing: each emitted row goes straight onto the open
+//! block of each destination), one place that decides whether a block is
+//! ingested live or staged ([`WorkerCore::accept`]), and one send loop: a
+//! block for this server never touches the transport, and a send that
+//! finds its link full drains the worker's own inbox before retrying, so
+//! bounded links cannot deadlock. Round ≥ 2 blocks are held until the
+//! program has finished routing from the state a self-addressed block
+//! would land in.
 //!
 //! **Checked ingest.** Packets may come off a socket. A block or FIN for
 //! round 0, for a round past the program's last, or for a round whose FINs
 //! are already complete; an out-of-range destination; a second arity under
-//! one tag — each is an error ([`SimError::Protocol`],
-//! [`SimError::Program`], [`SimError::Storage`]), never a panic.
+//! one tag (from a peer, or from this worker's own program) — each is an
+//! error ([`SimError::Protocol`], [`SimError::Program`],
+//! [`SimError::Storage`]), never a panic.
 //!
 //! **Drivers.** [`drive`] is the blocking loop for one core over a
 //! [`Transport`]: feed it what arrives, call the transport's
@@ -52,15 +58,14 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use mpc_storage::{Database, Relation};
+use mpc_storage::{Database, Relation, Value};
 
 use crate::block::{BlockAssembler, TupleBlock};
 use crate::cluster::{build_round_stats, overloaded_server, union_outputs};
 use crate::config::MpcConfig;
 use crate::error::SimError;
-use crate::message::Routed;
 use crate::pool::BlockPool;
-use crate::program::MpcProgram;
+use crate::program::{out_of_range, MpcProgram, RouteSink};
 use crate::schedule::MsgRecord;
 use crate::server::{RoundStage, ServerState};
 use crate::stats::RunResult;
@@ -197,32 +202,60 @@ pub enum Step {
     Finished(WorkerSummary),
 }
 
-/// Pack `routed` into blocks through `asm` and hand every sealed block to
-/// `emit` — full ones as soon as they fill, the rest in the assembler's
-/// flush order. The one route → seal → emit loop.
+/// The block-building sink: every copy of an emitted row goes onto the
+/// open block of its destination, and each block that fills is handed to
+/// `ship`. A shipping failure stops the program's routing and is kept, to
+/// be returned in place of the error the program passes on.
+struct BlockSink<'f, F, E> {
+    asm: BlockAssembler,
+    p: usize,
+    ship: &'f mut F,
+    failed: Option<E>,
+}
+
+impl<F, E> RouteSink for BlockSink<'_, F, E>
+where
+    F: FnMut(usize, TupleBlock) -> std::result::Result<(), E>,
+{
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> Result<()> {
+        let t = self.asm.intern(tag, row.len())?;
+        for &dest in dests {
+            if dest >= self.p {
+                return Err(out_of_range(dest, self.p));
+            }
+            if let Some(block) = self.asm.append(t, dest, row) {
+                if let Err(e) = (self.ship)(dest, block) {
+                    self.failed = Some(e);
+                    return Err(SimError::Aborted("a sealed block could not be shipped".into()));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Run `route` against a block-building sink over `asm`, shipping full
+/// blocks as they seal and the rest in the assembler's flush order — the
+/// one route → seal → ship loop.
 ///
 /// # Errors
 ///
-/// A destination `≥ p` is a [`SimError::Program`]; `emit`'s errors pass
-/// through.
-pub fn seal_routed<E: From<SimError>>(
-    mut asm: BlockAssembler,
+/// A destination `≥ p` is a [`SimError::Program`], a second arity under
+/// one tag a [`SimError::Storage`]; `ship`'s errors pass through.
+fn route_blocks<E: From<SimError>>(
+    asm: BlockAssembler,
     p: usize,
-    routed: Vec<Routed>,
-    mut emit: impl FnMut(usize, TupleBlock) -> std::result::Result<(), E>,
+    mut ship: impl FnMut(usize, TupleBlock) -> std::result::Result<(), E>,
+    route: impl FnOnce(&mut dyn RouteSink) -> Result<()>,
 ) -> std::result::Result<(), E> {
-    for msg in routed {
-        for &dest in &msg.destinations {
-            if dest >= p {
-                let err = format!("destination {dest} out of range for p = {p}");
-                return Err(SimError::Program(err).into());
-            }
-            if let Some(block) = asm.push(dest, &msg.tag, msg.tuple.values()) {
-                emit(dest, block)?;
-            }
-        }
+    let mut sink = BlockSink { asm, p, ship: &mut ship, failed: None };
+    let routed = route(&mut sink);
+    let BlockSink { mut asm, failed, .. } = sink;
+    if let Some(e) = failed {
+        return Err(e);
     }
-    asm.flush().into_iter().try_for_each(|(dest, block)| emit(dest, block))
+    routed?;
+    asm.flush().into_iter().try_for_each(|(dest, block)| ship(dest, block))
 }
 
 /// Route the input relations of `db` — all of them, or with
@@ -245,9 +278,8 @@ pub fn route_input<P: MpcProgram + ?Sized, E: From<SimError>>(
         if shard.is_some_and(|id| ri % p != id) {
             continue;
         }
-        let routed = program.route_input(rel, p)?;
         let asm = BlockAssembler::new(Arc::clone(pool), block_capacity, p + ri, 1);
-        seal_routed(asm, p, routed, &mut emit)?;
+        route_blocks(asm, p, &mut emit, |sink| program.route_input_into(rel, p, sink))?;
     }
     Ok(())
 }
@@ -473,25 +505,36 @@ where
     fn enter_round<L: Link + ?Sized>(&mut self, link: &mut L) -> Result<()> {
         let round = self.computed + 1;
         let program = self.program.clone();
-        let routed = match round {
-            1 => None,
-            _ => Some(program.route_tuples(round, self.id, &self.state)?),
-        };
+        let (id, p, capacity) = (self.id, self.p, self.block_capacity);
+        let pool = Arc::clone(&self.pool);
         self.round = round;
-        let (p, pool, capacity) = (self.p, Arc::clone(&self.pool), self.block_capacity);
-        let sends = match (routed, self.input) {
-            (Some(routed), _) => {
-                let asm = BlockAssembler::new(pool, capacity, self.id, round);
-                seal_routed(asm, p, routed, |dest, b| self.ship(link, dest, Packet::Block(b)))?;
-                true
-            }
-            (None, Input::Sharded(db)) => {
-                route_input(&*program, db, p, Some(self.id), &pool, capacity, |dest, b| {
+        let sends = match (round, self.input) {
+            (1, Input::Routed { .. }) => false,
+            (1, Input::Sharded(db)) => {
+                route_input(&*program, db, p, Some(id), &pool, capacity, |dest, b| {
                     self.ship(link, dest, Packet::Block(b))
                 })?;
                 true
             }
-            (None, Input::Routed { .. }) => false,
+            _ => {
+                // Blocks wait until routing is done: one bound for this
+                // server is ingested into the state being routed from.
+                let mut held = Vec::new();
+                let asm = BlockAssembler::new(pool, capacity, id, round);
+                route_blocks(
+                    asm,
+                    p,
+                    |dest, block| {
+                        held.push((dest, block));
+                        Ok::<_, SimError>(())
+                    },
+                    |sink| program.route_tuples_into(round, id, &self.state, sink),
+                )?;
+                for (dest, block) in held {
+                    self.ship(link, dest, Packet::Block(block))?;
+                }
+                true
+            }
         };
         if sends {
             for dest in 0..p {
@@ -529,6 +572,7 @@ where
         if self.fins[round - 1] < self.expected_fins(round) {
             return Ok(Step::NeedInput);
         }
+        self.state.settle()?;
         for rel in self.program.compute(round, self.id, &self.state)? {
             self.state.add_local(rel);
         }
@@ -609,8 +653,6 @@ pub fn fold_summaries<P: MpcProgram + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::emit;
-    use mpc_storage::{Tuple, Value};
 
     /// `rounds` rounds of forwarding: the input relation `hop1` is hashed
     /// on its first column; entering round `r ≥ 2` every server sends each
@@ -625,18 +667,26 @@ mod tests {
         fn num_rounds(&self) -> usize {
             self.rounds
         }
-        fn route_input(&self, relation: &Relation, p: usize) -> Result<Vec<Routed>> {
-            let mut out = Vec::new();
-            relation.iter().for_each(|t| emit(&mut out, relation.name(), t, &[t[0] as usize % p]));
-            Ok(out)
+        fn route_input_into(
+            &self,
+            relation: &Relation,
+            p: usize,
+            sink: &mut dyn RouteSink,
+        ) -> Result<()> {
+            relation.iter().try_for_each(|t| sink.emit(relation.name(), t, &[t[0] as usize % p]))
         }
-        fn route_tuples(&self, round: usize, _: usize, state: &ServerState) -> Result<Vec<Routed>> {
+        fn route_tuples_into(
+            &self,
+            round: usize,
+            _: usize,
+            state: &ServerState,
+            sink: &mut dyn RouteSink,
+        ) -> Result<()> {
             let Some(held) = state.relation(&format!("hop{}", round - 1)) else {
-                return Ok(Vec::new());
+                return Ok(());
             };
             let tag = format!("hop{round}");
-            let dest = |t: &[Value]| vec![(t[0] as usize + round) % self.p];
-            Ok(held.iter().map(|t| Routed::new(&*tag, Tuple::new(t), dest(t))).collect())
+            held.iter().try_for_each(|t| sink.emit(&tag, t, &[(t[0] as usize + round) % self.p]))
         }
         fn output(&self, _: usize, state: &ServerState) -> Result<Relation> {
             Ok(state
@@ -673,7 +723,11 @@ mod tests {
         WorkerCore::new(program, 0, program.p, input, Arc::new(BlockPool::new()), 64).unwrap()
     }
 
+    /// The first column under `tag`, sorted — of a settled copy, since a
+    /// core mid-round holds rows it has not settled yet.
     fn rows(state: &ServerState, tag: &str) -> Vec<Value> {
+        let mut state = state.clone();
+        state.settle().unwrap();
         let mut rows: Vec<Value> =
             state.relation(tag).map(|rel| rel.iter().map(|t| t[0]).collect()).unwrap_or_default();
         rows.sort_unstable();

@@ -1,7 +1,8 @@
 //! The block data plane end to end on one thread, as a seeded property:
 //! rows pushed through `BlockAssembler` → `encode_frame` → `decode_body`
-//! → `ServerState::receive_block` leave every destination in exactly the
-//! state `receive_row`, row by row in send order, leaves it in — for
+//! → `ServerState::receive_block` leave every destination, once settled,
+//! in exactly the state `receive_row`, row by row in send order, leaves it
+//! in — for
 //! every arity (zero included), block capacities from per-tuple to
 //! whole-round, several tags and destinations, and rows with duplicates.
 
@@ -67,7 +68,9 @@ fn blocks_over_the_wire_equal_rowwise_delivery() {
 
             let case = format!("arities {arity_r}/{arity_s}, capacity {capacity}");
             assert!(seqs.iter().copied().eq(0..seqs.len() as u64), "{case}: seq not ascending");
-            for (rowwise, blockwise) in by_row.iter().zip(&by_block) {
+            for (rowwise, blockwise) in by_row.iter_mut().zip(&mut by_block) {
+                rowwise.settle().unwrap();
+                blockwise.settle().unwrap();
                 for tag in ["R", "S"] {
                     // Equality is ordered: same rows, same first-arrival order.
                     assert_eq!(rowwise.relation(tag), blockwise.relation(tag), "{case}: {tag}");

@@ -207,6 +207,7 @@ fn a_block_of_four_billion_empty_rows_is_ingested_as_one() {
     assert_eq!((block.len(), block.arity(), block.payload_bytes()), (u32::MAX as usize, 0, 0));
     let mut state = ServerState::new(0, 10);
     state.receive_block(&block).unwrap();
+    state.settle().unwrap();
     assert_eq!(state.relation("Unit").unwrap().len(), 1);
     assert_eq!(state.tuples_received_in_round(1), u64::from(u32::MAX));
     pool.give_back(block.into_columns());

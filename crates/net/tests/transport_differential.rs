@@ -12,10 +12,10 @@ use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_data::skew::zipf_database;
 use mpc_lp::Rational;
-use mpc_net::{run_transport_differential, DistConfig, TransportKind};
-use mpc_sim::{Cluster, MpcConfig, MpcProgram};
+use mpc_net::{run_distributed, run_transport_differential, DistConfig, NetError, TransportKind};
+use mpc_sim::{AsyncConfig, Cluster, MpcConfig, MpcProgram, RouteSink, ServerState, SimError};
 use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
-use mpc_storage::Database;
+use mpc_storage::{Database, Relation, StorageError};
 
 fn assert_transport_invariant<P: MpcProgram>(
     label: &str,
@@ -86,5 +86,56 @@ fn block_and_queue_shapes_do_not_change_semantics() {
             &cfg,
             &dist,
         );
+    }
+}
+
+/// Routes every input row to server 0 under the tag `T`, first two values
+/// wide, then three: a program bug every backend must report the same way.
+struct TwoArities;
+
+impl MpcProgram for TwoArities {
+    fn num_rounds(&self) -> usize {
+        1
+    }
+
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        _p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
+        for t in relation.iter() {
+            sink.emit("T", &[t[0], t[0]], &[0])?;
+            sink.emit("T", &[t[0], t[0], t[0]], &[0])?;
+        }
+        Ok(())
+    }
+
+    fn output(&self, _: usize, _: &ServerState) -> mpc_sim::Result<Relation> {
+        Ok(Relation::empty("out", 1))
+    }
+
+    fn output_arity(&self) -> usize {
+        1
+    }
+}
+
+#[test]
+fn a_second_arity_under_one_tag_is_the_same_error_on_every_backend() {
+    let mut db = Database::new(10);
+    db.insert_relation(Relation::from_tuples("R", 1, vec![[1u64], [2]]).unwrap());
+    let cluster = Cluster::new(MpcConfig::new(2, 1.0)).unwrap();
+    let clash = StorageError::TupleArity { relation: "T".into(), expected: 2, actual: 3 };
+    let expected = SimError::Storage(clash.to_string());
+
+    assert_eq!(cluster.run(&TwoArities, &db).unwrap_err(), expected, "reference loop");
+    for block_capacity in [1, 256] {
+        let cfg = AsyncConfig::new().with_block_capacity(block_capacity);
+        let err = cluster.run_async(&TwoArities, &db, &cfg).unwrap_err();
+        assert_eq!(err, expected, "event-driven, blocks of {block_capacity}");
+    }
+    match run_distributed(&cluster, &TwoArities, &db, &DistConfig::default()) {
+        Err(NetError::Sim(err)) => assert_eq!(err, expected, "in-process runner"),
+        other => panic!("in-process runner: {other:?}"),
     }
 }

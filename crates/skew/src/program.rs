@@ -15,13 +15,13 @@
 //! `(tag, tuple)`, as the tuple-based MPC model requires — the database
 //! statistics are consumed at *planning* time, not at routing time.
 
-use mpc_core::grid::{derive_seeds, hashed, local_join, route_rows, AtomRoute};
+use mpc_core::grid::{derive_seeds, hashed, local_join, AtomRoute};
 use mpc_core::heavy::{group_of_server, GroupRoutes};
 use mpc_core::shares::ShareAllocation;
 use mpc_core::Result;
 use mpc_cq::{Atom, Query};
 use mpc_data::{DbStatistics, StatsMode};
-use mpc_sim::{MpcProgram, Routed, ServerState};
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
 use mpc_storage::{Database, Relation, Value};
 
 use crate::detector::{HeavyHitterDetector, HeavyHitterPolicy};
@@ -149,16 +149,24 @@ impl MpcProgram for SkewResilientProgram {
         1
     }
 
-    fn route_input(&self, relation: &Relation, _p: usize) -> mpc_sim::Result<Vec<Routed>> {
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        _p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
         let Some((id, _)) = self.query.atom_by_name(relation.name()) else {
             // Relations not mentioned by the query are simply not shuffled.
-            return Ok(Vec::new());
+            return Ok(());
         };
-        let mut out = Vec::new();
-        route_rows(&mut out, relation.name(), relation.iter(), |t, cells| {
-            self.cells_into(id.0, t, cells)
-        });
-        Ok(out)
+        let mut cells = Vec::new();
+        for t in relation.iter() {
+            cells.clear();
+            if self.cells_into(id.0, t, &mut cells) {
+                sink.emit(relation.name(), t, &cells)?;
+            }
+        }
+        Ok(())
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_sim::Result<Relation> {
@@ -292,6 +300,6 @@ mod tests {
         let program =
             SkewResilientProgram::new(&q, &db, 8, &HeavyHitterPolicy::default(), 1).unwrap();
         let junk = Relation::from_tuples("Junk", 2, vec![[1u64, 2]]).unwrap();
-        assert!(program.route_input(&junk, 8).unwrap().is_empty());
+        assert!((&program as &dyn MpcProgram).route_input(&junk, 8).unwrap().is_empty());
     }
 }

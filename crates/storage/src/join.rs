@@ -248,10 +248,8 @@ fn evaluate_with<S: RelationSource + ?Sized>(
     }
 
     let mut out = Relation::empty(q.name(), k);
-    out.reserve(partials.len() / k);
-    for row in partials.chunks_exact(k) {
-        out.insert_row(row)?;
-    }
+    out.append_rows(partials.len() / k, &partials)?;
+    out.settle()?;
     Ok(out)
 }
 

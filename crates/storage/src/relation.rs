@@ -80,11 +80,20 @@ impl<const N: usize> From<[Value; N]> for Tuple {
 /// A named relation instance: a set of rows of fixed arity.
 ///
 /// Rows live in one row-major `Vec<Value>` and are lent out as `&[Value]`;
-/// nothing is allocated per row. Duplicates are eliminated on insertion
-/// through an open-addressing table of `u32` row ids (linear probing, the
-/// crate's fixed multiply-rotate hash), so iteration order is the insertion
-/// order of the first occurrence — which keeps downstream algorithms
-/// deterministic. A relation holds at most `u32::MAX` rows.
+/// nothing is allocated per row. Duplicates are eliminated through an
+/// open-addressing table of `u32` row ids (linear probing, the crate's
+/// fixed multiply-rotate hash), so iteration order is the insertion order
+/// of the first occurrence — which keeps downstream algorithms
+/// deterministic. A relation holds at most `u32::MAX - 1` rows.
+///
+/// Rows enter in one of two ways. [`Relation::insert_row`] and its bulk
+/// forms deduplicate at once. [`Relation::append_rows`] only checks the
+/// arity and copies the rows behind the settled ones, into an *unsettled
+/// tail*; [`Relation::settle`] deduplicates the whole tail in one pass
+/// over a table sized for it up front. Every reader — [`Relation::len`],
+/// [`Relation::iter`], [`Relation::contains`] — sees the settled rows
+/// only, so a receiver appends what arrives during a round and settles
+/// once before it reads. An eager insertion settles the tail first.
 ///
 /// Equality compares name, arity and the rows *in order*; use
 /// [`Relation::same_tuples`] to compare as sets.
@@ -92,9 +101,14 @@ impl<const N: usize> From<[Value; N]> for Tuple {
 pub struct Relation {
     name: String,
     arity: usize,
-    /// Row count, tracked explicitly so arity-0 relations still count.
+    /// Settled row count, tracked explicitly so arity-0 relations still
+    /// count.
     rows: usize,
-    /// `rows × arity` values, row-major.
+    /// Rows appended since the last settle — counted, not derived from
+    /// `values`, for the same reason.
+    tail: usize,
+    /// `(rows + tail) × arity` values, row-major: the settled rows, then
+    /// the tail.
     values: Vec<Value>,
     /// Row ids (or [`VACANT`]); the length is zero or a power of two, kept
     /// at most half full.
@@ -118,7 +132,14 @@ fn next_row_id(name: &str, rows: usize) -> Result<u32> {
 impl Relation {
     /// Create an empty relation with the given name and arity.
     pub fn empty<S: Into<String>>(name: S, arity: usize) -> Self {
-        Relation { name: name.into(), arity, rows: 0, values: Vec::new(), slots: Vec::new() }
+        Relation {
+            name: name.into(),
+            arity,
+            rows: 0,
+            tail: 0,
+            values: Vec::new(),
+            slots: Vec::new(),
+        }
     }
 
     /// Create a relation from an iterator of rows.
@@ -150,14 +171,19 @@ impl Relation {
         self.arity
     }
 
-    /// Number of (distinct) rows.
+    /// Number of (distinct) settled rows.
     pub fn len(&self) -> usize {
         self.rows
     }
 
-    /// True if the relation has no rows.
+    /// True if the relation has no settled rows.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
+    }
+
+    /// True when no appended row waits for [`Relation::settle`].
+    pub fn is_settled(&self) -> bool {
+        self.tail == 0
     }
 
     /// Insert an owned tuple; see [`Relation::insert_row`].
@@ -175,64 +201,117 @@ impl Relation {
     /// # Errors
     ///
     /// Returns [`StorageError::TupleArity`] if the arity does not match and
-    /// [`StorageError::TooManyRows`] past `u32::MAX` rows.
+    /// [`StorageError::TooManyRows`] past `u32::MAX - 1` rows.
     pub fn insert_row(&mut self, row: &[Value]) -> Result<bool> {
         if row.len() != self.arity {
             return Err(self.arity_error(row.len()));
         }
+        self.settle()?;
         self.values.extend_from_slice(row);
-        self.commit_pending_row()
+        let fresh = self.commit_row();
+        self.values.truncate(self.rows * self.arity);
+        fresh
     }
 
     /// Insert `rows` rows given as one row-major slice — the layout of a
     /// transport block and of [`Relation`] itself — deduplicating as
-    /// [`Relation::insert_row`] does. Returns how many rows were new. The
-    /// row count is explicit because zero-arity rows occupy no values.
+    /// [`Relation::insert_row`] does. Returns how many rows were new.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::append_rows`] — nothing is inserted then — and
+    /// [`StorageError::TooManyRows`] past `u32::MAX - 1` rows, with the
+    /// rows before the failing one inserted.
+    pub fn insert_rows(&mut self, rows: usize, values: &[Value]) -> Result<usize> {
+        self.settle()?;
+        let before = self.rows;
+        self.append_rows(rows, values)?;
+        self.settle()?;
+        Ok(self.rows - before)
+    }
+
+    /// Insert every row of `other` (its unsettled tail included),
+    /// deduplicating. Returns how many rows were new. An empty `other` is
+    /// a no-op whatever its arity.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Relation::insert_rows`].
+    pub fn extend_from(&mut self, other: &Relation) -> Result<usize> {
+        match other.rows + other.tail {
+            0 => Ok(0),
+            rows => self.insert_rows(rows, &other.values),
+        }
+    }
+
+    /// Append `rows` rows given as one row-major slice to the unsettled
+    /// tail, without deduplicating: one arity check and one copy. The row
+    /// count is explicit because zero-arity rows occupy no values.
     ///
     /// # Errors
     ///
     /// Returns [`StorageError::TupleArity`] (reporting the row width the
     /// slice implies, `values.len() / rows`) unless `values` holds exactly
-    /// `rows × arity` values — nothing is inserted then — and
-    /// [`StorageError::TooManyRows`] past `u32::MAX` rows, with the rows
-    /// before the failing one inserted.
-    pub fn insert_rows(&mut self, rows: usize, values: &[Value]) -> Result<usize> {
+    /// `rows × arity` values; nothing is appended then.
+    pub fn append_rows(&mut self, rows: usize, values: &[Value]) -> Result<()> {
         if rows.checked_mul(self.arity) != Some(values.len()) {
             return Err(self.arity_error(values.len().checked_div(rows).unwrap_or(values.len())));
         }
-        // Zero-arity rows are all the same row, so one insertion decides
+        self.values.extend_from_slice(values);
+        // Zero-arity rows are all the same row, so one of them stands for
         // them all — and a block header can announce 2³² of them in no bytes.
-        let rows = if self.arity == 0 { rows.min(1) } else { rows };
-        self.reserve(rows);
-        let mut fresh = 0;
-        for r in 0..rows {
-            self.values.extend_from_slice(&values[r * self.arity..(r + 1) * self.arity]);
-            fresh += usize::from(self.commit_pending_row()?);
-        }
-        Ok(fresh)
+        self.tail = if self.arity == 0 { self.tail.max(rows.min(1)) } else { self.tail + rows };
+        Ok(())
     }
 
-    /// Append every row of `other`, deduplicating. Returns how many rows
-    /// were new. An empty `other` is a no-op whatever its arity.
+    /// Append every row of `other`, settled or not, to the unsettled tail.
+    /// An empty `other` is a no-op whatever its arity.
     ///
     /// # Errors
     ///
-    /// As for [`Relation::insert_row`].
-    pub fn extend_from(&mut self, other: &Relation) -> Result<usize> {
-        if other.is_empty() {
-            // Nothing to append, whatever arity the empty relation declares.
-            return Ok(0);
+    /// As for [`Relation::append_rows`].
+    pub fn append_from(&mut self, other: &Relation) -> Result<()> {
+        match other.rows + other.tail {
+            0 => Ok(()),
+            rows => self.append_rows(rows, &other.values),
         }
-        self.insert_rows(other.rows, &other.values)
+    }
+
+    /// Deduplicate the unsettled tail into the settled rows in one pass:
+    /// the table is sized for the whole tail first, and each row is kept
+    /// (moved down behind the last kept one) only at its first occurrence
+    /// — the rows, their order and the count [`Relation::insert_row`]
+    /// would have produced.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StorageError::TooManyRows`] past `u32::MAX - 1` rows; the
+    /// rows before the failing one are kept, the rest of the tail dropped.
+    pub fn settle(&mut self) -> Result<()> {
+        let tail = std::mem::take(&mut self.tail);
+        if tail == 0 {
+            return Ok(());
+        }
+        self.reserve_slots(tail);
+        let (arity, end) = (self.arity, self.rows + tail);
+        let mut settled = Ok(());
+        for r in self.rows..end {
+            if r != self.rows {
+                self.values.copy_within(r * arity..(r + 1) * arity, self.rows * arity);
+            }
+            if let Err(e) = self.commit_row() {
+                settled = Err(e);
+                break;
+            }
+        }
+        self.values.truncate(self.rows * arity);
+        settled
     }
 
     /// Make room for `additional` more rows without regrowing.
     pub fn reserve(&mut self, additional: usize) {
         self.values.reserve(additional.saturating_mul(self.arity));
-        let wanted = self.rows.saturating_add(additional).min(VACANT as usize);
-        if wanted * 2 > self.slots.len() {
-            self.rehash((wanted * 2).next_power_of_two().max(MIN_SLOTS));
-        }
+        self.reserve_slots(additional);
     }
 
     /// Membership test, for a lent row (`&[Value]`), an array or an owned
@@ -297,6 +376,15 @@ impl Relation {
         StorageError::TupleArity { relation: self.name.clone(), expected: self.arity, actual }
     }
 
+    /// Grow the table, if need be, so `additional` more rows fit without
+    /// a rehash.
+    fn reserve_slots(&mut self, additional: usize) {
+        let wanted = self.rows.saturating_add(additional).min(VACANT as usize);
+        if wanted * 2 > self.slots.len() {
+            self.rehash((wanted * 2).next_power_of_two().max(MIN_SLOTS));
+        }
+    }
+
     /// Where `row` is: `Ok(slot)` holding its id, or `Err(slot)` of the
     /// vacancy a probe for it ends at. Needs a non-empty table.
     fn find(&self, row: &[Value]) -> std::result::Result<usize, usize> {
@@ -318,29 +406,21 @@ impl Relation {
     }
 
     /// Decide the fate of the candidate row sitting just past the last
-    /// committed one in `values`: index it if new, drop it if not.
-    fn commit_pending_row(&mut self) -> Result<bool> {
-        let at = self.rows * self.arity;
-        let id = match next_row_id(&self.name, self.rows) {
-            Ok(id) => id,
-            Err(e) => {
-                self.values.truncate(at);
-                return Err(e);
-            }
-        };
+    /// settled one in `values`: index it if new. `values` is left as it
+    /// is either way; the caller overwrites or truncates a duplicate.
+    fn commit_row(&mut self) -> Result<bool> {
+        let id = next_row_id(&self.name, self.rows)?;
         if (self.rows + 1) * 2 > self.slots.len() {
             self.rehash((self.slots.len() * 2).max(MIN_SLOTS));
         }
-        match self.find(&self.values[at..]) {
+        let at = self.rows * self.arity;
+        match self.find(&self.values[at..at + self.arity]) {
             Err(vacancy) => {
                 self.slots[vacancy] = id;
                 self.rows += 1;
                 Ok(true)
             }
-            Ok(_) => {
-                self.values.truncate(at);
-                Ok(false)
-            }
+            Ok(_) => Ok(false),
         }
     }
 
@@ -362,6 +442,7 @@ impl PartialEq for Relation {
         self.name == other.name
             && self.arity == other.arity
             && self.rows == other.rows
+            && self.tail == other.tail
             && self.values == other.values
     }
 }

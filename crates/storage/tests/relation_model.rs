@@ -187,3 +187,74 @@ fn equality_is_ordered_and_same_tuples_is_symmetric_set_equality() {
     assert!(!Relation::empty("A", 1).same_tuples(&Relation::empty("A", 2)));
     assert!(Relation::empty("A", 1).same_tuples(&Relation::empty("B", 1)));
 }
+
+/// Deferred deduplication: rows appended to the unsettled tail and
+/// settled at random points end up exactly where eager insertion puts
+/// them — same rows, same first-occurrence order, same count — whatever
+/// the stream's duplicates and wherever the settles fall. Rows still in
+/// the tail are invisible to every reader.
+#[test]
+fn appends_settled_at_random_points_equal_eager_insertion() {
+    for (arity, domain, ops) in [(0, 1, 300), (1, 9, 2_000), (2, 40, 6_000), (3, 1 << 20, 3_000)] {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed * 131 + arity as u64);
+            let mut eager = Relation::empty("R", arity);
+            let mut lazy = Relation::empty("R", arity);
+            let mut model = Model::default();
+            for _ in 0..ops {
+                // Mostly single rows, sometimes a block of them.
+                let rows: Vec<Vec<Value>> =
+                    (0..if rng.gen_bool(0.1) { rng.gen_range(0..30) } else { 1 })
+                        .map(|_| random_row(&mut rng, arity, domain))
+                        .collect();
+                for row in &rows {
+                    assert_eq!(eager.insert_row(row).unwrap(), model.insert(row));
+                }
+                let visible = lazy.len();
+                match rows.as_slice() {
+                    [row] => lazy.append_rows(1, row).unwrap(),
+                    _ => lazy.append_rows(rows.len(), &rows.concat()).unwrap(),
+                }
+                assert_eq!(lazy.len(), visible, "an appended row is not counted before it settles");
+                if rng.gen_bool(0.05) {
+                    lazy.settle().unwrap();
+                    assert!(lazy.is_settled());
+                    assert_eq!(lazy, eager);
+                }
+            }
+            lazy.settle().unwrap();
+            assert_eq!(lazy, eager, "arity {arity}, seed {seed}");
+            assert_matches_model(&lazy, &model, &mut rng, domain);
+        }
+    }
+}
+
+#[test]
+fn zero_arity_appends_settle_to_exactly_one_row() {
+    let mut unit = Relation::empty("Unit", 0);
+    // A block header may announce 2³² empty rows in no bytes.
+    unit.append_rows(u32::MAX as usize + 1, &[]).unwrap();
+    unit.append_rows(1, &[]).unwrap();
+    assert!(unit.is_empty() && !unit.is_settled());
+    unit.settle().unwrap();
+    assert_eq!(unit.len(), 1);
+    unit.append_rows(7, &[]).unwrap();
+    unit.settle().unwrap();
+    assert_eq!(unit.len(), 1, "the empty row is already there");
+    assert_eq!(unit, Relation::from_tuples("Unit", 0, [[0u64; 0]]).unwrap());
+}
+
+#[test]
+fn an_arity_clash_on_append_is_an_error_and_appends_nothing() {
+    let mut rel = Relation::empty("R", 2);
+    rel.append_rows(2, &[1, 2, 3, 4]).unwrap();
+    let before = rel.clone();
+    let clash = |actual| StorageError::TupleArity { relation: "R".into(), expected: 2, actual };
+    assert_eq!(rel.append_rows(1, &[1, 2, 3]), Err(clash(3)));
+    assert_eq!(rel.append_rows(2, &[1, 2, 3, 4, 5, 6]), Err(clash(3)));
+    assert_eq!(rel.append_rows(2, &[1, 2, 3]), Err(clash(1)), "a slice one value short");
+    assert_eq!(rel.append_from(&Relation::from_tuples("W", 1, [[9u64]]).unwrap()), Err(clash(1)));
+    assert_eq!(rel, before, "nothing was appended");
+    rel.settle().unwrap();
+    assert!(rel.iter().eq([&[1u64, 2][..], &[3, 4]]));
+}

@@ -11,8 +11,9 @@ use rand::{Rng, SeedableRng};
 use mpc_query::core::hypercube::{HyperCubeProgram, PartialHyperCubeProgram};
 use mpc_query::core::multiround::executor::PlanProgram;
 use mpc_query::prelude::*;
-use mpc_query::sim::{MpcProgram, Routed, ServerState};
+use mpc_query::sim::{MpcProgram, RouteSink, Routed, ServerState};
 use mpc_query::storage::join::evaluate;
+use mpc_query::storage::{Tuple, Value};
 
 /// `R(x,x,y), S(y,z), T(z,w), U(w,v)`: a chain of four atoms (two rounds
 /// at ε = 0) whose first atom repeats a variable.
@@ -55,14 +56,33 @@ struct Spy<'a, P> {
     r_messages: Mutex<Vec<Routed>>,
 }
 
+/// Passes every row on to `inner`, keeping a copy of the `R` ones.
+struct Tap<'s> {
+    inner: &'s mut dyn RouteSink,
+    kept: &'s Mutex<Vec<Routed>>,
+}
+
+impl RouteSink for Tap<'_> {
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> mpc_query::sim::Result<()> {
+        if tag == "R" {
+            self.kept.lock().unwrap().push(Routed::new(tag, Tuple::new(row), dests.to_vec()));
+        }
+        self.inner.emit(tag, row, dests)
+    }
+}
+
 impl<P: MpcProgram> MpcProgram for Spy<'_, P> {
     fn num_rounds(&self) -> usize {
         self.inner.num_rounds()
     }
-    fn route_input(&self, relation: &Relation, p: usize) -> mpc_query::sim::Result<Vec<Routed>> {
-        let routed = self.inner.route_input(relation, p)?;
-        self.r_messages.lock().unwrap().extend(routed.iter().filter(|m| m.tag == "R").cloned());
-        Ok(routed)
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_query::sim::Result<()> {
+        let mut tap = Tap { inner: sink, kept: &self.r_messages };
+        self.inner.route_input_into(relation, p, &mut tap)
     }
     fn compute(
         &self,
@@ -72,15 +92,15 @@ impl<P: MpcProgram> MpcProgram for Spy<'_, P> {
     ) -> mpc_query::sim::Result<Vec<Relation>> {
         self.inner.compute(round, server, state)
     }
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         server: usize,
         state: &ServerState,
-    ) -> mpc_query::sim::Result<Vec<Routed>> {
-        let routed = self.inner.route_tuples(round, server, state)?;
-        self.r_messages.lock().unwrap().extend(routed.iter().filter(|m| m.tag == "R").cloned());
-        Ok(routed)
+        sink: &mut dyn RouteSink,
+    ) -> mpc_query::sim::Result<()> {
+        let mut tap = Tap { inner: sink, kept: &self.r_messages };
+        self.inner.route_tuples_into(round, server, state, &mut tap)
     }
     fn output(&self, server: usize, state: &ServerState) -> mpc_query::sim::Result<Relation> {
         self.inner.output(server, state)

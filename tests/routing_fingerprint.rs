@@ -1,14 +1,13 @@
 //! Routing fingerprints: what every planner-side program sends, pinned.
 //!
 //! Each program is run under [`Cluster::run`] behind a recording wrapper
-//! that folds the `(tag, row, destinations)` sequence of every
-//! `(round, sender)` into a stable hash. Hash functions, seed derivation,
+//! whose sink tap folds the `(tag, row, destinations)` sequence of every
+//! `(round, sender)` into a stable hash on its way to the executor. Hash functions, seed derivation,
 //! share choice, group carving, heavy sets and the order of emitted
 //! messages all feed the hash, so a refactor of the routing or planning
 //! code that moves any of them moves a constant below. The constants were
 //! recorded before the grid router and the heavy/light core replaced the
-//! per-program copies, and the test uses only calls that exist on both
-//! sides of that change.
+//! per-program copies, and have held since through push-style routing.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -18,8 +17,9 @@ use mpc_query::cq::VarId;
 use mpc_query::data::skew::{degree_planted_database, heavy_hitter_database, zipf_database};
 use mpc_query::data::{DbStatistics, StatsMode};
 use mpc_query::prelude::*;
-use mpc_query::sim::{MpcProgram, Routed, ServerState};
+use mpc_query::sim::{MpcProgram, RouteSink, ServerState};
 use mpc_query::storage::join::evaluate;
+use mpc_query::storage::Value;
 
 /// FNV-1a over 64-bit words.
 fn mix(h: &mut u64, word: u64) {
@@ -32,6 +32,33 @@ fn mix(h: &mut u64, word: u64) {
 /// Hash, message count and delivered copies of one sender's sequence.
 type Trace = (u64, usize, usize);
 
+/// Folds every emitted row into a [`Trace`] and passes it on to `inner`.
+struct Tap<'s> {
+    inner: &'s mut dyn RouteSink,
+    trace: Trace,
+}
+
+impl RouteSink for Tap<'_> {
+    fn emit(&mut self, tag: &str, row: &[Value], dests: &[usize]) -> mpc_query::sim::Result<()> {
+        let (h, msgs, copies) = &mut self.trace;
+        for b in tag.bytes() {
+            mix(h, u64::from(b));
+        }
+        mix(h, u64::MAX);
+        for v in row {
+            mix(h, *v);
+        }
+        mix(h, u64::MAX - 1);
+        for d in dests {
+            mix(h, *d as u64);
+        }
+        mix(h, u64::MAX - 2);
+        *msgs += 1;
+        *copies += dests.len();
+        self.inner.emit(tag, row, dests)
+    }
+}
+
 /// Delegates everything to `inner` and records what it routes.
 struct Recorder<'a, P> {
     inner: &'a P,
@@ -43,30 +70,21 @@ impl<'a, P: MpcProgram> Recorder<'a, P> {
         Recorder { inner, log: Mutex::new(BTreeMap::new()) }
     }
 
-    fn record(&self, round: usize, sender: String, routed: &[Routed]) {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut copies = 0usize;
-        for msg in routed {
-            for b in msg.tag.bytes() {
-                mix(&mut h, u64::from(b));
-            }
-            mix(&mut h, u64::MAX);
-            for v in msg.tuple.values() {
-                mix(&mut h, *v);
-            }
-            mix(&mut h, u64::MAX - 1);
-            for d in &msg.destinations {
-                mix(&mut h, *d as u64);
-            }
-            mix(&mut h, u64::MAX - 2);
-            copies += msg.destinations.len();
-        }
-        let previous = self
-            .log
-            .lock()
-            .expect("no recorder call panics")
-            .insert((round, sender), (h, routed.len(), copies));
+    /// Run `route` behind a tap on `sink` and log what passed as the
+    /// `(round, sender)` sequence.
+    fn record(
+        &self,
+        round: usize,
+        sender: String,
+        sink: &mut dyn RouteSink,
+        route: impl FnOnce(&mut dyn RouteSink) -> mpc_query::sim::Result<()>,
+    ) -> mpc_query::sim::Result<()> {
+        let mut tap = Tap { inner: sink, trace: (0xcbf2_9ce4_8422_2325, 0, 0) };
+        route(&mut tap)?;
+        let previous =
+            self.log.lock().expect("no recorder call panics").insert((round, sender), tap.trace);
         assert!(previous.is_none(), "one routing call per (round, sender)");
+        Ok(())
     }
 
     /// One hash over all senders in `(round, sender)` order, total
@@ -93,10 +111,15 @@ impl<P: MpcProgram> MpcProgram for Recorder<'_, P> {
         self.inner.num_rounds()
     }
 
-    fn route_input(&self, relation: &Relation, p: usize) -> mpc_query::sim::Result<Vec<Routed>> {
-        let routed = self.inner.route_input(relation, p)?;
-        self.record(1, format!("in:{}", relation.name()), &routed);
-        Ok(routed)
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_query::sim::Result<()> {
+        self.record(1, format!("in:{}", relation.name()), sink, |tap| {
+            self.inner.route_input_into(relation, p, tap)
+        })
     }
 
     fn compute(
@@ -108,15 +131,16 @@ impl<P: MpcProgram> MpcProgram for Recorder<'_, P> {
         self.inner.compute(round, server, state)
     }
 
-    fn route_tuples(
+    fn route_tuples_into(
         &self,
         round: usize,
         server: usize,
         state: &ServerState,
-    ) -> mpc_query::sim::Result<Vec<Routed>> {
-        let routed = self.inner.route_tuples(round, server, state)?;
-        self.record(round, format!("s{server:04}"), &routed);
-        Ok(routed)
+        sink: &mut dyn RouteSink,
+    ) -> mpc_query::sim::Result<()> {
+        self.record(round, format!("s{server:04}"), sink, |tap| {
+            self.inner.route_tuples_into(round, server, state, tap)
+        })
     }
 
     fn output(&self, server: usize, state: &ServerState) -> mpc_query::sim::Result<Relation> {
