@@ -43,7 +43,7 @@ use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_lp::Rational;
-use mpc_sim::{run_differential, AsyncConfig, Cluster, MpcConfig, MpcProgram, StragglerSpec};
+use mpc_sim::{AsyncConfig, Cluster, MpcConfig, MpcProgram, StragglerSpec};
 
 #[derive(Serialize)]
 struct Row {
@@ -96,15 +96,16 @@ fn run_case<P: MpcProgram>(
         if let Some(spec) = straggler {
             async_cfg = async_cfg.with_straggler(spec);
         }
-        // The differential layer: any async/sync divergence is fatal.
-        let report =
-            run_differential(&cluster, program, db, &async_cfg).expect("both backends complete");
-        if let Some(d) = report.divergence() {
+        // The differential check: any async/sync divergence is fatal.
+        let synchronous = cluster.run(program, db).expect("synchronous run completes");
+        let event_driven =
+            cluster.run_async(program, db, &async_cfg).expect("event-driven run completes");
+        if let Some(d) = synchronous.divergence(&event_driven.result) {
             eprintln!("DIVERGENCE on {name} ({label}): {d}");
             out.diverged = true;
         }
-        let result = &report.event_driven.result;
-        let sched = &report.event_driven.schedule;
+        let result = &event_driven.result;
+        let sched = &event_driven.schedule;
         // Volumes must also be straggler-independent.
         match baseline_volumes {
             None => baseline_volumes = Some((result.max_load_bytes(), result.num_rounds())),

@@ -3,38 +3,33 @@
 //! [`Cluster::run`] executes a program round-synchronously — a global
 //! barrier between communication and computation, which is the *reference
 //! semantics* of the MPC model. [`Cluster::run_async`] executes the same
-//! program, the same rounds, with one scoped thread per server, each
-//! driving a [`WorkerCore`] ([`crate::worker`] describes the protocol)
-//! over the bounded per-link queues of [`crate::queue`]: real
-//! backpressure and no global barrier — a fast server races ahead into
-//! the next round while a straggler still drains the previous one.
-//!
-//! What this driver adds around the cores:
-//!
-//! * **The input router.** One more thread routes every input relation
-//!   (one logical input server `p + ri` per relation, as in the
-//!   synchronous backend) and closes round 1 with one FIN per worker.
-//! * **The schedule.** Every core records the blocks it ingested; the
-//!   records are replayed on a virtual clock ([`crate::schedule`]) into a
-//!   [`ScheduleStats`] timeline — busy / blocked / idle spans, per-round
-//!   barrier waits, critical path and makespan under a configurable
-//!   [`CostModel`], with deterministic seeded straggler injection
-//!   ([`StragglerSpec`]). The replay is a pure function of the recorded
-//!   traffic, not of how the threads happened to interleave.
+//! program, the same rounds, as one job on a private [`crate::mesh`]: `p`
+//! scoped reactor threads, each driving a [`crate::worker::WorkerCore`]
+//! over the bounded per-link queues of [`crate::queue`] — real
+//! backpressure and no global barrier, so a fast server races ahead into
+//! the next round while a straggler still drains the previous one. The
+//! input is routed on the calling thread, which then waits for the `p`
+//! summaries. What this driver adds around the mesh is **the schedule**:
+//! every core records the blocks it ingested, and the records are replayed
+//! on a virtual clock ([`crate::schedule`]) into a [`ScheduleStats`]
+//! timeline — busy / blocked / idle spans, per-round barrier waits,
+//! critical path and makespan under a configurable [`CostModel`], with
+//! deterministic seeded straggler injection ([`StragglerSpec`]). The replay
+//! is a pure function of the recorded traffic, not of how the threads
+//! happened to interleave.
 //!
 //! **Equivalence.** A worker computes exactly when it holds the packets
 //! the synchronous backend would have delivered to it, so the two
 //! backends produce identical join outputs and identical per-round
-//! communication volumes for every [`MpcProgram`]. That is not left to
-//! inspection: [`run_differential`] runs both and
-//! [`DifferentialReport::divergence`] compares them. One deliberate
-//! difference remains: with [`crate::MpcConfig::fail_on_overload`] the
-//! synchronous backend aborts *at* the violating round, while the async
-//! backend — having no global view mid-flight — finishes the run and
-//! reports the same [`SimError::Overload`] afterwards. A corollary: if
-//! the program itself errors in a round *after* the overload, the async
-//! backend surfaces that program error, where the synchronous backend
-//! would have stopped at the overload first.
+//! communication volumes for every [`MpcProgram`] — which callers check
+//! with [`RunResult::divergence`]. One deliberate difference remains: with
+//! [`crate::MpcConfig::fail_on_overload`] the synchronous backend aborts
+//! *at* the violating round, while the async backend — having no global
+//! view mid-flight — finishes the run and reports the same
+//! [`SimError::Overload`] afterwards. A corollary: if the program itself
+//! errors in a round *after* the overload, the async backend surfaces that
+//! program error, where the synchronous backend would have stopped at the
+//! overload first.
 //!
 //! ```
 //! use mpc_sim::{AsyncConfig, Cluster, MpcConfig};
@@ -51,28 +46,17 @@
 //! # Ok::<(), mpc_sim::SimError>(())
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
-
 use mpc_storage::Database;
 
 use crate::cluster::Cluster;
 use crate::error::SimError;
-use crate::pool::{BlockPool, PoolStats};
+use crate::mesh::Mesh;
+use crate::pool::PoolStats;
 use crate::program::MpcProgram;
-use crate::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
 use crate::schedule::{self, CostModel, ScheduleStats, StragglerSpec};
 use crate::stats::RunResult;
-use crate::worker::{
-    drive, fold_summaries, route_input, Input, Link, Packet, SendOutcome, Transport, WorkerCore,
-    WorkerSummary,
-};
+use crate::worker::fold_summaries;
 use crate::Result;
-
-/// How long a sender parks on a full lane before draining its own inbox
-/// and retrying — the event-driven send loop's poll interval.
-const BACKOFF: Duration = Duration::from_micros(200);
 
 /// Configuration of the event-driven backend: transport bounds, the
 /// virtual-clock cost model and optional straggler injection.
@@ -185,9 +169,10 @@ impl Cluster {
     /// # Errors
     ///
     /// Propagates program errors and out-of-range destinations like the
-    /// synchronous backend. With [`crate::MpcConfig::fail_on_overload`]
-    /// the same [`SimError::Overload`] is returned, but only after the
-    /// run completes (no global mid-flight view exists).
+    /// synchronous backend, chosen by the mesh's failure policy
+    /// ([`crate::mesh`]). With [`crate::MpcConfig::fail_on_overload`] the
+    /// same [`SimError::Overload`] is returned, but only after the run
+    /// completes (no global mid-flight view exists).
     pub fn run_async<P: MpcProgram>(
         &self,
         program: &P,
@@ -196,62 +181,26 @@ impl Cluster {
     ) -> Result<AsyncRunResult> {
         let p = self.config().p;
         let capacity = async_config.queue_capacity.max(1);
-        let block_capacity = async_config.block_capacity.max(1);
-        let pool = Arc::new(BlockPool::new());
-
-        // One inbox per worker with p + 1 lanes: lane s < p for peer s,
-        // lane p for the input router.
-        let (lane_senders, receivers): (Vec<_>, Vec<_>) =
-            (0..p).map(|_| Inbox::channel::<Packet>(p + 1, capacity)).unzip();
-        let input_links: Vec<LinkSender<Packet>> =
-            lane_senders.iter().map(|lanes| lanes[p].clone()).collect();
-        let mut workers = Vec::with_capacity(p);
-        for (id, rx) in receivers.into_iter().enumerate() {
-            let input = Input::Routed { domain_size: db.domain_size() };
-            let core = WorkerCore::new(program, id, p, input, Arc::clone(&pool), block_capacity)?;
-            // Server `id`'s lane into `dest`'s inbox is lane `id`.
-            let peers = lane_senders.iter().map(|lanes| lanes[id].clone()).collect();
-            workers.push((core, Lanes { peers, rx }));
-        }
-        drop(lane_senders);
-
-        let exits: Vec<Result<Option<WorkerSummary>>> = std::thread::scope(|scope| {
-            let router = scope.spawn(|| {
-                guarded("input router", &input_links, || {
-                    run_input(program, db, &input_links, &pool, block_capacity).map(|()| None)
-                })
+        let (done, pool) = std::thread::scope(|scope| {
+            let (mut mesh, reactors) = Mesh::new(p, capacity, async_config.block_capacity.max(1));
+            // Spawning p threads takes about as long as routing a small
+            // input, so the reactors start on a thread of their own while
+            // this one routes.
+            let spawner = scope.spawn(move || {
+                reactors.into_iter().map(|mut r| scope.spawn(move || r.run())).collect::<Vec<_>>()
             });
-            let handles: Vec<_> = workers
-                .into_iter()
-                .enumerate()
-                .map(|(id, (mut core, mut lanes))| {
-                    scope.spawn(move || {
-                        let peers = lanes.peers.clone();
-                        guarded(&format!("worker {id}"), &peers, || {
-                            drive(&mut core, &mut lanes).map(Some)
-                        })
-                    })
-                })
-                .collect();
-            let died = |_| Err(SimError::Program("a task died outside its guard".to_string()));
-            std::iter::once(router).chain(handles).map(|h| h.join().unwrap_or_else(died)).collect()
+            mesh.submit(program, db);
+            mesh.close();
+            let (done, pool) = (mesh.next_done(true), mesh.pool_stats());
+            // Joined here, not left to the scope: only a thread that has
+            // exited hands its malloc arena on to the next run's threads.
+            let hosts = spawner.join().unwrap_or_default();
+            let joined =
+                hosts.into_iter().map(|h| h.join()).filter(|exit| exit.is_err()).count() == 0;
+            (done.filter(|_| joined), pool)
         });
-
-        // Resolve errors deterministically: input router first, then
-        // workers in id order. A task that was only told to unwind never
-        // names the cause, so it is reported last.
-        let mut summaries = Vec::with_capacity(p);
-        let mut unwound = None;
-        for exit in exits {
-            match exit {
-                Ok(summary) => summaries.extend(summary),
-                Err(e @ SimError::Aborted(_)) => unwound = unwound.or(Some(e)),
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = unwound {
-            return Err(e);
-        }
+        let died = || SimError::Program("a reactor died outside its guard".to_string());
+        let mut summaries = done.ok_or_else(died)?.1?;
 
         // The schedule: a deterministic virtual-clock replay of the
         // recorded traffic.
@@ -270,132 +219,8 @@ impl Cluster {
             capacity,
             async_config.pipeline_depth,
         );
-        Ok(AsyncRunResult { result, schedule, pool: pool.stats() })
+        Ok(AsyncRunResult { result, schedule, pool })
     }
-}
-
-/// Both backends run on the same program and input, packaged for
-/// comparison.
-#[derive(Debug, Clone)]
-pub struct DifferentialReport {
-    /// The reference run.
-    pub synchronous: RunResult,
-    /// The event-driven run.
-    pub event_driven: AsyncRunResult,
-}
-
-impl DifferentialReport {
-    /// The first observed divergence between the two backends, if any
-    /// ([`RunResult::divergence`]). `None` means the backends are
-    /// equivalent on this program and input.
-    pub fn divergence(&self) -> Option<String> {
-        self.synchronous.divergence(&self.event_driven.result)
-    }
-
-    /// True when [`DifferentialReport::divergence`] found nothing.
-    pub fn is_equivalent(&self) -> bool {
-        self.divergence().is_none()
-    }
-}
-
-/// Run `program` on both backends and package the results. This is the
-/// differential-equivalence layer: callers assert
-/// [`DifferentialReport::divergence`] is `None` so the async path can
-/// never silently change semantics.
-///
-/// # Errors
-///
-/// Propagates the first backend error (synchronous first).
-pub fn run_differential<P: MpcProgram>(
-    cluster: &Cluster,
-    program: &P,
-    db: &Database,
-    async_config: &AsyncConfig,
-) -> Result<DifferentialReport> {
-    let synchronous = cluster.run(program, db)?;
-    let event_driven = cluster.run_async(program, db, async_config)?;
-    Ok(DifferentialReport { synchronous, event_driven })
-}
-
-/// One worker's end of the in-process fabric: its lane into every peer's
-/// inbox, and its own inbox.
-struct Lanes {
-    /// `peers[dest]` feeds worker `dest`'s inbox (lane = this worker).
-    peers: Vec<LinkSender<Packet>>,
-    rx: InboxReceiver<Packet>,
-}
-
-impl Link for Lanes {
-    fn send(&mut self, dest: usize, pkt: Packet) -> SendOutcome {
-        match self.peers[dest].send_timeout(pkt, BACKOFF) {
-            SendAttempt::Sent => SendOutcome::Sent,
-            SendAttempt::Full(back) => SendOutcome::Full(back),
-            SendAttempt::Closed(_) => SendOutcome::Closed,
-        }
-    }
-
-    fn try_recv(&mut self, buf: &mut Vec<Packet>) {
-        self.rx.try_recv_many(buf);
-    }
-}
-
-impl Transport for Lanes {
-    type Error = SimError;
-
-    fn recv(&mut self, buf: &mut Vec<Packet>) -> Result<()> {
-        self.rx.recv_many(buf);
-        Ok(())
-    }
-
-    fn abort(&mut self) {
-        abort_all(&self.peers);
-    }
-}
-
-/// Aborts jump the queue: they must never deadlock behind data traffic.
-fn abort_all(links: &[LinkSender<Packet>]) {
-    for lane in links {
-        let _ = lane.force_send(Packet::Abort);
-    }
-}
-
-/// Run `task`, turning a panic inside the program into an abort of
-/// everyone behind `links` — otherwise they would wait forever for a FIN.
-fn guarded<T>(
-    who: &str,
-    links: &[LinkSender<Packet>],
-    task: impl FnOnce() -> Result<T>,
-) -> Result<T> {
-    catch_unwind(AssertUnwindSafe(task)).unwrap_or_else(|_| {
-        abort_all(links);
-        Err(SimError::Program(format!("{who} panicked")))
-    })
-}
-
-/// The input router: one logical input server per relation (numbered
-/// `p, p+1, …` in the traffic records), all pumped by one task since
-/// round-1 routing is pure. It has no inbox, so its sends simply block.
-fn run_input<P: MpcProgram>(
-    program: &P,
-    db: &Database,
-    links: &[LinkSender<Packet>],
-    pool: &Arc<BlockPool>,
-    block_capacity: usize,
-) -> Result<()> {
-    let p = links.len();
-    let send = |dest: usize, pkt| {
-        links[dest]
-            .send(pkt)
-            .map_err(|_| SimError::Aborted(format!("input router: worker {dest} is gone")))
-    };
-    let routed = route_input(program, db, p, None, pool, block_capacity, |dest, block| {
-        send(dest, Packet::Block(block))
-    })
-    .and_then(|()| (0..p).try_for_each(|dest| send(dest, Packet::Fin { round: 1 })));
-    if routed.is_err() {
-        abort_all(links);
-    }
-    routed
 }
 
 #[cfg(test)]
@@ -414,12 +239,12 @@ mod tests {
         let q = families::cycle(3);
         let db = matching_database(&q, 60, 1);
         let cluster = Cluster::new(MpcConfig::new(4, 1.0)).unwrap();
-        let report =
-            run_differential(&cluster, &BroadcastProgram::new(q.clone()), &db, &AsyncConfig::new())
-                .unwrap();
-        assert_eq!(report.divergence(), None);
+        let program = BroadcastProgram::new(q.clone());
+        let synchronous = cluster.run(&program, &db).unwrap();
+        let event_driven = cluster.run_async(&program, &db, &AsyncConfig::new()).unwrap();
+        assert_eq!(synchronous.divergence(&event_driven.result), None);
         let expected = evaluate(&q, &db).unwrap();
-        assert!(report.event_driven.result.output.same_tuples(&expected));
+        assert!(event_driven.result.output.same_tuples(&expected));
     }
 
     #[test]
@@ -456,30 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn lanes_move_packets_and_report_full() {
-        let (senders_a, rx_a) = Inbox::channel(2, 1);
-        let (_senders_b, rx_b) = Inbox::channel(2, 1);
-        // Worker 1's view: its lane into worker 0's inbox is lane 1.
-        let mut w1 = Lanes { peers: vec![senders_a[1].clone(), senders_a[1].clone()], rx: rx_b };
-        assert!(matches!(w1.send(0, Packet::Fin { round: 1 }), SendOutcome::Sent));
-        // Lane capacity is 1: the second send backs off with the packet.
-        assert!(matches!(
-            w1.send(0, Packet::Fin { round: 2 }),
-            SendOutcome::Full(Packet::Fin { round: 2 })
-        ));
-        // An abort jumps the full lane.
-        w1.abort();
-        let mut w0 = Lanes { peers: Vec::new(), rx: rx_a };
-        let mut got = Vec::new();
-        w0.recv(&mut got).unwrap();
-        assert!(matches!(got[..], [Packet::Fin { round: 1 }, Packet::Abort, Packet::Abort]));
-        w0.try_recv(&mut got);
-        assert_eq!(got.len(), 3, "nothing else is pending");
-        drop(w0);
-        assert!(matches!(w1.send(0, Packet::Fin { round: 2 }), SendOutcome::Closed));
-    }
-
-    #[test]
     fn tiny_queue_capacity_still_completes() {
         // Capacity 1 forces constant backpressure; the drain-while-full
         // loop must keep everything moving.
@@ -487,11 +288,11 @@ mod tests {
         let db = matching_database(&q, 100, 11);
         let cluster = Cluster::new(MpcConfig::new(4, 1.0)).unwrap();
         let program = BroadcastProgram::new(q);
-        let report =
-            run_differential(&cluster, &program, &db, &AsyncConfig::new().with_queue_capacity(1))
-                .unwrap();
-        assert_eq!(report.divergence(), None);
-        assert_eq!(report.event_driven.schedule.queue_window, 1);
+        let synchronous = cluster.run(&program, &db).unwrap();
+        let event_driven =
+            cluster.run_async(&program, &db, &AsyncConfig::new().with_queue_capacity(1)).unwrap();
+        assert_eq!(synchronous.divergence(&event_driven.result), None);
+        assert_eq!(event_driven.schedule.queue_window, 1);
     }
 
     #[test]

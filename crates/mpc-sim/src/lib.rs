@@ -19,13 +19,13 @@
 //! Two backends execute programs. [`Cluster::run`] is the
 //! **round-synchronous** reference: a global barrier between delivery and
 //! computation, exactly the model of Section 2.1. [`Cluster::run_async`]
-//! is the **event-driven** backend ([`cluster_async`]): every server is
-//! an independent task over bounded per-link queues ([`queue`]) with
-//! backpressure and no global barrier, producing — on top of the same
-//! volume statistics — a virtual-clock [`ScheduleStats`] timeline
-//! ([`schedule`]): busy/blocked/idle spans, per-round barrier waits,
-//! critical path and makespan, with deterministic straggler injection.
-//! A differential layer ([`cluster_async::run_differential`]) asserts
+//! is the **event-driven** backend ([`cluster_async`]): one job on a
+//! reactor [`mesh`], every server an independent task over bounded
+//! per-link queues ([`queue`]) with backpressure and no global barrier,
+//! producing — on top of the same volume statistics — a virtual-clock
+//! [`ScheduleStats`] timeline ([`schedule`]): busy/blocked/idle spans,
+//! per-round barrier waits, critical path and makespan, with deterministic
+//! straggler injection. [`RunResult::divergence`] is how the tests assert
 //! the two backends agree on outputs and volumes for every program.
 //!
 //! Programs are expressed against the [`MpcProgram`] trait, routing each
@@ -47,6 +47,7 @@ pub mod cluster;
 pub mod cluster_async;
 pub mod config;
 pub mod error;
+pub mod mesh;
 pub mod message;
 pub mod pool;
 pub mod program;
@@ -59,7 +60,7 @@ pub mod worker;
 
 pub use block::{BlockAssembler, TupleBlock};
 pub use cluster::{build_round_stats, overloaded_server, union_outputs, Cluster};
-pub use cluster_async::{run_differential, AsyncConfig, AsyncRunResult, DifferentialReport};
+pub use cluster_async::{AsyncConfig, AsyncRunResult};
 pub use config::MpcConfig;
 pub use error::SimError;
 pub use message::Routed;

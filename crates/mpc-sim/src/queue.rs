@@ -1,15 +1,15 @@
-//! Bounded per-link queues with backpressure — the transport of the
-//! event-driven backend.
+//! Bounded per-link queues with backpressure — the fabric of the reactor
+//! [`crate::mesh`] (and the inbox of `mpc-net`'s TCP transport).
 //!
-//! Every server of the async backend owns one [`Inbox`]: a set of bounded
-//! FIFO lanes, one per inbound *link* (one for each peer server plus one
-//! for the input router). Senders hold a [`LinkSender`] onto their lane and
+//! Every reactor of a mesh owns one [`Inbox`]: a set of bounded FIFO
+//! lanes, one per inbound *link* (one for each peer server plus one for
+//! the submitter, which routes the input). Senders hold a [`LinkSender`] onto their lane and
 //! block — or, via [`LinkSender::send_timeout`], back off — when the lane
 //! is full, which is exactly the backpressure a real network stack would
 //! exert. The receiving side drains all lanes through a single
 //! [`InboxReceiver`], waking on the arrival of a packet on any lane.
 //!
-//! Lanes preserve per-sender FIFO order (the property the round protocol
+//! Each lane preserves per-sender FIFO order (the property the round protocol
 //! of [`crate::worker`] relies on: a round-`r` tuple from server `s`
 //! is always seen before `s`'s round-`r` FIN marker), while packets from
 //! *different* senders may interleave arbitrarily — as on a real network.
@@ -150,7 +150,7 @@ pub struct InboxReceiver<T> {
 }
 
 impl<T> InboxReceiver<T> {
-    /// Block until a packet is available on any lane and return it. Lanes
+    /// Block until a packet is available on any lane and return it. The lanes
     /// are polled round-robin so a chatty sender cannot starve the rest.
     pub fn recv(&self) -> T {
         let mut inner = self.shared.inner.lock().expect("queue mutex poisoned");

@@ -3,11 +3,10 @@
 //! [`Cluster::run`](crate::Cluster::run) is the *reference* execution: a
 //! global loop that delivers a whole round to every server and then lets
 //! every server compute. Everything else that executes an
-//! [`MpcProgram`] — the event-driven backend
-//! ([`Cluster::run_async`](crate::Cluster::run_async)), the TCP runner and
-//! the multi-query service of `mpc-net` — runs one [`WorkerCore`] per
-//! server and differs only in the *driver* around it: what moves the
-//! packets and what happens between rounds.
+//! [`MpcProgram`] runs one [`WorkerCore`] per server, under one of two
+//! drivers: the in-process reactor [`crate::mesh`] (behind
+//! [`Cluster::run_async`](crate::Cluster::run_async) and `mpc-net`'s
+//! multi-query service) and `mpc-net`'s TCP worker ([`drive`]).
 //!
 //! **Protocol.** In every round a server *receives, then computes*
 //! (BKS13 §2.1). Round-1 traffic comes either from an input router
@@ -49,11 +48,12 @@
 //! [`SimError::Storage`]), never a panic.
 //!
 //! **Drivers.** [`drive`] is the blocking loop for one core over a
-//! [`Transport`]: feed it what arrives, call the transport's
-//! [`Transport::round_done`] hook (checkpoint, barrier) after each round,
-//! hand back the [`WorkerSummary`]. The service steps many cores per
-//! thread through [`WorkerCore::step`] directly. [`fold_summaries`] turns
-//! the `p` summaries into the [`RunResult`] every path agrees on.
+//! [`Transport`] — `mpc-net`'s TCP worker: feed it what arrives, call the
+//! transport's [`Transport::round_done`] hook (checkpoint, barrier) after
+//! each round, hand back the [`WorkerSummary`]. A mesh reactor steps many
+//! cores, one per job, through [`WorkerCore::step`] directly, over a
+//! [`Link`] that wraps each packet in its job's envelope. [`fold_summaries`]
+//! turns the `p` summaries into the [`RunResult`] every path agrees on.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -179,7 +179,7 @@ pub struct RestorePoint {
 /// round 1. The driver decides this; it is not a user setting.
 #[derive(Debug, Clone, Copy)]
 pub enum Input<'a> {
-    /// An input router (or service front-end) routes every relation and
+    /// An input router (a mesh job's submitter) routes every relation and
     /// sends each worker one round-1 FIN.
     Routed {
         /// Domain size of the input database.

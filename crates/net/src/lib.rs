@@ -16,9 +16,9 @@
 //! * **[`transport`] / [`runner`]** — [`TcpTransport`], the socket
 //!   implementation of the simulator's [`Transport`] trait.
 //!   [`runner::run_distributed`] drives one [`mpc_sim::WorkerCore`] per
-//!   server over it — or, in-process, over the event-driven backend's own
-//!   lanes — and rebuilds the exact [`mpc_sim::RunResult`] the
-//!   single-process backends produce.
+//!   server over it — or, in-process, runs the job on the simulator's
+//!   reactor mesh ([`mpc_sim::mesh`]) — and rebuilds the exact
+//!   [`mpc_sim::RunResult`] the single-process backends produce.
 //! * **[`master`] / [`spec`]** — the spawned-process mode: each server is
 //!   a real OS process (`mpc_workerd`) coordinated over localhost by a
 //!   master (hello handshake, per-round ready/proceed signals, clean
@@ -28,8 +28,9 @@
 //! * **[`service`]** — a [`QueryService`] front-end that accepts a stream
 //!   of parsed CQs, analyses them (afresh per submission; nothing is
 //!   memoised), admits them against a server byte budget, and multiplexes many
-//!   concurrent query executions over one shared cluster: one worker core
-//!   per query on each reactor, packets addressed by query id.
+//!   concurrent query executions as jobs of one shared reactor mesh
+//!   ([`mpc_sim::mesh`]): one worker core per query on each reactor, packets
+//!   addressed by query id.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +51,7 @@ pub use frame::Frame;
 pub use master::{run_spawned, run_spawned_with, worker_main, SpawnedReport};
 pub use mpc_sim::{Link, Packet, SendOutcome, Transport};
 pub use recovery::{MasterConfig, RecoveryPolicy, RecoverySettings};
-pub use runner::{run_distributed, run_transport_differential, DistConfig, TransportKind};
+pub use runner::{run_distributed, DistConfig, TransportKind};
 pub use service::{Admission, QueryJob, QueryOutcome, QueryService, ServiceConfig, Submission};
 pub use spec::{JobSpec, ProgramSpec};
 pub use transport::TcpTransport;

@@ -304,53 +304,3 @@ pub(crate) fn tcp_worker_setup(
     let transport = TcpTransport::new(endpoints, Arc::new(pool), queue_capacity, recovery)?;
     Ok(WorkerSetup { transport, job, restore })
 }
-
-/// The three-way differential report: the synchronous reference against
-/// both distributed transports.
-#[derive(Debug)]
-pub struct TransportDifferential {
-    /// [`Cluster::run`], the model's reference semantics.
-    pub reference: RunResult,
-    /// The distributed runner over in-process lanes.
-    pub in_process: RunResult,
-    /// The distributed runner over TCP sockets.
-    pub tcp: RunResult,
-}
-
-impl TransportDifferential {
-    /// The first observable difference between the reference and either
-    /// distributed run, if any ([`RunResult::divergence`]).
-    pub fn divergence(&self) -> Option<String> {
-        [("in-process", &self.in_process), ("tcp", &self.tcp)].into_iter().find_map(
-            |(label, run)| self.reference.divergence(run).map(|what| format!("{label}: {what}")),
-        )
-    }
-}
-
-/// Run `program` under the synchronous reference and both distributed
-/// transports, for differential assertions.
-///
-/// # Errors
-///
-/// Fails if any of the three runs fails.
-pub fn run_transport_differential<P: MpcProgram>(
-    cluster: &Cluster,
-    program: &P,
-    db: &Database,
-    cfg: &DistConfig,
-) -> Result<TransportDifferential> {
-    let reference = cluster.run(program, db).map_err(NetError::Sim)?;
-    let in_process = run_distributed(
-        cluster,
-        program,
-        db,
-        &DistConfig { transport: TransportKind::InProcess, ..cfg.clone() },
-    )?;
-    let tcp = run_distributed(
-        cluster,
-        program,
-        db,
-        &DistConfig { transport: TransportKind::Tcp, ..cfg.clone() },
-    )?;
-    Ok(TransportDifferential { reference, in_process, tcp })
-}

@@ -1,29 +1,30 @@
-//! A multi-query front-end over one shared cluster of reactor workers.
+//! A multi-query front-end over one shared reactor mesh.
 //!
 //! [`QueryService`] accepts a stream of parsed conjunctive queries,
 //! analyses each ([`mpc_core::analysis::QueryAnalysis`]: afresh per
 //! submission — nothing is memoised, so a repeated template is planned
 //! identically and in the same microseconds every time), admits it
 //! against a per-server byte budget, and executes many queries
-//! **concurrently** over the same `p` reactor threads. Each reactor keeps one [`WorkerCore`] per query in
-//! flight ([`mpc_sim::worker`] describes the protocol a core speaks) and
-//! every packet travels in an envelope naming its query, so a reactor
-//! feeds whatever arrives to the right core and steps the cores whose
-//! rounds that completed. A query's blocks are exactly those of a
-//! dedicated [`mpc_sim::Cluster::run`] of the same program, so its
-//! per-round statistics are identical — the multiplexing differential the
-//! tests pin down.
+//! **concurrently** as jobs of one [`mpc_sim::mesh`]: `p` detached reactor
+//! threads, each keeping one [`mpc_sim::WorkerCore`] per query in flight,
+//! every packet in an envelope naming its query. A query's blocks are
+//! exactly those of a dedicated [`mpc_sim::Cluster::run`] of the same
+//! program, so its per-round statistics are identical — the multiplexing
+//! differential the tests pin down. There is deliberately **no**
+//! cross-query barrier — queries in different rounds interleave freely on
+//! the reactors.
 //!
-//! What this driver adds around the cores: query ids, analysis and the
-//! admission gate. The front-end routes all input itself (preserving the
-//! logical input server ids `p + ri`), so round 1 closes on one FIN per
-//! worker. There is deliberately **no** cross-query barrier — queries in
-//! different rounds interleave freely on the reactors.
+//! What this front-end adds around the mesh: query ids, analysis and the
+//! admission gate. It has no threads of its own: the mesh routes a query's
+//! input on the submitting thread, and finished queries are folded into
+//! [`QueryOutcome`]s by whichever call next looks — [`QueryService::submit`]
+//! without blocking (so their budget is free before it admits anything),
+//! [`QueryService::next_outcome`] blocking. A failed query is reported once,
+//! with the error the mesh's failure policy picks.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::Instant;
 
 use mpc_core::analysis::QueryAnalysis;
 use mpc_core::hypercube::HyperCubeProgram;
@@ -31,19 +32,11 @@ use mpc_core::multiround::executor::PlanProgram;
 use mpc_core::multiround::planner::MultiRoundPlan;
 use mpc_cq::Query;
 use mpc_lp::Rational;
-use mpc_sim::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
-use mpc_sim::worker::route_input;
-use mpc_sim::{
-    fold_summaries, BlockPool, Input, Link, MpcConfig, MpcProgram, Packet, RoundStats, RunResult,
-    SendOutcome, Step, WorkerCore, WorkerSummary,
-};
+use mpc_sim::mesh::Mesh;
+use mpc_sim::{fold_summaries, MpcConfig, MpcProgram, RoundStats, RunResult, WorkerSummary};
 use mpc_storage::{Database, Relation};
 
 use crate::{NetError, Result};
-
-/// How long a reactor parks on a full peer lane before draining its own
-/// inbox and retrying.
-const REACTOR_POLL: Duration = Duration::from_micros(200);
 
 /// Service shape and admission policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,58 +156,29 @@ pub struct Submission {
 }
 
 /// The admission gate: a counting budget over admitted query costs.
-#[derive(Debug)]
 struct AdmissionGate {
-    charged: Mutex<u64>,
+    charged: u64,
     capacity: u64,
 }
 
 impl AdmissionGate {
-    fn new(capacity: u64) -> Self {
-        AdmissionGate { charged: Mutex::new(0), capacity }
-    }
-
     /// Charge `cost` if it fits (an oversized query is admitted alone);
     /// never blocks — a refusal sends the query to the deferral queue.
-    fn try_admit(&self, cost: u64) -> bool {
-        let mut charged = self.charged.lock().expect("admission mutex poisoned");
-        if *charged > 0 && *charged + cost > self.capacity {
+    fn try_admit(&mut self, cost: u64) -> bool {
+        if self.charged > 0 && self.charged + cost > self.capacity {
             return false;
         }
-        *charged += cost;
+        self.charged += cost;
         true
-    }
-
-    fn release(&self, cost: u64) {
-        let mut charged = self.charged.lock().expect("admission mutex poisoned");
-        *charged = charged.saturating_sub(cost);
     }
 }
 
 /// The program handle a query's cores share across reactors.
 type SharedProgram = Arc<dyn MpcProgram + Send + Sync>;
 
-/// A packet on the service fabric: the protocol's packets in an envelope
-/// naming their query, plus the two messages only a service has. Reactor
-/// lanes `0..p` carry peer traffic; lane `p` is the front-end's.
-enum SvcPacket {
-    /// A query starts: create its core on this reactor.
-    Start { qid: u64, program: SharedProgram, domain_size: u64 },
-    /// One packet of query `qid`'s round protocol.
-    Data { qid: u64, pkt: Packet },
-    /// Tear the reactor down.
-    Shutdown,
-}
-
-/// Reactor/front-end → collector messages.
-enum CollectorMsg {
-    Meta(u64, QueryMeta),
-    Done { qid: u64, server: usize, summary: WorkerSummary },
-    Failed { qid: u64, server: usize, error: String },
-}
-
-/// Everything the collector needs to assemble a query's outcome.
+/// Everything the service needs to assemble a query's outcome.
 struct QueryMeta {
+    qid: u64,
     program: SharedProgram,
     input_bytes: u64,
     started: Instant,
@@ -227,217 +191,8 @@ struct QueryMeta {
 /// A fully analysed and planned query waiting on the admission gate:
 /// everything [`QueryService`] needs to launch it later, in FIFO order.
 struct PreparedQuery {
-    qid: u64,
-    program: SharedProgram,
     db: Arc<Database>,
-    cost: u64,
     meta: QueryMeta,
-}
-
-/// One of the `p` shared worker threads.
-struct Reactor {
-    id: usize,
-    p: usize,
-    rx: InboxReceiver<SvcPacket>,
-    /// `peers[dest]` is this reactor's lane into `dest`'s inbox.
-    peers: Vec<LinkSender<SvcPacket>>,
-    /// One core per query in flight here (the one being stepped is out).
-    cores: HashMap<u64, WorkerCore<'static, SharedProgram>>,
-    /// Packets that raced ahead of their query's `Start`.
-    pending: HashMap<u64, Vec<Packet>>,
-    /// Queries that took a FIN since they were last stepped.
-    dirty: Vec<u64>,
-    done_tx: mpsc::Sender<CollectorMsg>,
-    pool: Arc<BlockPool>,
-    block_capacity: usize,
-    scratch: Vec<SvcPacket>,
-    stopping: bool,
-}
-
-impl Reactor {
-    fn run(mut self) {
-        let mut buf = Vec::new();
-        while !self.stopping {
-            self.rx.recv_many(&mut buf);
-            buf.drain(..).for_each(|pkt| self.dispatch(pkt));
-            while let Some(qid) = self.dirty.pop() {
-                self.advance(qid);
-            }
-        }
-    }
-
-    /// Apply one packet. Only FINs (and the replays a `Start` triggers)
-    /// can complete a round, so only they mark the query dirty.
-    fn dispatch(&mut self, pkt: SvcPacket) {
-        match pkt {
-            SvcPacket::Start { qid, program, domain_size } => {
-                let input = Input::Routed { domain_size };
-                let pool = Arc::clone(&self.pool);
-                match WorkerCore::new(program, self.id, self.p, input, pool, self.block_capacity) {
-                    Ok(core) => {
-                        self.cores.insert(qid, core);
-                        for pkt in self.pending.remove(&qid).unwrap_or_default() {
-                            self.feed(qid, pkt);
-                        }
-                    }
-                    Err(e) => self.fail_query(qid, &e.to_string()),
-                }
-            }
-            SvcPacket::Data { qid, pkt } => self.feed(qid, pkt),
-            SvcPacket::Shutdown => self.stopping = true,
-        }
-    }
-
-    /// Hand one protocol packet to its query's core.
-    fn feed(&mut self, qid: u64, pkt: Packet) {
-        let Some(core) = self.cores.get_mut(&qid) else {
-            self.pending.entry(qid).or_default().push(pkt);
-            return;
-        };
-        let closes_a_round = matches!(pkt, Packet::Fin { .. });
-        match core.accept(pkt) {
-            Ok(()) if closes_a_round => self.dirty.push(qid),
-            Ok(()) => {}
-            Err(e) => {
-                self.cores.remove(&qid);
-                self.fail_query(qid, &e.to_string());
-            }
-        }
-    }
-
-    /// Step `qid`'s core through as many rounds as its FIN counts allow.
-    fn advance(&mut self, qid: u64) {
-        let Some(mut core) = self.cores.remove(&qid) else { return };
-        loop {
-            match core.step(&mut QueryLink { reactor: self, qid }) {
-                Ok(Step::RoundDone(_)) => {}
-                Ok(Step::NeedInput) => {
-                    self.cores.insert(qid, core);
-                    return;
-                }
-                Ok(Step::Finished(summary)) => {
-                    let done = CollectorMsg::Done { qid, server: self.id, summary };
-                    let _ = self.done_tx.send(done);
-                    return;
-                }
-                Err(e) => return self.fail_query(qid, &e.to_string()),
-            }
-        }
-    }
-
-    /// Report a per-query failure; its local state is gone and the reactor
-    /// keeps serving other queries.
-    fn fail_query(&mut self, qid: u64, error: &str) {
-        let failed = CollectorMsg::Failed { qid, server: self.id, error: error.to_string() };
-        let _ = self.done_tx.send(failed);
-    }
-}
-
-/// The fabric as the one core being stepped sees it: its sends go out in
-/// `qid`'s envelope, and draining the reactor's inbox hands it its own
-/// packets while everything else is dispatched as usual.
-struct QueryLink<'r> {
-    reactor: &'r mut Reactor,
-    qid: u64,
-}
-
-impl Link for QueryLink<'_> {
-    fn send(&mut self, dest: usize, pkt: Packet) -> SendOutcome {
-        if self.reactor.stopping {
-            return SendOutcome::Closed;
-        }
-        let enveloped = SvcPacket::Data { qid: self.qid, pkt };
-        match self.reactor.peers[dest].send_timeout(enveloped, REACTOR_POLL) {
-            SendAttempt::Sent => SendOutcome::Sent,
-            SendAttempt::Full(SvcPacket::Data { pkt, .. }) => SendOutcome::Full(pkt),
-            SendAttempt::Full(_) | SendAttempt::Closed(_) => SendOutcome::Closed,
-        }
-    }
-
-    fn try_recv(&mut self, buf: &mut Vec<Packet>) {
-        let mut batch = std::mem::take(&mut self.reactor.scratch);
-        self.reactor.rx.try_recv_many(&mut batch);
-        for pkt in batch.drain(..) {
-            match pkt {
-                SvcPacket::Data { qid, pkt } if qid == self.qid => buf.push(pkt),
-                other => self.reactor.dispatch(other),
-            }
-        }
-        self.reactor.scratch = batch;
-    }
-}
-
-/// The collector: folds per-reactor summaries into [`QueryOutcome`]s and
-/// releases admission budget as queries drain.
-fn collector_run(
-    config: MpcConfig,
-    rx: mpsc::Receiver<CollectorMsg>,
-    tx: mpsc::Sender<Result<QueryOutcome>>,
-    admission: Arc<AdmissionGate>,
-) {
-    let mut meta: HashMap<u64, QueryMeta> = HashMap::new();
-    let mut parts: HashMap<u64, Vec<Option<WorkerSummary>>> = HashMap::new();
-    let mut failed: HashSet<u64> = HashSet::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            CollectorMsg::Meta(qid, m) => {
-                meta.insert(qid, m);
-            }
-            CollectorMsg::Done { qid, server, summary } => {
-                if failed.contains(&qid) {
-                    continue;
-                }
-                let entry = parts.entry(qid).or_insert_with(|| vec![None; config.p]);
-                entry[server] = Some(summary);
-                if entry.iter().any(Option::is_none) {
-                    continue;
-                }
-                let summaries = parts.remove(&qid).into_iter().flatten().flatten().collect();
-                let Some(m) = meta.remove(&qid) else {
-                    let _ = tx.send(Err(NetError::Protocol(format!(
-                        "query {qid} finished without metadata"
-                    ))));
-                    continue;
-                };
-                admission.release(m.admitted_cost);
-                let _ = tx.send(assemble_outcome(&config, qid, m, summaries));
-            }
-            CollectorMsg::Failed { qid, server, error } => {
-                if failed.insert(qid) {
-                    parts.remove(&qid);
-                    if let Some(m) = meta.remove(&qid) {
-                        admission.release(m.admitted_cost);
-                    }
-                    let _ = tx.send(Err(NetError::Protocol(format!(
-                        "query {qid} failed at server {server}: {error}"
-                    ))));
-                }
-            }
-        }
-    }
-}
-
-fn assemble_outcome(
-    config: &MpcConfig,
-    qid: u64,
-    m: QueryMeta,
-    summaries: Vec<WorkerSummary>,
-) -> Result<QueryOutcome> {
-    let RunResult { output, rounds, per_server_output, input_bytes } =
-        fold_summaries(config, m.program.as_ref(), m.input_bytes, summaries)?;
-    Ok(QueryOutcome {
-        qid,
-        output,
-        rounds,
-        per_server_output,
-        input_bytes,
-        analysis_path: m.analysis_path,
-        cache_hot: false,
-        planning_micros: m.planning_micros,
-        latency_micros: m.started.elapsed().as_micros() as u64,
-        admitted_cost: m.admitted_cost,
-        admission: m.admission,
-    })
 }
 
 /// The multi-query front-end. See the module docs for the execution
@@ -445,20 +200,18 @@ fn assemble_outcome(
 /// `next_outcome` → `shutdown`.
 pub struct QueryService {
     config: MpcConfig,
-    /// `frontend_lanes[w]` is the front-end's lane (index `p`) into
-    /// worker `w`'s inbox.
-    frontend_lanes: Vec<LinkSender<SvcPacket>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    collector: Option<std::thread::JoinHandle<()>>,
-    collector_tx: Option<mpsc::Sender<CollectorMsg>>,
-    outcome_rx: mpsc::Receiver<Result<QueryOutcome>>,
-    admission: Arc<AdmissionGate>,
-    /// Queries the gate could not admit yet, launched FIFO as capacity
-    /// frees up (drained on every `submit` and `next_outcome`).
+    mesh: Mesh<SharedProgram>,
+    reactors: Vec<std::thread::JoinHandle<()>>,
+    /// Launched queries by mesh job id.
+    running: HashMap<u64, QueryMeta>,
+    /// Finished queries whose outcome has not been handed out yet, in
+    /// completion order.
+    finished: VecDeque<Result<QueryOutcome>>,
+    admission: AdmissionGate,
+    /// Queries the gate could not admit yet, launched FIFO as finished
+    /// queries free capacity.
     deferred: VecDeque<PreparedQuery>,
     deferral_depth: usize,
-    pool: Arc<BlockPool>,
-    block_capacity: usize,
     next_qid: u64,
     /// Accepted submissions whose outcome has not been delivered yet.
     outstanding: usize,
@@ -471,7 +224,7 @@ impl std::fmt::Debug for QueryService {
 }
 
 impl QueryService {
-    /// Start the shared cluster: `p` reactor threads plus a collector.
+    /// Start the shared cluster: a mesh of `p` detached reactor threads.
     ///
     /// # Errors
     ///
@@ -480,52 +233,20 @@ impl QueryService {
         let config = MpcConfig::new(cfg.p, cfg.epsilon);
         // Validate the shape through the simulator's own constructor.
         mpc_sim::Cluster::new(config.clone()).map_err(NetError::Sim)?;
-        let p = cfg.p;
-        let pool = Arc::new(BlockPool::new());
-        let (done_tx, done_rx) = mpsc::channel();
-        let (outcome_tx, outcome_rx) = mpsc::channel();
-        let admission = Arc::new(AdmissionGate::new(cfg.admission_capacity_bytes));
-        // Lanes 0..p are peers, lane p is the front-end.
-        let (lane_senders, receivers): (Vec<_>, Vec<_>) =
-            (0..p).map(|_| Inbox::channel::<SvcPacket>(p + 1, cfg.queue_capacity)).unzip();
-        let workers: Vec<_> = receivers
+        let (mesh, reactors) = Mesh::new(cfg.p, cfg.queue_capacity, cfg.block_capacity);
+        let reactors = reactors
             .into_iter()
-            .enumerate()
-            .map(|(id, rx)| {
-                let reactor = Reactor {
-                    id,
-                    p,
-                    rx,
-                    peers: lane_senders.iter().map(|lanes| lanes[id].clone()).collect(),
-                    cores: HashMap::new(),
-                    pending: HashMap::new(),
-                    dirty: Vec::new(),
-                    done_tx: done_tx.clone(),
-                    pool: Arc::clone(&pool),
-                    block_capacity: cfg.block_capacity,
-                    scratch: Vec::new(),
-                    stopping: false,
-                };
-                std::thread::spawn(move || reactor.run())
-            })
+            .map(|mut reactor| std::thread::spawn(move || reactor.run()))
             .collect();
-        let collector = {
-            let (config, admission) = (config.clone(), Arc::clone(&admission));
-            std::thread::spawn(move || collector_run(config, done_rx, outcome_tx, admission))
-        };
-        let frontend_lanes = lane_senders.iter().map(|senders| senders[p].clone()).collect();
         Ok(QueryService {
             config,
-            frontend_lanes,
-            workers,
-            collector: Some(collector),
-            collector_tx: Some(done_tx),
-            outcome_rx,
-            admission,
+            mesh,
+            reactors,
+            running: HashMap::new(),
+            finished: VecDeque::new(),
+            admission: AdmissionGate { charged: 0, capacity: cfg.admission_capacity_bytes },
             deferred: VecDeque::new(),
             deferral_depth: cfg.deferral_depth,
-            pool,
-            block_capacity: cfg.block_capacity,
             next_qid: 0,
             outstanding: 0,
         })
@@ -541,17 +262,18 @@ impl QueryService {
     ///
     /// # Errors
     ///
-    /// Fails on analysis/planning errors, on a torn-down service, and
-    /// with [`NetError::Rejected`] when the deferral queue is already
-    /// [`ServiceConfig::deferral_depth`] deep.
+    /// Fails on analysis/planning errors and with [`NetError::Rejected`]
+    /// when the deferral queue is already [`ServiceConfig::deferral_depth`]
+    /// deep.
     pub fn submit(&mut self, job: &QueryJob) -> Result<Submission> {
-        self.drain_deferred()?;
+        // Queries that finished meanwhile release their budget first.
+        self.collect(false);
         let mut prepared = self.prepare(job)?;
-        let qid = prepared.qid;
+        let (qid, cost) = (prepared.meta.qid, prepared.meta.admitted_cost);
         // FIFO fairness: a newcomer may not jump past queued queries
         // even when its own budget would fit right now.
-        if self.deferred.is_empty() && self.admission.try_admit(prepared.cost) {
-            self.launch(prepared)?;
+        if self.deferred.is_empty() && self.admission.try_admit(cost) {
+            self.launch(prepared);
             self.outstanding += 1;
             return Ok(Submission { qid, admission: Admission::Admitted });
         }
@@ -568,20 +290,27 @@ impl QueryService {
         Ok(Submission { qid, admission })
     }
 
-    /// Launch every deferred query whose budget now fits, oldest first.
-    fn drain_deferred(&mut self) -> Result<()> {
-        while let Some(front) = self.deferred.front() {
-            if !self.admission.try_admit(front.cost) {
-                return Ok(());
-            }
-            let prepared = self.deferred.pop_front().expect("front just checked");
-            if let Err(e) = self.launch(prepared) {
-                // A query that never launched never reports.
-                self.outstanding -= 1;
-                return Err(e);
+    /// Fold finished queries into outcomes and release their budget:
+    /// every one that is done already, or — with `block` — at least one.
+    /// Then launch every deferred query whose budget now fits, oldest
+    /// first.
+    fn collect(&mut self, block: bool) {
+        while let Some((job, done)) = self.mesh.next_done(block) {
+            let m = self.running.remove(&job).expect("every launched job has its metadata");
+            self.admission.charged -= m.admitted_cost;
+            let outcome = done
+                .map_err(|e| NetError::Protocol(format!("query {} failed: {e}", m.qid)))
+                .and_then(|summaries| assemble_outcome(&self.config, m, summaries));
+            self.finished.push_back(outcome);
+            if block {
+                break;
             }
         }
-        Ok(())
+        while self.deferred.front().is_some_and(|q| self.admission.try_admit(q.meta.admitted_cost))
+        {
+            let prepared = self.deferred.pop_front().expect("front just checked");
+            self.launch(prepared);
+        }
     }
 
     /// Analysis + planning: everything up to (but not including) the
@@ -609,48 +338,26 @@ impl QueryService {
         };
         let planning_micros = started.elapsed().as_micros() as u64;
         let input_bytes = job.db.total_bytes();
-        let budget_bytes = self.config.budget_bytes(input_bytes);
         let qid = self.next_qid;
         self.next_qid += 1;
         let meta = QueryMeta {
-            program: Arc::clone(&program),
+            qid,
+            program,
             input_bytes,
             started,
             planning_micros,
             analysis_path: analysis.lp_solver_path.clone(),
-            admitted_cost: budget_bytes,
+            admitted_cost: self.config.budget_bytes(input_bytes),
             admission: Admission::Admitted,
         };
-        Ok(PreparedQuery { qid, program, db: Arc::clone(&job.db), cost: budget_bytes, meta })
+        Ok(PreparedQuery { db: Arc::clone(&job.db), meta })
     }
 
-    /// Inject a prepared (and already admission-charged) query into the
-    /// reactors: metadata to the collector, a `Start` to every worker,
-    /// then the routed input and the round-1 FINs.
-    fn launch(&mut self, prepared: PreparedQuery) -> Result<()> {
-        let PreparedQuery { qid, program, db, cost: _, meta } = prepared;
-        let p = self.config.p;
-        let send_meta = self
-            .collector_tx
-            .as_ref()
-            .ok_or_else(|| NetError::Protocol("service is shut down".to_string()))?
-            .send(CollectorMsg::Meta(qid, meta));
-        if send_meta.is_err() {
-            return Err(NetError::Protocol("service collector is gone".to_string()));
-        }
-        let domain_size = db.domain_size();
-        for w in 0..p {
-            let start = SvcPacket::Start { qid, program: Arc::clone(&program), domain_size };
-            self.frontend_send(w, start)?;
-        }
-        // The front-end routes all input itself, preserving the logical
-        // input server ids `p + ri` on the blocks.
-        let data = |pkt| SvcPacket::Data { qid, pkt };
-        let (pool, capacity) = (&self.pool, self.block_capacity);
-        route_input(program.as_ref(), &db, p, None, pool, capacity, |dest, block| {
-            self.frontend_send(dest, data(Packet::Block(block)))
-        })?;
-        (0..p).try_for_each(|w| self.frontend_send(w, data(Packet::Fin { round: 1 })))
+    /// Submit a prepared (and already admission-charged) query to the
+    /// mesh, which routes its input on this thread.
+    fn launch(&mut self, PreparedQuery { db, meta }: PreparedQuery) {
+        let job = self.mesh.submit(Arc::clone(&meta.program), &db);
+        self.running.insert(job, meta);
     }
 
     /// Block until the next query (in completion order) finishes. The
@@ -667,56 +374,49 @@ impl QueryService {
             return Err(NetError::Protocol("no submitted query is outstanding".to_string()));
         }
         self.outstanding -= 1;
-        let outcome = match self.outcome_rx.recv() {
-            Ok(outcome) => outcome,
-            Err(_) => Err(NetError::Protocol("service stopped".to_string())),
-        };
-        // The collector released the finished query's budget before
-        // reporting it, so deferred queries can launch right away.
-        self.drain_deferred()?;
-        outcome
+        if self.finished.is_empty() {
+            self.collect(true);
+        }
+        let stopped = || Err(NetError::Protocol("service stopped".to_string()));
+        self.finished.pop_front().unwrap_or_else(stopped)
     }
 
-    /// Tear the shared cluster down. In-flight queries are dropped;
-    /// drain outcomes first.
+    /// Tear the shared cluster down: the reactors finish the queries in
+    /// flight and exit, and their outcomes are dropped — drain them first.
     ///
     /// # Errors
     ///
     /// Fails when a reactor panicked.
-    pub fn shutdown(mut self) -> Result<()> {
-        for lane in &self.frontend_lanes {
-            let _ = lane.force_send(SvcPacket::Shutdown);
-        }
-        let mut panicked = false;
-        for h in self.workers.drain(..) {
-            panicked |= h.join().is_err();
-        }
-        drop(self.collector_tx.take());
-        if let Some(h) = self.collector.take() {
-            panicked |= h.join().is_err();
-        }
-        if panicked {
+    pub fn shutdown(self) -> Result<()> {
+        let QueryService { mesh, reactors, .. } = self;
+        drop(mesh);
+        if reactors.into_iter().any(|h| h.join().is_err()) {
             return Err(NetError::Protocol("a service thread panicked".to_string()));
         }
         Ok(())
     }
-
-    /// Blocking send on a front-end lane.
-    fn frontend_send(&self, worker: usize, pkt: SvcPacket) -> Result<()> {
-        self.frontend_lanes[worker]
-            .send(pkt)
-            .map_err(|_| NetError::Protocol(format!("service worker {worker} is gone")))
-    }
 }
 
-impl Drop for QueryService {
-    fn drop(&mut self) {
-        // Best-effort: wake the reactors so their threads exit even when
-        // `shutdown` was never called. The handles are detached.
-        for lane in &self.frontend_lanes {
-            let _ = lane.force_send(SvcPacket::Shutdown);
-        }
-    }
+fn assemble_outcome(
+    config: &MpcConfig,
+    m: QueryMeta,
+    summaries: Vec<WorkerSummary>,
+) -> Result<QueryOutcome> {
+    let RunResult { output, rounds, per_server_output, input_bytes } =
+        fold_summaries(config, m.program.as_ref(), m.input_bytes, summaries)?;
+    Ok(QueryOutcome {
+        qid: m.qid,
+        output,
+        rounds,
+        per_server_output,
+        input_bytes,
+        analysis_path: m.analysis_path,
+        cache_hot: false,
+        planning_micros: m.planning_micros,
+        latency_micros: m.started.elapsed().as_micros() as u64,
+        admitted_cost: m.admitted_cost,
+        admission: m.admission,
+    })
 }
 
 #[cfg(test)]

@@ -240,11 +240,13 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Fails on parse errors, invalid cluster configuration and program
-    /// construction errors.
+    /// Fails on parse errors, invalid cluster configuration, generator
+    /// parameters the generators cannot honour, and program construction
+    /// errors.
     pub fn build(&self) -> Result<BuiltJob> {
         let query =
             parse_query(&self.query).map_err(|e| NetError::Protocol(format!("job query: {e}")))?;
+        self.check_generator(&query)?;
         let db = match &self.db {
             DbSpec::Matching { n, seed } => mpc_data::matching_database(&query, *n, *seed),
             DbSpec::Zipf { n, tuples, theta, seed } => {
@@ -288,6 +290,33 @@ impl JobSpec {
             ),
         };
         Ok(BuiltJob { program, db, cluster, query })
+    }
+
+    /// Refuse what the skew generators would assert on (or, for a heavy
+    /// relation with more tuples than `n²` distinct rows, loop forever on):
+    /// a spec comes off the wire, so it is an error, not a panic.
+    fn check_generator(&self, query: &Query) -> Result<()> {
+        let bad = |what: String| Err(NetError::Protocol(format!("job db: {what}")));
+        let n = match &self.db {
+            DbSpec::Matching { .. } => return Ok(()),
+            DbSpec::Zipf { theta, .. } if !theta.is_finite() => {
+                return bad(format!("theta={theta}"))
+            }
+            DbSpec::HeavyHitter { frac, .. } if !(0.0..=1.0).contains(frac) => {
+                return bad(format!("frac={frac} is not in [0, 1]"));
+            }
+            DbSpec::HeavyHitter { n, tuples, .. } if *tuples as u128 > u128::from(*n).pow(2) => {
+                return bad(format!("{tuples} distinct pairs over a domain of {n}"));
+            }
+            DbSpec::Zipf { n, .. } | DbSpec::HeavyHitter { n, .. } => *n,
+        };
+        if n == 0 {
+            return bad("n=0".to_string());
+        }
+        match query.atoms().iter().find(|atom| atom.arity() != 2) {
+            Some(atom) => bad(format!("atom {} is not binary", atom.name)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -399,5 +428,23 @@ mod tests {
         assert!(matches!(JobSpec::from_wire(&hostile), Err(NetError::Protocol(_))));
         assert_eq!(parse_rational("2/3").unwrap(), Rational::new(2, 3));
         assert_eq!(parse_rational("0").unwrap(), Rational::ZERO);
+        // Generator parameters the generators assert on parse fine but
+        // must not build: master and workers call `build` on them.
+        let ternary = "q(x,y,z) :- R(x,y,z), S(z,x)".to_string();
+        for (db, query) in [
+            (DbSpec::Zipf { n: 0, tuples: 10, theta: 1.0, seed: 1 }, None),
+            (DbSpec::Zipf { n: 10, tuples: 10, theta: f64::NAN, seed: 1 }, None),
+            (DbSpec::HeavyHitter { n: 10, tuples: 10, frac: 1.5, seed: 1 }, None),
+            (DbSpec::HeavyHitter { n: 10, tuples: 10, frac: f64::NAN, seed: 1 }, None),
+            (DbSpec::HeavyHitter { n: 3, tuples: 10, frac: 0.5, seed: 1 }, None),
+            (DbSpec::Zipf { n: 10, tuples: 10, theta: 1.0, seed: 1 }, Some(&ternary)),
+            (DbSpec::HeavyHitter { n: 10, tuples: 10, frac: 0.5, seed: 1 }, Some(&ternary)),
+        ] {
+            let mut s = spec(ProgramSpec::HyperCube);
+            s.query = query.cloned().unwrap_or(s.query);
+            s.db = db;
+            let wire = JobSpec::from_wire(&s.to_wire()).unwrap();
+            assert!(matches!(wire.build(), Err(NetError::Protocol(_))), "{:?}", s.db);
+        }
     }
 }

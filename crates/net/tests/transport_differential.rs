@@ -12,7 +12,7 @@ use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_data::skew::zipf_database;
 use mpc_lp::Rational;
-use mpc_net::{run_distributed, run_transport_differential, DistConfig, NetError, TransportKind};
+use mpc_net::{run_distributed, DistConfig, NetError, TransportKind};
 use mpc_sim::{AsyncConfig, Cluster, MpcConfig, MpcProgram, RouteSink, ServerState, SimError};
 use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
 use mpc_storage::{Database, Relation, StorageError};
@@ -25,9 +25,12 @@ fn assert_transport_invariant<P: MpcProgram>(
     dist: &DistConfig,
 ) {
     let cluster = Cluster::new(cfg.clone()).expect("valid config");
-    let diff = run_transport_differential(&cluster, program, db, dist)
-        .unwrap_or_else(|e| panic!("{label}: differential run failed: {e}"));
-    assert_eq!(diff.divergence(), None, "{label}: transports diverged");
+    let reference = cluster.run(program, db).expect("reference run succeeds");
+    for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+        let run = run_distributed(&cluster, program, db, &DistConfig { transport, ..dist.clone() })
+            .unwrap_or_else(|e| panic!("{label}: {transport:?} run failed: {e}"));
+        assert_eq!(reference.divergence(&run), None, "{label}: transports diverged");
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ use mpc_query::core::multiround::executor::PlanProgram;
 use mpc_query::cq::families;
 use mpc_query::data::skew::{heavy_hitter_database, zipf_database};
 use mpc_query::prelude::*;
-use mpc_query::sim::{run_differential, AsyncConfig, CostModel, MpcProgram, StragglerSpec};
+use mpc_query::sim::{AsyncConfig, CostModel, MpcProgram, StragglerSpec};
 use mpc_query::skew::SkewResilientProgram;
 use mpc_query::storage::join::evaluate;
 
@@ -22,17 +22,20 @@ fn assert_equivalent<P: MpcProgram>(
     async_cfg: &AsyncConfig,
 ) {
     let cluster = Cluster::new(cfg.clone()).expect("valid config");
-    let report = run_differential(&cluster, program, db, async_cfg)
-        .unwrap_or_else(|e| panic!("{label}: differential run failed: {e}"));
-    assert_eq!(report.divergence(), None, "{label}: backends diverged");
+    let synchronous =
+        cluster.run(program, db).unwrap_or_else(|e| panic!("{label}: synchronous run failed: {e}"));
+    let event_driven = cluster
+        .run_async(program, db, async_cfg)
+        .unwrap_or_else(|e| panic!("{label}: event-driven run failed: {e}"));
+    assert_eq!(synchronous.divergence(&event_driven.result), None, "{label}: backends diverged");
     // The schedule invariants hold on every equivalent run, too.
-    let sched = &report.event_driven.schedule;
+    let sched = &event_driven.schedule;
     assert!(sched.makespan >= sched.critical_path, "{label}: makespan below critical path");
     for s in &sched.servers {
         assert!(s.span_partition_holds(), "{label}: server {} timeline leaks", s.server);
     }
     // The block data plane leaks no blocks on a clean run.
-    let pool = &report.event_driven.pool;
+    let pool = &event_driven.pool;
     assert!(pool.balanced(), "{label}: block pool unbalanced: {pool:?}");
 }
 

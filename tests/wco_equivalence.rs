@@ -13,9 +13,8 @@
 use mpc_query::core::hypercube::HyperCubeProgram;
 use mpc_query::core::wco::WcoProgram;
 use mpc_query::data::skew::heavy_hitter_database;
-use mpc_query::net::{run_transport_differential, DistConfig, TransportKind};
+use mpc_query::net::{run_distributed, DistConfig, TransportKind};
 use mpc_query::prelude::*;
-use mpc_query::sim::run_differential;
 use mpc_query::storage::join::evaluate;
 
 /// The test matrix: (label, query, database, p). Skewed instances are
@@ -73,15 +72,19 @@ fn wco_is_backend_independent_across_block_capacities() {
         let wco = WcoProgram::new(&q, &db, p, 7).expect("WCO program builds");
         for block in [1usize, 64, 4096] {
             let async_cfg = AsyncConfig::new().with_block_capacity(block);
-            let report = run_differential(&cluster, &wco, &db, &async_cfg)
-                .unwrap_or_else(|e| panic!("{label} block={block}: differential failed: {e}"));
+            let synchronous = cluster
+                .run(&wco, &db)
+                .unwrap_or_else(|e| panic!("{label} block={block}: synchronous run failed: {e}"));
+            let event_driven = cluster
+                .run_async(&wco, &db, &async_cfg)
+                .unwrap_or_else(|e| panic!("{label} block={block}: event-driven run failed: {e}"));
             assert_eq!(
-                report.divergence(),
+                synchronous.divergence(&event_driven.result),
                 None,
                 "{label} block={block}: sync and async backends diverged"
             );
             assert!(
-                report.synchronous.output.same_tuples(&truth),
+                synchronous.output.same_tuples(&truth),
                 "{label} block={block}: output is not the sequential join"
             );
         }
@@ -94,14 +97,16 @@ fn wco_is_transport_independent_in_process_and_tcp() {
         let truth = evaluate(&q, &db).expect("sequential join evaluates");
         let cluster = Cluster::new(MpcConfig::new(p, 0.9)).expect("valid config");
         let wco = WcoProgram::new(&q, &db, p, 9).expect("WCO program builds");
-        // One call runs the sync reference, the in-process channel fabric
-        // and real localhost TCP sockets, and diffs all three.
-        let dist = DistConfig { transport: TransportKind::Tcp, ..DistConfig::default() };
-        let diff = run_transport_differential(&cluster, &wco, &db, &dist)
-            .unwrap_or_else(|e| panic!("{label}: transport differential failed: {e}"));
-        assert_eq!(diff.divergence(), None, "{label}: transports diverged");
+        // The sync reference against the in-process mesh and real
+        // localhost TCP sockets.
+        let reference = cluster.run(&wco, &db).expect("reference run succeeds");
+        for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+            let run = run_distributed(&cluster, &wco, &db, &DistConfig::new(transport))
+                .unwrap_or_else(|e| panic!("{label}: {transport:?} run failed: {e}"));
+            assert_eq!(reference.divergence(&run), None, "{label}: transports diverged");
+        }
         assert!(
-            diff.reference.output.same_tuples(&truth),
+            reference.output.same_tuples(&truth),
             "{label}: reference output is not the sequential join"
         );
     }
