@@ -71,7 +71,7 @@ pub struct PlanLoadPrediction {
 impl PlanLoadPrediction {
     /// The largest predicted per-round load.
     pub fn max_predicted_tuples(&self) -> f64 {
-        self.rounds.iter().map(|r| r.predicted_tuples).fold(0.0, f64::max)
+        max_predicted_tuples(&self.rounds)
     }
 
     /// Compare the prediction with a simulated run, round by round.
@@ -81,29 +81,43 @@ impl PlanLoadPrediction {
     /// Returns [`CoreError::InvalidPlan`] when the run has a different
     /// round count than the plan.
     pub fn compare(&self, result: &RunResult) -> Result<Vec<RoundComparison>> {
-        if result.num_rounds() != self.rounds.len() {
-            return Err(CoreError::InvalidPlan(format!(
-                "run has {} rounds but the prediction covers {}",
-                result.num_rounds(),
-                self.rounds.len()
-            )));
-        }
-        Ok(self
-            .rounds
-            .iter()
-            .zip(&result.rounds)
-            .map(|(pred, stats)| RoundComparison {
-                round: pred.round,
-                predicted_tuples: pred.predicted_tuples,
-                simulated_max_tuples: stats.max_tuples_received,
-                ratio: if pred.predicted_tuples > 0.0 {
-                    stats.max_tuples_received as f64 / pred.predicted_tuples
-                } else {
-                    1.0
-                },
-            })
-            .collect())
+        compare_rounds(&self.rounds, result)
     }
+}
+
+/// The largest predicted load of a per-round profile — the one body
+/// behind every prediction's `max_predicted_tuples`.
+pub(crate) fn max_predicted_tuples(rounds: &[RoundLoadPrediction]) -> f64 {
+    rounds.iter().map(|r| r.predicted_tuples).fold(0.0, f64::max)
+}
+
+/// A per-round profile against a simulated run, round by round — the one
+/// body behind every prediction's `compare`.
+pub(crate) fn compare_rounds(
+    rounds: &[RoundLoadPrediction],
+    result: &RunResult,
+) -> Result<Vec<RoundComparison>> {
+    if result.num_rounds() != rounds.len() {
+        return Err(CoreError::InvalidPlan(format!(
+            "run has {} rounds but the prediction covers {}",
+            result.num_rounds(),
+            rounds.len()
+        )));
+    }
+    Ok(rounds
+        .iter()
+        .zip(&result.rounds)
+        .map(|(pred, stats)| RoundComparison {
+            round: pred.round,
+            predicted_tuples: pred.predicted_tuples,
+            simulated_max_tuples: stats.max_tuples_received,
+            ratio: if pred.predicted_tuples > 0.0 {
+                stats.max_tuples_received as f64 / pred.predicted_tuples
+            } else {
+                1.0
+            },
+        })
+        .collect())
 }
 
 /// One row of the predicted-vs-simulated comparison.

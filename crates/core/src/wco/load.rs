@@ -15,9 +15,8 @@ use mpc_cq::Query;
 use mpc_lp::{QueryLps, Rational};
 use mpc_sim::RunResult;
 
-use crate::error::CoreError;
 use crate::heavy::{residual_query, Group};
-use crate::multiround::load::{RoundComparison, RoundLoadPrediction};
+use crate::multiround::load::{self, RoundComparison, RoundLoadPrediction};
 use crate::shares::fractional_power;
 use crate::wco::plan::WorstCaseOptimalPlan;
 use crate::Result;
@@ -110,7 +109,7 @@ impl WcoLoadPrediction {
 
     /// The largest predicted per-round load.
     pub fn max_predicted_tuples(&self) -> f64 {
-        self.rounds.iter().map(|r| r.predicted_tuples).fold(0.0, f64::max)
+        load::max_predicted_tuples(&self.rounds)
     }
 
     /// Compare the prediction with a simulated run, round by round (the
@@ -118,31 +117,10 @@ impl WcoLoadPrediction {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidPlan`] when the run has a different
-    /// round count than the plan.
+    /// Returns [`CoreError::InvalidPlan`](crate::CoreError::InvalidPlan)
+    /// when the run has a different round count than the plan.
     pub fn compare(&self, result: &RunResult) -> Result<Vec<RoundComparison>> {
-        if result.num_rounds() != self.rounds.len() {
-            return Err(CoreError::InvalidPlan(format!(
-                "run has {} rounds but the prediction covers {}",
-                result.num_rounds(),
-                self.rounds.len()
-            )));
-        }
-        Ok(self
-            .rounds
-            .iter()
-            .zip(&result.rounds)
-            .map(|(pred, stats)| RoundComparison {
-                round: pred.round,
-                predicted_tuples: pred.predicted_tuples,
-                simulated_max_tuples: stats.max_tuples_received,
-                ratio: if pred.predicted_tuples > 0.0 {
-                    stats.max_tuples_received as f64 / pred.predicted_tuples
-                } else {
-                    1.0
-                },
-            })
-            .collect())
+        load::compare_rounds(&self.rounds, result)
     }
 }
 

@@ -23,9 +23,7 @@ use std::process::exit;
 use std::sync::Arc;
 
 use mpc_net::spec::{DbSpec, ProgramSpec};
-use mpc_net::{
-    FaultPlan, JobSpec, MasterConfig, QueryJob, QueryService, RecoveryPolicy, ServiceConfig,
-};
+use mpc_net::{FaultPlan, JobSpec, MasterConfig, QueryJob, QueryService, ServiceConfig};
 use mpc_sim::{Cluster, MpcConfig, RunResult};
 
 fn fail(msg: &str) -> ! {
@@ -80,7 +78,6 @@ fn smoke_job(program: SmokeProgram) -> JobSpec {
         p: 4,
         epsilon: 0.5,
         seed: 23,
-        queue_capacity: 64,
         block_capacity: 128,
     }
 }
@@ -118,7 +115,7 @@ fn spawned_stage(program: SmokeProgram) -> RunResult {
 fn fault_stage(program: SmokeProgram, reference: &RunResult, plan: FaultPlan) {
     let job = smoke_job(program);
     let label = format!("spawned {} p=4 under {plan}", program.label());
-    let cfg = MasterConfig { recovery: RecoveryPolicy::with_respawns(2), faults: Some(plan) };
+    let cfg = MasterConfig { max_respawns: 2, faults: Some(plan) };
     let report = mpc_net::run_spawned_with(&job, &worker_bin(), &cfg)
         .unwrap_or_else(|e| fail(&format!("{label}: recovering run: {e}")));
     check(&label, reference, &report.result);

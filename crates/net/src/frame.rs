@@ -19,9 +19,13 @@
 //! `MeshReady` → per-round `Ready`/`Proceed` → `Summary` → `Shutdown`,
 //! with `Abort` usable by either side at any point. `DataHello`
 //! identifies the connecting worker on a freshly opened data socket.
+//! `poll_frame` is the one timed read of a control socket: the master's
+//! liveness poll and a recoverable worker's barrier wait both use it.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mpc_sim::{BlockPool, TupleBlock};
 use mpc_storage::{Relation, Value};
@@ -46,7 +50,6 @@ const KIND_ABORT: u8 = 11;
 const KIND_DATA_HELLO: u8 = 12;
 const KIND_CHECKPOINT: u8 = 13;
 const KIND_REPLAY_REQUEST: u8 = 14;
-const KIND_REPLAY_DATA: u8 = 15;
 
 /// One frame on a control or data socket.
 #[derive(Debug, Clone)]
@@ -136,14 +139,6 @@ pub enum Frame {
     ReplayRequest {
         /// The rejoining worker's restored checkpoint round.
         from_round: u32,
-    },
-    /// Surviving peer → re-spawned worker: header preceding the `frames`
-    /// logged frames of `round` it is about to retransmit.
-    ReplayData {
-        /// The round being replayed.
-        round: u32,
-        /// How many logged frames follow.
-        frames: u32,
     },
 }
 
@@ -347,11 +342,6 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
             buf.push(KIND_REPLAY_REQUEST);
             put_u32(buf, *from_round);
         }
-        Frame::ReplayData { round, frames } => {
-            buf.push(KIND_REPLAY_DATA);
-            put_u32(buf, *round);
-            put_u32(buf, *frames);
-        }
     }
     let body_len = (buf.len() - 4) as u32;
     buf[..4].copy_from_slice(&body_len.to_le_bytes());
@@ -386,6 +376,44 @@ pub fn read_frame<R: Read>(r: &mut R, pool: &BlockPool) -> Result<Frame> {
     let mut raw = vec![0u8; len as usize];
     r.read_exact(&mut raw)?;
     decode_body(&raw, pool)
+}
+
+/// What one timed poll of a control socket produced.
+pub(crate) enum Polled {
+    /// Nothing arrived within the wait.
+    Pending,
+    /// A complete frame.
+    Got(Frame),
+    /// The socket closed or failed: the process on the other end is gone.
+    Dead(String),
+}
+
+/// Wait up to `wait` for a frame on a control socket. The timeout covers
+/// only the wait for a frame's first byte and is cleared before the frame
+/// is read, so a slow frame is never cut off mid-read (which would
+/// corrupt the stream). A closed or failing socket is [`Polled::Dead`],
+/// not an error; only a malformed frame is one.
+pub(crate) fn poll_frame(
+    control: &mut BufReader<TcpStream>,
+    wait: Duration,
+    pool: &BlockPool,
+) -> Result<Polled> {
+    control.get_ref().set_read_timeout(Some(wait))?;
+    let waited = control.fill_buf().map(|buffered| buffered.is_empty());
+    control.get_ref().set_read_timeout(None)?;
+    match waited {
+        Ok(true) => return Ok(Polled::Dead("control connection closed".to_string())),
+        Ok(false) => {}
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            return Ok(Polled::Pending);
+        }
+        Err(e) => return Ok(Polled::Dead(format!("control socket failed: {e}"))),
+    }
+    match read_frame(control, pool) {
+        Ok(frame) => Ok(Polled::Got(frame)),
+        Err(NetError::Io(e)) => Ok(Polled::Dead(format!("control stream cut mid-frame: {e}"))),
+        Err(e) => Err(e),
+    }
 }
 
 /// Decode one frame body (everything after the length prefix).
@@ -446,7 +474,6 @@ pub fn decode_body(raw: &[u8], pool: &BlockPool) -> Result<Frame> {
             Frame::Checkpoint { round, relations, per_round_bytes, per_round_tuples }
         }
         KIND_REPLAY_REQUEST => Frame::ReplayRequest { from_round: b.u32()? },
-        KIND_REPLAY_DATA => Frame::ReplayData { round: b.u32()?, frames: b.u32()? },
         other => return Err(NetError::Protocol(format!("unknown frame kind {other}"))),
     };
     if b.at != raw.len() {
@@ -489,7 +516,6 @@ mod tests {
             Frame::Abort { reason: "worker 2 died".to_string() },
             Frame::DataHello { from: 5 },
             Frame::ReplayRequest { from_round: 3 },
-            Frame::ReplayData { round: 4, frames: 17 },
         ];
         for f in frames {
             let got = round_trip(&f, &pool);

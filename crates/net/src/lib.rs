@@ -50,7 +50,7 @@ pub use fault::{Fault, FaultKind, FaultPhase, FaultPlan};
 pub use frame::Frame;
 pub use master::{run_spawned, run_spawned_with, worker_main, SpawnedReport};
 pub use mpc_sim::{Link, Packet, SendOutcome, Transport};
-pub use recovery::{MasterConfig, RecoveryPolicy, RecoverySettings};
+pub use recovery::MasterConfig;
 pub use runner::{run_distributed, DistConfig, TransportKind};
 pub use service::{Admission, QueryJob, QueryOutcome, QueryService, ServiceConfig, Submission};
 pub use spec::{JobSpec, ProgramSpec};

@@ -13,21 +13,23 @@
 //!   ... mesh-connect to peers (DataHello [+ ReplayRequest]) ...
 //!   MeshReady  ───▶
 //!   ◀───  Proceed(0)             (all meshed: the job starts)
-//!   Checkpoint(r)  ───▶          (recovery runs, at the cadence)
+//!   Checkpoint(r)  ───▶          (recovery runs, every round)
 //!   Ready(r)  ───▶               (each round)
 //!   ◀───  Proceed(r)
 //!   Summary{output, volumes}  ───▶   (spawned mode only)
 //!   ◀───  Shutdown
 //! ```
 //!
-//! with `Abort` valid in either direction at any time. The master polls
-//! every control socket with a short read timeout while it waits, so a
-//! worker process dying (its socket closing) surfaces fast instead of
-//! deadlocking the barrier.
+//! with `Abort` valid in either direction at any time. Each step has one
+//! routine: one dial-in accept with one `Hello` check (for the handshake
+//! and for a replacement alike), one barrier loop, one summary
+//! collection and one respawn. The master polls every control socket
+//! with a short read timeout while it waits, so a worker process dying
+//! (its socket closing) surfaces fast instead of deadlocking the barrier.
 //!
-//! What happens next depends on the [`RecoveryPolicy`]: by default the
-//! master broadcasts `Abort` and fails the job (fail-fast). With
-//! `max_respawns > 0` it instead re-spawns the dead worker from the same
+//! What happens next depends on [`MasterConfig::max_respawns`]: by
+//! default the master broadcasts `Abort` and fails the job (fail-fast).
+//! Above zero it instead re-spawns the dead worker from the same
 //! [`JobSpec`], restores it from the latest [`Frame::Checkpoint`] it
 //! holds for that worker, lets it rejoin the data mesh (surviving peers
 //! replay the in-flight rounds from their bounded logs), drives its solo
@@ -42,19 +44,17 @@
 //! matching worker-side entry point, rebuilding the job from its
 //! [`JobSpec`] wire form.
 
-use std::cell::{Cell, RefCell};
-use std::io::BufRead;
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::process::{Child, Command};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 use mpc_sim::{fold_summaries, BlockPool, RunResult, Transport as _, WorkerSummary};
 
-use crate::fault::FaultPhase;
-use crate::frame::{read_frame, write_frame, Frame};
-use crate::recovery::{MasterConfig, RecoveryPolicy, RecoverySettings};
+use crate::fault::{FaultPhase, FaultPlan};
+use crate::frame::{poll_frame, read_frame, write_frame, Frame, Polled};
+use crate::recovery::{respawn_pause, MasterConfig};
 use crate::runner::{run_tcp_worker, tcp_worker_setup};
 use crate::spec::JobSpec;
 use crate::{NetError, Result};
@@ -92,65 +92,78 @@ fn accept_pause(idle_polls: u32) {
 /// that a dead worker fails the job promptly, long enough not to spin.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Lane capacity for a spawned worker's inbox. TCP inboxes are fed by
-/// reader threads via `force_send` (the kernel socket buffers are the
-/// real bound), so this is shape, not backpressure.
-const SPAWNED_QUEUE_CAPACITY: usize = 64;
+/// One worker's control connection, reads buffered.
+type Control = BufReader<TcpStream>;
 
-/// One worker's control connection: reads buffered, plus a duplicated
-/// handle used only to flip read timeouts (so the timeout guard does not
-/// alias the buffered reader).
-struct WorkerCtl {
-    reader: BufReader<TcpStream>,
-    timeouts: TcpStream,
+fn unexpected(id: usize, what: &str, got: &Frame) -> NetError {
+    NetError::Protocol(format!("worker {id}: expected {what}, got {got:?}"))
 }
 
-impl WorkerCtl {
-    fn from_stream(stream: TcpStream) -> Result<WorkerCtl> {
-        stream.set_nodelay(true).ok();
-        let timeouts = stream.try_clone()?;
-        Ok(WorkerCtl { reader: BufReader::new(stream), timeouts })
-    }
-}
-
-/// Clears the read timeout on the guarded socket when dropped, so every
-/// early return out of a poll leaves the connection blocking again.
-struct TimeoutGuard<'a>(&'a TcpStream);
-
-impl Drop for TimeoutGuard<'_> {
-    fn drop(&mut self) {
-        self.0.set_read_timeout(None).ok();
-    }
-}
-
-/// What one poll of a worker's control socket produced.
-enum Polled {
-    /// Nothing arrived within the poll interval.
-    Pending,
-    /// A complete frame.
-    Got(Frame),
-    /// The socket is dead (closed or failed) — the worker process is
-    /// gone. Recoverable when a [`RecoveryPolicy`] allows it.
-    Dead(String),
-}
-
-/// Everything the master needs to re-spawn a dead worker mid-job: the
-/// retained accept listener, the policy and shared respawn budget, the
-/// job wire form to re-send, and a callback that actually starts the
-/// replacement process (always without fault injection).
-struct Recoverer<'a> {
+/// The worker processes of a spawned job and what the master needs to
+/// replace one: the listener a replacement dials back in on, the job
+/// wire form to re-send, and the respawn budget.
+pub(crate) struct Recoverer<'a> {
     listener: &'a TcpListener,
-    policy: &'a RecoveryPolicy,
-    used: &'a Cell<usize>,
     job_wire: &'a str,
-    respawn: &'a mut dyn FnMut(usize) -> Result<()>,
+    worker_bin: &'a Path,
+    faults: Option<&'a FaultPlan>,
+    children: Vec<Child>,
+    max_respawns: usize,
+    used: usize,
 }
 
-/// The master's side of the handshake: `p` control connections, indexed
+impl Recoverer<'_> {
+    /// Start worker `id` (`worker_bin --master ADDR --worker ID`), armed
+    /// with its faults when `with_faults`; replacements always run clean.
+    fn spawn(&self, id: usize, with_faults: bool) -> Result<Child> {
+        let mut cmd = Command::new(self.worker_bin);
+        cmd.arg("--master").arg(self.listener.local_addr()?.to_string());
+        cmd.arg("--worker").arg(id.to_string());
+        let faults = self.faults.filter(|_| with_faults);
+        for fault in faults.iter().flat_map(|plan| plan.for_worker(id as u32)) {
+            cmd.arg("--fault").arg(fault);
+        }
+        Ok(cmd.stdin(Stdio::null()).spawn()?)
+    }
+
+    /// The first worker process found exited, if any.
+    fn exited(&mut self) -> Option<(usize, ExitStatus)> {
+        self.children
+            .iter_mut()
+            .enumerate()
+            .find_map(|(id, child)| child.try_wait().ok().flatten().map(|status| (id, status)))
+    }
+
+    /// Replace dead worker `id` with a fresh process — the one respawn
+    /// path, for a death during the handshake and mid-job alike — or fail
+    /// with `why` once the budget is spent.
+    fn respawn(&mut self, id: usize, why: &str) -> Result<()> {
+        if self.used >= self.max_respawns {
+            let budget = match self.max_respawns {
+                0 => String::new(),
+                max => format!(", and all {max} respawns are used"),
+            };
+            return Err(NetError::Protocol(format!("{why}{budget}")));
+        }
+        std::thread::sleep(respawn_pause(self.used));
+        self.used += 1;
+        eprintln!(
+            "mpc-net master: {why}; re-spawning (respawn {}/{})",
+            self.used, self.max_respawns
+        );
+        let replacement = self.spawn(id, false)?;
+        let mut dead = std::mem::replace(&mut self.children[id], replacement);
+        let _ = dead.kill();
+        let _ = dead.wait();
+        Ok(())
+    }
+}
+
+/// The master's side of the protocol: `p` control connections, indexed
 /// by worker id, plus the per-worker recovery state (current data
 /// addresses and latest checkpoints).
-pub struct ControlPlane {
-    workers: Vec<WorkerCtl>,
+pub(crate) struct ControlPlane {
+    workers: Vec<Control>,
     /// Current data-plane address of each worker (replacements update
     /// their slot, so later recoveries hand out a live peer table).
     addrs: Vec<String>,
@@ -159,124 +172,147 @@ pub struct ControlPlane {
     pool: BlockPool,
 }
 
-impl std::fmt::Debug for ControlPlane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ControlPlane").field("workers", &self.workers.len()).finish()
-    }
-}
-
 impl ControlPlane {
-    /// Accept `p` worker hellos on `listener`, optionally hand each the
-    /// job spec, broadcast the peer address table, collect every
+    fn new(p: usize) -> ControlPlane {
+        ControlPlane {
+            workers: Vec::with_capacity(p),
+            addrs: vec![String::new(); p],
+            checkpoints: (0..p).map(|_| None).collect(),
+            pool: BlockPool::new(),
+        }
+    }
+
+    /// Accept `p` worker hellos on `listener`, hand each the `job` spec
+    /// (spawned mode), broadcast the peer address table, collect every
     /// `MeshReady` and release the cluster with `Proceed(0)`.
     ///
-    /// `watch` is polled while waiting for connections; returning
-    /// `Some(reason)` fails the handshake immediately (the spawned mode
-    /// uses it to notice a worker process dying before it ever dials in —
-    /// and, with recovery enabled, to re-spawn it on the spot).
+    /// `watch` runs while nobody is dialing in; an error from it fails the
+    /// handshake (the spawned mode uses it to notice a worker process
+    /// dying before it ever dials in — and, budget permitting, to
+    /// re-spawn it on the spot).
     ///
     /// # Errors
     ///
     /// Fails (after aborting every connected worker) when a worker never
     /// dials in before the deadline, dies mid-handshake or violates the
     /// protocol.
-    pub fn accept(
+    pub(crate) fn accept(
         listener: &TcpListener,
         p: usize,
         job: Option<&str>,
-        watch: Option<&mut dyn FnMut() -> Option<String>>,
+        watch: &mut dyn FnMut() -> Result<()>,
     ) -> Result<ControlPlane> {
-        let mut plane = ControlPlane {
-            workers: Vec::new(),
-            addrs: Vec::new(),
-            checkpoints: (0..p).map(|_| None).collect(),
-            pool: BlockPool::new(),
-        };
-        match plane.accept_inner(listener, p, job, watch) {
+        let mut plane = ControlPlane::new(p);
+        match plane.handshake(listener, job, watch) {
             Ok(()) => Ok(plane),
             Err(e) => Err(plane.fail(format!("handshake failed: {e}"), e)),
         }
     }
 
-    fn accept_inner(
+    fn handshake(
         &mut self,
         listener: &TcpListener,
-        p: usize,
         job: Option<&str>,
-        mut watch: Option<&mut dyn FnMut() -> Option<String>>,
+        watch: &mut dyn FnMut() -> Result<()>,
     ) -> Result<()> {
-        listener.set_nonblocking(true)?;
+        let p = self.addrs.len();
         let deadline = Instant::now() + ACCEPT_DEADLINE;
-        let mut slots: Vec<Option<WorkerCtl>> = (0..p).map(|_| None).collect();
-        let mut addrs: Vec<Option<String>> = vec![None; p];
-        let mut connected = 0usize;
+        let mut slots: Vec<Option<Control>> = (0..p).map(|_| None).collect();
+        let mut connected = vec![false; p];
+        for _ in 0..p {
+            let (id, control, addr) =
+                self.accept_hello(listener, &connected, job, deadline, watch)?;
+            connected[id] = true;
+            slots[id] = Some(control);
+            self.addrs[id] = addr;
+        }
+        self.workers = slots.into_iter().flatten().collect();
+        let peers = self.peer_table();
+        self.broadcast(&peers)?;
+        for id in 0..p {
+            self.await_from(id, |f| matches!(f, Frame::MeshReady), "MeshReady")?;
+        }
+        self.broadcast(&Frame::Proceed { round: 0 })
+    }
+
+    /// Accept the next worker on `listener` and check its `Hello` — the
+    /// one dial-in routine, for the handshake and for a replacement alike.
+    /// The accept is non-blocking, paced by [`accept_pause`] and bounded
+    /// by `deadline`, and runs `watch` while nobody dials in. The `Hello`
+    /// must name a worker of the cluster that is not `connected` yet.
+    /// Hands the worker the `job` spec (spawned mode) and returns its id,
+    /// control connection and data-plane address.
+    fn accept_hello(
+        &self,
+        listener: &TcpListener,
+        connected: &[bool],
+        job: Option<&str>,
+        deadline: Instant,
+        watch: &mut dyn FnMut() -> Result<()>,
+    ) -> Result<(usize, Control, String)> {
+        listener.set_nonblocking(true)?;
         let mut idle_polls = 0u32;
-        while connected < p {
-            let (stream, peer) = match listener.accept() {
-                Ok(conn) => conn,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if let Some(reason) = watch.as_mut().and_then(|w| w()) {
-                        return Err(NetError::Protocol(reason));
-                    }
+        let (stream, peer) = loop {
+            match listener.accept() {
+                Ok(conn) => break conn,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    watch()?;
                     if Instant::now() > deadline {
+                        let missing: Vec<usize> =
+                            (0..connected.len()).filter(|&id| !connected[id]).collect();
                         return Err(NetError::Protocol(format!(
-                            "only {connected}/{p} workers dialed in before the deadline"
+                            "workers {missing:?} never dialed in"
                         )));
                     }
                     accept_pause(idle_polls);
                     idle_polls = idle_polls.saturating_add(1);
-                    continue;
                 }
                 Err(e) => return Err(e.into()),
-            };
-            idle_polls = 0;
-            stream.set_nonblocking(false)?;
-            let mut ctl = WorkerCtl::from_stream(stream)?;
-            let (worker_id, data_port) = match read_frame(&mut ctl.reader, &self.pool)? {
-                Frame::Hello { worker_id, data_port } => (worker_id as usize, data_port),
-                other => {
-                    return Err(NetError::Protocol(format!("expected Hello, got {other:?}")));
-                }
-            };
-            if worker_id >= p || slots[worker_id].is_some() {
-                return Err(NetError::Protocol(format!("bad or duplicate worker id {worker_id}")));
             }
-            if let Some(spec) = job {
-                write_frame(ctl.reader.get_mut(), &Frame::Job { spec: spec.to_string() })?;
+        };
+        stream.set_nonblocking(false)?;
+        stream.set_nodelay(true).ok();
+        let mut control = BufReader::new(stream);
+        let (id, data_port) = match read_frame(&mut control, &self.pool)? {
+            Frame::Hello { worker_id, data_port } => (worker_id as usize, data_port),
+            other => return Err(NetError::Protocol(format!("expected Hello, got {other:?}"))),
+        };
+        match connected.get(id) {
+            Some(false) => {}
+            Some(true) => {
+                return Err(NetError::Protocol(format!(
+                    "Hello from worker {id}, which is already connected"
+                )));
             }
-            addrs[worker_id] = Some(format!("{}:{data_port}", peer.ip()));
-            slots[worker_id] = Some(ctl);
-            connected += 1;
+            None => {
+                return Err(NetError::Protocol(format!(
+                    "Hello from worker {id}, but the cluster has {} workers",
+                    connected.len()
+                )));
+            }
         }
-        listener.set_nonblocking(false)?;
-        self.workers = slots.into_iter().map(|s| s.expect("all slots filled")).collect();
-        self.addrs =
-            addrs.into_iter().map(|a| a.expect("all addrs filled")).collect::<Vec<String>>();
-        let peers: Vec<(u32, String)> =
-            self.addrs.iter().enumerate().map(|(id, a)| (id as u32, a.clone())).collect();
-        self.broadcast(&Frame::Peers { peers })?;
-        for id in 0..p {
-            self.await_from(id, |f| matches!(f, Frame::MeshReady), "MeshReady")?;
+        if let Some(spec) = job {
+            write_frame(control.get_mut(), &Frame::Job { spec: spec.to_string() })?;
         }
-        self.broadcast(&Frame::Proceed { round: 0 })?;
-        Ok(())
+        Ok((id, control, format!("{}:{data_port}", peer.ip())))
+    }
+
+    /// The `Peers` frame: every worker's current data-plane address.
+    fn peer_table(&self) -> Frame {
+        let peers = self.addrs.iter().enumerate().map(|(id, a)| (id as u32, a.clone())).collect();
+        Frame::Peers { peers }
     }
 
     /// Serve the per-round barrier for `rounds` rounds: collect a
     /// `Ready(r)` from every worker, then release them with `Proceed(r)`.
+    /// With `rec`, a dead worker is re-spawned and spliced back into the
+    /// barrier instead of failing the job.
     ///
     /// # Errors
     ///
-    /// Fails (after broadcasting `Abort`) on worker death, a worker-sent
-    /// abort or barrier skew.
-    pub fn serve_barriers(&mut self, rounds: usize) -> Result<()> {
-        self.serve_barriers_with(rounds, None)
-    }
-
-    /// [`ControlPlane::serve_barriers`], with optional crash recovery: a
-    /// dead worker is re-spawned through `rec` and spliced back into the
-    /// barrier instead of failing the job.
-    fn serve_barriers_with(
+    /// Fails (after broadcasting `Abort`) on a worker death `rec` cannot
+    /// repair, a worker-sent abort or barrier skew.
+    pub(crate) fn serve_barriers(
         &mut self,
         rounds: usize,
         mut rec: Option<&mut Recoverer<'_>>,
@@ -304,224 +340,142 @@ impl ControlPlane {
                 if ready[id] {
                     continue;
                 }
-                match self.poll_frame(id)? {
+                match self.poll(id)? {
                     Polled::Pending => {}
-                    Polled::Got(f @ Frame::Checkpoint { .. }) => self.note_checkpoint(id, f),
                     Polled::Got(Frame::Ready { round: r }) if r as usize == round => {
                         ready[id] = true;
                         missing -= 1;
                     }
-                    Polled::Got(Frame::Abort { reason }) => {
-                        return Err(NetError::Protocol(format!("worker {id} aborted: {reason}")));
-                    }
                     Polled::Got(other) => {
-                        return Err(NetError::Protocol(format!(
-                            "worker {id}: expected Ready({round}), got {other:?}"
-                        )));
+                        return Err(unexpected(id, &format!("Ready({round})"), &other));
                     }
-                    Polled::Dead(reason) => match rec.as_deref_mut() {
-                        Some(r) => {
-                            let c = self.recover(id, round, &reason, r)?;
-                            if c >= round {
-                                // The checkpoint already covers the round
-                                // being awaited; the replacement resumes
-                                // at round + 1.
-                                ready[id] = true;
-                                past[id] = true;
-                                missing -= 1;
-                            }
+                    Polled::Dead(why) => {
+                        if self.recover(id, round, &why, rec.as_deref_mut())? >= round {
+                            // The checkpoint already covers the round
+                            // being awaited; the replacement resumes at
+                            // round + 1.
+                            ready[id] = true;
+                            past[id] = true;
+                            missing -= 1;
                         }
-                        None => return Err(NetError::Protocol(reason)),
-                    },
+                    }
                 }
             }
         }
-        for (id, &recovered_past_this_round) in past.iter().enumerate() {
-            if recovered_past_this_round {
-                continue;
-            }
-            let sent = write_frame(
-                self.workers[id].reader.get_mut(),
-                &Frame::Proceed { round: round as u32 },
-            );
-            if let Err(e) = sent {
-                match rec.as_deref_mut() {
-                    // The worker died between its Ready and our Proceed:
-                    // the replacement catches up through this round.
-                    Some(r) => {
-                        self.recover(id, round + 1, &format!("{e}"), r)?;
-                    }
-                    None => return Err(e),
-                }
+        let proceed = Frame::Proceed { round: round as u32 };
+        for id in (0..p).filter(|&id| !past[id]) {
+            if let Err(e) = write_frame(self.workers[id].get_mut(), &proceed) {
+                // The worker died between its Ready and our Proceed: the
+                // replacement catches up through this round.
+                self.recover(
+                    id,
+                    round + 1,
+                    &format!("worker {id} died ({e})"),
+                    rec.as_deref_mut(),
+                )?;
             }
         }
         Ok(())
     }
 
     /// Collect the end-of-job `Summary` from every worker (spawned mode),
-    /// in worker-id order.
+    /// in worker-id order. `rounds` is the job's round count: a
+    /// replacement whose checkpoint predates the last round catches up
+    /// through it first.
     ///
     /// # Errors
     ///
-    /// Fails (after broadcasting `Abort`) on worker death or a non-summary
-    /// frame.
-    pub fn collect_summaries(&mut self) -> Result<Vec<WorkerSummary>> {
-        self.collect_summaries_with(0, None)
+    /// Fails (after broadcasting `Abort`) on a worker death `rec` cannot
+    /// repair or a non-summary frame.
+    fn collect_summaries(
+        &mut self,
+        rounds: usize,
+        rec: Option<&mut Recoverer<'_>>,
+    ) -> Result<Vec<WorkerSummary>> {
+        self.await_summaries(rounds, rec).map_err(|e| self.fail(e.to_string(), e))
     }
 
-    /// [`ControlPlane::collect_summaries`], with optional crash recovery.
-    /// `rounds` is the job's total round count, needed to catch a
-    /// replacement up when its checkpoint predates the final round.
-    fn collect_summaries_with(
+    fn await_summaries(
         &mut self,
         rounds: usize,
         mut rec: Option<&mut Recoverer<'_>>,
     ) -> Result<Vec<WorkerSummary>> {
-        let p = self.workers.len();
-        let mut out: Vec<Option<WorkerSummary>> = (0..p).map(|_| None).collect();
-        let mut missing = p;
+        let mut out: Vec<Option<WorkerSummary>> = (0..self.workers.len()).map(|_| None).collect();
+        let mut missing = out.len();
         while missing > 0 {
             for (id, slot) in out.iter_mut().enumerate() {
                 if slot.is_some() {
                     continue;
                 }
-                let step = (|| -> Result<Option<WorkerSummary>> {
-                    match self.poll_frame(id)? {
-                        Polled::Pending => Ok(None),
-                        Polled::Got(f @ Frame::Checkpoint { .. }) => {
-                            self.note_checkpoint(id, f);
-                            Ok(None)
-                        }
-                        Polled::Got(Frame::Summary {
+                match self.poll(id)? {
+                    Polled::Pending => {}
+                    Polled::Got(Frame::Summary { output, per_round_bytes, per_round_tuples }) => {
+                        let traffic = Vec::new();
+                        *slot = Some(WorkerSummary {
                             output,
                             per_round_bytes,
                             per_round_tuples,
-                        }) => Ok(Some(WorkerSummary {
-                            output,
-                            per_round_bytes,
-                            per_round_tuples,
-                            traffic: Vec::new(),
-                        })),
-                        Polled::Got(Frame::Abort { reason }) => {
-                            Err(NetError::Protocol(format!("worker {id} aborted: {reason}")))
-                        }
-                        Polled::Got(other) => Err(NetError::Protocol(format!(
-                            "worker {id}: expected Summary, got {other:?}"
-                        ))),
-                        Polled::Dead(reason) => match rec.as_deref_mut() {
-                            Some(r) => {
-                                self.recover(id, rounds + 1, &reason, r)?;
-                                Ok(None)
-                            }
-                            None => Err(NetError::Protocol(reason)),
-                        },
-                    }
-                })();
-                match step {
-                    Ok(None) => {}
-                    Ok(summary @ Some(_)) => {
-                        *slot = summary;
+                            traffic,
+                        });
                         missing -= 1;
                     }
-                    Err(e) => return Err(self.fail(format!("{e}"), e)),
+                    Polled::Got(other) => return Err(unexpected(id, "Summary", &other)),
+                    Polled::Dead(why) => {
+                        self.recover(id, rounds + 1, &why, rec.as_deref_mut())?;
+                    }
                 }
             }
         }
-        Ok(out.into_iter().map(|s| s.expect("all summaries collected")).collect())
+        Ok(out.into_iter().flatten().collect())
     }
 
-    /// Re-spawn dead worker `dead` and splice the replacement back into
-    /// the live cluster: hand it the job and its latest checkpoint, let
-    /// it rejoin the data mesh (peers replay from their logs), then drive
-    /// its solo catch-up barriers for every round before `awaiting` — the
-    /// round whose barrier the caller is currently serving. Returns the
-    /// checkpoint round the replacement restored from.
+    /// Re-spawn dead worker `dead` through `rec` and splice the
+    /// replacement back into the live cluster: hand it the job and its
+    /// latest checkpoint, let it rejoin the data mesh (peers replay from
+    /// their logs), then drive its solo catch-up barriers for every round
+    /// before `awaiting` — the round whose barrier the caller is currently
+    /// serving. Returns the checkpoint round the replacement restored
+    /// from. Without `rec` the death is the error `why`.
     fn recover(
         &mut self,
         dead: usize,
         awaiting: usize,
         why: &str,
-        rec: &mut Recoverer<'_>,
+        rec: Option<&mut Recoverer<'_>>,
     ) -> Result<usize> {
-        if rec.used.get() >= rec.policy.max_respawns {
-            return Err(NetError::Protocol(format!(
-                "worker {dead} died ({why}) and the recovery budget is exhausted \
-                 ({} respawns used)",
-                rec.used.get()
-            )));
-        }
-        std::thread::sleep(rec.policy.pause_before(rec.used.get()));
-        rec.used.set(rec.used.get() + 1);
-        eprintln!(
-            "mpc-net master: worker {dead} died ({why}); re-spawning (respawn {}/{})",
-            rec.used.get(),
-            rec.policy.max_respawns
-        );
-        (rec.respawn)(dead)?;
-        // Accept the replacement's dial-in on the retained listener.
-        rec.listener.set_nonblocking(true)?;
+        let Some(rec) = rec else {
+            return Err(NetError::Protocol(why.to_string()));
+        };
+        rec.respawn(dead, why)?;
+        let connected: Vec<bool> = (0..self.workers.len()).map(|id| id != dead).collect();
         let deadline = Instant::now() + ACCEPT_DEADLINE;
-        let (stream, peer) = loop {
-            match rec.listener.accept() {
-                Ok(conn) => break conn,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(NetError::Protocol(format!(
-                            "replacement for worker {dead} never dialed in"
-                        )));
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        rec.listener.set_nonblocking(false)?;
-        stream.set_nonblocking(false)?;
-        let mut ctl = WorkerCtl::from_stream(stream)?;
-        let (worker_id, data_port) = match read_frame(&mut ctl.reader, &self.pool)? {
-            Frame::Hello { worker_id, data_port } => (worker_id as usize, data_port),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "replacement for worker {dead}: expected Hello, got {other:?}"
-                )));
-            }
-        };
-        if worker_id != dead {
-            return Err(NetError::Protocol(format!(
-                "replacement dialed in as worker {worker_id}, expected {dead}"
-            )));
-        }
-        write_frame(ctl.reader.get_mut(), &Frame::Job { spec: rec.job_wire.to_string() })?;
+        let (_, mut control, addr) =
+            self.accept_hello(rec.listener, &connected, Some(rec.job_wire), deadline, &mut || {
+                Ok(())
+            })?;
         // A replacement always gets a checkpoint — the empty round-0 one
         // when the worker died before its first snapshot. Receiving it is
         // what tells the worker to rejoin the mesh (dial every survivor
         // and request replay) instead of running the fresh handshake.
-        let c = match &self.checkpoints[dead] {
-            Some((round, frame)) => {
-                write_frame(ctl.reader.get_mut(), frame)?;
-                *round
-            }
-            None => {
-                let scratch = Frame::Checkpoint {
-                    round: 0,
-                    relations: Vec::new(),
-                    per_round_bytes: Vec::new(),
-                    per_round_tuples: Vec::new(),
-                };
-                write_frame(ctl.reader.get_mut(), &scratch)?;
-                0
-            }
+        let fresh = Frame::Checkpoint {
+            round: 0,
+            relations: Vec::new(),
+            per_round_bytes: Vec::new(),
+            per_round_tuples: Vec::new(),
         };
-        self.addrs[dead] = format!("{}:{data_port}", peer.ip());
-        let peers: Vec<(u32, String)> =
-            self.addrs.iter().enumerate().map(|(id, a)| (id as u32, a.clone())).collect();
-        write_frame(ctl.reader.get_mut(), &Frame::Peers { peers })?;
-        self.workers[dead] = ctl;
+        let (c, checkpoint) = match &self.checkpoints[dead] {
+            Some((round, frame)) => (*round, frame),
+            None => (0, &fresh),
+        };
+        write_frame(control.get_mut(), checkpoint)?;
+        self.addrs[dead] = addr;
+        write_frame(control.get_mut(), &self.peer_table())?;
+        self.workers[dead] = control;
         // The replacement now rejoins the mesh: it dials every survivor's
         // rejoin acceptor and asks for replay. The survivors' transports
         // service those rejoins from their own send/recv/barrier paths.
         self.await_from(dead, |f| matches!(f, Frame::MeshReady), "MeshReady")?;
-        write_frame(self.workers[dead].reader.get_mut(), &Frame::Proceed { round: 0 })?;
+        write_frame(self.workers[dead].get_mut(), &Frame::Proceed { round: 0 })?;
         // Solo catch-up: the replacement re-executes rounds c+1.. and the
         // master answers its barriers alone — the survivors already got
         // those Proceeds. The barrier for `awaiting` stays with the
@@ -532,64 +486,48 @@ impl ControlPlane {
                 |f| matches!(f, Frame::Ready { round } if *round as usize == k),
                 &format!("Ready({k})"),
             )?;
-            write_frame(self.workers[dead].reader.get_mut(), &Frame::Proceed { round: k as u32 })?;
+            write_frame(self.workers[dead].get_mut(), &Frame::Proceed { round: k as u32 })?;
         }
         Ok(c)
     }
 
-    /// Wait for one worker to send a frame matching `expect`, storing any
-    /// checkpoints that stream past. Death here is not recoverable (it
-    /// would mean a replacement died mid-recovery).
+    /// Wait for one worker to send a frame matching `expect`. Death here
+    /// is not recoverable (it would mean a replacement died mid-recovery).
     fn await_from(&mut self, id: usize, expect: impl Fn(&Frame) -> bool, what: &str) -> Result<()> {
         loop {
-            match self.poll_frame(id)? {
+            match self.poll(id)? {
                 Polled::Pending => {}
                 Polled::Got(f) if expect(&f) => return Ok(()),
-                Polled::Got(f @ Frame::Checkpoint { .. }) => self.note_checkpoint(id, f),
-                Polled::Got(Frame::Abort { reason }) => {
-                    return Err(NetError::Protocol(format!("worker {id} aborted: {reason}")));
-                }
-                Polled::Got(other) => {
-                    return Err(NetError::Protocol(format!(
-                        "worker {id}: expected {what}, got {other:?}"
-                    )));
-                }
-                Polled::Dead(reason) => return Err(NetError::Protocol(reason)),
+                Polled::Got(other) => return Err(unexpected(id, what, &other)),
+                Polled::Dead(why) => return Err(NetError::Protocol(why)),
             }
         }
     }
 
-    fn note_checkpoint(&mut self, id: usize, frame: Frame) {
-        if let Frame::Checkpoint { round, .. } = &frame {
-            self.checkpoints[id] = Some((*round as usize, frame));
-        }
-    }
-
-    /// Release every worker for a clean exit (spawned mode).
-    pub fn shutdown_all(&mut self) {
-        let _ = self.broadcast(&Frame::Shutdown);
-    }
-
-    /// Best-effort fail-fast broadcast. Returns the ids of workers the
-    /// abort could not be delivered to (already-dead sockets), so callers
-    /// can name them in the surfaced error instead of dropping the
-    /// failures silently.
-    pub fn abort_all(&mut self, reason: &str) -> Vec<usize> {
-        let mut unreachable = Vec::new();
-        for (id, w) in self.workers.iter_mut().enumerate() {
-            let sent =
-                write_frame(w.reader.get_mut(), &Frame::Abort { reason: reason.to_string() });
-            if sent.is_err() {
-                unreachable.push(id);
+    /// Poll worker `id`'s control socket once. A checkpoint streaming past
+    /// is stored (and reads as `Pending`), a worker-sent abort is an
+    /// error, and a dead socket is reported with the worker named.
+    fn poll(&mut self, id: usize) -> Result<Polled> {
+        Ok(match poll_frame(&mut self.workers[id], POLL, &self.pool)? {
+            Polled::Got(frame @ Frame::Checkpoint { round, .. }) => {
+                self.checkpoints[id] = Some((round as usize, frame));
+                Polled::Pending
             }
-        }
-        unreachable
+            Polled::Got(Frame::Abort { reason }) => {
+                return Err(NetError::Protocol(format!("worker {id} aborted: {reason}")));
+            }
+            Polled::Dead(why) => Polled::Dead(format!("worker {id} died ({why})")),
+            polled => polled,
+        })
     }
 
-    /// Abort the cluster and annotate `e` with any workers the abort
-    /// never reached.
+    /// Best-effort fail-fast: broadcast `Abort` and annotate `e` with any
+    /// workers the abort could not be delivered to (already-dead sockets).
     fn fail(&mut self, reason: String, e: NetError) -> NetError {
-        let unreachable = self.abort_all(&reason);
+        let abort = Frame::Abort { reason };
+        let unreachable: Vec<usize> = (self.workers.iter_mut().enumerate())
+            .filter_map(|(id, w)| write_frame(w.get_mut(), &abort).err().map(|_| id))
+            .collect();
         if unreachable.is_empty() {
             e
         } else {
@@ -599,44 +537,9 @@ impl ControlPlane {
 
     fn broadcast(&mut self, frame: &Frame) -> Result<()> {
         for w in &mut self.workers {
-            write_frame(w.reader.get_mut(), frame)?;
+            write_frame(w.get_mut(), frame)?;
         }
         Ok(())
-    }
-
-    /// Try to read one frame from worker `id` within the poll interval.
-    /// A closed or failing socket is reported as [`Polled::Dead`] rather
-    /// than an error, so callers can choose between fail-fast and
-    /// recovery; only a malformed frame (protocol corruption) is an
-    /// error.
-    fn poll_frame(&mut self, id: usize) -> Result<Polled> {
-        let w = &mut self.workers[id];
-        w.timeouts.set_read_timeout(Some(POLL))?;
-        // The guard clears the timeout on every exit path below; the
-        // blocking read_frame must never run under a poll timeout (a
-        // timed-out partial read would corrupt the frame stream).
-        let guard = TimeoutGuard(&w.timeouts);
-        match w.reader.fill_buf() {
-            Ok([]) => {
-                return Ok(Polled::Dead(format!("worker {id} died (control connection closed)")));
-            }
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(Polled::Pending);
-            }
-            Err(e) => {
-                return Ok(Polled::Dead(format!("worker {id} control socket failed: {e}")));
-            }
-        }
-        drop(guard);
-        match read_frame(&mut w.reader, &self.pool) {
-            Ok(f) => Ok(Polled::Got(f)),
-            Err(NetError::Io(e)) => Ok(Polled::Dead(format!("worker {id} died mid-frame: {e}"))),
-            Err(e) => Err(e),
-        }
     }
 }
 
@@ -666,15 +569,15 @@ pub fn run_spawned(job: &JobSpec, worker_bin: &Path) -> Result<RunResult> {
     run_spawned_with(job, worker_bin, &MasterConfig::default()).map(|r| r.result)
 }
 
-/// [`run_spawned`] with a [`MasterConfig`]: a [`RecoveryPolicy`] that
-/// re-spawns dead workers from their round checkpoints, and an optional
-/// [`FaultPlan`](crate::FaultPlan) injected into the initial worker
-/// processes (replacements always run clean).
+/// [`run_spawned`] with a [`MasterConfig`]: a respawn budget for
+/// re-spawning dead workers from their round checkpoints, and an optional
+/// [`FaultPlan`] injected into the initial worker processes
+/// (replacements always run clean).
 ///
 /// # Errors
 ///
-/// As [`run_spawned`]; with recovery enabled, worker deaths only fail
-/// the job once the respawn budget is exhausted.
+/// As [`run_spawned`]; with a respawn budget, worker deaths only fail
+/// the job once it is exhausted.
 pub fn run_spawned_with(
     job: &JobSpec,
     worker_bin: &Path,
@@ -683,106 +586,50 @@ pub fn run_spawned_with(
     let built = job.build()?;
     let total_rounds = built.program.num_rounds();
     let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let policy = &cfg.recovery;
-    let wire = format!("{}{}", job.to_wire(), RecoverySettings::from_policy(policy).wire_lines());
-    let children: RefCell<Vec<Child>> = RefCell::new(Vec::with_capacity(job.p));
-    let used = Cell::new(0usize);
-
-    let spawn_worker = |id: usize, with_faults: bool| -> Result<Child> {
-        let mut cmd = Command::new(worker_bin);
-        cmd.arg("--master").arg(addr.to_string()).arg("--worker").arg(id.to_string());
-        if with_faults {
-            if let Some(plan) = &cfg.faults {
-                for fault in plan.for_worker(id as u32) {
-                    cmd.arg("--fault").arg(fault);
-                }
-            }
-        }
-        Ok(cmd.stdin(std::process::Stdio::null()).spawn()?)
+    let wire = cfg.job_wire(job);
+    let mut rec = Recoverer {
+        listener: &listener,
+        job_wire: &wire,
+        worker_bin,
+        faults: cfg.faults.as_ref(),
+        children: Vec::with_capacity(job.p),
+        max_respawns: cfg.max_respawns,
+        used: 0,
     };
 
     let outcome = (|| -> Result<Vec<WorkerSummary>> {
         for id in 0..job.p {
-            let child = spawn_worker(id, true)?;
-            children.borrow_mut().push(child);
+            let child = rec.spawn(id, true)?;
+            rec.children.push(child);
         }
-        let mut plane = {
-            // A worker process exiting before it dials in would otherwise
-            // only surface at the accept deadline. With recovery enabled
-            // the handshake heals in place: the replacement simply dials
-            // in instead of the original.
-            let mut watch = || -> Option<String> {
-                let mut kids = children.borrow_mut();
-                for (id, c) in kids.iter_mut().enumerate() {
-                    let Ok(Some(status)) = c.try_wait() else { continue };
-                    if policy.enabled() && used.get() < policy.max_respawns {
-                        std::thread::sleep(policy.pause_before(used.get()));
-                        used.set(used.get() + 1);
-                        eprintln!(
-                            "mpc-net master: worker {id} exited during handshake ({status}); \
-                             re-spawning (respawn {}/{})",
-                            used.get(),
-                            policy.max_respawns
-                        );
-                        match spawn_worker(id, false) {
-                            Ok(child) => {
-                                kids[id] = child;
-                                return None;
-                            }
-                            Err(e) => {
-                                return Some(format!(
-                                    "worker {id} died in handshake and respawn failed: {e}"
-                                ));
-                            }
-                        }
-                    }
-                    return Some(format!("worker {id} exited during handshake ({status})"));
-                }
-                None
-            };
-            ControlPlane::accept(&listener, job.p, Some(&wire), Some(&mut watch))?
+        // A worker process exiting before it dials in would otherwise
+        // only surface at the accept deadline; re-spawning it (budget
+        // permitting) heals the handshake in place.
+        let mut watch = || match rec.exited() {
+            Some((id, status)) => {
+                rec.respawn(id, &format!("worker {id} exited during handshake ({status})"))
+            }
+            None => Ok(()),
         };
-        if policy.enabled() {
-            let mut respawn = |id: usize| -> Result<()> {
-                let child = spawn_worker(id, false)?;
-                let mut kids = children.borrow_mut();
-                let _ = kids[id].kill();
-                let _ = kids[id].wait();
-                kids[id] = child;
-                Ok(())
-            };
-            let mut rec = Recoverer {
-                listener: &listener,
-                policy,
-                used: &used,
-                job_wire: &wire,
-                respawn: &mut respawn,
-            };
-            plane.serve_barriers_with(total_rounds, Some(&mut rec))?;
-            let summaries = plane.collect_summaries_with(total_rounds, Some(&mut rec))?;
-            plane.shutdown_all();
-            Ok(summaries)
-        } else {
-            plane.serve_barriers(total_rounds)?;
-            let summaries = plane.collect_summaries()?;
-            plane.shutdown_all();
-            Ok(summaries)
-        }
+        let mut plane = ControlPlane::accept(&listener, job.p, Some(&wire), &mut watch)?;
+        plane.serve_barriers(total_rounds, Some(&mut rec))?;
+        let summaries = plane.collect_summaries(total_rounds, Some(&mut rec))?;
+        let _ = plane.broadcast(&Frame::Shutdown);
+        Ok(summaries)
     })();
 
     if outcome.is_err() {
-        for c in children.borrow_mut().iter_mut() {
+        for c in &mut rec.children {
             let _ = c.kill();
         }
     }
-    for c in children.borrow_mut().iter_mut() {
+    for c in &mut rec.children {
         let _ = c.wait();
     }
     let summaries = outcome?;
     let (config, program) = (built.cluster.config(), built.program.as_ref());
     let result = fold_summaries(config, program, built.db.total_bytes(), summaries)?;
-    Ok(SpawnedReport { result, respawns: used.get() })
+    Ok(SpawnedReport { result, respawns: rec.used })
 }
 
 /// The worker-process entry point behind `mpc_workerd`: dial the master,
@@ -796,7 +643,7 @@ pub fn run_spawned_with(
 /// failure aborts the rest of the cluster before returning.
 pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
     crate::fault::trip(worker_id as u32, FaultPhase::Handshake);
-    let setup = tcp_worker_setup(worker_id, None, master_addr, SPAWNED_QUEUE_CAPACITY)?;
+    let setup = tcp_worker_setup(worker_id, None, master_addr)?;
     let mut transport = setup.transport;
     let job = setup.job;
     let resume = setup.restore;
@@ -866,12 +713,46 @@ mod tests {
             Ok(peers)
         });
         let started = Instant::now();
-        ControlPlane::accept(&listener, 1, None, None).expect("handshake");
+        ControlPlane::accept(&listener, 1, None, &mut || Ok(())).expect("handshake");
         assert!(started.elapsed() >= Duration::from_millis(40));
         match worker.join().unwrap().expect("worker side") {
             Frame::Peers { peers } => assert_eq!(peers, vec![(0, "127.0.0.1:9".to_string())]),
             other => panic!("expected Peers, got {other:?}"),
         }
+    }
+
+    /// The one dial-in routine refuses a `Hello` that names no awaited
+    /// worker — out of range, a duplicate during the handshake, a
+    /// replacement dialing in under a survivor's id — with a protocol
+    /// error that names the id, and without waiting for the deadline.
+    #[test]
+    fn bad_hellos_are_protocol_errors_naming_the_id() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let plane = ControlPlane::new(3);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for (connected, claimed, why) in [
+            ([false, false, false], 7, "the cluster has 3 workers"),
+            ([true, false, false], 0, "already connected"),
+            // The replacement awaited for worker 1 claims to be worker 2.
+            ([true, false, true], 2, "already connected"),
+        ] {
+            let dialer = std::thread::spawn(move || {
+                let mut control = TcpStream::connect(addr).unwrap();
+                write_frame(&mut control, &Frame::Hello { worker_id: claimed, data_port: 9 })
+                    .unwrap();
+            });
+            let refused = plane.accept_hello(&listener, &connected, None, deadline, &mut || Ok(()));
+            dialer.join().unwrap();
+            match refused.expect_err("a bad Hello") {
+                NetError::Protocol(msg) => {
+                    assert!(msg.contains(&format!("worker {claimed}")), "{msg}");
+                    assert!(msg.contains(why), "{msg}");
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        assert!(Instant::now() < deadline, "no refusal waited for the deadline");
     }
 
     #[test]

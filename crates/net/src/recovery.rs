@@ -1,155 +1,111 @@
-//! Recovery policy for the spawned-process master.
+//! Crash recovery for the spawned-process master: one knob.
 //!
 //! The MPC protocol is round-synchronous: every round ends at a global
 //! `Ready`/`Proceed` barrier, which makes the barrier the natural
-//! checkpoint cut. With recovery enabled the master keeps each worker's
-//! latest [`Frame::Checkpoint`](crate::Frame::Checkpoint), and when its
-//! liveness poll finds a worker process dead it re-spawns the worker from
-//! the same [`JobSpec`](crate::JobSpec), restores it from that
-//! checkpoint, and has the surviving peers retransmit the in-flight
-//! round from their bounded replay logs — the query never restarts.
-//! [`RecoveryPolicy`] caps how hard the master tries before falling back
-//! to the fail-fast abort.
+//! checkpoint cut. With [`MasterConfig::max_respawns`] above zero the
+//! master says so with one `recovery=1` line on its workers' job wire
+//! form; each worker then sends a
+//! [`Frame::Checkpoint`](crate::Frame::Checkpoint) at every barrier and
+//! keeps its outbound frames of the last two rounds for replay. When the
+//! master's liveness poll finds a worker process dead it re-spawns the
+//! worker from the same [`JobSpec`], restores it from its latest
+//! checkpoint, and has the surviving peers retransmit the in-flight round
+//! from their replay logs — the query never restarts. Once the respawn
+//! budget is spent the master falls back to the fail-fast abort.
 
 use std::time::Duration;
 
 use crate::fault::FaultPlan;
+use crate::spec::JobSpec;
 
-/// How the master responds to a dead worker process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryPolicy {
+/// Everything configurable about a spawned-process run beyond the
+/// [`JobSpec`] itself.
+#[derive(Debug, Clone, Default)]
+pub struct MasterConfig {
     /// How many re-spawns the whole job may consume. `0` (the default)
     /// disables recovery: the first dead worker aborts the job.
     pub max_respawns: usize,
-    /// Base pause before a re-spawn; doubles per respawn already used.
-    pub backoff: Duration,
-    /// Checkpoint every k rounds (clamped to at least 1). Workers retain
-    /// replay logs for `checkpoint_every + 1` rounds, so larger k trades
-    /// memory for fewer snapshots.
-    pub checkpoint_every: usize,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { max_respawns: 0, backoff: Duration::from_millis(50), checkpoint_every: 1 }
-    }
-}
-
-impl RecoveryPolicy {
-    /// A policy allowing `max_respawns` re-spawns with default pacing.
-    pub fn with_respawns(max_respawns: usize) -> Self {
-        RecoveryPolicy { max_respawns, ..RecoveryPolicy::default() }
-    }
-
-    /// Does this policy recover at all?
-    pub fn enabled(&self) -> bool {
-        self.max_respawns > 0
-    }
-
-    /// The pause before re-spawn number `attempt` (0-based): capped
-    /// exponential backoff on [`RecoveryPolicy::backoff`].
-    pub fn pause_before(&self, attempt: usize) -> Duration {
-        let factor = 1u32 << attempt.min(5) as u32;
-        (self.backoff * factor).min(Duration::from_secs(2))
-    }
-}
-
-/// Everything configurable about a spawned-process run beyond the
-/// [`JobSpec`](crate::JobSpec) itself.
-#[derive(Debug, Clone, Default)]
-pub struct MasterConfig {
-    /// Crash-recovery policy (default: fail fast, no recovery).
-    pub recovery: RecoveryPolicy,
     /// Deterministic faults to inject into the spawned workers (passed
     /// as `--fault` arguments; `None` runs clean).
     pub faults: Option<FaultPlan>,
 }
 
-/// The recovery-relevant settings a worker learns from the job wire
-/// form — appended by the master as extra `key=value` lines, which old
-/// parsers ignore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoverySettings {
-    /// Whether the master may re-spawn workers (so peers must keep
-    /// replay logs and tolerate silent peer disconnects).
-    pub enabled: bool,
-    /// Checkpoint cadence in rounds (≥ 1).
-    pub checkpoint_every: usize,
+/// The job wire line that makes a worker recoverable.
+const RECOVERY_LINE: &str = "recovery=1";
+
+/// Rounds of outbound frames a recoverable worker keeps for replay.
+/// Workers checkpoint every round, so a rejoining peer restores from at
+/// most one round back: the log holds the round in flight and the one
+/// before it.
+pub(crate) const REPLAY_ROUNDS: usize = 2;
+
+/// The pause before the first re-spawn; it doubles per re-spawn already
+/// used, five times at most.
+const RESPAWN_BACKOFF: Duration = Duration::from_millis(50);
+
+impl MasterConfig {
+    /// The wire form this master hands `job`'s workers: the spec's own,
+    /// plus [`RECOVERY_LINE`] when it may re-spawn them
+    /// ([`JobSpec::from_wire`] skips it like any unknown key).
+    pub(crate) fn job_wire(&self, job: &JobSpec) -> String {
+        let mut wire = job.to_wire();
+        if self.max_respawns > 0 {
+            wire.push_str(RECOVERY_LINE);
+            wire.push('\n');
+        }
+        wire
+    }
 }
 
-impl Default for RecoverySettings {
-    fn default() -> Self {
-        RecoverySettings { enabled: false, checkpoint_every: 1 }
-    }
+/// Whether a job wire form asks its worker to stay recoverable: keep a
+/// replay log, accept rejoining peers, and checkpoint every round.
+pub(crate) fn recovery_requested(wire: &str) -> bool {
+    wire.lines().any(|line| line.trim() == RECOVERY_LINE)
 }
 
-impl RecoverySettings {
-    /// The settings a master running `policy` wants its workers to use.
-    pub fn from_policy(policy: &RecoveryPolicy) -> Self {
-        RecoverySettings {
-            enabled: policy.enabled(),
-            checkpoint_every: policy.checkpoint_every.max(1),
-        }
-    }
-
-    /// Extra `key=value` lines appended to the job wire form.
-    pub fn wire_lines(&self) -> String {
-        format!("recovery={}\ncheckpoint_every={}\n", u8::from(self.enabled), self.checkpoint_every)
-    }
-
-    /// Recover the settings from a job wire form; absent keys mean the
-    /// defaults (a pre-recovery master).
-    pub fn from_wire(wire: &str) -> Self {
-        let mut out = RecoverySettings::default();
-        for line in wire.lines() {
-            match line.split_once('=') {
-                Some(("recovery", v)) => out.enabled = v.trim() == "1",
-                Some(("checkpoint_every", v)) => {
-                    out.checkpoint_every = v.trim().parse().unwrap_or(1).max(1);
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// How many rounds of outbound frames a worker must retain for
-    /// replay: everything after the previous checkpoint plus the round
-    /// in flight.
-    pub fn replay_rounds(&self) -> usize {
-        self.checkpoint_every + 1
-    }
+/// The pause before re-spawn number `used` (0-based).
+pub(crate) fn respawn_pause(used: usize) -> Duration {
+    RESPAWN_BACKOFF * (1 << used.min(5))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{DbSpec, ProgramSpec};
+
+    fn job() -> JobSpec {
+        JobSpec {
+            program: ProgramSpec::HyperCube,
+            query: mpc_cq::families::triangle().to_string(),
+            db: DbSpec::Matching { n: 10, seed: 1 },
+            p: 2,
+            epsilon: 0.5,
+            seed: 1,
+            block_capacity: 16,
+        }
+    }
 
     #[test]
     fn policy_defaults_fail_fast() {
-        let p = RecoveryPolicy::default();
-        assert!(!p.enabled());
-        assert!(RecoveryPolicy::with_respawns(2).enabled());
+        let cfg = MasterConfig::default();
+        assert_eq!(cfg.max_respawns, 0);
+        assert!(!recovery_requested(&cfg.job_wire(&job())));
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RecoveryPolicy { backoff: Duration::from_millis(40), ..Default::default() };
-        assert_eq!(p.pause_before(0), Duration::from_millis(40));
-        assert_eq!(p.pause_before(1), Duration::from_millis(80));
-        assert_eq!(p.pause_before(2), Duration::from_millis(160));
-        assert_eq!(p.pause_before(60), Duration::from_millis(1280), "exponent capped, no overflow");
-        let slow = RecoveryPolicy { backoff: Duration::from_millis(200), ..Default::default() };
-        assert_eq!(slow.pause_before(60), Duration::from_secs(2), "pause capped at 2s");
+        assert_eq!(respawn_pause(0), Duration::from_millis(50));
+        assert_eq!(respawn_pause(1), Duration::from_millis(100));
+        assert_eq!(respawn_pause(2), Duration::from_millis(200));
+        assert_eq!(respawn_pause(60), Duration::from_millis(1600), "exponent capped, no overflow");
     }
 
     #[test]
     fn settings_ride_the_job_wire_form() {
-        let s = RecoverySettings { enabled: true, checkpoint_every: 3 };
-        let wire = format!("program=hypercube\nquery=q() :- R(a)\n{}", s.wire_lines());
-        assert_eq!(RecoverySettings::from_wire(&wire), s);
-        assert_eq!(s.replay_rounds(), 4);
-        // A wire form without the keys (older master) means fail-fast.
-        assert_eq!(RecoverySettings::from_wire("program=hypercube\n"), RecoverySettings::default());
+        let cfg = MasterConfig { max_respawns: 2, faults: None };
+        let wire = cfg.job_wire(&job());
+        assert!(recovery_requested(&wire));
+        assert_eq!(JobSpec::from_wire(&wire).unwrap(), job(), "the flag is skipped as a key");
+        assert!(!recovery_requested(&job().to_wire()));
     }
 }

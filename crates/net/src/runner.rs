@@ -30,7 +30,7 @@ use mpc_storage::Database;
 use crate::fault::{self, FaultPhase};
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::master::ControlPlane;
-use crate::recovery::RecoverySettings;
+use crate::recovery::recovery_requested;
 use crate::transport::{dial_with_backoff, TcpEndpoints, TcpTransport};
 use crate::{NetError, Result};
 
@@ -148,14 +148,14 @@ fn run_tcp_threads<P: MpcProgram>(
 
     std::thread::scope(|scope| {
         let master = scope.spawn(move || -> Result<()> {
-            ControlPlane::accept(&listener, p, None, None)?.serve_barriers(total_rounds)
+            ControlPlane::accept(&listener, p, None, &mut || Ok(()))?
+                .serve_barriers(total_rounds, None)
         });
         let handles: Vec<_> = (0..p)
             .map(|id| {
                 let master_addr = &master_addr;
                 scope.spawn(move || -> Result<WorkerSummary> {
-                    let mut transport =
-                        tcp_worker_setup(id, Some(p), master_addr, cfg.queue_capacity)?.transport;
+                    let mut transport = tcp_worker_setup(id, Some(p), master_addr)?.transport;
                     let out =
                         run_tcp_worker(&mut transport, program, db, id, cfg.block_capacity, None);
                     transport.shutdown();
@@ -192,7 +192,9 @@ pub(crate) struct WorkerSetup {
 /// The cluster size is learned from the master's peer table (validated
 /// against `expect_p` when the caller already knows it). In spawned mode
 /// the master precedes the peer table with a `Job` frame, returned as
-/// the raw spec string; in threaded mode no Job frame is sent.
+/// the raw spec string; in threaded mode no Job frame is sent. The
+/// transport is recoverable when the spec carries the master's
+/// `recovery=1` flag.
 ///
 /// **Recovery rejoin.** When the master also sends a `Checkpoint` frame
 /// the worker is a re-spawned replacement: instead of the fresh-mesh
@@ -203,7 +205,6 @@ pub(crate) fn tcp_worker_setup(
     id: usize,
     expect_p: Option<usize>,
     master_addr: &str,
-    queue_capacity: usize,
 ) -> Result<WorkerSetup> {
     let pool = BlockPool::new();
     let data_listener = TcpListener::bind("127.0.0.1:0")?;
@@ -298,9 +299,8 @@ pub(crate) fn tcp_worker_setup(
             return Err(NetError::Protocol(format!("expected Proceed(0), got {other:?}")));
         }
     }
-    let recovery = job.as_deref().map(RecoverySettings::from_wire).unwrap_or_default();
-    let endpoints =
-        TcpEndpoints { id, p, outbound, inbound, control, listener: Some(data_listener) };
-    let transport = TcpTransport::new(endpoints, Arc::new(pool), queue_capacity, recovery)?;
+    let recovery = job.as_deref().is_some_and(recovery_requested);
+    let endpoints = TcpEndpoints { id, p, outbound, inbound, control, listener: data_listener };
+    let transport = TcpTransport::new(endpoints, Arc::new(pool), recovery)?;
     Ok(WorkerSetup { transport, job, restore })
 }

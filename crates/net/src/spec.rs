@@ -95,8 +95,6 @@ pub struct JobSpec {
     pub epsilon: f64,
     /// Routing seed shared by all workers.
     pub seed: u64,
-    /// Per-link lane capacity for the workers' inboxes.
-    pub queue_capacity: usize,
     /// Tuples per block.
     pub block_capacity: usize,
 }
@@ -159,8 +157,8 @@ impl JobSpec {
             }
         }
         out.push_str(&format!(
-            "p={}\nepsilon={}\nseed={}\nqueue_capacity={}\nblock_capacity={}\n",
-            self.p, self.epsilon, self.seed, self.queue_capacity, self.block_capacity
+            "p={}\nepsilon={}\nseed={}\nblock_capacity={}\n",
+            self.p, self.epsilon, self.seed, self.block_capacity
         ));
         out
     }
@@ -168,9 +166,9 @@ impl JobSpec {
     /// Parse the wire form back.
     ///
     /// Unknown keys are **ignored**, by design: the wire form is
-    /// extensible, and newer masters append extra `key=value` lines —
-    /// the [`RecoverySettings`](crate::RecoverySettings) lines, for
-    /// instance — that older workers must be able to skip over.
+    /// extensible, and a master appends lines of its own — the
+    /// `recovery=1` flag of a [`MasterConfig`](crate::MasterConfig) that
+    /// may re-spawn workers, for instance — that parsing skips over.
     ///
     /// # Errors
     ///
@@ -229,7 +227,6 @@ impl JobSpec {
             p: num("p")? as usize,
             epsilon: fnum("epsilon")?,
             seed: num("seed")?,
-            queue_capacity: num("queue_capacity")? as usize,
             block_capacity: num("block_capacity")? as usize,
         })
     }
@@ -333,7 +330,6 @@ mod tests {
             p: 8,
             epsilon: 0.5,
             seed: 42,
-            queue_capacity: 64,
             block_capacity: 128,
         }
     }
@@ -398,15 +394,12 @@ mod tests {
 
     #[test]
     fn unknown_keys_are_ignored_for_forward_compatibility() {
-        // Newer masters append extra lines (e.g. the RecoverySettings
-        // `recovery=`/`checkpoint_every=` pair); parsing must skip what
-        // it does not understand rather than reject the job.
+        // Masters append lines of their own (the `recovery=1` flag) and
+        // older ones sent keys this parser no longer reads; parsing must
+        // skip what it does not understand rather than reject the job.
         let s = spec(ProgramSpec::HyperCube);
-        let wire = format!("{}recovery=1\ncheckpoint_every=2\nfuture_knob=whatever\n", s.to_wire());
+        let wire = format!("{}recovery=1\nqueue_capacity=64\nfuture_knob=whatever\n", s.to_wire());
         assert_eq!(JobSpec::from_wire(&wire).unwrap(), s);
-        let settings = crate::RecoverySettings::from_wire(&wire);
-        assert!(settings.enabled, "the recovery lines remain readable from the same wire");
-        assert_eq!(settings.checkpoint_every, 2);
     }
 
     #[test]

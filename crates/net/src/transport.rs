@@ -14,24 +14,24 @@
 //! fault-injection trip points.
 //!
 //! **Backpressure note.** TCP inboxes are fed by reader threads via
-//! `force_send` — the kernel's socket buffers provide the real
-//! backpressure, and bounding the inbox as well could deadlock the single
-//! reader thread behind a stalled worker. A send therefore never reports
-//! `Full`.
+//! `force_send`, so their lanes are unbounded — the kernel's socket
+//! buffers provide the real backpressure, and bounding the inbox as well
+//! could deadlock the single reader thread behind a stalled worker. A
+//! send therefore never reports `Full`.
 //!
-//! **Recovery note.** With [`RecoverySettings::enabled`] the TCP
-//! transport additionally (a) retains every outbound data frame of the
-//! last `checkpoint_every + 1` rounds in a per-round replay log, (b)
-//! keeps its data listener open on an acceptor thread so a re-spawned
-//! peer can rejoin mid-job (`DataHello` + `ReplayRequest`), replaying the
-//! logged frames onto the fresh socket, and (c) dedups inbound blocks by
-//! the `(from, round)` sequence watermark and inbound FINs by
-//! `(link, round)`, so a recovering peer's re-sent traffic is delivered
-//! exactly once. A dead peer then stalls this worker (waiting for the
+//! **Recovery note.** When its job asks for recovery (the `recovery`
+//! flag of [`TcpTransport::new`]) the TCP transport additionally (a)
+//! checkpoints every round, (b) retains every outbound data frame of the
+//! last two rounds in a per-round replay log, (c) keeps its data listener
+//! open on an acceptor thread so a re-spawned peer can rejoin mid-job
+//! (`DataHello` + `ReplayRequest`), replaying the logged frames onto the
+//! fresh socket, and (d) dedups inbound blocks by the `(from, round)`
+//! sequence watermark and inbound FINs by `(link, round)`, so a
+//! recovering peer's re-sent traffic is delivered exactly once. A dead peer then stalls this worker (waiting for the
 //! master to re-spawn it) instead of aborting the job.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -44,8 +44,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::{self, FaultKind, FaultPhase};
-use crate::frame::{read_frame, write_frame, Frame};
-use crate::recovery::RecoverySettings;
+use crate::frame::{poll_frame, read_frame, write_frame, Frame, Polled};
+use crate::recovery::REPLAY_ROUNDS;
 use crate::{NetError, Result};
 
 /// What travels through a TCP worker's inbox: a decoded packet, or `None`
@@ -130,8 +130,8 @@ pub struct TcpEndpoints {
     /// The control stream to the master (`Ready`/`Proceed` barriers).
     pub control: TcpStream,
     /// The worker's data listener, kept open for rejoining peers when
-    /// recovery is enabled (`None` disables rejoin accepting).
-    pub listener: Option<TcpListener>,
+    /// recovery is enabled.
+    pub listener: TcpListener,
 }
 
 /// The socket transport: one outbound TCP stream per peer, reader threads
@@ -150,13 +150,13 @@ pub struct TcpTransport {
     aborted: Arc<AtomicBool>,
     scratch: Vec<u8>,
     pool: Arc<BlockPool>,
-    recovery: RecoverySettings,
+    recovery: bool,
     /// `down[dest]`: the peer's socket died but the master may re-spawn
     /// it — sends are logged (for replay) instead of failing.
     down: Vec<bool>,
     /// Replay log: per round, the encoded outbound data frames in send
     /// order, each tagged with its destination. Bounded to the last
-    /// `checkpoint_every + 1` rounds (pruned at each barrier).
+    /// [`REPLAY_ROUNDS`] rounds (pruned at each barrier).
     log: BTreeMap<usize, Vec<(usize, Vec<u8>)>>,
     /// Inbound lanes, retained in recovery mode so pumps for rejoining
     /// peers can be spawned and the acceptor can wake a blocked `recv`.
@@ -217,20 +217,6 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<Inbound>, sh: Ar
                     return;
                 }
             }
-            Ok(Frame::ReplayData { .. }) => {
-                // A replay header from a surviving peer: informational.
-            }
-            Ok(Frame::Abort { .. }) => {
-                sh.aborted.store(true, Ordering::SeqCst);
-                let _ = lane.force_send(Some(Packet::Abort));
-                return;
-            }
-            Ok(_) => {
-                // A data socket carries only blocks, FINs and aborts.
-                sh.aborted.store(true, Ordering::SeqCst);
-                let _ = lane.force_send(Some(Packet::Abort));
-                return;
-            }
             Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
                 // Clean close after the peer finished sending.
                 return;
@@ -241,8 +227,10 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<Inbound>, sh: Ar
                 // the replacement to rejoin.
                 return;
             }
-            Err(_) => {
-                // A dead or corrupt peer: fail the local worker fast.
+            _ => {
+                // An abort, a frame a data socket does not carry (only
+                // blocks, FINs and aborts), or a dead or corrupt peer:
+                // fail the local worker fast.
                 sh.aborted.store(true, Ordering::SeqCst);
                 let _ = lane.force_send(Some(Packet::Abort));
                 return;
@@ -255,10 +243,12 @@ fn pump_reader(stream: TcpStream, from: usize, lane: LinkSender<Inbound>, sh: Ar
 /// socket starts with `DataHello{from}` + `ReplayRequest{from_round}`;
 /// the pair is queued for the worker thread (which owns the writers and
 /// the replay log) and a `None` is forced into the worker's own inbox
-/// lane to wake a blocked `recv`.
+/// lane to wake a blocked `recv`. A hello naming no peer — out of range,
+/// or this worker's own `id` — is dropped.
 fn accept_rejoins(
     listener: TcpListener,
     p: usize,
+    id: usize,
     stop: Arc<AtomicBool>,
     shared: Arc<RejoinShared>,
     wake: LinkSender<Inbound>,
@@ -288,7 +278,7 @@ fn accept_rejoins(
             Ok(Frame::ReplayRequest { from_round }) => from_round as usize,
             _ => continue,
         };
-        if from >= p {
+        if from >= p || from == id {
             continue;
         }
         shared.queue.lock().expect("rejoin queue lock").push(Rejoin { from, from_round, stream });
@@ -301,28 +291,24 @@ fn accept_rejoins(
 
 impl TcpTransport {
     /// Assemble worker `ep.id`'s transport from its meshed endpoints.
-    /// With `recovery.enabled` the data listener (if provided) keeps
-    /// accepting rejoining peers and outbound frames are retained for
+    /// With `recovery` the data listener keeps accepting rejoining peers,
+    /// every round is checkpointed and outbound frames are retained for
     /// replay; otherwise the transport is the original fail-fast fabric.
     ///
     /// # Errors
     ///
     /// Fails on malformed endpoint tables.
-    pub fn new(
-        ep: TcpEndpoints,
-        pool: Arc<BlockPool>,
-        queue_capacity: usize,
-        recovery: RecoverySettings,
-    ) -> Result<Self> {
+    pub fn new(ep: TcpEndpoints, pool: Arc<BlockPool>, recovery: bool) -> Result<Self> {
         let TcpEndpoints { id, p, outbound, inbound, control, listener } = ep;
-        let (senders, rx) = mpc_sim::queue::Inbox::channel(p, queue_capacity);
+        // Unbounded lanes: only `force_send` ever fills them.
+        let (senders, rx) = mpc_sim::queue::Inbox::channel(p, usize::MAX);
         let aborted = Arc::new(AtomicBool::new(false));
         let dedup = Arc::new(Mutex::new(Dedup::default()));
         let pump_shared = Arc::new(PumpShared {
             pool: Arc::clone(&pool),
             aborted: Arc::clone(&aborted),
             dedup: Arc::clone(&dedup),
-            recovery: recovery.enabled,
+            recovery,
         });
         let mut readers = Vec::with_capacity(inbound.len());
         for (from, stream) in inbound {
@@ -343,20 +329,19 @@ impl TcpTransport {
             })
             .collect();
         let acceptor_stop = Arc::new(AtomicBool::new(false));
-        let (rejoins, acceptor) = match listener.filter(|_| recovery.enabled) {
-            Some(listener) => {
-                let shared = Arc::new(RejoinShared {
-                    queue: Mutex::new(Vec::new()),
-                    pending: AtomicBool::new(false),
-                });
-                let stop = Arc::clone(&acceptor_stop);
-                let mailbox = Arc::clone(&shared);
-                let wake = senders[id].clone();
-                let h =
-                    std::thread::spawn(move || accept_rejoins(listener, p, stop, mailbox, wake));
-                (Some(shared), Some(h))
-            }
-            None => (None, None),
+        let (rejoins, acceptor) = if recovery {
+            let shared = Arc::new(RejoinShared {
+                queue: Mutex::new(Vec::new()),
+                pending: AtomicBool::new(false),
+            });
+            let stop = Arc::clone(&acceptor_stop);
+            let mailbox = Arc::clone(&shared);
+            let wake = senders[id].clone();
+            let h =
+                std::thread::spawn(move || accept_rejoins(listener, p, id, stop, mailbox, wake));
+            (Some(shared), Some(h))
+        } else {
+            (None, None)
         };
         Ok(TcpTransport {
             id,
@@ -371,7 +356,7 @@ impl TcpTransport {
             recovery,
             down: vec![false; p],
             log: BTreeMap::new(),
-            senders: if recovery.enabled { senders } else { Vec::new() },
+            senders: if recovery { senders } else { Vec::new() },
             dedup,
             rejoins,
             acceptor,
@@ -395,7 +380,7 @@ impl TcpTransport {
         for dest in 0..self.writers.len() {
             let Some(w) = self.writers[dest].as_mut() else { continue };
             if let Err(e) = w.flush() {
-                if self.recovery.enabled {
+                if self.recovery {
                     self.writers[dest] = None;
                     self.down[dest] = true;
                 } else {
@@ -438,9 +423,8 @@ impl TcpTransport {
 
     /// Wire every queued re-spawned peer back into the mesh: install its
     /// fresh socket as the outbound writer, replay the logged frames of
-    /// every round past its restored checkpoint (prefixed by a
-    /// `ReplayData` header per round), and spawn a pump for its inbound
-    /// traffic. Best-effort: a peer that died *again* is simply marked
+    /// every round past its restored checkpoint, and spawn a pump for its
+    /// inbound traffic. Best-effort: a peer that died *again* is simply marked
     /// down and left to the master's next recovery round.
     fn service_rejoins(&mut self) {
         let Some(shared) = &self.rejoins else { return };
@@ -455,30 +439,13 @@ impl TcpTransport {
                 continue;
             };
             let mut w = BufWriter::new(write_half);
-            let mut buf = Vec::new();
-            let mut ok = true;
-            'replay: for (&round, frames) in self.log.range(rj.from_round + 1..) {
-                let for_peer = frames.iter().filter(|(d, _)| *d == rj.from);
-                let count = for_peer.clone().count();
-                if count == 0 {
-                    continue;
-                }
-                crate::frame::encode_frame(
-                    &Frame::ReplayData { round: round as u32, frames: count as u32 },
-                    &mut buf,
-                );
-                if w.write_all(&buf).is_err() {
-                    ok = false;
-                    break;
-                }
-                for (_, bytes) in for_peer {
-                    if w.write_all(bytes).is_err() {
-                        ok = false;
-                        break 'replay;
-                    }
-                }
-            }
-            if !ok || w.flush().is_err() {
+            let replayed = self
+                .log
+                .range(rj.from_round + 1..)
+                .flat_map(|(_, frames)| frames)
+                .filter(|(dest, _)| *dest == rj.from)
+                .try_for_each(|(_, bytes)| w.write_all(bytes));
+            if replayed.and_then(|()| w.flush()).is_err() {
                 self.down[rj.from] = true;
                 continue;
             }
@@ -552,7 +519,7 @@ impl Link for TcpTransport {
             }
         }
         crate::frame::encode_frame(&frame, &mut self.scratch);
-        if self.recovery.enabled {
+        if self.recovery {
             if let Some(r) = round {
                 self.log.entry(r).or_default().push((dest, self.scratch.clone()));
             }
@@ -569,7 +536,7 @@ impl Link for TcpTransport {
         }
         let flush_needed = matches!(frame, Frame::Fin { .. } | Frame::Abort { .. });
         let Some(w) = self.writers.get_mut(dest).and_then(|w| w.as_mut()) else {
-            return if self.recovery.enabled && round.is_some() {
+            return if self.recovery && round.is_some() {
                 self.down[dest] = true;
                 SendOutcome::Sent
             } else {
@@ -586,7 +553,7 @@ impl Link for TcpTransport {
                 }
                 SendOutcome::Sent
             }
-            Err(_) if self.recovery.enabled && round.is_some() => {
+            Err(_) if self.recovery && round.is_some() => {
                 self.writers[dest] = None;
                 self.down[dest] = true;
                 if flush_needed && self.flush_all().is_err() {
@@ -625,7 +592,7 @@ impl Transport for TcpTransport {
     /// start.
     fn round_done(&mut self, round: usize, state: &ServerState, last: bool) -> Result<()> {
         fault::trip(self.id as u32, FaultPhase::Barrier(round as u32));
-        self.checkpoint(round, state, last)?;
+        self.checkpoint(round, state)?;
         self.barrier(round)?;
         if !last {
             fault::trip(self.id as u32, FaultPhase::RoundStart(round as u32 + 1));
@@ -659,33 +626,16 @@ impl TcpTransport {
         write_frame(self.control.get_mut(), &Frame::Ready { round: round as u32 })?;
         self.control.get_mut().flush()?;
         let pool = BlockPool::new();
-        let reply = if self.recovery.enabled {
+        let reply = if self.recovery {
             // Poll instead of blocking: a peer's replacement may rejoin
             // while we are parked here, and it needs its replay to make
             // progress before the barrier can ever release.
             loop {
                 self.service_rejoins();
-                self.control.get_ref().set_read_timeout(Some(REJOIN_POLL))?;
-                let available = match self.control.fill_buf() {
-                    Ok([]) => {
-                        self.control.get_ref().set_read_timeout(None).ok();
-                        return Err(NetError::Protocol("master closed the control stream".into()));
-                    }
-                    Ok(_) => true,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        false
-                    }
-                    Err(e) => {
-                        self.control.get_ref().set_read_timeout(None).ok();
-                        return Err(e.into());
-                    }
-                };
-                if available {
-                    self.control.get_ref().set_read_timeout(None)?;
-                    break read_frame(&mut self.control, &pool)?;
+                match poll_frame(&mut self.control, REJOIN_POLL, &pool)? {
+                    Polled::Pending => {}
+                    Polled::Got(frame) => break frame,
+                    Polled::Dead(why) => return Err(NetError::Protocol(format!("master {why}"))),
                 }
             }
         } else {
@@ -693,10 +643,10 @@ impl TcpTransport {
         };
         match reply {
             Frame::Proceed { round: r } if r as usize == round => {
-                if self.recovery.enabled {
+                if self.recovery {
                     // Prune the replay log: a rejoiner restores from a
-                    // checkpoint at most `checkpoint_every` rounds back.
-                    let keep_from = (round + 1).saturating_sub(self.recovery.replay_rounds());
+                    // checkpoint at most one round back.
+                    let keep_from = (round + 1).saturating_sub(REPLAY_ROUNDS);
                     self.log = self.log.split_off(&keep_from);
                 }
                 Ok(())
@@ -715,12 +665,9 @@ impl TcpTransport {
     }
 
     /// Snapshot `state` as the round-`round` checkpoint when recovery is
-    /// on and the cadence (or the job's `last` round) asks for one.
-    fn checkpoint(&mut self, round: usize, state: &ServerState, last: bool) -> Result<()> {
-        if !self.recovery.enabled {
-            return Ok(());
-        }
-        if !round.is_multiple_of(self.recovery.checkpoint_every) && !last {
+    /// on.
+    fn checkpoint(&mut self, round: usize, state: &ServerState) -> Result<()> {
+        if !self.recovery {
             return Ok(());
         }
         let (per_round_bytes, per_round_tuples) = state.received_volumes(round);
@@ -766,5 +713,38 @@ mod tests {
             .expect_err("nothing is listening");
         assert!(start.elapsed() >= Duration::from_millis(80));
         assert!(err.to_string().contains("attempts"), "error names the retry count: {err}");
+    }
+
+    /// Rejoin hellos that name no peer — the acceptor's own id, or one past
+    /// the cluster — are dropped; only the real peer is queued and wakes
+    /// the worker.
+    #[test]
+    fn rejoins_under_the_acceptors_own_id_or_out_of_range_are_refused() {
+        let (p, id) = (3, 1);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (senders, rx) = mpc_sim::queue::Inbox::channel(p, usize::MAX);
+        let shared = Arc::new(RejoinShared {
+            queue: Mutex::new(Vec::new()),
+            pending: AtomicBool::new(false),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let (stop, shared, wake) =
+                (Arc::clone(&stop), Arc::clone(&shared), senders[id].clone());
+            std::thread::spawn(move || accept_rejoins(listener, p, id, stop, shared, wake))
+        };
+        let rejoin = |from: usize| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            write_frame(&mut s, &Frame::DataHello { from: from as u32 }).unwrap();
+            write_frame(&mut s, &Frame::ReplayRequest { from_round: 0 }).unwrap();
+            s
+        };
+        let _dialed = [rejoin(id), rejoin(p), rejoin(0)];
+        assert!(rx.recv().is_none(), "the one wake-up is the acceptor's");
+        let queued: Vec<usize> = shared.queue.lock().unwrap().iter().map(|r| r.from).collect();
+        assert_eq!(queued, vec![0], "only the real peer is queued");
+        stop.store(true, Ordering::SeqCst);
+        acceptor.join().unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! Fault-injection recovery tests: real `mpc_workerd` processes killed
 //! at every lifecycle phase by a deterministic [`FaultPlan`], with the
-//! master's [`RecoveryPolicy`] either re-spawning them (the run must
+//! master's respawn budget either re-spawning them (the run must
 //! finish **byte-identical** to the undisturbed reference) or failing
 //! fast (the abort must surface within the liveness deadline, never
 //! hang).
@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use mpc_lp::Rational;
 use mpc_net::spec::{DbSpec, ProgramSpec};
-use mpc_net::{FaultPlan, JobSpec, MasterConfig, RecoveryPolicy};
+use mpc_net::{FaultPlan, JobSpec, MasterConfig};
 use mpc_sim::RunResult;
 
 fn worker_bin() -> &'static Path {
@@ -27,7 +27,6 @@ fn hypercube_job() -> JobSpec {
         p: 4,
         epsilon: 0.5,
         seed: 11,
-        queue_capacity: 64,
         block_capacity: 128,
     }
 }
@@ -42,7 +41,6 @@ fn multiround_job() -> JobSpec {
         p: 3,
         epsilon: 0.0,
         seed: 7,
-        queue_capacity: 32,
         block_capacity: 64,
     }
 }
@@ -59,7 +57,7 @@ fn reference_run(job: &JobSpec) -> RunResult {
 /// would pass vacuously). Returns the re-spawn count.
 fn assert_recovers(label: &str, job: &JobSpec, reference: &RunResult, plan: &str) -> usize {
     let cfg = MasterConfig {
-        recovery: RecoveryPolicy::with_respawns(2),
+        max_respawns: 2,
         faults: Some(FaultPlan::parse(plan).expect("valid fault plan")),
     };
     let report = mpc_net::run_spawned_with(job, worker_bin(), &cfg)
@@ -73,7 +71,7 @@ fn assert_recovers(label: &str, job: &JobSpec, reference: &RunResult, plan: &str
 /// real error — quickly, not after some multi-minute socket timeout.
 fn assert_fails_fast(label: &str, job: &JobSpec, plan: &str) {
     let cfg = MasterConfig {
-        recovery: RecoveryPolicy::default(),
+        max_respawns: 0,
         faults: Some(FaultPlan::parse(plan).expect("valid fault plan")),
     };
     let start = Instant::now();
@@ -142,7 +140,7 @@ fn exhausted_respawn_budget_falls_back_to_abort() {
     // fallback must abort the job instead of retrying forever.
     let job = hypercube_job();
     let cfg = MasterConfig {
-        recovery: RecoveryPolicy::with_respawns(1),
+        max_respawns: 1,
         faults: Some(FaultPlan::parse("kill:w1@round1,kill:w2@round1").expect("valid plan")),
     };
     let start = Instant::now();

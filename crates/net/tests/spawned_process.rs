@@ -30,7 +30,6 @@ fn spawned_hypercube_matches_reference() {
         p: 4,
         epsilon: 0.5,
         seed: 11,
-        queue_capacity: 64,
         block_capacity: 128,
     };
     assert_spawned_matches_reference("spawned HC triangle p=4", &job);
@@ -45,7 +44,6 @@ fn spawned_multiround_matches_reference() {
         p: 3,
         epsilon: 0.0,
         seed: 7,
-        queue_capacity: 32,
         block_capacity: 64,
     };
     assert_spawned_matches_reference("spawned plan L4 p=3", &job);
@@ -64,7 +62,6 @@ fn dead_worker_fails_the_job_fast_not_forever() {
         p: 2,
         epsilon: 0.5,
         seed: 1,
-        queue_capacity: 8,
         block_capacity: 16,
     };
     let err = mpc_net::run_spawned(&job, Path::new("/usr/bin/true"))

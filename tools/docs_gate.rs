@@ -17,12 +17,19 @@
 //!
 //! `http(s):`/`mailto:` targets are skipped — CI has no network.
 //!
+//! With `--changes` it checks only the size budget of a changelog
+//! (default `CHANGES.md`): every entry from PR 22 on — a top-level `- `
+//! bullet and the lines under it — is at most 15 non-blank lines. Link
+//! and path checks stay off there, because an entry legitimately names
+//! the paths it deleted.
+//!
 //! ```text
 //! docs_gate [file.md]...
+//! docs_gate --changes [CHANGES.md]...
 //! ```
 //!
-//! Exit status: 0 when every reference resolves, 1 otherwise (each
-//! failure is reported as `file:line: message`).
+//! Exit status: 0 when every reference resolves (every entry fits), 1
+//! otherwise (each failure is reported as `file:line: message`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -31,6 +38,12 @@ use std::process::ExitCode;
 /// Top-level directories whose backticked mentions are treated as repo
 /// paths and checked for existence.
 const PATH_ROOTS: [&str; 7] = ["crates", "tools", "tests", "shims", "examples", "src", ".github"];
+
+/// The first PR whose changelog entry is held to [`ENTRY_MAX_LINES`].
+const BUDGETED_FROM_PR: u32 = 22;
+
+/// Non-blank lines one budgeted changelog entry may take.
+const ENTRY_MAX_LINES: usize = 15;
 
 /// GitHub's heading-to-anchor slug: lowercase, keep alphanumerics and
 /// hyphens, map spaces to hyphens, drop everything else.
@@ -200,14 +213,62 @@ fn check_file(path: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// The changelog entries over budget, as `(first line, PR, non-blank
+/// lines)`. An entry starts at a top-level `- ` bullet and is budgeted
+/// when the first `PR <n>` on that line has `n >= BUDGETED_FROM_PR`.
+fn entries_over_budget(text: &str) -> Vec<(usize, u32, usize)> {
+    let mut entries: Vec<(usize, Option<u32>, usize)> = Vec::new();
+    for (idx, line) in text.lines().enumerate() {
+        if let Some(head) = line.strip_prefix("- ") {
+            let pr = head.split("PR ").nth(1).and_then(|rest| {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits.parse().ok()
+            });
+            entries.push((idx + 1, pr, 1));
+        } else if let Some(entry) = entries.last_mut().filter(|_| !line.trim().is_empty()) {
+            entry.2 += 1;
+        }
+    }
+    entries
+        .into_iter()
+        .filter_map(|(at, pr, lines)| Some((at, pr?, lines)))
+        .filter(|&(_, pr, lines)| pr >= BUDGETED_FROM_PR && lines > ENTRY_MAX_LINES)
+        .collect()
+}
+
+/// Check one changelog's size budget; push failures as `file:line: message`.
+fn check_changes(path: &Path, failures: &mut Vec<String>) {
+    let Ok(text) = fs::read_to_string(path) else {
+        failures.push(format!("{}: unreadable", path.display()));
+        return;
+    };
+    for (at, pr, lines) in entries_over_budget(&text) {
+        failures.push(format!(
+            "{}:{at}: the PR {pr} entry is {lines} lines; entries from PR {BUDGETED_FROM_PR} on \
+             take at most {ENTRY_MAX_LINES}",
+            path.display()
+        ));
+    }
+}
+
 fn main() -> ExitCode {
     let mut files: Vec<String> = std::env::args().skip(1).collect();
-    if files.is_empty() {
-        files = vec!["README.md".into(), "ARCHITECTURE.md".into(), "ROADMAP.md".into()];
-    }
+    let changes = files.first().is_some_and(|a| a == "--changes");
+    let check: fn(&Path, &mut Vec<String>) = if changes {
+        files.remove(0);
+        if files.is_empty() {
+            files = vec!["CHANGES.md".into()];
+        }
+        check_changes
+    } else {
+        if files.is_empty() {
+            files = vec!["README.md".into(), "ARCHITECTURE.md".into(), "ROADMAP.md".into()];
+        }
+        check_file
+    };
     let mut failures = Vec::new();
     for f in &files {
-        check_file(Path::new(f), &mut failures);
+        check(Path::new(f), &mut failures);
     }
     if failures.is_empty() {
         println!("docs_gate: {} file(s) clean", files.len());
@@ -249,6 +310,25 @@ mod tests {
         assert_eq!(anchors(text), vec!["top"]);
         let fenced_line: Vec<String> = link_targets("[x](real.md) `[y](fake.md)`");
         assert_eq!(fenced_line, vec!["real.md"]);
+    }
+
+    #[test]
+    fn changes_entries_from_the_budgeted_pr_on_fit_the_budget() {
+        let entry = |head: &str, lines: usize| {
+            let body = "  more\n".repeat(lines - 1);
+            format!("- {head}\n{body}\n")
+        };
+        let text = [
+            "# CHANGES\n\n".to_string(),
+            entry("PR 21: long, but before the budget", 40),
+            entry("**PR 22 · exactly at the budget**", ENTRY_MAX_LINES),
+            entry("**PR 23 · one line over**", ENTRY_MAX_LINES + 1),
+            entry("PR 24, second pass: short", 2),
+        ]
+        .concat();
+        let first_line_of_23 = 3 + 41 + 16;
+        assert_eq!(entries_over_budget(&text), vec![(first_line_of_23, 23, ENTRY_MAX_LINES + 1)]);
+        assert!(entries_over_budget("- no PR named here\n  x\n").is_empty());
     }
 
     #[test]
