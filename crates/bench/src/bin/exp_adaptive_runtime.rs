@@ -37,7 +37,7 @@ use mpc_core::wco::WcoProgram;
 use mpc_cq::families;
 use mpc_data::skew::heavy_hitter_database;
 use mpc_data::{DbStatistics, StatsMode};
-use mpc_sim::reroute::{RerouteHost, RerouteSpec};
+use mpc_sim::reroute::RerouteHost;
 use mpc_sim::{AsyncConfig, Cluster, MpcConfig, MpcProgram, StragglerSpec};
 use mpc_storage::join::evaluate;
 use mpc_storage::Relation;
@@ -178,7 +178,6 @@ fn main() {
     }
     let straggler = seed_hitting(&exact_cells, p, slowdown);
     let async_cfg = AsyncConfig::new().with_straggler(straggler);
-    let spec = RerouteSpec::default();
 
     let mut matrix_rows: Vec<MatrixRow> = Vec::new();
     let mut matrix_table =
@@ -220,8 +219,7 @@ fn main() {
         // Observe → decide → act on the event-driven backend: baseline
         // is the static schedule, adaptive the rerouted one, both under
         // the same injected straggler.
-        let run =
-            cluster.run_adaptive(&program, &db, &async_cfg, &spec).expect("adaptive run completes");
+        let run = cluster.run_adaptive(&program, &db, &async_cfg).expect("adaptive run completes");
         if let Some(d) = run.divergence() {
             fail(&format!("{label}: static/rerouted divergence: {d}"));
         }

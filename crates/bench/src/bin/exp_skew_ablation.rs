@@ -6,7 +6,7 @@
 //! * *before* — vanilla HyperCube: the max/mean balance ratio stays ≈ 1 on
 //!   matchings and grows with the Zipf exponent until the load budget is
 //!   blown;
-//! * *after* — the skew-resilient program of `mpc-skew`: heavy hitters are
+//! * *after* — the skew-resilient program of `mpc_core::skew`: heavy hitters are
 //!   detected against the `n/p_x` threshold and routed through residual
 //!   plans, restoring balance (and the budget) on the rows where vanilla
 //!   HyperCube fails.
@@ -27,12 +27,12 @@ use serde::Serialize;
 
 use mpc_bench::{maybe_write_json, scaled, TextTable};
 use mpc_core::hypercube::HyperCubeProgram;
+use mpc_core::skew::{HeavyHitterPolicy, SkewResilientProgram};
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_data::skew::{heavy_hitter_database, zipf_database};
 use mpc_sim::{Cluster, MpcConfig};
-use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
 
 #[derive(Serialize)]
 struct Row {

@@ -13,8 +13,8 @@ use crate::multiround::load::PlanLoadPrediction;
 use crate::multiround::lower_bound::round_lower_bound;
 use crate::multiround::planner::{check_plannable, round_upper_bound, MultiRoundPlan};
 use crate::output_sensitive::OutputSensitiveBounds;
+use crate::plan::PlannerChoice;
 use crate::shares::ShareAllocation;
-use crate::wco::PlannerChoice;
 use crate::Result;
 
 /// Round bounds of a query at a particular space exponent ε.
@@ -195,7 +195,7 @@ impl QueryAnalysis {
     ///
     /// Skew-free data never needs the heavy machinery (the HyperCube is
     /// already optimal there, Proposition 3.2); skewed tree-like queries
-    /// are handled by the one-round residual plans of `mpc-skew` or the
+    /// are handled by the one-round residual plans of [`crate::skew`] or the
     /// multi-round `Γ^r_ε` plan; skewed *cyclic* queries are where the
     /// one-round load provably degrades to `n/p^{1/2}`-style bounds and
     /// the BKS 2018 heavy/light strategy
@@ -204,11 +204,13 @@ impl QueryAnalysis {
     /// When the caller holds [`DbStatistics`] rather than a pre-computed
     /// skew verdict, use [`QueryAnalysis::planner_choice_with_stats`] —
     /// it derives `skewed` from the same scan (or sample) every other
-    /// planner consumes.
+    /// planner consumes. The answer carries what its program needs (the
+    /// plan's ε, the default skew threshold), so
+    /// [`PlannerChoice::build`] runs it as it is.
     ///
     /// ```
     /// use mpc_core::analysis::QueryAnalysis;
-    /// use mpc_core::wco::PlannerChoice;
+    /// use mpc_core::plan::PlannerChoice;
     /// use mpc_lp::Rational;
     ///
     /// // The triangle is one-round computable at its ε* = 1/3 — but only
@@ -220,7 +222,8 @@ impl QueryAnalysis {
     ///
     /// // A deep chain at ε = 0 takes the multi-round plan either way.
     /// let l8 = QueryAnalysis::analyze(&mpc_cq::families::chain(8)).unwrap();
-    /// assert_eq!(l8.planner_choice(Rational::ZERO, true).unwrap(), PlannerChoice::MultiRound);
+    /// let deep = PlannerChoice::MultiRound { plan_epsilon: Rational::ZERO };
+    /// assert_eq!(l8.planner_choice(Rational::ZERO, true).unwrap(), deep);
     /// ```
     ///
     /// # Errors
@@ -234,20 +237,11 @@ impl QueryAnalysis {
         // `Γ¹_ε`, i.e. `τ* ≤ 1/(1−ε)` ⇔ `ε*(q) = 1 − 1/τ* ≤ ε` — a bit
         // this analysis already holds.
         let one_round = self.space_exponent <= epsilon;
-        Ok(if !skewed {
-            if one_round {
-                PlannerChoice::OneRoundHyperCube
-            } else {
-                PlannerChoice::MultiRound
-            }
-        } else if self.is_tree_like {
-            if one_round {
-                PlannerChoice::OneRoundSkewResilient
-            } else {
-                PlannerChoice::MultiRound
-            }
-        } else {
-            PlannerChoice::WorstCaseOptimal
+        Ok(match (skewed, self.is_tree_like, one_round) {
+            (false, _, true) => PlannerChoice::OneRoundHyperCube,
+            (true, true, true) => PlannerChoice::OneRoundSkewResilient { scale: 1.0 },
+            (true, false, _) => PlannerChoice::WorstCaseOptimal,
+            _ => PlannerChoice::MultiRound { plan_epsilon: epsilon },
         })
     }
 
@@ -435,9 +429,9 @@ mod tests {
             let one_round = MultiRoundPlan::build(a.query(), eps).unwrap().num_rounds() == 1;
             match (skewed, a.is_tree_like, one_round) {
                 (false, _, true) => PlannerChoice::OneRoundHyperCube,
-                (true, true, true) => PlannerChoice::OneRoundSkewResilient,
+                (true, true, true) => PlannerChoice::OneRoundSkewResilient { scale: 1.0 },
                 (true, false, _) => PlannerChoice::WorstCaseOptimal,
-                _ => PlannerChoice::MultiRound,
+                _ => PlannerChoice::MultiRound { plan_epsilon: eps },
             }
         };
         let queries = (3..=6)

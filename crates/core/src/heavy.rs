@@ -25,7 +25,7 @@
 //! that have heavy values, so classifying a tuple builds no collection.
 //! What the two planners decide for themselves — which subsets get a
 //! group, what a heavy dimension's share is, which share candidates
-//! compete, one round or two — stays in `mpc_skew::residual` and
+//! compete, one round or two — stays in [`crate::skew::residual`] and
 //! [`crate::wco::plan`].
 
 use std::collections::{BTreeMap, BTreeSet};

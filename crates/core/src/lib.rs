@@ -33,13 +33,18 @@
 //!   values and the threshold that defines them, heavy patterns, pattern
 //!   counts, the one server-group type ([`heavy::Group`]) with its carving
 //!   and route table, residual queries, the greedy share search.
+//! * [`skew`] — the **skew-resilient** one-round HyperCube of BKS14
+//!   (arXiv:1401.1872) on top of it: heavy-hitter detection and one
+//!   residual plan per heavy subset, on disjoint server groups.
 //! * [`wco`] — the **worst-case optimal** multi-round strategy of BKS
 //!   2018 (arXiv:1604.01848) on top of it: broadcast-join rounds for the
 //!   active heavy patterns, the skew-free HyperCube for the light side —
 //!   load `Õ(n/p^{1/ρ*})` on *every* database in O(1) rounds, beating
 //!   the one-round `n/p^{1/τ*}` on cycles and cliques.
 //! * [`analysis`] — the one-stop [`analysis::QueryAnalysis`] report used by
-//!   the Table 1 / Table 2 reproduction binaries.
+//!   the Table 1 / Table 2 reproduction binaries, and the strategy picker.
+//! * [`plan`] — [`plan::PlannerChoice`], the planners by name, and the one
+//!   `build` that turns a choice into a runnable program.
 //!
 //! # Quick start
 //!
@@ -72,7 +77,9 @@ pub mod heavy;
 pub mod hypercube;
 pub mod multiround;
 pub mod output_sensitive;
+pub mod plan;
 pub mod shares;
+pub mod skew;
 pub mod space_exponent;
 pub mod wco;
 
@@ -89,9 +96,10 @@ pub mod prelude {
     pub use crate::multiround::load::PlanLoadPrediction;
     pub use crate::multiround::planner::MultiRoundPlan;
     pub use crate::output_sensitive::OutputSensitiveBounds;
+    pub use crate::plan::PlannerChoice;
     pub use crate::shares::ShareAllocation;
     pub use crate::space_exponent::{gamma_one_contains, space_exponent};
-    pub use crate::wco::{PlannerChoice, WcoLoadPrediction, WcoProgram, WorstCaseOptimalPlan};
+    pub use crate::wco::{WcoLoadPrediction, WcoProgram, WorstCaseOptimalPlan};
     pub use mpc_lp::Rational;
     pub use mpc_sim::{Cluster, MpcConfig};
 }

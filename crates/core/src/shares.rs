@@ -180,12 +180,6 @@ impl ShareAllocation {
         Ok(max)
     }
 
-    /// The ideal (fractional) per-variable share `p^{eᵢ}` as `f64`, for
-    /// diagnostics and the rounding ablation.
-    pub fn ideal_share(&self, v: VarId) -> f64 {
-        fractional_power(self.p, self.exponents[v.0])
-    }
-
     /// Map a hypercube cell (one coordinate per variable, `coords[i] <
     /// shares[i]`) to a server index in `0..num_cells()` by mixed-radix
     /// encoding.

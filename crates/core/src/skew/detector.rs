@@ -2,22 +2,20 @@
 //! 2014, "Skew in Parallel Query Processing", Section 3).
 //!
 //! What a heavy value is, and the one comparison that decides it, live in
-//! [`mpc_core::heavy`]. This module adds the tuning that is on the wire
-//! (`ProgramSpec::SkewResilient { scale }`): a [`HeavyHitterPolicy`]
+//! [`crate::heavy`]. This module adds the tuning that is on the wire
+//! (`PlannerChoice::OneRoundSkewResilient { scale }`): a [`HeavyHitterPolicy`]
 //! multiplies the `n_R / p_x` threshold, and a [`HeavyHitterDetector`]
 //! applies it to collected [`DbStatistics`]. Detection is a statistics
 //! pass — the resulting sets are baked into the routing function, which
 //! therefore stays a pure function of the tuple as the tuple-based MPC
 //! model requires.
 
-use mpc_core::heavy;
-use mpc_core::shares::ShareAllocation;
-use mpc_core::Result;
 use mpc_cq::Query;
 use mpc_data::DbStatistics;
 
-/// The detected heavy values, per query variable.
-pub use mpc_core::heavy::HeavyValues as HeavyHitters;
+use crate::heavy::{self, HeavyValues};
+use crate::shares::ShareAllocation;
+use crate::Result;
 
 /// Tuning knobs of the detector.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,8 +82,8 @@ impl HeavyHitterDetector {
     ///
     /// ```
     /// use mpc_core::shares::ShareAllocation;
+    /// use mpc_core::skew::HeavyHitterDetector;
     /// use mpc_data::{DbStatistics, StatsMode};
-    /// use mpc_skew::HeavyHitterDetector;
     ///
     /// let q = mpc_cq::families::chain(2);
     /// let db = mpc_data::skew::zipf_database(&q, 6000, 6000, 1.2, 5);
@@ -106,8 +104,8 @@ impl HeavyHitterDetector {
         q: &Query,
         stats: &DbStatistics,
         alloc: &ShareAllocation,
-    ) -> Result<HeavyHitters> {
-        Ok(HeavyHitters::detect(q, stats, alloc, self.policy.scale))
+    ) -> Result<HeavyValues> {
+        Ok(HeavyValues::detect(q, stats, alloc, self.policy.scale))
     }
 }
 
@@ -120,13 +118,13 @@ mod tests {
     use mpc_data::StatsMode;
     use mpc_storage::Database;
 
-    fn detect_with(q: &Query, db: &Database, p: usize, policy: HeavyHitterPolicy) -> HeavyHitters {
+    fn detect_with(q: &Query, db: &Database, p: usize, policy: HeavyHitterPolicy) -> HeavyValues {
         let alloc = ShareAllocation::optimal(q, p).unwrap();
         let stats = DbStatistics::collect(db, StatsMode::Exact);
         HeavyHitterDetector::new(policy).detect_from_stats(q, &stats, &alloc).unwrap()
     }
 
-    fn detect(q: &Query, db: &Database, p: usize) -> HeavyHitters {
+    fn detect(q: &Query, db: &Database, p: usize) -> HeavyValues {
         detect_with(q, db, p, HeavyHitterPolicy::default())
     }
 

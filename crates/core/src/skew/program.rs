@@ -1,5 +1,5 @@
 //! The skew-resilient one-round program: every residual plan's grid
-//! ([`mpc_core::grid`]) side by side on disjoint server groups, hashed
+//! ([`crate::grid`]) side by side on disjoint server groups, hashed
 //! coordinates throughout.
 //!
 //! What this program adds is the fan-out across plans (Beame et al. 2014,
@@ -15,17 +15,16 @@
 //! `(tag, tuple)`, as the tuple-based MPC model requires — the database
 //! statistics are consumed at *planning* time, not at routing time.
 
-use mpc_core::grid::{derive_seeds, hashed, local_join, AtomRoute};
-use mpc_core::heavy::{group_of_server, GroupRoutes};
-use mpc_core::shares::ShareAllocation;
-use mpc_core::Result;
 use mpc_cq::{Atom, Query};
 use mpc_data::{DbStatistics, StatsMode};
 use mpc_sim::{MpcProgram, RouteSink, ServerState};
 use mpc_storage::{Database, Relation, Value};
 
-use crate::detector::{HeavyHitterDetector, HeavyHitterPolicy};
-use crate::residual::ResidualPlanSet;
+use crate::grid::{derive_seeds, hashed, local_join, AtomRoute};
+use crate::heavy::{group_of_server, GroupRoutes};
+use crate::shares::ShareAllocation;
+use crate::skew::{HeavyHitterDetector, HeavyHitterPolicy, ResidualPlanSet};
+use crate::Result;
 
 /// A one-round [`MpcProgram`] that executes every residual plan of a
 /// [`ResidualPlanSet`] side by side on disjoint server groups.

@@ -1,6 +1,6 @@
 //! Residual query plans (Beame et al. 2014, Section 4): what the
 //! one-round skew planner decides on top of the shared heavy/light core
-//! ([`mpc_core::heavy`]).
+//! ([`crate::heavy`]).
 //!
 //! * **Which subsets get a group** — all `2^h` subsets of the
 //!   heavy-capable variables, the light plan (`∅`) first. When `2^h > p`
@@ -27,16 +27,17 @@
 
 use std::collections::BTreeSet;
 
-use mpc_core::heavy::{carve, cell_load, grow_shares, residual_query, Group, Mask, PatternCounts};
-use mpc_core::shares::ShareAllocation;
-use mpc_core::{CoreError, Result};
 use mpc_cq::{Query, VarId};
 use mpc_data::{DbStatistics, StatsMode};
 use mpc_lp::degree::{rational_log, solve_degree_lp, DegreeStatistics};
 use mpc_lp::Rational;
 use mpc_storage::Database;
 
-use crate::detector::HeavyHitters;
+use crate::heavy::{
+    carve, cell_load, grow_shares, residual_query, Group, HeavyValues, Mask, PatternCounts,
+};
+use crate::shares::ShareAllocation;
+use crate::{CoreError, Result};
 
 /// Denominator of the rationalised `log` grid the degree LP solves on:
 /// statistics are rounded to multiples of `1/12` in exponent space, which
@@ -49,7 +50,7 @@ const LOG_GRID: i128 = 12;
 /// no information); its light ones are hashed.
 #[derive(Debug, Clone)]
 pub struct ResidualPlanSet {
-    heavy: HeavyHitters,
+    heavy: HeavyValues,
     plans: Vec<Group>,
     p: usize,
 }
@@ -63,7 +64,7 @@ impl ResidualPlanSet {
     /// # Errors
     ///
     /// Rejects `p == 0` and propagates share-allocation errors.
-    pub fn build(q: &Query, db: &Database, heavy: HeavyHitters, p: usize) -> Result<Self> {
+    pub fn build(q: &Query, db: &Database, heavy: HeavyValues, p: usize) -> Result<Self> {
         let stats = DbStatistics::collect(db, StatsMode::Exact);
         Self::build_with_stats(q, db, heavy, p, &stats)
     }
@@ -82,7 +83,7 @@ impl ResidualPlanSet {
     pub fn build_with_stats(
         q: &Query,
         db: &Database,
-        mut heavy: HeavyHitters,
+        mut heavy: HeavyValues,
         p: usize,
         stats: &DbStatistics,
     ) -> Result<Self> {
@@ -150,7 +151,7 @@ impl ResidualPlanSet {
     }
 
     /// The (possibly demoted) heavy hitters the plans are keyed on.
-    pub fn heavy(&self) -> &HeavyHitters {
+    pub fn heavy(&self) -> &HeavyValues {
         &self.heavy
     }
 
@@ -276,13 +277,12 @@ fn degree_lp_exponents(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::HeavyHitterDetector;
-    use mpc_core::shares::ShareAllocation;
+    use crate::skew::HeavyHitterDetector;
     use mpc_cq::families;
     use mpc_data::matching_database;
     use mpc_data::skew::heavy_hitter_database;
 
-    fn detect(q: &Query, db: &Database, p: usize) -> HeavyHitters {
+    fn detect(q: &Query, db: &Database, p: usize) -> HeavyValues {
         let alloc = ShareAllocation::optimal(q, p).unwrap();
         let stats = DbStatistics::collect(db, StatsMode::Exact);
         HeavyHitterDetector::default().detect_from_stats(q, &stats, &alloc).unwrap()
@@ -352,7 +352,7 @@ mod tests {
         // Force an empty heavy set: in a two-tuple relation, *every* value
         // exceeds the n_R / p_x threshold, which is not what this test is
         // about.
-        let set = ResidualPlanSet::build(&q, &db, HeavyHitters::none(q.num_vars()), 8).unwrap();
+        let set = ResidualPlanSet::build(&q, &db, HeavyValues::none(q.num_vars()), 8).unwrap();
         let (_, s) = q.atom_by_name("S").unwrap();
         // Conflicting repeated variable → no pattern (never joins).
         assert_eq!(set.heavy().pattern(s, &[1, 2]), None);

@@ -47,38 +47,10 @@ pub use load::{PatternLoadPrediction, WcoLoadPrediction};
 pub use plan::WorstCaseOptimalPlan;
 pub use program::WcoProgram;
 
+/// The planner enum, re-exported at its old path for `benchmark/`.
+pub use crate::plan::PlannerChoice;
+
 use mpc_lp::Rational;
-use serde::Serialize;
-
-/// Which planner strategy [`crate::analysis::QueryAnalysis`] recommends
-/// for a query under given data conditions — the "which planner when"
-/// decision table of the strategy picker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum PlannerChoice {
-    /// Skew-free and one-round computable at the target ε: the ordinary
-    /// HyperCube ([`crate::hypercube::HyperCubeProgram`]).
-    OneRoundHyperCube,
-    /// One-round computable but skewed: the residual-plan program of
-    /// `mpc-skew` (heavy subsets on disjoint groups, still one round).
-    OneRoundSkewResilient,
-    /// Tree-like but too deep for one round at the target ε: the greedy
-    /// `Γ^r_ε` plan ([`crate::multiround::planner::MultiRoundPlan`]).
-    MultiRound,
-    /// Cyclic and skewed: the worst-case optimal heavy/light strategy of
-    /// this module ([`WorstCaseOptimalPlan`]), load target `n/p^{1/ρ*}`.
-    WorstCaseOptimal,
-}
-
-impl std::fmt::Display for PlannerChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlannerChoice::OneRoundHyperCube => write!(f, "one-round-hypercube"),
-            PlannerChoice::OneRoundSkewResilient => write!(f, "one-round-skew-resilient"),
-            PlannerChoice::MultiRound => write!(f, "multi-round"),
-            PlannerChoice::WorstCaseOptimal => write!(f, "worst-case-optimal"),
-        }
-    }
-}
 
 /// The effective space exponent of the worst-case optimal strategy:
 /// its load target is `n/p^{1/ρ*}`, i.e. `ε = 1 − 1/ρ*`. This is the ε

@@ -376,7 +376,6 @@ mod tests {
         // to the static one and the sequential join, (b) answers still
         // partition across servers, (c) the rerouted makespan is
         // strictly shorter, (d) the decision replays deterministically.
-        use mpc_sim::reroute::RerouteSpec;
         use mpc_sim::{AsyncConfig, StragglerSpec};
         let q = families::triangle();
         let db = heavy_hitter_database(&q, 1200, 1500, 0.6, 21);
@@ -390,7 +389,7 @@ mod tests {
             .expect("some seed hits a heavy cell");
         let cfg = AsyncConfig::new().with_straggler(StragglerSpec::new(seed, 1, 8));
         let cluster = Cluster::new(MpcConfig::new(p, 0.9)).unwrap();
-        let run = cluster.run_adaptive(&program, &db, &cfg, &RerouteSpec::default()).unwrap();
+        let run = cluster.run_adaptive(&program, &db, &cfg).unwrap();
         assert!(!run.plan.is_empty(), "the straggling heavy cell must move");
         assert_eq!(run.divergence(), None);
         assert!(run.adaptive.result.output.same_tuples(&evaluate(&q, &db).unwrap()));
@@ -403,7 +402,7 @@ mod tests {
             run.baseline.schedule.makespan,
             run.adaptive.schedule.makespan
         );
-        let again = cluster.run_adaptive(&program, &db, &cfg, &RerouteSpec::default()).unwrap();
+        let again = cluster.run_adaptive(&program, &db, &cfg).unwrap();
         assert_eq!(run.plan, again.plan, "the decision is deterministic");
         assert!(run.adaptive.result.output.same_tuples(&again.adaptive.result.output));
     }
@@ -412,15 +411,12 @@ mod tests {
     fn rerouting_is_inert_without_stragglers() {
         // No straggler, no signal: the plan is empty and the adaptive
         // run replays the static schedule's volumes exactly.
-        use mpc_sim::reroute::RerouteSpec;
         use mpc_sim::AsyncConfig;
         let q = families::triangle();
         let db = heavy_hitter_database(&q, 800, 1000, 0.5, 9);
         let cluster = Cluster::new(MpcConfig::new(12, 0.9)).unwrap();
         let program = WcoProgram::new(&q, &db, 12, 3).unwrap();
-        let run = cluster
-            .run_adaptive(&program, &db, &AsyncConfig::new(), &RerouteSpec::default())
-            .unwrap();
+        let run = cluster.run_adaptive(&program, &db, &AsyncConfig::new()).unwrap();
         assert!(run.plan.is_empty());
         assert_eq!(run.divergence(), None);
         assert_eq!(run.baseline.result.rounds, run.adaptive.result.rounds);

@@ -309,11 +309,6 @@ impl Query {
         q
     }
 
-    /// True if the query consists of a single atom.
-    pub fn is_single_atom(&self) -> bool {
-        self.atoms.len() == 1
-    }
-
     /// True if some variable occurs in **every** atom.
     ///
     /// Corollary 3.10 of the paper: this holds iff `τ*(q) = 1`, i.e. iff the

@@ -136,15 +136,6 @@ impl Query {
 
         results.into_iter().map(|s| s.into_iter().map(AtomId).collect()).collect()
     }
-
-    /// The connected subqueries (as queries) of size at most `max_size`
-    /// atoms, in deterministic order.
-    pub fn connected_subquery_views(&self, max_size: usize) -> Vec<Query> {
-        self.connected_subqueries_up_to(max_size)
-            .iter()
-            .map(|atoms| self.induced_subquery(atoms).expect("connected subsets are valid"))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +219,6 @@ mod tests {
         assert!(subs.iter().all(|s| s.len() <= 2));
         // 5 singletons + 4 adjacent pairs.
         assert_eq!(subs.len(), 9);
-    }
-
-    #[test]
-    fn subquery_views_are_connected_and_tree_like_for_chains() {
-        // "Every connected subquery of a tree-like query is tree-like."
-        let q = families::chain(5);
-        for view in q.connected_subquery_views(5) {
-            assert!(view.is_connected());
-            assert!(view.is_tree_like());
-        }
     }
 
     #[test]

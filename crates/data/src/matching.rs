@@ -64,17 +64,6 @@ pub fn matching_database(q: &Query, n: u64, seed: u64) -> Database {
     db
 }
 
-/// Generate a matching database in which every relation is the identity
-/// matching. Useful as a worst case for skew-oblivious hashing (all
-/// relations identical) and for deterministic tests.
-pub fn identity_database(q: &Query, n: u64) -> Database {
-    let mut db = Database::new(n);
-    for atom in q.atoms() {
-        db.insert_relation(identity_matching(&atom.name, atom.arity(), n));
-    }
-    db
-}
-
 /// Check whether a relation is an `arity`-dimensional matching over `[n]`:
 /// exactly `n` tuples and every column a permutation of `1..=n`.
 pub fn is_matching(rel: &Relation, n: u64) -> bool {
@@ -160,17 +149,6 @@ mod tests {
         let db = matching_database(&q, 30, 5);
         let out = evaluate(&q, &db).unwrap();
         assert_eq!(out.len(), 30);
-    }
-
-    #[test]
-    fn identity_database_answers() {
-        // On the identity database every query has exactly the diagonal
-        // answers: n of them for connected full queries.
-        let q = families::cycle(3);
-        let db = identity_database(&q, 12);
-        let out = evaluate(&q, &db).unwrap();
-        assert_eq!(out.len(), 12);
-        assert!(out.contains(&Tuple::from([7, 7, 7])));
     }
 
     #[test]

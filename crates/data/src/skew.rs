@@ -240,7 +240,7 @@ pub fn frequency_histogram(rel: &Relation, idx: usize) -> BTreeMap<u64, usize> {
 /// a single scan. The heavy-hitter detector (and any other per-column
 /// statistics consumer) uses this instead of re-scanning the relation once
 /// per column with [`frequency_histogram`] — one shared cardinality pass
-/// for `mpc-data` and `mpc-skew`.
+/// for `mpc-data` and `mpc-core`.
 pub fn frequency_histograms(rel: &Relation) -> Vec<BTreeMap<u64, usize>> {
     let mut columns: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); rel.arity()];
     for t in rel.iter() {

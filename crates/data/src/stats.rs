@@ -2,7 +2,7 @@
 //! or **seeded sub-linear samples** of them.
 //!
 //! Every planner in this workspace — the HyperCube skew detector, the
-//! residual plans of `mpc-skew`, the heavy/light split of
+//! residual plans of `mpc-core::skew`, the heavy/light split of
 //! `mpc-core::wco` — consumes the same two statistics: per-column value
 //! frequencies and per-relation cardinalities. [`DbStatistics::collect`]
 //! computes them once, under a [`StatsMode`] chosen by the caller:
@@ -20,7 +20,7 @@
 //! Sampling can only degrade plan *quality*, never *correctness*: a
 //! heavy value the sample misses is treated as light by **every**
 //! consumer of the same statistics, so routing stays self-consistent and
-//! the computed output is unchanged (the property walls in `mpc-skew`
+//! the computed output is unchanged (the property walls in `mpc-core::skew`
 //! and `tests/` pin this).
 //!
 //! [`DbStatistics::scanned_tuples`] reports how many tuples the
@@ -190,7 +190,7 @@ impl RelationStats {
     /// for exact statistics). An exact frequency `f` and its estimate
     /// differ by more than `slack_for(max(f, estimate))` only with
     /// probability `< 10⁻²` per value; the detector agreement tests in
-    /// `mpc-skew` assert exactly this envelope.
+    /// `mpc-core::skew` assert exactly this envelope.
     pub fn slack_for(&self, estimated: f64) -> f64 {
         match &self.sample {
             Some(s) if !s.is_empty() && s.len() < self.total => {

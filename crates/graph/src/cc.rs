@@ -12,13 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use mpc_sim::program::hash_value;
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, RouteSink, RunResult, ServerState};
-use mpc_storage::{Database, Relation};
-
 use mpc_data::graphs::sequential_components;
-
-use crate::Result;
+use mpc_sim::program::hash_value;
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
+use mpc_storage::Relation;
 
 /// Tag under which edges are stored at their owning server.
 const EDGE_TAG: &str = "E";
@@ -132,67 +129,6 @@ impl MpcProgram for LabelPropagationCc {
     }
 }
 
-/// Outcome of a connected-components run.
-#[derive(Debug, Clone)]
-pub struct CcOutcome {
-    /// Rounds the algorithm was run for.
-    pub rounds: usize,
-    /// Whether the produced labelling matches the true components.
-    pub converged: bool,
-    /// The simulator result of the final run.
-    pub result: RunResult,
-}
-
-/// Run label propagation for a fixed number of rounds on an edge relation.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation errors.
-pub fn run_cc(
-    edges: &Relation,
-    num_vertices: u64,
-    p: usize,
-    epsilon: f64,
-    rounds: usize,
-    seed: u64,
-) -> Result<CcOutcome> {
-    let mut db = Database::new(num_vertices);
-    db.insert_relation(edges.clone());
-    let program = LabelPropagationCc::new(rounds, p, seed);
-    let cluster = Cluster::new(MpcConfig::new(p, epsilon))?;
-    let result = cluster.run(&program, &db)?;
-    let converged = partition_matches(&result.output, edges, num_vertices);
-    Ok(CcOutcome { rounds, converged, result })
-}
-
-/// Run label propagation with an increasing number of rounds until the
-/// labelling matches the true connected components; returns the outcome of
-/// the first converged run (or the last attempt if `max_rounds` was not
-/// enough, with `converged == false`).
-///
-/// # Errors
-///
-/// Propagates configuration and simulation errors.
-pub fn rounds_to_convergence(
-    edges: &Relation,
-    num_vertices: u64,
-    p: usize,
-    epsilon: f64,
-    max_rounds: usize,
-    seed: u64,
-) -> Result<CcOutcome> {
-    let mut last = None;
-    for rounds in 1..=max_rounds.max(1) {
-        let outcome = run_cc(edges, num_vertices, p, epsilon, rounds, seed)?;
-        let converged = outcome.converged;
-        last = Some(outcome);
-        if converged {
-            break;
-        }
-    }
-    Ok(last.expect("at least one round is attempted"))
-}
-
 /// Extract the vertex → label map from a components output relation.
 pub fn labels_from_output(output: &Relation) -> BTreeMap<u64, u64> {
     let mut labels = BTreeMap::new();
@@ -243,17 +179,35 @@ pub fn partition_matches(output: &Relation, edges: &Relation, num_vertices: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{edge_database, rounds_until_right};
     use mpc_data::graphs::{random_sparse_graph, LayeredGraph};
+    use mpc_sim::{Cluster, MpcConfig, RunResult};
+
+    /// Label propagation for `rounds` rounds on `p` servers, and whether
+    /// it labelled the true components.
+    fn run(edges: &Relation, n: u64, p: usize, rounds: usize, seed: u64) -> (bool, RunResult) {
+        let cluster = Cluster::new(MpcConfig::new(p, 0.0)).unwrap();
+        let run = cluster.run(&LabelPropagationCc::new(rounds, p, seed), &edge_database(edges, n));
+        let run = run.unwrap();
+        (partition_matches(&run.output, edges, n), run)
+    }
+
+    /// Label propagation with rounds added until it converges.
+    fn converge(edges: &Relation, n: u64, p: usize, max: usize, seed: u64) -> (usize, RunResult) {
+        let (rounds, converged, run) =
+            rounds_until_right(max, |rounds| Ok(run(edges, n, p, rounds, seed))).unwrap();
+        assert!(converged, "{max} rounds suffice");
+        (rounds, run)
+    }
 
     #[test]
     fn single_triangle_converges_in_two_rounds() {
         let edges =
             Relation::from_tuples("E", 2, vec![[1u64, 2], [2, 1], [2, 3], [3, 2], [3, 1], [1, 3]])
                 .unwrap();
-        let outcome = rounds_to_convergence(&edges, 3, 4, 0.0, 10, 1).unwrap();
-        assert!(outcome.converged);
-        assert!(outcome.rounds <= 2, "triangle has diameter 1, rounds = {}", outcome.rounds);
-        let labels = labels_from_output(&outcome.result.output);
+        let (rounds, run) = converge(&edges, 3, 4, 10, 1);
+        assert!(rounds <= 2, "triangle has diameter 1, rounds = {rounds}");
+        let labels = labels_from_output(&run.output);
         assert_eq!(labels[&1], 1);
         assert_eq!(labels[&2], 1);
         assert_eq!(labels[&3], 1);
@@ -264,9 +218,8 @@ mod tests {
         let edges =
             Relation::from_tuples("E", 2, vec![[1u64, 2], [2, 1], [5, 6], [6, 5], [6, 7], [7, 6]])
                 .unwrap();
-        let outcome = rounds_to_convergence(&edges, 7, 4, 0.0, 10, 3).unwrap();
-        assert!(outcome.converged);
-        let labels = labels_from_output(&outcome.result.output);
+        let (_, run) = converge(&edges, 7, 4, 10, 3);
+        let labels = labels_from_output(&run.output);
         assert_eq!(labels[&1], labels[&2]);
         assert_eq!(labels[&5], labels[&7]);
         assert_ne!(labels[&1], labels[&5]);
@@ -280,41 +233,27 @@ mod tests {
         // below log p; this simple one does not even reach that).
         let shallow = LayeredGraph::generate(2, 12, 3);
         let deep = LayeredGraph::generate(8, 12, 3);
-        let shallow_rounds = rounds_to_convergence(
-            &shallow.edge_relation("E"),
-            shallow.num_vertices(),
-            8,
-            0.0,
-            32,
-            5,
-        )
-        .unwrap();
-        let deep_rounds =
-            rounds_to_convergence(&deep.edge_relation("E"), deep.num_vertices(), 8, 0.0, 32, 5)
-                .unwrap();
-        assert!(shallow_rounds.converged);
-        assert!(deep_rounds.converged);
+        let (shallow_rounds, _) =
+            converge(&shallow.edge_relation("E"), shallow.num_vertices(), 8, 32, 5);
+        let (deep_rounds, _) = converge(&deep.edge_relation("E"), deep.num_vertices(), 8, 32, 5);
         assert!(
-            deep_rounds.rounds >= shallow_rounds.rounds + 4,
-            "deep {} vs shallow {}",
-            deep_rounds.rounds,
-            shallow_rounds.rounds
+            deep_rounds >= shallow_rounds + 4,
+            "deep {deep_rounds} vs shallow {shallow_rounds}"
         );
-        assert!(deep_rounds.rounds >= 8);
+        assert!(deep_rounds >= 8);
     }
 
     #[test]
     fn sparse_random_graph_converges() {
         let edges = random_sparse_graph(60, 55, 7, "E");
-        let outcome = rounds_to_convergence(&edges, 60, 6, 0.0, 64, 2).unwrap();
-        assert!(outcome.converged);
+        converge(&edges, 60, 6, 64, 2);
     }
 
     #[test]
     fn insufficient_rounds_do_not_converge_on_long_paths() {
         let g = LayeredGraph::generate(10, 6, 1);
-        let outcome = run_cc(&g.edge_relation("E"), g.num_vertices(), 4, 0.0, 3, 1).unwrap();
-        assert!(!outcome.converged, "3 rounds cannot label a depth-10 path graph");
+        let (converged, _) = run(&g.edge_relation("E"), g.num_vertices(), 4, 3, 1);
+        assert!(!converged, "3 rounds cannot label a depth-10 path graph");
     }
 
     #[test]
@@ -322,8 +261,8 @@ mod tests {
         // Label propagation ships at most one message per directed edge per
         // round: replication rate ≈ 1.
         let g = LayeredGraph::generate(5, 40, 4);
-        let outcome = run_cc(&g.edge_relation("E"), g.num_vertices(), 8, 0.0, 6, 3).unwrap();
-        for round in &outcome.result.rounds {
+        let (_, run) = run(&g.edge_relation("E"), g.num_vertices(), 8, 6, 3);
+        for round in &run.rounds {
             assert!(
                 round.replication_rate <= 1.1,
                 "round {} rate {}",

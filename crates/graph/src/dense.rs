@@ -20,11 +20,8 @@
 use std::collections::BTreeMap;
 
 use mpc_sim::program::hash_to_bucket;
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, RouteSink, RunResult, ServerState};
-use mpc_storage::{Database, Relation};
-
-use crate::cc::partition_matches;
-use crate::Result;
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
+use mpc_storage::Relation;
 
 const EDGE_TAG: &str = "E";
 const FOREST_TAG: &str = "Forest";
@@ -42,71 +39,54 @@ impl DenseTwoRoundCc {
     }
 }
 
-/// Union-find over arbitrary vertex ids.
+/// Union-find over arbitrary vertex ids: the root of `v`'s set (its
+/// smallest vertex id), with the path to it compressed.
+fn find(parent: &mut BTreeMap<u64, u64>, v: u64) -> u64 {
+    let mut root = v;
+    while let Some(&p) = parent.get(&root) {
+        if p == root {
+            break;
+        }
+        root = p;
+    }
+    let mut cur = v;
+    while let Some(&p) = parent.get(&cur) {
+        if p == cur {
+            break;
+        }
+        parent.insert(cur, root);
+        cur = p;
+    }
+    root
+}
+
+/// Merge the sets of `u` and `v` under the smaller root; false when they
+/// were one set already.
+fn union(parent: &mut BTreeMap<u64, u64>, u: u64, v: u64) -> bool {
+    parent.entry(u).or_insert(u);
+    parent.entry(v).or_insert(v);
+    let (ru, rv) = (find(parent, u), find(parent, v));
+    if ru != rv {
+        parent.insert(ru.max(rv), ru.min(rv));
+    }
+    ru != rv
+}
+
+/// The component label (smallest vertex id) of every vertex of `edges`.
 fn components_of(edges: impl Iterator<Item = (u64, u64)>) -> BTreeMap<u64, u64> {
-    let mut parent: BTreeMap<u64, u64> = BTreeMap::new();
-    fn find(parent: &mut BTreeMap<u64, u64>, v: u64) -> u64 {
-        let mut root = v;
-        while let Some(&p) = parent.get(&root) {
-            if p == root {
-                break;
-            }
-            root = p;
-        }
-        let mut cur = v;
-        while let Some(&p) = parent.get(&cur) {
-            if p == cur {
-                break;
-            }
-            parent.insert(cur, root);
-            cur = p;
-        }
-        root
-    }
+    let mut parent = BTreeMap::new();
     for (u, v) in edges {
-        parent.entry(u).or_insert(u);
-        parent.entry(v).or_insert(v);
-        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-        if ru != rv {
-            let (lo, hi) = if ru < rv { (ru, rv) } else { (rv, ru) };
-            parent.insert(hi, lo);
-        }
+        union(&mut parent, u, v);
     }
-    let keys: Vec<u64> = parent.keys().copied().collect();
-    let mut labels = BTreeMap::new();
-    for v in keys {
-        let r = find(&mut parent, v);
-        labels.insert(v, r);
-    }
-    labels
+    let vertices: Vec<u64> = parent.keys().copied().collect();
+    vertices.into_iter().map(|v| (v, find(&mut parent, v))).collect()
 }
 
 /// A spanning forest of the given edges (one representative edge per
 /// union-find merge).
 fn spanning_forest(edges: &Relation) -> Vec<(u64, u64)> {
-    let mut parent: BTreeMap<u64, u64> = BTreeMap::new();
-    fn find(parent: &mut BTreeMap<u64, u64>, v: u64) -> u64 {
-        let mut root = v;
-        while let Some(&p) = parent.get(&root) {
-            if p == root {
-                break;
-            }
-            root = p;
-        }
-        root
-    }
-    let mut forest = Vec::new();
-    for t in edges.iter() {
-        let (u, v) = (t[0], t[1]);
-        parent.entry(u).or_insert(u);
-        parent.entry(v).or_insert(v);
-        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-        if ru != rv {
-            parent.insert(ru.max(rv), ru.min(rv));
-            forest.push((u, v));
-        }
-    }
-    forest
+    let mut parent = BTreeMap::new();
+    edges.iter().map(|t| (t[0], t[1])).filter(|&(u, v)| union(&mut parent, u, v)).collect()
 }
 
 impl MpcProgram for DenseTwoRoundCc {
@@ -181,56 +161,31 @@ impl MpcProgram for DenseTwoRoundCc {
     }
 }
 
-/// Outcome of the dense two-round algorithm.
-#[derive(Debug, Clone)]
-pub struct DenseCcOutcome {
-    /// Simulator result (2 rounds).
-    pub result: RunResult,
-    /// Whether the output partition matches the true components.
-    pub correct: bool,
-    /// Whether every round stayed within the configured budget (true for
-    /// dense inputs, typically false for sparse ones).
-    pub within_budget: bool,
-}
-
-/// Run the dense two-round connected-components algorithm.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation errors.
-pub fn run_dense_cc(
-    edges: &Relation,
-    num_vertices: u64,
-    p: usize,
-    epsilon: f64,
-    seed: u64,
-) -> Result<DenseCcOutcome> {
-    let mut db = Database::new(num_vertices);
-    db.insert_relation(edges.clone());
-    let program = DenseTwoRoundCc::new(seed);
-    let cluster = Cluster::new(MpcConfig::new(p, epsilon))?;
-    let result = cluster.run(&program, &db)?;
-    let correct = partition_matches(&result.output, edges, num_vertices);
-    let within_budget = result.within_budget();
-    Ok(DenseCcOutcome { result, correct, within_budget })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cc::partition_matches;
+    use crate::edge_database;
     use mpc_data::graphs::{dense_graph, LayeredGraph};
+    use mpc_sim::{Cluster, MpcConfig, RunResult};
+
+    /// The two-round program on `p` servers at ε = 0, checked correct.
+    fn run(edges: &Relation, n: u64, p: usize) -> RunResult {
+        let cluster = Cluster::new(MpcConfig::new(p, 0.0)).unwrap();
+        let run = cluster.run(&DenseTwoRoundCc::new(1), &edge_database(edges, n)).unwrap();
+        assert!(partition_matches(&run.output, edges, n), "the algorithm is always correct");
+        assert_eq!(run.num_rounds(), 2);
+        run
+    }
 
     #[test]
     fn dense_graph_two_rounds_correct_and_within_budget() {
-        let edges = dense_graph(100, 40, 3, "E");
-        let outcome = run_dense_cc(&edges, 100, 4, 0.0, 1).unwrap();
-        assert!(outcome.correct);
-        assert_eq!(outcome.result.num_rounds(), 2);
+        let run = run(&dense_graph(100, 40, 3, "E"), 100, 4);
         assert!(
-            outcome.within_budget,
+            run.within_budget(),
             "dense input should fit the ε = 0 budget (max load {} vs budget {})",
-            outcome.result.max_load_bytes(),
-            outcome.result.rounds[0].budget_bytes
+            run.max_load_bytes(),
+            run.rounds[0].budget_bytes
         );
     }
 
@@ -239,9 +194,8 @@ mod tests {
         // The layered path graphs are sparse: collecting p spanning forests
         // at one server exceeds c·N/p.
         let g = LayeredGraph::generate(6, 50, 2);
-        let outcome = run_dense_cc(&g.edge_relation("E"), g.num_vertices(), 16, 0.0, 1).unwrap();
-        assert!(outcome.correct, "the algorithm is always correct");
-        assert!(!outcome.within_budget, "sparse input must exceed the ε = 0 budget");
+        let run = run(&g.edge_relation("E"), g.num_vertices(), 16);
+        assert!(!run.within_budget(), "sparse input must exceed the ε = 0 budget");
     }
 
     #[test]

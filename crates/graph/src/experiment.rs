@@ -4,10 +4,11 @@
 use serde::Serialize;
 
 use mpc_data::graphs::{dense_graph, LayeredGraph};
+use mpc_sim::{Cluster, MpcConfig};
 
-use crate::cc::rounds_to_convergence;
-use crate::dense::run_dense_cc;
-use crate::Result;
+use crate::cc::{partition_matches, LabelPropagationCc};
+use crate::dense::DenseTwoRoundCc;
+use crate::{edge_database, rounds_until_right, Result};
 
 /// One row of the Theorem 4.10 experiment.
 #[derive(Debug, Clone, Serialize)]
@@ -77,36 +78,35 @@ pub fn theorem_4_10_experiment(
 ) -> Result<Vec<CcExperimentRow>> {
     let mut rows = Vec::with_capacity(ps.len());
     for &p in ps {
+        let cluster = Cluster::new(MpcConfig::new(p, config.epsilon))?;
         let k = ((p as f64).powf(config.delta).floor() as usize).max(2);
         let sparse = LayeredGraph::generate(k, config.layer_size, config.seed + p as u64);
-        let sparse_edges = sparse.edge_relation("E");
-        let sparse_outcome = rounds_to_convergence(
-            &sparse_edges,
-            sparse.num_vertices(),
-            p,
-            config.epsilon,
-            config.max_rounds,
-            config.seed,
-        )?;
-
         let num_vertices = sparse.num_vertices();
+        let sparse_edges = sparse.edge_relation("E");
+        let sparse_db = edge_database(&sparse_edges, num_vertices);
+        let (sparse_rounds, sparse_converged, sparse_run) =
+            rounds_until_right(config.max_rounds, |rounds| {
+                let program = LabelPropagationCc::new(rounds, p, config.seed);
+                let run = cluster.run(&program, &sparse_db)?;
+                Ok((partition_matches(&run.output, &sparse_edges, num_vertices), run))
+            })?;
+
         let dense_edges =
             dense_graph(num_vertices, config.dense_degree, config.seed + 1 + p as u64, "E");
-        let dense_outcome =
-            run_dense_cc(&dense_edges, num_vertices, p, config.epsilon, config.seed)?;
-        let dense_on_sparse =
-            run_dense_cc(&sparse_edges, num_vertices, p, config.epsilon, config.seed)?;
+        let two_rounds = DenseTwoRoundCc::new(config.seed);
+        let dense = cluster.run(&two_rounds, &edge_database(&dense_edges, num_vertices))?;
+        let dense_on_sparse = cluster.run(&two_rounds, &sparse_db)?;
 
         rows.push(CcExperimentRow {
             p,
             k,
             layer_size: config.layer_size,
-            sparse_rounds: sparse_outcome.rounds,
-            sparse_converged: sparse_outcome.converged,
-            sparse_within_budget: sparse_outcome.result.within_budget(),
-            dense_rounds: dense_outcome.result.num_rounds(),
-            dense_within_budget: dense_outcome.within_budget,
-            dense_on_sparse_within_budget: dense_on_sparse.within_budget,
+            sparse_rounds,
+            sparse_converged,
+            sparse_within_budget: sparse_run.within_budget(),
+            dense_rounds: dense.num_rounds(),
+            dense_within_budget: dense.within_budget(),
+            dense_on_sparse_within_budget: dense_on_sparse.within_budget(),
         });
     }
     Ok(rows)

@@ -17,10 +17,8 @@
 use std::collections::BTreeSet;
 
 use mpc_sim::program::hash_value;
-use mpc_sim::{Cluster, MpcConfig, MpcProgram, RouteSink, RunResult, ServerState};
-use mpc_storage::{Database, Relation};
-
-use crate::Result;
+use mpc_sim::{MpcProgram, RouteSink, ServerState};
+use mpc_storage::Relation;
 
 /// Tag for pairs hashed by their target vertex (awaiting extension).
 const BY_TARGET: &str = "ByTarget";
@@ -161,17 +159,6 @@ impl MpcProgram for PathDoublingTc {
     }
 }
 
-/// Outcome of a transitive-closure run.
-#[derive(Debug, Clone)]
-pub struct TcOutcome {
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Whether the output equals the true reachability relation.
-    pub complete: bool,
-    /// Simulator result.
-    pub result: RunResult,
-}
-
 /// Sequential reachability (the ground truth): all ordered pairs `(u, v)`
 /// with `u ≠ v` and a directed path from `u` to `v` in `edges`.
 pub fn sequential_reachability(edges: &Relation) -> BTreeSet<(u64, u64)> {
@@ -205,62 +192,39 @@ pub fn sequential_reachability(edges: &Relation) -> BTreeSet<(u64, u64)> {
     pairs
 }
 
-/// Run path doubling for a fixed number of rounds.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation errors.
-pub fn run_tc(
-    edges: &Relation,
-    num_vertices: u64,
-    p: usize,
-    epsilon: f64,
-    rounds: usize,
-    seed: u64,
-) -> Result<TcOutcome> {
-    let mut db = Database::new(num_vertices);
-    db.insert_relation(edges.clone());
-    let program = PathDoublingTc::new(rounds, p, seed);
-    let cluster = Cluster::new(MpcConfig::new(p, epsilon))?;
-    let result = cluster.run(&program, &db)?;
+/// Whether `output` (pairs, self-pairs ignored) is exactly the
+/// reachability relation of `edges`.
+pub fn closure_matches(output: &Relation, edges: &Relation) -> bool {
     let ours: BTreeSet<(u64, u64)> =
-        result.output.iter().filter(|t| t[0] != t[1]).map(|t| (t[0], t[1])).collect();
-    let truth = sequential_reachability(edges);
-    Ok(TcOutcome { rounds, complete: ours == truth, result })
-}
-
-/// Run path doubling with increasing round counts until the closure is
-/// complete (or `max_rounds` is reached).
-///
-/// # Errors
-///
-/// Propagates configuration and simulation errors.
-pub fn tc_rounds_to_completion(
-    edges: &Relation,
-    num_vertices: u64,
-    p: usize,
-    epsilon: f64,
-    max_rounds: usize,
-    seed: u64,
-) -> Result<TcOutcome> {
-    let mut last = None;
-    for rounds in 1..=max_rounds.max(1) {
-        let outcome = run_tc(edges, num_vertices, p, epsilon, rounds, seed)?;
-        let complete = outcome.complete;
-        last = Some(outcome);
-        if complete {
-            break;
-        }
-    }
-    Ok(last.expect("at least one attempt"))
+        output.iter().filter(|t| t[0] != t[1]).map(|t| (t[0], t[1])).collect();
+    ours == sequential_reachability(edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{edge_database, rounds_until_right};
+    use mpc_sim::{Cluster, MpcConfig, RunResult};
 
     fn directed_path(len: u64) -> Relation {
         Relation::from_tuples("E", 2, (1..len).map(|i| [i, i + 1]).collect::<Vec<_>>()).unwrap()
+    }
+
+    /// Path doubling for `rounds` rounds on `p` servers, and whether it
+    /// closed the graph.
+    fn run(edges: &Relation, n: u64, p: usize, rounds: usize, seed: u64) -> (bool, RunResult) {
+        let cluster = Cluster::new(MpcConfig::new(p, 0.5)).unwrap();
+        let run = cluster.run(&PathDoublingTc::new(rounds, p, seed), &edge_database(edges, n));
+        let run = run.unwrap();
+        (closure_matches(&run.output, edges), run)
+    }
+
+    /// Path doubling with rounds added until the closure is complete.
+    fn complete(edges: &Relation, n: u64, p: usize, max: usize, seed: u64) -> (usize, RunResult) {
+        let (rounds, complete, run) =
+            rounds_until_right(max, |rounds| Ok(run(edges, n, p, rounds, seed))).unwrap();
+        assert!(complete, "{max} rounds suffice");
+        (rounds, run)
     }
 
     #[test]
@@ -275,12 +239,11 @@ mod tests {
     #[test]
     fn path_doubling_closes_a_path_in_logarithmic_rounds() {
         let edges = directed_path(17); // diameter 16
-        let outcome = tc_rounds_to_completion(&edges, 17, 8, 0.5, 12, 3).unwrap();
-        assert!(outcome.complete);
+        let (rounds, run) = complete(&edges, 17, 8, 12, 3);
         // log2(16) + 1 = 5 doubling rounds (plus the distribution round).
-        assert!(outcome.rounds <= 6, "took {} rounds", outcome.rounds);
-        assert!(outcome.rounds >= 4);
-        assert_eq!(outcome.result.output.len(), 16 * 17 / 2);
+        assert!(rounds <= 6, "took {rounds} rounds");
+        assert!(rounds >= 4);
+        assert_eq!(run.output.len(), 16 * 17 / 2);
     }
 
     #[test]
@@ -288,17 +251,17 @@ mod tests {
         // The same 17-vertex path would need ~16 propagation rounds; path
         // doubling needs ~5 — the rounds-for-communication tradeoff.
         let edges = directed_path(17);
-        let doubling = tc_rounds_to_completion(&edges, 17, 8, 0.5, 12, 3).unwrap();
-        assert!(doubling.rounds < 8);
+        let (rounds, run) = complete(&edges, 17, 8, 12, 3);
+        assert!(rounds < 8);
         // But it ships far more pairs per round than there are edges.
-        assert!(doubling.result.total_bytes() > edges.size_in_bytes() * 4);
+        assert!(run.total_bytes() > edges.size_in_bytes() * 4);
     }
 
     #[test]
     fn insufficient_rounds_leave_closure_incomplete() {
         let edges = directed_path(32);
-        let outcome = run_tc(&edges, 32, 8, 0.5, 3, 1).unwrap();
-        assert!(!outcome.complete);
+        let (complete, _) = run(&edges, 32, 8, 3, 1);
+        assert!(!complete);
     }
 
     #[test]
@@ -306,19 +269,17 @@ mod tests {
         // A small DAG: 1 → 2 → 4, 1 → 3 → 4, 4 → 5.
         let edges =
             Relation::from_tuples("E", 2, vec![[1u64, 2], [1, 3], [2, 4], [3, 4], [4, 5]]).unwrap();
-        let outcome = tc_rounds_to_completion(&edges, 5, 4, 0.5, 8, 2).unwrap();
-        assert!(outcome.complete);
+        let (_, run) = complete(&edges, 5, 4, 8, 2);
         let truth = sequential_reachability(&edges);
         assert!(truth.contains(&(1, 5)));
-        assert_eq!(outcome.result.output.len(), truth.len());
+        assert_eq!(run.output.len(), truth.len());
     }
 
     #[test]
     fn cycle_reaches_everything() {
         let edges = Relation::from_tuples("E", 2, vec![[1u64, 2], [2, 3], [3, 4], [4, 1]]).unwrap();
-        let outcome = tc_rounds_to_completion(&edges, 4, 4, 0.5, 8, 5).unwrap();
-        assert!(outcome.complete);
+        let (_, run) = complete(&edges, 4, 4, 8, 5);
         // Every ordered pair of distinct vertices is reachable.
-        assert_eq!(outcome.result.output.len(), 4 * 3);
+        assert_eq!(run.output.len(), 4 * 3);
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::error::LpError;
 use crate::rational::Rational;
-use crate::simplex::{ConstraintOp, LinearProgram, LpSolution, Objective};
+use crate::simplex::{ConstraintOp, LinearProgram, Objective};
 use crate::Result;
 
 /// Consecutive degenerate pivots tolerated before switching to Bland's
@@ -71,16 +71,6 @@ impl LinearProgram {
             return Err(LpError::Malformed("LP has no variables".to_string()));
         }
         Solver::build(self)?.run(self)
-    }
-
-    /// Solve with the sparse revised simplex, discarding the duals.
-    ///
-    /// # Errors
-    ///
-    /// As for [`LinearProgram::solve_sparse`].
-    pub fn solve_sparse_primal(&self) -> Result<LpSolution> {
-        let s = self.solve_sparse()?;
-        Ok(LpSolution { objective_value: s.objective_value, variables: s.variables })
     }
 }
 

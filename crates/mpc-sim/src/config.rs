@@ -76,13 +76,6 @@ impl MpcConfig {
         (self.load_factor * input_bytes as f64 / denom).ceil() as u64
     }
 
-    /// The maximum total data received per round across all servers,
-    /// `p · budget = c · N · p^ε` bytes; the factor `p^ε` is the
-    /// replication rate allowed per round.
-    pub fn total_budget_bytes(&self, input_bytes: u64) -> u64 {
-        self.budget_bytes(input_bytes).saturating_mul(self.p as u64)
-    }
-
     /// The replication rate `p^ε` permitted by this configuration.
     pub fn allowed_replication(&self) -> f64 {
         (self.p as f64).powf(self.epsilon)
@@ -132,11 +125,5 @@ mod tests {
         let cfg = MpcConfig::new(4, 0.25).with_load_factor(3.0).with_hard_budget();
         assert_eq!(cfg.load_factor, 3.0);
         assert!(cfg.fail_on_overload);
-    }
-
-    #[test]
-    fn total_budget_is_p_times_per_server() {
-        let cfg = MpcConfig::new(10, 0.0).with_load_factor(1.0);
-        assert_eq!(cfg.total_budget_bytes(1000), 10 * cfg.budget_bytes(1000));
     }
 }

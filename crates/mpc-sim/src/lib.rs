@@ -66,7 +66,7 @@ pub use error::SimError;
 pub use message::Routed;
 pub use pool::{BlockPool, PoolStats};
 pub use program::{MpcProgram, RouteSink};
-pub use reroute::{AdaptiveRunResult, RerouteController, RerouteHost, ReroutePlan, RerouteSpec};
+pub use reroute::{AdaptiveRunResult, RerouteController, RerouteHost, ReroutePlan};
 pub use schedule::{CostModel, MsgRecord, ScheduleStats, ServerTimeline, StragglerSpec};
 pub use server::{RoundStage, ServerState};
 pub use stats::{RoundStats, RunResult};

@@ -8,12 +8,11 @@
 //!    the run's [`ScheduleStats`] timeline carries the signal: per-server
 //!    round-1 finish times under the injected [`crate::StragglerSpec`].
 //! 2. **Decide** — [`RerouteController::plan`] compares each server's
-//!    round-1 finish against the cohort median; servers lagging beyond
-//!    [`RerouteSpec::lag_percent`] are stragglers. Movable cells homed on
-//!    a straggler (declared by [`MpcProgram::reroutable_cells`]) are
-//!    reassigned to the fastest non-straggling servers. The plan is a
-//!    pure function of `(schedule, cells, spec)` — deterministic and
-//!    seeded, so runs replay exactly.
+//!    round-1 finish against the cohort median; servers lagging more than
+//!    50% behind it are stragglers. Movable cells homed on a straggler
+//!    (declared by [`MpcProgram::reroutable_cells`]) are reassigned to the
+//!    fastest non-straggling servers. The plan is a pure function of
+//!    `(schedule, cells)` — deterministic, so runs replay exactly.
 //! 3. **Act** — [`RerouteHost`] wraps the program. Final-round emissions
 //!    towards a moved home `h` are re-tagged `reroute#h#<tag>` in flight,
 //!    by a sink adapter in front of the executor's sink, and sent to the
@@ -36,19 +35,13 @@
 //!
 //! ```
 //! use mpc_sim::{AsyncConfig, Cluster, MpcConfig, StragglerSpec};
-//! use mpc_sim::reroute::RerouteSpec;
 //! use mpc_sim::program::BroadcastProgram;
 //!
 //! let q = mpc_cq::families::triangle();
 //! let db = mpc_data::matching_database(&q, 100, 7);
 //! let cluster = Cluster::new(MpcConfig::new(4, 1.0))?;
 //! let cfg = AsyncConfig::new().with_straggler(StragglerSpec::new(3, 1, 8));
-//! let run = cluster.run_adaptive(
-//!     &BroadcastProgram::new(q),
-//!     &db,
-//!     &cfg,
-//!     &RerouteSpec::default(),
-//! )?;
+//! let run = cluster.run_adaptive(&BroadcastProgram::new(q), &db, &cfg)?;
 //! // Broadcast declares nothing movable: rerouting degenerates to the
 //! // static schedule, and the differential check passes trivially.
 //! assert!(run.plan.is_empty());
@@ -82,9 +75,9 @@ fn parse_guest_tag(tag: &str) -> Option<(usize, &str)> {
     Some((home.parse().ok()?, orig))
 }
 
-/// A deterministic value mix for seeded tie-breaking (splitmix64 core).
-fn mix(seed: u64, v: u64) -> u64 {
-    let mut x = seed ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+/// A deterministic value mix for tie-breaking (splitmix64 core).
+fn mix(v: u64) -> u64 {
+    let mut x = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -95,48 +88,12 @@ fn mix(seed: u64, v: u64) -> u64 {
 // The controller.
 // ---------------------------------------------------------------------------
 
-/// Tuning of the reroute decision: what counts as a straggler, how many
-/// cells may move, and the tie-break seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RerouteSpec {
-    /// Seed of the deterministic tie-break between equally fast targets.
-    pub seed: u64,
-    /// Maximum number of cells relocated by one plan.
-    pub max_moves: usize,
-    /// A server straggles when its round-1 finish exceeds this percentage
-    /// of the cohort median (150 = "50% slower than typical").
-    pub lag_percent: u64,
-}
+/// A server straggles when its round-1 finish exceeds this percentage of
+/// the cohort median (150 = "50% slower than typical").
+const LAG_PERCENT: u64 = 150;
 
-impl Default for RerouteSpec {
-    fn default() -> Self {
-        RerouteSpec { seed: 0, max_moves: 8, lag_percent: 150 }
-    }
-}
-
-impl RerouteSpec {
-    /// Builder-style: set the tie-break seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Builder-style: cap the number of relocated cells.
-    #[must_use]
-    pub fn with_max_moves(mut self, max_moves: usize) -> Self {
-        self.max_moves = max_moves;
-        self
-    }
-
-    /// Builder-style: set the straggler lag threshold (percent of the
-    /// median round-1 finish; clamped to ≥ 100).
-    #[must_use]
-    pub fn with_lag_percent(mut self, lag_percent: u64) -> Self {
-        self.lag_percent = lag_percent.max(100);
-        self
-    }
-}
+/// Maximum number of cells one plan relocates.
+const MAX_MOVES: usize = 8;
 
 /// An immutable relocation decision: `moves[home] = target`.
 ///
@@ -179,16 +136,15 @@ impl RerouteController {
     /// Decide which of `cells` (the program's reroutable cells) to move,
     /// given the observed `schedule` of a static run.
     ///
-    /// Stragglers are servers whose round-1 finish exceeds
-    /// [`RerouteSpec::lag_percent`] of the cohort median; moved cells go
-    /// to the fastest non-straggling servers round-robin (ties broken by
-    /// a seeded hash), at most [`RerouteSpec::max_moves`] of them. The
+    /// Stragglers are servers whose round-1 finish exceeds 150% of the
+    /// cohort median; moved cells go to the fastest non-straggling servers
+    /// round-robin (ties broken by a fixed hash), at most 8 of them. The
     /// result is a pure function of the inputs: same observation, same
     /// plan.
-    pub fn plan(schedule: &ScheduleStats, cells: &[usize], spec: &RerouteSpec) -> ReroutePlan {
+    pub fn plan(schedule: &ScheduleStats, cells: &[usize]) -> ReroutePlan {
         let p = schedule.servers.len();
         let mut plan = ReroutePlan::default();
-        if p == 0 || cells.is_empty() || spec.max_moves == 0 {
+        if p == 0 || cells.is_empty() {
             return plan;
         }
         let finish = |s: usize| schedule.servers[s].round_finish.first().copied().unwrap_or(0);
@@ -202,19 +158,19 @@ impl RerouteController {
             // A free cost model times nothing; there is no signal.
             return plan;
         }
-        let threshold = median.saturating_mul(spec.lag_percent.max(100)) / 100;
+        let threshold = median.saturating_mul(LAG_PERCENT) / 100;
         let straggling: Vec<bool> = (0..p).map(|s| finish(s) > threshold).collect();
         let mut targets: Vec<usize> = (0..p).filter(|&s| !straggling[s]).collect();
         if targets.is_empty() {
             return plan;
         }
-        targets.sort_by_key(|&s| (finish(s), mix(spec.seed, s as u64)));
+        targets.sort_by_key(|&s| (finish(s), mix(s as u64)));
 
         let mut homes: Vec<usize> =
             cells.iter().copied().filter(|&c| c < p && straggling[c]).collect();
         homes.sort_unstable();
         homes.dedup();
-        for home in homes.into_iter().take(spec.max_moves) {
+        for home in homes.into_iter().take(MAX_MOVES) {
             let target = targets[plan.moves.len() % targets.len()];
             plan.moves.insert(home, target);
         }
@@ -421,11 +377,6 @@ impl AdaptiveRunResult {
         }
         None
     }
-
-    /// True when [`AdaptiveRunResult::divergence`] found nothing.
-    pub fn is_equivalent(&self) -> bool {
-        self.divergence().is_none()
-    }
 }
 
 impl Cluster {
@@ -446,11 +397,10 @@ impl Cluster {
         program: &P,
         db: &Database,
         async_config: &AsyncConfig,
-        spec: &RerouteSpec,
     ) -> Result<AdaptiveRunResult> {
         let baseline = self.run_async(program, db, async_config)?;
         let cells = program.reroutable_cells();
-        let plan = RerouteController::plan(&baseline.schedule, &cells, spec);
+        let plan = RerouteController::plan(&baseline.schedule, &cells);
         let host = RerouteHost::new(program, plan.clone());
         let adaptive = self.run_async(&host, db, async_config)?;
         Ok(AdaptiveRunResult { baseline, adaptive, plan })
@@ -498,7 +448,7 @@ mod tests {
     fn controller_moves_straggler_cells_to_fast_servers() {
         // Server 3 lags 10×; cells live on 1 and 3.
         let sched = schedule_of(&[100, 100, 110, 1000]);
-        let plan = RerouteController::plan(&sched, &[1, 3], &RerouteSpec::default());
+        let plan = RerouteController::plan(&sched, &[1, 3]);
         assert_eq!(plan.len(), 1, "only the straggler-homed cell moves");
         let target = plan.target(3).expect("cell 3 moves");
         assert!(target != 3, "a move must relocate");
@@ -509,38 +459,39 @@ mod tests {
     #[test]
     fn controller_is_deterministic_and_seed_sensitive_only_on_ties() {
         let sched = schedule_of(&[50, 50, 50, 900, 60]);
-        let spec = RerouteSpec::default();
-        let a = RerouteController::plan(&sched, &[3], &spec);
-        let b = RerouteController::plan(&sched, &[3], &spec);
+        let a = RerouteController::plan(&sched, &[3]);
+        let b = RerouteController::plan(&sched, &[3]);
         assert_eq!(a, b, "same inputs, same plan");
         assert_eq!(a.len(), 1);
     }
 
     #[test]
     fn controller_caps_moves_and_ignores_foreign_cells() {
-        let sched = schedule_of(&[10, 10, 10, 500, 500, 500]);
-        let spec = RerouteSpec::default().with_max_moves(2);
-        let plan = RerouteController::plan(&sched, &[3, 4, 5, 99], &spec);
-        assert_eq!(plan.len(), 2, "max_moves caps the plan");
+        // Half of 20 servers straggle, each homing a cell: more than the cap.
+        let finishes: Vec<u64> = (0..20).map(|s| if s < 10 { 10 } else { 500 }).collect();
+        let sched = schedule_of(&finishes);
+        let cells: Vec<usize> = (10..20).chain([99]).collect();
+        let plan = RerouteController::plan(&sched, &cells);
+        assert_eq!(plan.len(), MAX_MOVES, "MAX_MOVES caps the plan");
         for (home, target) in plan.moves() {
-            assert!((3..=5).contains(&home));
-            assert!(target < 3, "targets are the healthy servers");
+            assert!((10..20).contains(&home));
+            assert!(target < 10, "targets are the healthy servers");
         }
         // A majority of stragglers defeats the median signal: decline.
         let majority = schedule_of(&[10, 10, 500, 500, 500, 500]);
-        assert!(RerouteController::plan(&majority, &[2, 3], &spec).is_empty());
+        assert!(RerouteController::plan(&majority, &[2, 3]).is_empty());
     }
 
     #[test]
     fn controller_declines_without_signal_or_targets() {
         // Free cost model: every finish is 0 — no signal.
         let silent = schedule_of(&[0, 0, 0, 0]);
-        assert!(RerouteController::plan(&silent, &[0, 1], &RerouteSpec::default()).is_empty());
+        assert!(RerouteController::plan(&silent, &[0, 1]).is_empty());
         // Uniform finishes: no straggler.
         let uniform = schedule_of(&[70, 70, 70, 70]);
-        assert!(RerouteController::plan(&uniform, &[0, 1], &RerouteSpec::default()).is_empty());
+        assert!(RerouteController::plan(&uniform, &[0, 1]).is_empty());
         // No cells declared.
         let skew = schedule_of(&[10, 10, 10, 400]);
-        assert!(RerouteController::plan(&skew, &[], &RerouteSpec::default()).is_empty());
+        assert!(RerouteController::plan(&skew, &[]).is_empty());
     }
 }

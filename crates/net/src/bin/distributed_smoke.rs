@@ -22,7 +22,9 @@
 use std::process::exit;
 use std::sync::Arc;
 
-use mpc_net::spec::{DbSpec, ProgramSpec};
+use mpc_core::analysis::QueryAnalysis;
+use mpc_core::plan::PlannerChoice;
+use mpc_net::spec::DbSpec;
 use mpc_net::{FaultPlan, JobSpec, MasterConfig, QueryJob, QueryService, ServiceConfig};
 use mpc_sim::{Cluster, MpcConfig, RunResult};
 
@@ -63,13 +65,16 @@ impl SmokeProgram {
 
 fn smoke_job(program: SmokeProgram) -> JobSpec {
     let (program, db) = match program {
-        SmokeProgram::HcTriangle => (ProgramSpec::HyperCube, DbSpec::Matching { n: 800, seed: 17 }),
+        SmokeProgram::HcTriangle => {
+            (PlannerChoice::OneRoundHyperCube, DbSpec::Matching { n: 800, seed: 17 })
+        }
         // 0.6 · 800 = 480 planted copies of the heavy key; 480 · share
         // > 800 at every share ≥ 2, so the heavy side activates and the
         // spawned workers run the full two-round WCO dataflow.
-        SmokeProgram::WcoTriangle => {
-            (ProgramSpec::Wco, DbSpec::HeavyHitter { n: 600, tuples: 800, frac: 0.6, seed: 17 })
-        }
+        SmokeProgram::WcoTriangle => (
+            PlannerChoice::WorstCaseOptimal,
+            DbSpec::HeavyHitter { n: 600, tuples: 800, frac: 0.6, seed: 17 },
+        ),
     };
     JobSpec {
         program,
@@ -154,10 +159,11 @@ fn service_stage() {
 
     for (qid, q, db, seed) in [(a, q1, db1, 31), (b, q2, db2, 32)] {
         let cluster = Cluster::new(MpcConfig::new(p, 0.5)).expect("valid config");
-        let program = mpc_core::hypercube::HyperCubeProgram::new(&q, p, seed)
+        let program = QueryAnalysis::analyze(&q)
+            .and_then(|analysis| PlannerChoice::OneRoundHyperCube.build(&analysis, &db, p, seed))
             .unwrap_or_else(|e| fail(&format!("service: reference program: {e}")));
         let reference = cluster
-            .run(&program, &db)
+            .run(program.as_ref(), &db)
             .unwrap_or_else(|e| fail(&format!("service: reference run: {e}")));
         check(&format!("service query {qid}"), &reference, &outcomes[qid as usize].run_result());
     }

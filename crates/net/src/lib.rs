@@ -53,7 +53,7 @@ pub use mpc_sim::{Link, Packet, SendOutcome, Transport};
 pub use recovery::MasterConfig;
 pub use runner::{run_distributed, DistConfig, TransportKind};
 pub use service::{Admission, QueryJob, QueryOutcome, QueryService, ServiceConfig, Submission};
-pub use spec::{JobSpec, ProgramSpec};
+pub use spec::JobSpec;
 pub use transport::TcpTransport;
 
 /// Errors raised by the networking layer.

@@ -71,11 +71,12 @@ pub(crate) fn respawn_pause(used: usize) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{DbSpec, ProgramSpec};
+    use crate::spec::DbSpec;
+    use mpc_core::plan::PlannerChoice;
 
     fn job() -> JobSpec {
         JobSpec {
-            program: ProgramSpec::HyperCube,
+            program: PlannerChoice::OneRoundHyperCube,
             query: mpc_cq::families::triangle().to_string(),
             db: DbSpec::Matching { n: 10, seed: 1 },
             p: 2,

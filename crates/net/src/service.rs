@@ -27,9 +27,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mpc_core::analysis::QueryAnalysis;
-use mpc_core::hypercube::HyperCubeProgram;
-use mpc_core::multiround::executor::PlanProgram;
-use mpc_core::multiround::planner::MultiRoundPlan;
+use mpc_core::plan::PlannerChoice;
 use mpc_cq::Query;
 use mpc_lp::Rational;
 use mpc_sim::mesh::Mesh;
@@ -319,23 +317,14 @@ impl QueryService {
         let started = Instant::now();
         let analysis = QueryAnalysis::analyze(&job.query)
             .map_err(|e| NetError::Protocol(format!("analysis: {e}")))?;
-        let p = self.config.p;
-        let program: SharedProgram = match job.plan_epsilon {
-            Some(eps) => {
-                let plan = MultiRoundPlan::build(&job.query, eps)
-                    .map_err(|e| NetError::Protocol(format!("plan: {e}")))?;
-                Arc::new(
-                    PlanProgram::new(&plan, p, job.seed)
-                        .map_err(|e| NetError::Protocol(format!("plan program: {e}")))?,
-                )
-            }
-            None => {
-                let shares = analysis
-                    .shares_for(p)
-                    .map_err(|e| NetError::Protocol(format!("hypercube: {e}")))?;
-                Arc::new(HyperCubeProgram::with_allocation(&job.query, shares, job.seed))
-            }
+        let choice = match job.plan_epsilon {
+            Some(plan_epsilon) => PlannerChoice::MultiRound { plan_epsilon },
+            None => PlannerChoice::OneRoundHyperCube,
         };
+        let program: SharedProgram = choice
+            .build(&analysis, &job.db, self.config.p, job.seed)
+            .map_err(|e| NetError::Protocol(format!("{choice}: {e}")))?
+            .into();
         let planning_micros = started.elapsed().as_micros() as u64;
         let input_bytes = job.db.total_bytes();
         let qid = self.next_qid;
@@ -426,16 +415,19 @@ mod tests {
     use mpc_data::matching_database;
     use mpc_sim::Cluster;
 
+    /// The HyperCube run of `q` on a dedicated cluster.
+    fn dedicated_run(q: &Query, db: &Database, p: usize, epsilon: f64, seed: u64) -> RunResult {
+        let analysis = QueryAnalysis::analyze(q).unwrap();
+        let program = PlannerChoice::OneRoundHyperCube.build(&analysis, db, p, seed).unwrap();
+        Cluster::new(MpcConfig::new(p, epsilon)).unwrap().run(program.as_ref(), db).unwrap()
+    }
+
     #[test]
     fn service_matches_a_dedicated_cluster_run() {
         let q = families::triangle();
         let db = Arc::new(matching_database(&q, 600, 7));
         let p = 4;
-        let reference = {
-            let cluster = Cluster::new(MpcConfig::new(p, 0.5)).unwrap();
-            let program = mpc_core::hypercube::HyperCubeProgram::new(&q, p, 99).unwrap();
-            cluster.run(&program, &db).unwrap()
-        };
+        let reference = dedicated_run(&q, &db, p, 0.5, 99);
         let mut svc = QueryService::start(&ServiceConfig::new(p, 0.5)).unwrap();
         let sub = svc
             .submit(&QueryJob {
@@ -471,9 +463,7 @@ mod tests {
         let mut outcomes = [svc.next_outcome().unwrap(), svc.next_outcome().unwrap()];
         outcomes.sort_by_key(|o| o.qid);
         for (qid, q, db, seed) in [(a, q1, db1, 1), (b, q2, db2, 2)] {
-            let cluster = Cluster::new(MpcConfig::new(p, 0.0)).unwrap();
-            let program = mpc_core::hypercube::HyperCubeProgram::new(&q, p, seed).unwrap();
-            let reference = cluster.run(&program, &db).unwrap();
+            let reference = dedicated_run(&q, &db, p, 0.0, seed);
             let outcome = &outcomes[qid as usize];
             assert_eq!(outcome.run_result().divergence(&reference), None, "query {qid}");
         }

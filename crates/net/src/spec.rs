@@ -14,6 +14,8 @@
 //! deserialise, so the format is hand-rolled; it is also trivially
 //! greppable in logs.)
 
+use mpc_core::analysis::QueryAnalysis;
+use mpc_core::plan::PlannerChoice;
 use mpc_cq::parser::parse_query;
 use mpc_cq::Query;
 use mpc_lp::Rational;
@@ -21,29 +23,6 @@ use mpc_sim::{Cluster, MpcConfig, MpcProgram};
 use mpc_storage::Database;
 
 use crate::{NetError, Result};
-
-/// Which program family executes the query.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProgramSpec {
-    /// Naive broadcast-everything baseline.
-    Broadcast,
-    /// One-round HyperCube at the optimal share allocation.
-    HyperCube,
-    /// The multi-round `Γ^r_ε` plan executor at the given space exponent.
-    MultiRound {
-        /// The plan's space exponent ε as an exact rational.
-        plan_epsilon: Rational,
-    },
-    /// The skew-resilient one-round program (heavy hitters + residual
-    /// plans, planned against the reconstructed database).
-    SkewResilient {
-        /// Heavy-hitter detection threshold multiplier.
-        scale: f64,
-    },
-    /// The worst-case optimal heavy/light program (BKS 2018), planned
-    /// against the reconstructed database.
-    Wco,
-}
 
 /// How the input database is (re)generated.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,8 +62,8 @@ pub enum DbSpec {
 /// Everything a worker process needs to run its share of one job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// The program family.
-    pub program: ProgramSpec,
+    /// The planner, with its parameters.
+    pub program: PlannerChoice,
     /// The query, in `mpc_cq` parseable text form.
     pub query: String,
     /// The database generator.
@@ -126,15 +105,15 @@ impl JobSpec {
     pub fn to_wire(&self) -> String {
         let mut out = String::new();
         let (prog, prog_arg) = match &self.program {
-            ProgramSpec::Broadcast => ("broadcast".to_string(), None),
-            ProgramSpec::HyperCube => ("hypercube".to_string(), None),
-            ProgramSpec::MultiRound { plan_epsilon } => {
-                ("multiround".to_string(), Some(format!("plan_epsilon={plan_epsilon}")))
+            PlannerChoice::Broadcast => ("broadcast", None),
+            PlannerChoice::OneRoundHyperCube => ("hypercube", None),
+            PlannerChoice::MultiRound { plan_epsilon } => {
+                ("multiround", Some(format!("plan_epsilon={plan_epsilon}")))
             }
-            ProgramSpec::SkewResilient { scale } => {
-                ("skew".to_string(), Some(format!("scale={scale}")))
+            PlannerChoice::OneRoundSkewResilient { scale } => {
+                ("skew", Some(format!("scale={scale}")))
             }
-            ProgramSpec::Wco => ("wco".to_string(), None),
+            PlannerChoice::WorstCaseOptimal => ("wco", None),
         };
         out.push_str(&format!("program={prog}\n"));
         if let Some(arg) = prog_arg {
@@ -195,13 +174,13 @@ impl JobSpec {
             get(k)?.trim().parse().map_err(|_| NetError::Protocol(format!("bad float for {k}")))
         };
         let program = match get("program")?.as_str() {
-            "broadcast" => ProgramSpec::Broadcast,
-            "hypercube" => ProgramSpec::HyperCube,
+            "broadcast" => PlannerChoice::Broadcast,
+            "hypercube" => PlannerChoice::OneRoundHyperCube,
             "multiround" => {
-                ProgramSpec::MultiRound { plan_epsilon: parse_rational(&get("plan_epsilon")?)? }
+                PlannerChoice::MultiRound { plan_epsilon: parse_rational(&get("plan_epsilon")?)? }
             }
-            "skew" => ProgramSpec::SkewResilient { scale: fnum("scale")? },
-            "wco" => ProgramSpec::Wco,
+            "skew" => PlannerChoice::OneRoundSkewResilient { scale: fnum("scale")? },
+            "wco" => PlannerChoice::WorstCaseOptimal,
             other => return Err(NetError::Protocol(format!("unknown program kind {other:?}"))),
         };
         let db = match get("db")?.as_str() {
@@ -254,38 +233,12 @@ impl JobSpec {
             }
         };
         let cluster = Cluster::new(MpcConfig::new(self.p, self.epsilon)).map_err(NetError::Sim)?;
-        let program: Box<dyn MpcProgram + Send + Sync> = match &self.program {
-            ProgramSpec::Broadcast => {
-                Box::new(mpc_sim::program::BroadcastProgram::new(query.clone()))
-            }
-            ProgramSpec::HyperCube => Box::new(
-                mpc_core::hypercube::HyperCubeProgram::new(&query, self.p, self.seed)
-                    .map_err(|e| NetError::Protocol(format!("hypercube: {e}")))?,
-            ),
-            ProgramSpec::MultiRound { plan_epsilon } => {
-                let plan =
-                    mpc_core::multiround::planner::MultiRoundPlan::build(&query, *plan_epsilon)
-                        .map_err(|e| NetError::Protocol(format!("plan: {e}")))?;
-                Box::new(
-                    mpc_core::multiround::executor::PlanProgram::new(&plan, self.p, self.seed)
-                        .map_err(|e| NetError::Protocol(format!("plan program: {e}")))?,
-                )
-            }
-            ProgramSpec::SkewResilient { scale } => Box::new(
-                mpc_skew::SkewResilientProgram::new(
-                    &query,
-                    &db,
-                    self.p,
-                    &mpc_skew::HeavyHitterPolicy { scale: *scale },
-                    self.seed,
-                )
-                .map_err(|e| NetError::Protocol(format!("skew program: {e}")))?,
-            ),
-            ProgramSpec::Wco => Box::new(
-                mpc_core::wco::WcoProgram::new(&query, &db, self.p, self.seed)
-                    .map_err(|e| NetError::Protocol(format!("wco program: {e}")))?,
-            ),
-        };
+        let analysis =
+            QueryAnalysis::analyze(&query).map_err(|e| NetError::Protocol(format!("job: {e}")))?;
+        let program = self
+            .program
+            .build(&analysis, &db, self.p, self.seed)
+            .map_err(|e| NetError::Protocol(format!("{} program: {e}", self.program)))?;
         Ok(BuiltJob { program, db, cluster, query })
     }
 
@@ -322,7 +275,7 @@ mod tests {
     use super::*;
     use mpc_cq::families;
 
-    fn spec(program: ProgramSpec) -> JobSpec {
+    fn spec(program: PlannerChoice) -> JobSpec {
         JobSpec {
             program,
             query: families::triangle().to_string(),
@@ -337,21 +290,22 @@ mod tests {
     #[test]
     fn wire_round_trips_every_program_kind() {
         for program in [
-            ProgramSpec::Broadcast,
-            ProgramSpec::HyperCube,
-            ProgramSpec::MultiRound { plan_epsilon: Rational::new(1, 3) },
-            ProgramSpec::SkewResilient { scale: 1.0 },
-            ProgramSpec::Wco,
+            PlannerChoice::Broadcast,
+            PlannerChoice::OneRoundHyperCube,
+            PlannerChoice::MultiRound { plan_epsilon: Rational::new(1, 3) },
+            PlannerChoice::OneRoundSkewResilient { scale: 1.5 },
+            PlannerChoice::WorstCaseOptimal,
         ] {
             let s = spec(program);
             let back = JobSpec::from_wire(&s.to_wire()).unwrap();
             assert_eq!(s, back, "wire form round-trips");
+            assert!(back.build().is_ok(), "{program} builds");
         }
     }
 
     #[test]
     fn zipf_db_round_trips() {
-        let mut s = spec(ProgramSpec::HyperCube);
+        let mut s = spec(PlannerChoice::OneRoundHyperCube);
         s.db = DbSpec::Zipf { n: 300, tuples: 600, theta: 0.8, seed: 3 };
         let back = JobSpec::from_wire(&s.to_wire()).unwrap();
         assert_eq!(s, back);
@@ -359,7 +313,7 @@ mod tests {
 
     #[test]
     fn wco_job_round_trips_and_builds_two_rounds_under_skew() {
-        let mut s = spec(ProgramSpec::Wco);
+        let mut s = spec(PlannerChoice::WorstCaseOptimal);
         // 0.6 · 800 = 480 planted copies; 480 · share > 800 at any share
         // ≥ 2, so the heavy side activates and the program is 2 rounds.
         s.db = DbSpec::HeavyHitter { n: 600, tuples: 800, frac: 0.6, seed: 19 };
@@ -371,7 +325,7 @@ mod tests {
 
     #[test]
     fn query_text_survives_the_wire() {
-        let s = spec(ProgramSpec::HyperCube);
+        let s = spec(PlannerChoice::OneRoundHyperCube);
         let built = JobSpec::from_wire(&s.to_wire()).unwrap().build().unwrap();
         assert_eq!(built.query.to_string(), families::triangle().to_string());
         assert_eq!(built.db.relations().count(), 3);
@@ -382,7 +336,7 @@ mod tests {
     fn build_is_deterministic_across_processes_in_spirit() {
         // Two independent builds (as two processes would do) must agree on
         // the database bytes and program shape.
-        let s = spec(ProgramSpec::MultiRound { plan_epsilon: Rational::ZERO });
+        let s = spec(PlannerChoice::MultiRound { plan_epsilon: Rational::ZERO });
         let a = s.build().unwrap();
         let b = s.build().unwrap();
         assert_eq!(a.db.total_bytes(), b.db.total_bytes());
@@ -397,7 +351,7 @@ mod tests {
         // Masters append lines of their own (the `recovery=1` flag) and
         // older ones sent keys this parser no longer reads; parsing must
         // skip what it does not understand rather than reject the job.
-        let s = spec(ProgramSpec::HyperCube);
+        let s = spec(PlannerChoice::OneRoundHyperCube);
         let wire = format!("{}recovery=1\nqueue_capacity=64\nfuture_knob=whatever\n", s.to_wire());
         assert_eq!(JobSpec::from_wire(&wire).unwrap(), s);
     }
@@ -414,7 +368,7 @@ mod tests {
             assert!(parse_rational(&text).is_err(), "{text}");
         }
         // The same text inside a Job frame's spec: an error, not a dead worker.
-        let job = spec(ProgramSpec::MultiRound { plan_epsilon: Rational::ZERO }).to_wire();
+        let job = spec(PlannerChoice::MultiRound { plan_epsilon: Rational::ZERO }).to_wire();
         assert!(JobSpec::from_wire(&job).is_ok());
         let hostile = job.replace("plan_epsilon=0\n", &format!("plan_epsilon=1/{min}\n"));
         assert_ne!(hostile, job);
@@ -433,7 +387,7 @@ mod tests {
             (DbSpec::Zipf { n: 10, tuples: 10, theta: 1.0, seed: 1 }, Some(&ternary)),
             (DbSpec::HeavyHitter { n: 10, tuples: 10, frac: 0.5, seed: 1 }, Some(&ternary)),
         ] {
-            let mut s = spec(ProgramSpec::HyperCube);
+            let mut s = spec(PlannerChoice::OneRoundHyperCube);
             s.query = query.cloned().unwrap_or(s.query);
             s.db = db;
             let wire = JobSpec::from_wire(&s.to_wire()).unwrap();

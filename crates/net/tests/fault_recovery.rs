@@ -8,8 +8,9 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use mpc_core::plan::PlannerChoice;
 use mpc_lp::Rational;
-use mpc_net::spec::{DbSpec, ProgramSpec};
+use mpc_net::spec::DbSpec;
 use mpc_net::{FaultPlan, JobSpec, MasterConfig};
 use mpc_sim::RunResult;
 
@@ -21,7 +22,7 @@ fn worker_bin() -> &'static Path {
 /// barrier1 and summary.
 fn hypercube_job() -> JobSpec {
     JobSpec {
-        program: ProgramSpec::HyperCube,
+        program: PlannerChoice::OneRoundHyperCube,
         query: mpc_cq::families::triangle().to_string(),
         db: DbSpec::Matching { n: 400, seed: 11 },
         p: 4,
@@ -35,7 +36,7 @@ fn hypercube_job() -> JobSpec {
 /// mid-plan checkpoint plus replay of the in-flight round.
 fn multiround_job() -> JobSpec {
     JobSpec {
-        program: ProgramSpec::MultiRound { plan_epsilon: Rational::ZERO },
+        program: PlannerChoice::MultiRound { plan_epsilon: Rational::ZERO },
         query: mpc_cq::families::chain(4).to_string(),
         db: DbSpec::Matching { n: 240, seed: 5 },
         p: 3,

@@ -4,8 +4,9 @@
 
 use std::path::Path;
 
+use mpc_core::plan::PlannerChoice;
 use mpc_lp::Rational;
-use mpc_net::spec::{DbSpec, ProgramSpec};
+use mpc_net::spec::DbSpec;
 use mpc_net::JobSpec;
 
 fn worker_bin() -> &'static Path {
@@ -24,7 +25,7 @@ fn assert_spawned_matches_reference(label: &str, job: &JobSpec) {
 #[test]
 fn spawned_hypercube_matches_reference() {
     let job = JobSpec {
-        program: ProgramSpec::HyperCube,
+        program: PlannerChoice::OneRoundHyperCube,
         query: mpc_cq::families::triangle().to_string(),
         db: DbSpec::Matching { n: 600, seed: 3 },
         p: 4,
@@ -38,7 +39,7 @@ fn spawned_hypercube_matches_reference() {
 #[test]
 fn spawned_multiround_matches_reference() {
     let job = JobSpec {
-        program: ProgramSpec::MultiRound { plan_epsilon: Rational::ZERO },
+        program: PlannerChoice::MultiRound { plan_epsilon: Rational::ZERO },
         query: mpc_cq::families::chain(4).to_string(),
         db: DbSpec::Matching { n: 300, seed: 5 },
         p: 3,
@@ -56,7 +57,7 @@ fn dead_worker_fails_the_job_fast_not_forever() {
     // infinite hang) must surface an error. `true` exists on any CI
     // image; a missing binary also errors, which is equally acceptable.
     let job = JobSpec {
-        program: ProgramSpec::HyperCube,
+        program: PlannerChoice::OneRoundHyperCube,
         query: mpc_cq::families::triangle().to_string(),
         db: DbSpec::Matching { n: 100, seed: 1 },
         p: 2,

@@ -8,13 +8,13 @@
 use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::multiround::executor::PlanProgram;
 use mpc_core::multiround::planner::MultiRoundPlan;
+use mpc_core::skew::{HeavyHitterPolicy, SkewResilientProgram};
 use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_data::skew::zipf_database;
 use mpc_lp::Rational;
 use mpc_net::{run_distributed, DistConfig, NetError, TransportKind};
 use mpc_sim::{AsyncConfig, Cluster, MpcConfig, MpcProgram, RouteSink, ServerState, SimError};
-use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
 use mpc_storage::{Database, Relation, StorageError};
 
 fn assert_transport_invariant<P: MpcProgram>(

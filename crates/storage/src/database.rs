@@ -7,7 +7,7 @@ use serde::Serialize;
 use mpc_cq::Query;
 
 use crate::error::StorageError;
-use crate::relation::{Relation, Tuple};
+use crate::relation::Relation;
 use crate::Result;
 
 /// Anything that can lend relation instances by symbol — the read-only
@@ -79,15 +79,6 @@ impl Database {
         require(self, name)
     }
 
-    /// Retrieve a relation mutably.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::MissingRelation`] if the symbol is unbound.
-    pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        self.relations.get_mut(name).ok_or_else(|| StorageError::MissingRelation(name.to_string()))
-    }
-
     /// All relations, keyed by symbol.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.values()
@@ -114,12 +105,6 @@ impl Database {
         self.relations.values().map(Relation::size_in_bytes).sum()
     }
 
-    /// Total size in bits with `⌈log₂ n⌉` bits per value
-    /// (the paper's `N = O(n log n)`).
-    pub fn total_bits(&self) -> u64 {
-        self.relations.values().map(|r| r.size_in_bits(self.domain_size)).sum()
-    }
-
     /// Check that every atom of `q` is bound to a relation of the correct
     /// arity.
     ///
@@ -129,32 +114,6 @@ impl Database {
     /// [`StorageError::ArityMismatch`] accordingly.
     pub fn validate_for(&self, q: &Query) -> Result<()> {
         validate(self, q)
-    }
-
-    /// Restrict the database to the relations used by `q` (cloning them).
-    /// Handy when passing inputs to per-query programs.
-    pub fn project_to_query(&self, q: &Query) -> Result<Database> {
-        let mut db = Database::new(self.domain_size);
-        for atom in q.atoms() {
-            db.insert_relation(self.relation(&atom.name)?.clone());
-        }
-        Ok(db)
-    }
-
-    /// Build a database from `(name, arity, tuples)` triples.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tuple-arity errors.
-    pub fn from_relations<I>(domain_size: u64, relations: I) -> Result<Database>
-    where
-        I: IntoIterator<Item = (String, usize, Vec<Tuple>)>,
-    {
-        let mut db = Database::new(domain_size);
-        for (name, arity, tuples) in relations {
-            db.insert_relation(Relation::from_tuples(name, arity, tuples)?);
-        }
-        Ok(db)
     }
 }
 
@@ -195,8 +154,6 @@ mod tests {
         assert_eq!(db.total_tuples(), 8);
         assert_eq!(db.total_bytes(), 8 * 2 * 8);
         assert_eq!(db.max_relation_size(), 4);
-        // 4-value domain → 3 bits per value (⌈log₂ 4⌉ rounded up via leading_zeros of 4 = 3 bits).
-        assert!(db.total_bits() > 0);
     }
 
     #[test]
@@ -210,25 +167,5 @@ mod tests {
         let mut bad = sample_db();
         bad.insert_relation(Relation::from_tuples("S2", 3, vec![[1u64, 2, 3]]).unwrap());
         assert!(matches!(bad.validate_for(&l2), Err(StorageError::ArityMismatch { .. })));
-    }
-
-    #[test]
-    fn project_to_query_filters_relations() {
-        let mut db = sample_db();
-        db.insert_relation(Relation::from_tuples("Junk", 1, vec![[1u64]]).unwrap());
-        let l2 = families::chain(2);
-        let projected = db.project_to_query(&l2).unwrap();
-        assert_eq!(projected.num_relations(), 2);
-        assert!(projected.relation("Junk").is_err());
-    }
-
-    #[test]
-    fn from_relations_builder() {
-        let db = Database::from_relations(
-            3,
-            vec![("R".to_string(), 1, vec![Tuple::from([1u64]), Tuple::from([2])])],
-        )
-        .unwrap();
-        assert_eq!(db.relation("R").unwrap().len(), 2);
     }
 }

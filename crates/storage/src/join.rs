@@ -253,28 +253,6 @@ fn evaluate_with<S: RelationSource + ?Sized>(
     Ok(out)
 }
 
-/// Evaluate a connected subset of the query's atoms; the result has one
-/// column per variable of the induced subquery, in the *induced subquery's*
-/// variable order, and is named after the induced subquery.
-///
-/// # Errors
-///
-/// Propagates storage and query errors.
-pub fn evaluate_atoms<S: RelationSource + ?Sized>(
-    q: &Query,
-    source: &S,
-    atoms: &[mpc_cq::AtomId],
-) -> Result<Relation> {
-    let sub = q.induced_subquery(atoms)?;
-    evaluate(&sub, source)
-}
-
-/// The output column names of [`evaluate`] for a query: its variable names
-/// in [`VarId`] order.
-pub fn output_columns(q: &Query) -> Vec<String> {
-    q.var_names().to_vec()
-}
-
 /// Choose a join order: start from the smallest relation and repeatedly add
 /// an atom sharing a variable with the already-chosen prefix (falling back
 /// to the smallest remaining atom when the query is disconnected).
@@ -327,7 +305,6 @@ mod tests {
         let expected =
             Relation::from_tuples("L2", 3, vec![[1u64, 2, 5], [1, 2, 6], [3, 4, 7]]).unwrap();
         assert!(out.same_tuples(&expected));
-        assert_eq!(output_columns(&q), vec!["x0", "x1", "x2"]);
     }
 
     #[test]
@@ -392,17 +369,6 @@ mod tests {
         let q = families::chain(2);
         let db = db_with(vec![("S1", vec![[1, 2]])]);
         assert!(evaluate(&q, &db).is_err());
-    }
-
-    #[test]
-    fn evaluate_atoms_projects_to_subquery() {
-        let q = families::chain(3);
-        let db = db_with(vec![("S1", vec![[1, 2]]), ("S2", vec![[2, 3]]), ("S3", vec![[3, 4]])]);
-        let s1 = q.atom_by_name("S1").unwrap().0;
-        let s2 = q.atom_by_name("S2").unwrap().0;
-        let out = evaluate_atoms(&q, &db, &[s1, s2]).unwrap();
-        assert_eq!(out.arity(), 3);
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! | [`storage`] | `mpc-storage` | tuples, relations, databases, local joins, size estimates |
 //! | [`data`] | `mpc-data` | matching databases, skewed data, layered graphs |
 //! | [`sim`] | `mpc-sim` | the MPC(ε) cluster simulator (synchronous + event-driven backends, schedule metrics) and program trait |
-//! | [`core`] | `mpc-core` | HyperCube, shares, space exponents, multi-round plans and bounds |
-//! | [`skew`] | `mpc-skew` | heavy-hitter detection and skew-resilient residual plans |
+//! | [`core`] | `mpc-core` | HyperCube, shares, space exponents, multi-round plans and bounds; the skew-resilient and worst-case optimal planners; `PlannerChoice` and its one `build` |
+//! | [`skew`] | `mpc-core` | heavy-hitter detection and skew-resilient residual plans ([`core::skew`]) |
 //! | [`graph`] | `mpc-graph` | connected components on the MPC model |
 //! | [`net`] | `mpc-net` | framed block transport (in-process + TCP), spawned-process runner, multi-query service |
 //!
@@ -70,11 +70,12 @@ pub use mpc_graph as graph;
 pub use mpc_lp as lp;
 pub use mpc_net as net;
 pub use mpc_sim as sim;
-pub use mpc_skew as skew;
 pub use mpc_storage as storage;
 
 /// The paper's algorithms and bounds (re-export of `mpc-core`).
 pub use mpc_core as core;
+/// Skew-resilient residual plans (re-export of `mpc_core::skew`).
+pub use mpc_core::skew;
 
 /// Commonly used items.
 pub mod prelude {
@@ -84,15 +85,16 @@ pub mod prelude {
     pub use mpc_core::multiround::load::PlanLoadPrediction;
     pub use mpc_core::multiround::planner::MultiRoundPlan;
     pub use mpc_core::output_sensitive::OutputSensitiveBounds;
+    pub use mpc_core::plan::PlannerChoice;
     pub use mpc_core::shares::ShareAllocation;
+    pub use mpc_core::skew::{HeavyHitterPolicy, SkewResilientProgram};
     pub use mpc_core::space_exponent::{gamma_one_contains, space_exponent};
-    pub use mpc_core::wco::{PlannerChoice, WcoLoadPrediction, WcoProgram, WorstCaseOptimalPlan};
+    pub use mpc_core::wco::{WcoLoadPrediction, WcoProgram, WorstCaseOptimalPlan};
     pub use mpc_cq::{families, parser::parse_query, Query};
     pub use mpc_data::{matching_database, output_controlled_database};
     pub use mpc_lp::Rational;
     pub use mpc_net::{QueryJob, QueryService, ServiceConfig, TransportKind};
     pub use mpc_sim::{AsyncConfig, Cluster, CostModel, MpcConfig, StragglerSpec};
-    pub use mpc_skew::{HeavyHitterPolicy, SkewResilientProgram};
     pub use mpc_storage::{Database, Relation, Tuple};
 }
 

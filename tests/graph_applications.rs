@@ -2,11 +2,27 @@
 //! transitive-closure corollary) through the public facade crate.
 
 use mpc_query::data::graphs::{dense_graph, LayeredGraph};
-use mpc_query::graph::cc::{labels_from_output, rounds_to_convergence};
-use mpc_query::graph::dense::run_dense_cc;
-use mpc_query::graph::tc::{sequential_reachability, tc_rounds_to_completion};
+use mpc_query::graph::cc::{labels_from_output, partition_matches, LabelPropagationCc};
+use mpc_query::graph::dense::DenseTwoRoundCc;
+use mpc_query::graph::tc::{closure_matches, sequential_reachability, PathDoublingTc};
+use mpc_query::graph::{edge_database, rounds_until_right};
 use mpc_query::prelude::*;
+use mpc_query::sim::RunResult;
 use mpc_query::storage::join::evaluate;
+
+/// Label propagation on `g` with rounds added until it converges: the
+/// rounds it took and the converged run.
+fn label_propagation(g: &LayeredGraph, p: usize, seed: u64) -> (usize, RunResult) {
+    let (edges, n) = (g.edge_relation("E"), g.num_vertices());
+    let (db, cluster) = (edge_database(&edges, n), Cluster::new(MpcConfig::new(p, 0.0)).unwrap());
+    let (rounds, converged, run) = rounds_until_right(40, |rounds| {
+        let run = cluster.run(&LabelPropagationCc::new(rounds, p, seed), &db)?;
+        Ok((partition_matches(&run.output, &edges, n), run))
+    })
+    .unwrap();
+    assert!(converged);
+    (rounds, run)
+}
 
 /// The components of a layered path graph correspond one-to-one to the
 /// answers of the chain query L_k — the reduction at the heart of
@@ -27,10 +43,8 @@ fn layered_graph_components_equal_chain_answers() {
     assert_eq!(result.num_rounds(), 2);
 
     // Label propagation labels the same components.
-    let edges = g.edge_relation("E");
-    let cc = rounds_to_convergence(&edges, g.num_vertices(), 8, 0.0, 20, 5).unwrap();
-    assert!(cc.converged);
-    let labels = labels_from_output(&cc.result.output);
+    let (_, cc) = label_propagation(&g, 8, 5);
+    let labels = labels_from_output(&cc.output);
     let distinct: std::collections::BTreeSet<_> = labels.values().collect();
     assert_eq!(distinct.len() as u64, g.num_components());
 }
@@ -44,25 +58,20 @@ fn sparse_needs_more_rounds_than_dense() {
     let deep = LayeredGraph::generate(9, 24, 3);
     let p = 8;
 
-    let shallow_cc =
-        rounds_to_convergence(&shallow.edge_relation("E"), shallow.num_vertices(), p, 0.0, 40, 1)
-            .unwrap();
-    let deep_cc =
-        rounds_to_convergence(&deep.edge_relation("E"), deep.num_vertices(), p, 0.0, 40, 1)
-            .unwrap();
-    assert!(shallow_cc.converged && deep_cc.converged);
-    assert!(deep_cc.rounds > shallow_cc.rounds + 4);
+    let (shallow_rounds, _) = label_propagation(&shallow, p, 1);
+    let (deep_rounds, _) = label_propagation(&deep, p, 1);
+    assert!(deep_rounds > shallow_rounds + 4);
 
-    let dense_edges = dense_graph(deep.num_vertices(), 40, 9, "E");
-    let dense = run_dense_cc(&dense_edges, deep.num_vertices(), p, 0.0, 2).unwrap();
-    assert!(dense.correct);
-    assert_eq!(dense.result.num_rounds(), 2);
-    assert!(dense.within_budget);
-
-    let dense_on_sparse =
-        run_dense_cc(&deep.edge_relation("E"), deep.num_vertices(), p, 0.0, 2).unwrap();
-    assert!(dense_on_sparse.correct);
-    assert!(!dense_on_sparse.within_budget);
+    let cluster = Cluster::new(MpcConfig::new(p, 0.0)).unwrap();
+    let n = deep.num_vertices();
+    for (edges, dense_input) in
+        [(dense_graph(n, 40, 9, "E"), true), (deep.edge_relation("E"), false)]
+    {
+        let run = cluster.run(&DenseTwoRoundCc::new(2), &edge_database(&edges, n)).unwrap();
+        assert!(partition_matches(&run.output, &edges, n));
+        assert_eq!(run.num_rounds(), 2);
+        assert_eq!(run.within_budget(), dense_input, "within budget exactly on the dense input");
+    }
 }
 
 /// Path doubling computes the transitive closure in logarithmically many
@@ -77,12 +86,17 @@ fn transitive_closure_round_communication_tradeoff() {
         (1..33u64).map(|i| [i, i + 1]).collect::<Vec<_>>(),
     )
     .unwrap();
-    let outcome = tc_rounds_to_completion(&edges, 33, 8, 0.5, 10, 4).unwrap();
-    assert!(outcome.complete);
-    assert!(outcome.rounds <= 7, "path doubling should need ~log2(32)+1 rounds");
-    assert_eq!(outcome.result.output.len(), 32 * 33 / 2);
+    let (db, cluster) = (edge_database(&edges, 33), Cluster::new(MpcConfig::new(8, 0.5)).unwrap());
+    let (rounds, complete, run) = rounds_until_right(10, |rounds| {
+        let run = cluster.run(&PathDoublingTc::new(rounds, 8, 4), &db)?;
+        Ok((closure_matches(&run.output, &edges), run))
+    })
+    .unwrap();
+    assert!(complete);
+    assert!(rounds <= 7, "path doubling should need ~log2(32)+1 rounds");
+    assert_eq!(run.output.len(), 32 * 33 / 2);
     assert_eq!(sequential_reachability(&edges).len(), 32 * 33 / 2);
     // The shuffle volume far exceeds the input size: rounds were bought
     // with communication.
-    assert!(outcome.result.total_bytes() > edges.size_in_bytes() * 8);
+    assert!(run.total_bytes() > edges.size_in_bytes() * 8);
 }

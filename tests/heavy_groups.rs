@@ -1,5 +1,5 @@
 //! The one server-group type both skew planners carve: the residual plans
-//! of `mpc-skew` and the pattern groups of the worst-case optimal plan are
+//! of `mpc_core::skew` and the pattern groups of the worst-case optimal plan are
 //! `mpc_core::heavy::Group`s, and `group_of_server` is the one owner lookup
 //! the programs route and report by.
 

@@ -60,12 +60,12 @@ impl RouteSink for Tap<'_> {
 }
 
 /// Delegates everything to `inner` and records what it routes.
-struct Recorder<'a, P> {
+struct Recorder<'a, P: ?Sized> {
     inner: &'a P,
     log: Mutex<BTreeMap<(usize, String), Trace>>,
 }
 
-impl<'a, P: MpcProgram> Recorder<'a, P> {
+impl<'a, P: MpcProgram + ?Sized> Recorder<'a, P> {
     fn new(inner: &'a P) -> Self {
         Recorder { inner, log: Mutex::new(BTreeMap::new()) }
     }
@@ -106,7 +106,7 @@ impl<'a, P: MpcProgram> Recorder<'a, P> {
     }
 }
 
-impl<P: MpcProgram> MpcProgram for Recorder<'_, P> {
+impl<P: MpcProgram + ?Sized> MpcProgram for Recorder<'_, P> {
     fn num_rounds(&self) -> usize {
         self.inner.num_rounds()
     }
@@ -158,13 +158,36 @@ impl<P: MpcProgram> MpcProgram for Recorder<'_, P> {
 
 /// Run `program` on `db` under the recorder; the output must be the
 /// sequential join unless the program is a partial one.
-fn trace<P: MpcProgram>(program: &P, q: &Query, db: &Database, p: usize, exact: bool) -> Trace {
+fn trace<P: MpcProgram + ?Sized>(
+    program: &P,
+    q: &Query,
+    db: &Database,
+    p: usize,
+    exact: bool,
+) -> Trace {
     let recorder = Recorder::new(program);
     let result = Cluster::new(MpcConfig::new(p, 1.0)).unwrap().run(&recorder, db).unwrap();
     if exact {
         assert!(result.output.same_tuples(&evaluate(q, db).unwrap()), "{}", q.name());
     }
     recorder.fingerprint()
+}
+
+/// [`trace`] of `program`, which the same program built by
+/// [`PlannerChoice::build`] must match: `build` only dispatches.
+fn trace_built<P: MpcProgram>(
+    program: &P,
+    choice: PlannerChoice,
+    q: &Query,
+    db: &Database,
+    p: usize,
+    seed: u64,
+) -> Trace {
+    let analysis = QueryAnalysis::analyze(q).unwrap();
+    let built = choice.build(&analysis, db, p, seed).unwrap();
+    let traced = trace(program, q, db, p, true);
+    assert_eq!(trace(built.as_ref(), q, db, p, true), traced, "{choice} on {}", q.name());
+    traced
 }
 
 /// The heavy values of every variable, by probing the domain — the one
@@ -191,10 +214,11 @@ fn shape(heavy: &HeavyValues, groups: &[Group], q: &Query, n: u64) -> Vec<String
 fn hypercube_triangle_routing_is_pinned() {
     let q = families::triangle();
     let db = matching_database(&q, 600, 7);
+    let hc = PlannerChoice::OneRoundHyperCube;
     let small = HyperCubeProgram::new(&q, 8, 42).unwrap();
-    assert_eq!(trace(&small, &q, &db, 8, true), (14856406840721113320, 1800, 3600));
+    assert_eq!(trace_built(&small, hc, &q, &db, 8, 42), (14856406840721113320, 1800, 3600));
     let large = HyperCubeProgram::new(&q, 64, 42).unwrap();
-    assert_eq!(trace(&large, &q, &db, 64, true), (14104157559195680997, 1800, 7200));
+    assert_eq!(trace_built(&large, hc, &q, &db, 64, 42), (14104157559195680997, 1800, 7200));
 }
 
 #[test]
@@ -214,12 +238,14 @@ fn multi_round_chain_routing_is_pinned() {
     let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
     let program = PlanProgram::new(&plan, 8, 2).unwrap();
     assert_eq!(program.num_rounds(), 3);
-    assert_eq!(trace(&program, &q, &db, 8, true), (14704911742004079219, 4268, 4268));
+    let choice = PlannerChoice::MultiRound { plan_epsilon: Rational::ZERO };
+    assert_eq!(trace_built(&program, choice, &q, &db, 8, 2), (14704911742004079219, 4268, 4268));
 }
 
 #[test]
 fn skew_resilient_routing_and_plans_are_pinned() {
     let policy = HeavyHitterPolicy::default();
+    let choice = PlannerChoice::OneRoundSkewResilient { scale: policy.scale };
 
     let q = families::chain(2);
     let db = zipf_database(&q, 3000, 3000, 1.2, 5);
@@ -228,7 +254,7 @@ fn skew_resilient_routing_and_plans_are_pinned() {
         shape(program.plan_set().heavy(), program.plan_set().plans(), &q, 3000),
         ["[] [1, 2, 3, 4] []", "[] [1, 25, 1] @0+25", "[1] [1, 1, 7] @25+7",]
     );
-    assert_eq!(trace(&program, &q, &db, 32, true), (15620753659358018653, 6000, 6030));
+    assert_eq!(trace_built(&program, choice, &q, &db, 32, 42), (15620753659358018653, 6000, 6030));
 
     let q = families::triangle();
     let db = heavy_hitter_database(&q, 1000, 2000, 0.5, 11);
@@ -247,7 +273,7 @@ fn skew_resilient_routing_and_plans_are_pinned() {
             "[0, 1, 2] [1, 1, 1] @27+1",
         ]
     );
-    assert_eq!(trace(&program, &q, &db, 32, true), (776147128319156622, 6000, 18001));
+    assert_eq!(trace_built(&program, choice, &q, &db, 32, 42), (776147128319156622, 6000, 18001));
 }
 
 #[test]
@@ -264,7 +290,8 @@ fn wco_routing_and_plans_are_pinned() {
         shape(program.plan().heavy(), program.plan().patterns(), &q, 2400),
         ["[1, 2] [1, 2] [1, 2]", "[] [3, 3, 2] @0+26", "[0, 1, 2] [1, 1, 1] @18+1",]
     );
-    assert_eq!(trace(&program, &q, &db, 27, true), (17469224017460809696, 324, 824));
+    let wco = PlannerChoice::WorstCaseOptimal;
+    assert_eq!(trace_built(&program, wco, &q, &db, 27, 5), (17469224017460809696, 324, 824));
 
     let sampled = DbStatistics::collect(&db, StatsMode::Sampled { budget: 200, seed: 3 });
     let program = WcoProgram::new_with_stats(&q, &db, 27, 5, &sampled).unwrap();
@@ -298,5 +325,5 @@ fn wco_routing_and_plans_are_pinned() {
             "[0, 1, 2] [1, 1, 1] @25+1",
         ]
     );
-    assert_eq!(trace(&program, &q, &db, 27, true), (16196464149606346382, 9004, 14014));
+    assert_eq!(trace_built(&program, wco, &q, &db, 27, 5), (16196464149606346382, 9004, 14014));
 }

@@ -1,4 +1,4 @@
-//! Integration tests of the skew-resilient HyperCube (`mpc-skew`): load
+//! Integration tests of the skew-resilient HyperCube (`mpc_core::skew`): load
 //! guarantees on skewed inputs where the vanilla HyperCube fails, output
 //! equality against both the vanilla run and the sequential join, and the
 //! heavy/light partition invariants of the residual-plan routing.
