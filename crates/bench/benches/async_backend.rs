@@ -10,7 +10,8 @@
 //! * `queue_capacity` — the async backend under shrinking per-link
 //!   windows (more backpressure, more drain-retry cycles);
 //! * `schedule_replay` — the virtual-clock simulation alone
-//!   ([`mpc_sim::schedule::simulate`]) on synthetic traffic, the pure
+//!   ([`mpc_sim::schedule::simulate`], the one-round-overlap replay
+//!   `run_async` reports) on synthetic traffic, the pure
 //!   discrete-event-loop cost.
 //!
 //! With `MPC_BENCH_JSON=<dir>` (or `--json <path>`) the bench also writes

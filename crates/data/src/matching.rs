@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use mpc_cq::Query;
-use mpc_storage::{Database, Relation, Tuple};
+use mpc_storage::{Database, Relation};
 
 /// Generate a uniformly random `arity`-dimensional matching over `[n]`.
 ///
@@ -38,17 +38,6 @@ pub fn matching_relation(name: &str, arity: usize, n: u64, rng: &mut StdRng) -> 
         row.push(i as u64 + 1);
         row.extend(perms.iter().map(|perm| perm[i]));
         rel.insert_row(&row).expect("arity is consistent by construction");
-    }
-    rel
-}
-
-/// The identity matching `{(1,…,1), (2,…,2), …, (n,…,n)}` of the given
-/// arity (the `id_M` instance used in the retraction argument of
-/// Lemma 4.12).
-pub fn identity_matching(name: &str, arity: usize, n: u64) -> Relation {
-    let mut rel = Relation::empty(name, arity);
-    for v in 1..=n {
-        rel.insert(Tuple(vec![v; arity])).expect("arity is consistent by construction");
     }
     rel
 }
@@ -100,14 +89,6 @@ mod tests {
             assert_eq!(rel.len(), 50);
             assert!(is_matching(&rel, 50), "arity {arity}");
         }
-    }
-
-    #[test]
-    fn identity_matching_shape() {
-        let rel = identity_matching("S", 3, 5);
-        assert_eq!(rel.len(), 5);
-        assert!(rel.contains(&Tuple::from([3, 3, 3])));
-        assert!(is_matching(&rel, 5));
     }
 
     #[test]

@@ -37,14 +37,12 @@ impl Cluster {
         &self.config
     }
 
-    /// Execute a program on the given input database.
+    /// Execute a program on the given input database. A round over the
+    /// load budget is recorded in its [`RoundStats`], not refused.
     ///
     /// # Errors
     ///
-    /// Propagates program errors, reports out-of-range destinations, and —
-    /// if the configuration requests hard budgets — returns
-    /// [`SimError::Overload`] when a server receives more than
-    /// `c · N / p^{1−ε}` bytes in a round.
+    /// Propagates program errors and reports out-of-range destinations.
     pub fn run<P: MpcProgram + ?Sized>(&self, program: &P, db: &Database) -> Result<RunResult> {
         let p = self.config.p;
         let input_bytes = db.total_bytes();
@@ -90,14 +88,7 @@ impl Cluster {
             }
 
             // -- Accounting ----------------------------------------------------
-            let stats = self.round_stats(round, &servers, input_bytes, budget_bytes);
-            if stats.exceeds_budget && self.config.fail_on_overload {
-                let per_server: Vec<u64> =
-                    servers.iter().map(|s| s.bytes_received_in_round(round)).collect();
-                let (server, received_bytes) = overloaded_server(&per_server);
-                return Err(SimError::Overload { round, server, received_bytes, budget_bytes });
-            }
-            rounds.push(stats);
+            rounds.push(self.round_stats(round, &servers, input_bytes, budget_bytes));
 
             // -- Local computation --------------------------------------------
             let computed: Vec<Result<Vec<Relation>>> =
@@ -194,13 +185,6 @@ pub fn build_round_stats(
         },
         balance_ratio: if mean == 0.0 { 1.0 } else { max_bytes_received as f64 / mean },
     }
-}
-
-/// The server blamed for an overloaded round: the one that received the
-/// most bytes (ties broken towards the highest id, as `max_by_key`
-/// resolves them — kept identical across backends).
-pub fn overloaded_server(per_server_bytes: &[u64]) -> (usize, u64) {
-    per_server_bytes.iter().copied().enumerate().max_by_key(|(_, b)| *b).expect("p >= 1")
 }
 
 /// Union the per-server outputs into the final (deduplicated) result
@@ -307,20 +291,9 @@ mod tests {
         assert!(result.within_budget());
         // Load should be far below the whole input.
         assert!(result.max_load_bytes() < db.total_bytes() / 4);
-    }
-
-    #[test]
-    fn hard_budget_overload_is_reported() {
-        let q = families::chain(2);
-        let db = matching_database(&q, 200, 2);
-        // Broadcasting to 8 servers with ε = 0 must blow the budget.
-        let cluster = Cluster::new(MpcConfig::new(8, 0.0).with_hard_budget()).unwrap();
-        let err = cluster.run(&BroadcastProgram::new(q.clone()), &db).unwrap_err();
-        assert!(matches!(err, SimError::Overload { round: 1, .. }));
-        // The same program with soft budgets records the violation instead.
-        let soft = Cluster::new(MpcConfig::new(8, 0.0)).unwrap();
-        let result = soft.run(&BroadcastProgram::new(q), &db).unwrap();
-        assert!(!result.within_budget());
+        // Broadcasting the same input at ε = 0 blows the budget: recorded,
+        // not refused.
+        assert!(!cluster.run(&BroadcastProgram::new(q), &db).unwrap().within_budget());
     }
 
     #[test]

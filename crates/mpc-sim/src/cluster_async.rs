@@ -13,23 +13,16 @@
 //! every core records the blocks it ingested, and the records are replayed
 //! on a virtual clock ([`crate::schedule`]) into a [`ScheduleStats`]
 //! timeline — busy / blocked / idle spans, per-round barrier waits,
-//! critical path and makespan under a configurable [`CostModel`], with
-//! deterministic seeded straggler injection ([`StragglerSpec`]). The replay
-//! is a pure function of the recorded traffic, not of how the threads
-//! happened to interleave.
+//! critical path and makespan under [`CostModel::default`], with one round
+//! of overlap and deterministic seeded straggler injection
+//! ([`StragglerSpec`]). The replay is a pure function of the recorded
+//! traffic, not of how the threads happened to interleave.
 //!
 //! **Equivalence.** A worker computes exactly when it holds the packets
 //! the synchronous backend would have delivered to it, so the two
 //! backends produce identical join outputs and identical per-round
 //! communication volumes for every [`MpcProgram`] — which callers check
-//! with [`RunResult::divergence`]. One deliberate difference remains: with
-//! [`crate::MpcConfig::fail_on_overload`] the synchronous backend aborts
-//! *at* the violating round, while the async backend — having no global
-//! view mid-flight — finishes the run and reports the same
-//! [`SimError::Overload`] afterwards. A corollary: if the program itself
-//! errors in a round *after* the overload, the async backend surfaces that
-//! program error, where the synchronous backend would have stopped at the
-//! overload first.
+//! with [`RunResult::divergence`].
 //!
 //! ```
 //! use mpc_sim::{AsyncConfig, Cluster, MpcConfig};
@@ -58,16 +51,16 @@ use crate::stats::RunResult;
 use crate::worker::fold_summaries;
 use crate::Result;
 
-/// Configuration of the event-driven backend: transport bounds, the
-/// virtual-clock cost model and optional straggler injection.
+/// Configuration of the event-driven backend: transport bounds and
+/// optional straggler injection. Its defaults are the lane and block sizes
+/// of every in-process run, the query service's included.
 ///
 /// ```
-/// use mpc_sim::{AsyncConfig, CostModel, StragglerSpec};
+/// use mpc_sim::{AsyncConfig, StragglerSpec};
 ///
 /// let cfg = AsyncConfig::new()
 ///     .with_queue_capacity(16)
 ///     .with_block_capacity(128)
-///     .with_cost(CostModel::zero_latency())
 ///     .with_straggler(StragglerSpec::new(42, 1, 8));
 /// assert_eq!((cfg.queue_capacity, cfg.block_capacity), (16, 128));
 /// ```
@@ -79,30 +72,19 @@ pub struct AsyncConfig {
     /// Tuples per block on the wire (clamped to ≥ 1). Capacity 1
     /// degenerates to per-tuple packets.
     pub block_capacity: usize,
-    /// Rounds of overlap the virtual-clock replay models (0 = strict
-    /// round-synchronous replay, 1 = the double-buffered plane).
-    pub pipeline_depth: usize,
-    /// The virtual-clock cost model for [`ScheduleStats`].
-    pub cost: CostModel,
     /// Deterministic straggler injection, if any.
     pub straggler: Option<StragglerSpec>,
 }
 
 impl Default for AsyncConfig {
     fn default() -> Self {
-        AsyncConfig {
-            queue_capacity: 64,
-            block_capacity: 256,
-            pipeline_depth: 1,
-            cost: CostModel::default(),
-            straggler: None,
-        }
+        AsyncConfig { queue_capacity: 64, block_capacity: 256, straggler: None }
     }
 }
 
 impl AsyncConfig {
-    /// The default configuration (64-packet lanes, 256-tuple blocks,
-    /// double-buffered replay, default costs, no stragglers).
+    /// The default configuration (64-packet lanes, 256-tuple blocks, no
+    /// stragglers).
     pub fn new() -> Self {
         AsyncConfig::default()
     }
@@ -119,20 +101,6 @@ impl AsyncConfig {
     #[must_use]
     pub fn with_block_capacity(mut self, capacity: usize) -> Self {
         self.block_capacity = capacity.max(1);
-        self
-    }
-
-    /// Builder-style: set the pipeline depth of the schedule replay.
-    #[must_use]
-    pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// Builder-style: set the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -164,15 +132,13 @@ impl Cluster {
     ///
     /// Join output and per-round volume statistics are identical to
     /// [`Cluster::run`]; the additional [`ScheduleStats`] describes *when*
-    /// the bytes moved under `async_config`'s cost model.
+    /// the bytes moved under [`CostModel::default`].
     ///
     /// # Errors
     ///
     /// Propagates program errors and out-of-range destinations like the
     /// synchronous backend, chosen by the mesh's failure policy
-    /// ([`crate::mesh`]). With [`crate::MpcConfig::fail_on_overload`] the
-    /// same [`SimError::Overload`] is returned, but only after the run
-    /// completes (no global mid-flight view exists).
+    /// ([`crate::mesh`]).
     pub fn run_async<P: MpcProgram>(
         &self,
         program: &P,
@@ -210,15 +176,9 @@ impl Cluster {
             Some(spec) => spec.slowdown_vector(p),
             None => vec![1; p],
         };
-        let schedule = schedule::simulate_overlapped(
-            p,
-            program.num_rounds(),
-            &traffic,
-            &async_config.cost,
-            &slowdown,
-            capacity,
-            async_config.pipeline_depth,
-        );
+        let cost = CostModel::default();
+        let schedule =
+            schedule::simulate(p, program.num_rounds(), &traffic, &cost, &slowdown, capacity);
         Ok(AsyncRunResult { result, schedule, pool })
     }
 }
@@ -389,16 +349,6 @@ mod tests {
         // Must return an error, not hang at the round-1 barrier.
         let err = cluster.run_async(&PanicInput, &db, &AsyncConfig::new()).unwrap_err();
         assert!(matches!(err, SimError::Program(_)));
-    }
-
-    #[test]
-    fn hard_budget_overload_is_reported_post_hoc() {
-        let q = families::chain(2);
-        let db = matching_database(&q, 200, 2);
-        let cluster = Cluster::new(MpcConfig::new(8, 0.0).with_hard_budget()).unwrap();
-        let err =
-            cluster.run_async(&BroadcastProgram::new(q), &db, &AsyncConfig::new()).unwrap_err();
-        assert!(matches!(err, SimError::Overload { round: 1, .. }));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * per-server, per-round received bytes/tuples (maximum and total),
 //! * the replication rate of each round,
 //! * the number of rounds,
-//! * whether the configured load budget `c · N / p^{1−ε}` was respected.
+//! * whether the load budget `c · N / p^{1−ε}` was respected.
 //!
 //! Two backends execute programs. [`Cluster::run`] is the
 //! **round-synchronous** reference: a global barrier between delivery and
@@ -59,7 +59,7 @@ pub mod stats;
 pub mod worker;
 
 pub use block::{BlockAssembler, TupleBlock};
-pub use cluster::{build_round_stats, overloaded_server, union_outputs, Cluster};
+pub use cluster::{build_round_stats, union_outputs, Cluster};
 pub use cluster_async::{AsyncConfig, AsyncRunResult};
 pub use config::MpcConfig;
 pub use error::SimError;
@@ -71,8 +71,8 @@ pub use schedule::{CostModel, MsgRecord, ScheduleStats, ServerTimeline, Straggle
 pub use server::{RoundStage, ServerState};
 pub use stats::{RoundStats, RunResult};
 pub use worker::{
-    fold_summaries, Input, Link, Packet, RestorePoint, SendOutcome, Step, Transport, WorkerCore,
-    WorkerSummary,
+    fold_summaries, resolve_reports, Input, Link, Packet, RestorePoint, SendOutcome, Step,
+    Transport, WorkerCore, WorkerSummary,
 };
 
 /// Convenience result alias used across this crate.

@@ -29,9 +29,10 @@
 //! of the `p` reactors reports exactly once per job: one `(job, server,
 //! Result<WorkerSummary>)` on a channel that [`Mesh::next_done`] folds. A
 //! routing error (or panic) cancels the job on every reactor. The job's
-//! result is the routing error if there was one, else the error of the
-//! lowest server that is not [`SimError::Aborted`], else `Aborted`, else the
-//! `p` summaries in server order. Jobs start in id order, so a reactor drops
+//! result is the routing error if there was one, else what
+//! [`resolve_reports`] makes of the `p` reports: the error of the lowest
+//! server that is not [`SimError::Aborted`], else `Aborted`, else the `p`
+//! summaries in server order. Jobs start in id order, so a reactor drops
 //! any late packet of a job that is over on it and buffers only packets that
 //! raced ahead of their job's `Start`: no reactor keeps a core or a packet
 //! of a finished or failed job.
@@ -50,7 +51,7 @@ use crate::pool::{BlockPool, PoolStats};
 use crate::program::MpcProgram;
 use crate::queue::{Inbox, InboxReceiver, LinkSender, SendAttempt};
 use crate::worker::{
-    route_input, Input, Link, Packet, SendOutcome, Step, WorkerCore, WorkerSummary,
+    resolve_reports, route_input, Input, Link, Packet, SendOutcome, Step, WorkerCore, WorkerSummary,
 };
 use crate::Result;
 
@@ -336,15 +337,8 @@ where
                 if let Some(e) = routing {
                     return Some((job, Err(e)));
                 }
-                let (mut summaries, mut aborted) = (Vec::with_capacity(reports.len()), None);
-                for report in reports.into_iter().flatten() {
-                    match report {
-                        Ok(summary) => summaries.push(summary),
-                        Err(e @ SimError::Aborted(_)) => aborted = aborted.or(Some(e)),
-                        Err(e) => return Some((job, Err(e))),
-                    }
-                }
-                return Some((job, aborted.map_or(Ok(summaries), Err)));
+                let unwound = |e: &SimError| matches!(e, SimError::Aborted(_));
+                return Some((job, resolve_reports(reports.into_iter().flatten(), unwound)));
             }
         }
         None

@@ -32,16 +32,6 @@ impl Routed {
     pub fn new<S: Into<String>>(tag: S, tuple: Tuple, destinations: Vec<usize>) -> Self {
         Routed { tag: tag.into(), tuple, destinations }
     }
-
-    /// Size in bytes of a single delivery of this tuple (8 bytes per value).
-    pub fn bytes_per_delivery(&self) -> u64 {
-        (self.tuple.arity() as u64) * 8
-    }
-
-    /// The replication of this tuple: how many servers receive it.
-    pub fn replication(&self) -> usize {
-        self.destinations.len()
-    }
 }
 
 #[cfg(test)]
@@ -51,8 +41,7 @@ mod tests {
     #[test]
     fn construction_and_accounting() {
         let r = Routed::new("S1", Tuple::from([1, 2, 3]), vec![0, 4]);
-        assert_eq!(r.bytes_per_delivery(), 24);
-        assert_eq!(r.replication(), 2);
         assert_eq!(r.tag, "S1");
+        assert_eq!(r.destinations, [0, 4]);
     }
 }

@@ -431,7 +431,6 @@ mod tests {
             barrier_wait: Vec::new(),
             stragglers: Vec::new(),
             queue_window: 1,
-            pipeline_depth: 0,
         }
     }
 

@@ -209,10 +209,6 @@ pub struct ScheduleStats {
     pub stragglers: Vec<usize>,
     /// The per-link send window (packets) the run was simulated with.
     pub queue_window: usize,
-    /// How many rounds ahead a worker may ingest while its current round
-    /// drains: 0 is the strict round-synchronous replay, 1 models the
-    /// double-buffered data plane.
-    pub pipeline_depth: usize,
 }
 
 impl ScheduleStats {
@@ -277,9 +273,12 @@ impl std::fmt::Display for ScheduleStats {
 /// the result is independent of the arrival interleaving of the real
 /// threaded execution.
 ///
-/// This is the strict round-synchronous replay: a worker never touches a
-/// packet of a round it has not reached. Equivalent to
-/// [`simulate_overlapped`] with `pipeline_depth = 0`.
+/// Rounds are **double-buffered**, like the data plane: a worker that has
+/// nothing left to do in its current round may already ingest the next
+/// round's arrived packets (hashing round `r+1` while round `r` lanes
+/// drain) instead of sitting idle. Packets of the current round always
+/// take priority, so overlap never reorders a per-link FIFO — the loop
+/// asserts this.
 pub fn simulate(
     p: usize,
     num_rounds: usize,
@@ -288,27 +287,8 @@ pub fn simulate(
     slowdown: &[u64],
     window: usize,
 ) -> ScheduleStats {
-    simulate_overlapped(p, num_rounds, traffic, cost, slowdown, window, 0)
-}
-
-/// [`simulate`] with **double-buffered rounds**: a worker that has nothing
-/// left to do in its current round may already ingest packets up to
-/// `pipeline_depth` rounds ahead (hashing round `r+1` while round `r`
-/// lanes drain), instead of sitting idle. Packets of the current round
-/// always take priority, so overlap never reorders a per-link FIFO — the
-/// loop asserts this. `pipeline_depth = 0` reproduces the strict
-/// round-synchronous schedule exactly.
-pub fn simulate_overlapped(
-    p: usize,
-    num_rounds: usize,
-    traffic: &[MsgRecord],
-    cost: &CostModel,
-    slowdown: &[u64],
-    window: usize,
-    pipeline_depth: usize,
-) -> ScheduleStats {
     let window = window.max(1);
-    let run = EventLoop::new(p, num_rounds, traffic, cost, slowdown, window, pipeline_depth).run();
+    let run = EventLoop::new(p, num_rounds, traffic, cost, slowdown, window).run();
 
     let servers: Vec<ServerTimeline> = (0..p)
         .map(|i| ServerTimeline {
@@ -329,12 +309,11 @@ pub fn simulate_overlapped(
         .collect();
     ScheduleStats {
         makespan: run.finish.iter().copied().max().unwrap_or(0),
-        critical_path: critical_path_bound(p, num_rounds, traffic, cost, slowdown, pipeline_depth),
+        critical_path: critical_path_bound(p, num_rounds, traffic, cost, slowdown),
         servers,
         barrier_wait,
         stragglers: slowdown.iter().enumerate().filter(|(_, &s)| s > 1).map(|(i, _)| i).collect(),
         queue_window: window,
-        pipeline_depth,
     }
 }
 
@@ -342,27 +321,22 @@ pub fn simulate_overlapped(
 /// execution of this traffic could achieve, considering only (a) chains of
 /// data dependencies (a packet cannot be ingested before its sender's
 /// round started, its predecessors on the same uplink serialized, the wire
-/// latency elapsed, and its own ingest ran) and (b) each server's
-/// cumulative single-resource work per round (all serializations plus all
-/// ingests precede the round's compute).
+/// latency elapsed, and its own ingest ran), (b) each server's per-round
+/// sends (they sit between the previous compute and this one; its ingests
+/// may overlap the previous round) and (c) a per-server **total-work
+/// floor**: one resource must eventually do *all* of its serialization,
+/// ingest and compute ticks.
 ///
-/// Both are true of the event loop regardless of window size or action
-/// interleaving, so `makespan >= critical_path` holds by construction —
-/// scheduling choices and backpressure can only add waiting on top.
-///
-/// With `pipeline_depth > 0` a round's ingest work may overlap earlier
-/// rounds, so the per-round work bound drops its ingest term (only the
-/// round's sends are guaranteed to sit between the previous compute and
-/// this one); the chain bound still holds, and a per-server **total-work
-/// floor** (one resource must eventually do *all* of its serialization,
-/// ingest and compute ticks) is added back globally.
+/// All three are true of the event loop regardless of window size or
+/// action interleaving, so `makespan >= critical_path` holds by
+/// construction — scheduling choices and backpressure can only add waiting
+/// on top.
 fn critical_path_bound(
     p: usize,
     num_rounds: usize,
     traffic: &[MsgRecord],
     cost: &CostModel,
     slowdown: &[u64],
-    pipeline_depth: usize,
 ) -> u64 {
     let slow = |id: usize| if id < p { slowdown[id].max(1) } else { 1 };
     let num_actors = traffic.iter().map(|m| m.from + 1).max().unwrap_or(p).max(p);
@@ -399,12 +373,9 @@ fn critical_path_bound(
                 .max(uplink[m.from].saturating_add(cost.link_latency).saturating_add(ing));
         }
         for i in 0..p {
-            // Work bound: one resource does all the round's sends — and,
-            // without overlap, all the round's ingests — before computing.
-            let mut work = ready[i].saturating_add(send_work[i]);
-            if pipeline_depth == 0 {
-                work = work.saturating_add(recv_work[i]);
-            }
+            // Work bound: one resource does all the round's sends before
+            // computing.
+            let work = ready[i].saturating_add(send_work[i]);
             let compute = recv_tuples[i]
                 .saturating_mul(cost.compute_ticks_per_tuple)
                 .saturating_add(cost.round_overhead)
@@ -467,10 +438,9 @@ struct Actor {
     out: Vec<Vec<OutMsg>>,
     out_idx: usize,
     /// Arrived-but-not-ingested packets, per round (index `round - 1`).
-    /// A server only ingests its *current* round's packets; packets that
-    /// race ahead wait here, exactly like the thread backend's stash —
-    /// this keeps each round's ingest work inside that round's timeline,
-    /// which the critical-path work bound relies on.
+    /// A server ingests its *current* round's packets first and the next
+    /// round's only while it waits; packets that race further ahead wait
+    /// here, like the thread backend's stash.
     pending: Vec<BinaryHeap<Reverse<Offer>>>,
     /// Packets ingested so far, per round (index `round - 1`).
     ingested: Vec<u64>,
@@ -530,8 +500,6 @@ struct EventLoop<'a> {
     cost: &'a CostModel,
     slowdown: &'a [u64],
     window: usize,
-    /// Rounds ahead of its current one a worker may ingest from.
-    depth: usize,
     actors: Vec<Actor>,
     /// In-flight (sent, not yet ingested) packet count per link
     /// `from * p + to`.
@@ -552,7 +520,6 @@ impl<'a> EventLoop<'a> {
         cost: &'a CostModel,
         slowdown: &'a [u64],
         window: usize,
-        depth: usize,
     ) -> Self {
         assert_eq!(slowdown.len(), p, "one slowdown multiplier per worker");
         let num_actors = traffic.iter().map(|m| m.from + 1).max().unwrap_or(p).max(p);
@@ -598,7 +565,6 @@ impl<'a> EventLoop<'a> {
             cost,
             slowdown,
             window,
-            depth,
             actors,
             in_flight: vec![0; num_actors * p],
             last_ingest: vec![(0, 0); num_actors * p],
@@ -737,17 +703,15 @@ impl<'a> EventLoop<'a> {
             return;
         }
 
-        // 4. The current round is waiting on arrivals. With a pipeline
-        //    depth `d > 0`, fill the wait by pre-ingesting an arrived
-        //    packet up to `d` rounds ahead — the double-buffered data
-        //    plane hashing round `r+1` tuples while round `r` lanes
-        //    drain. The current round always takes priority (steps 1–3),
-        //    so overlap never reorders a per-link FIFO; packets beyond the
-        //    depth window keep waiting in their pending heap.
-        let horizon = current.saturating_add(self.depth).min(self.num_rounds - 1);
-        let ahead =
-            ((current + 1)..=horizon).find_map(|r| self.actors[id].pending[r].pop().map(|o| o.0));
-        if let Some(offer) = ahead {
+        // 4. The current round is waiting on arrivals. Fill the wait by
+        //    pre-ingesting an arrived packet of the next round — the
+        //    double-buffered data plane hashing round `r+1` tuples while
+        //    round `r` lanes drain. The current round always takes
+        //    priority (steps 1–3), so overlap never reorders a per-link
+        //    FIFO; packets further ahead keep waiting in their pending
+        //    heap.
+        let ahead = self.actors[id].pending.get_mut(current + 1).and_then(BinaryHeap::pop);
+        if let Some(Reverse(offer)) = ahead {
             self.ingest_offer(id, offer, now, slow);
             return;
         }
@@ -951,35 +915,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_depth_overlap_is_the_round_synchronous_schedule() {
-        let traffic = fanout(4, 40, 8);
-        let strict = simulate(4, 1, &traffic, &CostModel::default(), &[1; 4], 8);
-        let overlapped = simulate_overlapped(4, 1, &traffic, &CostModel::default(), &[1; 4], 8, 0);
-        assert_eq!(strict, overlapped);
-        assert_eq!(strict.pipeline_depth, 0);
-    }
-
-    #[test]
     fn pre_ingesting_the_next_round_fills_idle_time() {
         // Worker 0 waits ~1000 ticks for a huge round-1 packet while
-        // worker 1's round-2 packet sits arrived in its inbox. With
-        // pipeline depth 1 the wait absorbs that packet's ingest, so the
-        // makespan drops by exactly its 100 ingest ticks.
+        // worker 1's round-2 packet sits arrived in its inbox from tick
+        // 120. The wait absorbs that packet's 100 ingest ticks: round 1
+        // finishes at 1004 + 1000 + 24 and round 2 only computes (24),
+        // where a strict round-by-round replay would end at 2152.
         let traffic = vec![
             MsgRecord { round: 1, from: 2, to: 0, seq: 0, bytes: 1000, tuples: 1 },
             MsgRecord { round: 2, from: 1, to: 0, seq: 0, bytes: 100, tuples: 1 },
         ];
-        let cost = CostModel::default();
-        let strict = simulate_overlapped(2, 2, &traffic, &cost, &[1; 2], 8, 0);
-        let piped = simulate_overlapped(2, 2, &traffic, &cost, &[1; 2], 8, 1);
-        assert_eq!(strict.makespan, 2152);
+        let piped = simulate(2, 2, &traffic, &CostModel::default(), &[1; 2], 8);
         assert_eq!(piped.makespan, 2052);
+        assert_eq!(piped.servers[0].round_finish, [2028, 2052]);
         assert!(piped.makespan >= piped.critical_path);
         for s in &piped.servers {
             assert!(s.span_partition_holds());
         }
-        // The pre-ingested ticks moved from idle to busy, one for one.
-        assert_eq!(piped.total_idle() + 100, strict.total_idle());
+        // Worker 0 idles 0..120 and 220..1004 only.
+        assert_eq!(piped.servers[0].idle, 120 + 784);
     }
 
     #[test]
@@ -997,59 +951,6 @@ mod tests {
         // Same ingest bytes, same compute tuples; only per-packet latency
         // overlap may differ, which busy ticks don't include.
         assert_eq!(busy_compute(&a), busy_compute(&b));
-    }
-
-    #[test]
-    fn overlap_keeps_invariants_on_random_traffic() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // The depth-generalised loop must keep every schedule invariant —
-        // and its internal per-link FIFO assertion quiet — across
-        // adversarial shapes and depths.
-        let mut rng = StdRng::seed_from_u64(0xD00B1E);
-        for case in 0..200 {
-            let p = rng.gen_range(2..5usize);
-            let rounds = rng.gen_range(1..5usize);
-            let n = rng.gen_range(0..60usize);
-            let traffic: Vec<MsgRecord> = (0..n)
-                .map(|s| {
-                    let round = rng.gen_range(1..=rounds);
-                    let from =
-                        if round == 1 { p + rng.gen_range(0..2usize) } else { rng.gen_range(0..p) };
-                    MsgRecord {
-                        round,
-                        from,
-                        to: rng.gen_range(0..p),
-                        seq: s as u64,
-                        bytes: rng.gen_range(8..256),
-                        tuples: rng.gen_range(1..32),
-                    }
-                })
-                .collect();
-            let slowdown: Vec<u64> = (0..p).map(|_| rng.gen_range(1..6)).collect();
-            let window = [1usize, 2, 64][rng.gen_range(0..3usize)];
-            for depth in 0..3usize {
-                let stats = simulate_overlapped(
-                    p,
-                    rounds,
-                    &traffic,
-                    &CostModel::default(),
-                    &slowdown,
-                    window,
-                    depth,
-                );
-                assert!(
-                    stats.makespan >= stats.critical_path,
-                    "case {case} depth {depth}: makespan {} < critical path {}",
-                    stats.makespan,
-                    stats.critical_path
-                );
-                assert_eq!(stats.pipeline_depth, depth);
-                for s in &stats.servers {
-                    assert!(s.span_partition_holds(), "case {case} depth {depth} leaks");
-                }
-            }
-        }
     }
 
     #[test]

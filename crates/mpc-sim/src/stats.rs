@@ -25,7 +25,7 @@ pub struct RoundStats {
     /// Whether some server exceeded the budget this round.
     pub exceeds_budget: bool,
     /// `total_bytes_received / input_bytes`: the replication rate of this
-    /// round (the model allows up to `load_factor · p^ε`).
+    /// round (the model allows up to `c · p^ε`).
     pub replication_rate: f64,
     /// Ratio of max to mean received bytes: 1.0 means perfectly balanced.
     pub balance_ratio: f64,

@@ -61,7 +61,7 @@ use std::sync::Arc;
 use mpc_storage::{Database, Relation, Value};
 
 use crate::block::{BlockAssembler, TupleBlock};
-use crate::cluster::{build_round_stats, overloaded_server, union_outputs};
+use crate::cluster::{build_round_stats, union_outputs};
 use crate::config::MpcConfig;
 use crate::error::SimError;
 use crate::pool::BlockPool;
@@ -616,6 +616,30 @@ where
     outcome
 }
 
+/// The failure policy every runner of `p` workers shares. One job's
+/// per-server reports, in server order, resolve to the summaries when
+/// every server succeeded; else to the error of the lowest server that did
+/// not merely unwind after another one failed (`unwound` is false for it:
+/// the root cause); else to the first unwinding error.
+///
+/// # Errors
+///
+/// The chosen report's error.
+pub fn resolve_reports<T, E>(
+    reports: impl IntoIterator<Item = std::result::Result<T, E>>,
+    unwound: impl Fn(&E) -> bool,
+) -> std::result::Result<Vec<T>, E> {
+    let (mut summaries, mut first_unwound) = (Vec::new(), None);
+    for report in reports {
+        match report {
+            Ok(summary) => summaries.push(summary),
+            Err(e) if unwound(&e) => first_unwound = first_unwound.or(Some(e)),
+            Err(e) => return Err(e),
+        }
+    }
+    first_unwound.map_or(Ok(summaries), Err)
+}
+
 /// Fold the workers' summaries (in server order) into the [`RunResult`]
 /// every execution path agrees on — the same formulas as
 /// [`Cluster::run`](crate::Cluster::run), applied to the volumes the
@@ -623,8 +647,7 @@ where
 ///
 /// # Errors
 ///
-/// [`SimError::Overload`] under [`MpcConfig::fail_on_overload`] (for the
-/// first violating round, after the fact); output-arity mismatches.
+/// Output-arity mismatches.
 pub fn fold_summaries<P: MpcProgram + ?Sized>(
     config: &MpcConfig,
     program: &P,
@@ -638,12 +661,7 @@ pub fn fold_summaries<P: MpcProgram + ?Sized>(
         let bytes: Vec<u64> = summaries.iter().map(|s| volume(&s.per_round_bytes, round)).collect();
         let tuples: Vec<u64> =
             summaries.iter().map(|s| volume(&s.per_round_tuples, round)).collect();
-        let stats = build_round_stats(round, &bytes, &tuples, input_bytes, budget_bytes);
-        if stats.exceeds_budget && config.fail_on_overload {
-            let (server, received_bytes) = overloaded_server(&bytes);
-            return Err(SimError::Overload { round, server, received_bytes, budget_bytes });
-        }
-        rounds.push(stats);
+        rounds.push(build_round_stats(round, &bytes, &tuples, input_bytes, budget_bytes));
     }
     let (output, per_server_output) =
         union_outputs(program, summaries.into_iter().map(|s| s.output).collect())?;
@@ -891,12 +909,20 @@ mod tests {
             per_round_tuples: vec![tuples],
             traffic: Vec::new(),
         };
-        let soft = MpcConfig::new(2, 0.0);
-        let run = fold_summaries(&soft, &program, 80, vec![summary(11), summary(1)]).unwrap();
+        let config = MpcConfig::new(2, 0.0);
+        let run = fold_summaries(&config, &program, 80, vec![summary(11), summary(1)]).unwrap();
         assert_eq!((run.rounds[0].max_bytes_received, run.rounds[0].exceeds_budget), (88, true));
         assert_eq!(run.input_bytes, 80);
-        let err =
-            fold_summaries(&soft.with_hard_budget(), &program, 80, vec![summary(11), summary(1)]);
-        assert!(matches!(err, Err(SimError::Overload { round: 1, server: 0, .. })));
+    }
+
+    #[test]
+    fn the_lowest_root_cause_wins_over_unwinding_errors() {
+        let unwound = |e: &SimError| matches!(e, SimError::Aborted(_));
+        let aborted = SimError::Aborted("a peer aborted".into());
+        let failed = |server: usize| SimError::Program(format!("server {server} failed"));
+        assert_eq!(resolve_reports([Ok(0), Ok(1)], unwound), Ok(vec![0, 1]));
+        let reports = [Err(aborted.clone()), Ok(1), Err(failed(2)), Err(failed(3))];
+        assert_eq!(resolve_reports(reports, unwound), Err(failed(2)));
+        assert_eq!(resolve_reports([Ok(0), Err(aborted.clone())], unwound), Err(aborted));
     }
 }

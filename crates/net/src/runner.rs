@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use mpc_sim::worker::drive;
 use mpc_sim::{
-    fold_summaries, AsyncConfig, BlockPool, Cluster, Input, MpcProgram, RestorePoint, RunResult,
-    WorkerCore, WorkerSummary,
+    fold_summaries, resolve_reports, AsyncConfig, BlockPool, Cluster, Input, MpcProgram,
+    RestorePoint, RunResult, SimError, WorkerCore, WorkerSummary,
 };
 use mpc_storage::Database;
 
@@ -49,21 +49,21 @@ pub enum TransportKind {
     Tcp,
 }
 
-/// Configuration of a distributed run.
+/// Configuration of a distributed run. The in-process transport runs on
+/// [`AsyncConfig`]'s default lanes; TCP backpressure comes from the
+/// kernel's socket buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistConfig {
     /// The transport implementation.
     pub transport: TransportKind,
-    /// Per-link lane capacity, in packets (in-process transport only; TCP
-    /// backpressure comes from the kernel's socket buffers).
-    pub queue_capacity: usize,
     /// Tuples per block.
     pub block_capacity: usize,
 }
 
 impl Default for DistConfig {
     fn default() -> Self {
-        DistConfig { transport: TransportKind::InProcess, queue_capacity: 64, block_capacity: 256 }
+        let block_capacity = AsyncConfig::default().block_capacity;
+        DistConfig { transport: TransportKind::InProcess, block_capacity }
     }
 }
 
@@ -111,8 +111,9 @@ pub(crate) fn run_tcp_worker<P: MpcProgram + ?Sized>(
 ///
 /// # Errors
 ///
-/// Fails on program errors, worker death and protocol violations; the
-/// overload policy of the cluster's [`mpc_sim::MpcConfig`] applies.
+/// Fails on program errors, worker death and protocol violations. Of
+/// several failing workers, the root cause is reported, as on every
+/// backend ([`resolve_reports`]).
 pub fn run_distributed<P: MpcProgram>(
     cluster: &Cluster,
     program: &P,
@@ -121,9 +122,7 @@ pub fn run_distributed<P: MpcProgram>(
 ) -> Result<RunResult> {
     match cfg.transport {
         TransportKind::InProcess => {
-            let lanes = AsyncConfig::new()
-                .with_queue_capacity(cfg.queue_capacity)
-                .with_block_capacity(cfg.block_capacity);
+            let lanes = AsyncConfig::new().with_block_capacity(cfg.block_capacity);
             Ok(cluster.run_async(program, db, &lanes)?.result)
         }
         TransportKind::Tcp => {
@@ -164,12 +163,13 @@ fn run_tcp_threads<P: MpcProgram>(
             })
             .collect();
         let panicked = |who: &str| NetError::Protocol(format!("{who} thread panicked"));
-        // The first worker error wins; the master's only when every
-        // worker came through. (The scope joins whatever is left.)
-        let summaries: Result<Vec<WorkerSummary>> = handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err(panicked("worker"))))
-            .collect();
+        // A worker's root cause wins over the workers that only unwound
+        // after it, and the master's error counts only when every worker
+        // came through. (The scope joins whatever is left.)
+        let reports =
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|_| Err(panicked("worker"))));
+        let unwound = |e: &NetError| matches!(e, NetError::Sim(SimError::Aborted(_)));
+        let summaries = resolve_reports(reports, unwound);
         let served = master.join().unwrap_or_else(|_| Err(panicked("master")));
         summaries.and_then(|summaries| served.map(|()| summaries))
     })

@@ -31,22 +31,21 @@ use mpc_core::plan::PlannerChoice;
 use mpc_cq::Query;
 use mpc_lp::Rational;
 use mpc_sim::mesh::Mesh;
-use mpc_sim::{fold_summaries, MpcConfig, MpcProgram, RoundStats, RunResult, WorkerSummary};
+use mpc_sim::{
+    fold_summaries, AsyncConfig, MpcConfig, MpcProgram, RoundStats, RunResult, WorkerSummary,
+};
 use mpc_storage::{Database, Relation};
 
 use crate::{NetError, Result};
 
-/// Service shape and admission policy.
+/// Service shape and admission policy. The reactors run on
+/// [`AsyncConfig`]'s default lanes and blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Number of shared reactor workers (the cluster's `p`).
     pub p: usize,
     /// The space exponent ε of the per-query budget formula.
     pub epsilon: f64,
-    /// Per-link lane capacity of the reactor inboxes, in packets.
-    pub queue_capacity: usize,
-    /// Tuples per block.
-    pub block_capacity: usize,
     /// Admission capacity: the sum of admitted per-query budgets
     /// (`budget_bytes(N)` each) may not exceed this. A query larger than
     /// the whole capacity is admitted only when the service is idle.
@@ -61,14 +60,7 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// A default-shaped service over `p` workers at space exponent ε.
     pub fn new(p: usize, epsilon: f64) -> Self {
-        ServiceConfig {
-            p,
-            epsilon,
-            queue_capacity: 64,
-            block_capacity: 256,
-            admission_capacity_bytes: 64 << 20,
-            deferral_depth: 16,
-        }
+        ServiceConfig { p, epsilon, admission_capacity_bytes: 64 << 20, deferral_depth: 16 }
     }
 }
 
@@ -231,7 +223,8 @@ impl QueryService {
         let config = MpcConfig::new(cfg.p, cfg.epsilon);
         // Validate the shape through the simulator's own constructor.
         mpc_sim::Cluster::new(config.clone()).map_err(NetError::Sim)?;
-        let (mesh, reactors) = Mesh::new(cfg.p, cfg.queue_capacity, cfg.block_capacity);
+        let lanes = AsyncConfig::default();
+        let (mesh, reactors) = Mesh::new(cfg.p, lanes.queue_capacity, lanes.block_capacity);
         let reactors = reactors
             .into_iter()
             .map(|mut reactor| std::thread::spawn(move || reactor.run()))

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mpc_sim::queue::{InboxReceiver, LinkSender};
-use mpc_sim::{BlockPool, Link, Packet, SendOutcome, ServerState, Transport};
+use mpc_sim::{BlockPool, Link, Packet, SendOutcome, ServerState, SimError, Transport};
 use mpc_storage::Relation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -470,7 +470,13 @@ impl TcpTransport {
     /// `try_clone` of the reader), so merely dropping the writer clone
     /// would never send a FIN; the peer's reader would block forever. An
     /// explicit write-half shutdown delivers the EOF.
+    ///
+    /// The control stream closes first: after a failure mid-round the
+    /// master may still wait on this worker at a barrier, and until it
+    /// sees the worker gone and aborts the peers parked there, they never
+    /// send the EOFs this worker's readers wait for.
     pub fn shutdown(mut self) {
+        let _ = self.control.get_ref().shutdown(std::net::Shutdown::Both);
         self.acceptor_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -619,7 +625,7 @@ impl TcpTransport {
     /// every worker has.
     fn barrier(&mut self, round: usize) -> Result<()> {
         if self.aborted.load(Ordering::SeqCst) {
-            return Err(NetError::Protocol("job aborted".to_string()));
+            return Err(SimError::Aborted("job aborted".to_string()).into());
         }
         // Data must be flushed before declaring the round done.
         self.flush_all()?;
@@ -655,8 +661,9 @@ impl TcpTransport {
                 "barrier skew: waiting on round {round}, master proceeded {r}"
             ))),
             Frame::Abort { reason } => {
+                // Released by the master because another worker failed.
                 self.aborted.store(true, Ordering::SeqCst);
-                Err(NetError::Protocol(format!("master aborted: {reason}")))
+                Err(SimError::Aborted(format!("master aborted: {reason}")).into())
             }
             other => {
                 Err(NetError::Protocol(format!("unexpected control frame at barrier: {other:?}")))

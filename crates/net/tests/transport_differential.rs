@@ -69,26 +69,22 @@ fn skew_resilient_routing_is_transport_independent() {
 }
 
 /// Packet boundaries must not matter: tiny blocks (many frames) and tight
-/// queues stress the backpressure paths of both transports.
+/// in-process queues stress the backpressure paths of both transports.
 #[test]
 fn block_and_queue_shapes_do_not_change_semantics() {
     let q = families::triangle();
     let db = matching_database(&q, 400, 7);
     let program = HyperCubeProgram::new(&q, 4, 9).unwrap();
     let cfg = MpcConfig::new(4, 1.0 / 3.0);
+    let cluster = Cluster::new(cfg.clone()).unwrap();
+    let reference = cluster.run(&program, &db).unwrap();
     for (block, queue) in [(1usize, 2usize), (7, 4), (512, 64)] {
-        let dist = DistConfig {
-            transport: TransportKind::InProcess,
-            queue_capacity: queue,
-            block_capacity: block,
-        };
-        assert_transport_invariant(
-            &format!("HC block={block} queue={queue}"),
-            &program,
-            &db,
-            &cfg,
-            &dist,
-        );
+        let label = format!("HC block={block} queue={queue}");
+        let dist = DistConfig { block_capacity: block, ..DistConfig::default() };
+        assert_transport_invariant(&label, &program, &db, &cfg, &dist);
+        let lanes = AsyncConfig::new().with_block_capacity(block).with_queue_capacity(queue);
+        let run = cluster.run_async(&program, &db, &lanes).unwrap();
+        assert_eq!(reference.divergence(&run.result), None, "{label}: lanes diverged");
     }
 }
 
@@ -123,22 +119,72 @@ impl MpcProgram for TwoArities {
     }
 }
 
-#[test]
-fn a_second_arity_under_one_tag_is_the_same_error_on_every_backend() {
+/// Hashes every input row to a server; round 1's compute fails on the
+/// last server only, so every other worker finishes the round and is
+/// released by the failure instead of causing it.
+struct LastServerFails {
+    p: usize,
+}
+
+impl MpcProgram for LastServerFails {
+    fn num_rounds(&self) -> usize {
+        1
+    }
+
+    fn route_input_into(
+        &self,
+        relation: &Relation,
+        p: usize,
+        sink: &mut dyn RouteSink,
+    ) -> mpc_sim::Result<()> {
+        relation.iter().try_for_each(|t| sink.emit("R", t, &[t[0] as usize % p]))
+    }
+
+    fn compute(
+        &self,
+        round: usize,
+        server: usize,
+        _: &ServerState,
+    ) -> mpc_sim::Result<Vec<Relation>> {
+        if server + 1 == self.p {
+            return Err(SimError::Program(format!("server {server} failed in round {round}")));
+        }
+        Ok(Vec::new())
+    }
+
+    fn output(&self, _: usize, _: &ServerState) -> mpc_sim::Result<Relation> {
+        Ok(Relation::empty("out", 1))
+    }
+
+    fn output_arity(&self) -> usize {
+        1
+    }
+}
+
+/// Every backend reports a failing program's own error, never the abort
+/// that unwound the other workers after it.
+fn assert_same_error_everywhere<P: MpcProgram>(program: &P, expected: &SimError) {
     let mut db = Database::new(10);
     db.insert_relation(Relation::from_tuples("R", 1, vec![[1u64], [2]]).unwrap());
     let cluster = Cluster::new(MpcConfig::new(2, 1.0)).unwrap();
-    let clash = StorageError::TupleArity { relation: "T".into(), expected: 2, actual: 3 };
-    let expected = SimError::Storage(clash.to_string());
-
-    assert_eq!(cluster.run(&TwoArities, &db).unwrap_err(), expected, "reference loop");
+    assert_eq!(&cluster.run(program, &db).unwrap_err(), expected, "reference loop");
     for block_capacity in [1, 256] {
         let cfg = AsyncConfig::new().with_block_capacity(block_capacity);
-        let err = cluster.run_async(&TwoArities, &db, &cfg).unwrap_err();
-        assert_eq!(err, expected, "event-driven, blocks of {block_capacity}");
+        let err = cluster.run_async(program, &db, &cfg).unwrap_err();
+        assert_eq!(&err, expected, "event-driven, blocks of {block_capacity}");
     }
-    match run_distributed(&cluster, &TwoArities, &db, &DistConfig::default()) {
-        Err(NetError::Sim(err)) => assert_eq!(err, expected, "in-process runner"),
-        other => panic!("in-process runner: {other:?}"),
+    for transport in [TransportKind::InProcess, TransportKind::Tcp] {
+        match run_distributed(&cluster, program, &db, &DistConfig::new(transport)) {
+            Err(NetError::Sim(err)) => assert_eq!(&err, expected, "{transport:?} runner"),
+            other => panic!("{transport:?} runner: {other:?}"),
+        }
     }
+}
+
+#[test]
+fn a_second_arity_under_one_tag_is_the_same_error_on_every_backend() {
+    let clash = StorageError::TupleArity { relation: "T".into(), expected: 2, actual: 3 };
+    assert_same_error_everywhere(&TwoArities, &SimError::Storage(clash.to_string()));
+    let failed = SimError::Program("server 1 failed in round 1".into());
+    assert_same_error_everywhere(&LastServerFails { p: 2 }, &failed);
 }

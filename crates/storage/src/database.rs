@@ -95,11 +95,6 @@ impl Database {
         self.relations.values().map(Relation::len).max().unwrap_or(0)
     }
 
-    /// Total number of tuples across all relations.
-    pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
-    }
-
     /// Total size in bytes (8 bytes per value), the simulator's `N`.
     pub fn total_bytes(&self) -> u64 {
         self.relations.values().map(Relation::size_in_bytes).sum()
@@ -151,7 +146,6 @@ mod tests {
     #[test]
     fn size_accounting() {
         let db = sample_db();
-        assert_eq!(db.total_tuples(), 8);
         assert_eq!(db.total_bytes(), 8 * 2 * 8);
         assert_eq!(db.max_relation_size(), 4);
     }

@@ -38,12 +38,6 @@ impl Tuple {
     pub fn get(&self, i: usize) -> Option<Value> {
         self.0.get(i).copied()
     }
-
-    /// Project onto the given positions (panics if a position is out of
-    /// range — positions always come from a validated query).
-    pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple(positions.iter().map(|&i| self.0[i]).collect())
-    }
 }
 
 impl fmt::Display for Tuple {
@@ -475,7 +469,6 @@ mod tests {
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(1), Some(2));
         assert_eq!(t.get(5), None);
-        assert_eq!(t.project(&[2, 0]), Tuple::from([3, 1]));
         assert_eq!(t.to_string(), "(1,2,3)");
     }
 

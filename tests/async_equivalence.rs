@@ -10,7 +10,7 @@ use mpc_query::core::multiround::executor::PlanProgram;
 use mpc_query::cq::families;
 use mpc_query::data::skew::{heavy_hitter_database, zipf_database};
 use mpc_query::prelude::*;
-use mpc_query::sim::{AsyncConfig, CostModel, MpcProgram, StragglerSpec};
+use mpc_query::sim::{AsyncConfig, MpcProgram, StragglerSpec};
 use mpc_query::skew::SkewResilientProgram;
 use mpc_query::storage::join::evaluate;
 
@@ -196,26 +196,4 @@ fn stragglers_change_the_schedule_but_not_the_result() {
     assert!(slowed.schedule.makespan > plain.schedule.makespan);
     assert!(slowed.schedule.max_barrier_wait() >= plain.schedule.max_barrier_wait());
     assert_eq!(slowed.schedule.stragglers, StragglerSpec::new(1, 3, 12).pick(27));
-}
-
-#[test]
-fn cost_models_do_not_leak_into_volumes() {
-    let q = families::chain(4);
-    let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
-    let program = PlanProgram::new(&plan, 8, 1).unwrap();
-    let db = matching_database(&q, 500, 13);
-    let cluster = Cluster::new(MpcConfig::new(8, 0.0)).unwrap();
-
-    let default = cluster.run_async(&program, &db, &AsyncConfig::new()).unwrap();
-    let zero = cluster
-        .run_async(&program, &db, &AsyncConfig::new().with_cost(CostModel::zero_latency()))
-        .unwrap();
-    let free =
-        cluster.run_async(&program, &db, &AsyncConfig::new().with_cost(CostModel::free())).unwrap();
-
-    assert_eq!(default.result.rounds, zero.result.rounds);
-    assert_eq!(default.result.rounds, free.result.rounds);
-    assert!(default.result.output.same_tuples(&zero.result.output));
-    assert!(zero.schedule.makespan <= default.schedule.makespan);
-    assert_eq!(free.schedule.makespan, 0);
 }
