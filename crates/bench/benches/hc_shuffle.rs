@@ -4,9 +4,12 @@
 //! With `MPC_BENCH_JSON=<dir>` (or `--json <path>`) the bench also writes
 //! machine-readable rows (`{name, mean_ns, iterations}`) to
 //! `BENCH_hc_shuffle.json`, among them `seq_join/C3`: the sequential join
-//! of the very database `hypercube_c3/*` shuffles. CI gates the rows
+//! of the very database `hypercube_c3/*` shuffles, and `stats_scan/C3_skew`
+//! beside `seq_join/C3_skew`: the exact statistics scan and the sequential
+//! join of one degree-planted triangle database. CI gates the rows
 //! against the committed baseline and ratchets `hypercube_c3/8` against
-//! `seq_join/C3` — a same-run ratio, so it holds on any hardware:
+//! `seq_join/C3` and `stats_scan/C3_skew` against `seq_join/C3_skew` —
+//! same-run ratios, so they hold on any hardware:
 //!
 //! ```text
 //! MPC_BENCH_JSON=target/bench-json cargo bench -p mpc-bench --bench hc_shuffle
@@ -19,6 +22,8 @@ use mpc_core::hypercube::HyperCubeProgram;
 use mpc_core::space_exponent::space_exponent;
 use mpc_cq::{families, Query};
 use mpc_data::matching_database;
+use mpc_data::skew::degree_planted_database;
+use mpc_data::stats::{DbStatistics, StatsMode};
 use mpc_sim::{Cluster, MpcConfig};
 use mpc_storage::join::evaluate;
 use mpc_storage::Database;
@@ -31,6 +36,14 @@ const TRIANGLE_P: [usize; 3] = [8, 64, 216];
 
 /// Chain lengths of the chain cases, all on 64 servers.
 const CHAIN_K: [usize; 3] = [2, 3, 4];
+
+/// The triangle over one heavy key of degree `TUPLES / 2` per relation,
+/// on a domain of `8 · TUPLES`: the input of the `C3_skew` rows.
+fn skewed_triangle() -> (Query, Database) {
+    let q = families::triangle();
+    let db = degree_planted_database(&q, 8 * TUPLES, TUPLES as usize, 1, TUPLES as usize / 2, 42);
+    (q, db)
+}
 
 /// The HyperCube of `q` on `p` servers at its space exponent, one run.
 fn shuffle(q: &Query, db: &Database, p: usize) {
@@ -64,7 +77,20 @@ fn bench_hc_chain(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hc_triangle, bench_hc_chain);
+fn bench_stats_scan(c: &mut Criterion) {
+    let (q, db) = skewed_triangle();
+    let mut group = c.benchmark_group("C3_skew");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::from_parameter("stats_scan"), |b| {
+        b.iter(|| DbStatistics::collect(&db, StatsMode::Exact));
+    });
+    group.bench_function(BenchmarkId::from_parameter("seq_join"), |b| {
+        b.iter(|| drop(evaluate(&q, &db).unwrap()));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_hc_triangle, bench_hc_chain, bench_stats_scan);
 
 /// Measure every case once more, deterministically, and write the JSON
 /// artefact. Skipped unless a JSON sink was requested.
@@ -80,6 +106,13 @@ fn write_bench_json() {
         .map(|p| BenchRow::measure(format!("hypercube_c3/{p}"), iters, || shuffle(&q, &db, p)))
         .collect();
     rows.push(BenchRow::measure("seq_join/C3", iters, || drop(evaluate(&q, &db).unwrap())));
+    let (skew_q, skew_db) = skewed_triangle();
+    rows.push(BenchRow::measure("stats_scan/C3_skew", iters, || {
+        drop(DbStatistics::collect(&skew_db, StatsMode::Exact))
+    }));
+    rows.push(BenchRow::measure("seq_join/C3_skew", iters, || {
+        drop(evaluate(&skew_q, &skew_db).unwrap())
+    }));
     for k in CHAIN_K {
         let q = families::chain(k);
         let db = matching_database(&q, TUPLES, 7);

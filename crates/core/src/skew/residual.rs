@@ -249,13 +249,7 @@ fn degree_lp_exponents(
             let rv = rq.var_id(&q.var_names()[var.0])?;
             // Maximum degree of the column, an upper bound for the
             // residual subset; capped at the pattern mass.
-            let maxdeg = rs
-                .map(|rs| {
-                    rs.column_estimates(pos).map(|(_, est)| est).fold(0.0f64, f64::max).round()
-                        as u64
-                })
-                .unwrap_or(0)
-                .min(mass);
+            let maxdeg = rs.map_or(0, |rs| rs.max_estimate(pos).round() as u64).min(mass);
             let d = rational_log(maxdeg, group, LOG_GRID).min(cardinality[rj]);
             if d > degree[rj][rv.0] {
                 degree[rj][rv.0] = d;

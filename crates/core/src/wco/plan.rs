@@ -75,7 +75,7 @@ impl WorstCaseOptimalPlan {
     ///
     /// Under [`StatsMode::Exact`] this is exactly [`Self::build`] (and
     /// cheaper when the caller already holds the statistics: the per-column
-    /// histograms are read, not recomputed per `(atom, position)`).
+    /// counts are read, not recomputed per `(atom, position)`).
     /// Under [`StatsMode::Sampled`] planning touches only the sampled
     /// tuples, so its cost is `O(budget · #relations)` instead of
     /// `O(Σ n_R)`, and two things change — both on the side of caution,

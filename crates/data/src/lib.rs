@@ -18,7 +18,7 @@
 //!   cardinality** (`|q(I)| = m` by construction), used by the
 //!   output-sensitive sweep of the journal version (arXiv:1602.06236).
 //! * [`stats`] — the statistics layer every planner consumes:
-//!   [`DbStatistics`] collects per-column frequency histograms either
+//!   [`DbStatistics`] collects sorted per-column frequency counts either
 //!   **exactly** (one full scan) or from a **seeded sub-linear sample**,
 //!   behind the [`StatsMode`] switch of the adaptive runtime.
 //!

@@ -220,27 +220,10 @@ pub fn degree_planted_database(
     db
 }
 
-/// Exact frequency histogram of one column: for each value occurring at
-/// position `idx`, the number of tuples carrying it. This is the statistic
-/// the heavy-hitter detector thresholds against.
-///
-/// # Panics
-///
-/// Panics if `idx` is out of range for the relation's arity (and the
-/// relation is non-empty).
-pub fn frequency_histogram(rel: &Relation, idx: usize) -> BTreeMap<u64, usize> {
-    let mut counts = BTreeMap::new();
-    for t in rel.iter() {
-        *counts.entry(t[idx]).or_insert(0usize) += 1;
-    }
-    counts
-}
-
-/// Exact frequency histograms of **every** column of a relation, built in
-/// a single scan. The heavy-hitter detector (and any other per-column
-/// statistics consumer) uses this instead of re-scanning the relation once
-/// per column with [`frequency_histogram`] — one shared cardinality pass
-/// for `mpc-data` and `mpc-core`.
+/// Exact frequency histograms of **every** column of a relation, one
+/// `BTreeMap` entry per distinct value, built in a single scan. No planner
+/// reads it: it is the independent oracle the tests compare the sorted
+/// counts of [`crate::stats`] (and the heavy-hitter detector) against.
 pub fn frequency_histograms(rel: &Relation) -> Vec<BTreeMap<u64, usize>> {
     let mut columns: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); rel.arity()];
     for t in rel.iter() {
@@ -266,16 +249,9 @@ pub fn attribute_skew(rel: &Relation, idx: usize) -> f64 {
     if rel.is_empty() {
         return 1.0;
     }
-    let counts = frequency_histogram(rel, idx);
-    let max = *counts.values().max().expect("non-empty") as f64;
-    let avg = rel.len() as f64 / counts.len() as f64;
-    max / avg
-}
-
-/// [`attribute_skew`] of the first column — kept as a thin wrapper because
-/// the generators in this module skew the first attribute.
-pub fn first_attribute_skew(rel: &Relation) -> f64 {
-    attribute_skew(rel, 0)
+    let counts = crate::stats::column_counts(rel, idx, &mut Vec::new());
+    let avg = rel.len() as f64 / counts.runs.len() as f64;
+    counts.max as f64 / avg
 }
 
 #[cfg(test)]
@@ -288,7 +264,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let rel = zipf_relation("S", 1000, 2000, 0.0, &mut rng);
         assert!(rel.len() >= 1900, "rejection sampling should find enough tuples");
-        assert!(first_attribute_skew(&rel) < 4.0);
+        assert!(attribute_skew(&rel, 0) < 4.0);
     }
 
     #[test]
@@ -297,7 +273,7 @@ mod tests {
         let uniform = zipf_relation("U", 1000, 2000, 0.0, &mut rng);
         let skewed = zipf_relation("Z", 1000, 2000, 1.5, &mut rng);
         assert!(
-            first_attribute_skew(&skewed) > 2.0 * first_attribute_skew(&uniform),
+            attribute_skew(&skewed, 0) > 2.0 * attribute_skew(&uniform, 0),
             "zipf(1.5) should be much more skewed than uniform"
         );
     }
@@ -309,7 +285,7 @@ mod tests {
         assert_eq!(rel.len(), 1000);
         let ones = rel.iter().filter(|t| t[0] == 1).count();
         assert!(ones >= 450, "about half the tuples share the heavy key, got {ones}");
-        assert!(first_attribute_skew(&rel) > 50.0);
+        assert!(attribute_skew(&rel, 0) > 50.0);
     }
 
     #[test]
@@ -325,23 +301,22 @@ mod tests {
     fn matching_has_unit_skew() {
         let mut rng = StdRng::seed_from_u64(5);
         let rel = crate::matching::matching_relation("S", 2, 100, &mut rng);
-        assert!((first_attribute_skew(&rel) - 1.0).abs() < 1e-9);
+        assert!((attribute_skew(&rel, 0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_relation_skew_is_one() {
         let rel = Relation::empty("E", 2);
-        assert_eq!(first_attribute_skew(&rel), 1.0);
+        assert_eq!(attribute_skew(&rel, 0), 1.0);
         assert_eq!(attribute_skew(&rel, 1), 1.0);
     }
 
     #[test]
     fn frequency_histogram_counts_exactly() {
         let rel = Relation::from_tuples("R", 2, vec![[1u64, 7], [1, 8], [2, 7]]).unwrap();
-        let col0 = frequency_histogram(&rel, 0);
+        let [col0, col1] = &frequency_histograms(&rel)[..] else { panic!("two columns") };
         assert_eq!(col0.get(&1), Some(&2));
         assert_eq!(col0.get(&2), Some(&1));
-        let col1 = frequency_histogram(&rel, 1);
         assert_eq!(col1.get(&7), Some(&2));
         assert_eq!(col1.len(), 2);
     }
@@ -352,8 +327,11 @@ mod tests {
         let rel = zipf_relation("Z", 500, 900, 1.1, &mut rng);
         let all = frequency_histograms(&rel);
         assert_eq!(all.len(), 2);
+        let mut scratch = Vec::new();
         for (idx, histogram) in all.iter().enumerate() {
-            assert_eq!(*histogram, frequency_histogram(&rel, idx), "column {idx}");
+            let sorted = crate::stats::column_counts(&rel, idx, &mut scratch).runs;
+            let oracle: Vec<(u64, u64)> = histogram.iter().map(|(v, c)| (*v, *c as u64)).collect();
+            assert_eq!(sorted, oracle, "column {idx}");
         }
         assert!(frequency_histograms(&Relation::empty("E", 3)).iter().all(BTreeMap::is_empty));
     }
@@ -365,7 +343,9 @@ mod tests {
         // The first column carries the heavy hitter; the second is (near-)
         // uniform, so its skew is far smaller.
         assert!(attribute_skew(&rel, 0) > 10.0 * attribute_skew(&rel, 1));
-        assert_eq!(attribute_skew(&rel, 0), first_attribute_skew(&rel));
+        let hist = &frequency_histograms(&rel)[0];
+        let max = *hist.values().max().unwrap() as f64;
+        assert_eq!(attribute_skew(&rel, 0), max / (rel.len() as f64 / hist.len() as f64));
     }
 
     #[test]
@@ -373,12 +353,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let rel = degree_planted_relation("D", 5000, 2000, 3, 400, &mut rng);
         assert_eq!(rel.len(), 2000);
-        let hist = frequency_histogram(&rel, 0);
+        let hist = &frequency_histograms(&rel)[0];
         for key in 1..=3u64 {
             assert_eq!(hist.get(&key), Some(&400), "heavy key {key} has exact degree");
         }
         // Light values never collide with the heavy range.
-        for (value, count) in &hist {
+        for (value, count) in hist {
             if *value > 3 {
                 assert!(*count < 400, "light value {value} stayed light ({count})");
             }
@@ -412,7 +392,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.num_relations(), 2);
         for rel in a.relations() {
-            assert!(first_attribute_skew(rel) > 10.0, "every relation carries a heavy hitter");
+            assert!(attribute_skew(rel, 0) > 10.0, "every relation carries a heavy hitter");
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Database statistics behind one switch: **exact** frequency histograms
-//! or **seeded sub-linear samples** of them.
+//! Database statistics behind one switch: **exact** sorted per-column
+//! counts or **seeded sub-linear samples** of them.
 //!
 //! Every planner in this workspace — the HyperCube skew detector, the
 //! residual plans of `mpc-core::skew`, the heavy/light split of
@@ -16,6 +16,11 @@
 //!   in-sample counts by `n / budget`. Planning cost becomes sub-linear
 //!   in `n`; estimates carry the confidence slack of
 //!   [`RelationStats::slack_for`].
+//!
+//! Either way a column is counted by sorting: it is copied into one
+//! reused buffer, sorted and run-length encoded into `(value, count)`
+//! pairs in ascending value order — `O(n log n)` per column for `n`
+//! counted rows, with the column maximum recorded on the way.
 //!
 //! Sampling can only degrade plan *quality*, never *correctness*: a
 //! heavy value the sample misses is treated as light by **every**
@@ -61,11 +66,12 @@ use mpc_storage::{Database, Relation, Value};
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum StatsMode {
-    /// Full scans: counts are exact, collection cost is `O(Σ n_R)`.
+    /// Full scans: counts are exact, collection cost is `O(n log n)` per
+    /// column of an `n`-tuple relation.
     #[default]
     Exact,
     /// Seeded uniform samples: `budget` tuples per relation, collection
-    /// cost `O(budget · #relations)`, estimates within the slack of
+    /// cost `O(budget log budget)` per column, estimates within the slack of
     /// [`RelationStats::slack_for`] with high probability.
     Sampled {
         /// Tuples drawn per relation (capped at the relation size).
@@ -83,7 +89,42 @@ impl StatsMode {
     }
 }
 
-/// The collected statistics of one relation: per-column frequency counts
+/// One column's sorted run-length counts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColumnCounts {
+    /// Every distinct value with its raw count, in ascending value order.
+    pub(crate) runs: Vec<(Value, u64)>,
+    /// The largest count (0 for an empty column).
+    pub(crate) max: u64,
+}
+
+/// Count column `col` of `rel` by sorting: copy it into `scratch` (reused
+/// across columns), sort it, and run-length encode it — `O(n log n)`.
+///
+/// # Panics
+///
+/// Panics if `col` is out of range for the relation's arity (and the
+/// relation is non-empty).
+pub(crate) fn column_counts(rel: &Relation, col: usize, scratch: &mut Vec<Value>) -> ColumnCounts {
+    scratch.clear();
+    scratch.extend(rel.iter().map(|row| row[col]));
+    scratch.sort_unstable();
+    let mut counts = ColumnCounts::default();
+    for run in scratch.chunk_by(|a, b| a == b) {
+        let count = run.len() as u64;
+        counts.max = counts.max.max(count);
+        counts.runs.push((run[0], count));
+    }
+    counts
+}
+
+/// [`column_counts`] of every column of `rel`, through one scratch buffer.
+fn count_columns(rel: &Relation) -> Vec<ColumnCounts> {
+    let mut scratch = Vec::with_capacity(rel.len());
+    (0..rel.arity()).map(|col| column_counts(rel, col, &mut scratch)).collect()
+}
+
+/// The collected statistics of one relation: per-column sorted counts
 /// (exact, or raw in-sample counts plus the scale factor) and, in sampled
 /// mode, the drawn tuples themselves (so pattern-level statistics can be
 /// estimated from the same sample without touching the relation again).
@@ -92,30 +133,31 @@ pub struct RelationStats {
     total: usize,
     /// Raw per-column counts: exact when `sample` is `None`, in-sample
     /// otherwise.
-    columns: Vec<BTreeMap<Value, u64>>,
+    columns: Vec<ColumnCounts>,
     /// The sampled rows (`None` = exact statistics).
     sample: Option<Relation>,
     scanned: usize,
 }
 
 impl RelationStats {
-    /// Exact statistics: one full scan building every column histogram.
+    /// Exact statistics: one sorted count per column.
     pub fn exact(rel: &Relation) -> Self {
-        let columns = crate::skew::frequency_histograms(rel)
-            .into_iter()
-            .map(|h| h.into_iter().map(|(v, c)| (v, c as u64)).collect())
-            .collect();
-        RelationStats { total: rel.len(), columns, sample: None, scanned: rel.len() }
+        RelationStats {
+            total: rel.len(),
+            columns: count_columns(rel),
+            sample: None,
+            scanned: rel.len(),
+        }
     }
 
     /// Sampled statistics: `budget` tuples drawn uniformly without
     /// replacement (partial Fisher–Yates over the index space, so the
-    /// cost is `O(budget)` regardless of `rel.len()`).
+    /// cost is `O(budget)` regardless of `rel.len()`). A budget at or
+    /// above the relation size yields the exact statistics.
     pub fn sampled(rel: &Relation, budget: usize, seed: u64) -> Self {
         let m = budget.min(rel.len());
         if m == rel.len() {
-            // A budget at or above the relation size is a full scan.
-            return RelationStats { sample: Some(rel.clone()), ..Self::exact(rel) };
+            return Self::exact(rel);
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let mut swapped: HashMap<usize, usize> = HashMap::new();
@@ -128,13 +170,12 @@ impl RelationStats {
             swapped.insert(j, vi);
             sample.insert_row(rel.row(vj)).expect("a row of the sampled relation");
         }
-        let mut columns: Vec<BTreeMap<Value, u64>> = vec![BTreeMap::new(); rel.arity()];
-        for t in sample.iter() {
-            for (idx, value) in t.iter().enumerate() {
-                *columns[idx].entry(*value).or_insert(0) += 1;
-            }
+        RelationStats {
+            total: rel.len(),
+            columns: count_columns(&sample),
+            sample: Some(sample),
+            scanned: m,
         }
-        RelationStats { total: rel.len(), columns, sample: Some(sample), scanned: m }
     }
 
     /// True cardinality of the relation (always exact — `len()` is O(1)).
@@ -163,20 +204,29 @@ impl RelationStats {
     /// Estimated frequency of `value` in column `col`: the exact count,
     /// or the scaled in-sample count.
     pub fn estimate(&self, col: usize, value: Value) -> f64 {
-        self.columns.get(col).and_then(|h| h.get(&value)).copied().unwrap_or(0) as f64
-            * self.scale()
+        let count = self.columns.get(col).and_then(|c| {
+            c.runs.binary_search_by_key(&value, |&(v, _)| v).ok().map(|i| c.runs[i].1)
+        });
+        count.unwrap_or(0) as f64 * self.scale()
     }
 
-    /// Iterate the values observed in column `col` with their estimated
-    /// frequencies. In sampled mode only in-sample values appear —
-    /// exactly the property that makes a missed hitter *consistently*
-    /// light everywhere.
+    /// The largest estimated frequency in column `col` — the maximum of
+    /// [`RelationStats::column_estimates`], recorded while counting (0 for
+    /// an empty or missing column).
+    pub fn max_estimate(&self, col: usize) -> f64 {
+        self.columns.get(col).map_or(0, |c| c.max) as f64 * self.scale()
+    }
+
+    /// Iterate the values observed in column `col`, in ascending order,
+    /// with their estimated frequencies. In sampled mode only in-sample
+    /// values appear — exactly the property that makes a missed hitter
+    /// *consistently* light everywhere.
     pub fn column_estimates(&self, col: usize) -> impl Iterator<Item = (Value, f64)> + '_ {
         let scale = self.scale();
         self.columns
             .get(col)
             .into_iter()
-            .flat_map(move |h| h.iter().map(move |(v, c)| (*v, *c as f64 * scale)))
+            .flat_map(move |c| c.runs.iter().map(move |&(v, n)| (v, n as f64 * scale)))
     }
 
     /// The sampled rows with their per-row weight (`None` = exact
@@ -336,11 +386,69 @@ mod tests {
     fn oversized_budget_degenerates_to_exact_counts() {
         let db = zipf_db(500, 1);
         let stats = DbStatistics::collect(&db, StatsMode::Sampled { budget: 100_000, seed: 4 });
+        assert!(stats.is_sampled(), "the mode is still sampled…");
         for rel in db.relations() {
             let rs = stats.relation(rel.name()).unwrap();
-            assert!(rs.is_sampled(), "mode is still sampled…");
-            assert_eq!(rs.scale(), 1.0, "…but the scale is 1: the sample is the relation");
+            assert!(rs.sample().is_none(), "…but the relation is counted, not copied");
+            assert_eq!(rs.scale(), 1.0);
             assert_eq!(rs.slack_for(10.0), 0.0);
+            assert_eq!(rs.scanned(), rel.len());
+        }
+    }
+
+    /// The binary relation `rows` reshaped to `arity` columns: each row
+    /// `(x, y)` becomes `[x, y, x + y][..arity]`, so narrowing merges
+    /// rows and the third column repeats values across rows.
+    fn reshaped(rows: &Relation, arity: usize) -> Relation {
+        let wide = rows.iter().map(|t| [t[0], t[1], t[0] + t[1]][..arity].to_vec());
+        Relation::from_tuples("R", arity, wide).unwrap()
+    }
+
+    /// `rs` against the `BTreeMap` oracle over the rows it counted (the
+    /// sample, or `rel` itself), entry for entry and in the same order.
+    fn assert_counts_match_oracle(rel: &Relation, rs: &RelationStats) {
+        let (counted, scale) = rs.sample().unwrap_or((rel, 1.0));
+        for (col, hist) in crate::skew::frequency_histograms(counted).iter().enumerate() {
+            let expected: Vec<(Value, f64)> =
+                hist.iter().map(|(v, c)| (*v, *c as f64 * scale)).collect();
+            assert_eq!(rs.column_estimates(col).collect::<Vec<_>>(), expected, "column {col}");
+            for &(v, est) in &expected {
+                assert_eq!(rs.estimate(col, v), est);
+            }
+            // Generated values start at 1; the other probe sits in the
+            // first gap above an occurring value.
+            let gap = hist.keys().map(|v| v + 1).find(|v| !hist.contains_key(v));
+            for absent in [Some(0), gap].into_iter().flatten() {
+                assert_eq!(rs.estimate(col, absent), 0.0, "column {col}, value {absent}");
+            }
+            let max = hist.values().max().copied().unwrap_or(0);
+            assert_eq!(rs.max_estimate(col), max as f64 * scale, "column {col}");
+        }
+        assert_eq!(rs.column_estimates(rel.arity()).count(), 0);
+        assert_eq!(rs.max_estimate(rel.arity()), 0.0);
+    }
+
+    #[test]
+    fn sorted_counts_equal_the_histogram_oracle() {
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let bases = [
+                Relation::empty("R", 2),
+                Relation::from_tuples("R", 2, [[7u64, 7]]).unwrap(),
+                crate::skew::zipf_relation("R", 300, 600, 1.1, &mut rng),
+                crate::skew::degree_planted_relation("R", 2000, 600, 2, 150, &mut rng),
+            ];
+            for base in &bases {
+                for arity in 0..=3 {
+                    let rel = reshaped(base, arity);
+                    assert_counts_match_oracle(&rel, &RelationStats::exact(&rel));
+                    for budget in [0, rel.len() / 3, rel.len()] {
+                        let rs = RelationStats::sampled(&rel, budget, seed);
+                        assert_eq!(rs.scanned(), budget);
+                        assert_counts_match_oracle(&rel, &rs);
+                    }
+                }
+            }
         }
     }
 }

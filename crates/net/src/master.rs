@@ -563,8 +563,7 @@ pub struct SpawnedReport {
 ///
 /// # Errors
 ///
-/// Fails on spawn errors, worker death, protocol violations and — under
-/// the cluster's overload policy — budget violations.
+/// Fails on spawn errors, worker death and protocol violations.
 pub fn run_spawned(job: &JobSpec, worker_bin: &Path) -> Result<RunResult> {
     run_spawned_with(job, worker_bin, &MasterConfig::default()).map(|r| r.result)
 }
