@@ -269,11 +269,15 @@ mod tests {
     fn local_join_is_empty_until_every_atom_arrived() {
         let q = mpc_cq::families::chain(2);
         let mut state = ServerState::new(0, 10);
-        state.receive_row(1, "S1", &[1, 2]).unwrap();
-        state.settle().unwrap();
+        let deliver = |state: &mut ServerState, tag: &str, row: &[Value]| {
+            let mut stage = mpc_sim::RoundStage::default();
+            stage.push_row(tag, row).unwrap();
+            state.merge_stage(1, stage).unwrap();
+            state.settle().unwrap();
+        };
+        deliver(&mut state, "S1", &[1, 2]);
         assert!(local_join(&q, &state).unwrap().is_empty());
-        state.receive_row(1, "S2", &[2, 3]).unwrap();
-        state.settle().unwrap();
+        deliver(&mut state, "S2", &[2, 3]);
         let out = local_join(&q, &state).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(&[1u64, 2, 3]));

@@ -71,7 +71,6 @@
 pub mod analysis;
 pub mod baseline;
 pub mod error;
-pub mod friedgut;
 pub mod grid;
 pub mod heavy;
 pub mod hypercube;

@@ -79,8 +79,8 @@ impl TupleBlock {
     }
 
     /// All `len × arity` values, row-major — what
-    /// [`crate::ServerState::receive_block`] ingests in one call and the
-    /// wire codec of `mpc-net` copies verbatim.
+    /// [`crate::RoundStage::absorb`] appends in one call and the wire
+    /// codec of `mpc-net` copies verbatim.
     pub fn values(&self) -> &[Value] {
         &self.values
     }

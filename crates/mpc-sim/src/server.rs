@@ -13,12 +13,13 @@ use crate::block::TupleBlock;
 /// budget, locally derived data is free (local computation is unbounded in
 /// the MPC model).
 ///
-/// Deliveries ([`ServerState::receive_row`], [`ServerState::receive_block`],
-/// [`ServerState::merge_stage`]) only append: one arity check and one copy
-/// per row or block. Set semantics are restored once per round, by the
-/// driver, in one [`ServerState::settle`] before the state is lent to the
-/// program; reading a relation with rows still unsettled is a bug, caught
-/// by a debug assertion.
+/// A round's deliveries are collected in a [`RoundStage`] and reach the
+/// state in one [`ServerState::merge_stage`] when the round closes, on
+/// every executor: merging only appends (a tag new to the server moves in
+/// whole). Set semantics are restored right after, by the driver, in one
+/// [`ServerState::settle`] before the state is lent to the program;
+/// reading a relation with rows still unsettled is a bug, caught by a
+/// debug assertion.
 ///
 /// The state lends its relations to the local join engine in place
 /// ([`RelationSource`]): `mpc_storage::join::evaluate(&query, &state)`.
@@ -80,43 +81,9 @@ impl ServerState {
         self.domain_size
     }
 
-    /// Record the delivery of one row under `tag` during `round`
-    /// (1-based), charging its size against that round: the row is
-    /// appended, unsettled. A duplicate row still costs its bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::TupleArity`] if `tag` already holds rows of
-    /// another arity; nothing is appended or charged then.
-    pub fn receive_row(
-        &mut self,
-        round: usize,
-        tag: &str,
-        row: &[Value],
-    ) -> Result<(), StorageError> {
-        relation_under(&mut self.relations, tag, row.len()).append_rows(1, row)?;
-        self.credit_received(round, (row.len() as u64) * 8, 1);
-        Ok(())
-    }
-
-    /// Record the delivery of a whole block during its round: its rows
-    /// are appended to its tag's relation in one copy, with one accounting
-    /// update. Duplicate rows still cost bytes, exactly as under
-    /// [`ServerState::receive_row`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::TupleArity`] if the tag already holds rows
-    /// of another arity — block shapes come off a socket, so this is an
-    /// error, not a panic; nothing is appended or charged then.
-    pub fn receive_block(&mut self, block: &TupleBlock) -> Result<(), StorageError> {
-        relation_under(&mut self.relations, &block.tag, block.arity())
-            .append_rows(block.len(), block.values())?;
-        self.credit_received(block.round, block.payload_bytes(), block.len() as u64);
-        Ok(())
-    }
-
-    /// [`ServerState::receive_row`] for an owned tuple, settled at once.
+    /// Record the delivery of one owned tuple under `tag` during `round`
+    /// (1-based), settled at once and charged against that round; a
+    /// duplicate still costs its bytes.
     ///
     /// # Panics
     ///
@@ -125,8 +92,8 @@ impl ServerState {
         self.receive_many(round, tag, tuple.arity(), [tuple]);
     }
 
-    /// [`ServerState::receive_row`] for a batch of owned `arity`-wide
-    /// tuples under one `tag`, settled at once.
+    /// [`ServerState::receive`] for a batch of owned `arity`-wide tuples
+    /// under one `tag`.
     ///
     /// # Panics
     ///
@@ -156,9 +123,8 @@ impl ServerState {
     }
 
     /// Charge `bytes`/`tuples` of received volume against `round` without
-    /// touching any relation — used when staged (pre-hashed) future-round
-    /// data is merged at its round boundary, where the tuples themselves
-    /// arrive via [`ServerState::add_local`].
+    /// touching any relation — what a merged stage or a restored
+    /// checkpoint is charged with.
     pub fn credit_received(&mut self, round: usize, bytes: u64, tuples: u64) {
         while self.bytes_received.len() < round {
             self.bytes_received.push(0);
@@ -198,9 +164,9 @@ impl ServerState {
         }
     }
 
-    /// Append a stage's rows — blocks that arrived ahead of `round`, or
-    /// one sender's round on the reference loop — and charge their volume
-    /// to `round`, exactly as live deliveries would have been. A tag new
+    /// Append a stage's rows — everything a worker received in `round`,
+    /// or one sender's round on the reference loop — and charge their
+    /// volume to `round`; duplicate rows still cost their bytes. A tag new
     /// to the server moves in whole.
     ///
     /// # Errors
@@ -271,12 +237,13 @@ impl ServerState {
     }
 }
 
-/// Rows held back from a server until their round: blocks that raced ahead
-/// of a worker, or what one sender routes to one destination on the
-/// reference loop. They are appended into per-tag relations *on arrival*,
-/// unsettled, so at the round boundary whole relations are merged
-/// ([`ServerState::merge_stage`]) instead of rows replayed — the
-/// receive-side half of double-buffering, shared by every backend.
+/// Rows held back from a server until their round closes: every block a
+/// worker receives for that round (whether it raced ahead or not), or
+/// what one sender routes to one destination on the reference loop. They
+/// are appended into per-tag relations *on arrival*, unsettled, so when
+/// the round closes whole relations are merged
+/// ([`ServerState::merge_stage`]) instead of rows replayed — the one
+/// ingest path of every backend.
 #[derive(Debug, Default)]
 pub struct RoundStage {
     /// Sorted by name, like [`ServerState`]'s.
@@ -397,12 +364,14 @@ mod tests {
         let input = mpc_data::matching_database(&q, 50, 3);
         let mut s = ServerState::new(0, input.domain_size());
         let mut db = Database::new(input.domain_size());
+        let mut stage = RoundStage::default();
         for rel in input.relations() {
             for row in rel.iter() {
-                s.receive_row(1, rel.name(), row).unwrap();
+                stage.push_row(rel.name(), row).unwrap();
             }
             db.insert_relation(rel.clone());
         }
+        s.merge_stage(1, stage).unwrap();
         s.add_local(Relation::from_tuples("Unrelated", 1, vec![[7u64]]).unwrap());
         s.settle().unwrap();
         let lent = evaluate(&q, &s).unwrap();
@@ -413,15 +382,24 @@ mod tests {
         assert_eq!(evaluate(&l4, &s).unwrap_err(), evaluate(&l4, &db).unwrap_err());
     }
 
+    /// A stage holding `blocks`, absorbed in order.
+    fn staged(blocks: &[TupleBlock]) -> RoundStage {
+        let mut stage = RoundStage::default();
+        blocks.iter().for_each(|b| stage.absorb(b).unwrap());
+        stage
+    }
+
     #[test]
-    fn receive_block_matches_rowwise_receive() {
+    fn an_absorbed_block_matches_rowwise_pushes() {
         let rows: [&[Value]; 3] = [&[1, 2], &[3, 4], &[1, 2]];
+        let mut by_row = RoundStage::default();
+        for row in rows {
+            by_row.push_row("R", row).unwrap();
+        }
         let mut a = ServerState::new(0, 100);
         let mut b = ServerState::new(0, 100);
-        for row in rows {
-            a.receive_row(2, "R", row).unwrap();
-        }
-        b.receive_block(&block("R", 2, &rows)).unwrap();
+        a.merge_stage(2, by_row).unwrap();
+        b.merge_stage(2, staged(&[block("R", 2, &rows)])).unwrap();
         a.settle().unwrap();
         b.settle().unwrap();
         assert_eq!(a.relation("R"), b.relation("R"));
@@ -433,13 +411,16 @@ mod tests {
     #[test]
     fn a_block_of_another_arity_is_an_error_not_a_panic() {
         let mut s = ServerState::new(0, 100);
-        s.receive_block(&block("S1", 1, &[&[1, 2]])).unwrap();
-        let err = s.receive_block(&block("S1", 1, &[&[1, 2, 3]])).unwrap_err();
+        s.merge_stage(1, staged(&[block("S1", 1, &[&[1, 2]])])).unwrap();
+        let err = s.merge_stage(1, staged(&[block("S1", 1, &[&[1, 2, 3]])])).unwrap_err();
         assert!(matches!(err, StorageError::TupleArity { expected: 2, actual: 3, .. }));
-        assert!(s.receive_row(1, "S1", &[9]).is_err());
+        let mut row = RoundStage::default();
+        row.push_row("S1", &[9]).unwrap();
+        assert!(s.merge_stage(1, row).is_err());
         assert_eq!(s.tuples_received_in_round(1), 1, "rejected deliveries are not charged");
 
-        // The same through a future-round stage, at absorb and at merge.
+        // Within one stage the clash shows at absorb, against the state at
+        // merge.
         let mut stage = RoundStage::default();
         stage.absorb(&block("T", 2, &[&[1, 2]])).unwrap();
         assert!(stage.absorb(&block("T", 2, &[&[1]])).is_err());
@@ -448,19 +429,20 @@ mod tests {
     }
 
     #[test]
-    fn a_merged_stage_equals_live_delivery() {
-        let mut live = ServerState::new(0, 100);
-        let mut staged = ServerState::new(0, 100);
-        let mut stage = RoundStage::default();
-        for b in [block("R", 2, &[&[1, 2], &[3, 4]]), block("R", 2, &[&[3, 4], &[5, 6]])] {
-            live.receive_block(&b).unwrap();
-            stage.absorb(&b).unwrap();
+    fn stages_merged_per_sender_equal_one_stage() {
+        // The reference loop merges one stage per sender, a worker one
+        // stage for the whole round.
+        let blocks = [block("R", 2, &[&[1, 2], &[3, 4]]), block("R", 2, &[&[3, 4], &[5, 6]])];
+        let mut per_sender = ServerState::new(0, 100);
+        let mut whole = ServerState::new(0, 100);
+        for b in &blocks {
+            per_sender.merge_stage(2, staged(std::slice::from_ref(b))).unwrap();
         }
-        staged.merge_stage(2, stage).unwrap();
-        live.settle().unwrap();
-        staged.settle().unwrap();
-        assert_eq!(live.relation("R"), staged.relation("R"));
-        assert_eq!(live.received_volumes(2), staged.received_volumes(2));
+        whole.merge_stage(2, staged(&blocks)).unwrap();
+        per_sender.settle().unwrap();
+        whole.settle().unwrap();
+        assert_eq!(per_sender.relation("R"), whole.relation("R"));
+        assert_eq!(per_sender.received_volumes(2), whole.received_volumes(2));
     }
 
     #[test]
@@ -468,8 +450,10 @@ mod tests {
     #[should_panic(expected = "before it settled")]
     fn reading_a_relation_before_it_settles_is_caught() {
         let mut s = ServerState::new(0, 10);
-        s.receive_row(1, "R", &[1, 2]).unwrap();
-        s.receive_row(1, "R", &[1, 2]).unwrap();
+        let mut stage = RoundStage::default();
+        stage.push_row("R", &[1, 2]).unwrap();
+        stage.push_row("R", &[1, 2]).unwrap();
+        s.merge_stage(1, stage).unwrap();
         let _ = s.relation("R");
     }
 
@@ -482,7 +466,9 @@ mod tests {
         stage.push_row("R", &[5, 6]).unwrap();
         assert!(stage.push_row("R", &[1]).is_err());
         s.merge_stage(1, stage).unwrap();
-        s.receive_row(1, "R", &[1, 2]).unwrap();
+        let mut later = RoundStage::default();
+        later.push_row("R", &[1, 2]).unwrap();
+        s.merge_stage(1, later).unwrap();
         s.settle().unwrap();
         let rows: Vec<&[Value]> = s.relation("R").unwrap().iter().collect();
         assert_eq!(rows, [&[5, 6][..], &[1, 2]], "first occurrences, in arrival order");

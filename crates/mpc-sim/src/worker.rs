@@ -20,11 +20,12 @@
 //! closes the round towards every peer with a [`Packet::Fin`]. It computes
 //! as soon as *it* holds every sender's FIN: the barrier is per server,
 //! so a fast peer's round-`r+1` (or `r+2`) traffic may arrive while this
-//! worker still drains round `r`. Such blocks are appended to a
-//! [`RoundStage`] on arrival and merged — with their volume credited to
-//! their own round — when the worker gets there. Ingest only appends; the
-//! core settles its state ([`ServerState::settle`]) once per round, when
-//! the last FIN is in and before the program computes.
+//! worker still drains round `r`. Every block — of the round being
+//! received or of one that raced ahead — is appended to its round's
+//! [`RoundStage`] on arrival. When a round's last FIN is in, the core
+//! merges that stage into its state, crediting the volume to the round,
+//! settles the state once ([`ServerState::settle`]) and lets the program
+//! compute. So the state changes only when a round closes.
 //!
 //! **Data plane.** Tuples travel as row-major [`TupleBlock`]s of up to
 //! `block_capacity` rows per `(destination, tag)`, sealed by one
@@ -32,20 +33,20 @@
 //! per-sender send order reproducible. There is exactly one sink that
 //! turns routed rows into blocks (the [`RouteSink`] behind [`route_input`]
 //! and round ≥ 2 routing: each emitted row goes straight onto the open
-//! block of each destination), one place that decides whether a block is
-//! ingested live or staged ([`WorkerCore::accept`]), and one send loop: a
-//! block for this server never touches the transport, and a send that
-//! finds its link full drains the worker's own inbox before retrying, so
-//! bounded links cannot deadlock. Round ≥ 2 blocks are held until the
-//! program has finished routing from the state a self-addressed block
-//! would land in.
+//! block of each destination), one ingest path ([`WorkerCore::accept`]:
+//! into the block's round stage), and one send loop: a block for this
+//! server never touches the transport, and a send that finds its link
+//! full drains the worker's own inbox before retrying, so bounded links
+//! cannot deadlock. Every round ships its blocks as they seal: what the
+//! drain takes in goes to stages, never into the state being routed from.
 //!
 //! **Checked ingest.** Packets may come off a socket. A block or FIN for
 //! round 0, for a round past the program's last, or for a round whose FINs
 //! are already complete; an out-of-range destination; a second arity under
-//! one tag (from a peer, or from this worker's own program) — each is an
-//! error ([`SimError::Protocol`], [`SimError::Program`],
-//! [`SimError::Storage`]), never a panic.
+//! one tag (from a peer, or from this worker's own program; met when the
+//! block reaches its stage, or when the stage meets the state as the round
+//! closes) — each is an error ([`SimError::Protocol`],
+//! [`SimError::Program`], [`SimError::Storage`]), never a panic.
 //!
 //! **Drivers.** [`drive`] is the blocking loop for one core over a
 //! [`Transport`] — `mpc-net`'s TCP worker: feed it what arrives, call the
@@ -301,7 +302,7 @@ pub struct WorkerCore<'a, H> {
     pool: Arc<BlockPool>,
     block_capacity: usize,
     state: ServerState,
-    /// The last round entered (routed, FIN sent): its blocks go live.
+    /// The last round entered (routed, FIN sent).
     round: usize,
     /// The last round whose local computation ran; `round` is this or the
     /// next.
@@ -309,7 +310,8 @@ pub struct WorkerCore<'a, H> {
     /// FIN markers seen per round (index `round - 1`). A round takes
     /// traffic while its count is short of [`WorkerCore::expected_fins`].
     fins: Vec<usize>,
-    /// Pre-hashed stages for rounds not entered yet.
+    /// What arrived for each round (index `round - 1`), merged into the
+    /// state when the round closes.
     stages: Vec<RoundStage>,
     traffic: Vec<MsgRecord>,
     scratch: Vec<Packet>,
@@ -422,9 +424,10 @@ where
         Ok(())
     }
 
-    /// Ingest one packet. A block of the round being received goes
-    /// straight into the server state; a block that raced ahead is hashed
-    /// into its round's stage. Either way its buffer returns to the pool.
+    /// Ingest one packet. A block is appended to its round's stage —
+    /// the round being received or one that raced ahead — and its buffer
+    /// returns to the pool; the state itself changes only when a round
+    /// closes ([`WorkerCore::step`]).
     ///
     /// # Errors
     ///
@@ -442,13 +445,7 @@ where
                     bytes: block.payload_bytes(),
                     tuples: block.len() as u64,
                 });
-                // Rounds before `self.round` are closed, so an open round
-                // that is not the current one lies ahead.
-                let ingested = if block.round == self.round {
-                    self.state.receive_block(&block)
-                } else {
-                    self.stages[block.round - 1].absorb(&block)
-                };
+                let ingested = self.stages[block.round - 1].absorb(&block);
                 self.pool.give_back(block.into_columns());
                 Ok(ingested?)
             }
@@ -500,59 +497,46 @@ where
         }
     }
 
-    /// Enter the next round: route (rounds ≥ 2 from the state before any
-    /// of the round's deliveries), ship, FIN, and merge what raced ahead.
+    /// Enter the next round: route (rounds ≥ 2 from the state the last
+    /// round left), ship every block as it seals, and FIN.
     fn enter_round<L: Link + ?Sized>(&mut self, link: &mut L) -> Result<()> {
         let round = self.computed + 1;
-        let program = self.program.clone();
-        let (id, p, capacity) = (self.id, self.p, self.block_capacity);
-        let pool = Arc::clone(&self.pool);
         self.round = round;
-        let sends = match (round, self.input) {
-            (1, Input::Routed { .. }) => false,
-            (1, Input::Sharded(db)) => {
-                route_input(&*program, db, p, Some(id), &pool, capacity, |dest, b| {
-                    self.ship(link, dest, Packet::Block(b))
-                })?;
-                true
+        let (program, input, id, p) = (self.program.clone(), self.input, self.id, self.p);
+        if let (1, Input::Routed { .. }) = (round, input) {
+            return Ok(());
+        }
+        let (pool, capacity) = (Arc::clone(&self.pool), self.block_capacity);
+        // Deliveries only reach stages, so the state the program routes
+        // from moves aside while `ship` drains the inbox.
+        let state = std::mem::replace(&mut self.state, ServerState::new(id, 0));
+        let ship = |dest: usize, block| self.ship(link, dest, Packet::Block(block));
+        let routed = match input {
+            Input::Sharded(db) if round == 1 => {
+                route_input(&*program, db, p, Some(id), &pool, capacity, ship)
             }
             _ => {
-                // Blocks wait until routing is done: one bound for this
-                // server is ingested into the state being routed from.
-                let mut held = Vec::new();
                 let asm = BlockAssembler::new(pool, capacity, id, round);
-                route_blocks(
-                    asm,
-                    p,
-                    |dest, block| {
-                        held.push((dest, block));
-                        Ok::<_, SimError>(())
-                    },
-                    |sink| program.route_tuples_into(round, id, &self.state, sink),
-                )?;
-                for (dest, block) in held {
-                    self.ship(link, dest, Packet::Block(block))?;
-                }
-                true
+                route_blocks(asm, p, ship, |sink| {
+                    program.route_tuples_into(round, id, &state, sink)
+                })
             }
         };
-        if sends {
-            for dest in 0..p {
-                self.ship(link, dest, Packet::Fin { round })?;
-            }
-        }
-        let stage = std::mem::take(&mut self.stages[round - 1]);
-        Ok(self.state.merge_stage(round, stage)?)
+        self.state = state;
+        routed?;
+        (0..p).try_for_each(|dest| self.ship(link, dest, Packet::Fin { round }))
     }
 
     /// Advance as far as the packets accepted so far allow: enter the
     /// next round if the previous one is computed, then — once every FIN
-    /// of the round is in — run its local computation.
+    /// of the round is in — merge the round's stage into the state,
+    /// settle it and run the local computation.
     ///
     /// # Errors
     ///
-    /// Program errors, ingest errors met while draining mid-send, and
-    /// [`SimError::Aborted`] on a closed link.
+    /// Program errors, ingest errors met while draining mid-send or when
+    /// the round's stage meets the state, and [`SimError::Aborted`] on a
+    /// closed link.
     pub fn step<L: Link + ?Sized>(&mut self, link: &mut L) -> Result<Step> {
         if self.computed == self.rounds {
             let output = self.program.output(self.id, &self.state)?;
@@ -572,6 +556,8 @@ where
         if self.fins[round - 1] < self.expected_fins(round) {
             return Ok(Step::NeedInput);
         }
+        let stage = std::mem::take(&mut self.stages[round - 1]);
+        self.state.merge_stage(round, stage)?;
         self.state.settle()?;
         for rel in self.program.compute(round, self.id, &self.state)? {
             self.state.add_local(rel);
@@ -741,11 +727,8 @@ mod tests {
         WorkerCore::new(program, 0, program.p, input, Arc::new(BlockPool::new()), 64).unwrap()
     }
 
-    /// The first column under `tag`, sorted — of a settled copy, since a
-    /// core mid-round holds rows it has not settled yet.
+    /// The first column under `tag`, sorted.
     fn rows(state: &ServerState, tag: &str) -> Vec<Value> {
-        let mut state = state.clone();
-        state.settle().unwrap();
         let mut rows: Vec<Value> =
             state.relation(tag).map(|rel| rel.iter().map(|t| t[0]).collect()).unwrap_or_default();
         rows.sort_unstable();
@@ -794,17 +777,21 @@ mod tests {
         assert_eq!(rows(core.state(), "hop1"), vec![2]);
         assert!(core.state().relation("hop2").is_none(), "round 2 is not visible in round 1");
         assert_eq!(core.state().tuples_received_in_round(2), 0);
-        // Round 2 routes from hop1 alone: 2 → (2 + 2) mod 2 = us.
+        // Round 2 routes from hop1 alone: 2 → (2 + 2) mod 2 = us. Neither
+        // that block nor the one that raced ahead is visible before the
+        // round closes.
         assert!(matches!(core.step(&mut link).unwrap(), Step::NeedInput));
-        assert_eq!(rows(core.state(), "hop2"), vec![2, 4]);
+        assert!(core.state().relation("hop2").is_none(), "round 2 is still open");
         assert!(core.state().relation("hop3").is_none());
         core.accept(Packet::Fin { round: 2 }).unwrap();
         assert!(matches!(core.step(&mut link).unwrap(), Step::RoundDone(2)));
+        assert_eq!(rows(core.state(), "hop2"), vec![2, 4]);
         // Round 3 forwards both hop2 tuples to peer 1.
         assert!(matches!(core.step(&mut link).unwrap(), Step::NeedInput));
-        assert_eq!(rows(core.state(), "hop3"), vec![5, 7]);
+        assert!(core.state().relation("hop3").is_none(), "round 3 is still open");
         core.accept(Packet::Fin { round: 3 }).unwrap();
         assert!(matches!(core.step(&mut link).unwrap(), Step::RoundDone(3)));
+        assert_eq!(rows(core.state(), "hop3"), vec![5, 7]);
         let Step::Finished(summary) = core.step(&mut link).unwrap() else { panic!("not done") };
         assert_eq!(summary.per_round_tuples, vec![1, 2, 2]);
         assert_eq!(summary.per_round_bytes, vec![8, 16, 16]);
@@ -842,14 +829,24 @@ mod tests {
         let (program, mut link) = (Relay { rounds: 2, p: 2 }, Sink::default());
         let mut core = core(&program);
         assert!(matches!(core.step(&mut link).unwrap(), Step::NeedInput));
-        let wide = |round| {
-            let tag = format!("hop{round}");
-            Packet::Block(TupleBlock::from_parts(Arc::from(&*tag), round, 1, 1, 2, 1, vec![1, 2]))
+        let wide = |tag: &str, round| {
+            Packet::Block(TupleBlock::from_parts(Arc::from(tag), round, 1, 1, 2, 1, vec![1, 2]))
         };
+        // Against a block staged earlier, for the round being received and
+        // for one ahead of it: refused on arrival.
         for round in [1, 2] {
-            core.accept(block(&format!("hop{round}"), round, 1, 0, &[1])).unwrap();
-            assert!(matches!(core.accept(wide(round)), Err(SimError::Storage(_))), "{round}");
+            let tag = format!("hop{round}");
+            core.accept(block(&tag, round, 1, 0, &[1])).unwrap();
+            assert!(matches!(core.accept(wide(&tag, round)), Err(SimError::Storage(_))), "{round}");
         }
+        // Against the state (hop1 holds one column since round 1 closed):
+        // staged, then refused when round 2 closes.
+        core.accept(Packet::Fin { round: 1 }).unwrap();
+        assert!(matches!(core.step(&mut link).unwrap(), Step::RoundDone(1)));
+        core.accept(wide("hop1", 2)).unwrap();
+        assert!(matches!(core.step(&mut link).unwrap(), Step::NeedInput));
+        core.accept(Packet::Fin { round: 2 }).unwrap();
+        assert!(matches!(core.step(&mut link), Err(SimError::Storage(_))));
     }
 
     #[test]

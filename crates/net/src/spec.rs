@@ -222,6 +222,13 @@ impl JobSpec {
     pub fn build(&self) -> Result<BuiltJob> {
         let query =
             parse_query(&self.query).map_err(|e| NetError::Protocol(format!("job query: {e}")))?;
+        if let PlannerChoice::OneRoundSkewResilient { scale } = self.program {
+            // With such a scale detection finds no heavy value, and the
+            // skew planner would plan as if the data had no skew.
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(NetError::Protocol(format!("job program: scale={scale}")));
+            }
+        }
         self.check_generator(&query)?;
         let db = match &self.db {
             DbSpec::Matching { n, seed } => mpc_data::matching_database(&query, *n, *seed),
@@ -393,5 +400,13 @@ mod tests {
             let wire = JobSpec::from_wire(&s.to_wire()).unwrap();
             assert!(matches!(wire.build(), Err(NetError::Protocol(_))), "{:?}", s.db);
         }
+        // So are skew scales that are not a positive number.
+        for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.0] {
+            let s = spec(PlannerChoice::OneRoundSkewResilient { scale });
+            let wire = JobSpec::from_wire(&s.to_wire()).unwrap();
+            assert!(matches!(wire.build(), Err(NetError::Protocol(_))), "scale={scale}");
+        }
+        let s = spec(PlannerChoice::OneRoundSkewResilient { scale: 0.5 });
+        assert!(JobSpec::from_wire(&s.to_wire()).unwrap().build().is_ok());
     }
 }

@@ -1,8 +1,8 @@
 //! The block data plane end to end on one thread, as a seeded property:
 //! rows pushed through `BlockAssembler` → `encode_frame` → `decode_body`
-//! → `ServerState::receive_block` leave every destination, once settled,
-//! in exactly the state `receive_row`, row by row in send order, leaves it
-//! in — for
+//! → `RoundStage::absorb` leave every destination, once its stage is
+//! merged and settled, in exactly the state `RoundStage::push_row`, row by
+//! row in send order (the reference loop's ingest), leaves it in — for
 //! every arity (zero included), block capacities from per-tuple to
 //! whole-round, several tags and destinations, and rows with duplicates.
 
@@ -13,14 +13,14 @@ use rand::{Rng, SeedableRng};
 
 use mpc_net::frame::{decode_body, encode_frame};
 use mpc_net::Frame;
-use mpc_sim::{BlockAssembler, BlockPool, ServerState, TupleBlock};
+use mpc_sim::{BlockAssembler, BlockPool, RoundStage, ServerState, TupleBlock};
 use mpc_storage::Value;
 
 const DESTINATIONS: usize = 3;
 const ROUND: usize = 2;
 
-/// Ship `block` as a frame and ingest what comes off the wire at `dest`.
-fn deliver(pool: &BlockPool, by_block: &mut [ServerState], dest: usize, block: TupleBlock) {
+/// Ship `block` as a frame and stage what comes off the wire at `dest`.
+fn deliver(pool: &BlockPool, by_block: &mut [RoundStage], dest: usize, block: TupleBlock) {
     let sent = (block.tag.clone(), block.round, block.from, block.seq, block.len(), block.arity());
     let frame = Frame::Block(block);
     let mut wire = Vec::new();
@@ -32,7 +32,7 @@ fn deliver(pool: &BlockPool, by_block: &mut [ServerState], dest: usize, block: T
     assert_eq!((got.tag.clone(), got.round, got.from, got.seq, got.len(), got.arity()), sent);
     assert_eq!(got.values(), block.values());
     pool.give_back(block.into_columns());
-    by_block[dest].receive_block(&got).expect("one arity per tag");
+    by_block[dest].absorb(&got).expect("one arity per tag");
     pool.give_back(got.into_columns());
 }
 
@@ -44,16 +44,15 @@ fn blocks_over_the_wire_equal_rowwise_delivery() {
             let arity_s = rng.gen_range(0..=4usize);
             let pool = Arc::new(BlockPool::new());
             let mut asm = BlockAssembler::new(Arc::clone(&pool), capacity, 5, ROUND);
-            let fresh = || (0..DESTINATIONS).map(|id| ServerState::new(id, 100)).collect();
-            let (mut by_row, mut by_block): (Vec<ServerState>, Vec<ServerState>) =
-                (fresh(), fresh());
+            let fresh = || (0..DESTINATIONS).map(|_| RoundStage::default()).collect();
+            let (mut by_row, mut by_block): (Vec<RoundStage>, Vec<RoundStage>) = (fresh(), fresh());
             let mut seqs = Vec::new();
             // A domain of 3 makes most rows duplicates of an earlier one.
             for _ in 0..rng.gen_range(200..600usize) {
                 let (tag, arity) = if rng.gen_bool(0.5) { ("R", arity_r) } else { ("S", arity_s) };
                 let dest = rng.gen_range(0..DESTINATIONS);
                 let row: Vec<Value> = (0..arity).map(|_| rng.gen_range(0..3)).collect();
-                by_row[dest].receive_row(ROUND, tag, &row).unwrap();
+                by_row[dest].push_row(tag, &row).unwrap();
                 if let Some(block) = asm.push(dest, tag, &row) {
                     assert_eq!(block.len(), capacity, "sealed exactly at capacity");
                     seqs.push(block.seq);
@@ -68,9 +67,14 @@ fn blocks_over_the_wire_equal_rowwise_delivery() {
 
             let case = format!("arities {arity_r}/{arity_s}, capacity {capacity}");
             assert!(seqs.iter().copied().eq(0..seqs.len() as u64), "{case}: seq not ascending");
-            for (rowwise, blockwise) in by_row.iter_mut().zip(&mut by_block) {
-                rowwise.settle().unwrap();
-                blockwise.settle().unwrap();
+            for (id, (by_row, by_block)) in by_row.into_iter().zip(by_block).enumerate() {
+                let merged = |stage| {
+                    let mut state = ServerState::new(id, 100);
+                    state.merge_stage(ROUND, stage).unwrap();
+                    state.settle().unwrap();
+                    state
+                };
+                let (rowwise, blockwise) = (merged(by_row), merged(by_block));
                 for tag in ["R", "S"] {
                     // Equality is ordered: same rows, same first-arrival order.
                     assert_eq!(rowwise.relation(tag), blockwise.relation(tag), "{case}: {tag}");

@@ -17,7 +17,9 @@ use mpc_lp::Rational;
 use mpc_net::frame::{decode_body, encode_frame};
 use mpc_net::{Frame, Link, NetError, Packet, SendOutcome, Transport};
 use mpc_sim::worker::drive;
-use mpc_sim::{BlockPool, Input, MpcProgram, ServerState, SimError, TupleBlock, WorkerCore};
+use mpc_sim::{
+    BlockPool, Input, MpcProgram, RoundStage, ServerState, SimError, TupleBlock, WorkerCore,
+};
 use mpc_storage::Relation;
 use mpc_storage::Value;
 
@@ -205,8 +207,10 @@ fn a_block_of_four_billion_empty_rows_is_ingested_as_one() {
         panic!("not a block")
     };
     assert_eq!((block.len(), block.arity(), block.payload_bytes()), (u32::MAX as usize, 0, 0));
+    let mut stage = RoundStage::default();
+    stage.absorb(&block).unwrap();
     let mut state = ServerState::new(0, 10);
-    state.receive_block(&block).unwrap();
+    state.merge_stage(block.round, stage).unwrap();
     state.settle().unwrap();
     assert_eq!(state.relation("Unit").unwrap().len(), 1);
     assert_eq!(state.tuples_received_in_round(1), u64::from(u32::MAX));

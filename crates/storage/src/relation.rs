@@ -343,13 +343,6 @@ impl Relation {
         (self.len() as u64) * (self.arity as u64) * 8
     }
 
-    /// Size of the relation in bits when each value is encoded with
-    /// `⌈log₂(domain)⌉` bits — the paper's `N = O(n log n)` accounting.
-    pub fn size_in_bits(&self, domain: u64) -> u64 {
-        let bits_per_value = (64 - domain.max(2).leading_zeros()) as u64;
-        (self.len() as u64) * (self.arity as u64) * bits_per_value
-    }
-
     /// The set of rows as a sorted vector of owned tuples (useful for
     /// equality checks in tests, ignoring insertion order).
     pub fn sorted_tuples(&self) -> Vec<Tuple> {
@@ -511,10 +504,6 @@ mod tests {
     fn size_accounting() {
         let r = Relation::from_tuples("R", 2, vec![[1u64, 2], [3, 4]]).unwrap();
         assert_eq!(r.size_in_bytes(), 2 * 2 * 8);
-        // domain 1000 → 10 bits per value.
-        assert_eq!(r.size_in_bits(1000), 2 * 2 * 10);
-        // tiny domains still get at least 1 bit per value.
-        assert!(r.size_in_bits(1) >= 4);
     }
 
     #[test]

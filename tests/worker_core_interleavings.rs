@@ -13,6 +13,10 @@
 //! for HyperCube (one round), a three-round plan and the two-round
 //! worst-case-optimal program, with the input routed by a router and
 //! sharded across the workers.
+//!
+//! Throughout, each core's state must stay what its last round left it:
+//! deliveries are staged, and the state changes only at
+//! [`Step::RoundDone`], whichever packets a step or an accept took in.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -24,8 +28,8 @@ use mpc_query::data::skew::heavy_hitter_database;
 use mpc_query::prelude::*;
 use mpc_query::sim::worker::route_input;
 use mpc_query::sim::{
-    fold_summaries, BlockPool, Input, Link, MpcProgram, Packet, RunResult, SendOutcome, SimError,
-    Step, WorkerCore, WorkerSummary,
+    fold_summaries, BlockPool, Input, Link, MpcProgram, Packet, RunResult, SendOutcome,
+    ServerState, SimError, Step, WorkerCore, WorkerSummary,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,8 +79,16 @@ impl Link for Port<'_> {
     }
 }
 
+/// What a server's state holds: its relations and its per-round volumes.
+type Snapshot = (Vec<Relation>, (Vec<u64>, Vec<u64>));
+
+fn snapshot(state: &ServerState, rounds: usize) -> Snapshot {
+    (state.relations().cloned().collect(), state.received_volumes(rounds))
+}
+
 /// Drive `p` cores to completion under the interleaving `seed` draws and
-/// fold their summaries.
+/// fold their summaries, checking after every step and every accepted
+/// packet that a core's state is still the one its last round left.
 fn run_cores<P: MpcProgram>(
     program: &P,
     db: &Database,
@@ -107,6 +119,14 @@ fn run_cores<P: MpcProgram>(
     let mut cores: Vec<_> = (0..p)
         .map(|id| WorkerCore::new(program, id, p, input, Arc::clone(&pool), capacity).unwrap())
         .collect();
+    let rounds = program.num_rounds();
+    let mut seen: Vec<Snapshot> = cores.iter().map(|core| snapshot(core.state(), rounds)).collect();
+    let unchanged = |core: &WorkerCore<'_, &P>, seen: &Snapshot, id: usize| {
+        let (relations, volumes) = seen;
+        let state = core.state();
+        assert!(state.relations().eq(relations), "server {id}: rows arrived before their round");
+        assert_eq!(&state.received_volumes(rounds), volumes, "server {id}: volume came early");
+    };
     let mut summaries: Vec<Option<WorkerSummary>> = vec![None; p];
     let mut buf = Vec::new();
     while summaries.iter().any(Option::is_none) {
@@ -116,10 +136,14 @@ fn run_cores<P: MpcProgram>(
         }
         match cores[id].step(&mut Port { net: &mut net, id }).expect("a clean run") {
             Step::NeedInput => {
+                unchanged(&cores[id], &seen[id], id);
                 net.deliver_some(id, &mut buf);
-                cores[id].accept_all(&mut buf).expect("a clean run");
+                for pkt in buf.drain(..) {
+                    cores[id].accept(pkt).expect("a clean run");
+                    unchanged(&cores[id], &seen[id], id);
+                }
             }
-            Step::RoundDone(_) => {}
+            Step::RoundDone(_) => seen[id] = snapshot(cores[id].state(), rounds),
             Step::Finished(summary) => summaries[id] = Some(summary),
         }
     }
@@ -171,4 +195,16 @@ fn the_two_round_wco_program_is_interleaving_independent() {
     let db = heavy_hitter_database(&q, 300, 400, 0.6, 14);
     let program = WcoProgram::new(&q, &db, 8, 9).unwrap();
     assert_every_interleaving_matches("WCO C3", &program, &db, MpcConfig::new(8, 0.9), 2);
+}
+
+/// A two-round plan whose round 2 routes from the state while its own and
+/// its peers' blocks stream in: `run_cores` checks after every accepted
+/// packet that the state is the one round 1 left.
+#[test]
+fn a_server_state_changes_only_when_its_round_closes() {
+    let q = families::chain(4);
+    let db = matching_database(&q, 90, 21);
+    let plan = MultiRoundPlan::build(&q, Rational::ZERO).unwrap();
+    let program = PlanProgram::new(&plan, 4, 5).unwrap();
+    assert_every_interleaving_matches("plan L4", &program, &db, MpcConfig::new(4, 0.0), 2);
 }
