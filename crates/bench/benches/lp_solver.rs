@@ -34,7 +34,7 @@ use mpc_cq::{families, Query};
 use mpc_lp::{QueryLps, Rational};
 
 /// The benched queries: the figure-1 suite plus the sweep sizes the
-/// `table1`/`figure1_lps` binaries now reach.
+/// claims T1 and F1 reach at full scale.
 fn suite() -> Vec<(&'static str, Query)> {
     vec![
         ("C3", families::cycle(3)),

@@ -1,42 +1,86 @@
-//! Shared helpers for the table/figure regeneration binaries and the
-//! Criterion benches.
+//! The paper's claims as data, and the helpers of the Criterion benches.
 //!
-//! Every binary in `src/bin/` regenerates one artefact of the paper (see
-//! the per-experiment index in `DESIGN.md`): it prints a human-readable
-//! table to stdout and, when `--json <path>` is passed (or the
-//! `MPC_BENCH_JSON` environment variable is set), also writes the rows as
-//! JSON so the numbers in `EXPERIMENTS.md` are reproducible artifacts.
+//! [`CLAIMS`] holds one [`Claim`] per reproduced artefact of the paper
+//! (E1–E13, Tables 1 and 2, Figure 1): its id, the name of its JSON
+//! artefact, the paper reference, what it shows, and a `run` that
+//! regenerates the artefact at a [`Scale`] and checks it against the
+//! paper's sentence. The `exp` binary runs one claim
+//! (`exp <ID> [--smoke] [--json <path>]`); `tests/claims.rs` runs them all
+//! at [`Scale::Smoke`] and fails with every violated check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
+// Declare a result row once: every field is a JSON field (unless marked
+// `#[serde(skip)]`), and a field with `= "header"` is also a table column,
+// rendered with `to_string()` or with the `=> |row| …` cell function that
+// follows the header.
+macro_rules! row {
+    (
+        struct $name:ident {
+            $( $(#$attr:tt)* $field:ident : $ty:ty $( = $header:literal $( => $cell:expr )? )? ),*
+            $(,)?
+        }
+    ) => {
+        #[derive(::serde::Serialize)]
+        struct $name { $( $(#$attr)* $field: $ty, )* }
+
+        impl $crate::Columns for $name {
+            fn header() -> Vec<&'static str> {
+                vec![$($($header,)?)*]
+            }
+            fn cells(&self) -> Vec<String> {
+                vec![$($( row!(@cell self, $field $(, $cell)?), )?)*]
+            }
+        }
+    };
+    (@cell $row:ident, $field:ident) => { $row.$field.to_string() };
+    (@cell $row:ident, $field:ident, $cell:expr) => {{
+        let cell: fn(&Self) -> String = $cell;
+        cell($row)
+    }};
+}
+
+mod claims;
+
+pub use claims::CLAIMS;
+
 /// A rendered table: header + rows of equal width.
-#[derive(Debug, Clone, Default)]
-pub struct TextTable {
+#[derive(Debug)]
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Create a table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(header: I) -> Self {
         TextTable { header: header.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
+    /// The table of `rows`, one line per row, columns as `R` declares them.
+    pub(crate) fn of<'a, R: Columns + 'a>(rows: impl IntoIterator<Item = &'a R>) -> Self {
+        let mut table = TextTable::new(R::header());
+        for row in rows {
+            table.row(row.cells());
+        }
+        table
+    }
+
     /// Append a row (must have the same number of cells as the header).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.header.len(), "row width must match header width");
         self.rows.push(cells);
     }
 
     /// Render as a GitHub-flavoured markdown table.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
@@ -63,56 +107,135 @@ impl TextTable {
         }
         out
     }
-
-    /// Print the table to stdout with a caption.
-    pub fn print(&self, caption: &str) {
-        println!("\n## {caption}\n");
-        print!("{}", self.to_markdown());
-    }
 }
 
-/// Where to write the JSON artefact of an experiment, if requested via
-/// `--json <path>` or `MPC_BENCH_JSON=<dir>`.
-pub fn json_output_path(experiment: &str) -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            return Some(PathBuf::from(path));
+/// A row type whose fields are table columns, declared by the crate's
+/// `row!` macro (or by hand for a row type of another crate).
+pub(crate) trait Columns {
+    /// The column headers, in order.
+    fn header() -> Vec<&'static str>;
+    /// The rendered cells of this row, one per header.
+    fn cells(&self) -> Vec<String>;
+}
+
+/// How much of a claim's grid to run.
+#[derive(Debug, Clone, Copy)]
+pub enum Scale {
+    /// Small inputs, seconds in a debug build: what `tests/claims.rs` runs.
+    Smoke,
+    /// The full grid of the artefact.
+    Full,
+}
+
+impl Scale {
+    /// `full` at [`Scale::Full`], `smoke` at [`Scale::Smoke`].
+    pub(crate) fn pick<T>(self, full: T, smoke: T) -> T {
+        match self {
+            Scale::Full => full,
+            Scale::Smoke => smoke,
         }
     }
-    if let Ok(dir) = std::env::var("MPC_BENCH_JSON") {
-        return Some(PathBuf::from(dir).join(format!("{experiment}.json")));
-    }
-    None
 }
 
-/// Serialise the experiment rows to the requested JSON path (if any).
+/// One claim of the paper: what it reproduces, and how to run and check it.
+#[derive(Debug)]
+pub struct Claim {
+    /// `E1`–`E13`, `T1`, `T2` or `F1`.
+    pub id: &'static str,
+    /// The name of its JSON artefact (`<artefact>.json`).
+    pub artefact: &'static str,
+    /// The paper reference.
+    pub paper: &'static str,
+    /// What it shows, as README's experiments table prints it.
+    pub shows: &'static str,
+    /// Regenerate the artefact and check it.
+    pub run: fn(Scale) -> Outcome,
+}
+
+/// What running a claim produced.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// The printed report: captions, tables and notes.
+    pub report: String,
+    /// The rows as a pretty-printed JSON artefact.
+    pub json: String,
+    /// Printed after the JSON notice when every check holds.
+    pub passed: String,
+    /// One message per violated check; empty when the claim holds.
+    pub failures: Vec<String>,
+}
+
+impl Outcome {
+    /// The outcome of a one-table claim: `rows` as a captioned table and
+    /// as the JSON artefact, then `note`.
+    pub(crate) fn new<R: Columns + Serialize>(
+        caption: &str,
+        rows: &[R],
+        note: &str,
+        failures: Vec<String>,
+    ) -> Self {
+        let mut out = Outcome { failures, ..Outcome::default() };
+        out.table(caption, &TextTable::of(rows));
+        out.note(note);
+        out.rows(rows);
+        out
+    }
+
+    /// Append a captioned table to the report.
+    pub(crate) fn table(&mut self, caption: &str, table: &TextTable) {
+        self.report.push_str(&format!("\n## {caption}\n\n{}", table.to_markdown()));
+    }
+
+    /// Append a paragraph to the report.
+    pub(crate) fn note(&mut self, note: &str) {
+        self.report.push_str(&format!("\n{note}\n"));
+    }
+
+    /// Set the JSON artefact to `rows`.
+    pub(crate) fn rows<T: Serialize + ?Sized>(&mut self, rows: &T) {
+        self.json = serde_json::to_string_pretty(rows).expect("rows serialise");
+    }
+
+    /// Record `failure` unless `ok` holds.
+    pub(crate) fn check(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        if !ok {
+            self.failures.push(failure());
+        }
+    }
+}
+
+/// Where a bench or claim writes its JSON artefact when
+/// `MPC_BENCH_JSON=<dir>` is set: `<dir>/<artefact>.json`.
+pub fn json_output_path(artefact: &str) -> Option<PathBuf> {
+    std::env::var("MPC_BENCH_JSON")
+        .ok()
+        .map(|dir| PathBuf::from(dir).join(format!("{artefact}.json")))
+}
+
+/// Write `json` to `path` and say so on stdout.
 ///
-/// The write is atomic: rows go to a `.tmp` sibling first and are moved
-/// into place with a rename, so a reader (the bench gate, a concurrent
-/// experiment) never observes a truncated artefact, and a crash mid-write
-/// leaves any previous artefact intact.
-pub fn maybe_write_json<T: Serialize>(experiment: &str, rows: &T) {
-    if let Some(path) = json_output_path(experiment) {
-        if let Some(parent) = path.parent() {
-            let _ = fs::create_dir_all(parent);
+/// The write is atomic: the text goes to a `.tmp` sibling first and is
+/// moved into place with a rename, so a reader (the bench gate, a
+/// concurrent experiment) never observes a truncated artefact, and a crash
+/// mid-write leaves any previous artefact intact.
+pub fn write_json(path: &Path, json: &str) {
+    if let Some(parent) = path.parent() {
+        let _ = fs::create_dir_all(parent);
+    }
+    let tmp = path.with_extension("json.tmp");
+    match fs::write(&tmp, json).and_then(|()| fs::rename(&tmp, path)) {
+        Ok(()) => println!("\n(wrote JSON rows to {})", path.display()),
+        Err(e) => {
+            let _ = fs::remove_file(&tmp);
+            eprintln!("warning: could not write {}: {e}", path.display());
         }
-        let json = match serde_json::to_string_pretty(rows) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("warning: could not serialise rows: {e}");
-                return;
-            }
-        };
-        let tmp = path.with_extension("json.tmp");
-        let result = fs::write(&tmp, json).and_then(|()| fs::rename(&tmp, &path));
-        match result {
-            Ok(()) => println!("\n(wrote JSON rows to {})", path.display()),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
+    }
+}
+
+/// Serialise bench rows to `MPC_BENCH_JSON/<artefact>.json`, if set.
+pub fn maybe_write_json<T: Serialize>(artefact: &str, rows: &T) {
+    if let Some(path) = json_output_path(artefact) {
+        write_json(&path, &serde_json::to_string_pretty(rows).expect("rows serialise"));
     }
 }
 
@@ -141,109 +264,6 @@ impl BenchRow {
     }
 }
 
-/// Parse `--<name> <usize>` (default `default`): used by the sweep flags
-/// of the table/figure binaries (e.g. `--k 24`).
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == name) {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok()) {
-            return v;
-        }
-    }
-    default
-}
-
-/// Parse `--<name> <f64>` (default `default`), accepting only values for
-/// which `accept` holds (e.g. positivity): the float twin of
-/// [`arg_usize`], shared by `--scale`, `--slack` and future flags.
-pub fn arg_f64(name: &str, default: f64, accept: fn(f64) -> bool) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(pos) = args.iter().position(|a| a == name) {
-        if let Some(v) = args.get(pos + 1).and_then(|s| s.parse::<f64>().ok()) {
-            if accept(v) {
-                return v;
-            }
-        }
-    }
-    default
-}
-
-/// Cross-check every LP solver path on `q`: the dense tableau oracle, the
-/// sparse revised simplex, and (when the family is recognised) the
-/// closed form must agree **exactly** — rational equality of `τ*` and of
-/// the edge-cover optimum, plus feasibility of every returned solution.
-///
-/// Returns a description of the first disagreement; the experiment
-/// binaries treat any `Err` as fatal (CI smoke runs fail on it).
-pub fn verify_lp_solver_agreement(q: &mpc_cq::Query) -> Result<(), String> {
-    use mpc_lp::QueryLps;
-    let dense = QueryLps::solve_dense(q).map_err(|e| format!("dense oracle failed: {e}"))?;
-    let sparse = QueryLps::solve_sparse(q).map_err(|e| format!("sparse solver failed: {e}"))?;
-    if dense.covering_number() != sparse.covering_number() {
-        return Err(format!(
-            "τ* disagreement on {}: dense {} vs sparse {}",
-            q.name(),
-            dense.covering_number(),
-            sparse.covering_number()
-        ));
-    }
-    if dense.edge_cover().total() != sparse.edge_cover().total() {
-        return Err(format!(
-            "edge-cover disagreement on {}: dense {} vs sparse {}",
-            q.name(),
-            dense.edge_cover().total(),
-            sparse.edge_cover().total()
-        ));
-    }
-    for (label, lps) in [("dense", &dense), ("sparse", &sparse)] {
-        if !lps.vertex_cover().is_valid_for(q)
-            || !lps.edge_packing().is_valid_for(q)
-            || !lps.edge_cover().is_valid_for(q)
-            || lps.vertex_cover().total() != lps.edge_packing().total()
-        {
-            return Err(format!("{label} solution of {} fails validation", q.name()));
-        }
-    }
-    if let Some((family, closed)) = mpc_lp::families::closed_form(q) {
-        if closed.covering_number() != dense.covering_number()
-            || closed.edge_cover().total() != dense.edge_cover().total()
-        {
-            return Err(format!(
-                "closed form {family} disagrees on {}: τ* {} vs {}",
-                q.name(),
-                closed.covering_number(),
-                dense.covering_number()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Compress long weight vectors for text tables (uniform vectors collapse
-/// to `(w ×n)`, very long ones are truncated); JSON artefacts keep the
-/// full vectors.
-pub fn fmt_weights(weights: &[String]) -> String {
-    if weights.len() > 8 && weights.iter().all(|w| w == &weights[0]) {
-        return format!("({} ×{})", weights[0], weights.len());
-    }
-    if weights.len() > 16 {
-        return format!("({}, … {} total)", weights[..6].join(", "), weights.len());
-    }
-    format!("({})", weights.join(", "))
-}
-
-/// Parse `--scale <f64>` (default 1.0): all experiment binaries accept it
-/// to shrink or grow the workload sizes.
-pub fn scale_factor() -> f64 {
-    arg_f64("--scale", 1.0, |v| v > 0.0)
-}
-
-/// Scale an integer workload parameter by the `--scale` factor, with a
-/// minimum of `min`.
-pub fn scaled(base: u64, min: u64) -> u64 {
-    ((base as f64 * scale_factor()).round() as u64).max(min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,9 +286,22 @@ mod tests {
         t.row(["only one"]);
     }
 
+    row! {
+        struct Probe {
+            name: String = "name",
+            ratio: f64 = "ratio" => |r| format!("{:.2}", r.ratio),
+            hidden: bool,
+        }
+    }
+
     #[test]
-    fn scaled_respects_minimum() {
-        assert!(scaled(100, 10) >= 10);
+    fn a_row_declares_its_json_fields_and_its_columns_once() {
+        let row = Probe { name: "C3".to_string(), ratio: 1.0 / 3.0, hidden: true };
+        assert_eq!(Probe::header(), ["name", "ratio"]);
+        assert_eq!(row.cells(), ["C3", "0.33"]);
+        let json = serde_json::to_string(&row).unwrap();
+        assert!(json.contains("\"hidden\":true") && json.contains("\"ratio\":0.333"), "{json}");
+        assert!(TextTable::of([&row]).to_markdown().contains("| C3   | 0.33  |"));
     }
 
     #[test]
