@@ -158,11 +158,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan containing exactly the given faults.
-    pub fn new(faults: Vec<Fault>) -> Self {
-        FaultPlan { faults }
-    }
-
     /// Parse a comma-separated list of fault specs
     /// (e.g. `"kill:w2@round1,delay:w0@round2:50"`).
     ///
@@ -198,11 +193,6 @@ impl FaultPlan {
     /// `--fault` arguments the master passes to that worker's process.
     pub fn for_worker(&self, worker: u32) -> Vec<String> {
         self.faults.iter().filter(|f| f.worker == worker).map(|f| f.to_string()).collect()
-    }
-
-    /// Does the plan kill anyone at all?
-    pub fn kills(&self) -> bool {
-        self.faults.iter().any(|f| f.kind == FaultKind::Kill)
     }
 }
 
@@ -307,7 +297,6 @@ mod tests {
         let plan = FaultPlan::parse("kill:w2@round1, delay:w0@round2:5").unwrap();
         assert_eq!(plan.faults.len(), 2);
         assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
-        assert!(plan.kills());
         assert_eq!(plan.for_worker(2), vec!["kill:w2@round1".to_string()]);
         assert_eq!(plan.for_worker(1), Vec::<String>::new());
     }

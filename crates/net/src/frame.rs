@@ -14,13 +14,13 @@
 //! allocated for it, so a hostile length prefix is a
 //! [`NetError::Protocol`], never an allocation.
 //!
-//! Control frames implement the master/worker protocol (see
-//! [`crate::master`] for the state machine): `Hello` → `Job` → `Peers` →
+//! Control frames implement the master/worker protocol (the master's
+//! state machine is `control.rs`'s): `Hello` → `Job` → `Peers` →
 //! `MeshReady` → per-round `Ready`/`Proceed` → `Summary` → `Shutdown`,
 //! with `Abort` usable by either side at any point. `DataHello`
 //! identifies the connecting worker on a freshly opened data socket.
 //! `poll_frame` is the one timed read of a control socket: the master's
-//! liveness poll and a recoverable worker's barrier wait both use it.
+//! driver and a recoverable worker's barrier wait both use it.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;

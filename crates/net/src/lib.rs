@@ -13,18 +13,20 @@
 //!   steady state — and nothing at all for a count its frame cannot back.
 //!   Control frames cover the master/worker handshake, per-round barriers
 //!   and fail-fast aborts.
-//! * **[`transport`] / [`runner`]** — [`TcpTransport`], the socket
-//!   implementation of the simulator's [`Transport`] trait.
-//!   [`runner::run_distributed`] drives one [`mpc_sim::WorkerCore`] per
-//!   server over it — or, in-process, runs the job on the simulator's
-//!   reactor mesh ([`mpc_sim::mesh`]) — and rebuilds the exact
+//! * **the TCP transport and [`run_distributed`]** — the socket
+//!   implementation of the simulator's [`mpc_sim::Transport`] trait.
+//!   [`run_distributed`] drives one [`mpc_sim::WorkerCore`] per server
+//!   over it — or, in-process, runs the job on the simulator's reactor
+//!   mesh ([`mpc_sim::mesh`]) — and rebuilds the exact
 //!   [`mpc_sim::RunResult`] the single-process backends produce.
-//! * **[`master`] / [`spec`]** — the spawned-process mode: each server is
-//!   a real OS process (`mpc_workerd`) coordinated over localhost by a
-//!   master (hello handshake, per-round ready/proceed signals, clean
-//!   shutdown, fail-fast on worker death — the D-FDB coordination
-//!   pattern). A [`JobSpec`] describes the job in a self-contained wire
-//!   form so workers can rebuild the program and database on their own.
+//! * **[`run_spawned`] / [`spec`]** — the spawned-process mode: each
+//!   server is a real OS process (`mpc_workerd`) coordinated over
+//!   localhost by a master (hello handshake, per-round ready/proceed
+//!   signals, clean shutdown, fail-fast on worker death or recovery from
+//!   it — the D-FDB coordination pattern), whose protocol is one state
+//!   machine under one driver. A [`JobSpec`] describes the job in a
+//!   self-contained wire form so workers can rebuild the program and
+//!   database on their own.
 //! * **[`service`]** — a [`QueryService`] front-end that accepts a stream
 //!   of parsed CQs, analyses them (afresh per submission; nothing is
 //!   memoised), admits them against a server byte budget, and multiplexes many
@@ -35,26 +37,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod control;
 pub mod fault;
 pub mod frame;
-pub mod master;
-pub mod recovery;
-pub mod runner;
+mod master;
+mod recovery;
+mod runner;
 pub mod service;
 pub mod spec;
-pub mod transport;
+mod transport;
 
 use std::fmt;
 
 pub use fault::{Fault, FaultKind, FaultPhase, FaultPlan};
 pub use frame::Frame;
-pub use master::{run_spawned, run_spawned_with, worker_main, SpawnedReport};
-pub use mpc_sim::{Link, Packet, SendOutcome, Transport};
+pub use master::{run_spawned, run_spawned_with, SpawnedReport};
 pub use recovery::MasterConfig;
-pub use runner::{run_distributed, DistConfig, TransportKind};
+pub use runner::{run_distributed, worker_main, DistConfig, TransportKind};
 pub use service::{Admission, QueryJob, QueryOutcome, QueryService, ServiceConfig, Submission};
 pub use spec::JobSpec;
-pub use transport::TcpTransport;
 
 /// Errors raised by the networking layer.
 #[derive(Debug)]

@@ -7,13 +7,12 @@
 //! form; each worker then sends a
 //! [`Frame::Checkpoint`](crate::Frame::Checkpoint) at every barrier and
 //! keeps its outbound frames of the last two rounds for replay. When the
-//! master's liveness poll finds a worker process dead it re-spawns the
-//! worker from the same [`JobSpec`], restores it from its latest
+//! master finds a worker dead (its connection closed or its process
+//! exited) it re-spawns the worker from the same [`JobSpec`] after a
+//! back-off, restores it from its latest
 //! checkpoint, and has the surviving peers retransmit the in-flight round
 //! from their replay logs — the query never restarts. Once the respawn
 //! budget is spent the master falls back to the fail-fast abort.
-
-use std::time::Duration;
 
 use crate::fault::FaultPlan;
 use crate::spec::JobSpec;
@@ -39,10 +38,6 @@ const RECOVERY_LINE: &str = "recovery=1";
 /// before it.
 pub(crate) const REPLAY_ROUNDS: usize = 2;
 
-/// The pause before the first re-spawn; it doubles per re-spawn already
-/// used, five times at most.
-const RESPAWN_BACKOFF: Duration = Duration::from_millis(50);
-
 impl MasterConfig {
     /// The wire form this master hands `job`'s workers: the spec's own,
     /// plus [`RECOVERY_LINE`] when it may re-spawn them
@@ -61,11 +56,6 @@ impl MasterConfig {
 /// replay log, accept rejoining peers, and checkpoint every round.
 pub(crate) fn recovery_requested(wire: &str) -> bool {
     wire.lines().any(|line| line.trim() == RECOVERY_LINE)
-}
-
-/// The pause before re-spawn number `used` (0-based).
-pub(crate) fn respawn_pause(used: usize) -> Duration {
-    RESPAWN_BACKOFF * (1 << used.min(5))
 }
 
 #[cfg(test)]
@@ -91,14 +81,6 @@ mod tests {
         let cfg = MasterConfig::default();
         assert_eq!(cfg.max_respawns, 0);
         assert!(!recovery_requested(&cfg.job_wire(&job())));
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        assert_eq!(respawn_pause(0), Duration::from_millis(50));
-        assert_eq!(respawn_pause(1), Duration::from_millis(100));
-        assert_eq!(respawn_pause(2), Duration::from_millis(200));
-        assert_eq!(respawn_pause(60), Duration::from_millis(1600), "exponent capped, no overflow");
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! function of the tuple, the delivered multiset — and therefore every
 //! volume statistic — is identical on every path, which the differential
 //! tests assert.
+//!
+//! This is also the worker's side of the master protocol, for a thread
+//! and for a spawned process ([`worker_main`]) alike: the handshake
+//! ([`tcp_worker_setup`]), the rounds, and in spawned mode the summary.
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -23,14 +27,15 @@ use std::time::Duration;
 use mpc_sim::worker::drive;
 use mpc_sim::{
     fold_summaries, resolve_reports, AsyncConfig, BlockPool, Cluster, Input, MpcProgram,
-    RestorePoint, RunResult, SimError, WorkerCore, WorkerSummary,
+    RestorePoint, RunResult, SimError, Transport as _, WorkerCore, WorkerSummary,
 };
 use mpc_storage::Database;
 
 use crate::fault::{self, FaultPhase};
 use crate::frame::{read_frame, write_frame, Frame};
-use crate::master::ControlPlane;
+use crate::master::serve_threads;
 use crate::recovery::recovery_requested;
+use crate::spec::JobSpec;
 use crate::transport::{dial_with_backoff, TcpEndpoints, TcpTransport};
 use crate::{NetError, Result};
 
@@ -85,7 +90,7 @@ impl DistConfig {
 /// # Errors
 ///
 /// Fails on program errors, protocol violations and dead peers.
-pub(crate) fn run_tcp_worker<P: MpcProgram + ?Sized>(
+fn run_tcp_worker<P: MpcProgram + ?Sized>(
     transport: &mut TcpTransport,
     program: &P,
     db: &Database,
@@ -146,10 +151,7 @@ fn run_tcp_threads<P: MpcProgram>(
     let total_rounds = program.num_rounds();
 
     std::thread::scope(|scope| {
-        let master = scope.spawn(move || -> Result<()> {
-            ControlPlane::accept(&listener, p, None, &mut || Ok(()))?
-                .serve_barriers(total_rounds, None)
-        });
+        let master = scope.spawn(move || serve_threads(&listener, p, total_rounds));
         let handles: Vec<_> = (0..p)
             .map(|id| {
                 let master_addr = &master_addr;
@@ -175,12 +177,58 @@ fn run_tcp_threads<P: MpcProgram>(
     })
 }
 
+/// The worker-process entry point behind `mpc_workerd`: dial the master,
+/// receive the job (and, for a recovery replacement, the checkpoint to
+/// restore from), rebuild program and database from the spec, run the
+/// worker loop over TCP, report the summary and wait for shutdown.
+///
+/// # Errors
+///
+/// Fails on protocol violations, job build errors and program errors; a
+/// failure aborts the rest of the cluster before returning.
+pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
+    fault::trip(worker_id as u32, FaultPhase::Handshake);
+    let WorkerSetup { mut transport, job, restore } =
+        tcp_worker_setup(worker_id, None, master_addr)?;
+    let run = (|| -> Result<()> {
+        let wire =
+            job.ok_or_else(|| NetError::Protocol("spawned worker received no job".to_string()))?;
+        let spec = JobSpec::from_wire(&wire)?;
+        if spec.p != transport.parties() {
+            return Err(NetError::Protocol(format!(
+                "job says p = {}, peer table says {}",
+                spec.p,
+                transport.parties()
+            )));
+        }
+        let built = spec.build()?;
+        let (program, capacity) = (built.program.as_ref(), spec.block_capacity);
+        let summary =
+            run_tcp_worker(&mut transport, program, &built.db, worker_id, capacity, restore)?;
+        fault::trip(worker_id as u32, FaultPhase::Summary);
+        let WorkerSummary { output, per_round_bytes, per_round_tuples, .. } = summary;
+        transport.send_control(&Frame::Summary { output, per_round_bytes, per_round_tuples })?;
+        // Keep data sockets open until the master confirms every worker
+        // drained; only then tear down.
+        match transport.read_control()? {
+            Frame::Shutdown => Ok(()),
+            Frame::Abort { reason } => Err(NetError::Protocol(format!("master aborted: {reason}"))),
+            other => Err(NetError::Protocol(format!("expected Shutdown, got {other:?}"))),
+        }
+    })();
+    match run {
+        Ok(()) => transport.shutdown(),
+        Err(_) => transport.abort(),
+    }
+    run
+}
+
 /// What [`tcp_worker_setup`] hands back: the meshed transport, the raw
 /// job spec (spawned mode) and the restore checkpoint (recovery rejoin).
-pub(crate) struct WorkerSetup {
-    pub transport: TcpTransport,
-    pub job: Option<String>,
-    pub restore: Option<RestorePoint>,
+struct WorkerSetup {
+    transport: TcpTransport,
+    job: Option<String>,
+    restore: Option<RestorePoint>,
 }
 
 /// Dial the master, announce ourselves, mesh-connect to every peer and
@@ -201,11 +249,7 @@ pub(crate) struct WorkerSetup {
 /// handshake (dial lower ids, accept higher), it dials *every* surviving
 /// peer's rejoin acceptor, announcing `DataHello` + `ReplayRequest` so
 /// the survivor replays the rounds the replacement's checkpoint misses.
-pub(crate) fn tcp_worker_setup(
-    id: usize,
-    expect_p: Option<usize>,
-    master_addr: &str,
-) -> Result<WorkerSetup> {
+fn tcp_worker_setup(id: usize, expect_p: Option<usize>, master_addr: &str) -> Result<WorkerSetup> {
     let pool = BlockPool::new();
     let data_listener = TcpListener::bind("127.0.0.1:0")?;
     let data_port = data_listener.local_addr()?.port();

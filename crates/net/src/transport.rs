@@ -68,7 +68,7 @@ const DIAL_PAUSE_CAP: Duration = Duration::from_millis(250);
 /// # Errors
 ///
 /// Returns the last connect error once the deadline passes.
-pub fn dial_with_backoff(addr: &str, deadline: Duration, seed: u64) -> Result<TcpStream> {
+pub(crate) fn dial_with_backoff(addr: &str, deadline: Duration, seed: u64) -> Result<TcpStream> {
     let start = Instant::now();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1A1_B0FF);
     let mut pause = Duration::from_millis(2);
@@ -116,27 +116,27 @@ struct RejoinShared {
 }
 
 /// The endpoints a freshly meshed worker hands to [`TcpTransport::new`].
-pub struct TcpEndpoints {
+pub(crate) struct TcpEndpoints {
     /// This worker's server id.
-    pub id: usize,
+    pub(crate) id: usize,
     /// Cluster size.
-    pub p: usize,
+    pub(crate) p: usize,
     /// `outbound[dest]` — a connected data stream to each peer (`None`
     /// at `dest == id`, and everywhere for a worker past its last round).
-    pub outbound: Vec<Option<TcpStream>>,
+    pub(crate) outbound: Vec<Option<TcpStream>>,
     /// Accepted data streams, each paired with the sending server's id
     /// (from its `DataHello`).
-    pub inbound: Vec<(usize, TcpStream)>,
+    pub(crate) inbound: Vec<(usize, TcpStream)>,
     /// The control stream to the master (`Ready`/`Proceed` barriers).
-    pub control: TcpStream,
+    pub(crate) control: TcpStream,
     /// The worker's data listener, kept open for rejoining peers when
     /// recovery is enabled.
-    pub listener: TcpListener,
+    pub(crate) listener: TcpListener,
 }
 
 /// The socket transport: one outbound TCP stream per peer, reader threads
 /// feeding the inbox, and a control stream to the master for barriers.
-pub struct TcpTransport {
+pub(crate) struct TcpTransport {
     id: usize,
     /// `writers[dest]` is the framed stream into `dest` (`None` at
     /// `dest == id`; self-sends never reach the transport).
@@ -298,7 +298,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// Fails on malformed endpoint tables.
-    pub fn new(ep: TcpEndpoints, pool: Arc<BlockPool>, recovery: bool) -> Result<Self> {
+    pub(crate) fn new(ep: TcpEndpoints, pool: Arc<BlockPool>, recovery: bool) -> Result<Self> {
         let TcpEndpoints { id, p, outbound, inbound, control, listener } = ep;
         // Unbounded lanes: only `force_send` ever fills them.
         let (senders, rx) = mpc_sim::queue::Inbox::channel(p, usize::MAX);
@@ -392,7 +392,7 @@ impl TcpTransport {
     }
 
     /// The cluster size this transport was meshed for.
-    pub fn parties(&self) -> usize {
+    pub(crate) fn parties(&self) -> usize {
         self.writers.len()
     }
 
@@ -403,7 +403,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// Fails when the master is gone.
-    pub fn send_control(&mut self, frame: &Frame) -> Result<()> {
+    pub(crate) fn send_control(&mut self, frame: &Frame) -> Result<()> {
         crate::frame::encode_frame(frame, &mut self.scratch);
         self.control.get_mut().write_all(&self.scratch)?;
         self.control.get_mut().flush()?;
@@ -416,7 +416,7 @@ impl TcpTransport {
     /// # Errors
     ///
     /// Fails when the master is gone or sends garbage.
-    pub fn read_control(&mut self) -> Result<Frame> {
+    pub(crate) fn read_control(&mut self) -> Result<Frame> {
         let pool = BlockPool::new();
         read_frame(&mut self.control, &pool)
     }
@@ -475,7 +475,7 @@ impl TcpTransport {
     /// master may still wait on this worker at a barrier, and until it
     /// sees the worker gone and aborts the peers parked there, they never
     /// send the EOFs this worker's readers wait for.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         let _ = self.control.get_ref().shutdown(std::net::Shutdown::Both);
         self.acceptor_stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.acceptor.take() {

@@ -15,10 +15,11 @@ use mpc_cq::families;
 use mpc_data::matching_database;
 use mpc_lp::Rational;
 use mpc_net::frame::{decode_body, encode_frame};
-use mpc_net::{Frame, Link, NetError, Packet, SendOutcome, Transport};
+use mpc_net::{Frame, NetError};
 use mpc_sim::worker::drive;
 use mpc_sim::{
-    BlockPool, Input, MpcProgram, RoundStage, ServerState, SimError, TupleBlock, WorkerCore,
+    BlockPool, Input, Link, MpcProgram, Packet, RoundStage, SendOutcome, ServerState, SimError,
+    Transport, TupleBlock, WorkerCore,
 };
 use mpc_storage::Relation;
 use mpc_storage::Value;

@@ -14,6 +14,11 @@
 //!   top-level directory such as `crates/` or `tools/`) must exist, so
 //!   prose referring to a file that was moved or deleted fails the
 //!   build instead of silently going stale.
+//! * **Backticked items** `file.rs::item` (or `file.rs::Type::method`,
+//!   the file named bare or by its repo path) — a `.rs` file of that name
+//!   must exist under one of those top-level directories and define every
+//!   name after it as a `fn`, `struct`, `enum`, `trait`, `type`, `const`
+//!   or `mod`, so prose citing a deleted function fails too.
 //!
 //! `http(s):`/`mailto:` targets are skipped — CI has no network.
 //!
@@ -156,6 +161,63 @@ fn path_mentions(line: &str) -> Vec<String> {
     out
 }
 
+/// Extract backticked `file.rs::item` spans from one line, as the file
+/// and the names after it.
+fn item_mentions(line: &str) -> Vec<(String, Vec<String>)> {
+    let mut out = Vec::new();
+    for (i, seg) in line.split('`').enumerate() {
+        let Some((file, items)) = seg.split_once(".rs::") else { continue };
+        if i % 2 == 0 || seg.contains(char::is_whitespace) {
+            continue;
+        }
+        out.push((format!("{file}.rs"), items.split("::").map(str::to_string).collect()));
+    }
+    out
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Whether `source` defines `item` as a `fn`, `struct`, `enum`, `trait`,
+/// `type`, `const` or `mod`.
+fn defines(source: &str, item: &str) -> bool {
+    ["fn", "struct", "enum", "trait", "type", "const", "mod"].iter().any(|kw| {
+        let needle = format!("{kw} {item}");
+        source.match_indices(&needle).any(|(at, _)| {
+            let before = source[..at].chars().next_back();
+            let after = source[at + needle.len()..].chars().next();
+            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+        })
+    })
+}
+
+/// Every file under `dir` whose path ends in `file` (a bare name or a
+/// repo path).
+fn files_ending_in(dir: &Path, file: &str, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            files_ending_in(&path, file, out);
+        } else if path.ends_with(file) {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether some `.rs` file named `file` under a path root of `root`
+/// defines every one of `items`.
+fn item_resolves(root: &Path, file: &str, items: &[String]) -> bool {
+    let mut candidates = Vec::new();
+    for top in PATH_ROOTS {
+        files_ending_in(&root.join(top), file, &mut candidates);
+    }
+    candidates.iter().any(|path| {
+        let source = fs::read_to_string(path).unwrap_or_default();
+        items.iter().all(|item| defines(&source, item))
+    })
+}
+
 /// Check one markdown file; push failures as `file:line: message`.
 fn check_file(path: &Path, failures: &mut Vec<String>) {
     let Ok(text) = fs::read_to_string(path) else {
@@ -208,6 +270,12 @@ fn check_file(path: &Path, failures: &mut Vec<String>) {
         for mention in path_mentions(line) {
             if !Path::new(mention.trim_end_matches('/')).exists() {
                 failures.push(format!("{at}: stale repo path `{mention}`"));
+            }
+        }
+        for (file, items) in item_mentions(line) {
+            if !item_resolves(Path::new("."), &file, &items) {
+                let span = format!("{file}::{}", items.join("::"));
+                failures.push(format!("{at}: `{span}` names no item of a file `{file}`"));
             }
         }
     }
@@ -329,6 +397,21 @@ mod tests {
         let first_line_of_23 = 3 + 41 + 16;
         assert_eq!(entries_over_budget(&text), vec![(first_line_of_23, 23, ENTRY_MAX_LINES + 1)]);
         assert!(entries_over_budget("- no PR named here\n  x\n").is_empty());
+    }
+
+    #[test]
+    fn item_spans_resolve_only_to_defined_items() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("the repo root");
+        let line = "`docs_gate.rs::defines` and `tools/docs_gate.rs::gone_fn`, `a.rs::b c`";
+        let mentions = item_mentions(line);
+        assert_eq!(mentions.len(), 2, "{mentions:?}");
+        let resolves = |(file, items): &(String, Vec<String>)| item_resolves(root, file, items);
+        assert!(resolves(&mentions[0]), "a defined fn resolves");
+        assert!(!resolves(&mentions[1]), "a deleted fn does not");
+        let missing_file = ("nowhere.rs".to_string(), vec!["main".to_string()]);
+        assert!(!resolves(&missing_file), "nor an item of a file that does not exist");
+        assert!(defines("pub(crate) struct Master {", "Master"));
+        assert!(!defines("fn on_event()", "on"), "a prefix of a name is not the name");
     }
 
     #[test]
