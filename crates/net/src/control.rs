@@ -1,4 +1,5 @@
-//! The master's half of the control protocol, as one state machine.
+//! The control protocol, as two state machines: the master's half and the
+//! worker's.
 //!
 //! The coordination pattern follows the distributed-FDB design: a master
 //! owns one control connection per worker and moves the job through
@@ -22,13 +23,17 @@
 //!
 //! with `Abort` valid in either direction at any time.
 //!
-//! [`Master`] is that protocol and nothing else: it holds no socket,
-//! process, clock or sleep. [`Master::on`] takes one [`Event`] — a
-//! connection accepted, a frame, a connection closed, a worker process
+//! [`Master`] and [`Worker`] are that protocol and nothing else: they hold
+//! no socket, process, clock or sleep. [`Master::on`] takes one [`Event`]
+//! — a connection accepted, a frame, a connection closed, a worker process
 //! exited, a clock tick — and returns the [`Action`]s it decides: frames
 //! to send, worker processes to start, and the end of the job. One driver,
-//! `master::serve`, runs it over sockets and processes; the tests below
-//! run it under a seeded simulator.
+//! `master::serve`, runs it over sockets and processes. [`Worker::on`]
+//! takes one [`Input`] — a frame from the master, the control connection
+//! closing, or the worker's own progress — and returns the frames to send
+//! and whether the worker may [`Go`] on; one wait, `transport::Control`'s,
+//! runs it for the handshake, the mesh, every barrier and the shutdown.
+//! The tests below run both machines together under a seeded simulator.
 //!
 //! Each worker is in its own [`Phase`]: started, dialing in, joined (its
 //! `Hello` is in), then owing or at a barrier. The cluster releases its
@@ -47,9 +52,10 @@
 
 use std::time::Duration;
 
-use mpc_sim::WorkerSummary;
+use mpc_sim::{RestorePoint, SimError, WorkerSummary};
 
 use crate::frame::Frame;
+use crate::recovery::recovery_requested;
 use crate::{NetError, Result};
 
 /// The pause before the first re-spawn; it doubles per re-spawn already
@@ -109,7 +115,7 @@ enum Phase {
     At(usize),
 }
 
-struct Worker {
+struct Member {
     phase: Phase,
     conn: Option<usize>,
     /// Where its peers reach its data listener.
@@ -123,7 +129,7 @@ struct Worker {
 /// The master's side of one job. See the module docs.
 #[derive(Default)]
 pub(crate) struct Master {
-    workers: Vec<Worker>,
+    workers: Vec<Member>,
     /// Per accepted connection, its host while it has yet to say `Hello`.
     /// A worker's connection is the one it names.
     conns: Vec<Option<String>>,
@@ -163,7 +169,7 @@ impl Master {
         };
         let (relations, per_round_bytes, per_round_tuples) = (Vec::new(), Vec::new(), Vec::new());
         let empty = Frame::Checkpoint { round: 0, relations, per_round_bytes, per_round_tuples };
-        let worker = |_| Worker {
+        let worker = |_| Member {
             phase: phase.clone(),
             conn: None,
             addr: String::new(),
@@ -265,7 +271,7 @@ impl Master {
     /// latest checkpoint goes first and tells it to rejoin the running
     /// mesh.
     fn mesh(&mut self, out: &mut Vec<Action>) {
-        let starting = |w: &Worker| matches!(w.phase, Phase::Spawn { .. } | Phase::Dialing { .. });
+        let starting = |w: &Member| matches!(w.phase, Phase::Spawn { .. } | Phase::Dialing { .. });
         if self.workers.iter().any(starting) {
             return;
         }
@@ -337,7 +343,7 @@ impl Master {
         let last = self.rounds + usize::from(self.job.is_some());
         loop {
             let r = self.round;
-            let reached = |w: &Worker| match w.phase {
+            let reached = |w: &Member| match w.phase {
                 Phase::At(k) => k >= r,
                 Phase::Owes(k) => k > r,
                 _ => false,
@@ -411,13 +417,186 @@ impl Master {
     }
 }
 
+/// What a worker hears from the master, or reaches on its own.
+#[derive(Debug)]
+pub(crate) enum Input {
+    /// It dialed in; its peers reach its data listener on this port.
+    Hello(u16),
+    /// A frame from the master.
+    Frame(Frame),
+    /// The control connection closed or failed, as the reason says.
+    Closed(String),
+    /// Its data mesh is formed.
+    Meshed,
+    /// Round `r` is done, with its checkpoint when the job recovers.
+    RoundDone(usize, Option<Frame>),
+    /// Its summary (spawned mode).
+    Summary(Frame),
+}
+
+/// Whether a worker may go on.
+#[derive(Debug)]
+pub(crate) enum Go {
+    /// Not yet.
+    Wait,
+    /// The peer table is in: form this data mesh.
+    Mesh(Mesh),
+    /// Released from the barrier it was at, or shut down.
+    On,
+}
+
+/// The data mesh a worker forms, as the peer table and its checkpoint
+/// decide.
+#[derive(Debug)]
+pub(crate) struct Mesh {
+    /// The cluster size.
+    pub(crate) p: usize,
+    /// The peers it dials, with their addresses: the lower ids on a fresh
+    /// mesh, every peer for a replacement.
+    pub(crate) dial: Vec<(usize, String)>,
+    /// How many peers dial in: the higher ids on a fresh mesh, none for a
+    /// replacement (its peers are running already).
+    pub(crate) accept: usize,
+    /// What opens each dialed connection: `DataHello`, and for a
+    /// replacement the `ReplayRequest` for the rounds after its checkpoint.
+    pub(crate) hello: Vec<Frame>,
+    /// The job's wire form (spawned mode).
+    pub(crate) job: Option<String>,
+    /// The checkpoint a replacement restores.
+    pub(crate) restore: Option<RestorePoint>,
+    /// Whether the job recovers: checkpoint every round, keep a replay
+    /// log, let replaced peers rejoin.
+    pub(crate) recovery: bool,
+}
+
+/// Where a worker is in the protocol.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stage {
+    /// Awaits the peer table (after `Job` and a replacement's `Checkpoint`).
+    Handshake,
+    /// Forms the data mesh; no frame is due from the master.
+    Meshing,
+    /// Reached barrier `k`; awaits `Proceed(k)`.
+    Barrier(usize),
+    /// Runs a round; no frame is due from the master.
+    Running,
+    /// Sent its summary; awaits `Shutdown`.
+    Summary,
+}
+
+/// The worker's side of one job. See the module docs.
+pub(crate) struct Worker {
+    id: usize,
+    stage: Stage,
+    job: Option<String>,
+    /// A replacement's checkpoint, until the peer table is in.
+    checkpoint: Option<Frame>,
+}
+
+impl Worker {
+    /// The machine of worker `id`, before it dialed in.
+    pub(crate) fn new(id: usize) -> Worker {
+        Worker { id, stage: Stage::Handshake, job: None, checkpoint: None }
+    }
+
+    /// Whether a frame from the master is due: else the worker forms its
+    /// mesh or runs a round, and the master speaks only to abort.
+    pub(crate) fn awaits_master(&self) -> bool {
+        !matches!(self.stage, Stage::Meshing | Stage::Running)
+    }
+
+    /// The one transition function: take `input`, return the frames to send
+    /// the master and whether the worker may go on. An `Abort` is the
+    /// master's reason as [`SimError::Aborted`]; any frame the stage does
+    /// not await is a protocol error naming the stage.
+    pub(crate) fn on(&mut self, input: Input) -> Result<(Vec<Frame>, Go)> {
+        let (id, stage) = (self.id, self.stage);
+        let (send, next, go) = match (stage, input) {
+            (_, Input::Frame(Frame::Abort { reason })) => {
+                return Err(SimError::Aborted(format!("master aborted: {reason}")).into());
+            }
+            (_, Input::Closed(why)) => return Err(protocol(format!("master {why} ({stage:?})"))),
+            (Stage::Handshake, Input::Hello(data_port)) => {
+                (vec![Frame::Hello { worker_id: id as u32, data_port }], stage, Go::Wait)
+            }
+            (Stage::Handshake, Input::Frame(Frame::Job { spec })) => {
+                self.job = Some(spec);
+                (vec![], stage, Go::Wait)
+            }
+            (Stage::Handshake, Input::Frame(checkpoint @ Frame::Checkpoint { .. })) => {
+                self.checkpoint = Some(checkpoint);
+                (vec![], stage, Go::Wait)
+            }
+            (Stage::Handshake, Input::Frame(Frame::Peers { peers })) => {
+                (vec![], Stage::Meshing, Go::Mesh(self.mesh(peers)?))
+            }
+            (Stage::Meshing, Input::Meshed) => {
+                (vec![Frame::MeshReady], Stage::Barrier(0), Go::Wait)
+            }
+            (Stage::Running, Input::RoundDone(r, checkpoint)) => {
+                let ready = Frame::Ready { round: r as u32 };
+                (checkpoint.into_iter().chain([ready]).collect(), Stage::Barrier(r), Go::Wait)
+            }
+            (Stage::Running, Input::Summary(summary)) => (vec![summary], Stage::Summary, Go::Wait),
+            (Stage::Barrier(k), Input::Frame(Frame::Proceed { round })) if round as usize == k => {
+                (vec![], Stage::Running, Go::On)
+            }
+            (Stage::Barrier(k), Input::Frame(Frame::Proceed { round })) => {
+                return Err(protocol(format!(
+                    "barrier skew: waiting on round {k}, master proceeded {round}"
+                )));
+            }
+            (Stage::Summary, Input::Frame(Frame::Shutdown)) => (vec![], Stage::Running, Go::On),
+            (_, input) => {
+                return Err(protocol(format!("worker {id} ({stage:?}): unexpected {input:?}")));
+            }
+        };
+        self.stage = next;
+        Ok((send, go))
+    }
+
+    /// The mesh the peer table `peers` asks for: a replacement dials every
+    /// peer and asks each to replay; a fresh worker dials the lower ids and
+    /// accepts the higher ones.
+    fn mesh(&mut self, peers: Vec<(u32, String)>) -> Result<Mesh> {
+        let (id, p) = (self.id, peers.len());
+        if id >= p {
+            return Err(protocol(format!("worker {id} got a peer table of {p} entries")));
+        }
+        let mut addrs = vec![String::new(); p];
+        for (peer, addr) in peers {
+            let bad = || protocol(format!("peer table names bad worker {peer}"));
+            *addrs.get_mut(peer as usize).ok_or_else(bad)? = addr;
+        }
+        let restore = match self.checkpoint.take() {
+            Some(Frame::Checkpoint { round, relations, per_round_bytes, per_round_tuples }) => {
+                let round = round as usize;
+                Some(RestorePoint { round, relations, per_round_bytes, per_round_tuples })
+            }
+            _ => None,
+        };
+        let mut hello = vec![Frame::DataHello { from: id as u32 }];
+        if let Some(point) = &restore {
+            hello.push(Frame::ReplayRequest { from_round: point.round as u32 });
+        }
+        let (dial_below, accept) = if restore.is_some() { (p, 0) } else { (id, p - id - 1) };
+        let dial = addrs.into_iter().enumerate().take(dial_below).filter(|(peer, _)| *peer != id);
+        let recovery = self.job.as_deref().is_some_and(recovery_requested);
+        let job = self.job.take();
+        Ok(Mesh { p, dial: dial.collect(), accept, hello, job, restore, recovery })
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    //! A seeded simulator for the master: scripted worker processes,
-    //! in-memory links and virtual time, driven the way `master::serve`
-    //! drives the machine. Nothing sleeps and nothing touches a socket;
-    //! a seed decides which connections are accepted and which frames
-    //! arrive in each driver round.
+    //! A seeded simulator for both halves: the master and one worker
+    //! machine per process, over in-memory control links and virtual
+    //! time, driven the way `master::serve` and `transport::Control::wait`
+    //! drive them. The data plane is reduced to the mesh: a process dials
+    //! its peers' listeners (a dead one refuses) and says `MeshReady` once
+    //! every peer it accepts dialed in. Nothing sleeps and nothing touches
+    //! a socket; a seed decides which connections are accepted, which
+    //! frames arrive and which meshes form in each driver round.
 
     use std::collections::VecDeque;
 
@@ -433,8 +612,10 @@ mod tests {
     /// Virtual time per driver round.
     const STEP: Duration = Duration::from_millis(10);
     const DEADLINE: Duration = Duration::from_secs(1);
-    /// Every case must end within this many events.
+    /// Every case must end within this many events, and before a worker's
+    /// dial to its master would have given up.
     const MAX_EVENTS: usize = 2_000;
+    const MAX_TIME: Duration = Duration::from_secs(10);
     const SEEDS: u64 = 32;
 
     #[test]
@@ -452,6 +633,12 @@ mod tests {
         /// A `Barrier(r)` death falls between the round's checkpoint and
         /// its `Ready`; a `RoundStart(r)` one before both.
         Kill { worker: usize, life: usize, at: FaultPhase },
+        /// `worker`'s first process dies once its peer table is in, before
+        /// it dials a peer.
+        DiesMeshing(usize),
+        /// When a replacement of `rejoiner` gets its peer table, the first
+        /// process of `victim` — named in that table — dies.
+        KillOnTable { rejoiner: usize, victim: usize },
         /// `worker` never checkpoints, so its replacement starts over.
         NoCheckpoints(usize),
         /// `worker`'s first process connects and never says a word.
@@ -462,6 +649,12 @@ mod tests {
         Impostor { worker: usize, life: usize, claims: u32 },
         /// `worker`'s first process sends `frame` in place of `Ready(round)`.
         Sends { worker: usize, round: usize, frame: Frame },
+        /// The master's `Proceed(round)` reaches `worker`'s first process
+        /// as `Proceed(round + 1)`.
+        Skews { worker: usize, round: usize },
+        /// The master's driver fails on the frame that would complete
+        /// barrier `k`.
+        FailsAt(usize),
     }
 
     struct Proc {
@@ -470,10 +663,22 @@ mod tests {
         alive: bool,
         /// Whether the master was told it is gone.
         mourned: bool,
+        /// Its half of the protocol.
+        machine: Worker,
+        /// The mesh it forms, until it said `MeshReady`.
+        mesh: Option<Mesh>,
+        /// Whether it dialed the peers of its mesh.
+        dialed: bool,
+        /// How many peers dialed in.
+        accepted: usize,
+        /// Whether its job recovers (it checkpoints every round).
+        recovery: bool,
         /// The round of the checkpoint it restored (0: a fresh start).
         resume: usize,
         /// The barrier it reached and awaits the release of.
         awaits: Option<usize>,
+        /// How its machine failed.
+        failed: Option<String>,
     }
 
     /// One connection: the frames on their way to the master, then maybe
@@ -488,7 +693,6 @@ mod tests {
     struct Sim {
         master: Master,
         spawned: bool,
-        recovery: bool,
         twists: Vec<Twist>,
         rng: StdRng,
         procs: Vec<Proc>,
@@ -500,6 +704,8 @@ mod tests {
         /// The highest barrier some process of each worker reached; a
         /// checkpoint reaches its round.
         reached: Vec<Option<usize>>,
+        /// Dials refused by a dead peer, whose link stayed down.
+        refused: usize,
         queue: VecDeque<Event>,
         events: usize,
         outcome: Option<Result<Vec<WorkerSummary>>>,
@@ -507,11 +713,11 @@ mod tests {
 
     impl Sim {
         fn new(spawned: bool, budget: usize, twists: &[Twist], seed: u64) -> Sim {
-            let job = spawned.then(|| "the job".to_string());
+            let recovery = if budget > 0 { "recovery=1\n" } else { "" };
+            let job = spawned.then(|| format!("the job\n{recovery}"));
             let mut sim = Sim {
                 master: Master::new(P, ROUNDS, job, budget, DEADLINE),
                 spawned,
-                recovery: budget > 0,
                 twists: twists.to_vec(),
                 rng: StdRng::seed_from_u64(seed),
                 procs: Vec::new(),
@@ -519,6 +725,7 @@ mod tests {
                 links: Vec::new(),
                 accepted: 0,
                 reached: vec![None; P],
+                refused: 0,
                 queue: VecDeque::new(),
                 events: 0,
                 outcome: None,
@@ -537,10 +744,14 @@ mod tests {
             self.twists.iter().any(kill)
         }
 
-        /// The data port of process `life` of `worker`: a peer table holds
-        /// the latest.
+        /// The data port of process `life` of `worker`: a peer table
+        /// holds the latest.
         fn port(worker: usize, life: usize) -> u16 {
             (7000 + 10 * worker + life) as u16
+        }
+
+        fn addr(worker: usize, life: usize) -> String {
+            format!("10.0.0.1:{}", Sim::port(worker, life))
         }
 
         /// Start a process for `worker`, replacing (and killing) its last;
@@ -551,24 +762,36 @@ mod tests {
             if let Some(old) = self.latest[worker].replace(me) {
                 self.kill(old);
             }
-            let proc = Proc { worker, life, alive: true, mourned: false, resume: 0, awaits: None };
-            self.procs.push(proc);
+            let claims = self.twists.iter().find_map(|t| match *t {
+                Twist::Impostor { worker: w, life: l, claims } if (w, l) == (worker, life) => {
+                    Some(claims as usize)
+                }
+                _ => None,
+            });
+            self.procs.push(Proc {
+                worker,
+                life,
+                alive: true,
+                mourned: false,
+                machine: Worker::new(claims.unwrap_or(worker)),
+                mesh: None,
+                dialed: false,
+                accepted: 0,
+                recovery: false,
+                resume: 0,
+                awaits: None,
+                failed: None,
+            });
             if self.dies(worker, life, FaultPhase::Handshake) {
                 self.procs[me].alive = false;
                 return;
             }
-            let claims = self.twists.iter().find_map(|t| match *t {
-                Twist::Impostor { worker: w, life: l, claims } if (w, l) == (worker, life) => {
-                    Some(claims)
-                }
-                _ => None,
-            });
+            self.links.push(Link { owner: Some(me), ..Link::default() });
             let mute = life == 0
                 && self.twists.iter().any(|t| matches!(*t, Twist::Mute(w) if w == worker));
-            let data_port = Sim::port(worker, life);
-            let hello = Frame::Hello { worker_id: claims.unwrap_or(worker as u32), data_port };
-            let frames = (!mute).then_some(hello).into_iter().collect();
-            self.links.push(Link { owner: Some(me), frames, closed: false });
+            if !mute {
+                self.input(me, Input::Hello(Sim::port(worker, life)));
+            }
         }
 
         fn kill(&mut self, me: usize) {
@@ -583,19 +806,113 @@ mod tests {
             link.frames.push_back(frame);
         }
 
-        /// Process `me` sends `frame`, which reaches barrier `k`.
-        fn reach(&mut self, me: usize, k: usize, frame: Frame) {
-            let w = self.procs[me].worker;
-            self.reached[w] = self.reached[w].max(Some(k));
-            self.procs[me].awaits = Some(k);
-            self.push(me, frame);
+        /// The barrier a frame reaches.
+        fn barrier(frame: &Frame) -> Option<usize> {
+            match frame {
+                Frame::MeshReady => Some(0),
+                Frame::Ready { round } => Some(*round as usize),
+                Frame::Summary { .. } => Some(ROUNDS + 1),
+                _ => None,
+            }
         }
 
-        /// The barrier holds: a process is released from barrier `k` only
-        /// once, only after it reached `k`, and only once every worker did.
-        fn released(&mut self, me: usize, k: usize) {
-            assert_eq!(self.procs[me].awaits.take(), Some(k), "released from a barrier not at");
-            assert!(self.reached.iter().all(|r| *r >= Some(k)), "{k} early: {:?}", self.reached);
+        /// Process `me`'s machine takes `input`. What it sends goes on its
+        /// link, unless the process dies on the way; a failure ends the
+        /// process, as it ends a real worker; and where the machine lets it
+        /// go on, it does.
+        fn input(&mut self, me: usize, input: Input) {
+            let (w, life) = (self.procs[me].worker, self.procs[me].life);
+            let (frames, go) = match self.procs[me].machine.on(input) {
+                Ok(decided) => decided,
+                Err(e) => {
+                    self.procs[me].failed = Some(e.to_string());
+                    return self.kill(me);
+                }
+            };
+            for frame in frames {
+                let dies = match frame {
+                    Frame::Ready { round } => self.dies(w, life, FaultPhase::Barrier(round)),
+                    Frame::Summary { .. } => self.dies(w, life, FaultPhase::Summary),
+                    _ => false,
+                };
+                if dies {
+                    return self.kill(me);
+                }
+                if let Frame::Checkpoint { round, .. } = frame {
+                    self.reached[w] = self.reached[w].max(Some(round as usize));
+                }
+                if let Some(k) = Sim::barrier(&frame) {
+                    self.reached[w] = self.reached[w].max(Some(k));
+                    self.procs[me].awaits = Some(k);
+                }
+                self.push(me, frame);
+            }
+            match go {
+                Go::Wait => {}
+                Go::Mesh(mesh) => self.meshing(me, mesh),
+                Go::On => {
+                    let k = self.procs[me].awaits.take().expect("released from a barrier reached");
+                    assert!(
+                        self.reached.iter().all(|r| *r >= Some(k)),
+                        "{k} early: {:?}",
+                        self.reached
+                    );
+                    match k {
+                        0 => self.enter(me, self.procs[me].resume + 1),
+                        k if k <= ROUNDS => self.enter(me, k + 1),
+                        _ => {}
+                    }
+                }
+            }
+        }
+
+        /// Process `me` has its peer table: it forms `mesh` in a later
+        /// driver round, unless it dies first.
+        fn meshing(&mut self, me: usize, mesh: Mesh) {
+            let (w, life) = (self.procs[me].worker, self.procs[me].life);
+            let proc = &mut self.procs[me];
+            proc.resume = mesh.restore.as_ref().map_or(0, |point| point.round);
+            proc.recovery = mesh.recovery;
+            proc.mesh = Some(mesh);
+            if life == 0
+                && self.twists.iter().any(|t| matches!(*t, Twist::DiesMeshing(v) if v == w))
+            {
+                return self.kill(me);
+            }
+            let victim = self.twists.iter().find_map(|t| match *t {
+                Twist::KillOnTable { rejoiner, victim } if rejoiner == w && life > 0 => {
+                    Some(victim)
+                }
+                _ => None,
+            });
+            if let Some(victim) = victim.and_then(|v| self.latest[v]) {
+                if self.procs[victim].life == 0 {
+                    self.kill(victim);
+                }
+            }
+        }
+
+        /// Process `me` forms its mesh: it dials its peers — a dead one
+        /// refuses, and its link stays down — and says `MeshReady` once
+        /// every peer it accepts dialed in.
+        fn mesh_step(&mut self, me: usize) {
+            let Some(mesh) = &self.procs[me].mesh else { return };
+            if !self.procs[me].dialed {
+                let listening = |addr: &String| {
+                    let named = |p: &Proc| p.alive && Sim::addr(p.worker, p.life) == *addr;
+                    self.procs.iter().position(named)
+                };
+                let reached: Vec<usize> =
+                    mesh.dial.iter().filter_map(|(_, a)| listening(a)).collect();
+                self.refused += mesh.dial.len() - reached.len();
+                reached.into_iter().for_each(|peer| self.procs[peer].accepted += 1);
+                self.procs[me].dialed = true;
+            }
+            let mesh = self.procs[me].mesh.as_ref().expect("still forming");
+            if self.procs[me].accepted >= mesh.accept {
+                self.procs[me].mesh = None;
+                self.input(me, Input::Meshed);
+            }
         }
 
         /// Process `me` works through round `n` — or, past the last, its
@@ -603,15 +920,12 @@ mod tests {
         fn enter(&mut self, me: usize, n: usize) {
             let (w, life) = (self.procs[me].worker, self.procs[me].life);
             if n > ROUNDS {
-                if self.dies(w, life, FaultPhase::Summary) {
-                    return self.kill(me);
-                }
                 let (output, per_round_bytes) = (Relation::empty("out", 1), vec![w as u64; ROUNDS]);
                 let per_round_tuples = Vec::new();
                 let summary = Frame::Summary { output, per_round_bytes, per_round_tuples };
                 // Threads report no summary: the master is done already.
                 if self.spawned {
-                    self.reach(me, n, summary);
+                    self.input(me, Input::Summary(summary));
                 }
                 return;
             }
@@ -628,23 +942,15 @@ mod tests {
                 return self.push(me, frame);
             }
             let quiet = self.twists.iter().any(|t| matches!(*t, Twist::NoCheckpoints(q) if q == w));
-            if self.recovery && !quiet {
-                self.reached[w] = self.reached[w].max(Some(n));
+            let checkpoint = (self.procs[me].recovery && !quiet).then(|| {
                 let (relations, per_round_bytes, per_round_tuples) = (vec![], vec![], vec![]);
-                let round = n as u32;
-                self.push(
-                    me,
-                    Frame::Checkpoint { round, relations, per_round_bytes, per_round_tuples },
-                );
-            }
-            if self.dies(w, life, FaultPhase::Barrier(n as u32)) {
-                return self.kill(me);
-            }
-            self.reach(me, n, Frame::Ready { round: n as u32 });
+                Frame::Checkpoint { round: n as u32, relations, per_round_bytes, per_round_tuples }
+            });
+            self.input(me, Input::RoundDone(n, checkpoint));
         }
 
         /// The master writes `frame` on `conn`.
-        fn deliver(&mut self, conn: usize, frame: Frame) {
+        fn deliver(&mut self, conn: usize, mut frame: Frame) {
             let Some(me) = self.links[conn].owner else { return };
             if !self.procs[me].alive {
                 // A write to a dead process fails, or vanishes unread.
@@ -653,29 +959,23 @@ mod tests {
                 }
                 return;
             }
-            match frame {
-                Frame::Job { .. } | Frame::Abort { .. } => {}
-                Frame::Checkpoint { round, .. } => self.procs[me].resume = round as usize,
-                Frame::Peers { peers } => {
-                    // No address in the table is one the master knows dead.
-                    for (v, addr) in peers {
-                        let named = |p: &&Proc| {
-                            let port = Sim::port(p.worker, p.life);
-                            p.worker == v as usize && addr == format!("10.0.0.1:{port}")
-                        };
-                        let named = self.procs.iter().find(named).expect("a process's address");
-                        assert!(!named.mourned, "a stale address: {addr}");
-                    }
-                    self.reach(me, 0, Frame::MeshReady);
+            if let Frame::Peers { peers } = &frame {
+                // No address in the table is one the master knows dead.
+                for (v, addr) in peers {
+                    let named =
+                        |p: &&Proc| p.worker == *v as usize && Sim::addr(p.worker, p.life) == *addr;
+                    let named = self.procs.iter().find(named).expect("a process's address");
+                    assert!(!named.mourned, "a stale address: {addr}");
                 }
-                Frame::Proceed { round } => {
-                    let k = round as usize;
-                    self.released(me, k);
-                    self.enter(me, if k == 0 { self.procs[me].resume + 1 } else { k + 1 });
-                }
-                Frame::Shutdown => self.released(me, ROUNDS + 1),
-                other => panic!("a worker never receives {other:?}"),
             }
+            let (w, life) = (self.procs[me].worker, self.procs[me].life);
+            if let Frame::Proceed { round } = &mut frame {
+                let skew = |t: &Twist| matches!(*t, Twist::Skews { worker, round: r } if (worker, r, 0) == (w, *round as usize, life));
+                if self.twists.iter().any(skew) {
+                    *round += 1;
+                }
+            }
+            self.input(me, Input::Frame(frame));
         }
 
         fn feed(&mut self, event: Event) {
@@ -706,11 +1006,22 @@ mod tests {
             }
         }
 
-        /// Drive the master to its end: per round a tick, the exited
-        /// processes, the waiting connections and the awaited frames.
+        /// Whether `frame`, read off a link, is the one the master's driver
+        /// fails on: it would complete barrier `k` of a `FailsAt(k)`.
+        fn garbled(&self, frame: &Frame) -> Option<NetError> {
+            let k = Sim::barrier(frame)?;
+            let fails = self.twists.iter().any(|t| matches!(*t, Twist::FailsAt(b) if b == k));
+            let complete = self.reached.iter().all(|r| *r >= Some(k));
+            (fails && complete).then(|| protocol(format!("a garbled frame at barrier {k}")))
+        }
+
+        /// Drive both halves to the end: per round a tick, the exited
+        /// processes, the waiting connections, the awaited frames and the
+        /// meshes being formed.
         fn run(&mut self) -> Result<Vec<WorkerSummary>> {
             let mut now = Duration::ZERO;
             loop {
+                assert!(now < MAX_TIME, "no end within {MAX_TIME:?}");
                 self.feed(Event::Tick(now));
                 let processes = if self.spawned { 0..P } else { 0..0 };
                 for w in processes {
@@ -730,18 +1041,24 @@ mod tests {
                 }
                 let mut arrived = Vec::new();
                 for conn in self.master.awaited() {
-                    let link = &mut self.links[conn];
                     if self.rng.gen_bool(0.3) {
                         continue;
                     }
+                    let link = &mut self.links[conn];
                     if let Some(frame) = link.frames.pop_front() {
-                        arrived.push(Event::Frame { conn, frame });
+                        let garbled = self.garbled(&frame);
+                        arrived.push(garbled.map_or(Event::Frame { conn, frame }, Event::Failed));
                     } else if link.closed {
                         let why = "control connection closed".to_string();
                         arrived.push(Event::Closed { conn, why });
                     }
                 }
                 arrived.into_iter().for_each(|event| self.feed(event));
+                for me in 0..self.procs.len() {
+                    if self.procs[me].alive && self.rng.gen_bool(0.5) {
+                        self.mesh_step(me);
+                    }
+                }
                 if let Some(outcome) = self.outcome.take() {
                     return outcome;
                 }
@@ -755,7 +1072,8 @@ mod tests {
     }
 
     /// Under every seed the job ends with each worker's summary, after
-    /// `respawns` re-spawns. Returns the simulations.
+    /// `respawns` re-spawns, and no worker's machine failed. Returns the
+    /// simulations.
     fn ends_well(spawned: bool, budget: usize, twists: &[Twist], respawns: usize) -> Vec<Sim> {
         let run = |seed| {
             let mut sim = Sim::new(spawned, budget, twists, seed);
@@ -764,21 +1082,50 @@ mod tests {
             let expected: Vec<u64> = (0..P as u64).filter(|_| spawned).collect();
             assert_eq!(ids, expected, "{twists:?}, seed {seed}");
             assert_eq!(sim.master.respawns(), respawns, "{twists:?}, seed {seed}");
+            let failed: Vec<&String> = sim.procs.iter().filter_map(|p| p.failed.as_ref()).collect();
+            assert!(failed.is_empty(), "{twists:?}, seed {seed}: {failed:?}");
             sim
         };
         (0..SEEDS).map(run).collect()
     }
 
-    /// Under every seed the job fails with an error saying each of `says`.
-    fn fails(spawned: bool, budget: usize, twists: &[Twist], says: &[&str]) {
-        for seed in 0..SEEDS {
-            let outcome = Sim::new(spawned, budget, twists, seed).run();
+    /// Under every seed the job fails with an error saying each of `says`,
+    /// and every worker's machine that failed ended with the master's
+    /// reason — or with the barrier skew a `Skews` twist injects: a release
+    /// from a barrier the worker is not at fails every case. Returns the
+    /// simulations.
+    fn fails(spawned: bool, budget: usize, twists: &[Twist], says: &[&str]) -> Vec<Sim> {
+        let skews: Vec<String> = twists
+            .iter()
+            .filter_map(|t| match *t {
+                Twist::Skews { round, .. } => Some(format!(
+                    "barrier skew: waiting on round {round}, master proceeded {}",
+                    round + 1
+                )),
+                _ => None,
+            })
+            .collect();
+        let run = |seed| {
+            let mut sim = Sim::new(spawned, budget, twists, seed);
+            let outcome = sim.run();
             let err =
                 outcome.map(|_| ()).expect_err(&format!("{twists:?} seed {seed}")).to_string();
             for said in says {
                 assert!(err.contains(said), "{twists:?}, seed {seed}: {err}");
             }
-        }
+            let aborted = format!("master aborted: {err}");
+            for failed in sim.procs.iter().filter_map(|p| p.failed.as_ref()) {
+                let skewed = skews.iter().any(|skew| failed.contains(skew.as_str()));
+                assert!(failed.ends_with(&aborted) || skewed, "{twists:?}, seed {seed}: {failed}");
+            }
+            sim
+        };
+        (0..SEEDS).map(run).collect()
+    }
+
+    /// How each worker's latest process ended, if its machine failed.
+    fn failures(sim: &Sim) -> Vec<Option<&str>> {
+        sim.latest.iter().map(|me| me.and_then(|me| sim.procs[me].failed.as_deref())).collect()
     }
 
     #[test]
@@ -877,5 +1224,61 @@ mod tests {
         let twists = [Twist::Sends { worker: 1, round: 2, frame }];
         fails(true, 2, &twists, &["worker 1 aborted: disk full"]);
         fails(false, 0, &twists, &["worker 1 aborted: disk full"]);
+    }
+
+    /// A peer that dies before it dials leaves the workers that accept
+    /// from it waiting: the master fails the job — a death while the mesh
+    /// forms is fatal, whatever the budget — and its `Abort` ends their
+    /// wait with its reason.
+    #[test]
+    fn a_peer_that_never_dials_fails_the_mesh_and_every_waiter_hears_why() {
+        for (spawned, budget) in [(true, 2), (false, 0)] {
+            for sim in fails(spawned, budget, &[Twist::DiesMeshing(2)], &["worker 2 "]) {
+                let waiting = &failures(&sim)[..2];
+                assert!(waiting.iter().all(|f| f.is_some_and(|f| f.contains("master aborted"))));
+            }
+        }
+    }
+
+    /// A replacement's peer table names a worker that dies before the
+    /// replacement dials it. Its dial is refused and the link stays down —
+    /// no dial is waited out — while the master re-spawns the dead worker,
+    /// whose own replacement dials in: the job recovers on a budget of two,
+    /// and on a budget of one fails naming the dead worker.
+    #[test]
+    fn a_rejoin_whose_peer_then_dies_recovers_on_two_respawns_and_fails_on_one() {
+        let twists =
+            [kill(1, 0, FaultPhase::RoundStart(2)), Twist::KillOnTable { rejoiner: 1, victim: 2 }];
+        let sims = ends_well(true, 2, &twists, 2);
+        assert!(sims.iter().all(|sim| sim.refused == 1), "the dead peer refused one dial");
+        fails(true, 1, &twists, &["worker 2 ", "and all 1 respawns are used"]);
+    }
+
+    #[test]
+    fn a_proceed_for_the_wrong_round_fails_the_worker() {
+        let twists = [Twist::Skews { worker: 1, round: 1 }];
+        for sim in fails(true, 0, &twists, &["worker 1 "]) {
+            let why = "barrier skew: waiting on round 1, master proceeded 2";
+            assert!(failures(&sim)[1].is_some_and(|f| f.contains(why)), "{:?}", failures(&sim));
+        }
+    }
+
+    /// The master fails on the frame that completes barrier `k`: its
+    /// `Abort` ends every worker's wait there with the master's reason.
+    fn an_abort_at(spawned: bool, k: usize) {
+        let says = format!("a garbled frame at barrier {k}");
+        for sim in fails(spawned, 0, &[Twist::FailsAt(k)], &[&says]) {
+            for failed in failures(&sim) {
+                assert!(failed.is_some_and(|f| f.contains("master aborted")), "{k}: {failed:?}");
+            }
+        }
+    }
+
+    /// Spawned barrier `ROUNDS + 1` is the summaries': its `Abort` comes in
+    /// place of `Shutdown`.
+    #[test]
+    fn an_abort_at_every_barrier_ends_every_wait_with_the_masters_reason() {
+        (0..=ROUNDS + 1).for_each(|k| an_abort_at(true, k));
+        (0..=ROUNDS).for_each(|k| an_abort_at(false, k));
     }
 }

@@ -20,7 +20,7 @@
 //! with `Abort` usable by either side at any point. `DataHello`
 //! identifies the connecting worker on a freshly opened data socket.
 //! `poll_frame` is the one timed read of a control socket: the master's
-//! driver and a recoverable worker's barrier wait both use it.
+//! driver and every wait of a worker use it.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;

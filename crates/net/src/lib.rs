@@ -23,10 +23,10 @@
 //!   server is a real OS process (`mpc_workerd`) coordinated over
 //!   localhost by a master (hello handshake, per-round ready/proceed
 //!   signals, clean shutdown, fail-fast on worker death or recovery from
-//!   it — the D-FDB coordination pattern), whose protocol is one state
-//!   machine under one driver. A [`JobSpec`] describes the job in a
-//!   self-contained wire form so workers can rebuild the program and
-//!   database on their own.
+//!   it — the D-FDB coordination pattern). Each half of the protocol, the
+//!   master's and the worker's, is one state machine under one driver. A
+//!   [`JobSpec`] describes the job in a self-contained wire form so
+//!   workers can rebuild the program and database on their own.
 //! * **[`service`]** — a [`QueryService`] front-end that accepts a stream
 //!   of parsed CQs, analyses them (afresh per submission; nothing is
 //!   memoised), admits them against a server byte budget, and multiplexes many

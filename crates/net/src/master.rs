@@ -16,8 +16,9 @@
 //! [`RunResult`] as [`mpc_sim::Cluster::run`]. With
 //! [`MasterConfig::max_respawns`] above zero a dead worker is re-spawned
 //! from the same [`JobSpec`] and restored from its latest checkpoint, and
-//! the recovered run produces a byte-identical [`RunResult`]. The worker
-//! side of the protocol is `runner.rs`'s.
+//! the recovered run produces a byte-identical [`RunResult`]. The worker's
+//! half of the protocol is `control.rs::Worker`, driven by
+//! `transport.rs::Control`.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, ErrorKind};
@@ -47,20 +48,23 @@ const ACCEPT_DEADLINE: Duration = Duration::from_secs(30);
 /// would idle the CPU for its whole length on every job — the one stretch
 /// of a threaded run whose length the machine's timer latency decides —
 /// while worker processes that take their time to start must be awaited
-/// without spinning.
+/// without spinning. A worker paces its dials to the master, and its
+/// waits while it forms its mesh, the same way.
 const ACCEPT_YIELDS: u32 = 64;
 const ACCEPT_PAUSE_MIN: Duration = Duration::from_micros(50);
-const ACCEPT_PAUSE_CAP: Duration = Duration::from_millis(5);
+pub(crate) const ACCEPT_PAUSE_CAP: Duration = Duration::from_millis(5);
+
+/// The pause after the `idle_polls`-th consecutive empty round: `None`
+/// to yield, else how long to give way.
+pub(crate) fn pause(idle_polls: u32) -> Option<Duration> {
+    let doublings = idle_polls.checked_sub(ACCEPT_YIELDS)?;
+    // Seven doublings already pass the cap.
+    Some((ACCEPT_PAUSE_MIN * (1 << doublings.min(7))).min(ACCEPT_PAUSE_CAP))
+}
 
 /// Give way after the `idle_polls`-th consecutive empty round.
-fn accept_pause(idle_polls: u32) {
-    match idle_polls.checked_sub(ACCEPT_YIELDS) {
-        None => std::thread::yield_now(),
-        // Seven doublings already pass the cap.
-        Some(doublings) => {
-            std::thread::sleep((ACCEPT_PAUSE_MIN * (1 << doublings.min(7))).min(ACCEPT_PAUSE_CAP));
-        }
-    }
+pub(crate) fn accept_pause(idle_polls: u32) {
+    pause(idle_polls).map_or_else(std::thread::yield_now, std::thread::sleep);
 }
 
 /// The poll interval while waiting on worker control frames: short enough

@@ -17,12 +17,12 @@
 //! tests assert.
 //!
 //! This is also the worker's side of the master protocol, for a thread
-//! and for a spawned process ([`worker_main`]) alike: the handshake
-//! ([`tcp_worker_setup`]), the rounds, and in spawned mode the summary.
+//! and for a spawned process ([`worker_main`]) alike: the handshake and
+//! the mesh ([`TcpTransport::join`]), the rounds, and in spawned mode the
+//! summary.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
 
 use mpc_sim::worker::drive;
 use mpc_sim::{
@@ -32,17 +32,11 @@ use mpc_sim::{
 use mpc_storage::Database;
 
 use crate::fault::{self, FaultPhase};
-use crate::frame::{read_frame, write_frame, Frame};
+use crate::frame::Frame;
 use crate::master::serve_threads;
-use crate::recovery::recovery_requested;
 use crate::spec::JobSpec;
-use crate::transport::{dial_with_backoff, TcpEndpoints, TcpTransport};
+use crate::transport::TcpTransport;
 use crate::{NetError, Result};
-
-/// How long a worker keeps retrying its master and mesh dials before
-/// giving up (with capped exponential backoff — see
-/// [`dial_with_backoff`]).
-const DIAL_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Which fabric moves the packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +150,7 @@ fn run_tcp_threads<P: MpcProgram>(
             .map(|id| {
                 let master_addr = &master_addr;
                 scope.spawn(move || -> Result<WorkerSummary> {
-                    let mut transport = tcp_worker_setup(id, Some(p), master_addr)?.transport;
+                    let (mut transport, _) = TcpTransport::join(id, master_addr)?;
                     let out =
                         run_tcp_worker(&mut transport, program, db, id, cfg.block_capacity, None);
                     transport.shutdown();
@@ -188,163 +182,25 @@ fn run_tcp_threads<P: MpcProgram>(
 /// failure aborts the rest of the cluster before returning.
 pub fn worker_main(master_addr: &str, worker_id: usize) -> Result<()> {
     fault::trip(worker_id as u32, FaultPhase::Handshake);
-    let WorkerSetup { mut transport, job, restore } =
-        tcp_worker_setup(worker_id, None, master_addr)?;
+    let (mut transport, mesh) = TcpTransport::join(worker_id, master_addr)?;
     let run = (|| -> Result<()> {
-        let wire =
-            job.ok_or_else(|| NetError::Protocol("spawned worker received no job".to_string()))?;
-        let spec = JobSpec::from_wire(&wire)?;
-        if spec.p != transport.parties() {
-            return Err(NetError::Protocol(format!(
-                "job says p = {}, peer table says {}",
-                spec.p,
-                transport.parties()
-            )));
+        let no_job = || NetError::Protocol("spawned worker received no job".to_string());
+        let spec = JobSpec::from_wire(&mesh.job.ok_or_else(no_job)?)?;
+        if spec.p != mesh.p {
+            let msg = format!("job says p = {}, peer table says {}", spec.p, mesh.p);
+            return Err(NetError::Protocol(msg));
         }
         let built = spec.build()?;
         let (program, capacity) = (built.program.as_ref(), spec.block_capacity);
         let summary =
-            run_tcp_worker(&mut transport, program, &built.db, worker_id, capacity, restore)?;
+            run_tcp_worker(&mut transport, program, &built.db, worker_id, capacity, mesh.restore)?;
         fault::trip(worker_id as u32, FaultPhase::Summary);
         let WorkerSummary { output, per_round_bytes, per_round_tuples, .. } = summary;
-        transport.send_control(&Frame::Summary { output, per_round_bytes, per_round_tuples })?;
-        // Keep data sockets open until the master confirms every worker
-        // drained; only then tear down.
-        match transport.read_control()? {
-            Frame::Shutdown => Ok(()),
-            Frame::Abort { reason } => Err(NetError::Protocol(format!("master aborted: {reason}"))),
-            other => Err(NetError::Protocol(format!("expected Shutdown, got {other:?}"))),
-        }
+        transport.report(Frame::Summary { output, per_round_bytes, per_round_tuples })
     })();
     match run {
         Ok(()) => transport.shutdown(),
         Err(_) => transport.abort(),
     }
     run
-}
-
-/// What [`tcp_worker_setup`] hands back: the meshed transport, the raw
-/// job spec (spawned mode) and the restore checkpoint (recovery rejoin).
-struct WorkerSetup {
-    transport: TcpTransport,
-    job: Option<String>,
-    restore: Option<RestorePoint>,
-}
-
-/// Dial the master, announce ourselves, mesh-connect to every peer and
-/// wait for the collective proceed — the worker side of the handshake.
-/// Used by both the threaded TCP runner and the spawned worker daemon.
-/// All dials retry with capped exponential backoff, so a slow-starting
-/// master or peer delays the handshake instead of killing it.
-///
-/// The cluster size is learned from the master's peer table (validated
-/// against `expect_p` when the caller already knows it). In spawned mode
-/// the master precedes the peer table with a `Job` frame, returned as
-/// the raw spec string; in threaded mode no Job frame is sent. The
-/// transport is recoverable when the spec carries the master's
-/// `recovery=1` flag.
-///
-/// **Recovery rejoin.** When the master also sends a `Checkpoint` frame
-/// the worker is a re-spawned replacement: instead of the fresh-mesh
-/// handshake (dial lower ids, accept higher), it dials *every* surviving
-/// peer's rejoin acceptor, announcing `DataHello` + `ReplayRequest` so
-/// the survivor replays the rounds the replacement's checkpoint misses.
-fn tcp_worker_setup(id: usize, expect_p: Option<usize>, master_addr: &str) -> Result<WorkerSetup> {
-    let pool = BlockPool::new();
-    let data_listener = TcpListener::bind("127.0.0.1:0")?;
-    let data_port = data_listener.local_addr()?.port();
-    let mut control = dial_with_backoff(master_addr, DIAL_DEADLINE, id as u64)?;
-    control.set_nodelay(true).ok();
-    write_frame(&mut control, &Frame::Hello { worker_id: id as u32, data_port })?;
-    let mut job = None;
-    let mut restore = None;
-    let peers = loop {
-        match read_frame(&mut control, &pool)? {
-            Frame::Job { spec } => job = Some(spec),
-            Frame::Checkpoint { round, relations, per_round_bytes, per_round_tuples } => {
-                restore = Some(RestorePoint {
-                    round: round as usize,
-                    relations,
-                    per_round_bytes,
-                    per_round_tuples,
-                });
-            }
-            Frame::Peers { peers } => break peers,
-            Frame::Abort { reason } => {
-                return Err(NetError::Protocol(format!("master aborted during hello: {reason}")));
-            }
-            other => {
-                return Err(NetError::Protocol(format!("expected Peers, got {other:?}")));
-            }
-        }
-    };
-    let p = peers.len();
-    if expect_p.is_some_and(|e| e != p) || id >= p {
-        return Err(NetError::Protocol(format!(
-            "peer table has {p} entries (worker {id}, expected {expect_p:?})"
-        )));
-    }
-    let mut addr_of = vec![String::new(); p];
-    for (pid, addr) in peers {
-        let pid = pid as usize;
-        if pid >= p {
-            return Err(NetError::Protocol(format!("peer table names bad worker {pid}")));
-        }
-        addr_of[pid] = addr;
-    }
-    let mut outbound: Vec<Option<TcpStream>> = (0..p).map(|_| None).collect();
-    let mut inbound: Vec<(usize, TcpStream)> = Vec::with_capacity(p.saturating_sub(1));
-    if let Some(rp) = &restore {
-        // Rejoin mesh: dial every surviving peer and ask for replay.
-        for (peer, addr) in addr_of.iter().enumerate() {
-            if peer == id {
-                continue;
-            }
-            let mut s = dial_with_backoff(addr, DIAL_DEADLINE, (id * 31 + peer) as u64)?;
-            s.set_nodelay(true).ok();
-            write_frame(&mut s, &Frame::DataHello { from: id as u32 })?;
-            write_frame(&mut s, &Frame::ReplayRequest { from_round: rp.round as u32 })?;
-            outbound[peer] = Some(s.try_clone()?);
-            inbound.push((peer, s));
-        }
-    } else {
-        // Fresh mesh: dial every lower id, accept every higher one. Each
-        // pair shares one full-duplex stream.
-        for (peer, addr) in addr_of.iter().enumerate().take(id) {
-            let mut s = dial_with_backoff(addr, DIAL_DEADLINE, (id * 31 + peer) as u64)?;
-            s.set_nodelay(true).ok();
-            write_frame(&mut s, &Frame::DataHello { from: id as u32 })?;
-            outbound[peer] = Some(s.try_clone()?);
-            inbound.push((peer, s));
-        }
-        for _ in (id + 1)..p {
-            let (mut s, _) = data_listener.accept()?;
-            s.set_nodelay(true).ok();
-            let from = match read_frame(&mut s, &pool)? {
-                Frame::DataHello { from } => from as usize,
-                other => {
-                    return Err(NetError::Protocol(format!("expected DataHello, got {other:?}")));
-                }
-            };
-            if from >= p || from <= id {
-                return Err(NetError::Protocol(format!("unexpected data hello from {from}")));
-            }
-            outbound[from] = Some(s.try_clone()?);
-            inbound.push((from, s));
-        }
-    }
-    write_frame(&mut control, &Frame::MeshReady)?;
-    match read_frame(&mut control, &pool)? {
-        Frame::Proceed { round: 0 } => {}
-        Frame::Abort { reason } => {
-            return Err(NetError::Protocol(format!("master aborted during mesh: {reason}")));
-        }
-        other => {
-            return Err(NetError::Protocol(format!("expected Proceed(0), got {other:?}")));
-        }
-    }
-    let recovery = job.as_deref().is_some_and(recovery_requested);
-    let endpoints = TcpEndpoints { id, p, outbound, inbound, control, listener: data_listener };
-    let transport = TcpTransport::new(endpoints, Arc::new(pool), recovery)?;
-    Ok(WorkerSetup { transport, job, restore })
 }

@@ -81,7 +81,7 @@ fn assert_fails_fast(label: &str, job: &JobSpec, plan: &str) {
     let elapsed = start.elapsed();
     assert!(!err.to_string().is_empty(), "{label}: the abort carries a reason");
     assert!(
-        elapsed < Duration::from_secs(25),
+        elapsed < Duration::from_secs(5),
         "{label} under {plan}: abort took {elapsed:?}, the liveness poll never noticed"
     );
 }
