@@ -41,36 +41,12 @@ impl SingleKeyShuffleProgram {
     /// Returns [`CoreError::Unsupported`] if no variable occurs in every
     /// atom (the strategy would be incorrect; use HyperCube instead).
     pub fn new(query: &Query, seed: u64) -> Result<Self> {
-        let key = query
-            .var_ids()
-            .find(|v| query.atoms().iter().all(|a| a.vars.contains(v)))
-            .ok_or_else(|| {
+        let key = query.shared_variable().ok_or_else(|| {
                 CoreError::Unsupported(format!(
                     "{} has no variable shared by all atoms; single-key shuffle would be incorrect",
                     query.name()
                 ))
             })?;
-        Ok(SingleKeyShuffleProgram { query: query.clone(), key, seed })
-    }
-
-    /// Build the program with an explicit key variable (must occur in every
-    /// atom).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Unsupported`] if the variable is missing from
-    /// some atom.
-    pub fn with_key(query: &Query, key: &str, seed: u64) -> Result<Self> {
-        let key = query.var_id(key).ok_or_else(|| {
-            CoreError::Unsupported(format!("{key} is not a variable of {}", query.name()))
-        })?;
-        if !query.atoms().iter().all(|a| a.vars.contains(&key)) {
-            return Err(CoreError::Unsupported(format!(
-                "variable {} does not occur in every atom of {}",
-                query.var_name(key).unwrap_or("?"),
-                query.name()
-            )));
-        }
         Ok(SingleKeyShuffleProgram { query: query.clone(), key, seed })
     }
 
@@ -143,7 +119,7 @@ mod tests {
     fn single_key_shuffle_correct_for_l2() {
         let q = families::chain(2);
         let db = matching_database(&q, 500, 4);
-        let program = SingleKeyShuffleProgram::with_key(&q, "x1", 3).unwrap();
+        let program = SingleKeyShuffleProgram::new(&q, 3).unwrap();
         let cluster = Cluster::new(MpcConfig::new(8, 0.0)).unwrap();
         let result = cluster.run(&program, &db).unwrap();
         let expected = evaluate(&q, &db).unwrap();
@@ -154,8 +130,6 @@ mod tests {
     fn rejected_for_queries_without_shared_variable() {
         assert!(SingleKeyShuffleProgram::new(&families::cycle(3), 1).is_err());
         assert!(SingleKeyShuffleProgram::new(&families::chain(3), 1).is_err());
-        assert!(SingleKeyShuffleProgram::with_key(&families::chain(3), "x1", 1).is_err());
-        assert!(SingleKeyShuffleProgram::with_key(&families::chain(2), "nope", 1).is_err());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! is backed by a server.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use mpc_cq::{Atom, Query};
@@ -230,15 +229,6 @@ impl MpcProgram for PartialHyperCubeProgram {
     }
 }
 
-/// Shuffle helper used in tests and ablations: a random permutation of
-/// `0..n` derived from a seed.
-pub fn seeded_permutation(n: usize, seed: u64) -> Vec<usize> {
-    let mut v: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    v.shuffle(&mut rng);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,15 +391,5 @@ mod tests {
         // A grid that fits is unchanged: 8^{1/2} rounds to 3 per variable.
         let small = PartialHyperCubeProgram::new(&families::triangle(), 8, Rational::ZERO, 1);
         assert_eq!(small.unwrap().total_cells(), 27);
-    }
-
-    #[test]
-    fn seeded_permutation_is_a_permutation() {
-        let p = seeded_permutation(100, 3);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_eq!(p, seeded_permutation(100, 3));
-        assert_ne!(p, seeded_permutation(100, 4));
     }
 }

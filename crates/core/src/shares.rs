@@ -179,19 +179,6 @@ impl ShareAllocation {
         }
         Ok(max)
     }
-
-    /// Map a hypercube cell (one coordinate per variable, `coords[i] <
-    /// shares[i]`) to a server index in `0..num_cells()` by mixed-radix
-    /// encoding.
-    pub fn cell_to_server(&self, coords: &[usize]) -> usize {
-        debug_assert_eq!(coords.len(), self.shares.len());
-        let mut server = 0usize;
-        for (coord, share) in coords.iter().zip(&self.shares) {
-            debug_assert!(coord < share, "coordinate {coord} out of range {share}");
-            server = server * share + coord;
-        }
-        server
-    }
 }
 
 /// An optimal fractional vertex cover from [`QueryLps::solve`] (closed
@@ -323,23 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn cell_encoding_is_a_bijection() {
-        let q = families::triangle();
-        let alloc = ShareAllocation::optimal(&q, 27).unwrap();
-        assert_eq!(alloc.shares, vec![3, 3, 3]);
-        let mut seen = std::collections::BTreeSet::new();
-        for a in 0..3 {
-            for b in 0..3 {
-                for c in 0..3 {
-                    seen.insert(alloc.cell_to_server(&[a, b, c]));
-                }
-            }
-        }
-        assert_eq!(seen.len(), 27);
-        assert_eq!(*seen.iter().max().unwrap(), 26);
-    }
-
-    #[test]
     fn consistent_cells_enumerates_free_dimensions() {
         let q = families::triangle();
         let alloc = ShareAllocation::optimal(&q, 27).unwrap();
@@ -348,7 +318,7 @@ mod tests {
         // many as the allocation's replication of the atom.
         let mut cells = Vec::new();
         assert!(routes[0].cells_into(&[1, 2], |_, value, _| value as usize, &mut cells));
-        assert_eq!(cells, vec![alloc.cell_to_server(&[1, 2, 0]), 16, 17]);
+        assert_eq!(cells, vec![15, 16, 17]); // cells (1, 2, *) in mixed radix 3
         assert_eq!(alloc.replication_of_atom(&q, mpc_cq::AtomId(0)).unwrap(), 3);
     }
 

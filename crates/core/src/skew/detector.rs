@@ -33,11 +33,6 @@ impl Default for HeavyHitterPolicy {
 }
 
 impl HeavyHitterPolicy {
-    /// A policy with the given threshold multiplier.
-    pub fn with_scale(scale: f64) -> Self {
-        HeavyHitterPolicy { scale }
-    }
-
     /// The frequency above which a value of a column with `len` tuples is
     /// heavy, for a variable with HyperCube share `share`.
     pub fn threshold(&self, len: usize, share: usize) -> f64 {
@@ -114,7 +109,7 @@ mod tests {
     use super::*;
     use mpc_cq::families;
     use mpc_data::matching_database;
-    use mpc_data::skew::{frequency_histograms, heavy_hitter_database, zipf_database};
+    use mpc_data::skew::{heavy_hitter_database, zipf_database};
     use mpc_data::StatsMode;
     use mpc_storage::Database;
 
@@ -168,8 +163,8 @@ mod tests {
     fn scale_controls_sensitivity() {
         let q = families::chain(2);
         let db = zipf_database(&q, 6000, 6000, 1.0, 5);
-        let strict = detect_with(&q, &db, 32, HeavyHitterPolicy::with_scale(4.0));
-        let lax = detect_with(&q, &db, 32, HeavyHitterPolicy::with_scale(0.25));
+        let strict = detect_with(&q, &db, 32, HeavyHitterPolicy { scale: 4.0 });
+        let lax = detect_with(&q, &db, 32, HeavyHitterPolicy { scale: 0.25 });
         assert!(lax.num_heavy_values() > strict.num_heavy_values());
     }
 
@@ -213,6 +208,7 @@ mod tests {
                 let alloc = ShareAllocation::optimal(&q, p).unwrap();
                 let policy = HeavyHitterPolicy::default();
                 let exact = detect(&q, &db, p);
+                let counts = DbStatistics::collect(&db, StatsMode::Exact);
                 let stats =
                     DbStatistics::collect(&db, StatsMode::Sampled { budget, seed: seed * 31 + 7 });
                 let sampled =
@@ -222,7 +218,7 @@ mod tests {
                 // slack in every (atom, column) that could flag the value.
                 for atom in q.atoms() {
                     let Ok(rel) = db.relation(&atom.name) else { continue };
-                    let truth = frequency_histograms(rel);
+                    let truth = counts.relation(&atom.name).unwrap();
                     let rs = stats.relation(&atom.name).unwrap();
                     for (pos, var) in atom.vars.iter().enumerate() {
                         let share = alloc.share(*var);
@@ -230,8 +226,7 @@ mod tests {
                             continue;
                         }
                         let threshold = policy.threshold(rel.len(), share);
-                        for (&value, &count) in &truth[pos] {
-                            let truth_f = count as f64;
+                        for (value, truth_f) in truth.column_estimates(pos) {
                             let est = rs.estimate(pos, value);
                             let slack = rs.slack_for(truth_f.max(est));
                             let miss =

@@ -36,31 +36,6 @@ pub fn space_exponent(q: &Query) -> Result<Rational> {
     Ok(Rational::ONE - tau.recip()?)
 }
 
-/// The space exponent after dropping unary atoms.
-///
-/// Over matching databases every unary relation is the full domain
-/// `{1, …, n}` and is known to every server for free, so the paper removes
-/// unary atoms before the one-round analysis (footnote in Section 3.2).
-///
-/// # Errors
-///
-/// Propagates LP errors; returns [`CoreError::Unsupported`] if *all* atoms
-/// are unary (the query is then trivial).
-pub fn space_exponent_without_unary(q: &Query) -> Result<Rational> {
-    let keep: Vec<_> =
-        q.atom_ids().filter(|a| q.atom(*a).map(|at| at.arity() > 1).unwrap_or(false)).collect();
-    if keep.is_empty() {
-        return Err(CoreError::Unsupported(
-            "query consists only of unary atoms; it is trivial on matching databases".to_string(),
-        ));
-    }
-    if keep.len() == q.num_atoms() {
-        return space_exponent(q);
-    }
-    let stripped = q.induced_subquery(&keep)?;
-    space_exponent(&stripped)
-}
-
 /// Membership in `Γ¹_ε`: is the connected query computable in one round at
 /// space exponent `ε`, i.e. is `τ*(q) ≤ 1/(1 − ε)`?
 ///
@@ -137,11 +112,11 @@ mod tests {
         // ε* = 0 iff a variable occurs in every atom.
         for q in [families::star(4), families::chain(2), families::chain(1)] {
             assert_eq!(space_exponent(&q).unwrap(), Rational::ZERO, "{}", q.name());
-            assert!(q.has_variable_in_all_atoms());
+            assert!(q.shared_variable().is_some());
         }
         for q in [families::chain(3), families::cycle(3), families::spoke(2)] {
             assert!(space_exponent(&q).unwrap().is_positive(), "{}", q.name());
-            assert!(!q.has_variable_in_all_atoms());
+            assert!(q.shared_variable().is_none());
         }
     }
 
@@ -227,20 +202,5 @@ mod tests {
                 m + 1
             );
         }
-    }
-
-    #[test]
-    fn unary_stripping() {
-        // The witness query has τ* = 3 with its unary atoms, but the
-        // one-round analysis strips R and T, leaving L3 with ε* = 1/2.
-        let q = families::witness_query();
-        assert_eq!(space_exponent(&q).unwrap(), r(2, 3));
-        assert_eq!(space_exponent_without_unary(&q).unwrap(), r(1, 2));
-        // A query of only unary atoms is rejected.
-        let trivial = mpc_cq::Query::new("t", vec![("R", vec!["x"])]).unwrap();
-        assert!(space_exponent_without_unary(&trivial).is_err());
-        // Queries with no unary atoms are unchanged.
-        let c3 = families::cycle(3);
-        assert_eq!(space_exponent_without_unary(&c3).unwrap(), space_exponent(&c3).unwrap());
     }
 }

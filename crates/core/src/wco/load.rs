@@ -11,11 +11,9 @@
 
 use serde::Serialize;
 
-use mpc_cq::Query;
-use mpc_lp::{QueryLps, Rational};
+use mpc_lp::Rational;
 use mpc_sim::RunResult;
 
-use crate::heavy::{residual_query, Group};
 use crate::multiround::load::{self, RoundComparison, RoundLoadPrediction};
 use crate::shares::fractional_power;
 use crate::wco::plan::WorstCaseOptimalPlan;
@@ -132,21 +130,6 @@ impl WcoLoadPrediction {
 /// Propagates rational-arithmetic errors on `e = 0`.
 pub fn load_target(n: u64, p: usize, e: Rational) -> Result<f64> {
     Ok(n as f64 / fractional_power(p, e.recip()?))
-}
-
-/// The fractional edge-cover value `ρ*_H` of a group's residual query
-/// (its heavy variables deleted) — the AGM exponent of the group's load
-/// target `n_H / u^{1/ρ*_H}`; `None` when every variable is heavy and the
-/// residual is a pure filter.
-///
-/// # Errors
-///
-/// Propagates LP errors.
-pub fn residual_rho_star(query: &Query, group: &Group) -> Result<Option<Rational>> {
-    match residual_query(query, &group.heavy_vars) {
-        Some(rq) => Ok(Some(QueryLps::solve(&rq)?.edge_cover().total())),
-        None => Ok(None),
-    }
 }
 
 #[cfg(test)]

@@ -331,8 +331,8 @@ mod tests {
                 assert!(pat.shares[v.0] <= plan.heavy().count(*v).max(1));
             }
             // Only the all-heavy configuration leaves no residual query.
-            let rho = crate::wco::load::residual_rho_star(&q, pat).unwrap();
-            assert_eq!(rho.is_none(), pat.heavy_vars.len() == q.num_vars());
+            let residual = crate::heavy::residual_query(&q, &pat.heavy_vars);
+            assert_eq!(residual.is_none(), pat.heavy_vars.len() == q.num_vars());
         }
     }
 

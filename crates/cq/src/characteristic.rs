@@ -151,7 +151,8 @@ mod tests {
         )
         .unwrap();
         let total = q.characteristic();
-        let sum: i64 = q.connected_component_queries().iter().map(Query::characteristic).sum();
+        let components = q.connected_components().into_iter();
+        let sum: i64 = components.map(|atoms| q.induced_subquery(&atoms).unwrap().characteristic()).sum();
         assert_eq!(total, sum);
         assert_eq!(total, -1);
     }

@@ -150,12 +150,6 @@ pub fn witness_query() -> Query {
     .expect("witness query construction is valid")
 }
 
-/// The two-way join `L_2 = S1(x,y), S2(y,z)` highlighted in the
-/// introduction (space exponent 0).
-pub fn two_way_join() -> Query {
-    chain(2)
-}
-
 /// The triangle query `C_3` (space exponent 1/3), the canonical HyperCube
 /// example (Example 3.1).
 pub fn triangle() -> Query {
@@ -453,7 +447,7 @@ mod tests {
         let q = star(3);
         assert_eq!(q.num_atoms(), 3);
         assert_eq!(q.num_vars(), 4);
-        assert!(q.has_variable_in_all_atoms());
+        assert!(q.shared_variable().is_some());
     }
 
     #[test]
@@ -497,7 +491,7 @@ mod tests {
         assert_eq!(q.num_atoms(), 6);
         assert_eq!(q.num_vars(), 7);
         assert!(q.is_connected());
-        assert!(!q.has_variable_in_all_atoms());
+        assert!(q.shared_variable().is_none());
         assert!(q.is_tree_like());
     }
 
@@ -512,7 +506,6 @@ mod tests {
 
     #[test]
     fn convenience_aliases() {
-        assert_eq!(two_way_join().num_atoms(), 2);
         assert_eq!(triangle().num_atoms(), 3);
     }
 

@@ -119,19 +119,6 @@ impl Query {
         comps
     }
 
-    /// The connected components as sub-queries.
-    pub fn connected_component_queries(&self) -> Vec<Query> {
-        self.connected_components()
-            .iter()
-            .enumerate()
-            .map(|(i, atoms)| {
-                self.induced_subquery(atoms)
-                    .expect("component is non-empty and ids are valid")
-                    .with_name(format!("{}#{}", self.name(), i))
-            })
-            .collect()
-    }
-
     /// True if the given atom set is connected *as a subhypergraph*
     /// (considering only the variables occurring in those atoms).
     pub fn atoms_connected(&self, atoms: &[AtomId]) -> bool {
@@ -181,9 +168,9 @@ mod tests {
         let q = Query::new("q", vec![("R", vec!["x"]), ("S", vec!["y"])]).unwrap();
         assert!(!q.is_connected());
         assert_eq!(q.num_connected_components(), 2);
-        let comps = q.connected_component_queries();
+        let comps = q.connected_components();
         assert_eq!(comps.len(), 2);
-        assert!(comps.iter().all(|c| c.num_atoms() == 1));
+        assert!(comps.iter().all(|atoms| atoms.len() == 1));
     }
 
     #[test]

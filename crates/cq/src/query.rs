@@ -239,22 +239,6 @@ impl Query {
         Ok(self.atom(a)?.distinct_vars())
     }
 
-    /// Variables adjacent to `v` in the hypergraph (co-occurring in some
-    /// atom), excluding `v` itself.
-    pub fn neighbours(&self, v: VarId) -> BTreeSet<VarId> {
-        let mut out = BTreeSet::new();
-        for a in &self.atoms {
-            if a.vars.contains(&v) {
-                for &w in &a.vars {
-                    if w != v {
-                        out.insert(w);
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The sub*query* induced by a subset of atoms: atoms outside the set
     /// are dropped and only the variables occurring in the kept atoms
     /// remain. Variable and relation names are preserved.
@@ -309,13 +293,13 @@ impl Query {
         q
     }
 
-    /// True if some variable occurs in **every** atom.
+    /// The first variable that occurs in **every** atom, if any.
     ///
-    /// Corollary 3.10 of the paper: this holds iff `τ*(q) = 1`, i.e. iff the
+    /// Corollary 3.10 of the paper: one exists iff `τ*(q) = 1`, i.e. iff the
     /// query has space exponent 0 (computable in one round without
     /// replication on matching databases).
-    pub fn has_variable_in_all_atoms(&self) -> bool {
-        self.var_ids().any(|v| self.atoms.iter().all(|a| a.vars.contains(&v)))
+    pub fn shared_variable(&self) -> Option<VarId> {
+        self.var_ids().find(|v| self.atoms.iter().all(|a| a.vars.contains(v)))
     }
 }
 
@@ -410,14 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbours_of_triangle_variable() {
-        let q = triangle();
-        let x1 = q.var_id("x1").unwrap();
-        let nb = q.neighbours(x1);
-        assert_eq!(nb.len(), 2);
-    }
-
-    #[test]
     fn induced_subquery_keeps_names() {
         let q = triangle();
         let s1 = q.atom_by_name("S1").unwrap().0;
@@ -456,10 +432,10 @@ mod tests {
     #[test]
     fn variable_in_all_atoms_detection() {
         let q = triangle();
-        assert!(!q.has_variable_in_all_atoms());
+        assert_eq!(q.shared_variable(), None);
         let star =
             Query::new("T2", vec![("S1", vec!["z", "x1"]), ("S2", vec!["z", "x2"])]).unwrap();
-        assert!(star.has_variable_in_all_atoms());
+        assert_eq!(star.shared_variable(), star.var_id("z"));
     }
 
     #[test]

@@ -20,65 +20,6 @@ impl Query {
         self.is_connected() && self.characteristic() == 0
     }
 
-    /// True if the query hypergraph is α-acyclic (GYO reduction succeeds).
-    pub fn is_acyclic(&self) -> bool {
-        // Work on multisets of variable sets; repeatedly apply the two GYO
-        // rules until no more progress: (1) delete a variable that occurs in
-        // at most one hyperedge, (2) delete a hyperedge contained in another.
-        let mut edges: Vec<BTreeSet<usize>> = self
-            .atoms()
-            .iter()
-            .map(|a| a.distinct_vars().into_iter().map(|v| v.0).collect())
-            .collect();
-        loop {
-            let mut changed = false;
-
-            // Rule 1: remove isolated variables (occurring in ≤ 1 edge).
-            let mut var_count = std::collections::BTreeMap::new();
-            for e in &edges {
-                for &v in e {
-                    *var_count.entry(v).or_insert(0usize) += 1;
-                }
-            }
-            for e in edges.iter_mut() {
-                let before = e.len();
-                e.retain(|v| var_count[v] > 1);
-                if e.len() != before {
-                    changed = true;
-                }
-            }
-
-            // Remove empty edges.
-            let before = edges.len();
-            edges.retain(|e| !e.is_empty());
-            if edges.len() != before {
-                changed = true;
-            }
-
-            // Rule 2: remove an edge contained in another edge.
-            let mut removed = None;
-            'outer: for i in 0..edges.len() {
-                for j in 0..edges.len() {
-                    if i != j && edges[i].is_subset(&edges[j]) {
-                        removed = Some(i);
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some(i) = removed {
-                edges.remove(i);
-                changed = true;
-            }
-
-            if edges.is_empty() {
-                return true;
-            }
-            if !changed {
-                return false;
-            }
-        }
-    }
-
     /// Enumerate every non-empty **connected** subset of atoms, as sorted
     /// atom-id vectors. The enumeration grows connected sets one adjacent
     /// atom at a time, so only connected candidates are materialised.
@@ -164,28 +105,16 @@ mod tests {
         let q =
             Query::new("q", vec![("S1", vec!["x0", "x1", "x2"]), ("S2", vec!["x1", "x2", "x3"])])
                 .unwrap();
-        assert!(q.is_acyclic());
         assert!(q.is_connected());
         assert_eq!(q.characteristic(), -1);
         assert!(!q.is_tree_like());
     }
 
     #[test]
-    fn cycles_are_cyclic_chains_are_acyclic() {
-        for k in 3..=6 {
-            assert!(!families::cycle(k).is_acyclic(), "C{k} should be cyclic");
-            assert!(families::chain(k).is_acyclic(), "L{k} should be acyclic");
-            assert!(families::star(k).is_acyclic(), "T{k} should be acyclic");
-        }
-    }
-
-    #[test]
     fn single_atom_is_acyclic_and_tree_like_when_binary() {
         let q = Query::new("q", vec![("R", vec!["x", "y"])]).unwrap();
-        assert!(q.is_acyclic());
         assert!(q.is_tree_like());
         let t = Query::new("q", vec![("R", vec!["x", "y", "z"])]).unwrap();
-        assert!(t.is_acyclic());
         // Ternary single atom: χ = 3 + 1 − 3 − 1 = 0, still tree-like by the
         // definition (connected and χ = 0).
         assert!(t.is_tree_like());

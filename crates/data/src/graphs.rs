@@ -101,25 +101,6 @@ impl LayeredGraph {
         }
         (q, db)
     }
-
-    /// Ground-truth component labels: each vertex is mapped to the smallest
-    /// vertex id of its component.
-    pub fn ground_truth_labels(&self) -> BTreeMap<u64, u64> {
-        // Follow each path from its first-layer vertex.
-        let mut labels = BTreeMap::new();
-        for start_local in 1..=self.layer_size {
-            let label = start_local; // first-layer ids are 1..=layer_size, the smallest on the path
-            let mut current_local = start_local;
-            labels.insert(current_local, label);
-            for (layer, perm) in self.permutations.iter().enumerate() {
-                let next_local = perm[(current_local - 1) as usize];
-                let next_global = (layer as u64 + 1) * self.layer_size + next_local;
-                labels.insert(next_global, label);
-                current_local = next_local;
-            }
-        }
-        labels
-    }
 }
 
 /// A random sparse undirected graph with `num_vertices` vertices and
@@ -190,6 +171,25 @@ mod tests {
     use super::*;
     use mpc_storage::join::evaluate;
 
+    /// Ground-truth component labels: each vertex is mapped to the smallest
+    /// vertex id of its component.
+    fn ground_truth_labels(g: &LayeredGraph) -> BTreeMap<u64, u64> {
+        // Follow each path from its first-layer vertex.
+        let mut labels = BTreeMap::new();
+        for start_local in 1..=g.layer_size {
+            let label = start_local; // first-layer ids are 1..=layer_size, the smallest on the path
+            let mut current_local = start_local;
+            labels.insert(current_local, label);
+            for (layer, perm) in g.permutations.iter().enumerate() {
+                let next_local = perm[(current_local - 1) as usize];
+                let next_global = (layer as u64 + 1) * g.layer_size + next_local;
+                labels.insert(next_global, label);
+                current_local = next_local;
+            }
+        }
+        labels
+    }
+
     #[test]
     fn layered_graph_shape() {
         let g = LayeredGraph::generate(4, 10, 3);
@@ -212,7 +212,7 @@ mod tests {
     #[test]
     fn ground_truth_labels_cover_all_vertices() {
         let g = LayeredGraph::generate(3, 6, 1);
-        let labels = g.ground_truth_labels();
+        let labels = ground_truth_labels(&g);
         assert_eq!(labels.len() as u64, g.num_vertices());
         // Labels are first-layer ids.
         assert!(labels.values().all(|&l| (1..=6).contains(&l)));
@@ -227,7 +227,7 @@ mod tests {
         let edges = g.edge_relation("E");
         let (count, labels) = sequential_components(&edges, g.num_vertices());
         assert_eq!(count, g.num_components());
-        let gt = g.ground_truth_labels();
+        let gt = ground_truth_labels(&g);
         // Same partition: two vertices share a UF label iff they share a GT label.
         for (v, l) in &gt {
             for (w, m) in &gt {

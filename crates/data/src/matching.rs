@@ -53,33 +53,33 @@ pub fn matching_database(q: &Query, n: u64, seed: u64) -> Database {
     db
 }
 
-/// Check whether a relation is an `arity`-dimensional matching over `[n]`:
-/// exactly `n` tuples and every column a permutation of `1..=n`.
-pub fn is_matching(rel: &Relation, n: u64) -> bool {
-    if rel.len() as u64 != n {
-        return false;
-    }
-    for col in 0..rel.arity() {
-        let mut seen = vec![false; n as usize];
-        for t in rel.iter() {
-            let v = t[col];
-            if v < 1 || v > n || seen[(v - 1) as usize] {
-                return false;
-            }
-            seen[(v - 1) as usize] = true;
-        }
-        if seen.iter().any(|s| !s) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mpc_cq::families;
     use mpc_storage::join::evaluate;
+
+    /// Check whether a relation is an `arity`-dimensional matching over `[n]`:
+    /// exactly `n` tuples and every column a permutation of `1..=n`.
+    fn is_matching(rel: &Relation, n: u64) -> bool {
+        if rel.len() as u64 != n {
+            return false;
+        }
+        for col in 0..rel.arity() {
+            let mut seen = vec![false; n as usize];
+            for t in rel.iter() {
+                let v = t[col];
+                if v < 1 || v > n || seen[(v - 1) as usize] {
+                    return false;
+                }
+                seen[(v - 1) as usize] = true;
+            }
+            if seen.iter().any(|s| !s) {
+                return false;
+            }
+        }
+        true
+    }
 
     #[test]
     fn matchings_have_permutation_columns() {
@@ -95,7 +95,7 @@ mod tests {
     fn matching_database_covers_all_atoms() {
         let q = families::cycle(4);
         let db = matching_database(&q, 100, 1);
-        assert_eq!(db.num_relations(), 4);
+        assert_eq!(db.relations().count(), 4);
         for atom in q.atoms() {
             assert!(is_matching(db.relation(&atom.name).unwrap(), 100), "{}", atom.name);
         }

@@ -102,7 +102,7 @@ mod tests {
     use mpc_cq::families;
     use mpc_storage::join::evaluate;
 
-    use crate::skew::attribute_skew;
+    use crate::skew::tests::attribute_skew;
 
     #[test]
     fn output_size_is_exact_across_families() {

@@ -2,10 +2,8 @@
 //!
 //! The HyperCube load guarantees of Proposition 3.2 are stated for matching
 //! databases — skew-free inputs in which every attribute is a key. Real
-//! data has heavy hitters; the skew ablation (experiment E7 in DESIGN.md)
+//! data has heavy hitters; the skew ablation (claim E7 in README.md, `exp E7`)
 //! compares per-server loads on these skewed inputs against matchings.
-
-use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -220,44 +218,46 @@ pub fn degree_planted_database(
     db
 }
 
-/// Exact frequency histograms of **every** column of a relation, one
-/// `BTreeMap` entry per distinct value, built in a single scan. No planner
-/// reads it: it is the independent oracle the tests compare the sorted
-/// counts of [`crate::stats`] (and the heavy-hitter detector) against.
-pub fn frequency_histograms(rel: &Relation) -> Vec<BTreeMap<u64, usize>> {
-    let mut columns: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); rel.arity()];
-    for t in rel.iter() {
-        for (idx, value) in t.iter().enumerate() {
-            *columns[idx].entry(*value).or_insert(0usize) += 1;
-        }
-    }
-    columns
-}
-
-/// Measure the *skew* of one column of a relation: the ratio between the
-/// most frequent value's count and the mean count over the values that
-/// actually **occur** in that column (not over the whole domain `[n]`), so
-/// a relation whose column support is tiny but uniform still reports 1.
-/// A matching has skew exactly 1 in every column; the empty relation
-/// reports 1 by convention.
-///
-/// # Panics
-///
-/// Panics if `idx` is out of range for the relation's arity (and the
-/// relation is non-empty).
-pub fn attribute_skew(rel: &Relation, idx: usize) -> f64 {
-    if rel.is_empty() {
-        return 1.0;
-    }
-    let counts = crate::stats::column_counts(rel, idx, &mut Vec::new());
-    let avg = rel.len() as f64 / counts.runs.len() as f64;
-    counts.max as f64 / avg
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use mpc_cq::families;
+
+    /// Exact frequency histograms of **every** column of a relation, one
+    /// `BTreeMap` entry per distinct value, built in a single scan: the
+    /// independent oracle the sorted counts of [`crate::stats`] are compared
+    /// against.
+    pub(crate) fn frequency_histograms(rel: &Relation) -> Vec<BTreeMap<u64, usize>> {
+        let mut columns: Vec<BTreeMap<u64, usize>> = vec![BTreeMap::new(); rel.arity()];
+        for t in rel.iter() {
+            for (idx, value) in t.iter().enumerate() {
+                *columns[idx].entry(*value).or_insert(0usize) += 1;
+            }
+        }
+        columns
+    }
+
+    /// Measure the *skew* of one column of a relation: the ratio between the
+    /// most frequent value's count and the mean count over the values that
+    /// actually **occur** in that column (not over the whole domain `[n]`), so
+    /// a relation whose column support is tiny but uniform still reports 1.
+    /// A matching has skew exactly 1 in every column; the empty relation
+    /// reports 1 by convention.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range for the relation's arity (and the
+    /// relation is non-empty).
+    pub(crate) fn attribute_skew(rel: &Relation, idx: usize) -> f64 {
+        if rel.is_empty() {
+            return 1.0;
+        }
+        let counts = crate::stats::column_counts(rel, idx, &mut Vec::new());
+        let avg = rel.len() as f64 / counts.runs.len() as f64;
+        counts.max as f64 / avg
+    }
 
     #[test]
     fn zipf_theta_zero_is_roughly_uniform() {
@@ -294,7 +294,7 @@ mod tests {
         let a = zipf_database(&q, 500, 800, 1.0, 7);
         let b = zipf_database(&q, 500, 800, 1.0, 7);
         assert_eq!(a, b);
-        assert_eq!(a.num_relations(), 3);
+        assert_eq!(a.relations().count(), 3);
     }
 
     #[test]
@@ -390,7 +390,7 @@ mod tests {
         let a = heavy_hitter_database(&q, 2000, 1500, 0.4, 11);
         let b = heavy_hitter_database(&q, 2000, 1500, 0.4, 11);
         assert_eq!(a, b);
-        assert_eq!(a.num_relations(), 2);
+        assert_eq!(a.relations().count(), 2);
         for rel in a.relations() {
             assert!(attribute_skew(rel, 0) > 10.0, "every relation carries a heavy hitter");
         }

@@ -329,7 +329,7 @@ mod tests {
             assert_eq!(rs.total(), rel.len());
             assert_eq!(rs.scale(), 1.0);
             assert_eq!(rs.slack_for(100.0), 0.0);
-            let hist = crate::skew::frequency_histograms(rel);
+            let hist = crate::skew::tests::frequency_histograms(rel);
             for (col, h) in hist.iter().enumerate() {
                 for (v, c) in h {
                     assert_eq!(rs.estimate(col, *v), *c as f64);
@@ -408,7 +408,7 @@ mod tests {
     /// sample, or `rel` itself), entry for entry and in the same order.
     fn assert_counts_match_oracle(rel: &Relation, rs: &RelationStats) {
         let (counted, scale) = rs.sample().unwrap_or((rel, 1.0));
-        for (col, hist) in crate::skew::frequency_histograms(counted).iter().enumerate() {
+        for (col, hist) in crate::skew::tests::frequency_histograms(counted).iter().enumerate() {
             let expected: Vec<(Value, f64)> =
                 hist.iter().map(|(v, c)| (*v, *c as f64 * scale)).collect();
             assert_eq!(rs.column_estimates(col).collect::<Vec<_>>(), expected, "column {col}");

@@ -135,19 +135,6 @@ impl EdgePacking {
                 sum == Rational::ONE
             })
     }
-
-    /// The slack `u'ᵢ = 1 − Σ_{j: xᵢ ∈ vars(Sⱼ)} uⱼ` of each variable; these
-    /// are the weights given to the unary `Tᵢ` atoms of the *extended query*
-    /// in the proof of Lemma 3.9.
-    pub fn variable_slacks(&self, q: &Query) -> Vec<Rational> {
-        q.var_ids()
-            .map(|v| {
-                let sum =
-                    q.atoms_of_var(v).iter().fold(Rational::ZERO, |acc, a| acc + self.weight(*a));
-                Rational::ONE - sum
-            })
-            .collect()
-    }
 }
 
 /// An (optimal) fractional edge cover: one weight per atom, with `≥ 1`
@@ -532,10 +519,9 @@ mod tests {
         assert_eq!(cover.total(), r(3, 2));
         let lps = QueryLps::solve(&c3).unwrap();
         assert_eq!(lps.covering_number(), r(3, 2));
-        // Packing slack for the extended query: all zero when tight.
+        // The uniform 1/2 packing is tight on every variable.
         let packing = EdgePacking::from_weights(vec![r(1, 2); 3]).unwrap();
         assert!(packing.is_tight_for(&c3));
-        assert!(packing.variable_slacks(&c3).iter().all(Rational::is_zero));
     }
 
     #[test]
@@ -558,25 +544,6 @@ mod tests {
         let lps = QueryLps::solve(&t3).unwrap();
         assert_eq!(lps.edge_cover().total(), r(3, 1));
         assert_eq!(lps.edge_packing().total(), r(1, 1));
-    }
-
-    #[test]
-    fn variable_slacks_complement_packing() {
-        let l3 = families::chain(3);
-        let lps = QueryLps::solve(&l3).unwrap();
-        let slacks = lps.edge_packing().variable_slacks(&l3);
-        // Every slack is in [0, 1].
-        assert!(slacks.iter().all(|s| !s.is_negative() && *s <= Rational::ONE));
-        // Lemma 3.9(b): Σ_j a_j u_j + Σ_i u'_i = k.
-        let mut total = Rational::ZERO;
-        for a in l3.atom_ids() {
-            let arity = r(l3.atom(a).unwrap().arity() as i128, 1);
-            total += arity * lps.edge_packing().weight(a);
-        }
-        for s in &slacks {
-            total += *s;
-        }
-        assert_eq!(total, r(l3.num_vars() as i128, 1));
     }
 
     #[test]
@@ -624,7 +591,7 @@ mod tests {
         for (q, expect_one) in cases {
             let tau = tau_star(&q).unwrap();
             assert_eq!(tau == Rational::ONE, expect_one, "{}", q.name());
-            assert_eq!(q.has_variable_in_all_atoms(), expect_one, "{}", q.name());
+            assert_eq!(q.shared_variable().is_some(), expect_one, "{}", q.name());
         }
     }
 }

@@ -76,11 +76,6 @@ impl Rational {
         Rational { num: n as i128, den: 1 }
     }
 
-    /// Numerator (after normalisation; carries the sign).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
     /// Denominator (always positive).
     pub fn denom(&self) -> i128 {
         self.den
@@ -105,11 +100,6 @@ impl Rational {
     /// True if the value is strictly negative.
     pub fn is_negative(&self) -> bool {
         self.num < 0
-    }
-
-    /// True if the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
     }
 
     /// Absolute value.
@@ -353,8 +343,8 @@ mod tests {
         assert_eq!(Rational::checked_new(i128::MIN, i128::MIN), overflow);
         // One off the edge is an ordinary value, negation included.
         let big = Rational::checked_new(i128::MAX, -1).unwrap();
-        assert_eq!(big.numer(), -i128::MAX);
-        assert_eq!((-big).numer(), i128::MAX);
+        assert_eq!(big.num, -i128::MAX);
+        assert_eq!((-big).num, i128::MAX);
         assert_eq!(Rational::checked_new(i128::MAX, i128::MAX), Ok(Rational::ONE));
     }
 
@@ -403,8 +393,6 @@ mod tests {
         assert!(Rational::ZERO.is_zero());
         assert!(Rational::new(1, 7).is_positive());
         assert!(Rational::new(-1, 7).is_negative());
-        assert!(Rational::from_int(5).is_integer());
-        assert!(!Rational::new(5, 2).is_integer());
     }
 
     #[test]

@@ -41,7 +41,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// let cost = CostModel::default();
 /// assert!(cost.link_latency > 0);
-/// assert_eq!(CostModel::zero_latency().link_latency, 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -70,12 +69,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// The default model with zero wire latency: bytes arrive the instant
-    /// they finish serializing. Useful to isolate bandwidth effects.
-    pub fn zero_latency() -> Self {
-        CostModel { link_latency: 0, ..CostModel::default() }
-    }
-
     /// A model in which everything is free (all costs zero). Every event
     /// happens at tick 0; handy as a degenerate test case.
     pub fn free() -> Self {

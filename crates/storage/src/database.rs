@@ -84,11 +84,6 @@ impl Database {
         self.relations.values()
     }
 
-    /// Number of relations.
-    pub fn num_relations(&self) -> usize {
-        self.relations.len()
-    }
-
     /// The largest relation cardinality `n` (the paper's `n`); zero for an
     /// empty database.
     pub fn max_relation_size(&self) -> usize {
@@ -137,7 +132,7 @@ mod tests {
     #[test]
     fn insert_and_lookup() {
         let db = sample_db();
-        assert_eq!(db.num_relations(), 2);
+        assert_eq!(db.relations.len(), 2);
         assert_eq!(db.relation("S1").unwrap().len(), 4);
         assert!(db.relation("S9").is_err());
         assert_eq!(db.domain_size(), 4);

@@ -179,27 +179,49 @@ fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Whether `source` defines `item` as a `fn`, `struct`, `enum`, `trait`,
-/// `type`, `const` or `mod`.
-fn defines(source: &str, item: &str) -> bool {
-    ["fn", "struct", "enum", "trait", "type", "const", "mod"].iter().any(|kw| {
-        let needle = format!("{kw} {item}");
-        source.match_indices(&needle).any(|(at, _)| {
-            let before = source[..at].chars().next_back();
-            let after = source[at + needle.len()..].chars().next();
-            !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
-        })
-    })
+/// Item keywords a definition line may start with (after its visibility
+/// and qualifiers such as `const fn`).
+const ITEM_KINDS: [&str; 8] = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// The item one line defines, as `(public, keyword, name)`; `public` is
+/// plain `pub`, not `pub(...)`.
+fn definition(line: &str) -> Option<(bool, &str, &str)> {
+    let mut rest = line.trim_start();
+    let public = rest.starts_with("pub ");
+    if public {
+        rest = &rest[4..];
+    } else if rest.starts_with("pub(") {
+        rest = &rest[rest.find(')')? + 1..];
+    }
+    let words: Vec<&str> = rest.split_whitespace().take(4).collect();
+    for (i, w) in words.iter().enumerate() {
+        let next = words.get(i + 1).copied().unwrap_or("");
+        if ITEM_KINDS.contains(w) && !ITEM_KINDS.contains(&next) {
+            let name = &next[..next.find(|c| !is_ident(c)).unwrap_or(next.len())];
+            return (!name.is_empty()).then_some((public, *w, name));
+        }
+        if !["const", "unsafe", "async", "extern", "\"C\""].contains(w) {
+            return None;
+        }
+    }
+    None
 }
 
-/// Every file under `dir` whose path ends in `file` (a bare name or a
-/// repo path).
-fn files_ending_in(dir: &Path, file: &str, out: &mut Vec<PathBuf>) {
-    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
-        let path = entry.path();
+/// Whether `source` defines `item` as a `fn`, `struct`, `enum`, `trait`,
+/// `type`, `const`, `static` or `mod`.
+fn defines(source: &str, item: &str) -> bool {
+    source.lines().any(|line| definition(line).is_some_and(|(_, _, name)| name == item))
+}
+
+/// Every file under `dir`, recursively, in path order.
+fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> =
+        fs::read_dir(dir).into_iter().flatten().flatten().map(|e| e.path()).collect();
+    entries.sort();
+    for path in entries {
         if path.is_dir() {
-            files_ending_in(&path, file, out);
-        } else if path.ends_with(file) {
+            walk(&path, out);
+        } else {
             out.push(path);
         }
     }
@@ -210,9 +232,9 @@ fn files_ending_in(dir: &Path, file: &str, out: &mut Vec<PathBuf>) {
 fn item_resolves(root: &Path, file: &str, items: &[String]) -> bool {
     let mut candidates = Vec::new();
     for top in PATH_ROOTS {
-        files_ending_in(&root.join(top), file, &mut candidates);
+        walk(&root.join(top), &mut candidates);
     }
-    candidates.iter().any(|path| {
+    candidates.iter().filter(|path| path.ends_with(file)).any(|path| {
         let source = fs::read_to_string(path).unwrap_or_default();
         items.iter().all(|item| defines(&source, item))
     })
@@ -319,27 +341,182 @@ fn check_changes(path: &Path, failures: &mut Vec<String>) {
     }
 }
 
-fn main() -> ExitCode {
-    let mut files: Vec<String> = std::env::args().skip(1).collect();
-    let changes = files.first().is_some_and(|a| a == "--changes");
-    let check: fn(&Path, &mut Vec<String>) = if changes {
-        files.remove(0);
-        if files.is_empty() {
-            files = vec!["CHANGES.md".into()];
-        }
-        check_changes
-    } else {
-        if files.is_empty() {
-            files = vec!["README.md".into(), "ARCHITECTURE.md".into(), "ROADMAP.md".into()];
-        }
-        check_file
-    };
-    let mut failures = Vec::new();
-    for f in &files {
-        check(Path::new(f), &mut failures);
+/// A file's production text: the lines above its first `#[cfg(test)]`,
+/// each cut at its first `//`.
+fn production(source: &str) -> impl Iterator<Item = &str> {
+    source
+        .lines()
+        .take_while(|line| !line.contains("#[cfg(test)]"))
+        .map(|line| line.find("//").map_or(line, |at| &line[..at]))
+}
+
+/// Word-boundary tokens of a text: its maximal runs of identifier chars.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c| !is_ident(c)).filter(|w| !w.is_empty())
+}
+
+/// The public surface under `root`: every public `fn`, `struct`, `enum`,
+/// `trait`, `type`, `const` or `static` defined at the start of a line of
+/// `crates/*/src` (outside `src/bin`, above the file's first
+/// `#[cfg(test)]`), as `(path::name, dead)`. An item is dead when its
+/// name, as a word, occurs in no production text but its own definition;
+/// production text is those files plus `crates/*/src/bin`,
+/// `crates/*/benches`, `src`, `examples`, `tools` and `benchmark/src`.
+fn surface(root: &Path) -> Vec<(String, bool)> {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).into_iter().flatten().flatten() {
+        walk(&krate.path().join("src"), &mut files);
+        walk(&krate.path().join("benches"), &mut files);
     }
+    for top in ["src", "examples", "tools", "benchmark/src"] {
+        walk(&root.join(top), &mut files);
+    }
+    let sources: Vec<(String, String)> = files
+        .iter()
+        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(path).display().to_string();
+            (rel, fs::read_to_string(path).unwrap_or_default())
+        })
+        .collect();
+    let mut uses = std::collections::HashMap::<&str, usize>::new();
+    for line in sources.iter().flat_map(|(_, source)| production(source)) {
+        for word in words(line) {
+            *uses.entry(word).or_default() += 1;
+        }
+    }
+    let mut items = Vec::new();
+    for (rel, source) in &sources {
+        let parts: Vec<&str> = rel.split('/').collect();
+        if parts.len() < 4 || parts[0] != "crates" || parts[2] != "src" || parts[3] == "bin" {
+            continue;
+        }
+        for line in production(source) {
+            if let Some((true, kind, name)) = definition(line) {
+                if kind != "mod" {
+                    let own = words(line).filter(|w| *w == name).count();
+                    items.push((format!("{rel}::{name}"), uses[name] == own));
+                }
+            }
+        }
+    }
+    items.sort();
+    items
+}
+
+/// Check the public surface under `root` against the allowlist `list` of
+/// dead items (`path::name  reason` lines; `#` starts a comment): every
+/// dead item needs a line, and every line must name a dead item. Returns
+/// the number of public items, of dead ones, and the failures.
+fn check_surface(root: &Path, list: &Path) -> (usize, usize, Vec<String>) {
+    let items = surface(root);
+    let allowlist = fs::read_to_string(list).unwrap_or_default();
+    let mut failures = Vec::new();
+    let mut allowed = Vec::new();
+    for (idx, line) in allowlist.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (item, reason) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
+        let at = format!("{}:{}", list.display(), idx + 1);
+        match items.iter().find(|(path, _)| path == item) {
+            _ if reason.trim().is_empty() => failures.push(format!("{at}: `{item}` gives no reason")),
+            None => failures.push(format!("{at}: stale: `{item}` is not a public item")),
+            Some((_, false)) => {
+                failures.push(format!("{at}: stale: `{item}` has a caller now; drop its line"))
+            }
+            Some(_) => {}
+        }
+        allowed.push(item);
+    }
+    let dead: Vec<&String> = items.iter().filter(|(_, dead)| *dead).map(|(path, _)| path).collect();
+    for path in &dead {
+        if !allowed.contains(&path.as_str()) {
+            failures.push(format!(
+                "{path}: public, but no production code names it; delete it, narrow it to \
+                 pub(crate), or give it an allowlist line with a reason"
+            ));
+        }
+    }
+    (items.len(), dead.len(), failures)
+}
+
+/// The `.md` names cited in the `//!` and `///` lines of a Rust source,
+/// as `(line, name)`.
+fn md_citations(source: &str) -> Vec<(usize, &str)> {
+    let mut out = Vec::new();
+    for (idx, line) in source.lines().enumerate() {
+        let line = line.trim_start();
+        if !line.starts_with("//!") && !line.starts_with("///") {
+            continue;
+        }
+        for word in line.split(|c: char| !is_ident(c) && !"./-".contains(c)) {
+            let word = word.trim_end_matches('.');
+            if word.strip_suffix(".md").is_some_and(|stem| stem.ends_with(is_ident)) {
+                out.push((idx + 1, word));
+            }
+        }
+    }
+    out
+}
+
+/// Check that every `.md` name cited in the Rust docs under the path
+/// roots of `root` exists, as written from `root` or from the citing
+/// file's package directory (its nearest ancestor with a `Cargo.toml`).
+fn check_rust_docs(root: &Path, failures: &mut Vec<String>) {
+    let mut files = Vec::new();
+    for top in PATH_ROOTS {
+        walk(&root.join(top), &mut files);
+    }
+    for path in files.iter().filter(|path| path.extension().is_some_and(|e| e == "rs")) {
+        let source = fs::read_to_string(path).unwrap_or_default();
+        let package = path.ancestors().skip(1).find(|dir| dir.join("Cargo.toml").exists());
+        for (line, name) in md_citations(&source) {
+            if !root.join(name).exists() && !package.is_some_and(|dir| dir.join(name).exists()) {
+                failures.push(format!("{}:{line}: cites `{name}`, which does not exist", path.display()));
+            }
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut failures = Vec::new();
+    let clean = match args.first().map(String::as_str) {
+        Some("--surface") => {
+            let Some(list) = args.get(1) else {
+                eprintln!("usage: docs_gate --surface <allowlist>");
+                return ExitCode::from(2);
+            };
+            let (items, dead, found) = check_surface(Path::new("."), Path::new(list));
+            failures = found;
+            println!("docs_gate: {items} public items, {dead} named by no production code");
+            format!("every one of the {dead} is on {list}")
+        }
+        Some("--changes") => {
+            args.remove(0);
+            if args.is_empty() {
+                args = vec!["CHANGES.md".into()];
+            }
+            for f in &args {
+                check_changes(Path::new(f), &mut failures);
+            }
+            format!("{} file(s) clean", args.len())
+        }
+        _ => {
+            if args.is_empty() {
+                args = vec!["README.md".into(), "ARCHITECTURE.md".into(), "ROADMAP.md".into()];
+            }
+            for f in &args {
+                check_file(Path::new(f), &mut failures);
+            }
+            check_rust_docs(Path::new("."), &mut failures);
+            format!("{} file(s) and the Rust docs clean", args.len())
+        }
+    };
     if failures.is_empty() {
-        println!("docs_gate: {} file(s) clean", files.len());
+        println!("docs_gate: {clean}");
         ExitCode::SUCCESS
     } else {
         for f in &failures {
