@@ -56,11 +56,6 @@ impl UnionFind {
         true
     }
 
-    /// True if `x` and `y` are in the same set.
-    pub fn connected(&mut self, x: usize, y: usize) -> bool {
-        self.find(x) == self.find(y)
-    }
-
     /// Number of distinct sets among elements `0..n`.
     pub fn num_sets(&mut self) -> usize {
         let n = self.parent.len();
@@ -145,8 +140,8 @@ mod tests {
         assert!(!uf.union(1, 0));
         assert!(uf.union(2, 3));
         assert_eq!(uf.num_sets(), 3);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 4));
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(4));
     }
 
     #[test]
