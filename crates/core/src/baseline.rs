@@ -42,11 +42,11 @@ impl SingleKeyShuffleProgram {
     /// atom (the strategy would be incorrect; use HyperCube instead).
     pub fn new(query: &Query, seed: u64) -> Result<Self> {
         let key = query.shared_variable().ok_or_else(|| {
-                CoreError::Unsupported(format!(
-                    "{} has no variable shared by all atoms; single-key shuffle would be incorrect",
-                    query.name()
-                ))
-            })?;
+            CoreError::Unsupported(format!(
+                "{} has no variable shared by all atoms; single-key shuffle would be incorrect",
+                query.name()
+            ))
+        })?;
         Ok(SingleKeyShuffleProgram { query: query.clone(), key, seed })
     }
 

@@ -121,7 +121,7 @@ impl AtomRoute {
 }
 
 /// Derive `k` independent per-variable hash seeds from one master seed.
-pub fn derive_seeds(seed: u64, k: usize) -> Vec<u64> {
+pub(crate) fn derive_seeds(seed: u64, k: usize) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..k).map(|_| rng.gen()).collect()
 }

@@ -130,7 +130,7 @@ impl HeavyValues {
 
     /// Drop the heavy values of `var`: every tuple is light there from now
     /// on. Renumbers the [`Mask`] bits of the variables after it.
-    pub fn demote(&mut self, var: VarId) {
+    pub(crate) fn demote(&mut self, var: VarId) {
         self.values[var.0].clear();
     }
 
@@ -143,12 +143,12 @@ impl HeavyValues {
     }
 
     /// The [`Mask`] of the variables among `vars` that have heavy values.
-    pub fn mask_of(&self, vars: impl IntoIterator<Item = VarId>) -> Mask {
+    pub(crate) fn mask_of(&self, vars: impl IntoIterator<Item = VarId>) -> Mask {
         vars.into_iter().fold(0, |mask, var| mask | self.bit(var))
     }
 
     /// The variables a [`Mask`] stands for.
-    pub fn vars_of(&self, mask: Mask) -> BTreeSet<VarId> {
+    pub(crate) fn vars_of(&self, mask: Mask) -> BTreeSet<VarId> {
         self.heavy_vars()
             .into_iter()
             .enumerate()
@@ -298,7 +298,7 @@ impl Group {
 
     /// Replication factor of one tuple of `atom` in this grid: the
     /// product of the shares of the dimensions the atom does not fix.
-    pub fn replication_of(&self, atom: &Atom) -> usize {
+    pub(crate) fn replication_of(&self, atom: &Atom) -> usize {
         let fixed = atom.distinct_vars();
         self.shares
             .iter()
@@ -391,7 +391,7 @@ impl GroupRoutes {
     }
 
     /// The group whose heavy configuration is exactly `h`.
-    pub fn group_of(&self, h: Mask) -> Option<usize> {
+    pub(crate) fn group_of(&self, h: Mask) -> Option<usize> {
         self.groups.iter().position(|(config, _)| *config == h)
     }
 }

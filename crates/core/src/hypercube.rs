@@ -59,7 +59,7 @@ impl HyperCubeProgram {
     }
 
     /// Build the program from an explicit share allocation.
-    pub fn with_allocation(query: &Query, allocation: ShareAllocation, seed: u64) -> Self {
+    pub(crate) fn with_allocation(query: &Query, allocation: ShareAllocation, seed: u64) -> Self {
         let routes = Grid::new(&allocation.shares, 0).routes(query);
         let seeds = derive_seeds(seed, query.num_vars());
         HyperCubeProgram { query: query.clone(), allocation, routes, seeds }
@@ -174,7 +174,7 @@ impl PartialHyperCubeProgram {
     }
 
     /// Total number of cells of the (virtual) hypercube.
-    pub fn total_cells(&self) -> usize {
+    pub(crate) fn total_cells(&self) -> usize {
         self.allocation.num_cells()
     }
 

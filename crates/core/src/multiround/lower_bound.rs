@@ -86,7 +86,7 @@ pub fn is_epsilon_good(q: &Query, m: &[AtomId], epsilon: Rational) -> Result<boo
 /// # Errors
 ///
 /// Propagates LP errors.
-pub fn greedy_good_set(q: &Query, epsilon: Rational) -> Result<Option<Vec<AtomId>>> {
+pub(crate) fn greedy_good_set(q: &Query, epsilon: Rational) -> Result<Option<Vec<AtomId>>> {
     if q.num_atoms() > MAX_ATOMS_FOR_ENUMERATION {
         return Err(CoreError::Unsupported(format!(
             "greedy ε-good search not supported for {} atoms",
@@ -210,7 +210,7 @@ pub fn round_lower_bound_via_plan(q: &Query, epsilon: Rational) -> Result<usize>
 /// Detect whether `q` is (isomorphic to) the cycle query `C_k`: connected,
 /// every atom binary with two distinct variables, every variable of degree
 /// exactly 2 and `k = ℓ ≥ 3`. Returns `k` if so.
-pub fn cycle_length(q: &Query) -> Option<usize> {
+pub(crate) fn cycle_length(q: &Query) -> Option<usize> {
     if !q.is_connected() || q.num_atoms() < 3 || q.num_atoms() != q.num_vars() {
         return None;
     }

@@ -193,7 +193,7 @@ impl MultiRoundPlan {
     }
 
     /// The final operator (the one producing the query answer).
-    pub fn final_operator(&self) -> &Operator {
+    pub(crate) fn final_operator(&self) -> &Operator {
         &self.levels.last().expect("plans have at least one level").operators[0]
     }
 

@@ -64,7 +64,7 @@ impl LoadExpr {
     /// Evaluate at concrete `(n, m, p)`, in tuples. `0^0 = 1` by the usual
     /// convention; an expression with positive `m`-exponent evaluates to 0
     /// at `m = 0` (no output ⇒ no emission obligation).
-    pub fn eval(&self, n: u64, m: u64, p: usize) -> f64 {
+    pub(crate) fn eval(&self, n: u64, m: u64, p: usize) -> f64 {
         self.coeff.to_f64()
             * pow(n as f64, self.n_exp)
             * pow(m as f64, self.m_exp)
@@ -176,7 +176,7 @@ impl OutputSensitiveBounds {
     ///
     /// Rejects non-positive `τ*`/`ρ*` (impossible for real queries) and
     /// propagates rational-arithmetic errors.
-    pub fn from_lp_values(
+    pub(crate) fn from_lp_values(
         tau_star: Rational,
         rho_star: Rational,
         answer_exponent: i64,

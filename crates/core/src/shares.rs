@@ -190,7 +190,7 @@ fn optimal_cover(q: &Query) -> Result<VertexCover> {
 }
 
 /// `p^e` for a rational exponent, as `f64`.
-pub fn fractional_power(p: usize, e: Rational) -> f64 {
+pub(crate) fn fractional_power(p: usize, e: Rational) -> f64 {
     (p as f64).powf(e.to_f64())
 }
 

@@ -66,7 +66,7 @@ impl SkewResilientProgram {
     /// # Errors
     ///
     /// Propagates allocation and planning errors.
-    pub fn with_mode(
+    pub(crate) fn with_mode(
         query: &Query,
         db: &Database,
         p: usize,

@@ -74,7 +74,7 @@ pub fn k_epsilon(epsilon: Rational) -> usize {
 /// # Panics
 ///
 /// Panics if `ε ≥ 1` (degenerate).
-pub fn m_epsilon(epsilon: Rational) -> usize {
+pub(crate) fn m_epsilon(epsilon: Rational) -> usize {
     assert!(epsilon < Rational::ONE, "ε must be < 1");
     let ratio = Rational::new(2, 1).checked_div(&(Rational::ONE - epsilon)).expect("1 − ε > 0");
     ratio.floor() as usize

@@ -128,7 +128,7 @@ impl WcoLoadPrediction {
 /// # Errors
 ///
 /// Propagates rational-arithmetic errors on `e = 0`.
-pub fn load_target(n: u64, p: usize, e: Rational) -> Result<f64> {
+pub(crate) fn load_target(n: u64, p: usize, e: Rational) -> Result<f64> {
     Ok(n as f64 / fractional_power(p, e.recip()?))
 }
 

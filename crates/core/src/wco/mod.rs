@@ -60,6 +60,6 @@ use mpc_lp::Rational;
 ///
 /// Propagates rational-arithmetic errors (`ρ* = 0` cannot occur for
 /// well-formed queries).
-pub fn effective_epsilon(rho_star: Rational) -> crate::Result<Rational> {
+pub(crate) fn effective_epsilon(rho_star: Rational) -> crate::Result<Rational> {
     Ok(Rational::ONE - rho_star.recip()?)
 }

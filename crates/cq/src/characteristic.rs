@@ -152,7 +152,8 @@ mod tests {
         .unwrap();
         let total = q.characteristic();
         let components = q.connected_components().into_iter();
-        let sum: i64 = components.map(|atoms| q.induced_subquery(&atoms).unwrap().characteristic()).sum();
+        let sum: i64 =
+            components.map(|atoms| q.induced_subquery(&atoms).unwrap().characteristic()).sum();
         assert_eq!(total, sum);
         assert_eq!(total, -1);
     }

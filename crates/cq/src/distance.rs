@@ -17,7 +17,7 @@ use crate::query::{Query, VarId};
 impl Query {
     /// Breadth-first distances (in hypergraph steps) from `source` to every
     /// variable. Unreachable variables get `None`.
-    pub fn distances_from(&self, source: VarId) -> Vec<Option<usize>> {
+    pub(crate) fn distances_from(&self, source: VarId) -> Vec<Option<usize>> {
         let k = self.num_vars();
         let mut dist: Vec<Option<usize>> = vec![None; k];
         if source.0 >= k {

@@ -12,7 +12,7 @@ use crate::query::{AtomId, Query, VarId};
 /// A simple union-find (disjoint-set) structure used for connectivity and
 /// contraction computations over variables or atoms.
 #[derive(Debug, Clone)]
-pub struct UnionFind {
+pub(crate) struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u32>,
 }
@@ -57,7 +57,7 @@ impl UnionFind {
     }
 
     /// Number of distinct sets among elements `0..n`.
-    pub fn num_sets(&mut self) -> usize {
+    pub(crate) fn num_sets(&mut self) -> usize {
         let n = self.parent.len();
         let mut roots = BTreeSet::new();
         for i in 0..n {

@@ -34,6 +34,6 @@ pub mod skew;
 pub mod stats;
 
 pub use graphs::LayeredGraph;
-pub use matching::{matching_database, matching_relation};
+pub use matching::matching_database;
 pub use planted::{output_controlled_database, PlantedJoin};
 pub use stats::{DbStatistics, RelationStats, StatsMode};

@@ -21,7 +21,7 @@ use mpc_storage::{Database, Relation};
 /// distribution up to relabelling of tuples (the *set* of tuples is what
 /// matters and its distribution is exactly uniform over `a`-dimensional
 /// matchings).
-pub fn matching_relation(name: &str, arity: usize, n: u64, rng: &mut StdRng) -> Relation {
+pub(crate) fn matching_relation(name: &str, arity: usize, n: u64, rng: &mut StdRng) -> Relation {
     assert!(arity >= 1, "relations must have arity >= 1");
     let perms: Vec<Vec<u64>> = (1..arity)
         .map(|_| {

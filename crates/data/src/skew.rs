@@ -16,7 +16,13 @@ use mpc_storage::{Database, Relation};
 /// distribution with exponent `theta` over `[n]` and whose second attribute
 /// is uniform over `[n]`. `theta = 0` is uniform; larger values concentrate
 /// mass on small keys.
-pub fn zipf_relation(name: &str, n: u64, count: usize, theta: f64, rng: &mut StdRng) -> Relation {
+pub(crate) fn zipf_relation(
+    name: &str,
+    n: u64,
+    count: usize,
+    theta: f64,
+    rng: &mut StdRng,
+) -> Relation {
     assert!(n >= 1);
     // Precompute the Zipf CDF.
     let weights: Vec<f64> = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).collect();

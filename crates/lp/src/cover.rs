@@ -386,7 +386,7 @@ impl QueryLps {
 }
 
 /// Solve the fractional vertex-cover LP of `q` with the dense oracle.
-pub fn solve_vertex_cover(q: &Query) -> Result<VertexCover> {
+pub(crate) fn solve_vertex_cover(q: &Query) -> Result<VertexCover> {
     let k = q.num_vars();
     let mut lp = LinearProgram::new(Objective::Minimize, vec![Rational::ONE; k]);
     for a in q.atom_ids() {
@@ -401,7 +401,7 @@ pub fn solve_vertex_cover(q: &Query) -> Result<VertexCover> {
 }
 
 /// Solve the fractional edge-packing LP of `q` with the dense oracle.
-pub fn solve_edge_packing(q: &Query) -> Result<EdgePacking> {
+pub(crate) fn solve_edge_packing(q: &Query) -> Result<EdgePacking> {
     let l = q.num_atoms();
     let mut lp = LinearProgram::new(Objective::Maximize, vec![Rational::ONE; l]);
     for v in q.var_ids() {

@@ -229,7 +229,7 @@ pub fn solve_degree_lp(q: &Query, stats: &DegreeStatistics) -> Result<DegreeShar
 }
 
 /// Do `(exponents, t)` satisfy every constraint of the statistics LP?
-pub fn is_feasible(
+pub(crate) fn is_feasible(
     q: &Query,
     stats: &DegreeStatistics,
     exponents: &[Rational],

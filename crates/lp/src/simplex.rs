@@ -82,7 +82,7 @@ impl LinearProgram {
     ///
     /// Returns [`LpError::Malformed`] if the coefficient row width differs
     /// from the number of variables.
-    pub fn constrain(
+    pub(crate) fn constrain(
         mut self,
         coeffs: Vec<Rational>,
         op: ConstraintOp,

@@ -158,7 +158,7 @@ impl RouteSink for Stages {
 /// Aggregate per-server received volumes into a [`RoundStats`] — the one
 /// formula every backend shares (including the out-of-process runners in
 /// `mpc-net`), so their statistics can never drift apart.
-pub fn build_round_stats(
+pub(crate) fn build_round_stats(
     round: usize,
     per_server_bytes: &[u64],
     per_server_tuples: &[u64],

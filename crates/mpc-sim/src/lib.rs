@@ -59,7 +59,7 @@ pub mod stats;
 pub mod worker;
 
 pub use block::{BlockAssembler, TupleBlock};
-pub use cluster::{build_round_stats, union_outputs, Cluster};
+pub use cluster::{union_outputs, Cluster};
 pub use cluster_async::{AsyncConfig, AsyncRunResult};
 pub use config::MpcConfig;
 pub use error::SimError;

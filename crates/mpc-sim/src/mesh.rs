@@ -345,7 +345,7 @@ where
     }
 
     /// The block pool's accounting across every job so far.
-    pub fn pool_stats(&self) -> PoolStats {
+    pub(crate) fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 }

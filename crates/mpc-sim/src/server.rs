@@ -125,7 +125,7 @@ impl ServerState {
     /// Charge `bytes`/`tuples` of received volume against `round` without
     /// touching any relation — what a merged stage or a restored
     /// checkpoint is charged with.
-    pub fn credit_received(&mut self, round: usize, bytes: u64, tuples: u64) {
+    pub(crate) fn credit_received(&mut self, round: usize, bytes: u64, tuples: u64) {
         while self.bytes_received.len() < round {
             self.bytes_received.push(0);
             self.tuples_received.push(0);
@@ -222,7 +222,7 @@ impl ServerState {
     }
 
     /// Bytes received in a given round (1-based); 0 if nothing was received.
-    pub fn bytes_received_in_round(&self, round: usize) -> u64 {
+    pub(crate) fn bytes_received_in_round(&self, round: usize) -> u64 {
         self.bytes_received.get(round - 1).copied().unwrap_or(0)
     }
 

@@ -465,7 +465,7 @@ where
     /// # Errors
     ///
     /// The first packet's error.
-    pub fn accept_all(&mut self, batch: &mut Vec<Packet>) -> Result<()> {
+    pub(crate) fn accept_all(&mut self, batch: &mut Vec<Packet>) -> Result<()> {
         batch.drain(..).try_for_each(|pkt| self.accept(pkt))
     }
 

@@ -191,7 +191,7 @@ impl FaultPlan {
 
     /// The fault specs targeting `worker`, in wire/CLI text form — the
     /// `--fault` arguments the master passes to that worker's process.
-    pub fn for_worker(&self, worker: u32) -> Vec<String> {
+    pub(crate) fn for_worker(&self, worker: u32) -> Vec<String> {
         self.faults.iter().filter(|f| f.worker == worker).map(|f| f.to_string()).collect()
     }
 }

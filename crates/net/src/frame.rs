@@ -352,7 +352,7 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Propagates write errors.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
+pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
     let mut buf = Vec::new();
     encode_frame(frame, &mut buf);
     w.write_all(&buf)?;
@@ -366,7 +366,7 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
 ///
 /// Fails on socket errors, truncated or oversized frames, and malformed
 /// bodies.
-pub fn read_frame<R: Read>(r: &mut R, pool: &BlockPool) -> Result<Frame> {
+pub(crate) fn read_frame<R: Read>(r: &mut R, pool: &BlockPool) -> Result<Frame> {
     let mut len4 = [0u8; 4];
     r.read_exact(&mut len4)?;
     let len = u32::from_le_bytes(len4);

@@ -421,7 +421,9 @@ fn check_surface(root: &Path, list: &Path) -> (usize, usize, Vec<String>) {
         let (item, reason) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
         let at = format!("{}:{}", list.display(), idx + 1);
         match items.iter().find(|(path, _)| path == item) {
-            _ if reason.trim().is_empty() => failures.push(format!("{at}: `{item}` gives no reason")),
+            _ if reason.trim().is_empty() => {
+                failures.push(format!("{at}: `{item}` gives no reason"))
+            }
             None => failures.push(format!("{at}: stale: `{item}` is not a public item")),
             Some((_, false)) => {
                 failures.push(format!("{at}: stale: `{item}` has a caller now; drop its line"))
@@ -474,7 +476,10 @@ fn check_rust_docs(root: &Path, failures: &mut Vec<String>) {
         let package = path.ancestors().skip(1).find(|dir| dir.join("Cargo.toml").exists());
         for (line, name) in md_citations(&source) {
             if !root.join(name).exists() && !package.is_some_and(|dir| dir.join(name).exists()) {
-                failures.push(format!("{}:{line}: cites `{name}`, which does not exist", path.display()));
+                failures.push(format!(
+                    "{}:{line}: cites `{name}`, which does not exist",
+                    path.display()
+                ));
             }
         }
     }
