@@ -59,7 +59,7 @@ impl HyperCubeProgram {
     }
 
     /// Build the program from an explicit share allocation.
-    pub(crate) fn with_allocation(query: &Query, allocation: ShareAllocation, seed: u64) -> Self {
+    pub fn with_allocation(query: &Query, allocation: ShareAllocation, seed: u64) -> Self {
         let routes = Grid::new(&allocation.shares, 0).routes(query);
         let seeds = derive_seeds(seed, query.num_vars());
         HyperCubeProgram { query: query.clone(), allocation, routes, seeds }

@@ -49,7 +49,10 @@
 //! # Quick start
 //!
 //! ```
-//! use mpc_core::prelude::*;
+//! use mpc_core::analysis::QueryAnalysis;
+//! use mpc_core::hypercube::HyperCubeProgram;
+//! use mpc_lp::Rational;
+//! use mpc_sim::{Cluster, MpcConfig};
 //!
 //! // The triangle query C3 has τ* = 3/2, hence space exponent 1/3.
 //! let q = mpc_cq::families::triangle();
@@ -86,19 +89,3 @@ pub use error::CoreError;
 
 /// Convenience result alias used across this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;
-
-/// Commonly used items, re-exported for downstream crates and examples.
-pub mod prelude {
-    pub use crate::analysis::QueryAnalysis;
-    pub use crate::hypercube::{HyperCubeProgram, PartialHyperCubeProgram};
-    pub use crate::multiround::executor::PlanProgram;
-    pub use crate::multiround::load::PlanLoadPrediction;
-    pub use crate::multiround::planner::MultiRoundPlan;
-    pub use crate::output_sensitive::OutputSensitiveBounds;
-    pub use crate::plan::PlannerChoice;
-    pub use crate::shares::ShareAllocation;
-    pub use crate::space_exponent::{gamma_one_contains, space_exponent};
-    pub use crate::wco::{WcoLoadPrediction, WcoProgram, WorstCaseOptimalPlan};
-    pub use mpc_lp::Rational;
-    pub use mpc_sim::{Cluster, MpcConfig};
-}

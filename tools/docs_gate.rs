@@ -20,7 +20,10 @@
 //!   name after it as a `fn`, `struct`, `enum`, `trait`, `type`, `const`
 //!   or `mod`, so prose citing a deleted function fails too.
 //!
-//! `http(s):`/`mailto:` targets are skipped — CI has no network.
+//! `http(s):`/`mailto:` targets are skipped — CI has no network. The same
+//! run checks the `//!` and `///` docs of every Rust file under those
+//! top-level directories: each `.md` name they cite must exist, as written
+//! from the repo root or from the citing file's package directory.
 //!
 //! With `--changes` it checks only the size budget of a changelog
 //! (default `CHANGES.md`): every entry from PR 22 on — a top-level `- `
@@ -28,13 +31,20 @@
 //! and path checks stay off there, because an entry legitimately names
 //! the paths it deleted.
 //!
+//! With `--surface <allowlist>` it checks the library crates' public
+//! surface instead (see [`surface`]): a public item that no production
+//! code names must be on the allowlist with a reason, and every allowlist
+//! line must still name such an item, so the list only shrinks.
+//!
 //! ```text
-//! docs_gate [file.md]...
-//! docs_gate --changes [CHANGES.md]...
+//! docs_gate [markdown]...
+//! docs_gate --changes [changelog]...
+//! docs_gate --surface <allowlist>
 //! ```
 //!
-//! Exit status: 0 when every reference resolves (every entry fits), 1
-//! otherwise (each failure is reported as `file:line: message`).
+//! Exit status: 0 when every reference resolves (every entry fits, every
+//! dead item is listed), 1 otherwise (each failure is reported as
+//! `file:line: message`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -355,10 +365,10 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c| !is_ident(c)).filter(|w| !w.is_empty())
 }
 
-/// The public surface under `root`: every public `fn`, `struct`, `enum`,
-/// `trait`, `type`, `const` or `static` defined at the start of a line of
-/// `crates/*/src` (outside `src/bin`, above the file's first
-/// `#[cfg(test)]`), as `(path::name, dead)`. An item is dead when its
+/// The public surface under `root`: every plain-`pub` `fn`, `struct`,
+/// `enum`, `trait`, `type`, `const` or `static` whose definition starts a
+/// line (indented or not) of `crates/*/src`, outside `src/bin` and above
+/// the file's first `#[cfg(test)]`, as `(path::name, dead)`. An item is dead when its
 /// name, as a word, occurs in no production text but its own definition;
 /// production text is those files plus `crates/*/src/bin`,
 /// `crates/*/benches`, `src`, `examples`, `tools` and `benchmark/src`.
@@ -410,8 +420,11 @@ fn surface(root: &Path) -> Vec<(String, bool)> {
 /// the number of public items, of dead ones, and the failures.
 fn check_surface(root: &Path, list: &Path) -> (usize, usize, Vec<String>) {
     let items = surface(root);
-    let allowlist = fs::read_to_string(list).unwrap_or_default();
     let mut failures = Vec::new();
+    let allowlist = fs::read_to_string(list).unwrap_or_else(|_| {
+        failures.push(format!("{}: unreadable", list.display()));
+        String::new()
+    });
     let mut allowed = Vec::new();
     for (idx, line) in allowlist.lines().enumerate() {
         let line = line.trim();
@@ -601,5 +614,118 @@ mod tests {
         assert_eq!(path_mentions("see `crates/lp/src` and `n_R/p_x` maths"), vec!["crates/lp/src"]);
         assert!(path_mentions("ratio `fresh/base` only").is_empty());
         assert!(path_mentions("no spans here").is_empty());
+    }
+
+    /// A throwaway tree of `(path, text)` files under the temp dir.
+    fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("docs_gate_{}_{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        for (path, text) in files {
+            let path = root.join(path);
+            fs::create_dir_all(path.parent().expect("a parent")).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        root
+    }
+
+    /// The surface of a fixture tree, and the failures of an allowlist.
+    fn scan(name: &str, files: &[(&str, &str)], allow: &str) -> (Vec<(String, bool)>, Vec<String>) {
+        let root = fixture(name, files);
+        fs::write(root.join("surface.allow"), allow).unwrap();
+        let surface = surface(&root);
+        let (items, _, failures) = check_surface(&root, &root.join("surface.allow"));
+        assert_eq!(items, surface.len());
+        fs::remove_dir_all(&root).unwrap();
+        (surface, failures)
+    }
+
+    const LIB: &str = "crates/a/src/lib.rs";
+
+    #[test]
+    fn definitions_are_read_off_the_line_start() {
+        assert_eq!(definition("    pub const fn x() {"), Some((true, "fn", "x")));
+        assert_eq!(definition("pub const LIMIT: u8 = 1;"), Some((true, "const", "LIMIT")));
+        assert_eq!(definition("pub(crate) struct S;"), Some((false, "struct", "S")));
+        assert_eq!(definition("pub mod grid;"), Some((true, "mod", "grid")));
+        assert_eq!(definition("pub use a::b;"), None);
+        assert_eq!(definition("let fn_x = 1;"), None);
+    }
+
+    #[test]
+    fn an_unused_pub_fn_is_reported_and_pub_crate_items_are_ignored() {
+        let lib = "pub fn used() {}\npub fn unused() {}\npub(crate) fn internal() {}\n";
+        let example = "fn main() { a::used(); }\n";
+        let (surface, failures) = scan("unused", &[(LIB, lib), ("examples/e.rs", example)], "");
+        let dead = |name: &str| (format!("{LIB}::{name}"), true);
+        assert_eq!(surface, vec![dead("unused"), (format!("{LIB}::used"), false)]);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("crates/a/src/lib.rs::unused: public, but"));
+    }
+
+    #[test]
+    fn comments_test_modules_and_test_dirs_keep_nothing_alive() {
+        let lib = "pub fn in_comment() {}\npub fn in_cfg_test() {}\npub fn in_tests_dir() {}\n\
+                   // in_comment() has no caller\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { super::in_cfg_test(); }\n}\n";
+        let tests_dir = "fn t() { a::in_tests_dir(); a::in_comment(); }\n";
+        let files = [(LIB, lib), ("crates/a/tests/t.rs", tests_dir), ("tests/t.rs", tests_dir)];
+        let (surface, failures) = scan("tests", &files, "");
+        assert!(surface.iter().all(|(_, dead)| *dead), "{surface:?}");
+        assert_eq!((surface.len(), failures.len()), (3, 3));
+    }
+
+    #[test]
+    fn callers_in_benches_and_bins_keep_items_alive() {
+        let lib = "pub fn for_bench() {}\npub fn for_bin() {}\n";
+        let bin = "pub fn helper() {}\nfn main() { a::for_bin(); }\n";
+        let bench = "fn main() { a::for_bench(); }\n";
+        let files =
+            [(LIB, lib), ("crates/a/src/bin/tool.rs", bin), ("crates/a/benches/b.rs", bench)];
+        let (surface, failures) = scan("callers", &files, "");
+        let alive = |name: &str| (format!("{LIB}::{name}"), false);
+        assert_eq!(
+            surface,
+            vec![alive("for_bench"), alive("for_bin")],
+            "a bin's items are not surface"
+        );
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn stale_allowlist_lines_fail() {
+        let files =
+            [(LIB, "pub fn dead() {}\npub fn called() {}\n"), ("src/lib.rs", "use a::called;\n")];
+        let line = |name: &str| format!("{LIB}::{name}  a reason\n");
+        assert!(scan("fresh", &files, &line("dead")).1.is_empty());
+        let stale = [line("dead"), line("called"), line("gone"), format!("{LIB}::dead\n")].concat();
+        let failures = scan("stale", &files, &stale).1;
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0]
+            .ends_with(":2: stale: `crates/a/src/lib.rs::called` has a caller now; drop its line"));
+        assert!(
+            failures[1].ends_with(":3: stale: `crates/a/src/lib.rs::gone` is not a public item")
+        );
+        assert!(failures[2].ends_with(":4: `crates/a/src/lib.rs::dead` gives no reason"));
+    }
+
+    #[test]
+    fn rust_docs_cite_only_existing_markdown() {
+        let source =
+            "//! See README.md and `crates/a/NOTES.md`.\n/// Also GONE.md, not *.md.\nlet s = 1;";
+        let cited: Vec<(usize, &str)> = md_citations(source);
+        assert_eq!(cited, vec![(1, "README.md"), (1, "crates/a/NOTES.md"), (2, "GONE.md")]);
+        let lib = "//! From the root README.md, the package NOTES.md, and GONE.md.\n";
+        let files = [
+            ("README.md", ""),
+            ("crates/a/Cargo.toml", ""),
+            ("crates/a/NOTES.md", ""),
+            ("crates/a/src/lib.rs", lib),
+        ];
+        let root = fixture("md", &files);
+        let mut failures = Vec::new();
+        check_rust_docs(&root, &mut failures);
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].ends_with("src/lib.rs:1: cites `GONE.md`, which does not exist"));
     }
 }
