@@ -310,6 +310,24 @@ mod tests {
     }
 
     #[test]
+    fn cell_encoding_is_a_bijection() {
+        let q = families::triangle();
+        let alloc = ShareAllocation::optimal(&q, 27).unwrap();
+        assert_eq!(alloc.shares, vec![3, 3, 3]);
+        // S1(x1, x2) fixes two coordinates and fans out over the third, so
+        // the nine tuples of [3]² reach every server exactly once.
+        let routes = crate::grid::Grid::new(&alloc.shares, 0).routes(&q);
+        let mut seen = Vec::new();
+        for a in 0..3 {
+            for b in 0..3 {
+                assert!(routes[0].cells_into(&[a, b], |_, value, _| value as usize, &mut seen));
+            }
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, (0..27).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn consistent_cells_enumerates_free_dimensions() {
         let q = families::triangle();
         let alloc = ShareAllocation::optimal(&q, 27).unwrap();

@@ -547,6 +547,34 @@ mod tests {
     }
 
     #[test]
+    fn variable_slacks_complement_packing() {
+        let l3 = families::chain(3);
+        let lps = QueryLps::solve(&l3).unwrap();
+        // The slack `u'ᵢ = 1 − Σ_{j: xᵢ ∈ vars(Sⱼ)} uⱼ` of each variable: the
+        // weights of the unary `Tᵢ` atoms of the extended query (Lemma 3.9).
+        let packing = lps.edge_packing();
+        let slacks: Vec<Rational> = l3
+            .var_ids()
+            .map(|v| {
+                let atoms = l3.atoms_of_var(v);
+                Rational::ONE - atoms.iter().fold(Rational::ZERO, |acc, a| acc + packing.weight(*a))
+            })
+            .collect();
+        // Every slack is in [0, 1].
+        assert!(slacks.iter().all(|s| !s.is_negative() && *s <= Rational::ONE));
+        // Lemma 3.9(b): Σ_j a_j u_j + Σ_i u'_i = k.
+        let mut total = Rational::ZERO;
+        for a in l3.atom_ids() {
+            let arity = r(l3.atom(a).unwrap().arity() as i128, 1);
+            total += arity * packing.weight(a);
+        }
+        for s in &slacks {
+            total += *s;
+        }
+        assert_eq!(total, r(l3.num_vars() as i128, 1));
+    }
+
+    #[test]
     fn invalid_covers_are_rejected() {
         let c3 = families::cycle(3);
         let too_small = VertexCover::from_weights(vec![r(1, 4); 3]).unwrap();
