@@ -103,7 +103,7 @@ impl AtomRoute {
     /// `coord(var, value, share) < share`. Returns `false`, appending
     /// nothing, for a tuple that disagrees with itself on a repeated
     /// variable.
-    pub fn cells_into<F>(&self, tuple: &[Value], coord: F, out: &mut Vec<usize>) -> bool
+    pub(crate) fn cells_into<F>(&self, tuple: &[Value], coord: F, out: &mut Vec<usize>) -> bool
     where
         F: Fn(VarId, Value, usize) -> usize,
     {

@@ -114,7 +114,7 @@ impl HeavyValues {
     }
 
     /// Worst recorded `frequency / threshold` ratio of a variable.
-    pub fn severity(&self, var: VarId) -> f64 {
+    pub(crate) fn severity(&self, var: VarId) -> f64 {
         self.severity.get(var.0).copied().unwrap_or(1.0)
     }
 
@@ -247,12 +247,12 @@ impl PatternCounts {
 
     /// Per atom, the tuples the group of heavy configuration `h` needs:
     /// those whose pattern is `h` restricted to the atom's variables.
-    pub fn atom_tuples(&self, h: Mask) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn atom_tuples(&self, h: Mask) -> impl Iterator<Item = u64> + '_ {
         self.atoms.iter().map(move |(vars, counts)| counts.get(&(h & vars)).copied().unwrap_or(0))
     }
 
     /// The tuple mass configuration `h` attracts, `Σ_j atom_tuples(h)[j]`.
-    pub fn mass(&self, h: Mask) -> u64 {
+    pub(crate) fn mass(&self, h: Mask) -> u64 {
         self.atom_tuples(h).sum()
     }
 

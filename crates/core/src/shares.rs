@@ -113,7 +113,7 @@ impl ShareAllocation {
     /// Same conditions as [`ShareAllocation::from_cover`], and
     /// [`CoreError::InvalidPlan`] when the virtual grid has more cells than
     /// a `usize` counts.
-    pub fn scaled(q: &Query, p: usize, one_minus_epsilon: Rational) -> Result<Self> {
+    pub(crate) fn scaled(q: &Query, p: usize, one_minus_epsilon: Rational) -> Result<Self> {
         if p == 0 {
             return Err(CoreError::InvalidPlan("p must be at least 1".to_string()));
         }

@@ -49,15 +49,9 @@ impl Query {
         dist
     }
 
-    /// The distance `d(u, v)` between two variables, or `None` if they lie
-    /// in different connected components.
-    pub fn distance(&self, u: VarId, v: VarId) -> Option<usize> {
-        self.distances_from(u).get(v.0).copied().flatten()
-    }
-
     /// Eccentricity of a variable: its maximum distance to any other
     /// variable, or `None` if the query is disconnected.
-    pub fn eccentricity(&self, v: VarId) -> Option<usize> {
+    pub(crate) fn eccentricity(&self, v: VarId) -> Option<usize> {
         let d = self.distances_from(v);
         let mut max = 0;
         for entry in d {
@@ -139,10 +133,10 @@ mod tests {
         let x0 = q.var_id("x0").unwrap();
         let x4 = q.var_id("x4").unwrap();
         let x2 = q.var_id("x2").unwrap();
-        assert_eq!(q.distance(x0, x4), Some(4));
-        assert_eq!(q.distance(x0, x2), Some(2));
-        assert_eq!(q.distance(x2, x2), Some(0));
-        assert_eq!(q.distance(x4, x0), Some(4));
+        assert_eq!(q.distances_from(x0)[x4.0], Some(4));
+        assert_eq!(q.distances_from(x0)[x2.0], Some(2));
+        assert_eq!(q.distances_from(x2)[x2.0], Some(0));
+        assert_eq!(q.distances_from(x4)[x0.0], Some(4));
     }
 
     #[test]
@@ -160,7 +154,7 @@ mod tests {
         assert_eq!(q.center(), None);
         let x = q.var_id("x").unwrap();
         let y = q.var_id("y").unwrap();
-        assert_eq!(q.distance(x, y), None);
+        assert_eq!(q.distances_from(x)[y.0], None);
     }
 
     #[test]

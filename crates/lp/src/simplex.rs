@@ -16,7 +16,7 @@ use crate::Result;
 
 /// Direction of optimisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Objective {
+pub(crate) enum Objective {
     /// Maximise the cost vector.
     Maximize,
     /// Minimise the cost vector.
@@ -36,7 +36,7 @@ pub enum ConstraintOp {
 
 /// One linear constraint `coeffs · x  (≤ | ≥ | =)  rhs`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Constraint {
+pub(crate) struct Constraint {
     /// Coefficient of each structural variable.
     pub coeffs: Vec<Rational>,
     /// The comparison operator.
@@ -47,7 +47,7 @@ pub struct Constraint {
 
 /// A linear program over non-negative structural variables `x ≥ 0`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinearProgram {
+pub(crate) struct LinearProgram {
     /// Optimisation direction.
     pub objective: Objective,
     /// Cost of each structural variable.
@@ -58,7 +58,7 @@ pub struct LinearProgram {
 
 /// An optimal solution of a [`LinearProgram`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LpSolution {
+pub(crate) struct LpSolution {
     /// Optimal objective value (in the original optimisation direction).
     pub objective_value: Rational,
     /// Optimal values of the structural variables.

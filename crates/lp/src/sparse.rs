@@ -43,7 +43,7 @@ const PRICING_CANDIDATES: usize = 3;
 /// simplex, including the dual values needed to read a vertex cover off an
 /// edge-packing solve (and vice versa).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SparseSolution {
+pub(crate) struct SparseSolution {
     /// Optimal objective value (in the original optimisation direction).
     pub objective_value: Rational,
     /// Optimal values of the structural variables.

@@ -102,7 +102,7 @@ fn parse_rational(s: &str) -> Result<Rational> {
 impl JobSpec {
     /// Serialise to the `key=value` wire form carried by
     /// [`crate::Frame::Job`].
-    pub fn to_wire(&self) -> String {
+    pub(crate) fn to_wire(&self) -> String {
         let mut out = String::new();
         let (prog, prog_arg) = match &self.program {
             PlannerChoice::Broadcast => ("broadcast", None),
@@ -153,7 +153,7 @@ impl JobSpec {
     ///
     /// Fails on missing required keys, malformed numbers or unknown
     /// program/database kinds.
-    pub fn from_wire(wire: &str) -> Result<Self> {
+    pub(crate) fn from_wire(wire: &str) -> Result<Self> {
         let mut kv = std::collections::BTreeMap::new();
         for line in wire.lines() {
             if line.trim().is_empty() {
