@@ -351,13 +351,26 @@ fn check_changes(path: &Path, failures: &mut Vec<String>) {
     }
 }
 
+/// The `.rs` files under the `dirs` of `root`, as (path relative to
+/// `root`, text), in path order.
+fn rust_sources(root: &Path, dirs: &[&str]) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        walk(&root.join(dir), &mut files);
+    }
+    let rust = files.into_iter().filter(|path| path.extension().is_some_and(|e| e == "rs"));
+    rust.map(|path| {
+        let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
+        (rel, fs::read_to_string(&path).unwrap_or_default())
+    })
+    .collect()
+}
+
 /// A file's production text: the lines above its first `#[cfg(test)]`,
 /// each cut at its first `//`.
 fn production(source: &str) -> impl Iterator<Item = &str> {
-    source
-        .lines()
-        .take_while(|line| !line.contains("#[cfg(test)]"))
-        .map(|line| line.find("//").map_or(line, |at| &line[..at]))
+    let lines = source.lines().take_while(|line| !line.contains("#[cfg(test)]"));
+    lines.map(|line| line.find("//").map_or(line, |at| &line[..at]))
 }
 
 /// Word-boundary tokens of a text: its maximal runs of identifier chars.
@@ -365,134 +378,97 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c| !is_ident(c)).filter(|w| !w.is_empty())
 }
 
-/// The public surface under `root`: every plain-`pub` `fn`, `struct`,
-/// `enum`, `trait`, `type`, `const` or `static` whose definition starts a
-/// line (indented or not) of `crates/*/src`, outside `src/bin` and above
-/// the file's first `#[cfg(test)]`, as `(path::name, dead)`. An item is dead when its
-/// name, as a word, occurs in no production text but its own definition;
-/// production text is those files plus `crates/*/src/bin`,
-/// `crates/*/benches`, `src`, `examples`, `tools` and `benchmark/src`.
+/// The public surface under `root`, as `(path::name, dead)`: every
+/// plain-`pub` `fn`, `struct`, `enum`, `trait`, `type`, `const` or
+/// `static` whose definition starts a line (indented or not) of
+/// `crates/*/src`, outside `src/bin` and above the file's first
+/// `#[cfg(test)]`. It is dead when its name, as a word, occurs in no
+/// production text but its own definition; production text is those
+/// files plus `crates/*/src/bin`, `crates/*/benches`, `src`, `examples`,
+/// `tools` and `benchmark/src`.
 fn surface(root: &Path) -> Vec<(String, bool)> {
-    let mut files = Vec::new();
-    for krate in fs::read_dir(root.join("crates")).into_iter().flatten().flatten() {
-        walk(&krate.path().join("src"), &mut files);
-        walk(&krate.path().join("benches"), &mut files);
+    fn part(rel: &str, n: usize) -> &str {
+        rel.split('/').nth(n).unwrap_or("")
     }
-    for top in ["src", "examples", "tools", "benchmark/src"] {
-        walk(&root.join(top), &mut files);
-    }
-    let sources: Vec<(String, String)> = files
-        .iter()
-        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
-        .map(|path| {
-            let rel = path.strip_prefix(root).unwrap_or(path).display().to_string();
-            (rel, fs::read_to_string(path).unwrap_or_default())
-        })
-        .collect();
+    let mut sources = rust_sources(root, &["crates", "src", "examples", "tools", "benchmark/src"]);
+    sources
+        .retain(|(rel, _)| part(rel, 0) != "crates" || ["src", "benches"].contains(&part(rel, 2)));
     let mut uses = std::collections::HashMap::<&str, usize>::new();
-    for line in sources.iter().flat_map(|(_, source)| production(source)) {
-        for word in words(line) {
-            *uses.entry(word).or_default() += 1;
-        }
+    for word in sources.iter().flat_map(|(_, source)| production(source)).flat_map(words) {
+        *uses.entry(word).or_default() += 1;
     }
     let mut items = Vec::new();
     for (rel, source) in &sources {
-        let parts: Vec<&str> = rel.split('/').collect();
-        if parts.len() < 4 || parts[0] != "crates" || parts[2] != "src" || parts[3] == "bin" {
+        if part(rel, 0) != "crates" || part(rel, 2) != "src" || part(rel, 3) == "bin" {
             continue;
         }
         for line in production(source) {
-            if let Some((true, kind, name)) = definition(line) {
-                if kind != "mod" {
-                    let own = words(line).filter(|w| *w == name).count();
-                    items.push((format!("{rel}::{name}"), uses[name] == own));
-                }
+            if let Some((_, _, name)) =
+                definition(line).filter(|&(public, kind, _)| public && kind != "mod")
+            {
+                let own = words(line).filter(|w| *w == name).count();
+                items.push((format!("{rel}::{name}"), uses[name] == own));
             }
         }
     }
-    items.sort();
     items
 }
 
-/// Check the public surface under `root` against the allowlist `list` of
-/// dead items (`path::name  reason` lines; `#` starts a comment): every
-/// dead item needs a line, and every line must name a dead item. Returns
-/// the number of public items, of dead ones, and the failures.
-fn check_surface(root: &Path, list: &Path) -> (usize, usize, Vec<String>) {
-    let items = surface(root);
+/// Check `items` against the allowlist `list` of dead ones
+/// (`path::name  reason` lines; `#` starts a comment): every dead item
+/// needs a line, and every line must name a dead item and give a reason.
+fn check_surface(items: &[(String, bool)], list: &str, allowlist: &str) -> Vec<String> {
     let mut failures = Vec::new();
-    let allowlist = fs::read_to_string(list).unwrap_or_else(|_| {
-        failures.push(format!("{}: unreadable", list.display()));
-        String::new()
-    });
-    let mut allowed = Vec::new();
+    let mut listed = Vec::new();
     for (idx, line) in allowlist.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+        if line.trim().is_empty() || line.starts_with('#') {
             continue;
         }
         let (item, reason) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-        let at = format!("{}:{}", list.display(), idx + 1);
-        match items.iter().find(|(path, _)| path == item) {
-            _ if reason.trim().is_empty() => {
-                failures.push(format!("{at}: `{item}` gives no reason"))
-            }
-            None => failures.push(format!("{at}: stale: `{item}` is not a public item")),
-            Some((_, false)) => {
-                failures.push(format!("{at}: stale: `{item}` has a caller now; drop its line"))
-            }
-            Some(_) => {}
-        }
-        allowed.push(item);
+        listed.push(item);
+        let problem = match items.iter().find(|(path, _)| path == item) {
+            _ if reason.trim().is_empty() => "gives no reason",
+            None => "is stale: no such public item",
+            Some((_, false)) => "is stale: production code names it now",
+            Some(_) => continue,
+        };
+        failures.push(format!("{list}:{}: `{item}` {problem}", idx + 1));
     }
-    let dead: Vec<&String> = items.iter().filter(|(_, dead)| *dead).map(|(path, _)| path).collect();
-    for path in &dead {
-        if !allowed.contains(&path.as_str()) {
-            failures.push(format!(
-                "{path}: public, but no production code names it; delete it, narrow it to \
-                 pub(crate), or give it an allowlist line with a reason"
-            ));
-        }
+    for (path, _) in items.iter().filter(|(path, dead)| *dead && !listed.contains(&path.as_str())) {
+        failures.push(format!(
+            "{path}: public, but no production code names it; delete it, make it \
+             pub(crate), or list it with a reason"
+        ));
     }
-    (items.len(), dead.len(), failures)
+    failures
 }
 
 /// The `.md` names cited in the `//!` and `///` lines of a Rust source,
 /// as `(line, name)`.
 fn md_citations(source: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    for (idx, line) in source.lines().enumerate() {
+    let docs = source.lines().enumerate().filter(|(_, line)| {
         let line = line.trim_start();
-        if !line.starts_with("//!") && !line.starts_with("///") {
-            continue;
-        }
-        for word in line.split(|c: char| !is_ident(c) && !"./-".contains(c)) {
-            let word = word.trim_end_matches('.');
-            if word.strip_suffix(".md").is_some_and(|stem| stem.ends_with(is_ident)) {
-                out.push((idx + 1, word));
-            }
-        }
-    }
-    out
+        line.starts_with("//!") || line.starts_with("///")
+    });
+    let words = docs.flat_map(|(idx, line)| {
+        let words = line.split(|c: char| !is_ident(c) && !"./-".contains(c));
+        words.map(move |word| (idx + 1, word.trim_end_matches('.')))
+    });
+    words
+        .filter(|(_, word)| word.strip_suffix(".md").is_some_and(|stem| stem.ends_with(is_ident)))
+        .collect()
 }
 
 /// Check that every `.md` name cited in the Rust docs under the path
 /// roots of `root` exists, as written from `root` or from the citing
 /// file's package directory (its nearest ancestor with a `Cargo.toml`).
 fn check_rust_docs(root: &Path, failures: &mut Vec<String>) {
-    let mut files = Vec::new();
-    for top in PATH_ROOTS {
-        walk(&root.join(top), &mut files);
-    }
-    for path in files.iter().filter(|path| path.extension().is_some_and(|e| e == "rs")) {
-        let source = fs::read_to_string(path).unwrap_or_default();
+    for (rel, source) in rust_sources(root, &PATH_ROOTS) {
+        let path = root.join(&rel);
         let package = path.ancestors().skip(1).find(|dir| dir.join("Cargo.toml").exists());
         for (line, name) in md_citations(&source) {
             if !root.join(name).exists() && !package.is_some_and(|dir| dir.join(name).exists()) {
-                failures.push(format!(
-                    "{}:{line}: cites `{name}`, which does not exist",
-                    path.display()
-                ));
+                failures.push(format!("{rel}:{line}: cites `{name}`, which does not exist"));
             }
         }
     }
@@ -507,9 +483,14 @@ fn main() -> ExitCode {
                 eprintln!("usage: docs_gate --surface <allowlist>");
                 return ExitCode::from(2);
             };
-            let (items, dead, found) = check_surface(Path::new("."), Path::new(list));
-            failures = found;
-            println!("docs_gate: {items} public items, {dead} named by no production code");
+            let allowlist = fs::read_to_string(list).unwrap_or_else(|e| {
+                failures.push(format!("{list}: {e}"));
+                String::new()
+            });
+            let items = surface(Path::new("."));
+            let dead = items.iter().filter(|(_, dead)| *dead).count();
+            println!("docs_gate: {} public items, {dead} named by no production code", items.len());
+            failures.extend(check_surface(&items, list, &allowlist));
             format!("every one of the {dead} is on {list}")
         }
         Some("--changes") => {
@@ -616,30 +597,17 @@ mod tests {
         assert!(path_mentions("no spans here").is_empty());
     }
 
-    /// A throwaway tree of `(path, text)` files under the temp dir.
-    fn fixture(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    /// Run `check` on a throwaway tree of `(path, text)` files.
+    fn in_tree<T>(name: &str, files: &[(&str, &str)], check: impl FnOnce(&Path) -> T) -> T {
         let root = std::env::temp_dir().join(format!("docs_gate_{}_{name}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
         for (path, text) in files {
-            let path = root.join(path);
-            fs::create_dir_all(path.parent().expect("a parent")).unwrap();
-            fs::write(path, text).unwrap();
+            fs::create_dir_all(root.join(path).parent().expect("a parent")).unwrap();
+            fs::write(root.join(path), text).unwrap();
         }
-        root
-    }
-
-    /// The surface of a fixture tree, and the failures of an allowlist.
-    fn scan(name: &str, files: &[(&str, &str)], allow: &str) -> (Vec<(String, bool)>, Vec<String>) {
-        let root = fixture(name, files);
-        fs::write(root.join("surface.allow"), allow).unwrap();
-        let surface = surface(&root);
-        let (items, _, failures) = check_surface(&root, &root.join("surface.allow"));
-        assert_eq!(items, surface.len());
+        let out = check(&root);
         fs::remove_dir_all(&root).unwrap();
-        (surface, failures)
+        out
     }
-
-    const LIB: &str = "crates/a/src/lib.rs";
 
     #[test]
     fn definitions_are_read_off_the_line_start() {
@@ -652,80 +620,63 @@ mod tests {
     }
 
     #[test]
-    fn an_unused_pub_fn_is_reported_and_pub_crate_items_are_ignored() {
-        let lib = "pub fn used() {}\npub fn unused() {}\npub(crate) fn internal() {}\n";
-        let example = "fn main() { a::used(); }\n";
-        let (surface, failures) = scan("unused", &[(LIB, lib), ("examples/e.rs", example)], "");
-        let dead = |name: &str| (format!("{LIB}::{name}"), true);
-        assert_eq!(surface, vec![dead("unused"), (format!("{LIB}::used"), false)]);
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].starts_with("crates/a/src/lib.rs::unused: public, but"));
-    }
-
-    #[test]
-    fn comments_test_modules_and_test_dirs_keep_nothing_alive() {
-        let lib = "pub fn in_comment() {}\npub fn in_cfg_test() {}\npub fn in_tests_dir() {}\n\
-                   // in_comment() has no caller\n\
+    fn only_production_callers_keep_public_items_alive() {
+        let lib = "pub fn by_example() {}\npub fn by_bench() {}\npub fn by_bin() {}\n\
+                   pub fn in_comment() {}\npub fn in_cfg_test() {}\npub fn in_tests() {}\n\
+                   pub(crate) fn internal() {}\n// in_comment()\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { super::in_cfg_test(); }\n}\n";
-        let tests_dir = "fn t() { a::in_tests_dir(); a::in_comment(); }\n";
-        let files = [(LIB, lib), ("crates/a/tests/t.rs", tests_dir), ("tests/t.rs", tests_dir)];
-        let (surface, failures) = scan("tests", &files, "");
-        assert!(surface.iter().all(|(_, dead)| *dead), "{surface:?}");
-        assert_eq!((surface.len(), failures.len()), (3, 3));
-    }
-
-    #[test]
-    fn callers_in_benches_and_bins_keep_items_alive() {
-        let lib = "pub fn for_bench() {}\npub fn for_bin() {}\n";
-        let bin = "pub fn helper() {}\nfn main() { a::for_bin(); }\n";
-        let bench = "fn main() { a::for_bench(); }\n";
-        let files =
-            [(LIB, lib), ("crates/a/src/bin/tool.rs", bin), ("crates/a/benches/b.rs", bench)];
-        let (surface, failures) = scan("callers", &files, "");
-        let alive = |name: &str| (format!("{LIB}::{name}"), false);
-        assert_eq!(
-            surface,
-            vec![alive("for_bench"), alive("for_bin")],
-            "a bin's items are not surface"
-        );
-        assert!(failures.is_empty(), "{failures:?}");
+        let files = [
+            ("crates/a/src/lib.rs", lib),
+            ("crates/a/src/bin/tool.rs", "pub fn helper() {}\nfn main() { a::by_bin(); }"),
+            ("crates/a/benches/b.rs", "fn main() { a::by_bench(); }"),
+            ("examples/e.rs", "fn main() { a::by_example(); }"),
+            ("crates/a/tests/t.rs", "fn t() { a::in_tests(); }"),
+            ("tests/t.rs", "fn t() { a::in_tests(); }"),
+        ];
+        let items = in_tree("surface", &files, surface);
+        let names: Vec<(&str, bool)> = items
+            .iter()
+            .map(|(path, dead)| (&path["crates/a/src/lib.rs::".len()..], *dead))
+            .collect();
+        let alive = [("by_example", false), ("by_bench", false), ("by_bin", false)];
+        let dead = [("in_comment", true), ("in_cfg_test", true), ("in_tests", true)];
+        assert_eq!(names, [alive, dead].concat(), "no bin item, no pub(crate) item");
+        let failures = check_surface(&items, "allow", "");
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0].starts_with("crates/a/src/lib.rs::in_comment: public, but"));
     }
 
     #[test]
     fn stale_allowlist_lines_fail() {
-        let files =
-            [(LIB, "pub fn dead() {}\npub fn called() {}\n"), ("src/lib.rs", "use a::called;\n")];
-        let line = |name: &str| format!("{LIB}::{name}  a reason\n");
-        assert!(scan("fresh", &files, &line("dead")).1.is_empty());
-        let stale = [line("dead"), line("called"), line("gone"), format!("{LIB}::dead\n")].concat();
-        let failures = scan("stale", &files, &stale).1;
-        assert_eq!(failures.len(), 3, "{failures:?}");
-        assert!(failures[0]
-            .ends_with(":2: stale: `crates/a/src/lib.rs::called` has a caller now; drop its line"));
-        assert!(
-            failures[1].ends_with(":3: stale: `crates/a/src/lib.rs::gone` is not a public item")
+        let items = [("a.rs::dead".to_string(), true), ("a.rs::called".to_string(), false)];
+        assert!(check_surface(&items, "allow", "# why\na.rs::dead  a reason\n").is_empty());
+        let stale = "a.rs::dead  r\na.rs::called  r\na.rs::gone  r\na.rs::dead\n";
+        let failures = check_surface(&items, "allow", stale);
+        assert_eq!(
+            failures,
+            [
+                "allow:2: `a.rs::called` is stale: production code names it now",
+                "allow:3: `a.rs::gone` is stale: no such public item",
+                "allow:4: `a.rs::dead` gives no reason",
+            ]
         );
-        assert!(failures[2].ends_with(":4: `crates/a/src/lib.rs::dead` gives no reason"));
     }
 
     #[test]
     fn rust_docs_cite_only_existing_markdown() {
         let source =
-            "//! See README.md and `crates/a/NOTES.md`.\n/// Also GONE.md, not *.md.\nlet s = 1;";
-        let cited: Vec<(usize, &str)> = md_citations(source);
-        assert_eq!(cited, vec![(1, "README.md"), (1, "crates/a/NOTES.md"), (2, "GONE.md")]);
-        let lib = "//! From the root README.md, the package NOTES.md, and GONE.md.\n";
+            "//! See README.md and `crates/a/NOTES.md`.\n/// Also GONE.md, not *.md.\nfn x() {}";
+        let cited = md_citations(source);
+        assert_eq!(cited, [(1, "README.md"), (1, "crates/a/NOTES.md"), (2, "GONE.md")]);
+        let lib = "//! The root README.md, the package NOTES.md, and GONE.md.\n";
         let files = [
             ("README.md", ""),
             ("crates/a/Cargo.toml", ""),
             ("crates/a/NOTES.md", ""),
             ("crates/a/src/lib.rs", lib),
         ];
-        let root = fixture("md", &files);
         let mut failures = Vec::new();
-        check_rust_docs(&root, &mut failures);
-        fs::remove_dir_all(&root).unwrap();
-        assert_eq!(failures.len(), 1, "{failures:?}");
-        assert!(failures[0].ends_with("src/lib.rs:1: cites `GONE.md`, which does not exist"));
+        in_tree("md", &files, |root| check_rust_docs(root, &mut failures));
+        assert_eq!(failures, ["crates/a/src/lib.rs:1: cites `GONE.md`, which does not exist"]);
     }
 }
