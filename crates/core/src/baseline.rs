@@ -49,11 +49,6 @@ impl SingleKeyShuffleProgram {
         })?;
         Ok(SingleKeyShuffleProgram { query: query.clone(), key, seed })
     }
-
-    /// The partitioning variable.
-    pub fn key(&self) -> VarId {
-        self.key
-    }
 }
 
 impl MpcProgram for SingleKeyShuffleProgram {
@@ -106,7 +101,7 @@ mod tests {
         let q = families::star(3);
         let db = matching_database(&q, 800, 2);
         let program = SingleKeyShuffleProgram::new(&q, 7).unwrap();
-        assert_eq!(q.var_name(program.key()).unwrap(), "z");
+        assert_eq!(q.var_name(program.key).unwrap(), "z");
         let cluster = Cluster::new(MpcConfig::new(16, 0.0)).unwrap();
         let result = cluster.run(&program, &db).unwrap();
         let expected = evaluate(&q, &db).unwrap();

@@ -136,11 +136,6 @@ impl PlanProgram {
             final_view,
         })
     }
-
-    /// The query this program computes.
-    pub fn original(&self) -> &Query {
-        &self.original
-    }
 }
 
 impl MpcProgram for PlanProgram {

@@ -13,7 +13,7 @@
 use mpc_cq::Query;
 use mpc_data::DbStatistics;
 
-use crate::heavy::{self, HeavyValues};
+use crate::heavy::HeavyValues;
 use crate::shares::ShareAllocation;
 use crate::Result;
 
@@ -32,13 +32,7 @@ impl Default for HeavyHitterPolicy {
     }
 }
 
-impl HeavyHitterPolicy {
-    /// The frequency above which a value of a column with `len` tuples is
-    /// heavy, for a variable with HyperCube share `share`.
-    pub fn threshold(&self, len: usize, share: usize) -> f64 {
-        heavy::threshold(len, share, self.scale)
-    }
-}
+impl HeavyHitterPolicy {}
 
 /// Classifies values as heavy per query variable.
 #[derive(Debug, Clone, Default)]
@@ -50,11 +44,6 @@ impl HeavyHitterDetector {
     /// A detector with the given policy.
     pub fn new(policy: HeavyHitterPolicy) -> Self {
         HeavyHitterDetector { policy }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> &HeavyHitterPolicy {
-        &self.policy
     }
 
     /// Detect the heavy hitters of a database from its collected
@@ -225,7 +214,7 @@ mod tests {
                         if share <= 1 {
                             continue;
                         }
-                        let threshold = policy.threshold(rel.len(), share);
+                        let threshold = crate::heavy::threshold(rel.len(), share, policy.scale);
                         for (value, truth_f) in truth.column_estimates(pos) {
                             let est = rs.estimate(pos, value);
                             let slack = rs.slack_for(truth_f.max(est));

@@ -52,7 +52,6 @@ const LOG_GRID: i128 = 12;
 pub struct ResidualPlanSet {
     heavy: HeavyValues,
     plans: Vec<Group>,
-    p: usize,
 }
 
 impl ResidualPlanSet {
@@ -147,7 +146,7 @@ impl ResidualPlanSet {
             })
         })?;
 
-        Ok(ResidualPlanSet { heavy, plans, p })
+        Ok(ResidualPlanSet { heavy, plans })
     }
 
     /// The (possibly demoted) heavy hitters the plans are keyed on.
@@ -158,11 +157,6 @@ impl ResidualPlanSet {
     /// All plans, light plan first.
     pub fn plans(&self) -> &[Group] {
         &self.plans
-    }
-
-    /// The number of servers the plan set was built for.
-    pub fn p(&self) -> usize {
-        self.p
     }
 }
 

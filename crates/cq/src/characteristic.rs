@@ -151,7 +151,7 @@ mod tests {
         )
         .unwrap();
         let total = q.characteristic();
-        let components = q.connected_components().into_iter();
+        let components = crate::hypergraph::tests::connected_components(&q).into_iter();
         let sum: i64 =
             components.map(|atoms| q.induced_subquery(&atoms).unwrap().characteristic()).sum();
         assert_eq!(total, sum);

@@ -96,24 +96,6 @@ impl Query {
         self.num_connected_components() <= 1
     }
 
-    /// The connected components, each given as the set of atoms it contains,
-    /// ordered by the smallest atom id they contain.
-    pub fn connected_components(&self) -> Vec<Vec<AtomId>> {
-        let mut uf = self.variable_components();
-        // Group atoms by the component of (any of) their variables. Every
-        // atom has at least one variable (validated at construction).
-        let mut groups: std::collections::BTreeMap<usize, Vec<AtomId>> =
-            std::collections::BTreeMap::new();
-        for a in self.atom_ids() {
-            let first_var = self.atoms()[a.0].vars[0];
-            let root = uf.find(first_var.0);
-            groups.entry(root).or_default().push(a);
-        }
-        let mut comps: Vec<Vec<AtomId>> = groups.into_values().collect();
-        comps.sort_by_key(|atoms| atoms[0]);
-        comps
-    }
-
     /// True if the given atom set is connected *as a subhypergraph*
     /// (considering only the variables occurring in those atoms).
     pub fn atoms_connected(&self, atoms: &[AtomId]) -> bool {
@@ -128,9 +110,27 @@ impl Query {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::query::Query;
+
+    /// The connected components, each given as the set of atoms it contains,
+    /// ordered by the smallest atom id they contain.
+    pub(crate) fn connected_components(q: &Query) -> Vec<Vec<AtomId>> {
+        let mut uf = q.variable_components();
+        // Group atoms by the component of (any of) their variables. Every
+        // atom has at least one variable (validated at construction).
+        let mut groups: std::collections::BTreeMap<usize, Vec<AtomId>> =
+            std::collections::BTreeMap::new();
+        for a in q.atom_ids() {
+            let first_var = q.atoms()[a.0].vars[0];
+            let root = uf.find(first_var.0);
+            groups.entry(root).or_default().push(a);
+        }
+        let mut comps: Vec<Vec<AtomId>> = groups.into_values().collect();
+        comps.sort_by_key(|atoms| atoms[0]);
+        comps
+    }
 
     #[test]
     fn union_find_basics() {
@@ -153,8 +153,8 @@ mod tests {
         .unwrap();
         assert!(q.is_connected());
         assert_eq!(q.num_connected_components(), 1);
-        assert_eq!(q.connected_components().len(), 1);
-        assert_eq!(q.connected_components()[0].len(), 3);
+        assert_eq!(connected_components(&q).len(), 1);
+        assert_eq!(connected_components(&q)[0].len(), 3);
     }
 
     #[test]
@@ -163,7 +163,7 @@ mod tests {
         let q = Query::new("q", vec![("R", vec!["x"]), ("S", vec!["y"])]).unwrap();
         assert!(!q.is_connected());
         assert_eq!(q.num_connected_components(), 2);
-        let comps = q.connected_components();
+        let comps = connected_components(&q);
         assert_eq!(comps.len(), 2);
         assert!(comps.iter().all(|atoms| atoms.len() == 1));
     }
@@ -176,7 +176,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.num_connected_components(), 2);
-        let comps = q.connected_components();
+        let comps = connected_components(&q);
         assert_eq!(comps[0].len(), 2);
         assert_eq!(comps[1].len(), 1);
     }

@@ -63,11 +63,6 @@ impl LayeredGraph {
         (self.num_edge_layers as u64 + 1) * self.layer_size
     }
 
-    /// Total number of edges (`< num_vertices`, the graph is sparse).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Number of connected components (one path per first-layer vertex).
     pub fn num_components(&self) -> u64 {
         self.layer_size
@@ -194,7 +189,7 @@ mod tests {
     fn layered_graph_shape() {
         let g = LayeredGraph::generate(4, 10, 3);
         assert_eq!(g.num_vertices(), 50);
-        assert_eq!(g.num_edges(), 40);
+        assert_eq!(g.edges.len(), 40);
         assert_eq!(g.num_components(), 10);
         let edges = g.edge_relation("E");
         assert_eq!(edges.len(), 80); // both orientations

@@ -183,11 +183,6 @@ impl RelationStats {
         self.total
     }
 
-    /// True when these statistics come from a sample.
-    pub fn is_sampled(&self) -> bool {
-        self.sample.is_some()
-    }
-
     /// Tuples visited to build these statistics.
     pub fn scanned(&self) -> usize {
         self.scanned
@@ -278,11 +273,6 @@ impl DbStatistics {
         DbStatistics { mode, relations }
     }
 
-    /// The mode these statistics were collected under.
-    pub fn mode(&self) -> StatsMode {
-        self.mode
-    }
-
     /// True when collected under [`StatsMode::Sampled`].
     pub fn is_sampled(&self) -> bool {
         self.mode.is_sampled()
@@ -349,7 +339,7 @@ mod tests {
         for rel in db.relations() {
             let ra = a.relation(rel.name()).unwrap();
             let rb = b.relation(rel.name()).unwrap();
-            assert!(ra.is_sampled());
+            assert!(ra.sample().is_some());
             assert_eq!(ra.sample().unwrap().0, rb.sample().unwrap().0, "same seed, same sample");
             // The sample has no duplicate indices: a draw with replacement
             // would have lost rows to the sample relation's deduplication.

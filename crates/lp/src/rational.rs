@@ -76,11 +76,6 @@ impl Rational {
         Rational { num: n as i128, den: 1 }
     }
 
-    /// Denominator (always positive).
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
     /// Convert to `f64` (used only for reporting and plotting; all decisions
     /// are made on exact values).
     pub fn to_f64(&self) -> f64 {
@@ -323,7 +318,7 @@ mod tests {
         assert_eq!(Rational::new(-2, -4), Rational::new(1, 2));
         assert_eq!(Rational::new(2, -4), Rational::new(-1, 2));
         assert_eq!(Rational::new(0, 5), Rational::ZERO);
-        assert_eq!(Rational::new(7, 1).denom(), 1);
+        assert_eq!(Rational::new(7, 1).den, 1);
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl ServerState {
     pub fn tuples_received_in_round(&self, round: usize) -> u64 {
         self.tuples_received.get(round - 1).copied().unwrap_or(0)
     }
-
-    /// Total bytes received across all rounds.
-    pub fn total_bytes_received(&self) -> u64 {
-        self.bytes_received.iter().sum()
-    }
 }
 
 /// Rows held back from a server until their round closes: every block a
@@ -302,7 +297,7 @@ mod tests {
         assert_eq!(s.bytes_received_in_round(1), 3 * 16);
         assert_eq!(s.bytes_received_in_round(2), 8);
         assert_eq!(s.tuples_received_in_round(1), 3);
-        assert_eq!(s.total_bytes_received(), 3 * 16 + 8);
+        assert_eq!(s.bytes_received.iter().sum::<u64>(), 3 * 16 + 8);
         assert_eq!(s.bytes_received_in_round(5), 0);
     }
 
@@ -337,7 +332,7 @@ mod tests {
         let rel = Relation::from_tuples("View", 2, vec![[1u64, 2], [3, 4]]).unwrap();
         s.add_local(rel);
         assert_eq!(s.relation("View").unwrap().len(), 2);
-        assert_eq!(s.total_bytes_received(), 0);
+        assert_eq!(s.bytes_received.iter().sum::<u64>(), 0);
         // Merging with more local tuples under the same tag.
         s.add_local(Relation::from_tuples("View", 2, vec![[5u64, 6]]).unwrap());
         assert_eq!(s.relation("View").unwrap().len(), 3);
