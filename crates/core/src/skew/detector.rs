@@ -32,8 +32,6 @@ impl Default for HeavyHitterPolicy {
     }
 }
 
-impl HeavyHitterPolicy {}
-
 /// Classifies values as heavy per query variable.
 #[derive(Debug, Clone, Default)]
 pub struct HeavyHitterDetector {

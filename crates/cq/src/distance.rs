@@ -75,25 +75,25 @@ impl Query {
             .map(|v| self.eccentricity(v))
             .try_fold(0usize, |acc, e| e.map(|e| acc.max(e)))
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::families;
+    use crate::query::{Query, VarId};
 
     /// A *center* of the query: a variable of minimum eccentricity
-    /// (`None` if disconnected). Used by the radius-based multi-round plan
-    /// of Lemma 4.3.
-    pub fn center(&self) -> Option<VarId> {
+    /// (`None` if disconnected).
+    fn center(q: &Query) -> Option<VarId> {
         let mut best: Option<(usize, VarId)> = None;
-        for v in self.var_ids() {
-            let ecc = self.eccentricity(v)?;
+        for v in q.var_ids() {
+            let ecc = q.eccentricity(v)?;
             if best.is_none_or(|(b, _)| ecc < b) {
                 best = Some((ecc, v));
             }
         }
         best.map(|(_, v)| v)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::families;
 
     #[test]
     fn chain_radius_and_diameter() {
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn center_of_chain_is_middle() {
         let q = families::chain(4);
-        let c = q.center().unwrap();
+        let c = center(&q).unwrap();
         assert_eq!(q.var_name(c).unwrap(), "x2");
     }
 
@@ -151,7 +151,7 @@ mod tests {
         let q = crate::query::Query::new("q", vec![("R", vec!["x"]), ("S", vec!["y"])]).unwrap();
         assert_eq!(q.radius(), None);
         assert_eq!(q.diameter(), None);
-        assert_eq!(q.center(), None);
+        assert_eq!(center(&q), None);
         let x = q.var_id("x").unwrap();
         let y = q.var_id("y").unwrap();
         assert_eq!(q.distances_from(x)[y.0], None);

@@ -70,17 +70,6 @@ impl VertexCover {
             sum >= Rational::ONE
         })
     }
-
-    /// True if every covering constraint holds with equality (a *tight*
-    /// cover in the sense of Section 2.3).
-    pub fn is_tight_for(&self, q: &Query) -> bool {
-        self.weights.len() == q.num_vars()
-            && q.atom_ids().all(|a| {
-                let vars = q.vars_of_atom(a).expect("atom id from the query itself");
-                let sum = vars.iter().fold(Rational::ZERO, |acc, v| acc + self.weight(*v));
-                sum == Rational::ONE
-            })
-    }
 }
 
 /// An (optimal) fractional edge packing: one weight per atom.
@@ -446,6 +435,17 @@ mod tests {
         Rational::new(n, d)
     }
 
+    /// True if every covering constraint holds with equality (a *tight*
+    /// cover in the sense of Section 2.3).
+    fn cover_is_tight_for(cover: &VertexCover, q: &Query) -> bool {
+        cover.weights.len() == q.num_vars()
+            && q.atom_ids().all(|a| {
+                let vars = q.vars_of_atom(a).expect("atom id from the query itself");
+                let sum = vars.iter().fold(Rational::ZERO, |acc, v| acc + cover.weight(*v));
+                sum == Rational::ONE
+            })
+    }
+
     #[test]
     fn tau_star_of_running_examples() {
         // Table 1 of the paper.
@@ -507,7 +507,7 @@ mod tests {
         // The canonical optimal cover (0,1,1,0) is valid but NOT tight.
         let cover = VertexCover::from_weights(vec![r(0, 1), r(1, 1), r(1, 1), r(0, 1)]).unwrap();
         assert!(cover.is_valid_for(&l3));
-        assert!(!cover.is_tight_for(&l3));
+        assert!(!cover_is_tight_for(&cover, &l3));
     }
 
     #[test]
@@ -515,7 +515,7 @@ mod tests {
         let c3 = families::cycle(3);
         let cover = VertexCover::from_weights(vec![r(1, 2); 3]).unwrap();
         assert!(cover.is_valid_for(&c3));
-        assert!(cover.is_tight_for(&c3));
+        assert!(cover_is_tight_for(&cover, &c3));
         assert_eq!(cover.total(), r(3, 2));
         let lps = QueryLps::solve(&c3).unwrap();
         assert_eq!(lps.covering_number(), r(3, 2));

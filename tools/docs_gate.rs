@@ -210,7 +210,7 @@ fn definition(line: &str) -> Option<(bool, &str, &str)> {
             let name = &next[..next.find(|c| !is_ident(c)).unwrap_or(next.len())];
             return (!name.is_empty()).then_some((public, *w, name));
         }
-        if !["const", "unsafe", "async", "extern", "\"C\""].contains(w) {
+        if !["const", "unsafe", "async"].contains(w) {
             return None;
         }
     }
