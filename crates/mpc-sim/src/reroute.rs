@@ -202,11 +202,6 @@ impl<'a, P: MpcProgram> RerouteHost<'a, P> {
     pub fn new(inner: &'a P, plan: ReroutePlan) -> Self {
         RerouteHost { inner, plan }
     }
-
-    /// The applied plan.
-    pub fn plan(&self) -> &ReroutePlan {
-        &self.plan
-    }
 }
 
 impl<P: MpcProgram> MpcProgram for RerouteHost<'_, P> {
